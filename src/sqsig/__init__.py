@@ -21,7 +21,6 @@ from .adversary import (
     AttackStrategy,
     Channel,
     EntangleProbe,
-    ForgeFromScratch,
     InterceptMeasureResendZ,
     NoAttack,
     PauliXTamper,
@@ -29,7 +28,6 @@ from .adversary import (
     TamperSignatureB,
     TapPoint,
     UnitaryTamperThenUndo,
-    forge_signature,
 )
 from .roles import (
     Evidence,

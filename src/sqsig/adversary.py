@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .keys import Bits, random_bits
+from .keys import Bits
 from .quantum import Basis, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z
 from .register import (
     QubitRef,
@@ -128,10 +128,11 @@ class EntangleProbe(AttackStrategy):
     """
 
     kind = "entangle_probe"
+    MEASURE_TIMES = ("after_return", "immediate")
 
     def __init__(self, measure_time: str = "after_return") -> None:
         super().__init__()
-        if measure_time not in ("after_return", "immediate"):
+        if measure_time not in self.MEASURE_TIMES:
             raise ValueError(f"unknown measure_time {measure_time!r}")
         self.measure_time = measure_time
 
@@ -152,16 +153,6 @@ class EntangleProbe(AttackStrategy):
             if self.measure_time == "after_return":
                 self._measure_probes(rng)
         return list(refs)
-
-
-class ForgeFromScratch(AttackStrategy):
-    """Marker strategy: the harness runs the dedicated forgery experiment."""
-
-    kind = "forge_from_scratch"
-
-    def __init__(self, m_prime: Bits | None = None) -> None:
-        super().__init__()
-        self.m_prime = m_prime
 
 
 class TamperSignatureB(AttackStrategy):
@@ -201,35 +192,6 @@ class TamperClassicalMessage(AttackStrategy):
                 out[p] ^= 1
             return tuple(out)
         return bits
-
-
-def forge_signature(
-    n: int, m_prime: Sequence[int] | None, rng: np.random.Generator
-) -> Bits:
-    """Best-effort forgery without the key: independent uniform guesses."""
-    return random_bits(rng, n)
-
-
-def tamper_b_sequence(
-    bundle_qubits: Sequence[QubitRef], positions: Sequence[int]
-) -> list[QubitRef]:
-    """Apply a bit flip to the signature qubits at each listed position."""
-    refs = list(bundle_qubits)
-    for p in positions:
-        if p < 0 or p >= len(refs):
-            raise IndexError(f"position {p} out of range for {len(refs)} qubits")
-        apply_gate(refs[p], PAULI_X)
-    return refs
-
-
-def entangle_probe_attack(
-    ref: QubitRef, memory: AdversaryMemory
-) -> QubitRef:
-    """Attach and couple a |0> probe to a transmitted qubit; keep the probe."""
-    probe = attach_ancilla(ref)
-    probe_cnot(ref, probe)
-    memory.ancillas.append(probe)
-    return probe
 
 
 _PAULI_CYCLE = (PAULI_X, PAULI_Y, PAULI_Z)

@@ -1,11 +1,15 @@
 """Decoy-based eavesdropping detection rounds.
 
-Implements the improved two-sided detection round (receiver checks the
-Z-basis decoys immediately, then returns all decoys reordered for the
-sender's final check), its one-time-pad inline variant that collapses the
-four classical messages into the quantum transmissions, and two
-deliberately vulnerable baseline modes kept for attack demonstrations:
-direct reflection and measure-then-return without comparison.
+Each DetectionMode has one ModeSpec in MODE_SPECS, which
+run_detection_round reads:
+
+- improved: Z-decoy values and X-decoy positions in clear; the receiver
+  checks the Z-decoys, then returns all decoys shuffled for the sender's
+  final Z/X check.
+- improved_inline_otp: the same, announced as one-time-pad ciphertext.
+- measure_then_return (baseline): the receiver measures, never compares.
+- direct_reflection (baseline): the receiver delays and reflects the
+  decoys unmeasured (semi-quantum model of Boyer, Kenigsberg & Mor 2007).
 """
 
 from __future__ import annotations
@@ -36,8 +40,37 @@ class Verdict(str, Enum):
     ABORT = "abort"
 
 
-class DetectionAbort(RuntimeError):
-    """Raised when a checked error rate exceeds the threshold."""
+@dataclass(frozen=True)
+class ModeSpec:
+    """The protocol facts that tell the detection modes apart."""
+
+    # Forward announcements: (wire name, decoy bases listed, with values).
+    announcements: tuple[tuple[str, tuple[Basis, ...], bool], ...]
+    # OTP ciphertext under the shared key: no receipt confirmations, and
+    # one classical_compute by the receiver.
+    encrypted: bool
+    # The receiver measures the Z-decoys and returns all decoys shuffled;
+    # otherwise it delays and reflects them in their original order.
+    measures: bool
+    compares: bool  # the receiver checks its Z results against the values
+
+
+_Z, _X, _ALL = (Basis.Z,), (Basis.X,), (Basis.Z, Basis.X)
+
+MODE_SPECS = {
+    DetectionMode.IMPROVED: ModeSpec(
+        (("loc_z", _Z, True), ("decoy_positions_x", _X, False)),
+        encrypted=False, measures=True, compares=True),
+    DetectionMode.IMPROVED_INLINE_OTP: ModeSpec(
+        (("loc_ciphertext", _ALL, True),),
+        encrypted=True, measures=True, compares=True),
+    DetectionMode.MEASURE_THEN_RETURN: ModeSpec(
+        (("decoy_positions_z", _Z, False), ("decoy_positions_x", _X, False)),
+        encrypted=False, measures=True, compares=False),
+    DetectionMode.DIRECT_REFLECTION: ModeSpec(
+        (("decoy_positions", _ALL, False),),
+        encrypted=False, measures=False, compares=False),
+}
 
 
 @dataclass
@@ -61,9 +94,6 @@ class LocTable:
         if positions != sorted(set(positions)):
             raise ValueError("LOC positions must be strictly increasing and unique")
 
-    def positions(self) -> tuple[int, ...]:
-        return tuple(e.position for e in self.entries)
-
 
 @dataclass
 class PermutationRecord:
@@ -80,6 +110,9 @@ class PermutationRecord:
         return tuple(inv)
 
 
+CHECKS = ("bob_z", "alice_z", "alice_x")  # receiver's Z check, sender's Z/X recheck
+
+
 @dataclass
 class DetectionReport:
     mode: DetectionMode
@@ -92,18 +125,10 @@ class DetectionReport:
     alice_x_checked: int = 0
     verdict: Verdict = Verdict.CONTINUE
 
-    @staticmethod
-    def _rate(errors: int, checked: int) -> float:
-        return errors / checked if checked else 0.0
-
-    def bob_z_rate(self) -> float:
-        return self._rate(self.bob_z_errors, self.bob_z_checked)
-
-    def alice_z_rate(self) -> float:
-        return self._rate(self.alice_z_errors, self.alice_z_checked)
-
-    def alice_x_rate(self) -> float:
-        return self._rate(self.alice_x_errors, self.alice_x_checked)
+    def rate(self, check: str) -> float:
+        """Error rate of one of CHECKS; 0 when nothing was checked."""
+        checked = getattr(self, f"{check}_checked")
+        return getattr(self, f"{check}_errors") / checked if checked else 0.0
 
 
 @dataclass
@@ -124,7 +149,6 @@ class DetectionResult:
     report: DetectionReport
     carriers: list[QubitRef]
     recovered_m: Bits | None
-    receiver_z_bits: dict[int, int]  # position -> receiver's measured bit
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +387,12 @@ def alice_final_check(
     restored: list[QubitRef] = [None] * len(returned)  # type: ignore[list-item]
     for j, ref in enumerate(returned):
         restored[perm.mapping[j]] = ref
-    z_err = z_chk = x_err = x_chk = 0
+    tally = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [errors, checked]
     for rec, ref in zip(all_records, restored):
-        bit = alice.measure(ref, rec.basis, rng)
-        if rec.basis is Basis.Z:
-            z_chk += 1
-            z_err += bit != rec.bit
-        else:
-            x_chk += 1
-            x_err += bit != rec.bit
-    return z_err, z_chk, x_err, x_chk
+        counts = tally[rec.basis]
+        counts[0] += alice.measure(ref, rec.basis, rng) != rec.bit
+        counts[1] += 1
+    return (*tally[Basis.Z], *tally[Basis.X])
 
 
 def recover_embedded_message(
@@ -388,6 +408,17 @@ def recover_embedded_message(
 # ---------------------------------------------------------------------------
 # Round orchestration
 # ---------------------------------------------------------------------------
+
+def _announce(
+    channel: Channel, point: TapPoint, wire: str, payload: Bits,
+    pad: KeyStore | None, purpose: str, rng: np.random.Generator,
+) -> Bits:
+    """Send one classical announcement, under the one-time pad if `pad` is set."""
+    if pad is None:
+        return channel.send_classical(point, wire, payload, rng)
+    cipher = otp_encrypt(pad, purpose, payload)
+    return otp_decrypt(pad, purpose, channel.send_classical(point, wire, cipher, rng))
+
 
 def run_detection_round(
     mode: DetectionMode,
@@ -406,142 +437,74 @@ def run_detection_round(
     final check all happen here. The verdict is Abort as soon as any
     checked error rate exceeds the threshold.
     """
+    spec = MODE_SPECS[mode]
+    if spec.encrypted and store is None:
+        raise ValueError("encrypted announcements require the shared key store")
+    pad = store if spec.encrypted else None
     report = DetectionReport(mode=mode, threshold=threshold)
     loc_z = transmission.loc_z.entries
     loc_x = transmission.loc_x.entries
-    d_total = len(transmission.decoy_positions)
 
-    inline = mode is DetectionMode.IMPROVED_INLINE_OTP
-    if inline and store is None:
-        raise ValueError("inline-OTP mode requires the shared key store")
-
-    # Forward transmission (with the inline announcement when applicable).
     seq = channel.send_qubits(
         TapPoint.FORWARD_ALICE_TO_TRENT, transmission.sequence, rng
     )
-    if inline:
-        cipher = otp_encrypt(store, "loc_announce",
-                             encode_loc(transmission.records))
-        wire = channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "loc_ciphertext", cipher, rng
+    if not spec.encrypted:
+        channel.send_classical(
+            TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", (1,), rng
         )
-        announced = decode_loc(otp_decrypt(store, "loc_announce", wire))
+    announced_pos: list[int] = []
+    for wire_name, bases, values in spec.announcements:
+        records = [r for r in transmission.records if r.basis in bases]
+        wire = _announce(
+            channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
+            encode_loc(records, include_values=values), pad, "loc_announce", rng,
+        )
+        announced_pos += [r.position for r in decode_loc(wire)]
+    if spec.encrypted:
         receiver.classical_compute()
-        announced_z = [r for r in announced if r.basis is Basis.Z]
-        announced_all_pos = [r.position for r in announced]
-    elif mode is DetectionMode.IMPROVED:
-        channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", (1,), rng
-        )
-        wire_z = channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "loc_z", encode_loc(loc_z), rng
-        )
-        wire_x = channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "decoy_positions_x",
-            encode_loc(loc_x, include_values=False), rng,
-        )
-        announced_z = decode_loc(wire_z)
-        announced_all_pos = [r.position for r in announced_z]
-        announced_all_pos += [r.position for r in decode_loc(wire_x)]
-    elif mode is DetectionMode.MEASURE_THEN_RETURN:
-        channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", (1,), rng
-        )
-        wire_z = channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "decoy_positions_z",
-            encode_loc(loc_z, include_values=False), rng,
-        )
-        wire_x = channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "decoy_positions_x",
-            encode_loc(loc_x, include_values=False), rng,
-        )
-        announced_z = decode_loc(wire_z)
-        announced_all_pos = [r.position for r in announced_z]
-        announced_all_pos += [r.position for r in decode_loc(wire_x)]
-    else:  # DIRECT_REFLECTION
-        channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", (1,), rng
-        )
-        wire = channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "decoy_positions",
-            encode_loc(transmission.records, include_values=False), rng,
-        )
-        announced_z = []
-        announced_all_pos = [r.position for r in decode_loc(wire)]
 
-    measured: dict[int, int] = {}
     recovered_m: Bits | None = None
-
-    if mode in (DetectionMode.IMPROVED, DetectionMode.IMPROVED_INLINE_OTP):
-        # Receiver-side check against the announced contents.
-        errors, checked, measured = bob_z_check(
-            receiver, seq, [r for r in loc_z], rng, compare=True
+    if spec.measures:
+        report.bob_z_errors, report.bob_z_checked, measured = bob_z_check(
+            receiver, seq, loc_z, rng, compare=spec.compares
         )
-        report.bob_z_errors, report.bob_z_checked = errors, checked
-        if checked and errors / checked > threshold:
+        if report.rate("bob_z") > threshold:
             report.verdict = Verdict.ABORT
-            return DetectionResult(report, [], None, measured)
+            return DetectionResult(report, [], None)
         recovered_m = recover_embedded_message(
             loc_z, measured, transmission.embedded_len
         )
         returned, perm, carriers = extract_shuffle_return(
-            receiver, seq, announced_all_pos, rng
+            receiver, seq, announced_pos, rng
         )
-    elif mode is DetectionMode.MEASURE_THEN_RETURN:
-        # Prior scheme: the receiver measures but never compares.
-        _, _, measured = bob_z_check(
-            receiver, seq, [r for r in loc_z], rng, compare=False
-        )
-        recovered_m = recover_embedded_message(
-            loc_z, measured, transmission.embedded_len
-        )
-        returned, perm, carriers = extract_shuffle_return(
-            receiver, seq, announced_all_pos, rng
-        )
-    else:  # DIRECT_REFLECTION: reflect unmeasured, original order.
+    else:
         receiver.delay()
-        decoys, carriers = extract_decoys(seq, announced_all_pos)
+        decoys, carriers = extract_decoys(seq, announced_pos)
         returned = receiver.reflect(decoys)
-        perm = PermutationRecord(mapping=tuple(range(d_total)))
+        perm = PermutationRecord(
+            mapping=tuple(range(len(transmission.decoy_positions)))
+        )
 
     returned = channel.send_qubits(TapPoint.RETURN_TRENT_TO_ALICE, returned, rng)
 
-    if mode is DetectionMode.IMPROVED:
-        channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", (1,), rng
+    if spec.measures:  # the shuffle must be announced; a reflection keeps order
+        if not spec.encrypted:
+            channel.send_classical(
+                TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", (1,), rng
+            )
+        wire = _announce(
+            channel, TapPoint.RETURN_TRENT_TO_ALICE,
+            "perm_ciphertext" if spec.encrypted else "permutation",
+            encode_permutation(perm), pad, "perm_announce", rng,
         )
-        wire = channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "permutation",
-            encode_permutation(perm), rng,
-        )
-        perm_for_alice = decode_permutation(wire)
-    elif mode is DetectionMode.IMPROVED_INLINE_OTP:
-        cipher = otp_encrypt(store, "perm_announce", encode_permutation(perm))
-        wire = channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "perm_ciphertext", cipher, rng
-        )
-        perm_for_alice = decode_permutation(
-            otp_decrypt(store, "perm_announce", wire)
-        )
-    elif mode is DetectionMode.MEASURE_THEN_RETURN:
-        channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", (1,), rng
-        )
-        wire = channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "permutation",
-            encode_permutation(perm), rng,
-        )
-        perm_for_alice = decode_permutation(wire)
-    else:
-        perm_for_alice = perm
+        perm = decode_permutation(wire)
 
-    z_err, z_chk, x_err, x_chk = alice_final_check(
-        sender, returned, perm_for_alice, loc_z, loc_x, rng
+    (report.alice_z_errors, report.alice_z_checked,
+     report.alice_x_errors, report.alice_x_checked) = alice_final_check(
+        sender, returned, perm, loc_z, loc_x, rng
     )
-    report.alice_z_errors, report.alice_z_checked = z_err, z_chk
-    report.alice_x_errors, report.alice_x_checked = x_err, x_chk
-    if (z_chk and z_err / z_chk > threshold) or (x_chk and x_err / x_chk > threshold):
+    if max(report.rate("alice_z"), report.rate("alice_x")) > threshold:
         report.verdict = Verdict.ABORT
-        return DetectionResult(report, [], None, measured)
+        return DetectionResult(report, [], None)
 
-    return DetectionResult(report, carriers, recovered_m, measured)
+    return DetectionResult(report, carriers, recovered_m)

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .adversary import (
+    _NAMED_UNITARIES,
     AttackStrategy,
     EntangleProbe,
-    ForgeFromScratch,
     InterceptMeasureResendZ,
     NoAttack,
     PauliXTamper,
@@ -21,7 +21,7 @@ from .adversary import (
     TamperSignatureB,
     UnitaryTamperThenUndo,
 )
-from .detection import DetectionMode
+from .detection import CHECKS, POSITION_FIELD_BITS, DetectionMode
 from .protocol import TrialResult, run_protocol_round
 from .quantum import (
     Basis,
@@ -44,18 +44,6 @@ class ConfigError(ValueError):
 # Attack specification
 # ---------------------------------------------------------------------------
 
-ATTACK_NAMES = (
-    "none",
-    "intercept_resend_z",
-    "unitary_tamper_then_undo",
-    "pauli_x_tamper",
-    "entangle_probe",
-    "forge",
-    "tamper_b",
-    "tamper_m",
-)
-
-
 @dataclass(frozen=True)
 class AttackSpec:
     name: str
@@ -64,59 +52,95 @@ class AttackSpec:
     probe_measure_time: str = "after_return"
 
 
+def _no_argument(name: str, arg: str) -> AttackSpec:
+    if arg:
+        raise ConfigError(f"{name} takes no argument; got {arg!r}")
+    return AttackSpec(name=name)
+
+
+def _one_of(name: str, arg: str, choices: Sequence[str]) -> str:
+    if arg not in choices:
+        raise ConfigError(f"{name} needs one of {', '.join(choices)}; got {arg!r}")
+    return arg
+
+
+def _unitary(name: str, arg: str) -> AttackSpec:
+    return AttackSpec(name=name, unitary=_one_of(name, arg.upper(), _NAMED_UNITARIES))
+
+
+def _positions(name: str, arg: str) -> AttackSpec:
+    if not arg:
+        raise ConfigError(f"{name} needs a comma-separated position list")
+    try:
+        positions = tuple(int(p) for p in arg.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {name} positions {arg!r}") from exc
+    return AttackSpec(name=name, positions=positions)
+
+
+def _probe_time(name: str, arg: str) -> AttackSpec:
+    if not arg:
+        return AttackSpec(name=name)
+    times = EntangleProbe.MEASURE_TIMES
+    return AttackSpec(name=name, probe_measure_time=_one_of(name, arg, times))
+
+
+def _no_strategy(spec: AttackSpec) -> AttackStrategy:
+    raise ConfigError(f"{spec.name} runs its own experiment, not a channel strategy")
+
+
+@dataclass(frozen=True)
+class AttackKind:
+    """How one attack is parsed from text, built, and written back."""
+
+    parse: Callable[[str, str], AttackSpec]  # (name, argument) -> spec
+    build: Callable[[AttackSpec], AttackStrategy]
+    argument: Callable[[AttackSpec], str] = lambda spec: ""  # "" prints bare
+
+
+def _positions_text(spec: AttackSpec) -> str:
+    return ",".join(str(p) for p in spec.positions)
+
+
+ATTACKS = {
+    "none": AttackKind(_no_argument, lambda spec: NoAttack()),
+    "intercept_resend_z": AttackKind(
+        _no_argument, lambda spec: InterceptMeasureResendZ()),
+    "unitary_tamper_then_undo": AttackKind(
+        _unitary, lambda spec: UnitaryTamperThenUndo(spec.unitary),
+        lambda spec: spec.unitary),
+    "pauli_x_tamper": AttackKind(_no_argument, lambda spec: PauliXTamper()),
+    "entangle_probe": AttackKind(
+        _probe_time, lambda spec: EntangleProbe(spec.probe_measure_time),
+        # The default timing prints bare.
+        lambda spec: "" if spec == AttackSpec(spec.name) else spec.probe_measure_time),
+    "forge": AttackKind(_no_argument, _no_strategy),
+    "tamper_b": AttackKind(
+        _positions, lambda spec: TamperSignatureB(spec.positions), _positions_text),
+    "tamper_m": AttackKind(
+        _positions, lambda spec: TamperClassicalMessage(spec.positions),
+        _positions_text),
+}
+
+
 def parse_attack(text: str) -> AttackSpec:
     head, _, arg = text.strip().partition(":")
     head = head.lower()
-    if head not in ATTACK_NAMES:
+    if head not in ATTACKS:
         raise ConfigError(
-            f"unknown attack {head!r}; valid kinds: {', '.join(ATTACK_NAMES)}"
+            f"unknown attack {head!r}; valid kinds: {', '.join(ATTACKS)}"
         )
-    if head == "unitary_tamper_then_undo":
-        if arg.upper() not in ("X", "Y", "Z", "H"):
-            raise ConfigError(
-                f"unitary_tamper_then_undo needs one of X, Y, Z, H; got {arg!r}"
-            )
-        return AttackSpec(name=head, unitary=arg.upper())
-    if head in ("tamper_b", "tamper_m"):
-        if not arg:
-            raise ConfigError(f"{head} needs a comma-separated position list")
-        try:
-            positions = tuple(int(p) for p in arg.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad {head} positions {arg!r}") from exc
-        return AttackSpec(name=head, positions=positions)
-    if head == "entangle_probe" and arg:
-        return AttackSpec(name=head, probe_measure_time=arg)
-    return AttackSpec(name=head)
+    return ATTACKS[head].parse(head, arg)
 
 
 def build_strategy(spec: AttackSpec) -> AttackStrategy:
     """Fresh strategy instance (adversary memory is per-run)."""
-    if spec.name == "none":
-        return NoAttack()
-    if spec.name == "intercept_resend_z":
-        return InterceptMeasureResendZ()
-    if spec.name == "unitary_tamper_then_undo":
-        return UnitaryTamperThenUndo(spec.unitary)
-    if spec.name == "pauli_x_tamper":
-        return PauliXTamper()
-    if spec.name == "entangle_probe":
-        return EntangleProbe(measure_time=spec.probe_measure_time)
-    if spec.name == "forge":
-        return ForgeFromScratch()
-    if spec.name == "tamper_b":
-        return TamperSignatureB(spec.positions)
-    if spec.name == "tamper_m":
-        return TamperClassicalMessage(spec.positions)
-    raise ConfigError(f"unknown attack {spec.name!r}")
+    return ATTACKS[spec.name].build(spec)
 
 
 def attack_spec_text(spec: AttackSpec) -> str:
-    if spec.name == "unitary_tamper_then_undo":
-        return f"{spec.name}:{spec.unitary}"
-    if spec.name in ("tamper_b", "tamper_m"):
-        return f"{spec.name}:{','.join(str(p) for p in spec.positions)}"
-    return spec.name
+    arg = ATTACKS[spec.name].argument(spec)
+    return f"{spec.name}:{arg}" if arg else spec.name
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +171,23 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
-        if self.n < 1 and self.attack.name != "forge":
-            raise ConfigError("n: must be >= 1")
+        if self.n < (0 if self.attack.name == "forge" else 1):
+            raise ConfigError("n: must be >= 1 (>= 0 for forge)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold: {self.threshold} not in [0,1]")
         if not 0.0 <= self.noise_p < 1.0:
             raise ConfigError(f"noise_p: {self.noise_p} not in [0,1)")
         if self.message is not None and len(self.message) != self.n:
             raise ConfigError("message: length must equal n")
-        if self.mode is not DetectionMode.DIRECT_REFLECTION and self.d_z < self.n:
+        if self.d_z < self.n:
             raise ConfigError("d_z: must be >= n to embed the message")
+        if self.d_x < 0:
+            raise ConfigError("d_x: must be >= 0")
+        if self.n + self.d_z + self.d_x > 1 << POSITION_FIELD_BITS:
+            raise ConfigError(f"n + d_z + d_x: must fit {POSITION_FIELD_BITS}-bit positions")
+        bad = [p for p in self.attack.positions if not 0 <= p < self.n]
+        if bad:
+            raise ConfigError(f"attack: positions {bad} not in [0, {self.n})")
 
     def echo(self) -> dict:
         return {
@@ -197,8 +228,7 @@ def load_scenario(path: str) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         fields[key] = value
 
-    known = {"n", "message", "d_z", "d_x", "mode", "attack", "trials",
-             "seed", "threshold", "noise_p", "output"}
+    known = {f.name for f in dataclass_fields(ScenarioConfig)}
     for key in fields:
         if key not in known:
             raise ConfigError(f"{path}: unknown key {key!r}")
@@ -303,19 +333,13 @@ class AggregateStats:
     forge_accepts: np.ndarray | None = None
 
 
-_CHECK_KEYS = ("bob_z", "alice_z", "alice_x")
-
-
 def _trial_record(index: int, result: TrialResult) -> dict:
-    rep = result.detection
     return {
         "trial": index,
         "aborted": result.aborted,
         "trent_yes": bool(result.outcome.verdict) if result.outcome else False,
         "accepted": result.accepted,
-        "bob_z_rate": rep.bob_z_rate(),
-        "alice_z_rate": rep.alice_z_rate(),
-        "alice_x_rate": rep.alice_x_rate(),
+        **{f"{k}_rate": result.detection.rate(k) for k in CHECKS},
     }
 
 
@@ -358,9 +382,6 @@ def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
     stats.trials_run = trials
     stats.forgery_acceptance_rate = float(accepts.mean())
     stats.forge_accepts = accepts
-    stats.error_rate_means = {k: 0.0 for k in _CHECK_KEYS}
-    stats.error_rate_vars = {k: 0.0 for k in _CHECK_KEYS}
-    stats.error_totals = {k: (0, 0) for k in _CHECK_KEYS}
     if n >= 1:
         stats.qubit_efficiency = compute_efficiency(n)
     stats.wall_time = time.perf_counter() - start
@@ -379,9 +400,9 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, RunTranscript]:
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     stats = AggregateStats(config=config)
     first_transcript = RunTranscript()
-    sums = {k: 0.0 for k in _CHECK_KEYS}
-    sumsq = {k: 0.0 for k in _CHECK_KEYS}
-    totals = {k: [0, 0] for k in _CHECK_KEYS}
+    sums = {k: 0.0 for k in CHECKS}
+    sumsq = {k: 0.0 for k in CHECKS}
+    totals = {k: [0, 0] for k in CHECKS}
 
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -393,31 +414,23 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, RunTranscript]:
             stats.trent_yes += 1
         if result.accepted:
             stats.bob_accepts += 1
-        rep = result.detection
-        rates = {
-            "bob_z": rep.bob_z_rate(),
-            "alice_z": rep.alice_z_rate(),
-            "alice_x": rep.alice_x_rate(),
-        }
-        for k, r in rates.items():
+        record = _trial_record(i, result)
+        for k in CHECKS:
+            r = record[f"{k}_rate"]
             sums[k] += r
             sumsq[k] += r * r
-        totals["bob_z"][0] += rep.bob_z_errors
-        totals["bob_z"][1] += rep.bob_z_checked
-        totals["alice_z"][0] += rep.alice_z_errors
-        totals["alice_z"][1] += rep.alice_z_checked
-        totals["alice_x"][0] += rep.alice_x_errors
-        totals["alice_x"][1] += rep.alice_x_checked
-        stats.per_trial.append(_trial_record(i, result))
+            totals[k][0] += getattr(result.detection, f"{k}_errors")
+            totals[k][1] += getattr(result.detection, f"{k}_checked")
+        stats.per_trial.append(record)
         if i == 0 and result.transcript is not None:
             first_transcript = RunTranscript(events=list(result.transcript))
 
     m = stats.trials_run
-    stats.error_rate_means = {k: sums[k] / m for k in _CHECK_KEYS}
+    stats.error_rate_means = {k: sums[k] / m for k in CHECKS}
     stats.error_rate_vars = {
-        k: max(sumsq[k] / m - (sums[k] / m) ** 2, 0.0) for k in _CHECK_KEYS
+        k: max(sumsq[k] / m - (sums[k] / m) ** 2, 0.0) for k in CHECKS
     }
-    stats.error_totals = {k: (totals[k][0], totals[k][1]) for k in _CHECK_KEYS}
+    stats.error_totals = {k: (totals[k][0], totals[k][1]) for k in CHECKS}
     stats.qubit_efficiency = compute_efficiency(config.n)
     stats.wall_time = time.perf_counter() - start
     return stats, first_transcript
@@ -454,16 +467,11 @@ def decoy_mixture_density() -> DensityMatrix:
     return DensityMatrix(dim=2, entries=rho)
 
 
-def density_check(
-    m: Sequence[int], m_prime: Sequence[int], samples: int = 0,
-    rng: np.random.Generator | None = None,
-) -> DensityCheckReport:
+def density_check(m: Sequence[int], m_prime: Sequence[int]) -> DensityCheckReport:
     """Per-position reduced ciphertext states for two messages.
 
     Computed analytically via the partial trace, averaged over the uniform
-    key bit. `samples > 0` additionally averages over that many sampled
-    keys; the result is identical because each Bell half already reduces
-    to the maximally mixed state.
+    key bit.
     """
     m = tuple(int(b) for b in m)
     m_prime = tuple(int(b) for b in m_prime)
@@ -475,12 +483,6 @@ def density_check(
     for mi, mpi in zip(m, m_prime):
         rho_m = _signature_position_density(mi, keep=1)
         rho_mp = _signature_position_density(mpi, keep=1)
-        if samples and rng is not None:
-            acc = np.zeros((2, 2), dtype=complex)
-            for _ in range(samples):
-                k = int(rng.integers(0, 2))
-                acc += partial_trace(prepare_bell(mi ^ k), (1,)).entries
-            rho_m = DensityMatrix(dim=2, entries=acc / samples)
         dev = max(
             float(np.max(np.abs(rho_m.entries - mixed))),
             float(np.max(np.abs(rho_mp.entries - mixed))),
@@ -521,7 +523,7 @@ def _summary_dict(stats: AggregateStats) -> dict:
         "trent_yes": stats.trent_yes,
         "bob_accepts": stats.bob_accepts,
     }
-    for k in _CHECK_KEYS:
+    for k in CHECKS:
         errors, checked = stats.error_totals.get(k, (0, 0))
         rate = errors / checked if checked else 0.0
         lo, hi = _ci3(rate, checked)
@@ -574,7 +576,7 @@ def emit_report(
             rows.append((f"config.{key}", str(value)))
         for key in ("trials_run", "detection_aborts", "trent_yes", "bob_accepts"):
             rows.append((key, str(summary[key])))
-        for k in _CHECK_KEYS:
+        for k in CHECKS:
             rows.append((f"{k}_rate", f"{summary[f'{k}_rate']:.9f}"))
             lo, hi = summary[f"{k}_rate_ci3"]
             rows.append((f"{k}_rate_ci3", f"{lo:.9f},{hi:.9f}"))
@@ -597,7 +599,7 @@ def emit_report(
     lines.append(f"detection aborts  : {summary['detection_aborts']}")
     lines.append(f"trent yes         : {summary['trent_yes']}")
     lines.append(f"bob accepts       : {summary['bob_accepts']}")
-    for k in _CHECK_KEYS:
+    for k in CHECKS:
         lo, hi = summary[f"{k}_rate_ci3"]
         lines.append(
             f"{k:>8} rate     : {summary[f'{k}_rate']:.6f} "
@@ -650,16 +652,16 @@ def run_matrix(
     """Abort rate for every attack under every detection mode."""
     rows = []
     for attack_text in MATRIX_ATTACKS:
-        for mode in MATRIX_MODES:
+        for m in MATRIX_MODES:
             config = ScenarioConfig(
-                n=n, d_z=n, d_x=n, mode=mode,
+                n=n, d_z=n, d_x=n, mode=m,
                 attack=parse_attack(attack_text),
                 trials=trials, seed=seed,
             )
             stats, _ = run_trials(config)
             rows.append({
                 "attack": attack_text,
-                "mode": mode.value,
+                "mode": m.value,
                 "abort_rate": stats.detection_aborts / stats.trials_run,
                 "trent_yes_rate": stats.trent_yes / stats.trials_run,
             })

@@ -48,9 +48,6 @@ class KeyStore:
     cursor: int = 0
     segments: list[Segment] = field(default_factory=list)
 
-    def remaining(self) -> int:
-        return len(self.key_bits) - self.cursor
-
     def allocate(self, purpose: str, nbits: int, start: int | None = None) -> Segment:
         if start is None:
             start = self.cursor

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum import Basis, StateVector, prepare_bell, prepare_single, QubitRole
+from .quantum import Basis, prepare_bell, prepare_single
 from .register import QubitRef, Register, measure_qubit, new_qubit
 
 
@@ -66,11 +66,9 @@ class Party:
             )
         self.op_log.append(op)
 
-    def prepare(
-        self, basis: Basis, bit: int, label: QubitRole = QubitRole.DECOY
-    ) -> QubitRef:
+    def prepare(self, basis: Basis, bit: int) -> QubitRef:
         self._record(OpKind.PREPARE_Z if basis is Basis.Z else OpKind.PREPARE_X)
-        return new_qubit(prepare_single(basis, bit, label))
+        return new_qubit(prepare_single(basis, bit))
 
     def prepare_bell_pair(self, g_bit: int) -> tuple[QubitRef, QubitRef]:
         """Returns (trent_half, bob_half) handles of a fresh Bell pair."""

@@ -8,6 +8,7 @@ import numpy as np
 
 from .adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from .detection import (
+    MODE_SPECS,
     DetectionMode,
     DetectionReport,
     Verdict,
@@ -33,7 +34,7 @@ from .roles import (
 def key_budget(n: int, d_z: int, d_x: int, mode: DetectionMode) -> int:
     """Key bits one run consumes: the signing pad plus inline OTP traffic."""
     budget = n
-    if mode is DetectionMode.IMPROVED_INLINE_OTP:
+    if MODE_SPECS[mode].encrypted:
         budget += loc_announcement_bits(d_z, d_x)
         budget += permutation_announcement_bits(d_z + d_x)
     return budget
@@ -106,7 +107,7 @@ def run_protocol_round(
             transcript=transcript,
         )
 
-    if mode is DetectionMode.DIRECT_REFLECTION:
+    if not MODE_SPECS[mode].measures:
         # Reflected decoys cannot carry the message; it travels in clear.
         recovered_m = channel.send_classical(
             TapPoint.FORWARD_ALICE_TO_TRENT, "message_to_trent", message, rng

@@ -22,7 +22,6 @@ import numpy as np
 MAX_REGISTER_QUBITS = 4
 
 # Numeric tolerances; single source of truth for the whole package.
-NORM_ATOL = 1e-12
 DENSITY_ATOL = 1e-12
 PSD_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
@@ -104,9 +103,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.qubit_labels, check=False)
 
     def __repr__(self) -> str:
         roles = ",".join(lab.value for lab in self.qubit_labels)

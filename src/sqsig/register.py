@@ -21,7 +21,6 @@ from .quantum import (
     _apply_gate_unchecked,
     apply_unitary,
     measure,
-    tensor,
 )
 
 
@@ -64,14 +63,6 @@ def apply_gate(ref: QubitRef, u: np.ndarray) -> None:
     """Apply a single-qubit unitary in place."""
     reg = ref.register
     reg.state = apply_unitary(reg.state, u, (ref.index,))
-
-
-def apply_pair_gate(u: np.ndarray, a: QubitRef, b: QubitRef) -> None:
-    """Apply a two-qubit unitary to qubits of the same register."""
-    if a.register is not b.register:
-        raise ValueError("two-qubit gates require qubits in the same register")
-    reg = a.register
-    reg.state = apply_unitary(reg.state, u, (a.index, b.index))
 
 
 def attach_ancilla(

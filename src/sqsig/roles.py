@@ -9,13 +9,13 @@ Trent recovered.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .detection import TrentTransmission, assemble_transmission, build_decoys
-from .keys import Bits, KeyStore, compute_g, xor_bits
+from .keys import Bits, KeyStore, compute_g
 from .parties import Party
 from .quantum import Basis
 from .register import QubitRef
@@ -86,8 +86,8 @@ def alice_sign(
     store: KeyStore,
     alice: Party,
     rng: np.random.Generator,
-    d_z: int | None = None,
-    d_x: int | None = None,
+    d_z: int,
+    d_x: int,
 ) -> AliceSignOutput:
     """Encode g into Bell pairs and build the decoy-laden Trent transmission.
 
@@ -95,11 +95,6 @@ def alice_sign(
     plaintext message form the signature bundle.
     """
     m = tuple(int(b) for b in m)
-    n = len(m)
-    if d_z is None:
-        d_z = n
-    if d_x is None:
-        d_x = n
     g = compute_g(m, store)
     t_refs: list[QubitRef] = []
     b_refs: list[QubitRef] = []

@@ -13,10 +13,6 @@ from sqsig.adversary import (
     TamperSignatureB,
     TapPoint,
     UnitaryTamperThenUndo,
-    entangle_probe_attack,
-    forge_signature,
-    tamper_b_sequence,
-    AdversaryMemory,
 )
 from sqsig.detection import DetectionMode
 from sqsig.parties import quantum_party
@@ -132,20 +128,26 @@ class TestUnitaryTamperThenUndo:
 class TestEntangleProbe:
     def test_probe_on_zero_gives_product_state(self):
         ref = fresh_qubit(Basis.Z, 0)
-        memory = AdversaryMemory()
-        entangle_probe_attack(ref, memory)
+        strategy = EntangleProbe()
+        strategy.tap_qubits(
+            TapPoint.FORWARD_ALICE_TO_TRENT, [ref], np.random.default_rng(0)
+        )
         np.testing.assert_allclose(
             ref.register.state.amplitudes, [1, 0, 0, 0], atol=1e-12
         )
+        assert len(strategy.memory.ancillas) == 1
 
     def test_probe_on_plus_creates_entangled_pair(self):
         ref = fresh_qubit(Basis.X, 0)
-        memory = AdversaryMemory()
-        entangle_probe_attack(ref, memory)
+        strategy = EntangleProbe()
+        strategy.tap_qubits(
+            TapPoint.FORWARD_ALICE_TO_TRENT, [ref], np.random.default_rng(0)
+        )
         np.testing.assert_allclose(
             ref.register.state.amplitudes,
             [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-12,
         )
+        assert len(strategy.memory.ancillas) == 1
 
     def test_probed_plus_fails_x_recheck_half_the_time(self):
         rng = np.random.default_rng(7)
@@ -180,23 +182,6 @@ class TestEntangleProbe:
             attach_ancilla(ref)
 
 
-class TestForgeSignature:
-    def test_length_and_alphabet(self):
-        rng = np.random.default_rng(9)
-        forged = forge_signature(16, None, rng)
-        assert len(forged) == 16
-        assert set(forged) <= {0, 1}
-
-    def test_guesses_are_uniform(self):
-        rng = np.random.default_rng(10)
-        trials = 5000
-        ones = sum(forge_signature(1, None, rng)[0] for _ in range(trials))
-        assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
-
-    def test_degenerate_empty(self):
-        assert forge_signature(0, None, np.random.default_rng(0)) == ()
-
-
 class TestTamperSignatureB:
     def test_single_flip_fails_exactly_that_position(self):
         rng = np.random.default_rng(11)
@@ -229,12 +214,16 @@ class TestTamperSignatureB:
         rng = np.random.default_rng(14)
         alice = quantum_party("alice")
         t_half, b_half = alice.prepare_bell_pair(0)
-        tamper_b_sequence([b_half], [0])
+        TamperSignatureB([0]).tap_qubits(
+            TapPoint.ALICE_TO_BOB_QUANTUM, [b_half], rng
+        )
         assert equal_up_to_phase(b_half.register.state, prepare_bell(1))
 
     def test_out_of_range_position_rejected(self):
         with pytest.raises(IndexError):
-            tamper_b_sequence([], [0])
+            TamperSignatureB([0]).tap_qubits(
+                TapPoint.ALICE_TO_BOB_QUANTUM, [], np.random.default_rng(0)
+            )
 
 
 class TestTamperClassicalMessage:

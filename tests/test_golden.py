@@ -1,0 +1,73 @@
+"""Byte identity of reports and transcripts against recorded digests.
+
+Each scenario runs at n=2 with 20 trials and a fixed seed. The jsonl and
+tsv reports and `json.dumps` of the first trial's transcript are hashed
+with sha256 and compared with `golden_digests.json`. The human format is
+left out because it prints wall time.
+
+A change that alters the random streams on purpose regenerates the file
+with `PYTHONPATH=src python tests/test_golden.py --regenerate` and names
+itself in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sqsig.harness import (
+    MATRIX_ATTACKS,
+    MATRIX_MODES,
+    ScenarioConfig,
+    emit_report,
+    parse_attack,
+    run_trials,
+)
+
+DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
+N, TRIALS, SEED = 2, 20, 7
+
+
+def _scenarios() -> dict[str, ScenarioConfig]:
+    out = {}
+    for attack in MATRIX_ATTACKS + ("tamper_b:1", "tamper_m:0"):
+        for mode in MATRIX_MODES:
+            out[f"{attack}/{mode.value}"] = ScenarioConfig(
+                n=N, mode=mode, attack=parse_attack(attack),
+                trials=TRIALS, seed=SEED,
+            )
+    out["forge"] = ScenarioConfig(
+        n=N, attack=parse_attack("forge"), trials=TRIALS, seed=SEED
+    )
+    out["noise"] = ScenarioConfig(
+        n=N, noise_p=0.05, threshold=0.25, trials=TRIALS, seed=SEED
+    )
+    return out
+
+
+SCENARIOS = _scenarios()
+
+
+def _digests(config: ScenarioConfig) -> dict[str, str]:
+    stats, transcript = run_trials(config)
+    texts = {
+        "jsonl": emit_report(stats, transcript, format="jsonl"),
+        "tsv": emit_report(stats, transcript, format="tsv"),
+        "transcript": json.dumps(transcript.events),
+    }
+    return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_output_bytes_unchanged(name):
+    golden = json.loads(DIGEST_FILE.read_text())
+    assert _digests(SCENARIOS[name]) == golden[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit("usage: python tests/test_golden.py --regenerate")
+    table = {name: _digests(config) for name, config in sorted(SCENARIOS.items())}
+    DIGEST_FILE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sqsig.adversary import EntangleProbe
 from sqsig.cli import main
 from sqsig.detection import DetectionMode
 from sqsig.harness import (
+    ATTACKS,
     AttackSpec,
     ConfigError,
     ScenarioConfig,
@@ -19,6 +23,21 @@ from sqsig.harness import (
     load_scenario,
     parse_attack,
     run_trials,
+)
+
+
+_positions = st.lists(st.integers(0, 99), min_size=1, max_size=4).map(tuple)
+_SPEC_FIELDS = {
+    "unitary_tamper_then_undo": st.fixed_dictionaries(
+        {"unitary": st.sampled_from("XYZH")}),
+    "entangle_probe": st.fixed_dictionaries(
+        {"probe_measure_time": st.sampled_from(EntangleProbe.MEASURE_TIMES)}),
+    "tamper_b": st.fixed_dictionaries({"positions": _positions}),
+    "tamper_m": st.fixed_dictionaries({"positions": _positions}),
+}
+attack_specs = st.sampled_from(sorted(ATTACKS)).flatmap(
+    lambda name: _SPEC_FIELDS.get(name, st.just({})).map(
+        lambda fields: AttackSpec(name=name, **fields))
 )
 
 
@@ -57,8 +76,13 @@ class TestParseAttack:
     def test_probe_time_argument(self):
         assert parse_attack("entangle_probe:immediate").probe_measure_time == "immediate"
 
-    def test_roundtrip_text(self):
-        for text in ("none", "unitary_tamper_then_undo:Z", "tamper_b:1,2"):
+    @given(attack_specs)
+    @example(AttackSpec(name="entangle_probe", probe_measure_time="immediate"))
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_text(self, spec):
+        assert parse_attack(attack_spec_text(spec)) == spec
+        for text in ("none", "unitary_tamper_then_undo:Z", "tamper_b:1,2",
+                     "entangle_probe:immediate"):
             assert attack_spec_text(parse_attack(text)) == text
 
     def test_build_strategy_fresh_instances(self):
@@ -238,11 +262,6 @@ class TestDensityCheck:
         b = density_check(m, m)
         assert a == b
 
-    def test_sampled_average_agrees(self):
-        rng = np.random.default_rng(3)
-        report = density_check((1,), (0,), samples=64, rng=rng)
-        assert report.max_deviation_from_mixed <= 1e-12
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             density_check((0, 1), (0,))
@@ -304,10 +323,27 @@ class TestCli:
         assert main(["run", scenario]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_internal_error_exit_code(self, tmp_path, capsys):
-        # Tamper position outside the signature surfaces as an internal
-        # failure, not a config problem.
-        scenario = write_scenario(tmp_path, "n = 2\nattack = tamper_b:9\n")
+    @pytest.mark.parametrize("text", [
+        "n = 2\nattack = entangle_probe:bogus\n",
+        "n = 2\nattack = tamper_b:9\n",
+        "n = 2\nattack = tamper_m:-1\n",
+        "n = 1\nd_x = 65535\n",  # decoy positions overflow the 16-bit field
+        "n = 2\nd_x = -1\n",
+        "n = 2\nd_z = 1\nmode = direct_reflection\n",
+        "n = -1\nd_x = 0\nattack = forge\n",
+        "n = 2\nattack = pauli_x_tamper:1\n",
+    ])
+    def test_bad_scenario_exit_code(self, tmp_path, capsys, text):
+        assert main(["run", write_scenario(tmp_path, text)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A failure inside the simulator is not a config problem.
+        def broken(config):
+            raise RuntimeError("invariant violated")
+
+        monkeypatch.setattr("sqsig.cli.run_trials", broken)
+        scenario = write_scenario(tmp_path, "n = 2\n")
         assert main(["run", scenario]) == 2
         assert "internal error" in capsys.readouterr().err
 

@@ -108,6 +108,23 @@ class TestOtp:
         assert otp_decrypt(store, "p", cipher) == tuple(plaintext)
 
 
+class TestRandomBits:
+    def test_length_and_alphabet(self):
+        rng = np.random.default_rng(9)
+        bits = random_bits(rng, 16)
+        assert len(bits) == 16
+        assert set(bits) <= {0, 1}
+
+    def test_guesses_are_uniform(self):
+        rng = np.random.default_rng(10)
+        trials = 5000
+        ones = sum(random_bits(rng, 1)[0] for _ in range(trials))
+        assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
+
+    def test_degenerate_empty(self):
+        assert random_bits(np.random.default_rng(0), 0) == ()
+
+
 class TestXorBits:
     def test_known_values(self):
         assert xor_bits((1, 1, 0, 0), (1, 0, 1, 0)) == (0, 1, 1, 0)
