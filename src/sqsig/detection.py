@@ -1,7 +1,10 @@
 """Decoy-based eavesdropping detection rounds.
 
-Each DetectionMode has one ModeSpec in MODE_SPECS, which
-run_detection_round reads:
+The sender's decoy state is one list of DecoyRecords in position order;
+the first n Z-decoys in that order carry the message. The receiver works
+only from the announcements it decodes, and the sender rechecks every
+returned decoy against its own records. Each DetectionMode has one
+ModeSpec in MODE_SPECS, which run_detection_round reads:
 
 - improved: Z-decoy values and X-decoy positions in clear; the receiver
   checks the Z-decoys, then returns all decoys shuffled for the sender's
@@ -14,7 +17,7 @@ run_detection_round reads:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -78,21 +81,6 @@ class DecoyRecord:
     position: int  # index in the transmitted sequence; -1 until interleaved
     basis: Basis
     bit: int
-    embeds_message_bit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.basis is Basis.X and self.embeds_message_bit is not None:
-            raise ValueError("only Z-basis decoys may carry message bits")
-
-
-@dataclass
-class LocTable:
-    entries: list[DecoyRecord] = field(default_factory=list)
-
-    def validate(self) -> None:
-        positions = [e.position for e in self.entries]
-        if positions != sorted(set(positions)):
-            raise ValueError("LOC positions must be strictly increasing and unique")
 
 
 @dataclass
@@ -102,12 +90,6 @@ class PermutationRecord:
     def __post_init__(self) -> None:
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError("mapping is not a bijection")
-
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.mapping)
-        for j, orig in enumerate(self.mapping):
-            inv[orig] = j
-        return tuple(inv)
 
 
 CHECKS = ("bob_z", "alice_z", "alice_x")  # receiver's Z check, sender's Z/X recheck
@@ -137,11 +119,6 @@ class TrentTransmission:
 
     sequence: list[QubitRef]
     records: list[DecoyRecord]  # all decoys, sorted by position
-    loc_z: LocTable
-    loc_x: LocTable
-    decoy_positions: tuple[int, ...]
-    carrier_positions: tuple[int, ...]
-    embedded_len: int
 
 
 @dataclass
@@ -240,7 +217,7 @@ def build_decoys(
     """Prepare the mixed decoy sequence D, message bits leading the Z-decoys.
 
     Returned records are in decoy-sequence order with position unset (-1);
-    interleave() assigns transmitted positions.
+    assemble_transmission() sets the transmitted positions.
     """
     embedded = tuple(embedded_m) if embedded_m is not None else ()
     if len(embedded) > d_z:
@@ -252,19 +229,12 @@ def build_decoys(
     fill_bits = rng.integers(0, 2, size=d_z + d_x).tolist()
     refs: list[QubitRef] = []
     records: list[DecoyRecord] = []
-    z_seen = 0
+    message = iter(embedded)
     for slot, idx in enumerate(order):
         basis = bases[idx]
-        embeds = None
-        if basis is Basis.Z and z_seen < len(embedded):
-            bit = embedded[z_seen]
-            embeds = z_seen
-            z_seen += 1
-        else:
-            bit = fill_bits[slot]
+        bit = next(message, fill_bits[slot]) if basis is Basis.Z else fill_bits[slot]
         refs.append(preparer.prepare(basis, bit))
-        records.append(DecoyRecord(position=-1, basis=basis, bit=bit,
-                                   embeds_message_bit=embeds))
+        records.append(DecoyRecord(position=-1, basis=basis, bit=bit))
     return refs, records
 
 
@@ -275,8 +245,8 @@ def interleave(
 ) -> tuple[list[QubitRef], tuple[int, ...], tuple[int, ...]]:
     """Insert decoys uniformly among the carriers, preserving both orders.
 
-    Returns (sequence, decoy_positions, carrier_positions), positions in
-    the order of the respective input subsequences.
+    Returns (sequence, decoy positions, carrier positions), each in the
+    order of its input subsequence.
     """
     n, d = len(carriers), len(decoys)
     total = n + d
@@ -300,50 +270,32 @@ def assemble_transmission(
     records: Sequence[DecoyRecord],
     rng: np.random.Generator,
 ) -> TrentTransmission:
-    sequence, decoy_pos, carrier_pos = interleave(carriers, decoy_refs, rng)
-    positioned = []
+    """Interleave the decoys; each record gets its position, in order."""
+    sequence, decoy_pos, _ = interleave(carriers, decoy_refs, rng)
     for pos, rec in zip(decoy_pos, records):
-        positioned.append(DecoyRecord(position=pos, basis=rec.basis, bit=rec.bit,
-                                      embeds_message_bit=rec.embeds_message_bit))
-    positioned.sort(key=lambda r: r.position)
-    loc_z = LocTable([r for r in positioned if r.basis is Basis.Z])
-    loc_x = LocTable([r for r in positioned if r.basis is Basis.X])
-    loc_z.validate()
-    loc_x.validate()
-    embedded_len = sum(1 for r in positioned if r.embeds_message_bit is not None)
-    return TrentTransmission(
-        sequence=list(sequence),
-        records=positioned,
-        loc_z=loc_z,
-        loc_x=loc_x,
-        decoy_positions=decoy_pos,
-        carrier_positions=carrier_pos,
-        embedded_len=embedded_len,
-    )
+        rec.position = pos
+    return TrentTransmission(sequence=sequence, records=list(records))
 
 
 def bob_z_check(
     receiver: Party,
     sequence: Sequence[QubitRef],
-    loc_z: Sequence[DecoyRecord],
+    z_records: Sequence[DecoyRecord],
     rng: np.random.Generator,
     compare: bool = True,
-) -> tuple[int, int, dict[int, int]]:
+) -> tuple[int, int, list[int]]:
     """Measure announced Z-decoys; optionally compare against announced bits.
 
-    Returns (errors, checked, measured bits by position). The decoys stay
-    in their post-measurement states. With compare=False (the prior-scheme
-    baseline) nothing counts as checked.
+    Returns (errors, checked, measured bits in record order). The decoys
+    stay in their post-measurement states. With compare=False (the
+    prior-scheme baseline) nothing counts as checked.
     """
-    errors = 0
-    measured: dict[int, int] = {}
-    for rec in loc_z:
-        bit = receiver.measure(sequence[rec.position], Basis.Z, rng)
-        measured[rec.position] = bit
-        if compare and bit != rec.bit:
-            errors += 1
-    checked = len(loc_z) if compare else 0
-    return errors, checked, measured
+    measured = [receiver.measure(sequence[rec.position], Basis.Z, rng)
+                for rec in z_records]
+    if not compare:
+        return 0, 0, measured
+    errors = sum(bit != rec.bit for bit, rec in zip(measured, z_records))
+    return errors, len(z_records), measured
 
 
 def extract_decoys(
@@ -356,53 +308,29 @@ def extract_decoys(
     return decoys, carriers
 
 
-def extract_shuffle_return(
-    receiver: Party,
-    sequence: Sequence[QubitRef],
-    decoy_positions: Sequence[int],
-    rng: np.random.Generator,
-) -> tuple[list[QubitRef], PermutationRecord, list[QubitRef]]:
-    """Extract all decoys, return them uniformly shuffled, keep the carriers."""
-    decoys, carriers = extract_decoys(sequence, decoy_positions)
-    perm = [int(p) for p in rng.permutation(len(decoys))]
-    returned = receiver.reorder(decoys, perm)
-    return returned, PermutationRecord(mapping=tuple(perm)), carriers
-
-
 def alice_final_check(
     alice: Party,
     returned: Sequence[QubitRef],
     perm: PermutationRecord,
-    loc_z: Sequence[DecoyRecord],
-    loc_x: Sequence[DecoyRecord],
+    records: Sequence[DecoyRecord],
     rng: np.random.Generator,
 ) -> tuple[int, int, int, int]:
     """Restore decoy order, measure each in its recorded basis, count errors.
 
-    Returns (z_errors, z_checked, x_errors, x_checked).
+    `records` are the sender's own, in position order. Returns
+    (z_errors, z_checked, x_errors, x_checked).
     """
-    all_records = sorted(list(loc_z) + list(loc_x), key=lambda r: r.position)
-    if len(perm.mapping) != len(returned) or len(returned) != len(all_records):
+    if len(perm.mapping) != len(returned) or len(returned) != len(records):
         raise ValueError("permutation inconsistent with decoy count")
     restored: list[QubitRef] = [None] * len(returned)  # type: ignore[list-item]
     for j, ref in enumerate(returned):
         restored[perm.mapping[j]] = ref
     tally = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [errors, checked]
-    for rec, ref in zip(all_records, restored):
+    for rec, ref in zip(records, restored):
         counts = tally[rec.basis]
         counts[0] += alice.measure(ref, rec.basis, rng) != rec.bit
         counts[1] += 1
     return (*tally[Basis.Z], *tally[Basis.X])
-
-
-def recover_embedded_message(
-    loc_z: Sequence[DecoyRecord], measured: dict[int, int], embedded_len: int
-) -> Bits:
-    """Read message bits from the first embedded_len Z-decoys in position order."""
-    ordered = sorted(loc_z, key=lambda r: r.position)
-    if embedded_len > len(ordered):
-        raise ValueError("embedded length exceeds Z-decoy count")
-    return tuple(measured[rec.position] for rec in ordered[:embedded_len])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +362,9 @@ def run_detection_round(
 
     The forward transmission, all classical announcements, the receiver's
     check (where the mode has one), the decoy return, and the sender's
-    final check all happen here. The verdict is Abort as soon as any
+    final check all happen here. The receiver knows the decoys only from
+    the announcements it decodes; the message it recovers is the first
+    len(carriers) of its Z results. The verdict is Abort as soon as any
     checked error rate exceeds the threshold.
     """
     spec = MODE_SPECS[mode]
@@ -442,8 +372,7 @@ def run_detection_round(
         raise ValueError("encrypted announcements require the shared key store")
     pad = store if spec.encrypted else None
     report = DetectionReport(mode=mode, threshold=threshold)
-    loc_z = transmission.loc_z.entries
-    loc_x = transmission.loc_x.entries
+    records = transmission.records
 
     seq = channel.send_qubits(
         TapPoint.FORWARD_ALICE_TO_TRENT, transmission.sequence, rng
@@ -452,38 +381,35 @@ def run_detection_round(
         channel.send_classical(
             TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", (1,), rng
         )
-    announced_pos: list[int] = []
+    announced: list[DecoyRecord] = []
     for wire_name, bases, values in spec.announcements:
-        records = [r for r in transmission.records if r.basis in bases]
         wire = _announce(
             channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
-            encode_loc(records, include_values=values), pad, "loc_announce", rng,
+            encode_loc([r for r in records if r.basis in bases], include_values=values),
+            pad, "loc_announce", rng,
         )
-        announced_pos += [r.position for r in decode_loc(wire)]
+        announced += decode_loc(wire)
     if spec.encrypted:
         receiver.classical_compute()
+    decoys, carriers = extract_decoys(seq, [r.position for r in announced])
 
     recovered_m: Bits | None = None
     if spec.measures:
-        report.bob_z_errors, report.bob_z_checked, measured = bob_z_check(
-            receiver, seq, loc_z, rng, compare=spec.compares
+        report.bob_z_errors, report.bob_z_checked, z_bits = bob_z_check(
+            receiver, seq, [r for r in announced if r.basis is Basis.Z], rng,
+            compare=spec.compares,
         )
         if report.rate("bob_z") > threshold:
             report.verdict = Verdict.ABORT
             return DetectionResult(report, [], None)
-        recovered_m = recover_embedded_message(
-            loc_z, measured, transmission.embedded_len
-        )
-        returned, perm, carriers = extract_shuffle_return(
-            receiver, seq, announced_pos, rng
-        )
+        recovered_m = tuple(z_bits[:len(carriers)])
+        mapping = [int(p) for p in rng.permutation(len(decoys))]
+        returned = receiver.reorder(decoys, mapping)
     else:
         receiver.delay()
-        decoys, carriers = extract_decoys(seq, announced_pos)
         returned = receiver.reflect(decoys)
-        perm = PermutationRecord(
-            mapping=tuple(range(len(transmission.decoy_positions)))
-        )
+        mapping = list(range(len(records)))
+    perm = PermutationRecord(mapping=tuple(mapping))
 
     returned = channel.send_qubits(TapPoint.RETURN_TRENT_TO_ALICE, returned, rng)
 
@@ -501,7 +427,7 @@ def run_detection_round(
 
     (report.alice_z_errors, report.alice_z_checked,
      report.alice_x_errors, report.alice_x_checked) = alice_final_check(
-        sender, returned, perm, loc_z, loc_x, rng
+        sender, returned, perm, records, rng
     )
     if max(report.rate("alice_z"), report.rate("alice_x")) > threshold:
         report.verdict = Verdict.ABORT

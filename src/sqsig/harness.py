@@ -171,6 +171,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.n < (0 if self.attack.name == "forge" else 1):
             raise ConfigError("n: must be >= 1 (>= 0 for forge)")
         if not 0.0 <= self.threshold <= 1.0:
@@ -214,7 +216,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

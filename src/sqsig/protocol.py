@@ -23,7 +23,6 @@ from .roles import (
     alice_sign,
     bob_accept,
     bob_measure,
-    Evidence,
     hash_message,
     trent_conclude,
     trent_receive,
@@ -46,12 +45,6 @@ class TrialResult:
     aborted: bool
     outcome: VerificationOutcome | None
     accepted: bool
-    evidence: Evidence | None
-    g_alice: Bits
-    g_trent: Bits | None
-    t_bits: Bits | None
-    b_bits: Bits | None
-    recovered_m: Bits | None
     alice: Party
     bob: Party
     trent: Party
@@ -101,19 +94,16 @@ def run_protocol_round(
     if detection.report.verdict is Verdict.ABORT:
         return TrialResult(
             detection=detection.report, aborted=True, outcome=None,
-            accepted=False, evidence=None, g_alice=signed.g, g_trent=None,
-            t_bits=None, b_bits=None, recovered_m=None,
-            alice=alice, bob=bob, trent=trent, store=store,
+            accepted=False, alice=alice, bob=bob, trent=trent, store=store,
             transcript=transcript,
         )
 
-    if not MODE_SPECS[mode].measures:
+    recovered_m = detection.recovered_m
+    if recovered_m is None:
         # Reflected decoys cannot carry the message; it travels in clear.
         recovered_m = channel.send_classical(
             TapPoint.FORWARD_ALICE_TO_TRENT, "message_to_trent", message, rng
         )
-    else:
-        recovered_m = detection.recovered_m
 
     t_bits, recovered_m, g_trent = trent_receive(
         detection.carriers, recovered_m, store, trent, rng
@@ -130,7 +120,7 @@ def run_protocol_round(
         TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", b_bits, rng
     )
 
-    outcome, evidence = trent_conclude(
+    outcome, _ = trent_conclude(
         g_trent, t_bits, b_received, recovered_m, hash_fn
     )
     accepted = bob_accept(m_received, outcome, hash_fn)
@@ -144,8 +134,6 @@ def run_protocol_round(
 
     return TrialResult(
         detection=detection.report, aborted=False, outcome=outcome,
-        accepted=accepted, evidence=evidence, g_alice=signed.g,
-        g_trent=g_trent, t_bits=t_bits, b_bits=b_bits,
-        recovered_m=recovered_m, alice=alice, bob=bob, trent=trent,
+        accepted=accepted, alice=alice, bob=bob, trent=trent,
         store=store, transcript=transcript,
     )

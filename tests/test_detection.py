@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsig.adversary import (
+    AttackStrategy,
     Channel,
     InterceptMeasureResendZ,
     NoAttack,
@@ -14,11 +15,13 @@ from sqsig.adversary import (
     UnitaryTamperThenUndo,
 )
 from sqsig.detection import (
+    RECORD_BITS,
     DecoyRecord,
     DetectionMode,
     PermutationRecord,
     Verdict,
     alice_final_check,
+    assemble_transmission,
     bob_z_check,
     build_decoys,
     decode_loc,
@@ -56,15 +59,39 @@ def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
     return result, signed, alice, trent
 
 
+def z_records(transmission):
+    """The sender's Z-decoy records, as the honest loc_z announcement lists them."""
+    return [r for r in transmission.records if r.basis is Basis.Z]
+
+
+class FlipFirstAnnouncedZValue(AttackStrategy):
+    """Flip the value bit of the first loc_z record; leave every qubit alone."""
+
+    kind = "flip_first_announced_z_value"
+
+    def tap_classical(self, point, name, bits, rng):
+        bits = super().tap_classical(point, name, bits, rng)
+        if name == "loc_z":
+            value = RECORD_BITS - 1
+            bits = bits[:value] + (1 - bits[value],) + bits[value + 1:]
+        return bits
+
+
 class TestBuildDecoys:
     def test_message_leads_z_decoys(self):
         rng = np.random.default_rng(2)
         alice = quantum_party("alice")
-        _, records = build_decoys(3, 2, (1, 0, 1), rng, alice)
+        refs, records = build_decoys(3, 2, (1, 0, 1), rng, alice)
         z_bits = [r.bit for r in records if r.basis is Basis.Z]
         assert z_bits[:3] == [1, 0, 1]
-        embedded = [r for r in records if r.embeds_message_bit is not None]
-        assert sorted(r.embeds_message_bit for r in embedded) == [0, 1, 2]
+        # Interleaving keeps the decoy order, so the message still leads
+        # the Z-decoys once the records are in position order.
+        carriers = [alice.prepare(Basis.Z, 0) for _ in range(3)]
+        tx = assemble_transmission(carriers, refs, records, rng)
+        positions = [r.position for r in tx.records]
+        assert positions == sorted(set(positions))
+        assert [tx.sequence[p] for p in positions] == refs
+        assert [r.bit for r in z_records(tx)][:3] == [1, 0, 1]
 
     def test_empty_decoy_set(self):
         refs, records = build_decoys(
@@ -89,10 +116,6 @@ class TestBuildDecoys:
         with pytest.raises(ValueError):
             build_decoys(2, 2, (1, 0, 1), np.random.default_rng(0),
                          quantum_party("alice"))
-
-    def test_x_decoy_cannot_embed(self):
-        with pytest.raises(ValueError):
-            DecoyRecord(position=0, basis=Basis.X, bit=0, embeds_message_bit=0)
 
 
 class TestInterleave:
@@ -189,14 +212,6 @@ class TestPermutationRecord:
         with pytest.raises(ValueError):
             PermutationRecord(mapping=(0, 0, 2))
 
-    def test_inverse_composes_to_identity(self):
-        perm = PermutationRecord(mapping=(3, 1, 0, 2))
-        inv = perm.inverse()
-        assert tuple(perm.mapping[j] for j in inv) == (0, 1, 2, 3)
-
-    def test_singleton_identity(self):
-        assert PermutationRecord(mapping=(0,)).inverse() == (0,)
-
 
 class TestChecks:
     def _transmission(self, seed, d_z=3, d_x=3):
@@ -210,7 +225,7 @@ class TestChecks:
         transmission, _, rng = self._transmission(10)
         trent = classical_party("trent")
         errors, checked, _ = bob_z_check(
-            trent, transmission.sequence, transmission.loc_z.entries, rng
+            trent, transmission.sequence, z_records(transmission), rng
         )
         assert (errors, checked) == (0, 3)
 
@@ -221,7 +236,7 @@ class TestChecks:
         )
         trent = classical_party("trent")
         errors, checked, _ = bob_z_check(
-            trent, transmission.sequence, transmission.loc_z.entries, rng
+            trent, transmission.sequence, z_records(transmission), rng
         )
         assert errors == checked == 3
 
@@ -232,7 +247,7 @@ class TestChecks:
         )
         trent = classical_party("trent")
         errors, _, _ = bob_z_check(
-            trent, transmission.sequence, transmission.loc_z.entries, rng
+            trent, transmission.sequence, z_records(transmission), rng
         )
         assert errors == 0
 
@@ -240,7 +255,7 @@ class TestChecks:
         transmission, _, rng = self._transmission(13)
         trent = classical_party("trent")
         _, checked, measured = bob_z_check(
-            trent, transmission.sequence, transmission.loc_z.entries, rng,
+            trent, transmission.sequence, z_records(transmission), rng,
             compare=False,
         )
         assert checked == 0
@@ -260,6 +275,16 @@ class TestRunDetectionRound:
         rep = result.report
         assert rep.verdict is Verdict.ABORT
         assert rep.bob_z_errors == rep.bob_z_checked == 2
+
+    def test_receiver_checks_the_announced_values(self):
+        # The qubits arrive intact, but the first announced Z value is
+        # flipped: the receiver compares against what it was told.
+        result, _, _, _ = run_round(
+            DetectionMode.IMPROVED, FlipFirstAnnouncedZValue(), seed=3
+        )
+        rep = result.report
+        assert rep.bob_z_errors == 1
+        assert rep.verdict is Verdict.ABORT
 
     def test_measure_then_return_misses_flip_then_unflip(self):
         result, _, _, _ = run_round(
@@ -381,12 +406,12 @@ class TestAliceFinalCheck:
         signed = alice_sign((1,), store, alice, rng, d_z=2, d_x=2)
         tx = signed.transmission
         # Trent measures the announced Z decoys, then shuffles all decoys.
-        bob_z_check(trent, tx.sequence, tx.loc_z.entries, rng)
-        decoys, _ = extract_decoys(tx.sequence, tx.decoy_positions)
+        bob_z_check(trent, tx.sequence, z_records(tx), rng)
+        decoys, _ = extract_decoys(tx.sequence, [r.position for r in tx.records])
         perm = PermutationRecord(mapping=(2, 0, 3, 1))
         returned = trent.reorder(decoys, list(perm.mapping))
         z_err, z_chk, x_err, x_chk = alice_final_check(
-            alice, returned, perm, tx.loc_z.entries, tx.loc_x.entries, rng
+            alice, returned, perm, tx.records, rng
         )
         assert (z_err, z_chk, x_err, x_chk) == (0, 2, 0, 2)
 
@@ -394,5 +419,4 @@ class TestAliceFinalCheck:
         rng = np.random.default_rng(41)
         alice = quantum_party("alice")
         with pytest.raises(ValueError):
-            alice_final_check(alice, [], PermutationRecord(mapping=(0,)),
-                              [], [], rng)
+            alice_final_check(alice, [], PermutationRecord(mapping=(0,)), [], rng)

@@ -332,9 +332,25 @@ class TestCli:
         "n = 2\nd_z = 1\nmode = direct_reflection\n",
         "n = -1\nd_x = 0\nattack = forge\n",
         "n = 2\nattack = pauli_x_tamper:1\n",
+        "n = 2\nseed = -1\n",
     ])
     def test_bad_scenario_exit_code(self, tmp_path, capsys, text):
         assert main(["run", write_scenario(tmp_path, text)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, "n = 2\n")
+        assert main(["run", scenario, "--seed", "-5"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_matrix_negative_seed_exit_code(self, capsys):
+        assert main(["matrix", "--n", "1", "--trials", "1", "--seed", "-1"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_utf8_scenario_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes("n = 2  # caf\u00e9\n".encode("latin-1"))
+        assert main(["run", str(path)]) == 1
         assert "config error:" in capsys.readouterr().err
 
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):

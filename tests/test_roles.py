@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sqsig.detection import extract_decoys
 from sqsig.keys import KeyStore, keygen_init
 from sqsig.parties import (
     CLASSICAL_ALLOWED,
@@ -133,8 +134,10 @@ class TestTrentReceive:
         trent = classical_party("trent")
         m = (1, 0, 1, 1, 0, 0)
         signed = alice_sign(m, store, alice, rng, d_z=6, d_x=6)
-        carriers = [signed.transmission.sequence[p]
-                    for p in signed.transmission.carrier_positions]
+        _, carriers = extract_decoys(
+            signed.transmission.sequence,
+            [r.position for r in signed.transmission.records],
+        )
         t_bits, recovered, g_trent = trent_receive(carriers, m, store, trent, rng)
         assert g_trent == signed.g
         assert recovered == m
