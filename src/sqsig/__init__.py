@@ -4,7 +4,6 @@ from .quantum import (
     Basis,
     DensityMatrix,
     MeasurementOutcome,
-    QubitRole,
     StateVector,
     apply_unitary,
     measure,

@@ -95,10 +95,7 @@ class UnitaryTamperThenUndo(AttackStrategy):
     def __init__(self, u: np.ndarray | str) -> None:
         super().__init__()
         if isinstance(u, str):
-            self.u_name = u
             u = _NAMED_UNITARIES[u]
-        else:
-            self.u_name = "custom"
         self.u = np.asarray(u, dtype=complex)
 
     def tap_qubits(self, point, refs, rng):

@@ -97,8 +97,6 @@ CHECKS = ("bob_z", "alice_z", "alice_x")  # receiver's Z check, sender's Z/X rec
 
 @dataclass
 class DetectionReport:
-    mode: DetectionMode
-    threshold: float
     bob_z_errors: int = 0
     bob_z_checked: int = 0
     alice_z_errors: int = 0
@@ -242,11 +240,10 @@ def interleave(
     carriers: Sequence[QubitRef],
     decoys: Sequence[QubitRef],
     rng: np.random.Generator,
-) -> tuple[list[QubitRef], tuple[int, ...], tuple[int, ...]]:
+) -> tuple[list[QubitRef], tuple[int, ...]]:
     """Insert decoys uniformly among the carriers, preserving both orders.
 
-    Returns (sequence, decoy positions, carrier positions), each in the
-    order of its input subsequence.
+    Returns (sequence, decoy positions in decoy order).
     """
     n, d = len(carriers), len(decoys)
     total = n + d
@@ -261,7 +258,7 @@ def interleave(
         sequence[p] = ref
     for p, ref in zip(carrier_pos, carriers):
         sequence[p] = ref
-    return sequence, tuple(decoy_pos), tuple(carrier_pos)
+    return sequence, tuple(decoy_pos)
 
 
 def assemble_transmission(
@@ -271,7 +268,7 @@ def assemble_transmission(
     rng: np.random.Generator,
 ) -> TrentTransmission:
     """Interleave the decoys; each record gets its position, in order."""
-    sequence, decoy_pos, _ = interleave(carriers, decoy_refs, rng)
+    sequence, decoy_pos = interleave(carriers, decoy_refs, rng)
     for pos, rec in zip(decoy_pos, records):
         rec.position = pos
     return TrentTransmission(sequence=sequence, records=list(records))
@@ -348,6 +345,11 @@ def _announce(
     return otp_decrypt(pad, purpose, channel.send_classical(point, wire, cipher, rng))
 
 
+def _abort(report: DetectionReport) -> DetectionResult:
+    report.verdict = Verdict.ABORT
+    return DetectionResult(report, [], None)
+
+
 def run_detection_round(
     mode: DetectionMode,
     channel: Channel,
@@ -365,13 +367,16 @@ def run_detection_round(
     final check all happen here. The receiver knows the decoys only from
     the announcements it decodes; the message it recovers is the first
     len(carriers) of its Z results. The verdict is Abort as soon as any
-    checked error rate exceeds the threshold.
+    checked error rate exceeds the threshold, and, whatever the threshold,
+    when an announcement was tampered into nonsense: a decoy position
+    outside the received sequence or named twice, or a returned
+    permutation that is not a bijection over the sender's decoys.
     """
     spec = MODE_SPECS[mode]
     if spec.encrypted and store is None:
         raise ValueError("encrypted announcements require the shared key store")
     pad = store if spec.encrypted else None
-    report = DetectionReport(mode=mode, threshold=threshold)
+    report = DetectionReport()
     records = transmission.records
 
     seq = channel.send_qubits(
@@ -391,7 +396,10 @@ def run_detection_round(
         announced += decode_loc(wire)
     if spec.encrypted:
         receiver.classical_compute()
-    decoys, carriers = extract_decoys(seq, [r.position for r in announced])
+    positions = {r.position for r in announced}
+    if len(positions) < len(announced) or any(p >= len(seq) for p in positions):
+        return _abort(report)
+    decoys, carriers = extract_decoys(seq, positions)
 
     recovered_m: Bits | None = None
     if spec.measures:
@@ -400,8 +408,7 @@ def run_detection_round(
             compare=spec.compares,
         )
         if report.rate("bob_z") > threshold:
-            report.verdict = Verdict.ABORT
-            return DetectionResult(report, [], None)
+            return _abort(report)
         recovered_m = tuple(z_bits[:len(carriers)])
         mapping = [int(p) for p in rng.permutation(len(decoys))]
         returned = receiver.reorder(decoys, mapping)
@@ -423,14 +430,18 @@ def run_detection_round(
             "perm_ciphertext" if spec.encrypted else "permutation",
             encode_permutation(perm), pad, "perm_announce", rng,
         )
-        perm = decode_permutation(wire)
+        try:
+            perm = decode_permutation(wire)
+        except ValueError:  # entries out of range or repeated
+            return _abort(report)
+    if not len(perm.mapping) == len(returned) == len(records):
+        return _abort(report)
 
     (report.alice_z_errors, report.alice_z_checked,
      report.alice_x_errors, report.alice_x_checked) = alice_final_check(
         sender, returned, perm, records, rng
     )
     if max(report.rate("alice_z"), report.rate("alice_x")) > threshold:
-        report.verdict = Verdict.ABORT
-        return DetectionResult(report, [], None)
+        return _abort(report)
 
     return DetectionResult(report, carriers, recovered_m)

@@ -444,8 +444,6 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, RunTranscript]:
 
 @dataclass
 class DensityCheckReport:
-    per_position_deviation: list[float]
-    per_position_trace_distance: list[float]
     max_deviation_from_mixed: float
     max_trace_distance: float
     decoy_mixture_deviation: float
@@ -456,7 +454,7 @@ def _signature_position_density(m_bit: int, keep: int) -> DensityMatrix:
     rho = np.zeros((2, 2), dtype=complex)
     for k in (0, 1):
         rho += 0.5 * partial_trace(prepare_bell(m_bit ^ k), (keep,)).entries
-    return DensityMatrix(dim=2, entries=rho)
+    return DensityMatrix(rho)
 
 
 def decoy_mixture_density() -> DensityMatrix:
@@ -466,7 +464,7 @@ def decoy_mixture_density() -> DensityMatrix:
         for bit in (0, 1):
             state = prepare_single(basis, bit)
             rho += 0.25 * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(dim=2, entries=rho)
+    return DensityMatrix(rho)
 
 
 def density_check(m: Sequence[int], m_prime: Sequence[int]) -> DensityCheckReport:
@@ -480,23 +478,20 @@ def density_check(m: Sequence[int], m_prime: Sequence[int]) -> DensityCheckRepor
     if len(m) != len(m_prime):
         raise ValueError("messages must have equal length")
     mixed = np.eye(2, dtype=complex) / 2
-    deviations: list[float] = []
-    distances: list[float] = []
+    max_dev = max_dist = 0.0
     for mi, mpi in zip(m, m_prime):
         rho_m = _signature_position_density(mi, keep=1)
         rho_mp = _signature_position_density(mpi, keep=1)
-        dev = max(
+        max_dev = max(
+            max_dev,
             float(np.max(np.abs(rho_m.entries - mixed))),
             float(np.max(np.abs(rho_mp.entries - mixed))),
         )
-        deviations.append(dev)
-        distances.append(trace_distance(rho_m, rho_mp))
+        max_dist = max(max_dist, trace_distance(rho_m, rho_mp))
     decoy_dev = float(np.max(np.abs(decoy_mixture_density().entries - mixed)))
     return DensityCheckReport(
-        per_position_deviation=deviations,
-        per_position_trace_distance=distances,
-        max_deviation_from_mixed=max(deviations) if deviations else 0.0,
-        max_trace_distance=max(distances) if distances else 0.0,
+        max_deviation_from_mixed=max_dev,
+        max_trace_distance=max_dist,
         decoy_mixture_deviation=decoy_dev,
     )
 

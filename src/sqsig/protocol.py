@@ -105,7 +105,7 @@ def run_protocol_round(
             TapPoint.FORWARD_ALICE_TO_TRENT, "message_to_trent", message, rng
         )
 
-    t_bits, recovered_m, g_trent = trent_receive(
+    t_bits, g_trent = trent_receive(
         detection.carriers, recovered_m, store, trent, rng
     )
 

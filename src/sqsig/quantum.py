@@ -1,14 +1,15 @@
-"""Dense state-vector simulation for small labeled qubit registers.
+"""Dense state-vector simulation for small qubit registers.
 
-Registers hold one to four qubits. Supported operations: preparation in
-the Z and X bases, Bell-pair preparation, unitary application, projective
-Z/X measurement with Born-rule collapse, partial trace, trace distance,
-and tensor products. Every operation is pure: it returns a new state (or
-an outcome plus a post-measurement state) and never mutates its inputs.
+A register is its amplitude vector, and its qubit count follows from the
+amplitude count. Registers hold one to four qubits. Supported operations:
+preparation in the Z and X bases, Bell-pair preparation, unitary
+application, projective Z/X measurement with Born-rule collapse, partial
+trace, trace distance, and tensor products. Every operation is pure: it
+returns a new state (or an outcome plus a post-measurement state) and
+never mutates its inputs.
 
-Index convention: qubit 0 is the leftmost label and the most significant
-bit of the amplitude index, so for two qubits the amplitude order is
-|00>, |01>, |10>, |11>.
+Index convention: qubit 0 is the most significant bit of the amplitude
+index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ PHASE_FIDELITY_ATOL = 1e-10
 class Basis(str, Enum):
     Z = "Z"
     X = "X"
-
-
-class QubitRole(str, Enum):
-    TRENT_HALF = "trent_half"
-    BOB_HALF = "bob_half"
-    DECOY = "decoy"
-    EVE_ANCILLA = "eve_ancilla"
 
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -69,66 +63,65 @@ class DimensionMismatchError(ValueError):
 
 
 class StateVector:
-    """Normalized complex amplitudes over a labeled qubit register."""
+    """Normalized complex amplitudes of a 1..4 qubit register."""
 
-    __slots__ = ("amplitudes", "qubit_labels")
+    __slots__ = ("amplitudes",)
 
     def __init__(
-        self,
-        amplitudes: Sequence[complex] | np.ndarray,
-        qubit_labels: Sequence[QubitRole],
-        check: bool = True,
+        self, amplitudes: Sequence[complex] | np.ndarray, check: bool = True
     ) -> None:
         amps = np.asarray(amplitudes, dtype=complex)
-        labels = tuple(qubit_labels)
         if check:
-            n = len(labels)
+            size = amps.size
+            if amps.ndim != 1 or size & (size - 1):
+                raise DimensionMismatchError(
+                    f"amplitude count must be a power of two, got {amps.shape}"
+                )
+            n = size.bit_length() - 1
             if not 1 <= n <= MAX_REGISTER_QUBITS:
                 raise RegisterSizeError(
                     f"register must hold 1..{MAX_REGISTER_QUBITS} qubits, got {n}"
-                )
-            if amps.shape != (2 ** n,):
-                raise DimensionMismatchError(
-                    f"expected {2 ** n} amplitudes for {n} qubits, got {amps.shape}"
                 )
             norm = float(np.sum(np.abs(amps) ** 2))
             if abs(norm - 1.0) > 1e-9:
                 raise ValueError(f"state not normalized: |amps|^2 = {norm}")
         self.amplitudes = amps
-        self.qubit_labels = labels
 
     @property
     def num_qubits(self) -> int:
-        return len(self.qubit_labels)
+        return self.amplitudes.size.bit_length() - 1
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
     def __repr__(self) -> str:
-        roles = ",".join(lab.value for lab in self.qubit_labels)
-        return f"StateVector(n={self.num_qubits}, roles=[{roles}])"
+        return f"StateVector(n={self.num_qubits})"
 
 
 @dataclass
 class DensityMatrix:
     """A dim x dim density operator (Hermitian, unit trace, PSD)."""
 
-    dim: int
     entries: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        return cls(dim=rho.shape[0], entries=rho)
+        return cls(np.outer(state.amplitudes, state.amplitudes.conj()))
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int = 1) -> "DensityMatrix":
         d = 2 ** num_qubits
-        return cls(dim=d, entries=np.eye(d, dtype=complex) / d)
+        return cls(np.eye(d, dtype=complex) / d)
 
     def validate(self) -> None:
-        if self.entries.shape != (self.dim, self.dim):
-            raise DimensionMismatchError("entries shape does not match dim")
+        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+            raise DimensionMismatchError(
+                f"entries are not square: {self.entries.shape}"
+            )
         if not np.allclose(self.entries, self.entries.conj().T, atol=DENSITY_ATOL):
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(self.entries))
@@ -144,36 +137,25 @@ class MeasurementOutcome:
     """Result of a projective measurement: sampled bit and collapsed state."""
 
     bit: int
-    basis: Basis
     post_state: StateVector
 
 
-# Amplitude templates for the four single-qubit preparation states.
-_SINGLE_AMPS = {
-    (Basis.Z, 0): np.array([1.0, 0.0], dtype=complex),
-    (Basis.Z, 1): np.array([0.0, 1.0], dtype=complex),
-    (Basis.X, 0): np.array([_SQRT2_INV, _SQRT2_INV], dtype=complex),
-    (Basis.X, 1): np.array([_SQRT2_INV, -_SQRT2_INV], dtype=complex),
+# The four single-qubit preparation states. StateVector instances are
+# immutable by convention (operations replace, never modify), so they
+# can be shared.
+_SINGLES = {
+    (Basis.Z, 0): StateVector([1.0, 0.0], check=False),
+    (Basis.Z, 1): StateVector([0.0, 1.0], check=False),
+    (Basis.X, 0): StateVector([_SQRT2_INV, _SQRT2_INV], check=False),
+    (Basis.X, 1): StateVector([_SQRT2_INV, -_SQRT2_INV], check=False),
 }
 
-# StateVector instances are immutable by convention (operations replace,
-# never modify), so prepared single-qubit states can be shared.
-_SINGLE_CACHE: dict[tuple[Basis, int, QubitRole], StateVector] = {}
 
-
-def prepare_single(
-    basis: Basis, bit: int, label: QubitRole = QubitRole.DECOY
-) -> StateVector:
+def prepare_single(basis: Basis, bit: int) -> StateVector:
     """Prepare |0>, |1>, |+> or |-> as a one-qubit register."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    key = (basis, bit, label)
-    state = _SINGLE_CACHE.get(key)
-    if state is None:
-        state = StateVector(_SINGLE_AMPS[(basis, bit)].copy(), (label,),
-                            check=False)
-        _SINGLE_CACHE[key] = state
-    return state
+    return _SINGLES[(basis, bit)]
 
 
 def prepare_bell(g_bit: int) -> StateVector:
@@ -188,9 +170,7 @@ def prepare_bell(g_bit: int) -> StateVector:
         amps[0] = amps[3] = _SQRT2_INV
     else:
         amps[1] = amps[2] = _SQRT2_INV
-    return StateVector(
-        amps, (QubitRole.TRENT_HALF, QubitRole.BOB_HALF), check=False
-    )
+    return StateVector(amps, check=False)
 
 
 def _check_unitary(u: np.ndarray, dim: int) -> None:
@@ -211,14 +191,14 @@ def _apply_gate_unchecked(
         out = np.empty_like(a)
         out[:, 0, :] = u[0, 0] * a[:, 0, :] + u[0, 1] * a[:, 1, :]
         out[:, 1, :] = u[1, 0] * a[:, 0, :] + u[1, 1] * a[:, 1, :]
-        return StateVector(out.reshape(1 << n), state.qubit_labels, check=False)
+        return StateVector(out.reshape(1 << n), check=False)
     if n == 2 and tuple(targets) == (0, 1):
-        return StateVector(u @ state.amplitudes, state.qubit_labels, check=False)
+        return StateVector(u @ state.amplitudes, check=False)
     amps = state.amplitudes.reshape((2,) * n)
     mat = u.reshape((2,) * (2 * k))
     moved = np.tensordot(mat, amps, axes=(tuple(range(k, 2 * k)), tuple(targets)))
     moved = np.moveaxis(moved, tuple(range(k)), tuple(targets))
-    return StateVector(moved.reshape(2 ** n), state.qubit_labels, check=False)
+    return StateVector(moved.reshape(2 ** n), check=False)
 
 
 def apply_unitary(
@@ -266,9 +246,7 @@ def measurement_branches(
         proj[tuple(sel)] = amps[tuple(sel)]
         p = float(np.sum(np.abs(proj) ** 2))
         if p > 1e-15:
-            post = StateVector(
-                proj.reshape(2 ** n) / np.sqrt(p), state.qubit_labels, check=False
-            )
+            post = StateVector(proj.reshape(2 ** n) / np.sqrt(p), check=False)
             if basis is Basis.X:
                 post = _apply_gate_unchecked(post, HADAMARD, (qubit,))
             branches.append((p, post))
@@ -290,8 +268,7 @@ def measure(
             b0 = a0
         p0 = b0.real * b0.real + b0.imag * b0.imag
         bit = 0 if rng.random() < p0 else 1
-        post = prepare_single(basis, bit, state.qubit_labels[0])
-        return MeasurementOutcome(bit=bit, basis=basis, post_state=post)
+        return MeasurementOutcome(bit=bit, post_state=_SINGLES[(basis, bit)])
 
     n = state.num_qubits
     if qubit < 0 or qubit >= n:
@@ -320,8 +297,8 @@ def measure(
         out[:, 1, :] = w * (_SQRT2_INV if bit == 0 else -_SQRT2_INV)
     else:
         out[:, bit, :] = w
-    post = StateVector(out.reshape(1 << n), state.qubit_labels, check=False)
-    return MeasurementOutcome(bit=bit, basis=basis, post_state=post)
+    post = StateVector(out.reshape(1 << n), check=False)
+    return MeasurementOutcome(bit=bit, post_state=post)
 
 
 def partial_trace(
@@ -348,7 +325,7 @@ def partial_trace(
         tensor_form = np.trace(tensor_form, axis1=q, axis2=cur_n + q)
     k = len(keep)
     reduced = tensor_form.reshape(2 ** k, 2 ** k)
-    return DensityMatrix(dim=2 ** k, entries=reduced)
+    return DensityMatrix(reduced)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -362,7 +339,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def tensor(states: Sequence[StateVector]) -> StateVector:
-    """Kronecker product of registers in the given order; labels concatenate."""
+    """Kronecker product of registers in the given order."""
     if not states:
         raise ValueError("tensor of zero states is undefined")
     total = sum(s.num_qubits for s in states)
@@ -371,11 +348,9 @@ def tensor(states: Sequence[StateVector]) -> StateVector:
             f"combined register of {total} qubits exceeds cap {MAX_REGISTER_QUBITS}"
         )
     amps = states[0].amplitudes
-    labels: tuple[QubitRole, ...] = states[0].qubit_labels
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
-        labels = labels + s.qubit_labels
-    return StateVector(amps, labels, check=False)
+    return StateVector(amps, check=False)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

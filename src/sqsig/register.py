@@ -15,7 +15,6 @@ from .quantum import (
     CNOT,
     MAX_REGISTER_QUBITS,
     Basis,
-    QubitRole,
     RegisterSizeError,
     StateVector,
     _apply_gate_unchecked,
@@ -45,13 +44,6 @@ class QubitRef:
         self.register = register
         self.index = index
 
-    @property
-    def role(self) -> QubitRole:
-        return self.register.state.qubit_labels[self.index]
-
-    def __repr__(self) -> str:
-        return f"QubitRef({self.role.value}@{self.index})"
-
 
 def new_qubit(state: StateVector) -> QubitRef:
     if state.num_qubits != 1:
@@ -65,9 +57,7 @@ def apply_gate(ref: QubitRef, u: np.ndarray) -> None:
     reg.state = apply_unitary(reg.state, u, (ref.index,))
 
 
-def attach_ancilla(
-    ref: QubitRef, label: QubitRole = QubitRole.EVE_ANCILLA
-) -> QubitRef:
+def attach_ancilla(ref: QubitRef) -> QubitRef:
     """Append a fresh |0> ancilla to the ref's register and return its handle."""
     reg = ref.register
     old = reg.state
@@ -79,7 +69,7 @@ def attach_ancilla(
     # Appending |0> interleaves the old amplitudes with zeros.
     amps = np.zeros(old.amplitudes.size * 2, dtype=complex)
     amps[0::2] = old.amplitudes
-    reg.state = StateVector(amps, old.qubit_labels + (label,), check=False)
+    reg.state = StateVector(amps, check=False)
     return QubitRef(reg, reg.state.num_qubits - 1)
 
 

@@ -114,15 +114,14 @@ def trent_receive(
     store: KeyStore,
     trent: Party,
     rng: np.random.Generator,
-) -> tuple[Bits, Bits, Bits]:
+) -> tuple[Bits, Bits]:
     """Measure the carrier halves and recompute g from the shared key.
 
-    Returns (T, recovered message, g).
+    Returns (T, g).
     """
     t_bits = tuple(trent.measure(ref, Basis.Z, rng) for ref in carriers)
     trent.classical_compute()
-    g = compute_g(recovered_m, store)
-    return t_bits, tuple(recovered_m), g
+    return t_bits, compute_g(recovered_m, store)
 
 
 def bob_measure(

@@ -30,7 +30,6 @@ from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
     CNOT,
     Basis,
-    QubitRole,
     apply_unitary,
     measurement_branches,
     prepare_single,
@@ -177,7 +176,7 @@ def _probe_round_detection_oracle(records: list[tuple[Basis, int]]) -> float:
     for basis, bit in records:
         joint = tensor([
             prepare_single(basis, bit),
-            prepare_single(Basis.Z, 0, QubitRole.EVE_ANCILLA),
+            prepare_single(Basis.Z, 0),
         ])
         joint = apply_unitary(joint, CNOT, (0, 1))
         receiver_branches = (

@@ -19,7 +19,6 @@ from sqsig.parties import quantum_party
 from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
     Basis,
-    QubitRole,
     RegisterSizeError,
     equal_up_to_phase,
     partial_trace,
@@ -66,7 +65,7 @@ class TestInterceptMeasureResendZ:
             strategy = InterceptMeasureResendZ()
             strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             bit = strategy.memory.measured_bits[0]
-            expected = prepare_single(Basis.Z, bit, QubitRole.DECOY)
+            expected = prepare_single(Basis.Z, bit)
             assert equal_up_to_phase(ref.register.state, expected)
             zeros += bit == 0
             ones += bit == 1
@@ -117,7 +116,6 @@ class TestUnitaryTamperThenUndo:
             dtype=complex,
         )
         strategy = UnitaryTamperThenUndo(rot)
-        assert strategy.u_name == "custom"
         rng = np.random.default_rng(6)
         ref = fresh_qubit(Basis.Z, 0)
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
@@ -261,7 +259,7 @@ class TestBlindness:
                     prepare_bell(m_bit ^ k_bit), (1,)
                 ).entries
             np.testing.assert_allclose(rho_entries, mixed, atol=1e-12)
-        rho0 = DensityMatrix(dim=2, entries=mixed.astype(complex))
+        rho0 = DensityMatrix(mixed.astype(complex))
         assert trace_distance(rho0, rho0) < 1e-12
 
 

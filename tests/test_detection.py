@@ -64,17 +64,37 @@ def z_records(transmission):
     return [r for r in transmission.records if r.basis is Basis.Z]
 
 
-class FlipFirstAnnouncedZValue(AttackStrategy):
-    """Flip the value bit of the first loc_z record; leave every qubit alone."""
+def carrier_positions(sequence, decoy_positions):
+    """The carriers' positions: every position not holding a decoy."""
+    return tuple(p for p in range(len(sequence)) if p not in decoy_positions)
 
-    kind = "flip_first_announced_z_value"
+
+class FlipWireBit(AttackStrategy):
+    """Flip one bit of the named classical announcement; leave qubits alone."""
+
+    kind = "flip_wire_bit"
+
+    def __init__(self, wire, index):
+        super().__init__()
+        self.wire, self.index = wire, index
 
     def tap_classical(self, point, name, bits, rng):
         bits = super().tap_classical(point, name, bits, rng)
-        if name == "loc_z":
-            value = RECORD_BITS - 1
-            bits = bits[:value] + (1 - bits[value],) + bits[value + 1:]
+        if name == self.wire:
+            i = self.index
+            bits = bits[:i] + (1 - bits[i],) + bits[i + 1:]
         return bits
+
+
+class WithholdReturnedDecoy(AttackStrategy):
+    """Keep the last decoy of the return leg instead of passing it on."""
+
+    kind = "withhold_returned_decoy"
+
+    def tap_qubits(self, point, refs, rng):
+        if point is TapPoint.RETURN_TRENT_TO_ALICE:
+            return list(refs)[:-1]
+        return list(refs)
 
 
 class TestBuildDecoys:
@@ -122,19 +142,15 @@ class TestInterleave:
     def test_no_decoys_identity(self):
         alice = quantum_party("alice")
         carriers = [alice.prepare(Basis.Z, 0) for _ in range(2)]
-        seq, decoy_pos, carrier_pos = interleave(
-            carriers, [], np.random.default_rng(0)
-        )
+        seq, decoy_pos = interleave(carriers, [], np.random.default_rng(0))
         assert seq == carriers
-        assert decoy_pos == () and carrier_pos == (0, 1)
+        assert decoy_pos == () and carrier_positions(seq, decoy_pos) == (0, 1)
 
     def test_no_carriers(self):
         alice = quantum_party("alice")
         decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
-        seq, decoy_pos, carrier_pos = interleave(
-            [], decoys, np.random.default_rng(0)
-        )
-        assert seq == decoys and carrier_pos == ()
+        seq, decoy_pos = interleave([], decoys, np.random.default_rng(0))
+        assert seq == decoys and carrier_positions(seq, decoy_pos) == ()
 
     def test_partition_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -142,7 +158,7 @@ class TestInterleave:
         for _ in range(20):
             carriers = [alice.prepare(Basis.Z, 0) for _ in range(4)]
             decoys = [alice.prepare(Basis.X, 0) for _ in range(3)]
-            seq, decoy_pos, carrier_pos = interleave(carriers, decoys, rng)
+            seq, decoy_pos = interleave(carriers, decoys, rng)
             got_decoys, got_carriers = extract_decoys(seq, decoy_pos)
             assert got_decoys == decoys
             assert got_carriers == carriers
@@ -152,7 +168,8 @@ class TestInterleave:
         alice = quantum_party("alice")
         carriers = [alice.prepare(Basis.Z, 0) for _ in range(3)]
         decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
-        seq, decoy_pos, carrier_pos = interleave(carriers, decoys, rng)
+        seq, decoy_pos = interleave(carriers, decoys, rng)
+        carrier_pos = carrier_positions(seq, decoy_pos)
         assert [seq[p] for p in carrier_pos] == carriers
         assert [seq[p] for p in decoy_pos] == decoys
 
@@ -280,11 +297,35 @@ class TestRunDetectionRound:
         # The qubits arrive intact, but the first announced Z value is
         # flipped: the receiver compares against what it was told.
         result, _, _, _ = run_round(
-            DetectionMode.IMPROVED, FlipFirstAnnouncedZValue(), seed=3
+            DetectionMode.IMPROVED, FlipWireBit("loc_z", RECORD_BITS - 1), seed=3
         )
         rep = result.report
         assert rep.bob_z_errors == 1
         assert rep.verdict is Verdict.ABORT
+
+    @pytest.mark.parametrize("mode, wire, bit", [
+        (DetectionMode.IMPROVED, "loc_z", 0),  # position out of range
+        (DetectionMode.IMPROVED, "loc_z", 15),  # position named twice
+        (DetectionMode.IMPROVED, "permutation", 0),  # entry out of range
+        (DetectionMode.IMPROVED, "permutation", 15),  # not a bijection
+        (DetectionMode.DIRECT_REFLECTION, "decoy_positions", 0),
+        (DetectionMode.IMPROVED_INLINE_OTP, "loc_ciphertext", 0),
+    ])
+    def test_tampered_announcement_aborts(self, mode, wire, bit):
+        # Threshold 1.0 lets no error rate abort: only the malformed
+        # announcement itself can.
+        result, _, _, _ = run_round(
+            mode, FlipWireBit(wire, bit), seed=3, threshold=1.0
+        )
+        assert result.report.verdict is Verdict.ABORT
+        assert result.carriers == [] and result.recovered_m is None
+
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_withheld_decoy_aborts(self, mode):
+        result, _, _, _ = run_round(
+            mode, WithholdReturnedDecoy(), seed=3, threshold=1.0
+        )
+        assert result.report.verdict is Verdict.ABORT
 
     def test_measure_then_return_misses_flip_then_unflip(self):
         result, _, _, _ = run_round(

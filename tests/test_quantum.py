@@ -22,7 +22,6 @@ from sqsig.quantum import (
     DensityMatrix,
     DimensionMismatchError,
     NonUnitaryError,
-    QubitRole,
     RegisterSizeError,
     StateVector,
     apply_unitary,
@@ -71,7 +70,7 @@ def kron_expand(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
 def random_state(rng: np.random.Generator, n: int) -> StateVector:
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     amps /= np.linalg.norm(amps)
-    return StateVector(amps, (QubitRole.DECOY,) * n)
+    return StateVector(amps)
 
 
 class TestPreparation:
@@ -111,11 +110,6 @@ class TestPreparation:
             prepare_bell(1).amplitudes, [0, SQRT2_INV, SQRT2_INV, 0], atol=1e-15
         )
 
-    def test_bell_labels(self):
-        assert prepare_bell(0).qubit_labels == (
-            QubitRole.TRENT_HALF, QubitRole.BOB_HALF,
-        )
-
     def test_all_preparations_normalized(self):
         for basis in (Basis.Z, Basis.X):
             for bit in (0, 1):
@@ -127,15 +121,19 @@ class TestPreparation:
 class TestStateVectorValidation:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            StateVector([1.0, 1.0], (QubitRole.DECOY,))
+            StateVector([1.0, 1.0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            StateVector([1.0, 0.0, 0.0], (QubitRole.DECOY,))
+            StateVector([1.0, 0.0, 0.0])
 
     def test_register_cap(self):
         with pytest.raises(RegisterSizeError):
-            StateVector(np.zeros(32), (QubitRole.DECOY,) * 5)
+            StateVector(np.zeros(32))
+
+    def test_non_square_density_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            DensityMatrix(np.eye(2, 4, dtype=complex) / 2).validate()
 
 
 class TestApplyUnitary:
@@ -215,7 +213,7 @@ class TestMeasurement:
     def test_frequency_matches_amplitudes_for_biased_state(self):
         rng = np.random.default_rng(7)
         amps = np.array([0.6, 0.8], dtype=complex)
-        state = StateVector(amps, (QubitRole.DECOY,))
+        state = StateVector(amps)
         trials = 100_000
         ones = sum(measure(state, 0, Basis.Z, rng).bit for _ in range(trials))
         p1 = 0.64
@@ -360,19 +358,11 @@ class TestTensor:
         with pytest.raises(RegisterSizeError):
             tensor(singles)
 
-    def test_labels_concatenate(self):
-        out = tensor([prepare_bell(0), prepare_single(Basis.Z, 0)])
-        assert out.qubit_labels == (
-            QubitRole.TRENT_HALF, QubitRole.BOB_HALF, QubitRole.DECOY,
-        )
-
 
 class TestFidelity:
     def test_global_phase_ignored(self):
         state = prepare_single(Basis.X, 0)
-        rotated = StateVector(
-            state.amplitudes * np.exp(1j * 0.7), state.qubit_labels
-        )
+        rotated = StateVector(state.amplitudes * np.exp(1j * 0.7))
         assert equal_up_to_phase(state, rotated)
 
     def test_distinct_states_not_equal(self):

@@ -138,9 +138,8 @@ class TestTrentReceive:
             signed.transmission.sequence,
             [r.position for r in signed.transmission.records],
         )
-        t_bits, recovered, g_trent = trent_receive(carriers, m, store, trent, rng)
+        t_bits, g_trent = trent_receive(carriers, m, store, trent, rng)
         assert g_trent == signed.g
-        assert recovered == m
         assert len(t_bits) == len(m)
 
 
