@@ -368,9 +368,10 @@ def run_detection_round(
     the announcements it decodes; the message it recovers is the first
     len(carriers) of its Z results. The verdict is Abort as soon as any
     checked error rate exceeds the threshold, and, whatever the threshold,
-    when an announcement was tampered into nonsense: a decoy position
-    outside the received sequence or named twice, or a returned
-    permutation that is not a bijection over the sender's decoys.
+    when an announcement was tampered into nonsense: one that does not
+    decrypt or decode (a wrong length), a decoy position outside the
+    received sequence or named twice, or a returned permutation that is
+    not a bijection over the sender's decoys.
     """
     spec = MODE_SPECS[mode]
     if spec.encrypted and store is None:
@@ -388,12 +389,14 @@ def run_detection_round(
         )
     announced: list[DecoyRecord] = []
     for wire_name, bases, values in spec.announcements:
-        wire = _announce(
-            channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
-            encode_loc([r for r in records if r.basis in bases], include_values=values),
-            pad, "loc_announce", rng,
-        )
-        announced += decode_loc(wire)
+        payload = encode_loc([r for r in records if r.basis in bases], include_values=values)
+        try:
+            announced += decode_loc(_announce(
+                channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name, payload,
+                pad, "loc_announce", rng,
+            ))
+        except ValueError:  # a length that does not decrypt or decode
+            return _abort(report)
     if spec.encrypted:
         receiver.classical_compute()
     positions = {r.position for r in announced}
@@ -425,14 +428,13 @@ def run_detection_round(
             channel.send_classical(
                 TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", (1,), rng
             )
-        wire = _announce(
-            channel, TapPoint.RETURN_TRENT_TO_ALICE,
-            "perm_ciphertext" if spec.encrypted else "permutation",
-            encode_permutation(perm), pad, "perm_announce", rng,
-        )
         try:
-            perm = decode_permutation(wire)
-        except ValueError:  # entries out of range or repeated
+            perm = decode_permutation(_announce(
+                channel, TapPoint.RETURN_TRENT_TO_ALICE,
+                "perm_ciphertext" if spec.encrypted else "permutation",
+                encode_permutation(perm), pad, "perm_announce", rng,
+            ))
+        except ValueError:  # a wrong length, entries out of range or repeated
             return _abort(report)
     if not len(perm.mapping) == len(returned) == len(records):
         return _abort(report)

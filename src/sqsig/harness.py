@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -22,7 +22,7 @@ from .adversary import (
     UnitaryTamperThenUndo,
 )
 from .detection import CHECKS, POSITION_FIELD_BITS, DetectionMode
-from .protocol import TrialResult, run_protocol_round
+from .protocol import run_protocol_round
 from .quantum import (
     Basis,
     DensityMatrix,
@@ -47,79 +47,58 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class AttackSpec:
     name: str
-    unitary: str | None = None
-    positions: tuple[int, ...] = ()
-    probe_measure_time: str = "after_return"
+    # The parsed argument: a unitary name, a probe timing or a position
+    # tuple; None when the attack takes none or uses its default.
+    arg: str | tuple[int, ...] | None = None
 
 
-def _no_argument(name: str, arg: str) -> AttackSpec:
-    if arg:
-        raise ConfigError(f"{name} takes no argument; got {arg!r}")
-    return AttackSpec(name=name)
+def _no_argument(name: str, text: str) -> None:
+    if text:
+        raise ConfigError(f"{name} takes no argument; got {text!r}")
 
 
-def _one_of(name: str, arg: str, choices: Sequence[str]) -> str:
-    if arg not in choices:
-        raise ConfigError(f"{name} needs one of {', '.join(choices)}; got {arg!r}")
-    return arg
+def _one_of(name: str, text: str, choices: Sequence[str]) -> str:
+    if text not in choices:
+        raise ConfigError(f"{name} needs one of {', '.join(choices)}; got {text!r}")
+    return text
 
 
-def _unitary(name: str, arg: str) -> AttackSpec:
-    return AttackSpec(name=name, unitary=_one_of(name, arg.upper(), _NAMED_UNITARIES))
+def _unitary(name: str, text: str) -> str:
+    return _one_of(name, text.upper(), _NAMED_UNITARIES)
 
 
-def _positions(name: str, arg: str) -> AttackSpec:
-    if not arg:
+def _positions(name: str, text: str) -> tuple[int, ...]:
+    if not text:
         raise ConfigError(f"{name} needs a comma-separated position list")
     try:
-        positions = tuple(int(p) for p in arg.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad {name} positions {arg!r}") from exc
-    return AttackSpec(name=name, positions=positions)
+        raise ConfigError(f"bad {name} positions {text!r}") from exc
 
 
-def _probe_time(name: str, arg: str) -> AttackSpec:
-    if not arg:
-        return AttackSpec(name=name)
-    times = EntangleProbe.MEASURE_TIMES
-    return AttackSpec(name=name, probe_measure_time=_one_of(name, arg, times))
-
-
-def _no_strategy(spec: AttackSpec) -> AttackStrategy:
-    raise ConfigError(f"{spec.name} runs its own experiment, not a channel strategy")
+def _probe_time(name: str, text: str) -> str | None:
+    if text in ("", "after_return"):  # the default timing prints bare
+        return None
+    return _one_of(name, text, EntangleProbe.MEASURE_TIMES)
 
 
 @dataclass(frozen=True)
 class AttackKind:
-    """How one attack is parsed from text, built, and written back."""
+    """One attack: its channel strategy and the parser of its argument."""
 
-    parse: Callable[[str, str], AttackSpec]  # (name, argument) -> spec
-    build: Callable[[AttackSpec], AttackStrategy]
-    argument: Callable[[AttackSpec], str] = lambda spec: ""  # "" prints bare
-
-
-def _positions_text(spec: AttackSpec) -> str:
-    return ",".join(str(p) for p in spec.positions)
+    strategy: type[AttackStrategy] | None  # None: runs its own experiment
+    parse: Callable[[str, str], object] = _no_argument  # (name, text) -> arg
 
 
 ATTACKS = {
-    "none": AttackKind(_no_argument, lambda spec: NoAttack()),
-    "intercept_resend_z": AttackKind(
-        _no_argument, lambda spec: InterceptMeasureResendZ()),
-    "unitary_tamper_then_undo": AttackKind(
-        _unitary, lambda spec: UnitaryTamperThenUndo(spec.unitary),
-        lambda spec: spec.unitary),
-    "pauli_x_tamper": AttackKind(_no_argument, lambda spec: PauliXTamper()),
-    "entangle_probe": AttackKind(
-        _probe_time, lambda spec: EntangleProbe(spec.probe_measure_time),
-        # The default timing prints bare.
-        lambda spec: "" if spec == AttackSpec(spec.name) else spec.probe_measure_time),
-    "forge": AttackKind(_no_argument, _no_strategy),
-    "tamper_b": AttackKind(
-        _positions, lambda spec: TamperSignatureB(spec.positions), _positions_text),
-    "tamper_m": AttackKind(
-        _positions, lambda spec: TamperClassicalMessage(spec.positions),
-        _positions_text),
+    "none": AttackKind(NoAttack),
+    "intercept_resend_z": AttackKind(InterceptMeasureResendZ),
+    "unitary_tamper_then_undo": AttackKind(UnitaryTamperThenUndo, _unitary),
+    "pauli_x_tamper": AttackKind(PauliXTamper),
+    "entangle_probe": AttackKind(EntangleProbe, _probe_time),
+    "forge": AttackKind(None),
+    "tamper_b": AttackKind(TamperSignatureB, _positions),
+    "tamper_m": AttackKind(TamperClassicalMessage, _positions),
 }
 
 
@@ -130,17 +109,22 @@ def parse_attack(text: str) -> AttackSpec:
         raise ConfigError(
             f"unknown attack {head!r}; valid kinds: {', '.join(ATTACKS)}"
         )
-    return ATTACKS[head].parse(head, arg)
+    return AttackSpec(head, ATTACKS[head].parse(head, arg))
 
 
 def build_strategy(spec: AttackSpec) -> AttackStrategy:
     """Fresh strategy instance (adversary memory is per-run)."""
-    return ATTACKS[spec.name].build(spec)
+    strategy = ATTACKS[spec.name].strategy
+    if strategy is None:
+        raise ConfigError(f"{spec.name} runs its own experiment, not a channel strategy")
+    return strategy() if spec.arg is None else strategy(spec.arg)
 
 
 def attack_spec_text(spec: AttackSpec) -> str:
-    arg = ATTACKS[spec.name].argument(spec)
-    return f"{spec.name}:{arg}" if arg else spec.name
+    if spec.arg is None:
+        return spec.name
+    arg = spec.arg if isinstance(spec.arg, str) else ",".join(map(str, spec.arg))
+    return f"{spec.name}:{arg}"
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +171,8 @@ class ScenarioConfig:
             raise ConfigError("d_x: must be >= 0")
         if self.n + self.d_z + self.d_x > 1 << POSITION_FIELD_BITS:
             raise ConfigError(f"n + d_z + d_x: must fit {POSITION_FIELD_BITS}-bit positions")
-        bad = [p for p in self.attack.positions if not 0 <= p < self.n]
+        positions = self.attack.arg if isinstance(self.attack.arg, tuple) else ()
+        bad = [p for p in positions if not 0 <= p < self.n]
         if bad:
             raise ConfigError(f"attack: positions {bad} not in [0, {self.n})")
 
@@ -207,11 +192,38 @@ class ScenarioConfig:
         }
 
 
-_MODE_NAMES = {m.value: m for m in DetectionMode}
+def _message(text: str) -> Bits | None:
+    if text.lower() == "random":
+        return None
+    if not set(text) <= {"0", "1"}:
+        raise ValueError
+    return tuple(int(c) for c in text)
+
+
+# Each key a scenario file may set: its converter, and the complaint when
+# the converter raises ValueError ({value} is lowercased). parse_attack
+# raises its own ConfigError. A key left out takes the ScenarioConfig default.
+_INTEGER = (int, "{key} must be an integer")
+_NUMBER = (float, "{key} must be a number")
+_SCENARIO_KEYS = {
+    "n": _INTEGER,
+    "message": (_message, "message must be a bit string or 'random'"),
+    "d_z": _INTEGER,
+    "d_x": _INTEGER,
+    "mode": (lambda text: DetectionMode(text.lower()),
+             "unknown mode {value!r}; valid modes: "
+             + ", ".join(m.value for m in DetectionMode)),
+    "attack": (parse_attack, ""),
+    "trials": _INTEGER,
+    "seed": _INTEGER,
+    "threshold": _NUMBER,
+    "noise_p": _NUMBER,
+    "output": (str, ""),
+}
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse the flat key=value scenario format, applying defaults."""
+    """Parse the flat key=value scenario format; ScenarioConfig holds the defaults."""
     fields: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -230,56 +242,23 @@ def load_scenario(path: str) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         fields[key] = value
 
-    known = {f.name for f in dataclass_fields(ScenarioConfig)}
     for key in fields:
-        if key not in known:
+        if key not in _SCENARIO_KEYS:
             raise ConfigError(f"{path}: unknown key {key!r}")
     if "n" not in fields:
         raise ConfigError(f"{path}: missing required key 'n'")
 
-    def as_int(key: str, default: int | None = None) -> int | None:
-        if key not in fields:
-            return default
+    parsed = {}
+    for key, text in fields.items():
+        convert, complaint = _SCENARIO_KEYS[key]
         try:
-            return int(fields[key])
+            parsed[key] = convert(text)
+        except ConfigError:
+            raise
         except ValueError as exc:
-            raise ConfigError(f"{path}: {key} must be an integer") from exc
-
-    def as_float(key: str, default: float) -> float:
-        if key not in fields:
-            return default
-        try:
-            return float(fields[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {key} must be a number") from exc
-
-    message: Bits | None = None
-    if "message" in fields and fields["message"].lower() != "random":
-        text = fields["message"]
-        if not set(text) <= {"0", "1"}:
-            raise ConfigError(f"{path}: message must be a bit string or 'random'")
-        message = tuple(int(c) for c in text)
-
-    mode_text = fields.get("mode", DetectionMode.IMPROVED.value).lower()
-    if mode_text not in _MODE_NAMES:
-        raise ConfigError(
-            f"{path}: unknown mode {mode_text!r}; "
-            f"valid modes: {', '.join(_MODE_NAMES)}"
-        )
-
-    return ScenarioConfig(
-        n=as_int("n"),
-        message=message,
-        d_z=as_int("d_z"),
-        d_x=as_int("d_x"),
-        mode=_MODE_NAMES[mode_text],
-        attack=parse_attack(fields.get("attack", "none")),
-        trials=as_int("trials", 1),
-        seed=as_int("seed", 0),
-        threshold=as_float("threshold", 0.0),
-        noise_p=as_float("noise_p", 0.0),
-        output=fields.get("output"),
-    )
+            detail = complaint.format(key=key, value=text.lower())
+            raise ConfigError(f"{path}: {detail}") from exc
+    return ScenarioConfig(**parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +293,6 @@ def compute_efficiency(n: int, digest_bits: int = DEFAULT_DIGEST_BITS) -> Effici
 
 
 @dataclass
-class RunTranscript:
-    events: list[dict] = field(default_factory=list)
-
-
-@dataclass
 class AggregateStats:
     config: ScenarioConfig
     trials_run: int = 0
@@ -333,39 +307,6 @@ class AggregateStats:
     wall_time: float = 0.0
     per_trial: list[dict] = field(default_factory=list)
     forge_accepts: np.ndarray | None = None
-
-
-def _trial_record(index: int, result: TrialResult) -> dict:
-    return {
-        "trial": index,
-        "aborted": result.aborted,
-        "trent_yes": bool(result.outcome.verdict) if result.outcome else False,
-        "accepted": result.accepted,
-        **{f"{k}_rate": result.detection.rate(k) for k in CHECKS},
-    }
-
-
-def run_single_trial(
-    config: ScenarioConfig, rng: np.random.Generator,
-    record_transcript: bool = True,
-) -> TrialResult:
-    if config.message is not None:
-        message = config.message
-    else:
-        message = tuple(int(b) for b in rng.integers(0, 2, size=config.n))
-    strategy = build_strategy(config.attack)
-    return run_protocol_round(
-        n=config.n,
-        message=message,
-        mode=config.mode,
-        strategy=strategy,
-        rng=rng,
-        d_z=config.d_z,
-        d_x=config.d_x,
-        threshold=config.threshold,
-        noise_p=config.noise_p,
-        record_transcript=record_transcript,
-    )
 
 
 def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
@@ -390,33 +331,45 @@ def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
     return stats
 
 
-def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, RunTranscript]:
+def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
     """Run all trials with split seeds and aggregate the statistics.
 
-    The transcript of the first trial is retained for inspection.
+    Returns the statistics and the transcript events of the first trial.
     """
     if config.attack.name == "forge":
-        return _run_forgery_trials(config), RunTranscript()
+        return _run_forgery_trials(config), []
 
     start = time.perf_counter()
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     stats = AggregateStats(config=config)
-    first_transcript = RunTranscript()
+    transcript: list[dict] = []
     sums = {k: 0.0 for k in CHECKS}
     sumsq = {k: 0.0 for k in CHECKS}
     totals = {k: [0, 0] for k in CHECKS}
 
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        result = run_single_trial(config, rng, record_transcript=(i == 0))
-        stats.trials_run += 1
-        if result.aborted:
-            stats.detection_aborts += 1
-        if result.outcome is not None and result.outcome.verdict:
-            stats.trent_yes += 1
-        if result.accepted:
-            stats.bob_accepts += 1
-        record = _trial_record(i, result)
+        message = config.message
+        if message is None:
+            message = tuple(int(b) for b in rng.integers(0, 2, size=config.n))
+        result = run_protocol_round(
+            n=config.n, message=message, mode=config.mode,
+            strategy=build_strategy(config.attack), rng=rng,
+            d_z=config.d_z, d_x=config.d_x, threshold=config.threshold,
+            noise_p=config.noise_p, record_transcript=(i == 0),
+        )
+        if i == 0:
+            transcript = result.transcript
+        record = {
+            "trial": i,
+            "aborted": result.aborted,
+            "trent_yes": bool(result.outcome.verdict) if result.outcome else False,
+            "accepted": result.accepted,
+            **{f"{k}_rate": result.detection.rate(k) for k in CHECKS},
+        }
+        stats.detection_aborts += record["aborted"]
+        stats.trent_yes += record["trent_yes"]
+        stats.bob_accepts += record["accepted"]
         for k in CHECKS:
             r = record[f"{k}_rate"]
             sums[k] += r
@@ -424,10 +377,8 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, RunTranscript]:
             totals[k][0] += getattr(result.detection, f"{k}_errors")
             totals[k][1] += getattr(result.detection, f"{k}_checked")
         stats.per_trial.append(record)
-        if i == 0 and result.transcript is not None:
-            first_transcript = RunTranscript(events=list(result.transcript))
 
-    m = stats.trials_run
+    m = stats.trials_run = len(stats.per_trial)
     stats.error_rate_means = {k: sums[k] / m for k in CHECKS}
     stats.error_rate_vars = {
         k: max(sumsq[k] / m - (sums[k] / m) ** 2, 0.0) for k in CHECKS
@@ -435,7 +386,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, RunTranscript]:
     stats.error_totals = {k: (totals[k][0], totals[k][1]) for k in CHECKS}
     stats.qubit_efficiency = compute_efficiency(config.n)
     stats.wall_time = time.perf_counter() - start
-    return stats, first_transcript
+    return stats, transcript
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +502,7 @@ def _iter_trial_records(stats: AggregateStats):
 
 
 def emit_report(
-    stats: AggregateStats, transcript: RunTranscript, format: str = "human"
+    stats: AggregateStats, transcript: list[dict], format: str = "human"
 ) -> str:
     """Deterministic serialization of a run (wall time excluded)."""
     if format not in REPORT_FORMATS:
@@ -613,10 +564,10 @@ def emit_report(
             f"(with digest: {eff['eta_with_digest']:.6f})"
         )
     lines.append(f"wall time (s)     : {stats.wall_time:.3f}")
-    if transcript.events:
+    if transcript:
         lines.append("")
         lines.append("--- first trial transcript ---")
-        for ev in transcript.events:
+        for ev in transcript:
             lines.append(json.dumps(ev, sort_keys=True))
     return "\n".join(lines) + "\n"
 
@@ -651,8 +602,7 @@ def run_matrix(
     for attack_text in MATRIX_ATTACKS:
         for m in MATRIX_MODES:
             config = ScenarioConfig(
-                n=n, d_z=n, d_x=n, mode=m,
-                attack=parse_attack(attack_text),
+                n=n, mode=m, attack=parse_attack(attack_text),
                 trials=trials, seed=seed,
             )
             stats, _ = run_trials(config)

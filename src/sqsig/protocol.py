@@ -105,9 +105,12 @@ def run_protocol_round(
             TapPoint.FORWARD_ALICE_TO_TRENT, "message_to_trent", message, rng
         )
 
-    t_bits, g_trent = trent_receive(
-        detection.carriers, recovered_m, store, trent, rng
-    )
+    # Trent cannot verify a message, T or B string of the wrong length: No.
+    well_formed = len(recovered_m) == len(detection.carriers) == n
+    if well_formed:
+        t_bits, g_trent = trent_receive(
+            detection.carriers, recovered_m, store, trent, rng
+        )
 
     m_received = channel.send_classical(
         TapPoint.ALICE_TO_BOB_CLASSICAL, "message", message, rng
@@ -120,9 +123,12 @@ def run_protocol_round(
         TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", b_bits, rng
     )
 
-    outcome, _ = trent_conclude(
-        g_trent, t_bits, b_received, recovered_m, hash_fn
-    )
+    if well_formed and len(b_received) == n:
+        outcome, _ = trent_conclude(
+            g_trent, t_bits, b_received, recovered_m, hash_fn
+        )
+    else:
+        outcome = VerificationOutcome(verdict=False)
     accepted = bob_accept(m_received, outcome, hash_fn)
     if transcript is not None:
         digest = "".join(str(b) for b in outcome.digest) if outcome.digest else ""

@@ -36,7 +36,7 @@ from sqsig.detection import (
 )
 from sqsig.keys import keygen_init
 from sqsig.parties import classical_party, quantum_party
-from sqsig.protocol import key_budget
+from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
 from sqsig.roles import alice_sign
 
@@ -86,6 +86,22 @@ class FlipWireBit(AttackStrategy):
         return bits
 
 
+class ResizeWire(AttackStrategy):
+    """Drop the last bit of the named announcement, or append a 0 bit."""
+
+    kind = "resize_wire"
+
+    def __init__(self, wire, grow):
+        super().__init__()
+        self.wire, self.grow = wire, grow
+
+    def tap_classical(self, point, name, bits, rng):
+        bits = super().tap_classical(point, name, bits, rng)
+        if name == self.wire:
+            bits = bits + (0,) if self.grow else bits[:-1]
+        return bits
+
+
 class WithholdReturnedDecoy(AttackStrategy):
     """Keep the last decoy of the return leg instead of passing it on."""
 
@@ -93,6 +109,17 @@ class WithholdReturnedDecoy(AttackStrategy):
 
     def tap_qubits(self, point, refs, rng):
         if point is TapPoint.RETURN_TRENT_TO_ALICE:
+            return list(refs)[:-1]
+        return list(refs)
+
+
+class WithholdForwardQubit(AttackStrategy):
+    """Keep the last qubit of the forward leg instead of passing it on."""
+
+    kind = "withhold_forward_qubit"
+
+    def tap_qubits(self, point, refs, rng):
+        if point is TapPoint.FORWARD_ALICE_TO_TRENT:
             return list(refs)[:-1]
         return list(refs)
 
@@ -320,6 +347,25 @@ class TestRunDetectionRound:
         assert result.report.verdict is Verdict.ABORT
         assert result.carriers == [] and result.recovered_m is None
 
+    @pytest.mark.parametrize("grow", [False, True])
+    @pytest.mark.parametrize("mode, wire", [
+        (DetectionMode.IMPROVED, "loc_z"),
+        (DetectionMode.IMPROVED, "decoy_positions_x"),
+        (DetectionMode.IMPROVED, "permutation"),
+        (DetectionMode.IMPROVED_INLINE_OTP, "loc_ciphertext"),
+        (DetectionMode.IMPROVED_INLINE_OTP, "perm_ciphertext"),
+        (DetectionMode.MEASURE_THEN_RETURN, "decoy_positions_z"),
+        (DetectionMode.DIRECT_REFLECTION, "decoy_positions"),
+    ])
+    def test_resized_announcement_aborts(self, mode, wire, grow):
+        # An announcement one bit short or long cannot be decoded (or
+        # decrypted); the round aborts whatever the threshold.
+        result, _, _, _ = run_round(
+            mode, ResizeWire(wire, grow), seed=3, threshold=1.0
+        )
+        assert result.report.verdict is Verdict.ABORT
+        assert result.carriers == [] and result.recovered_m is None
+
     @pytest.mark.parametrize("mode", list(DetectionMode))
     def test_withheld_decoy_aborts(self, mode):
         result, _, _, _ = run_round(
@@ -461,3 +507,32 @@ class TestAliceFinalCheck:
         alice = quantum_party("alice")
         with pytest.raises(ValueError):
             alice_final_check(alice, [], PermutationRecord(mapping=(0,)), [], rng)
+
+
+class TestWrongLengthClassicalMessage:
+    @pytest.mark.parametrize("grow", [False, True])
+    @pytest.mark.parametrize("mode, wire", [
+        (DetectionMode.IMPROVED, "b_string"),
+        (DetectionMode.DIRECT_REFLECTION, "message_to_trent"),
+    ])
+    def test_trent_says_no(self, mode, wire, grow):
+        # A message or B string one bit short or long cannot verify: the
+        # round completes with Trent's No, and Bob rejects.
+        result = run_protocol_round(
+            n=2, message=(1, 0), mode=mode, strategy=ResizeWire(wire, grow),
+            rng=np.random.default_rng(3),
+        )
+        assert not result.aborted
+        assert result.outcome.verdict is False
+        assert not result.accepted
+
+    def test_missing_carrier_gives_no(self):
+        # At this seed the withheld last qubit is a carrier, so the decoy
+        # checks pass and Trent measures one T bit too few.
+        result = run_protocol_round(
+            n=2, message=(1, 0), mode=DetectionMode.DIRECT_REFLECTION,
+            strategy=WithholdForwardQubit(), rng=np.random.default_rng(3),
+        )
+        assert not result.aborted
+        assert result.outcome.verdict is False
+        assert not result.accepted

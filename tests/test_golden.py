@@ -1,9 +1,9 @@
 """Byte identity of reports and transcripts against recorded digests.
 
 Each scenario runs at n=2 with 20 trials and a fixed seed. The jsonl and
-tsv reports and `json.dumps` of the first trial's transcript are hashed
-with sha256 and compared with `golden_digests.json`. The human format is
-left out because it prints wall time.
+tsv reports, the human report without its `wall time (s)` line, and
+`json.dumps` of the first trial's transcript are hashed with sha256 and
+compared with `golden_digests.json`.
 
 A change that alters the random streams on purpose regenerates the file
 with `PYTHONPATH=src python tests/test_golden.py --regenerate` and names
@@ -52,10 +52,12 @@ SCENARIOS = _scenarios()
 
 def _digests(config: ScenarioConfig) -> dict[str, str]:
     stats, transcript = run_trials(config)
+    human = emit_report(stats, transcript, format="human").splitlines(keepends=True)
     texts = {
         "jsonl": emit_report(stats, transcript, format="jsonl"),
         "tsv": emit_report(stats, transcript, format="tsv"),
-        "transcript": json.dumps(transcript.events),
+        "human": "".join(line for line in human if not line.startswith("wall time (s)")),
+        "transcript": json.dumps(transcript),
     }
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
 

@@ -1,5 +1,6 @@
 """Scenario parsing, Monte Carlo aggregation, reports, and CLI tests."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,17 +28,17 @@ from sqsig.harness import (
 
 
 _positions = st.lists(st.integers(0, 99), min_size=1, max_size=4).map(tuple)
-_SPEC_FIELDS = {
-    "unitary_tamper_then_undo": st.fixed_dictionaries(
-        {"unitary": st.sampled_from("XYZH")}),
-    "entangle_probe": st.fixed_dictionaries(
-        {"probe_measure_time": st.sampled_from(EntangleProbe.MEASURE_TIMES)}),
-    "tamper_b": st.fixed_dictionaries({"positions": _positions}),
-    "tamper_m": st.fixed_dictionaries({"positions": _positions}),
+_ARGS = {
+    "unitary_tamper_then_undo": st.sampled_from("XYZH"),
+    # The default timing, after_return, parses to None.
+    "entangle_probe": st.sampled_from(
+        [None] + [t for t in EntangleProbe.MEASURE_TIMES if t != "after_return"]),
+    "tamper_b": _positions,
+    "tamper_m": _positions,
 }
 attack_specs = st.sampled_from(sorted(ATTACKS)).flatmap(
-    lambda name: _SPEC_FIELDS.get(name, st.just({})).map(
-        lambda fields: AttackSpec(name=name, **fields))
+    lambda name: _ARGS.get(name, st.none()).map(
+        lambda arg: AttackSpec(name=name, arg=arg))
 )
 
 
@@ -54,15 +55,15 @@ class TestParseAttack:
 
     def test_unitary_argument(self):
         spec = parse_attack("unitary_tamper_then_undo:H")
-        assert spec.unitary == "H"
+        assert spec.arg == "H"
 
     def test_unitary_requires_named_gate(self):
         with pytest.raises(ConfigError):
             parse_attack("unitary_tamper_then_undo:Q")
 
     def test_position_lists(self):
-        assert parse_attack("tamper_b:0,3,1").positions == (0, 3, 1)
-        assert parse_attack("tamper_m:2").positions == (2,)
+        assert parse_attack("tamper_b:0,3,1").arg == (0, 3, 1)
+        assert parse_attack("tamper_m:2").arg == (2,)
 
     def test_positions_required(self):
         with pytest.raises(ConfigError):
@@ -74,21 +75,28 @@ class TestParseAttack:
         assert "intercept_resend_z" in str(err.value)
 
     def test_probe_time_argument(self):
-        assert parse_attack("entangle_probe:immediate").probe_measure_time == "immediate"
+        assert parse_attack("entangle_probe:immediate").arg == "immediate"
 
     @given(attack_specs)
-    @example(AttackSpec(name="entangle_probe", probe_measure_time="immediate"))
+    @example(AttackSpec(name="entangle_probe", arg="immediate"))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_text(self, spec):
         assert parse_attack(attack_spec_text(spec)) == spec
         for text in ("none", "unitary_tamper_then_undo:Z", "tamper_b:1,2",
                      "entangle_probe:immediate"):
             assert attack_spec_text(parse_attack(text)) == text
+        default = parse_attack("entangle_probe:after_return")
+        assert default == parse_attack("entangle_probe")
+        assert attack_spec_text(default) == "entangle_probe"
 
     def test_build_strategy_fresh_instances(self):
         spec = parse_attack("entangle_probe")
         a, b = build_strategy(spec), build_strategy(spec)
         assert a is not b and a.memory is not b.memory
+
+    def test_forge_has_no_strategy(self):
+        with pytest.raises(ConfigError, match="own experiment"):
+            build_strategy(parse_attack("forge"))
 
 
 class TestLoadScenario:
@@ -108,6 +116,21 @@ class TestLoadScenario:
     def test_explicit_message(self, tmp_path):
         config = load_scenario(write_scenario(tmp_path, "n = 4\nmessage = 1010\n"))
         assert config.message == (1, 0, 1, 0)
+
+    def test_values_case_insensitive(self, tmp_path):
+        text = "n = 2\nmode = IMPROVED\nmessage = RANDOM\n"
+        config = load_scenario(write_scenario(tmp_path, text))
+        assert config.mode is DetectionMode.IMPROVED
+        assert config.message is None
+
+    @pytest.mark.parametrize("text, error", [
+        ("n = abc\n", "n must be an integer"),
+        ("n = 2\nthreshold = x\n", "threshold must be a number"),
+        ("n = 2\nmessage = 1x\n", "message must be a bit string or 'random'"),
+    ])
+    def test_bad_value_named(self, tmp_path, text, error):
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            load_scenario(write_scenario(tmp_path, text))
 
     def test_threshold_out_of_range(self, tmp_path):
         with pytest.raises(ConfigError, match="threshold"):
@@ -158,7 +181,7 @@ class TestRunTrials:
         assert stats.detection_aborts == 0
         assert stats.trent_yes == stats.bob_accepts == 40
         assert stats.error_rate_means["bob_z"] == 0.0
-        assert transcript.events  # first trial retained
+        assert transcript  # first trial retained
 
     def test_bit_flip_attack_always_aborts(self):
         config = ScenarioConfig(
@@ -333,6 +356,9 @@ class TestCli:
         "n = -1\nd_x = 0\nattack = forge\n",
         "n = 2\nattack = pauli_x_tamper:1\n",
         "n = 2\nseed = -1\n",
+        "n = abc\n",
+        "n = 2\nthreshold = x\n",
+        "n = 2\nmessage = 1x\n",
     ])
     def test_bad_scenario_exit_code(self, tmp_path, capsys, text):
         assert main(["run", write_scenario(tmp_path, text)]) == 1
