@@ -19,14 +19,11 @@ from .detection import DetectionMode, DetectionReport, Verdict, run_detection_ro
 from .adversary import (
     AttackStrategy,
     Channel,
-    EntangleProbe,
-    InterceptMeasureResendZ,
     NoAttack,
-    PauliXTamper,
+    QubitProbe,
     TamperClassicalMessage,
     TamperSignatureB,
     TapPoint,
-    UnitaryTamperThenUndo,
 )
 from .roles import (
     Evidence,

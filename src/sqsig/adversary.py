@@ -3,13 +3,15 @@
 Every transmission in a run passes through the channel, which applies
 optional depolarizing noise and then hands the payload to the active
 strategy exactly once per direction. Strategies mutate in-flight qubits
-through their refs (measurement, unitaries, probe ancillas) or rewrite
-classical bit payloads, and may keep per-run memory.
+through their refs or rewrite classical bit payloads.
+
+The four quantum attacks on the Alice->Trent->Alice leg are one
+`QubitProbe` family (Boyer, Kenigsberg & Mor, PRL 99, 140501, 2007),
+whose only per-run state is its unread ancillas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -34,22 +36,10 @@ class TapPoint(str, Enum):
     BOB_TO_TRENT_CLASSICAL = "bob_to_trent_classical"
 
 
-@dataclass
-class AdversaryMemory:
-    """Ancillas and classical observations the adversary holds in one run."""
-
-    ancillas: list[QubitRef] = field(default_factory=list)
-    measured_bits: list[int] = field(default_factory=list)
-    observed_classical: list[tuple[str, Bits]] = field(default_factory=list)
-
-
 class AttackStrategy:
-    """Base strategy: observe classical traffic, leave qubits untouched."""
+    """Base strategy: pass qubits and classical traffic through untouched."""
 
     kind = "no_attack"
-
-    def __init__(self) -> None:
-        self.memory = AdversaryMemory()
 
     def tap_qubits(
         self, point: TapPoint, refs: Sequence[QubitRef], rng: np.random.Generator
@@ -59,24 +49,11 @@ class AttackStrategy:
     def tap_classical(
         self, point: TapPoint, name: str, bits: Bits, rng: np.random.Generator
     ) -> Bits:
-        self.memory.observed_classical.append((name, bits))
         return bits
 
 
 class NoAttack(AttackStrategy):
     kind = "no_attack"
-
-
-class InterceptMeasureResendZ(AttackStrategy):
-    """Z-measure every forward qubit and forward the collapsed state."""
-
-    kind = "intercept_resend_z"
-
-    def tap_qubits(self, point, refs, rng):
-        if point is TapPoint.FORWARD_ALICE_TO_TRENT:
-            for ref in refs:
-                self.memory.measured_bits.append(measure_qubit(ref, Basis.Z, rng))
-        return list(refs)
 
 
 _NAMED_UNITARIES = {
@@ -87,68 +64,51 @@ _NAMED_UNITARIES = {
 }
 
 
-class UnitaryTamperThenUndo(AttackStrategy):
-    """Apply U to every forward qubit, U-dagger to every returned qubit."""
+class QubitProbe(AttackStrategy):
+    """One action on every qubit of the Alice->Trent->Alice round trip.
 
-    kind = "unitary_tamper_then_undo"
-
-    def __init__(self, u: np.ndarray | str) -> None:
-        super().__init__()
-        if isinstance(u, str):
-            u = _NAMED_UNITARIES[u]
-        self.u = np.asarray(u, dtype=complex)
-
-    def tap_qubits(self, point, refs, rng):
-        if point is TapPoint.FORWARD_ALICE_TO_TRENT:
-            for ref in refs:
-                apply_gate(ref, self.u)
-        elif point is TapPoint.RETURN_TRENT_TO_ALICE:
-            for ref in refs:
-                apply_gate(ref, self.u.conj().T)
-        return list(refs)
-
-
-class PauliXTamper(UnitaryTamperThenUndo):
-    """The bit-flip instance of tamper-then-undo."""
-
-    kind = "pauli_x_tamper"
-
-    def __init__(self) -> None:
-        super().__init__("X")
-
-
-class EntangleProbe(AttackStrategy):
-    """Couple a CNOT ancilla to each forward qubit; measure probes later.
-
-    measure_time: "after_return" (default, once the returned decoys are
-    observed) or "immediate" (right after coupling).
+    `action` is one of:
+    - a 1-qubit unitary u (a matrix, or a name in X, Y, Z, H), applied to
+      each forward qubit and undone with u-dagger on return;
+    - "immediate": a Z measurement of each forward qubit (intercept-resend);
+    - "after_return": a CNOT from each forward qubit onto a fresh |0>
+      ancilla, whose Z value is read once the qubits have returned.
     """
 
-    kind = "entangle_probe"
-    MEASURE_TIMES = ("after_return", "immediate")
+    READ_TIMES = ("after_return", "immediate")
 
-    def __init__(self, measure_time: str = "after_return") -> None:
-        super().__init__()
-        if measure_time not in self.MEASURE_TIMES:
-            raise ValueError(f"unknown measure_time {measure_time!r}")
-        self.measure_time = measure_time
-
-    def _measure_probes(self, rng: np.random.Generator) -> None:
-        while self.memory.ancillas:
-            probe = self.memory.ancillas.pop(0)
-            self.memory.measured_bits.append(measure_qubit(probe, Basis.Z, rng))
+    def __init__(self, kind: str, action: np.ndarray | str = "after_return") -> None:
+        self.kind = kind  # the attack name that transcripts show
+        self.read = None
+        self.u = None
+        self.pending: list[QubitRef] = []  # ancillas still to be read
+        if not isinstance(action, str):
+            self.u = np.asarray(action, dtype=complex)
+        elif action in _NAMED_UNITARIES:
+            self.u = _NAMED_UNITARIES[action]
+        elif action in self.READ_TIMES:
+            self.read = action
+        else:
+            raise ValueError(f"unknown probe action {action!r}")
 
     def tap_qubits(self, point, refs, rng):
         if point is TapPoint.FORWARD_ALICE_TO_TRENT:
             for ref in refs:
-                probe = attach_ancilla(ref)
-                probe_cnot(ref, probe)
-                self.memory.ancillas.append(probe)
-            if self.measure_time == "immediate":
-                self._measure_probes(rng)
+                if self.u is not None:
+                    apply_gate(ref, self.u)
+                elif self.read == "immediate":
+                    measure_qubit(ref, Basis.Z, rng)
+                else:
+                    probe = attach_ancilla(ref)
+                    probe_cnot(ref, probe)
+                    self.pending.append(probe)
         elif point is TapPoint.RETURN_TRENT_TO_ALICE:
-            if self.measure_time == "after_return":
-                self._measure_probes(rng)
+            if self.u is not None:
+                for ref in refs:
+                    apply_gate(ref, self.u.conj().T)
+            for probe in self.pending:
+                measure_qubit(probe, Basis.Z, rng)
+            self.pending.clear()
         return list(refs)
 
 
@@ -158,7 +118,6 @@ class TamperSignatureB(AttackStrategy):
     kind = "tamper_signature_b"
 
     def __init__(self, positions: Sequence[int]) -> None:
-        super().__init__()
         self.positions = tuple(sorted(set(int(p) for p in positions)))
 
     def tap_qubits(self, point, refs, rng):
@@ -176,11 +135,9 @@ class TamperClassicalMessage(AttackStrategy):
     kind = "tamper_classical_message"
 
     def __init__(self, positions: Sequence[int]) -> None:
-        super().__init__()
         self.positions = tuple(sorted(set(int(p) for p in positions)))
 
     def tap_classical(self, point, name, bits, rng):
-        bits = super().tap_classical(point, name, bits, rng)
         if point is TapPoint.ALICE_TO_BOB_CLASSICAL and name == "message":
             out = list(bits)
             for p in self.positions:

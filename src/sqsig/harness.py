@@ -6,6 +6,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -13,13 +14,10 @@ import numpy as np
 from .adversary import (
     _NAMED_UNITARIES,
     AttackStrategy,
-    EntangleProbe,
-    InterceptMeasureResendZ,
     NoAttack,
-    PauliXTamper,
+    QubitProbe,
     TamperClassicalMessage,
     TamperSignatureB,
-    UnitaryTamperThenUndo,
 )
 from .detection import CHECKS, POSITION_FIELD_BITS, DetectionMode
 from .protocol import run_protocol_round
@@ -77,25 +75,30 @@ def _positions(name: str, text: str) -> tuple[int, ...]:
 
 
 def _probe_time(name: str, text: str) -> str | None:
+    text = text.lower()
     if text in ("", "after_return"):  # the default timing prints bare
         return None
-    return _one_of(name, text, EntangleProbe.MEASURE_TIMES)
+    return _one_of(name, text, QubitProbe.READ_TIMES)
 
 
 @dataclass(frozen=True)
 class AttackKind:
     """One attack: its channel strategy and the parser of its argument."""
 
-    strategy: type[AttackStrategy] | None  # None: runs its own experiment
+    strategy: Callable[..., AttackStrategy] | None  # None: runs its own experiment
     parse: Callable[[str, str], object] = _no_argument  # (name, text) -> arg
 
 
+# intercept_resend_z is entangle_probe:immediate; pauli_x_tamper is tamper-then-undo:X.
 ATTACKS = {
     "none": AttackKind(NoAttack),
-    "intercept_resend_z": AttackKind(InterceptMeasureResendZ),
-    "unitary_tamper_then_undo": AttackKind(UnitaryTamperThenUndo, _unitary),
-    "pauli_x_tamper": AttackKind(PauliXTamper),
-    "entangle_probe": AttackKind(EntangleProbe, _probe_time),
+    "intercept_resend_z": AttackKind(
+        partial(QubitProbe, "intercept_resend_z", "immediate")),
+    "unitary_tamper_then_undo": AttackKind(
+        partial(QubitProbe, "unitary_tamper_then_undo"), _unitary),
+    "pauli_x_tamper": AttackKind(partial(QubitProbe, "pauli_x_tamper", "X")),
+    "entangle_probe": AttackKind(
+        partial(QubitProbe, "entangle_probe"), _probe_time),
     "forge": AttackKind(None),
     "tamper_b": AttackKind(TamperSignatureB, _positions),
     "tamper_m": AttackKind(TamperClassicalMessage, _positions),
@@ -113,7 +116,7 @@ def parse_attack(text: str) -> AttackSpec:
 
 
 def build_strategy(spec: AttackSpec) -> AttackStrategy:
-    """Fresh strategy instance (adversary memory is per-run)."""
+    """Fresh strategy instance (a probe's pending ancillas are per-run)."""
     strategy = ATTACKS[spec.name].strategy
     if strategy is None:
         raise ConfigError(f"{spec.name} runs its own experiment, not a channel strategy")
@@ -226,7 +229,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     """Parse the flat key=value scenario format; ScenarioConfig holds the defaults."""
     fields: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsig.adversary import (
-    AttackStrategy,
-    Channel,
-    InterceptMeasureResendZ,
-    NoAttack,
-    PauliXTamper,
-    TapPoint,
-    UnitaryTamperThenUndo,
-)
+from sqsig.adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from sqsig.detection import (
     RECORD_BITS,
     DecoyRecord,
@@ -34,11 +26,16 @@ from sqsig.detection import (
     permutation_announcement_bits,
     run_detection_round,
 )
+from sqsig.harness import build_strategy, parse_attack
 from sqsig.keys import keygen_init
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
 from sqsig.roles import alice_sign
+
+
+def attack(text):
+    return build_strategy(parse_attack(text))
 
 
 def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
@@ -275,7 +272,7 @@ class TestChecks:
 
     def test_bit_flip_on_every_qubit_all_errors(self):
         transmission, _, rng = self._transmission(11)
-        PauliXTamper().tap_qubits(
+        attack("pauli_x_tamper").tap_qubits(
             TapPoint.FORWARD_ALICE_TO_TRENT, transmission.sequence, rng
         )
         trent = classical_party("trent")
@@ -286,7 +283,7 @@ class TestChecks:
 
     def test_z_measurement_attack_invisible_to_z_check(self):
         transmission, _, rng = self._transmission(12)
-        InterceptMeasureResendZ().tap_qubits(
+        attack("intercept_resend_z").tap_qubits(
             TapPoint.FORWARD_ALICE_TO_TRENT, transmission.sequence, rng
         )
         trent = classical_party("trent")
@@ -315,7 +312,9 @@ class TestRunDetectionRound:
         assert rep.bob_z_errors == rep.alice_z_errors == rep.alice_x_errors == 0
 
     def test_improved_aborts_on_bit_flip_with_full_rate(self):
-        result, _, _, _ = run_round(DetectionMode.IMPROVED, PauliXTamper(), seed=21)
+        result, _, _, _ = run_round(
+            DetectionMode.IMPROVED, attack("pauli_x_tamper"), seed=21
+        )
         rep = result.report
         assert rep.verdict is Verdict.ABORT
         assert rep.bob_z_errors == rep.bob_z_checked == 2
@@ -375,14 +374,15 @@ class TestRunDetectionRound:
 
     def test_measure_then_return_misses_flip_then_unflip(self):
         result, _, _, _ = run_round(
-            DetectionMode.MEASURE_THEN_RETURN, PauliXTamper(), seed=22
+            DetectionMode.MEASURE_THEN_RETURN, attack("pauli_x_tamper"), seed=22
         )
         assert result.report.verdict is Verdict.CONTINUE
 
     @pytest.mark.parametrize("u", ["X", "Z", "H"])
     def test_direct_reflection_misses_tamper_then_undo(self, u):
         result, _, _, _ = run_round(
-            DetectionMode.DIRECT_REFLECTION, UnitaryTamperThenUndo(u), seed=23
+            DetectionMode.DIRECT_REFLECTION,
+            attack(f"unitary_tamper_then_undo:{u}"), seed=23,
         )
         rep = result.report
         assert rep.verdict is Verdict.CONTINUE
@@ -393,7 +393,7 @@ class TestRunDetectionRound:
         errors = checked = 0
         for seed in range(300):
             result, _, _, _ = run_round(
-                DetectionMode.IMPROVED, InterceptMeasureResendZ(), seed=seed,
+                DetectionMode.IMPROVED, attack("intercept_resend_z"), seed=seed,
                 n=1, d_z=1, d_x=2,
             )
             rep = result.report
@@ -418,7 +418,7 @@ class TestRunDetectionRound:
 
     def test_threshold_tolerates_errors(self):
         # With threshold 1.0 even a full bit-flip round continues.
-        result, _, _, _ = run_round(DetectionMode.IMPROVED, PauliXTamper(),
+        result, _, _, _ = run_round(DetectionMode.IMPROVED, attack("pauli_x_tamper"),
                                     seed=26, threshold=1.0)
         assert result.report.verdict is Verdict.CONTINUE
 

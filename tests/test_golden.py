@@ -32,7 +32,9 @@ N, TRIALS, SEED = 2, 20, 7
 
 def _scenarios() -> dict[str, ScenarioConfig]:
     out = {}
-    for attack in MATRIX_ATTACKS + ("tamper_b:1", "tamper_m:0"):
+    for attack in MATRIX_ATTACKS + ("tamper_b:1", "tamper_m:0",
+                                    "entangle_probe:immediate",
+                                    "unitary_tamper_then_undo:Y"):
         for mode in MATRIX_MODES:
             out[f"{attack}/{mode.value}"] = ScenarioConfig(
                 n=N, mode=mode, attack=parse_attack(attack),

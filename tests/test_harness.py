@@ -1,14 +1,16 @@
 """Scenario parsing, Monte Carlo aggregation, reports, and CLI tests."""
 
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqsig.adversary import EntangleProbe
+from sqsig.adversary import QubitProbe
 from sqsig.cli import main
 from sqsig.detection import DetectionMode
 from sqsig.harness import (
@@ -32,7 +34,7 @@ _ARGS = {
     "unitary_tamper_then_undo": st.sampled_from("XYZH"),
     # The default timing, after_return, parses to None.
     "entangle_probe": st.sampled_from(
-        [None] + [t for t in EntangleProbe.MEASURE_TIMES if t != "after_return"]),
+        [None] + [t for t in QubitProbe.READ_TIMES if t != "after_return"]),
     "tamper_b": _positions,
     "tamper_m": _positions,
 }
@@ -76,6 +78,10 @@ class TestParseAttack:
 
     def test_probe_time_argument(self):
         assert parse_attack("entangle_probe:immediate").arg == "immediate"
+        # Timings are case-insensitive, as gate names are.
+        assert parse_attack("entangle_probe:IMMEDIATE").arg == "immediate"
+        assert parse_attack("entangle_probe:After_Return").arg is None
+        assert parse_attack("unitary_tamper_then_undo:h").arg == "H"
 
     @given(attack_specs)
     @example(AttackSpec(name="entangle_probe", arg="immediate"))
@@ -92,7 +98,7 @@ class TestParseAttack:
     def test_build_strategy_fresh_instances(self):
         spec = parse_attack("entangle_probe")
         a, b = build_strategy(spec), build_strategy(spec)
-        assert a is not b and a.memory is not b.memory
+        assert a is not b and a.pending is not b.pending
 
     def test_forge_has_no_strategy(self):
         with pytest.raises(ConfigError, match="own experiment"):
@@ -210,6 +216,26 @@ class TestRunTrials:
         b, _ = run_trials(config)
         assert a.per_trial == b.per_trial
         assert a.detection_aborts == b.detection_aborts
+
+    @pytest.mark.parametrize("attack, same_as", [
+        ("intercept_resend_z", "entangle_probe:immediate"),
+        ("pauli_x_tamper", "unitary_tamper_then_undo:X"),
+    ])
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    @pytest.mark.parametrize("n, seed", [(1, 3), (4, 8)])
+    def test_probe_equivalences(self, attack, same_as, mode, n, seed):
+        # A Z read of an ancilla CNOT-coupled and read at once is a Z read
+        # of the qubit itself; pauli_x_tamper is tamper-then-undo with X.
+        def records(text):
+            config = ScenarioConfig(n=n, mode=mode, attack=parse_attack(text),
+                                    trials=100, seed=seed)
+            stats, _ = run_trials(config)
+            lines = emit_report(stats, [], format="jsonl").splitlines()
+            records = [json.loads(line) for line in lines[1:]]  # no config line
+            del records[-1]["config"]  # the summary echoes the config too
+            return records
+
+        assert records(attack) == records(same_as)
 
     def test_fixed_message_honored(self):
         config = ScenarioConfig(n=2, message=(1, 1), trials=5, seed=1)
@@ -379,6 +405,12 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bom.scn"
+        path.write_bytes(b"\xef\xbb\xbfn=2\ntrials=1\n")
+        assert main(["run", str(path), "--format", "jsonl"]) == 0
+        assert '"n": 2' in capsys.readouterr().out
+
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # A failure inside the simulator is not a config problem.
         def broken(config):
@@ -405,3 +437,10 @@ class TestCli:
 
     def test_density_requires_positive_n(self, capsys):
         assert main(["density", "--n", "0"]) == 1
+
+
+class TestReadme:
+    def test_attack_specs_name_every_attack(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("Attack specs:", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"`([a-z_]+)", paragraph) == list(ATTACKS)
