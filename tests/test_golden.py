@@ -1,7 +1,9 @@
 """Byte identity of reports and transcripts against recorded digests.
 
-Each scenario runs at n=2 with 20 trials and a fixed seed. The jsonl and
-tsv reports, the human report without its `wall time (s)` line, and
+Most scenarios run at n=2 with 20 trials and a fixed seed. A second set
+runs at n=16 (d_z = d_x = 16), where each protocol stage acts on many
+qubits at once, and one run has uneven decoy counts. The jsonl and tsv
+reports, the human report without its `wall time (s)` line, and
 `json.dumps` of the first trial's transcript are hashed with sha256 and
 compared with `golden_digests.json`.
 
@@ -28,6 +30,9 @@ from sqsig.harness import (
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 N, TRIALS, SEED = 2, 20, 7
+LARGE_N = 16
+LARGE_N_ATTACKS = ("none", "intercept_resend_z", "entangle_probe",
+                   "unitary_tamper_then_undo:H", "tamper_b:0,15", "tamper_m:3")
 
 
 def _scenarios() -> dict[str, ScenarioConfig]:
@@ -45,6 +50,19 @@ def _scenarios() -> dict[str, ScenarioConfig]:
     )
     out["noise"] = ScenarioConfig(
         n=N, noise_p=0.05, threshold=0.25, trials=TRIALS, seed=SEED
+    )
+    for attack in LARGE_N_ATTACKS:
+        for mode in MATRIX_MODES:
+            out[f"n{LARGE_N}/{attack}/{mode.value}"] = ScenarioConfig(
+                n=LARGE_N, mode=mode, attack=parse_attack(attack),
+                trials=TRIALS, seed=SEED,
+            )
+    out[f"n{LARGE_N}/noise"] = ScenarioConfig(
+        n=LARGE_N, noise_p=0.05, threshold=0.25, trials=TRIALS, seed=SEED
+    )
+    out["uneven_decoys/entangle_probe"] = ScenarioConfig(
+        n=3, d_z=5, d_x=9, attack=parse_attack("entangle_probe"),
+        trials=TRIALS, seed=SEED,
     )
     return out
 
