@@ -7,12 +7,14 @@ Subcommands:
   efficiency --n N qubit-efficiency counts
 
 Exit codes: 0 success, 1 configuration error, 2 internal invariant failure.
+The top-level --debug flag prints the traceback of an internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .harness import (
     ConfigError,
@@ -31,6 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sqsig",
         description="Semi-quantum signature protocol simulator",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error (exit 2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario file")
@@ -130,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant failure
+        if args.debug:
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

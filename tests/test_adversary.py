@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sqsig.adversary import (
+    AttackStrategy,
     Channel,
     NoAttack,
     QubitProbe,
@@ -17,6 +18,9 @@ from sqsig.parties import quantum_party
 from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
     Basis,
+    DimensionMismatchError,
+    NonUnitaryError,
+    PAULI_X,
     RegisterSizeError,
     equal_up_to_phase,
     partial_trace,
@@ -24,8 +28,15 @@ from sqsig.quantum import (
     prepare_single,
     trace_distance,
     DensityMatrix,
+    StateVector,
 )
-from sqsig.register import attach_ancilla, new_qubit
+from sqsig.register import (
+    RevokedHandleError,
+    apply_gate,
+    attach_ancilla,
+    measure_qubit,
+    new_qubit,
+)
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -38,10 +49,16 @@ def attack(text):
     return build_strategy(parse_attack(text))
 
 
+def state_of(ref):
+    """The state of the register that holds a one-qubit handle."""
+    (stack, _), = ref.lanes
+    return StateVector(stack.amplitudes[ref.row])
+
+
 def z_value(ref):
     """b when the ref's register is the 1-qubit state |b>, else None."""
     for bit in (0, 1):
-        if equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, bit)):
+        if equal_up_to_phase(state_of(ref), prepare_single(Basis.Z, bit)):
             return bit
     return None
 
@@ -50,10 +67,10 @@ class TestNoAttack:
     def test_qubits_untouched(self):
         rng = np.random.default_rng(0)
         ref = fresh_qubit(Basis.X, 1)
-        before = ref.register.state.amplitudes.copy()
-        out = NoAttack().tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-        assert out == [ref]
-        np.testing.assert_array_equal(ref.register.state.amplitudes, before)
+        before = state_of(ref).amplitudes.copy()
+        out = NoAttack().tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, ref, rng)
+        assert out is ref
+        np.testing.assert_array_equal(state_of(ref).amplitudes, before)
 
     def test_classical_passthrough_observed(self):
         rng = np.random.default_rng(0)
@@ -93,7 +110,7 @@ class TestInterceptMeasureResendZ:
         attack("intercept_resend_z").tap_qubits(
             TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng
         )
-        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.X, 0))
+        assert equal_up_to_phase(state_of(ref), prepare_single(Basis.X, 0))
 
 
 class TestUnitaryTamperThenUndo:
@@ -103,7 +120,7 @@ class TestUnitaryTamperThenUndo:
         attack("pauli_x_tamper").tap_qubits(
             TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng
         )
-        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, 1))
+        assert equal_up_to_phase(state_of(ref), prepare_single(Basis.Z, 1))
 
     def test_forward_then_return_is_identity(self):
         rng = np.random.default_rng(5)
@@ -113,7 +130,7 @@ class TestUnitaryTamperThenUndo:
             strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
             assert equal_up_to_phase(
-                ref.register.state, prepare_single(Basis.X, 1)
+                state_of(ref), prepare_single(Basis.X, 1)
             )
 
     def test_custom_matrix_accepted(self):
@@ -127,7 +144,7 @@ class TestUnitaryTamperThenUndo:
         ref = fresh_qubit(Basis.Z, 0)
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, 0))
+        assert equal_up_to_phase(state_of(ref), prepare_single(Basis.Z, 0))
 
 
 class TestEntangleProbe:
@@ -137,12 +154,12 @@ class TestEntangleProbe:
         strategy = attack("entangle_probe")
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         np.testing.assert_allclose(
-            ref.register.state.amplitudes, [1, 0, 0, 0], atol=1e-12
+            state_of(ref).amplitudes[0], [1, 0, 0, 0], atol=1e-12
         )
         # Reading the ancilla on return leaves the product state as it was.
         strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
         np.testing.assert_allclose(
-            ref.register.state.amplitudes, [1, 0, 0, 0], atol=1e-12
+            state_of(ref).amplitudes[0], [1, 0, 0, 0], atol=1e-12
         )
 
     def test_probe_on_plus_creates_entangled_pair(self):
@@ -151,12 +168,12 @@ class TestEntangleProbe:
         strategy = attack("entangle_probe")
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         np.testing.assert_allclose(
-            ref.register.state.amplitudes,
+            state_of(ref).amplitudes[0],
             [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-12,
         )
         # Reading the ancilla on return collapses the pair to |00> or |11>.
         strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-        amps = np.abs(ref.register.state.amplitudes)
+        amps = np.abs(state_of(ref).amplitudes[0])
         assert any(np.allclose(amps, target, atol=1e-12)
                    for target in ([1, 0, 0, 0], [0, 0, 0, 1]))
 
@@ -170,7 +187,7 @@ class TestEntangleProbe:
             strategy = attack("entangle_probe")
             strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-            errors += alice.measure(ref, Basis.X, rng) != 0
+            errors += int(alice.measure(ref, Basis.X, rng)[0] != 0)
         assert abs(errors / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_immediate_measure_time(self):
@@ -179,6 +196,14 @@ class TestEntangleProbe:
         ref = fresh_qubit(Basis.Z, 1)
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         assert z_value(ref) == 1  # read at once: no ancilla, |1> kept
+
+    def test_non_unitary_matrix_rejected_when_built(self):
+        with pytest.raises(NonUnitaryError):
+            QubitProbe("unitary_tamper_then_undo", np.array([[1, 1], [0, 1]]))
+
+    def test_wrong_size_matrix_rejected_when_built(self):
+        with pytest.raises(DimensionMismatchError):
+            QubitProbe("unitary_tamper_then_undo", np.eye(4))
 
     def test_bad_measure_time_rejected(self):
         with pytest.raises(ValueError):
@@ -226,9 +251,9 @@ class TestTamperSignatureB:
         alice = quantum_party("alice")
         t_half, b_half = alice.prepare_bell_pair(0)
         TamperSignatureB([0]).tap_qubits(
-            TapPoint.ALICE_TO_BOB_QUANTUM, [b_half], rng
+            TapPoint.ALICE_TO_BOB_QUANTUM, b_half, rng
         )
-        assert equal_up_to_phase(b_half.register.state, prepare_bell(1))
+        assert equal_up_to_phase(state_of(b_half), prepare_bell(1))
 
     def test_out_of_range_position_rejected(self):
         with pytest.raises(IndexError):
@@ -276,6 +301,72 @@ class TestBlindness:
         assert trace_distance(rho0, rho0) < 1e-12
 
 
+class StashForwardHandle(AttackStrategy):
+    """Keep the forward tap's handle and flip a qubit through it later,
+    when the returned permutation goes by."""
+
+    kind = "stash_forward_handle"
+
+    def __init__(self):
+        self.stashed = None
+
+    def tap_qubits(self, point, refs, rng):
+        if point is TapPoint.FORWARD_ALICE_TO_TRENT:
+            self.stashed = refs[:1]
+        return refs
+
+    def tap_classical(self, point, name, bits, rng):
+        if name == "permutation":
+            apply_gate(self.stashed, PAULI_X)
+        return bits
+
+
+class KeepAncillas(AttackStrategy):
+    """Attach an ancilla to every forward qubit inside the tap; read them
+    only when the permutation goes by."""
+
+    kind = "keep_ancillas"
+
+    def __init__(self):
+        self.ancillas = self.read = None
+
+    def tap_qubits(self, point, refs, rng):
+        if point is TapPoint.FORWARD_ALICE_TO_TRENT:
+            self.ancillas = attach_ancilla(refs)
+        return refs
+
+    def tap_classical(self, point, name, bits, rng):
+        if name == "permutation":
+            self.read = measure_qubit(self.ancillas, Basis.Z, rng)
+        return bits
+
+
+class TestTapOnlyRule:
+    def test_stashed_forward_handle_is_revoked(self):
+        with pytest.raises(RevokedHandleError):
+            run_protocol_round(
+                n=2, message=(1, 0), mode=DetectionMode.IMPROVED,
+                strategy=StashForwardHandle(), rng=np.random.default_rng(3),
+            )
+
+    def test_slices_of_a_lent_handle_are_revoked(self):
+        channel = Channel(StashForwardHandle())
+        ref = fresh_qubit(Basis.Z, 0)
+        channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, ref, np.random.default_rng(0))
+        with pytest.raises(RevokedHandleError):
+            measure_qubit(channel.strategy.stashed, Basis.Z, np.random.default_rng(0))
+        # The sender's own handle to the same qubit stays usable.
+        assert measure_qubit(ref, Basis.Z, np.random.default_rng(0)).tolist() == [0]
+
+    def test_own_ancillas_stay_usable(self):
+        strategy = KeepAncillas()
+        run_protocol_round(
+            n=2, message=(1, 0), mode=DetectionMode.IMPROVED,
+            strategy=strategy, rng=np.random.default_rng(3),
+        )
+        assert len(strategy.read) == 6  # one ancilla per forward qubit
+
+
 class TestChannel:
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -311,7 +402,7 @@ class TestChannel:
             ref = fresh_qubit(Basis.Z, 0)
             channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             flips += equal_up_to_phase(
-                ref.register.state, prepare_single(Basis.Z, 1)
+                state_of(ref), prepare_single(Basis.Z, 1)
             )
         expected = 2 * p / 3
         sigma = np.sqrt(expected * (1 - expected) / trials)

@@ -421,6 +421,18 @@ class TestCli:
         assert main(["run", scenario]) == 2
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_debug_prints_traceback(self, tmp_path, capsys, monkeypatch, debug):
+        def broken(config):
+            raise RuntimeError("invariant violated")
+
+        monkeypatch.setattr("sqsig.cli.run_trials", broken)
+        scenario = write_scenario(tmp_path, "n = 2\n")
+        assert main(["--debug", "run", scenario] if debug else ["run", scenario]) == 2
+        err = capsys.readouterr().err
+        assert "internal error: invariant violated" in err
+        assert ("Traceback" in err) is debug
+
     def test_matrix_table(self, capsys):
         assert main(["matrix", "--n", "2", "--trials", "8", "--seed", "3"]) == 0
         out = capsys.readouterr().out
