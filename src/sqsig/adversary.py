@@ -2,12 +2,11 @@
 
 Every transmission in a run passes through the channel, which applies
 optional depolarizing noise and then hands the payload to the active
-strategy exactly once per direction. Strategies act on in-flight qubits
-through a handle to the whole sequence, one array operation per action,
-or rewrite classical bit payloads. A strategy may touch a protocol qubit
-only inside its tap: the channel lends it a handle of its own and
-revokes that handle when the tap returns. Ancillas it attached itself
-stay usable.
+strategy exactly once per direction. Strategies mutate in-flight qubits
+through their refs or rewrite classical bit payloads. A strategy may touch
+a protocol qubit only inside its tap: the channel lends it refs of its own
+and revokes them when the tap returns. Ancillas it attached itself stay
+usable.
 
 The four quantum attacks on the Alice->Trent->Alice leg are one
 `QubitProbe` family (Boyer, Kenigsberg & Mor, PRL 99, 140501, 2007),
@@ -24,9 +23,9 @@ import numpy as np
 from .keys import Bits
 from .quantum import Basis, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, _check_unitary
 from .register import (
-    Qubits,
+    QubitRef,
+    _lend,
     apply_gate,
-    as_qubits,
     attach_ancilla,
     measure_qubit,
     probe_cnot,
@@ -47,8 +46,8 @@ class AttackStrategy:
     kind = "no_attack"
 
     def tap_qubits(
-        self, point: TapPoint, refs: Qubits, rng: np.random.Generator
-    ) -> Qubits | Sequence[Qubits]:
+        self, point: TapPoint, refs: Sequence[QubitRef], rng: np.random.Generator
+    ) -> Sequence[QubitRef]:
         return refs
 
     def tap_classical(
@@ -87,7 +86,7 @@ class QubitProbe(AttackStrategy):
         self.kind = kind  # the attack name that transcripts show
         self.read = None
         self.u = None
-        self.pending: list[Qubits] = []  # ancillas still to be read
+        self.pending: list[QubitRef] = []  # ancillas still to be read
         if not isinstance(action, str):
             self.u = np.asarray(action, dtype=complex)
             _check_unitary(self.u, 2)
@@ -100,17 +99,19 @@ class QubitProbe(AttackStrategy):
 
     def tap_qubits(self, point, refs, rng):
         if point is TapPoint.FORWARD_ALICE_TO_TRENT:
-            if self.u is not None:
-                apply_gate(refs, self.u)
-            elif self.read == "immediate":
-                measure_qubit(refs, Basis.Z, rng)
-            else:
-                probe = attach_ancilla(refs)
-                probe_cnot(refs, probe)
-                self.pending.append(probe)
+            for ref in refs:
+                if self.u is not None:
+                    apply_gate(ref, self.u)
+                elif self.read == "immediate":
+                    measure_qubit(ref, Basis.Z, rng)
+                else:
+                    probe = attach_ancilla(ref)
+                    probe_cnot(ref, probe)
+                    self.pending.append(probe)
         elif point is TapPoint.RETURN_TRENT_TO_ALICE:
             if self.u is not None:
-                apply_gate(refs, self.u.conj().T)
+                for ref in refs:
+                    apply_gate(ref, self.u.conj().T)
             for probe in self.pending:
                 measure_qubit(probe, Basis.Z, rng)
             self.pending.clear()
@@ -126,11 +127,11 @@ class TamperSignatureB(AttackStrategy):
         self.positions = tuple(sorted(set(int(p) for p in positions)))
 
     def tap_qubits(self, point, refs, rng):
-        if point is TapPoint.ALICE_TO_BOB_QUANTUM and self.positions:
-            bad = [p for p in self.positions if p < 0 or p >= len(refs)]
-            if bad:
-                raise IndexError(f"tamper positions {bad} out of range")
-            apply_gate(refs[list(self.positions)], PAULI_X)
+        if point is TapPoint.ALICE_TO_BOB_QUANTUM:
+            for p in self.positions:
+                if p < 0 or p >= len(refs):
+                    raise IndexError(f"tamper position {p} out of range")
+                apply_gate(refs[p], PAULI_X)
         return refs
 
 
@@ -177,36 +178,22 @@ class Channel:
             self.transcript.append({"event": event, **detail})
 
     def send_qubits(
-        self, point: TapPoint, refs: Qubits | Sequence[Qubits],
-        rng: np.random.Generator,
-    ) -> Qubits:
-        """Noise, then the strategy's tap on a handle lent for the tap alone."""
-        refs = as_qubits(refs)
+        self, point: TapPoint, refs: Sequence[QubitRef], rng: np.random.Generator
+    ) -> list[QubitRef]:
         if self.noise_p > 0.0:
-            # One draw per qubit, and a second for a hit, as the stream
-            # has always had them; then one gate call per Pauli.
-            hit: list[list[int]] = [[], [], []]
-            for i in range(len(refs)):
+            for ref in refs:
                 if rng.random() < self.noise_p:
-                    hit[rng.integers(0, 3)].append(i)
-            for pauli, positions in zip(_PAULI_CYCLE, hit):
-                if positions:
-                    apply_gate(refs[positions], pauli)
-        lent = refs.reissue()
-        out = as_qubits(self.strategy.tap_qubits(point, lent, rng)).reissue()
-        lent.revoke()
+                    apply_gate(ref, _PAULI_CYCLE[rng.integers(0, 3)])
+        out = _lend(refs, lambda lent: self.strategy.tap_qubits(point, lent, rng))
         if self.transcript is not None:
             self._log("quantum_send", point=point.value, count=len(out),
                       tap=self.strategy.kind)
         return out
 
     def send_classical(
-        self, point: TapPoint, name: str, bits: Sequence[int] | np.ndarray,
+        self, point: TapPoint, name: str, bits: Sequence[int],
         rng: np.random.Generator,
     ) -> Bits:
-        """The strategy sees, and the receiver gets, the bits as a Bits tuple."""
-        if isinstance(bits, np.ndarray):
-            bits = bits.tolist()
         out = self.strategy.tap_classical(point, name, tuple(bits), rng)
         if self.transcript is not None:
             self._log("classical", point=point.value, name=name,

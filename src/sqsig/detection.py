@@ -1,9 +1,9 @@
 """Decoy-based eavesdropping detection rounds.
 
-The sender's decoy state is one DecoyRecords table in position order,
-one array entry per decoy; the first n Z-decoys in that order carry the
-message. The receiver works only from the announcements it decodes, and
-the sender rechecks every returned decoy against its own records. Each DetectionMode has one
+The sender's decoy state is one list of DecoyRecords in position order;
+the first n Z-decoys in that order carry the message. The receiver works
+only from the announcements it decodes, and the sender rechecks every
+returned decoy against its own records. Each DetectionMode has one
 ModeSpec in MODE_SPECS, which run_detection_round reads:
 
 - improved: Z-decoy values and X-decoy positions in clear; the receiver
@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .adversary import Channel, TapPoint
-from .keys import Bits, KeyStore, bit_array, otp_decrypt, otp_encrypt
+from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt
 from .parties import Party
 from .quantum import Basis
-from .register import Qubits, as_qubits
+from .register import QubitRef
 
 
 class DetectionMode(str, Enum):
@@ -75,32 +76,11 @@ MODE_SPECS = {
 }
 
 
-class DecoyRecords:
-    """Decoy records as arrays, one entry per decoy.
-
-    position: index in the transmitted sequence, -1 until interleaved;
-    basis: the LOC wire's basis bit, False (0) = Z and True (1) = X;
-    bit: the prepared value.
-    """
-
-    __slots__ = ("position", "basis", "bit")
-
-    def __init__(self, position, basis, bit) -> None:
-        self.position = np.asarray(position, dtype=np.int64)
-        self.basis = np.asarray(basis, dtype=bool)
-        self.bit = np.asarray(bit, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return self.position.size
-
-    def __getitem__(self, key) -> "DecoyRecords":
-        return DecoyRecords(self.position[key], self.basis[key], self.bit[key])
-
-    def in_bases(self, bases: tuple[Basis, ...]) -> "DecoyRecords":
-        """The records in any of `bases`, in order."""
-        if len(set(bases)) == 2:
-            return self
-        return self[self.basis == (bases[0] is Basis.X)]
+@dataclass
+class DecoyRecord:
+    position: int  # index in the transmitted sequence; -1 until interleaved
+    basis: Basis
+    bit: int
 
 
 @dataclass
@@ -135,14 +115,14 @@ class DetectionReport:
 class TrentTransmission:
     """Interleaved carrier + decoy sequence plus the sender's private records."""
 
-    sequence: Qubits
-    records: DecoyRecords  # all decoys, sorted by position
+    sequence: list[QubitRef]
+    records: list[DecoyRecord]  # all decoys, sorted by position
 
 
 @dataclass
 class DetectionResult:
     report: DetectionReport
-    carriers: Qubits
+    carriers: list[QubitRef]
     recovered_m: Bits | None
 
 
@@ -154,51 +134,65 @@ POSITION_FIELD_BITS = 16
 RECORD_BITS = POSITION_FIELD_BITS + 2
 
 
-# Bit weights of one big-endian position field, most significant first.
-_FIELD_WEIGHTS = 1 << np.arange(POSITION_FIELD_BITS - 1, -1, -1)
+# Turns bit values 0/1 into the ASCII digits of a binary string.
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _fields(values: np.ndarray) -> np.ndarray:
-    """One row of POSITION_FIELD_BITS big-endian bits per value."""
-    if values.size and not 0 <= values.min() <= values.max() < 1 << POSITION_FIELD_BITS:
-        raise ValueError(f"values do not fit in {POSITION_FIELD_BITS} bits")
-    return np.unpackbits(values.astype(">u2").view(np.uint8)).reshape(-1, POSITION_FIELD_BITS)
+@lru_cache(maxsize=None)
+def _int_to_bits(value: int, width: int) -> Bits:
+    if value < 0 or value >= (1 << width):
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def encode_loc(entries: DecoyRecords, include_values: bool = True) -> np.ndarray:
-    """18 bits per decoy, in position order: 16-bit big-endian position,
-    basis bit (0=Z), value."""
-    out = np.empty((len(entries), RECORD_BITS), dtype=np.uint8)
-    out[:, :POSITION_FIELD_BITS] = _fields(entries.position)
-    out[:, POSITION_FIELD_BITS] = entries.basis
-    out[:, POSITION_FIELD_BITS + 1] = entries.bit if include_values else 0
-    return out[entries.position.argsort(kind="stable")].ravel()
+def _digits(bits: Sequence[int]) -> str:
+    """The bits as binary digits; ValueError for a value other than 0 or 1."""
+    digits = bytes(bits).translate(_BITS_TO_DIGITS)
+    if digits.translate(None, b"01"):
+        raise ValueError("wire bits must be 0 or 1")
+    return digits.decode()
 
 
-def decode_loc(bits: Sequence[int] | np.ndarray) -> DecoyRecords:
-    bits = bit_array(bits)
-    if bits.size % RECORD_BITS != 0:
+def encode_loc(entries: Sequence[DecoyRecord], include_values: bool = True) -> Bits:
+    """18 bits per decoy: 16-bit big-endian position, basis bit (0=Z), value."""
+    out: list[int] = []
+    for e in sorted(entries, key=lambda r: r.position):
+        out.extend(_int_to_bits(e.position, POSITION_FIELD_BITS))
+        out.append(0 if e.basis is Basis.Z else 1)
+        out.append(e.bit if include_values else 0)
+    return tuple(out)
+
+
+def decode_loc(bits: Sequence[int]) -> list[DecoyRecord]:
+    if len(bits) % RECORD_BITS != 0:
         raise ValueError("LOC payload length is not a multiple of 18 bits")
-    rows = bits.reshape(-1, RECORD_BITS)
-    return DecoyRecords(position=rows[:, :POSITION_FIELD_BITS] @ _FIELD_WEIGHTS,
-                        basis=rows[:, POSITION_FIELD_BITS] != 0,
-                        bit=rows[:, POSITION_FIELD_BITS + 1])
+    digits = _digits(bits)
+    return [
+        DecoyRecord(position=int(digits[i:i + POSITION_FIELD_BITS], 2),
+                    basis=Basis.Z if digits[i + POSITION_FIELD_BITS] == "0" else Basis.X,
+                    bit=int(digits[i + POSITION_FIELD_BITS + 1], 2))
+        for i in range(0, len(digits), RECORD_BITS)
+    ]
 
 
-def encode_permutation(perm: PermutationRecord) -> np.ndarray:
+def encode_permutation(perm: PermutationRecord) -> Bits:
     """d entries of 16-bit big-endian original indices, in returned order."""
-    return _fields(np.array(perm.mapping, dtype=np.int64)).ravel()
+    out: list[int] = []
+    for orig in perm.mapping:
+        out.extend(_int_to_bits(orig, POSITION_FIELD_BITS))
+    return tuple(out)
 
 
-def decode_permutation(bits: Sequence[int] | np.ndarray) -> PermutationRecord:
-    bits = bit_array(bits)
-    if bits.size % POSITION_FIELD_BITS != 0:
+def decode_permutation(bits: Sequence[int]) -> PermutationRecord:
+    if len(bits) % POSITION_FIELD_BITS != 0:
         raise ValueError("permutation payload length is not a multiple of 16 bits")
-    d = bits.size // POSITION_FIELD_BITS
-    mapping = (bits.reshape(d, POSITION_FIELD_BITS) @ _FIELD_WEIGHTS).tolist()
+    d = len(bits) // POSITION_FIELD_BITS
+    digits = _digits(bits)
+    mapping = tuple(int(digits[i:i + POSITION_FIELD_BITS], 2)
+                    for i in range(0, len(digits), POSITION_FIELD_BITS))
     if d and max(mapping) >= d:
         raise ValueError(f"permutation entry {max(mapping)} out of range for d={d}")
-    return PermutationRecord(mapping=tuple(mapping))
+    return PermutationRecord(mapping=mapping)
 
 
 def loc_announcement_bits(d_z: int, d_x: int) -> int:
@@ -220,91 +214,105 @@ def build_decoys(
     embedded_m: Sequence[int] | None,
     rng: np.random.Generator,
     preparer: Party,
-) -> tuple[Qubits, DecoyRecords]:
+) -> tuple[list[QubitRef], list[DecoyRecord]]:
     """Prepare the mixed decoy sequence D, message bits leading the Z-decoys.
 
     Returned records are in decoy-sequence order with position unset (-1);
     assemble_transmission() sets the transmitted positions.
     """
-    embedded = bit_array(embedded_m if embedded_m is not None else ())
-    if embedded.size > d_z:
+    embedded = tuple(embedded_m) if embedded_m is not None else ()
+    if len(embedded) > d_z:
         raise ValueError(
-            f"cannot embed {embedded.size} message bits into {d_z} Z-decoys"
+            f"cannot embed {len(embedded)} message bits into {d_z} Z-decoys"
         )
+    bases = [Basis.Z] * d_z + [Basis.X] * d_x
     order = rng.permutation(d_z + d_x)
-    bits = rng.integers(0, 2, size=d_z + d_x)
-    basis = order >= d_z  # the first d_z entries of the draw are Z-decoys
-    bits[np.flatnonzero(~basis)[:embedded.size]] = embedded
-    refs = preparer.prepare(basis, bits)
-    return refs, DecoyRecords(np.full(d_z + d_x, -1), basis, bits)
+    fill_bits = rng.integers(0, 2, size=d_z + d_x).tolist()
+    refs: list[QubitRef] = []
+    records: list[DecoyRecord] = []
+    message = iter(embedded)
+    for slot, idx in enumerate(order):
+        basis = bases[idx]
+        bit = next(message, fill_bits[slot]) if basis is Basis.Z else fill_bits[slot]
+        refs.append(preparer.prepare(basis, bit))
+        records.append(DecoyRecord(position=-1, basis=basis, bit=bit))
+    return refs, records
 
 
 def interleave(
-    carriers: Qubits | Sequence[Qubits],
-    decoys: Qubits | Sequence[Qubits],
+    carriers: Sequence[QubitRef],
+    decoys: Sequence[QubitRef],
     rng: np.random.Generator,
-) -> tuple[Qubits, tuple[int, ...]]:
+) -> tuple[list[QubitRef], tuple[int, ...]]:
     """Insert decoys uniformly among the carriers, preserving both orders.
 
     Returns (sequence, decoy positions in decoy order).
     """
-    carriers, decoys = as_qubits(carriers), as_qubits(decoys)
     n, d = len(carriers), len(decoys)
-    is_decoy = np.zeros(n + d, dtype=bool)
+    total = n + d
     if d:
-        is_decoy[rng.choice(n + d, size=d, replace=False)] = True
-    # The carriers' positions in order, then the decoys'.
-    placed = is_decoy.argsort(kind="stable")
-    sequence = as_qubits([carriers, decoys])[placed.argsort()]
-    return sequence, tuple(placed[n:].tolist())
+        decoy_pos = sorted(int(p) for p in rng.choice(total, size=d, replace=False))
+    else:
+        decoy_pos = []
+    decoy_set = set(decoy_pos)
+    carrier_pos = [p for p in range(total) if p not in decoy_set]
+    sequence: list[QubitRef] = [None] * total  # type: ignore[list-item]
+    for p, ref in zip(decoy_pos, decoys):
+        sequence[p] = ref
+    for p, ref in zip(carrier_pos, carriers):
+        sequence[p] = ref
+    return sequence, tuple(decoy_pos)
 
 
 def assemble_transmission(
-    carriers: Qubits,
-    decoy_refs: Qubits,
-    records: DecoyRecords,
+    carriers: Sequence[QubitRef],
+    decoy_refs: Sequence[QubitRef],
+    records: Sequence[DecoyRecord],
     rng: np.random.Generator,
 ) -> TrentTransmission:
     """Interleave the decoys; each record gets its position, in order."""
     sequence, decoy_pos = interleave(carriers, decoy_refs, rng)
-    records.position[:] = decoy_pos
-    return TrentTransmission(sequence=sequence, records=records)
+    for pos, rec in zip(decoy_pos, records):
+        rec.position = pos
+    return TrentTransmission(sequence=sequence, records=list(records))
 
 
 def bob_z_check(
     receiver: Party,
-    sequence: Qubits,
-    z_records: DecoyRecords,
+    sequence: Sequence[QubitRef],
+    z_records: Sequence[DecoyRecord],
     rng: np.random.Generator,
     compare: bool = True,
-) -> tuple[int, int, np.ndarray]:
+) -> tuple[int, int, list[int]]:
     """Measure announced Z-decoys; optionally compare against announced bits.
 
     Returns (errors, checked, measured bits in record order). The decoys
     stay in their post-measurement states. With compare=False (the
     prior-scheme baseline) nothing counts as checked.
     """
-    measured = receiver.measure(sequence[z_records.position], Basis.Z, rng)
+    measured = [receiver.measure(sequence[rec.position], Basis.Z, rng)
+                for rec in z_records]
     if not compare:
         return 0, 0, measured
-    errors = int(np.count_nonzero(measured != z_records.bit))
+    errors = sum(bit != rec.bit for bit, rec in zip(measured, z_records))
     return errors, len(z_records), measured
 
 
 def extract_decoys(
-    sequence: Qubits, decoy_positions: Sequence[int] | np.ndarray
-) -> tuple[Qubits, Qubits]:
+    sequence: Sequence[QubitRef], decoy_positions: Sequence[int]
+) -> tuple[list[QubitRef], list[QubitRef]]:
     """Split the received sequence into (decoys in position order, carriers)."""
-    is_decoy = np.zeros(len(sequence), dtype=bool)
-    is_decoy[np.asarray(decoy_positions, dtype=np.intp)] = True
-    return sequence[is_decoy], sequence[~is_decoy]
+    decoy_set = set(decoy_positions)
+    decoys = [sequence[p] for p in sorted(decoy_set)]
+    carriers = [ref for p, ref in enumerate(sequence) if p not in decoy_set]
+    return decoys, carriers
 
 
 def alice_final_check(
     alice: Party,
-    returned: Qubits,
+    returned: Sequence[QubitRef],
     perm: PermutationRecord,
-    records: DecoyRecords,
+    records: Sequence[DecoyRecord],
     rng: np.random.Generator,
 ) -> tuple[int, int, int, int]:
     """Restore decoy order, measure each in its recorded basis, count errors.
@@ -314,12 +322,15 @@ def alice_final_check(
     """
     if len(perm.mapping) != len(returned) or len(returned) != len(records):
         raise ValueError("permutation inconsistent with decoy count")
-    # restored[mapping[j]] = returned[j]
-    restored = as_qubits(returned)[np.argsort(perm.mapping)]
-    wrong = alice.measure(restored, records.basis, rng) != records.bit
-    # Counts of (Z right, Z wrong, X right, X wrong).
-    z_ok, z_bad, x_ok, x_bad = np.bincount(2 * records.basis + wrong, minlength=4).tolist()
-    return z_bad, z_ok + z_bad, x_bad, x_ok + x_bad
+    restored: list[QubitRef] = [None] * len(returned)  # type: ignore[list-item]
+    for j, ref in enumerate(returned):
+        restored[perm.mapping[j]] = ref
+    tally = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [errors, checked]
+    for rec, ref in zip(records, restored):
+        counts = tally[rec.basis]
+        counts[0] += alice.measure(ref, rec.basis, rng) != rec.bit
+        counts[1] += 1
+    return (*tally[Basis.Z], *tally[Basis.X])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +350,7 @@ def _announce(
 
 def _abort(report: DetectionReport) -> DetectionResult:
     report.verdict = Verdict.ABORT
-    return DetectionResult(report, as_qubits([]), None)
+    return DetectionResult(report, [], None)
 
 
 def run_detection_round(
@@ -379,40 +390,39 @@ def run_detection_round(
         channel.send_classical(
             TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", (1,), rng
         )
-    received = []
+    announced: list[DecoyRecord] = []
     for wire_name, bases, values in spec.announcements:
-        payload = encode_loc(records.in_bases(bases), include_values=values)
+        payload = encode_loc([r for r in records if r.basis in bases], include_values=values)
         try:
-            plain = _announce(channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
-                              payload, pad, "loc_announce", rng)
-        except ValueError:  # a length that does not decrypt
+            announced += decode_loc(_announce(
+                channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name, payload,
+                pad, "loc_announce", rng,
+            ))
+        except ValueError:  # a length that does not decrypt or decode
             return _abort(report)
-        if len(plain) % RECORD_BITS:  # nor decode
-            return _abort(report)
-        received.append(bit_array(plain))
-    announced = decode_loc(np.concatenate(received))
     if spec.encrypted:
         receiver.classical_compute()
-    positions = announced.position.tolist()
-    if len(set(positions)) < len(positions) or max(positions, default=0) >= len(seq):
+    positions = {r.position for r in announced}
+    if len(positions) < len(announced) or any(p >= len(seq) for p in positions):
         return _abort(report)
     decoys, carriers = extract_decoys(seq, positions)
 
     recovered_m: Bits | None = None
     if spec.measures:
         report.bob_z_errors, report.bob_z_checked, z_bits = bob_z_check(
-            receiver, seq, announced.in_bases(_Z), rng, compare=spec.compares,
+            receiver, seq, [r for r in announced if r.basis is Basis.Z], rng,
+            compare=spec.compares,
         )
         if report.rate("bob_z") > threshold:
             return _abort(report)
-        recovered_m = tuple(z_bits[:len(carriers)].tolist())
-        mapping = rng.permutation(len(decoys))
+        recovered_m = tuple(z_bits[:len(carriers)])
+        mapping = [int(p) for p in rng.permutation(len(decoys))]
         returned = receiver.reorder(decoys, mapping)
-        perm = PermutationRecord(mapping=tuple(mapping.tolist()))
     else:
         receiver.delay()
         returned = receiver.reflect(decoys)
-        perm = PermutationRecord(mapping=tuple(range(len(records))))
+        mapping = list(range(len(records)))
+    perm = PermutationRecord(mapping=tuple(mapping))
 
     returned = channel.send_qubits(TapPoint.RETURN_TRENT_TO_ALICE, returned, rng)
 

@@ -354,7 +354,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         rng = np.random.default_rng(child)
         message = config.message
         if message is None:
-            message = tuple(rng.integers(0, 2, size=config.n).tolist())
+            message = tuple(int(b) for b in rng.integers(0, 2, size=config.n))
         result = run_protocol_round(
             n=config.n, message=message, mode=config.mode,
             strategy=build_strategy(config.attack), rng=rng,

@@ -5,15 +5,12 @@ are allocated for named purposes (signing pad, announcement encryption)
 and may never overlap; the cursor only advances. Either holder can read
 back an already-designated segment by purpose, but consuming the same
 range twice is rejected.
-
-Key material and pads are uint8 arrays of 0/1 bits. `Bits`, a tuple of
-ints, is the form a bit string takes on a classical wire and in the
-protocol's results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import xor
 from typing import Sequence
 
 import numpy as np
@@ -29,22 +26,14 @@ class KeyReuseError(RuntimeError):
     """Allocation request overlaps an already-consumed range."""
 
 
-def bit_array(bits: Sequence[int] | np.ndarray) -> np.ndarray:
-    """A bit string as a uint8 array (read-only when converted from a sequence)."""
-    if isinstance(bits, np.ndarray):
-        return bits.astype(np.uint8, copy=False)
-    return np.frombuffer(bytes(bits), dtype=np.uint8)
+def random_bits(rng: np.random.Generator, k: int) -> Bits:
+    return tuple(rng.integers(0, 2, size=k).tolist())
 
 
-def random_bits(rng: np.random.Generator, k: int) -> np.ndarray:
-    return rng.integers(0, 2, size=k).astype(np.uint8)
-
-
-def xor_bits(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:
-    a, b = bit_array(a), bit_array(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return a ^ b
+def xor_bits(a: Sequence[int], b: Sequence[int]) -> Bits:
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return tuple(map(xor, a, b))
 
 
 @dataclass
@@ -56,12 +45,9 @@ class Segment:
 
 @dataclass
 class KeyStore:
-    key_bits: np.ndarray
+    key_bits: Bits
     cursor: int = 0
     segments: list[Segment] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.key_bits = bit_array(self.key_bits)
 
     def allocate(self, purpose: str, nbits: int, start: int | None = None) -> Segment:
         if start is None:
@@ -83,7 +69,7 @@ class KeyStore:
         self.cursor = max(self.cursor, stop)
         return seg
 
-    def segment_bits(self, seg: Segment) -> np.ndarray:
+    def segment_bits(self, seg: Segment) -> Bits:
         return self.key_bits[seg.start:seg.stop]
 
     def find(self, purpose: str) -> Segment | None:
@@ -99,16 +85,13 @@ def keygen_init(n_total: int, rng: np.random.Generator) -> KeyStore:
 
 
 def otp_encrypt(
-    store: KeyStore, purpose: str, plaintext: Sequence[int] | np.ndarray,
-    start: int | None = None,
-) -> np.ndarray:
+    store: KeyStore, purpose: str, plaintext: Sequence[int], start: int | None = None
+) -> Bits:
     seg = store.allocate(purpose, len(plaintext), start=start)
     return xor_bits(plaintext, store.segment_bits(seg))
 
 
-def otp_decrypt(
-    store: KeyStore, purpose: str, ciphertext: Sequence[int] | np.ndarray
-) -> np.ndarray:
+def otp_decrypt(store: KeyStore, purpose: str, ciphertext: Sequence[int]) -> Bits:
     seg = store.find(purpose)
     if seg is None:
         raise KeyError(f"no segment allocated for purpose {purpose!r}")
@@ -128,4 +111,4 @@ def compute_g(m: Sequence[int], store: KeyStore) -> Bits:
         seg = store.allocate("signing", len(m))
     if seg.stop - seg.start != len(m):
         raise ValueError("message length does not match the signing segment")
-    return tuple(xor_bits(m, store.segment_bits(seg)).tolist())
+    return xor_bits(m, store.segment_bits(seg))

@@ -2,12 +2,10 @@
 
 A quantum party may prepare arbitrary states and measure in any basis.
 A classical party is restricted to Z-basis preparation and measurement,
-reflection, reordering, delaying, and classical computation. Parties
-prepare and measure whole stacks of qubits in one call; each qubit
-prepared or measured still appends one op to the party's op_log, as do a
-reflection, a reordering, a delay and a classical computation. A
+reflection, reordering, delaying, and classical computation. Every
+primitive operation a party performs is appended to its op_log, and a
 classical party attempting a non-classical operation is rejected at the
-interface with CapabilityError, before anything is logged.
+interface with CapabilityError.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum import Basis, prepare_bell, prepare_single, x_basis
-from .register import Qubits, as_qubits, measure_qubit, new_qubit
+from .quantum import Basis, prepare_bell, prepare_single
+from .register import QubitRef, Register, measure_qubit, new_qubit
 
 
 class OpKind(str, Enum):
@@ -61,51 +59,39 @@ class Party:
     kind: PartyKind
     op_log: list[OpKind] = field(default_factory=list)
 
-    def _record(self, op: OpKind, count: int = 1) -> None:
-        if count and self.kind is PartyKind.CLASSICAL and op not in CLASSICAL_ALLOWED:
+    def _record(self, op: OpKind) -> None:
+        if self.kind is PartyKind.CLASSICAL and op not in CLASSICAL_ALLOWED:
             raise CapabilityError(
                 f"classical party {self.name} may not perform {op.value}"
             )
-        self.op_log.extend([op] * count)
+        self.op_log.append(op)
 
-    def _record_bases(self, z_op: OpKind, x_op: OpKind, basis, count: int) -> None:
-        """Log z_op or x_op once per qubit, by the qubit's basis."""
-        x = x_basis(basis)
-        x_count = count * x if isinstance(x, bool) else int(np.count_nonzero(x))
-        self._record(x_op, x_count)  # X first: a refusal logs nothing
-        self._record(z_op, count - x_count)
+    def prepare(self, basis: Basis, bit: int) -> QubitRef:
+        self._record(OpKind.PREPARE_Z if basis is Basis.Z else OpKind.PREPARE_X)
+        return new_qubit(prepare_single(basis, bit))
 
-    def prepare(self, basis: Basis | np.ndarray, bit) -> Qubits:
-        """Prepare one qubit per bit (basis bits 0 = Z, 1 = X) as one stack."""
-        state = prepare_single(basis, bit)
-        self._record_bases(OpKind.PREPARE_Z, OpKind.PREPARE_X, basis, state.rows)
-        return new_qubit(state)
+    def prepare_bell_pair(self, g_bit: int) -> tuple[QubitRef, QubitRef]:
+        """Returns (trent_half, bob_half) handles of a fresh Bell pair."""
+        self._record(OpKind.PREPARE_ENTANGLED)
+        reg = Register(prepare_bell(g_bit))
+        trent_half, bob_half = reg.refs()
+        return trent_half, bob_half
 
-    def prepare_bell_pair(self, g_bit) -> tuple[Qubits, Qubits]:
-        """Returns (trent_half, bob_half) handles of fresh Bell pairs, one per g bit."""
-        state = prepare_bell(g_bit)
-        self._record(OpKind.PREPARE_ENTANGLED, state.rows)
-        trent_half = new_qubit(state)
-        return trent_half, trent_half.other_qubit(1)
+    def measure(self, ref: QubitRef, basis: Basis, rng: np.random.Generator) -> int:
+        self._record(OpKind.MEASURE_Z if basis is Basis.Z else OpKind.MEASURE_X)
+        return measure_qubit(ref, basis, rng)
 
-    def measure(self, qubits: Qubits | Sequence[Qubits], basis: Basis | np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-        qubits = as_qubits(qubits)
-        self._record_bases(OpKind.MEASURE_Z, OpKind.MEASURE_X, basis, len(qubits))
-        return measure_qubit(qubits, basis, rng)
-
-    def reflect(self, qubits: Qubits | Sequence[Qubits]) -> Qubits:
+    def reflect(self, refs: Sequence[QubitRef]) -> list[QubitRef]:
         """Send qubits back undisturbed."""
         self._record(OpKind.REFLECT)
-        return as_qubits(qubits)
+        return list(refs)
 
-    def reorder(self, qubits: Qubits | Sequence[Qubits], perm: Sequence[int]) -> Qubits:
-        """Return the qubits permuted so that result[j] = qubits[perm[j]]."""
+    def reorder(self, refs: Sequence[QubitRef], perm: Sequence[int]) -> list[QubitRef]:
+        """Return refs permuted so that result[j] = refs[perm[j]]."""
         self._record(OpKind.REORDER)
-        qubits, perm = as_qubits(qubits), np.asarray(perm, dtype=np.intp)
-        if sorted(perm.tolist()) != list(range(len(qubits))):
-            raise ValueError("perm is not a bijection on the qubits")
-        return qubits[perm]
+        if sorted(perm) != list(range(len(refs))):
+            raise ValueError("perm is not a bijection on the refs")
+        return [refs[p] for p in perm]
 
     def delay(self) -> None:
         self._record(OpKind.DELAY)

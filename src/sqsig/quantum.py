@@ -1,15 +1,14 @@
-"""Dense state-vector simulation for stacks of small qubit registers.
+"""Dense state-vector simulation for small qubit registers.
 
-A StateVector is a stack: one row of amplitudes per register, all rows
-of the same size, so its qubit count follows from the row length.
-Registers hold one to four qubits. Preparation in the Z and X bases,
-Bell-pair preparation, unitary application and projective Z/X
-measurement with Born-rule collapse act on every row of a stack in one
-numpy call; a measurement takes one uniform draw per row, in row order,
-and may use a different basis in each row. Partial trace, density
-matrices and the measurement-branch oracle take a stack of one register.
-Every operation is pure: it returns a new state (or an outcome plus a
-post-measurement state) and never mutates its inputs.
+A register is its amplitude vector, and its qubit count follows from the
+amplitude count. Registers hold one to four qubits. Supported operations:
+preparation in the Z and X bases, Bell-pair preparation, unitary
+application, projective Z/X measurement with Born-rule collapse, partial
+trace, trace distance, and tensor products. Every operation is pure: it
+returns a new state (or an outcome plus a post-measurement state) and
+never mutates its inputs, so prepared states may be shared. A
+measurement works on the amplitudes as Python complex numbers: at one to
+four qubits that costs less than the numpy calls it would take.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -17,6 +16,7 @@ index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
@@ -66,59 +66,39 @@ class DimensionMismatchError(ValueError):
 
 
 class StateVector:
-    """A stack of same-size registers: amplitudes of shape (rows, 2^k).
-
-    Row r holds the normalized amplitudes of register r, and every row has
-    k = 1..4 qubits. A one-dimensional amplitude list is a stack of one.
-    """
+    """Normalized complex amplitudes of a 1..4 qubit register."""
 
     __slots__ = ("amplitudes",)
 
     def __init__(
         self, amplitudes: Sequence[complex] | np.ndarray, check: bool = True
     ) -> None:
-        if not check:  # the caller hands over a C-contiguous (rows, 2^k) array
-            self.amplitudes = amplitudes
-            return
-        amps = np.ascontiguousarray(amplitudes, dtype=complex)
-        if amps.ndim == 1:
-            amps = amps[None, :]
-        size = amps.shape[-1]
-        if amps.ndim != 2 or size & (size - 1):
-            raise DimensionMismatchError(
-                f"amplitude count must be a power of two, got {amps.shape}"
-            )
-        n = size.bit_length() - 1
-        if not 1 <= n <= MAX_REGISTER_QUBITS:
-            raise RegisterSizeError(
-                f"register must hold 1..{MAX_REGISTER_QUBITS} qubits, got {n}"
-            )
-        norms = np.sum(np.abs(amps) ** 2, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError(f"state not normalized: |amps|^2 = {norms}")
+        amps = np.asarray(amplitudes, dtype=complex)
+        if check:
+            size = amps.size
+            if amps.ndim != 1 or size & (size - 1):
+                raise DimensionMismatchError(
+                    f"amplitude count must be a power of two, got {amps.shape}"
+                )
+            n = size.bit_length() - 1
+            if not 1 <= n <= MAX_REGISTER_QUBITS:
+                raise RegisterSizeError(
+                    f"register must hold 1..{MAX_REGISTER_QUBITS} qubits, got {n}"
+                )
+            norm = float(np.sum(np.abs(amps) ** 2))
+            if abs(norm - 1.0) > 1e-9:
+                raise ValueError(f"state not normalized: |amps|^2 = {norm}")
         self.amplitudes = amps
 
     @property
     def num_qubits(self) -> int:
-        return self.amplitudes.shape[1].bit_length() - 1
+        return self.amplitudes.size.bit_length() - 1
 
-    @property
-    def rows(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> np.ndarray:
-        """The norm of every row."""
-        return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=1))
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
     def __repr__(self) -> str:
-        return f"StateVector(rows={self.rows}, n={self.num_qubits})"
-
-
-def _one_register(state: StateVector) -> np.ndarray:
-    """The amplitudes of a stack that holds exactly one register."""
-    if state.rows != 1:
-        raise DimensionMismatchError(f"expected one register, got a stack of {state.rows}")
-    return state.amplitudes[0]
+        return f"StateVector(n={self.num_qubits})"
 
 
 @dataclass
@@ -133,8 +113,7 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
-        amps = _one_register(state)
-        return cls(np.outer(amps, amps.conj()))
+        return cls(np.outer(state.amplitudes, state.amplitudes.conj()))
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int = 1) -> "DensityMatrix":
@@ -158,59 +137,45 @@ class DensityMatrix:
 
 @dataclass
 class MeasurementOutcome:
-    """Result of measuring one qubit in every row: the bits and the collapsed stack."""
+    """Result of a projective measurement: sampled bit and collapsed state."""
 
-    bits: np.ndarray  # uint8, one per row
+    bit: int
     post_state: StateVector
 
 
-def x_basis(basis: Basis | Sequence[int] | np.ndarray) -> bool | np.ndarray:
-    """True where the basis is X: a bool for one Basis, a bool array for
-    per-row basis bits (0 = Z, 1 = X, as the LOC wire encodes them)."""
-    if isinstance(basis, Basis):
-        return basis is Basis.X
-    x = np.asarray(basis, dtype=bool)
-    return bool(x) if x.ndim == 0 else x
+# The four single-qubit preparation states. StateVector instances are
+# immutable by convention (operations replace, never modify), so they
+# can be shared.
+_SINGLES = {
+    (Basis.Z, 0): StateVector([1.0, 0.0], check=False),
+    (Basis.Z, 1): StateVector([0.0, 1.0], check=False),
+    (Basis.X, 0): StateVector([_SQRT2_INV, _SQRT2_INV], check=False),
+    (Basis.X, 1): StateVector([_SQRT2_INV, -_SQRT2_INV], check=False),
+}
 
 
-def _check_bits(bits: np.ndarray, name: str) -> None:
-    if (bits >> 1).any():  # anything but 0 and 1, negatives included
-        raise ValueError(f"{name} must be 0 or 1, got {bits}")
+def prepare_single(basis: Basis, bit: int) -> StateVector:
+    """Prepare |0>, |1>, |+> or |-> as a one-qubit register."""
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    return _SINGLES[(basis, bit)]
 
 
-# Rows of the four single-qubit preparations, indexed by 2 * is_x + bit.
-_SINGLE_AMPS = np.array(
-    [[1.0, 0.0], [0.0, 1.0], [_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]],
-    dtype=complex,
+# States are never mutated, so every pair shares one of these two.
+_BELL = (
+    StateVector([_SQRT2_INV, 0, 0, _SQRT2_INV], check=False),
+    StateVector([0, _SQRT2_INV, _SQRT2_INV, 0], check=False),
 )
-# The two Bell states, indexed by g_bit.
-_BELL_AMPS = np.array(
-    [[_SQRT2_INV, 0, 0, _SQRT2_INV], [0, _SQRT2_INV, _SQRT2_INV, 0]], dtype=complex
-)
 
 
-def prepare_single(basis: Basis | Sequence[int] | np.ndarray,
-                   bit: int | Sequence[int] | np.ndarray) -> StateVector:
-    """Prepare |0>, |1>, |+> or |-> in every row.
-
-    Scalars give a stack of one; a bit array (with one Basis or a basis-bit
-    array of the same length) gives one row per entry.
-    """
-    bit = np.asarray(bit)
-    _check_bits(bit, "bit")
-    return StateVector(_SINGLE_AMPS.take(2 * x_basis(basis) + bit, axis=0).reshape(-1, 2),
-                       check=False)
-
-
-def prepare_bell(g_bit: int | Sequence[int] | np.ndarray) -> StateVector:
+def prepare_bell(g_bit: int) -> StateVector:
     """Prepare (|00>+|11>)/sqrt2 for g_bit=0, (|01>+|10>)/sqrt2 for g_bit=1.
 
-    One row per entry of g_bit. Qubit 0 carries the half destined for
-    Trent, qubit 1 the half for Bob.
+    Qubit 0 carries the half destined for Trent, qubit 1 the half for Bob.
     """
-    g_bit = np.asarray(g_bit)
-    _check_bits(g_bit, "g_bit")
-    return StateVector(_BELL_AMPS.take(g_bit, axis=0).reshape(-1, 4), check=False)
+    if g_bit not in (0, 1):
+        raise ValueError(f"g_bit must be 0 or 1, got {g_bit}")
+    return _BELL[g_bit]
 
 
 def _check_unitary(u: np.ndarray, dim: int) -> None:
@@ -223,29 +188,28 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
 def _apply_gate_unchecked(
     state: StateVector, u: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
-    rows, n = state.rows, state.num_qubits
+    n = state.num_qubits
     k = len(targets)
     if k == 1:
         # Slice the target qubit out by reshaping; cheaper than tensordot.
-        a = state.amplitudes.reshape((rows, 1 << targets[0], 2, -1))
+        a = state.amplitudes.reshape((1 << targets[0], 2, -1))
         out = np.empty_like(a)
-        out[:, :, 0, :] = u[0, 0] * a[:, :, 0, :] + u[0, 1] * a[:, :, 1, :]
-        out[:, :, 1, :] = u[1, 0] * a[:, :, 0, :] + u[1, 1] * a[:, :, 1, :]
-        return StateVector(out.reshape(rows, 1 << n), check=False)
+        out[:, 0, :] = u[0, 0] * a[:, 0, :] + u[0, 1] * a[:, 1, :]
+        out[:, 1, :] = u[1, 0] * a[:, 0, :] + u[1, 1] * a[:, 1, :]
+        return StateVector(out.reshape(1 << n), check=False)
     if n == 2 and tuple(targets) == (0, 1):
-        return StateVector(state.amplitudes @ u.T, check=False)
-    amps = state.amplitudes.reshape((rows,) + (2,) * n)
+        return StateVector(u @ state.amplitudes, check=False)
+    amps = state.amplitudes.reshape((2,) * n)
     mat = u.reshape((2,) * (2 * k))
-    axes = tuple(1 + t for t in targets)
-    moved = np.tensordot(mat, amps, axes=(tuple(range(k, 2 * k)), axes))
-    moved = np.moveaxis(moved, tuple(range(k)), axes)
-    return StateVector(moved.reshape(rows, 1 << n), check=False)
+    moved = np.tensordot(mat, amps, axes=(tuple(range(k, 2 * k)), tuple(targets)))
+    moved = np.moveaxis(moved, tuple(range(k)), tuple(targets))
+    return StateVector(moved.reshape(2 ** n), check=False)
 
 
 def apply_unitary(
     state: StateVector, u: np.ndarray | Sequence[Sequence[complex]], targets: Sequence[int]
 ) -> StateVector:
-    """Apply a 2x2 or 4x4 unitary to the listed target qubits of every row.
+    """Apply a 2x2 or 4x4 unitary to the listed target qubits.
 
     Raises NonUnitaryError for a non-unitary matrix and ValueError for
     invalid or repeated targets.
@@ -269,15 +233,15 @@ def measurement_branches(
 ) -> tuple[tuple[float, StateVector | None], tuple[float, StateVector | None]]:
     """Deterministic projection of a measurement: ((p0, post0), (p1, post1)).
 
-    The state is one register. A branch with zero probability carries
-    post-state None. Used by exhaustive outcome-enumeration oracles.
+    A branch with zero probability carries post-state None. Used both by
+    the sampling path and by exhaustive outcome-enumeration oracles.
     """
     n = state.num_qubits
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
-    work = StateVector(_one_register(state)[None, :], check=False)
+    work = state
     if basis is Basis.X:
-        work = _apply_gate_unchecked(work, HADAMARD, (qubit,))
+        work = _apply_gate_unchecked(state, HADAMARD, (qubit,))
     amps = work.amplitudes.reshape((2,) * n)
     branches = []
     for bit in (0, 1):
@@ -287,7 +251,7 @@ def measurement_branches(
         proj[tuple(sel)] = amps[tuple(sel)]
         p = float(np.sum(np.abs(proj) ** 2))
         if p > 1e-15:
-            post = StateVector(proj.reshape(1, 2 ** n) / np.sqrt(p), check=False)
+            post = StateVector(proj.reshape(2 ** n) / np.sqrt(p), check=False)
             if basis is Basis.X:
                 post = _apply_gate_unchecked(post, HADAMARD, (qubit,))
             branches.append((p, post))
@@ -296,57 +260,62 @@ def measurement_branches(
     return branches[0], branches[1]
 
 
-def _hadamard_rows(a: np.ndarray, x: bool | np.ndarray) -> np.ndarray:
-    """H on axis 2 of a (rows, 2^q, 2, rest) split, in the rows where x is set."""
-    h = np.empty_like(a)
-    h[:, :, 0] = (a[:, :, 0] + a[:, :, 1]) * _SQRT2_INV
-    h[:, :, 1] = (a[:, :, 0] - a[:, :, 1]) * _SQRT2_INV
-    return h if x is True else np.where(x[:, None, None, None], h, a)
-
-
-# Index b keeps the amplitudes whose measured bit is b.
-_KEEP = np.array([[True, False], [False, True]])[:, None, :, None]
+# For each register size and qubit, the amplitude indices where the qubit reads 0.
+_ZERO_HALF = {
+    (1 << n, q): tuple(i for i in range(1 << n) if not i >> (n - 1 - q) & 1)
+    for n in range(1, MAX_REGISTER_QUBITS + 1) for q in range(n)
+}
 
 
 def measure(
-    state: StateVector,
-    qubit: int,
-    basis: Basis | Sequence[int] | np.ndarray,
-    rng: np.random.Generator | np.ndarray,
+    state: StateVector, qubit: int, basis: Basis, rng: np.random.Generator
 ) -> MeasurementOutcome:
-    """Born-rule projective measurement of one qubit in every row, with collapse.
+    """Born-rule projective measurement of one qubit with collapse."""
+    if state.num_qubits == 1:
+        # Hot path: scalar arithmetic avoids the generic tensor machinery.
+        a0, a1 = state.amplitudes.tolist()
+        if basis is Basis.X:
+            b0 = (a0 + a1) * _SQRT2_INV
+        else:
+            b0 = a0
+        p0 = b0.real * b0.real + b0.imag * b0.imag
+        bit = 0 if rng.random() < p0 else 1
+        return MeasurementOutcome(bit=bit, post_state=_SINGLES[(basis, bit)])
 
-    `basis` is one Basis for all rows or one basis bit per row (0 = Z,
-    1 = X). `rng` is a Generator, from which one uniform per row is drawn
-    in row order, or those uniforms already drawn. Row r gives bit 0 when
-    its uniform is below the row's probability of 0.
-    """
-    amps = state.amplitudes
-    rows, size = amps.shape
-    n = size.bit_length() - 1
+    n = state.num_qubits
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
-    draws = rng.random(rows) if isinstance(rng, np.random.Generator) else rng
-    x = x_basis(basis)
-    # Axis 2 of the split is the measured qubit. An X row is turned into
-    # the Z basis first, and back after the collapse.
-    shape = (rows, 1 << qubit, 2, -1)
-    split = amps.reshape(shape)
-    if x is not False:
-        split = _hadamard_rows(split, x)
-    # P(0), P(1) of each row, summed over (re^2, im^2) pairs in amplitude order.
-    p = np.add.reduce(np.square(split.reshape(rows, size).view(np.float64)).reshape(shape),
-                      axis=(1, 3))
-    one = draws >= p[:, 0]
-    p_kept = np.where(one, p[:, 1], p[:, 0])
-    if rows and np.minimum.reduce(p_kept) <= 1e-15:
+    amps = state.amplitudes.tolist()
+    stride = len(amps) >> (qubit + 1)
+    zero = _ZERO_HALF[len(amps), qubit]
+    if basis is Basis.X:
+        w0 = [(amps[i] + amps[i + stride]) * _SQRT2_INV for i in zero]
+        w1 = [(amps[i] - amps[i + stride]) * _SQRT2_INV for i in zero]
+    else:
+        w0 = [amps[i] for i in zero]
+        w1 = [amps[i + stride] for i in zero]
+    p0 = 0.0
+    for w in w0:
+        p0 += w.real * w.real + w.imag * w.imag
+    bit = 0 if rng.random() < p0 else 1
+    if bit == 0:
+        w, p = w0, p0
+    else:
+        w, p = w1, 0.0
+        for c in w1:
+            p += c.real * c.real + c.imag * c.imag
+    if p <= 1e-15:  # zero-probability branch cannot be sampled
         raise RuntimeError("sampled a zero-probability branch")
-    bits = one.view(np.uint8)
-    post = np.where(_KEEP[bits], split / np.sqrt(p_kept)[:, None, None, None], 0.0)
-    if x is not False:
-        post = _hadamard_rows(post, x)
-    post = post.reshape(rows, size)
-    return MeasurementOutcome(bits=bits, post_state=StateVector(post, check=False))
+    scale = 1.0 / math.sqrt(p)
+    out = [0j] * len(amps)
+    for i, c in zip(zero, w):
+        c *= scale
+        if basis is Basis.X:
+            out[i] = c * _SQRT2_INV
+            out[i + stride] = c * (_SQRT2_INV if bit == 0 else -_SQRT2_INV)
+        else:
+            out[i + stride * bit] = c
+    return MeasurementOutcome(bit=bit, post_state=StateVector(out, check=False))
 
 
 def partial_trace(
@@ -354,8 +323,7 @@ def partial_trace(
 ) -> DensityMatrix:
     """Reduced density matrix over the kept qubit indices (in ascending order)."""
     if isinstance(obj, StateVector):
-        amps = _one_register(obj)
-        rho = np.outer(amps, amps.conj())
+        rho = np.outer(obj.amplitudes, obj.amplitudes.conj())
         n = obj.num_qubits
     else:
         rho = obj.entries
@@ -388,10 +356,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def tensor(states: Sequence[StateVector]) -> StateVector:
-    """Row-wise Kronecker product of stacks in the given order.
-
-    The stacks have equal row counts, or one row that pairs with every row.
-    """
+    """Kronecker product of registers in the given order."""
     if not states:
         raise ValueError("tensor of zero states is undefined")
     total = sum(s.num_qubits for s in states)
@@ -401,18 +366,17 @@ def tensor(states: Sequence[StateVector]) -> StateVector:
         )
     amps = states[0].amplitudes
     for s in states[1:]:
-        prod = amps[:, :, None] * s.amplitudes[:, None, :]
-        amps = prod.reshape(prod.shape[0], -1)
+        amps = np.kron(amps, s.amplitudes)
     return StateVector(amps, check=False)
 
 
-def fidelity(a: StateVector, b: StateVector) -> np.ndarray:
-    """|<a|b>|^2 row by row, for stacks of equal-size registers."""
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2 for equal-size registers."""
     if a.num_qubits != b.num_qubits:
         raise DimensionMismatchError("fidelity requires equal register sizes")
-    return np.abs(np.sum(a.amplitudes.conj() * b.amplitudes, axis=1)) ** 2
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
-    """Stacks compare equal when every row's fidelity is 1 within tolerance."""
-    return bool(np.all(fidelity(a, b) >= 1.0 - PHASE_FIDELITY_ATOL))
+    """States compare equal when fidelity is 1 within tolerance."""
+    return fidelity(a, b) >= 1.0 - PHASE_FIDELITY_ATOL

@@ -1,26 +1,22 @@
 """Mutable qubit handles layered over the pure state-vector core.
 
-The protocol moves qubits around (halves of Bell pairs, decoy particles,
-adversary ancillas) while the registers that hold them stay put. A Stack
-owns the amplitudes of a stack of same-size registers, such as the n Bell
-pairs or the d decoys of one round. A Qubits handle names a sequence of
-qubits, each a (stack, qubit index, row) address, possibly spread over
-several stacks; it indexes and slices like a list. An operation on a
-handle acts on all of its qubits with one quantum call per stack and
-writes the results back, so every holder of a handle to the same
-registers sees the update. A handle may name each register row at most
-once.
+The protocol moves individual qubits around (halves of Bell pairs, decoy
+particles, adversary ancillas) while the underlying registers stay put.
+A Register owns one StateVector; a QubitRef names one qubit inside it.
+Operations on refs replace the register's state with the pure-core result,
+so every holder of a ref to the same register observes the update.
 
-Handles carry a lease. The channel lends a strategy its own handle for
-one tap and revokes it when the tap returns; every gate, measurement or
-ancilla through a revoked handle, or through a handle sliced from it,
-raises RevokedHandleError. Ancillas the strategy attached itself come
-with a fresh lease and stay usable.
+A strategy may touch a protocol qubit only inside its tap. The channel
+lends it refs of its own (`_lend`) under a lease that is revoked when the
+tap returns, and every gate, measurement or ancilla through a revoked ref
+raises RevokedHandleError; a list sliced or joined from the lent refs holds
+the same revoked refs. The ref `attach_ancilla` returns names only the
+ancilla and stays usable, so a probe may read its ancilla later.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,17 +32,20 @@ from .quantum import (
 )
 
 
-class RevokedHandleError(RuntimeError):
-    """A qubit handle was used after its lease was revoked."""
+class Register:
+    """Mutable slot holding the current state of one qubit register."""
 
-
-class Stack:
-    """Mutable slot holding the amplitudes of a stack of same-size registers."""
-
-    __slots__ = ("amplitudes",)
+    __slots__ = ("state",)
 
     def __init__(self, state: StateVector) -> None:
-        self.amplitudes = state.amplitudes.copy()  # its own, to write in place
+        self.state = state
+
+    def refs(self) -> list["QubitRef"]:
+        return [QubitRef(self, i) for i in range(self.state.num_qubits)]
+
+
+class RevokedHandleError(RuntimeError):
+    """A qubit ref was used after the tap it was lent for returned."""
 
 
 class _Lease:
@@ -56,176 +55,118 @@ class _Lease:
         self.live = True
 
 
-class Qubits:
-    """Handle to a sequence of qubits; `h[i]`, `h[a:b]` and `h[index_array]`
-    give handles to those qubits, under the same lease."""
+class QubitRef:
+    """Handle to one qubit of a (possibly shared) register.
 
-    __slots__ = ("lanes", "lane", "row", "leases")
+    A ref lent to a strategy carries the lease of its tap; other refs carry
+    none and never expire.
+    """
 
-    def __init__(self, lanes: tuple[tuple[Stack, int], ...], lane: np.ndarray,
-                 row: np.ndarray, leases: tuple[_Lease, ...]) -> None:
-        self.lanes = lanes  # the (stack, qubit index) pairs the qubits sit on
-        self.lane = lane  # the lane of each qubit
-        self.row = row  # the stack row of each qubit
-        self.leases = leases
+    __slots__ = ("register", "index", "lease")
+
+    def __init__(self, register: Register, index: int, lease: _Lease | None = None) -> None:
+        self.register = register
+        self.index = index
+        self.lease = lease
+
+
+def _live(ref: QubitRef) -> Register:
+    """The ref's register; RevokedHandleError once its lease is revoked."""
+    if ref.lease is not None and not ref.lease.live:
+        raise RevokedHandleError("qubit ref used after its tap returned")
+    return ref.register
+
+
+class _LentRefs:
+    """The refs of one tap, as a list the strategy reads: each ref it reads
+    is issued under the tap's lease, and `issued` maps it back to the
+    caller's ref."""
+
+    __slots__ = ("owners", "lease", "issued")
+
+    def __init__(self, owners: list[QubitRef]) -> None:
+        self.owners = owners
+        self.lease = _Lease()
+        self.issued: dict[int, tuple[QubitRef, QubitRef]] = {}
 
     def __len__(self) -> int:
-        return self.row.size
+        return len(self.owners)
 
-    def __getitem__(self, key) -> "Qubits":
-        if isinstance(key, (int, np.integer)):
-            key = [key]
-        return Qubits(self.lanes, self.lane[key], self.row[key], self.leases)
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(len(self.owners))[key]]
+        owner = self.owners[key]
+        ref = QubitRef(_live(owner), owner.index, self.lease)
+        self.issued[id(ref)] = (ref, owner)
+        return ref
 
-    def other_qubit(self, index: int) -> "Qubits":
-        """Qubit `index` of the same registers (a handle on one lane only)."""
-        (stack, _), = self.lanes
-        return Qubits(((stack, index),), self.lane, self.row, self.leases)
-
-    def reissue(self) -> "Qubits":
-        """The same qubits under a fresh lease of their own."""
-        return Qubits(self.lanes, self.lane, self.row, (_Lease(),))
-
-    def revoke(self) -> None:
-        for lease in self.leases:
-            lease.live = False
+    def __iter__(self):
+        return (self[i] for i in range(len(self.owners)))
 
 
-def as_qubits(qubits: Qubits | Sequence[Qubits]) -> Qubits:
-    """A handle as it is, or a list of handles joined into one, in order."""
-    if isinstance(qubits, Qubits):
-        return qubits
-    parts = list(qubits)
-    if not parts:
-        return Qubits((), np.empty(0, np.intp), np.empty(0, np.intp), (_Lease(),))
-    lanes: tuple[tuple[Stack, int], ...] = ()
-    lane_parts, leases = [], []
-    for part in parts:
-        lane_parts.append(part.lane + len(lanes))
-        lanes += part.lanes
-        leases += [lease for lease in part.leases if lease not in leases]
-    return Qubits(lanes, np.concatenate(lane_parts),
-                  np.concatenate([part.row for part in parts]), tuple(leases))
+def _lend(
+    refs: Sequence[QubitRef], tap: Callable[[Sequence[QubitRef]], Sequence[QubitRef]]
+) -> list[QubitRef]:
+    """Call `tap` with the refs lent for the call alone.
 
-
-def _lanes(qubits: Qubits) -> list[tuple[slice | np.ndarray, Stack, int, np.ndarray]]:
-    """(positions, stack, qubit index, rows) for each lane in use.
-
-    Raises RevokedHandleError for a revoked handle, and ValueError when a
-    register row appears twice, since one call acts on each row once.
+    Every ref `tap` reads from what it is lent carries a fresh lease,
+    revoked when `tap` returns. Returns the refs `tap` hands back, each
+    lent one replaced by the caller's ref to the same qubit.
     """
-    for lease in qubits.leases:
-        if not lease.live:
-            raise RevokedHandleError("qubit handle used after its tap returned")
-    lane, row = qubits.lane, qubits.row
-    used = [0] if len(qubits.lanes) == 1 else sorted(set(lane.tolist()))
-    if not row.size:
-        return []
-    if len(used) == 1:
-        groups = [(slice(None), *qubits.lanes[used[0]], row)]
-    else:
-        groups = []
-        for li in used:
-            pos = (lane == li).nonzero()[0]
-            groups.append((pos, *qubits.lanes[li], row[pos]))
-    if len(groups) == 1:
-        if len(set(row.tolist())) < row.size:
-            raise ValueError("a handle names one register row twice")
-        return groups
-    touched: dict[int, set[int]] = {}
-    for _, stack, _, rows in groups:
-        seen = touched.setdefault(id(stack), set())
-        before = len(seen)
-        seen.update(rows.tolist())
-        if len(seen) - before < rows.size:
-            raise ValueError("a handle names one register row twice")
-    return groups
+    lent = _LentRefs(list(refs))
+    out = tap(lent)
+    lent.lease.live = False
+    if out is lent:
+        return lent.owners
+    back = []
+    for ref in out:
+        hit = lent.issued.get(id(ref))
+        back.append(hit[1] if hit is not None and hit[0] is ref else ref)
+    return back
 
 
-def new_qubit(state: StateVector) -> Qubits:
-    """Put a stack in place and return a handle to qubit 0 of each row, in row order."""
-    return Qubits(((Stack(state), 0),), np.zeros(state.rows, np.intp),
-                  np.arange(state.rows), (_Lease(),))
+def new_qubit(state: StateVector) -> QubitRef:
+    if state.num_qubits != 1:
+        raise ValueError("new_qubit expects a one-qubit state")
+    return QubitRef(Register(state), 0)
 
 
-def apply_gate(qubits: Qubits | Sequence[Qubits], u: np.ndarray) -> None:
-    """Apply one single-qubit unitary to every qubit of the handle, in place."""
-    for _, stack, q, rows in _lanes(as_qubits(qubits)):
-        sub = StateVector(stack.amplitudes[rows], check=False)
-        stack.amplitudes[rows] = apply_unitary(sub, u, (q,)).amplitudes
+def apply_gate(ref: QubitRef, u: np.ndarray) -> None:
+    """Apply a single-qubit unitary in place."""
+    reg = _live(ref)
+    reg.state = apply_unitary(reg.state, u, (ref.index,))
 
 
-def attach_ancilla(qubits: Qubits | Sequence[Qubits]) -> Qubits:
-    """Append a fresh |0> ancilla to the register of every qubit of the handle.
+def attach_ancilla(ref: QubitRef) -> QubitRef:
+    """Append a fresh |0> ancilla to the ref's register and return its handle.
 
-    Every row of an affected stack grows by the ancilla qubit, which stays
-    |0> in rows the handle does not name. Returns a handle, under a lease
-    of its own, to the ancillas of the named rows, in handle order.
+    The returned ref names the ancilla alone and carries no lease.
     """
-    qubits = as_qubits(qubits)
-    lanes = []
-    lane = np.zeros(len(qubits), np.intp)
-    for pos, stack, _, _ in _lanes(qubits):
-        old = stack.amplitudes
-        k = old.shape[1].bit_length() - 1
-        if k + 1 > MAX_REGISTER_QUBITS:
-            raise RegisterSizeError(
-                f"register of {k + 1} qubits exceeds cap {MAX_REGISTER_QUBITS}"
-            )
-        # Appending |0> interleaves the old amplitudes with zeros.
-        grown = np.zeros((old.shape[0], old.shape[1] * 2), dtype=complex)
-        grown[:, ::2] = old
-        stack.amplitudes = grown
-        lane[pos] = len(lanes)
-        lanes.append((stack, k))
-    return Qubits(tuple(lanes), lane, qubits.row, (_Lease(),))
+    reg = _live(ref)
+    old = reg.state
+    if old.num_qubits + 1 > MAX_REGISTER_QUBITS:
+        raise RegisterSizeError(
+            f"register of {old.num_qubits + 1} qubits exceeds cap "
+            f"{MAX_REGISTER_QUBITS}"
+        )
+    # Appending |0> interleaves the old amplitudes with zeros.
+    amps = np.zeros(old.amplitudes.size * 2, dtype=complex)
+    amps[0::2] = old.amplitudes
+    reg.state = StateVector(amps, check=False)
+    return QubitRef(reg, reg.state.num_qubits - 1)
 
 
-def probe_cnot(control: Qubits | Sequence[Qubits], target: Qubits | Sequence[Qubits]) -> None:
-    """CNOT from each control qubit onto the qubit at the same place in
-    `target`, in the same register (trusted constant matrix, so no
-    unitarity check)."""
-    control, target = as_qubits(control), as_qubits(target)
-    if len(control) != len(target):
-        raise ValueError("CNOT needs one target per control")
-    _lanes(target)  # the target handle too must be live
-    for pos, stack, q, rows in _lanes(control):
-        t_lane = target.lane[pos]
-        for li in sorted(set(t_lane.tolist())):
-            t_stack, t_q = target.lanes[li]
-            sel = t_lane == li
-            r = rows[sel]
-            if t_stack is not stack or np.any(target.row[pos][sel] != r):
-                raise ValueError("CNOT requires qubits in the same register")
-            sub = StateVector(stack.amplitudes[r], check=False)
-            stack.amplitudes[r] = _apply_gate_unchecked(sub, CNOT, (q, t_q)).amplitudes
+def probe_cnot(control: QubitRef, target: QubitRef) -> None:
+    """CNOT with trusted constant matrix (skips the unitarity check)."""
+    reg = _live(control)
+    if _live(target) is not reg:
+        raise ValueError("CNOT requires qubits in the same register")
+    reg.state = _apply_gate_unchecked(reg.state, CNOT, (control.index, target.index))
 
 
-def measure_qubit(qubits: Qubits | Sequence[Qubits], basis: Basis | np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Measure every qubit of the handle with collapse; returns the bits.
-
-    `basis` is one Basis or one basis bit per qubit (0 = Z, 1 = X). The
-    uniforms are drawn in one call, one per qubit in handle order, and each
-    stack's rows get their own.
-    """
-    qubits = as_qubits(qubits)
-    groups = _lanes(qubits)
-    if not groups:
-        return np.empty(0, dtype=np.uint8)
-    draws = rng.random(len(qubits))
-    per_qubit = not isinstance(basis, Basis)
-    if per_qubit:
-        basis = np.asarray(basis)
-    outcomes = []
-    for pos, stack, q, rows in groups:
-        sub = StateVector(stack.amplitudes[rows], check=False)
-        outcome = measure(sub, q, basis[pos] if per_qubit else basis, draws[pos])
-        stack.amplitudes[rows] = outcome.post_state.amplitudes
-        outcomes.append(outcome.bits)
-    if len(groups) == 1:
-        return outcomes[0]
-    bits = np.empty(len(qubits), dtype=np.uint8)
-    for (pos, *_), part in zip(groups, outcomes):
-        bits[pos] = part
-    return bits
+def measure_qubit(ref: QubitRef, basis: Basis, rng: np.random.Generator) -> int:
+    """Projective measurement with collapse; updates the shared register."""
+    reg = _live(ref)
+    outcome = measure(reg.state, ref.index, basis, rng)
+    reg.state = outcome.post_state
+    return outcome.bit

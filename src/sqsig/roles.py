@@ -15,21 +15,30 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .detection import TrentTransmission, assemble_transmission, build_decoys
-from .keys import Bits, KeyStore, bit_array, compute_g
+from .keys import Bits, KeyStore, compute_g
 from .parties import Party
 from .quantum import Basis
-from .register import Qubits
+from .register import QubitRef
 
 HashFn = Callable[[Sequence[int]], Bits]
 
 DEFAULT_DIGEST_BITS = 256
 
 
+# Bit expansion of every byte value, precomputed once.
+_BYTE_BITS = tuple(
+    tuple((value >> (7 - i)) & 1 for i in range(8)) for value in range(256)
+)
+
+
 def hash_message(m: Sequence[int]) -> Bits:
     """Fixed public 256-bit digest of a bit string (SHA-256 of its text form)."""
-    payload = (bit_array(m) + ord("0")).tobytes()
+    payload = "".join(str(b) for b in m).encode("ascii")
     digest = hashlib.sha256(payload).digest()
-    return tuple(np.unpackbits(np.frombuffer(digest, dtype=np.uint8)).tolist())
+    out: list[int] = []
+    for byte in digest:
+        out.extend(_BYTE_BITS[byte])
+    return tuple(out)
 
 
 def toy_hash8(m: Sequence[int]) -> Bits:
@@ -40,7 +49,7 @@ def toy_hash8(m: Sequence[int]) -> Bits:
 @dataclass
 class SignatureBundle:
     message: Bits
-    b_sequence: Qubits
+    b_sequence: list[QubitRef]
 
     def __post_init__(self) -> None:
         if len(self.message) != len(self.b_sequence):
@@ -87,7 +96,12 @@ def alice_sign(
     """
     m = tuple(int(b) for b in m)
     g = compute_g(m, store)
-    t_refs, b_refs = alice.prepare_bell_pair(g)
+    t_refs: list[QubitRef] = []
+    b_refs: list[QubitRef] = []
+    for g_i in g:
+        t_half, b_half = alice.prepare_bell_pair(g_i)
+        t_refs.append(t_half)
+        b_refs.append(b_half)
     decoy_refs, records = build_decoys(d_z, d_x, m, rng, alice)
     transmission = assemble_transmission(t_refs, decoy_refs, records, rng)
     bundle = SignatureBundle(message=m, b_sequence=b_refs)
@@ -95,7 +109,7 @@ def alice_sign(
 
 
 def trent_receive(
-    carriers: Qubits,
+    carriers: Sequence[QubitRef],
     recovered_m: Sequence[int],
     store: KeyStore,
     trent: Party,
@@ -105,16 +119,16 @@ def trent_receive(
 
     Returns (T, g).
     """
-    t_bits = tuple(trent.measure(carriers, Basis.Z, rng).tolist())
+    t_bits = tuple(trent.measure(ref, Basis.Z, rng) for ref in carriers)
     trent.classical_compute()
     return t_bits, compute_g(recovered_m, store)
 
 
 def bob_measure(
-    bundle_qubits: Qubits | Sequence[Qubits], bob: Party, rng: np.random.Generator
+    bundle_qubits: Sequence[QubitRef], bob: Party, rng: np.random.Generator
 ) -> Bits:
     """Z-measure every signature qubit in order."""
-    return tuple(bob.measure(bundle_qubits, Basis.Z, rng).tolist())
+    return tuple(bob.measure(ref, Basis.Z, rng) for ref in bundle_qubits)
 
 
 def trent_verify(g: Sequence[int], t: Sequence[int], b: Sequence[int]) -> VerificationOutcome:
@@ -125,8 +139,9 @@ def trent_verify(g: Sequence[int], t: Sequence[int], b: Sequence[int]) -> Verifi
     """
     if not len(g) == len(t) == len(b):
         raise ValueError("g, T, B must have equal length")
-    failing = tuple(np.flatnonzero(
-        bit_array(b) != bit_array(t) ^ bit_array(g)).tolist())
+    failing = tuple(
+        i for i, (gi, ti, bi) in enumerate(zip(g, t, b)) if bi != (ti ^ gi)
+    )
     return VerificationOutcome(verdict=not failing, failing_positions=failing)
 
 

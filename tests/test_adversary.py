@@ -28,7 +28,6 @@ from sqsig.quantum import (
     prepare_single,
     trace_distance,
     DensityMatrix,
-    StateVector,
 )
 from sqsig.register import (
     RevokedHandleError,
@@ -49,16 +48,10 @@ def attack(text):
     return build_strategy(parse_attack(text))
 
 
-def state_of(ref):
-    """The state of the register that holds a one-qubit handle."""
-    (stack, _), = ref.lanes
-    return StateVector(stack.amplitudes[ref.row])
-
-
 def z_value(ref):
     """b when the ref's register is the 1-qubit state |b>, else None."""
     for bit in (0, 1):
-        if equal_up_to_phase(state_of(ref), prepare_single(Basis.Z, bit)):
+        if equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, bit)):
             return bit
     return None
 
@@ -67,10 +60,10 @@ class TestNoAttack:
     def test_qubits_untouched(self):
         rng = np.random.default_rng(0)
         ref = fresh_qubit(Basis.X, 1)
-        before = state_of(ref).amplitudes.copy()
-        out = NoAttack().tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, ref, rng)
-        assert out is ref
-        np.testing.assert_array_equal(state_of(ref).amplitudes, before)
+        before = ref.register.state.amplitudes.copy()
+        out = NoAttack().tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
+        assert out == [ref]
+        np.testing.assert_array_equal(ref.register.state.amplitudes, before)
 
     def test_classical_passthrough_observed(self):
         rng = np.random.default_rng(0)
@@ -110,7 +103,7 @@ class TestInterceptMeasureResendZ:
         attack("intercept_resend_z").tap_qubits(
             TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng
         )
-        assert equal_up_to_phase(state_of(ref), prepare_single(Basis.X, 0))
+        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.X, 0))
 
 
 class TestUnitaryTamperThenUndo:
@@ -120,7 +113,7 @@ class TestUnitaryTamperThenUndo:
         attack("pauli_x_tamper").tap_qubits(
             TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng
         )
-        assert equal_up_to_phase(state_of(ref), prepare_single(Basis.Z, 1))
+        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, 1))
 
     def test_forward_then_return_is_identity(self):
         rng = np.random.default_rng(5)
@@ -130,7 +123,7 @@ class TestUnitaryTamperThenUndo:
             strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
             assert equal_up_to_phase(
-                state_of(ref), prepare_single(Basis.X, 1)
+                ref.register.state, prepare_single(Basis.X, 1)
             )
 
     def test_custom_matrix_accepted(self):
@@ -144,7 +137,7 @@ class TestUnitaryTamperThenUndo:
         ref = fresh_qubit(Basis.Z, 0)
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-        assert equal_up_to_phase(state_of(ref), prepare_single(Basis.Z, 0))
+        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, 0))
 
 
 class TestEntangleProbe:
@@ -154,12 +147,12 @@ class TestEntangleProbe:
         strategy = attack("entangle_probe")
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         np.testing.assert_allclose(
-            state_of(ref).amplitudes[0], [1, 0, 0, 0], atol=1e-12
+            ref.register.state.amplitudes, [1, 0, 0, 0], atol=1e-12
         )
         # Reading the ancilla on return leaves the product state as it was.
         strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
         np.testing.assert_allclose(
-            state_of(ref).amplitudes[0], [1, 0, 0, 0], atol=1e-12
+            ref.register.state.amplitudes, [1, 0, 0, 0], atol=1e-12
         )
 
     def test_probe_on_plus_creates_entangled_pair(self):
@@ -168,12 +161,12 @@ class TestEntangleProbe:
         strategy = attack("entangle_probe")
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         np.testing.assert_allclose(
-            state_of(ref).amplitudes[0],
+            ref.register.state.amplitudes,
             [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-12,
         )
         # Reading the ancilla on return collapses the pair to |00> or |11>.
         strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-        amps = np.abs(state_of(ref).amplitudes[0])
+        amps = np.abs(ref.register.state.amplitudes)
         assert any(np.allclose(amps, target, atol=1e-12)
                    for target in ([1, 0, 0, 0], [0, 0, 0, 1]))
 
@@ -187,7 +180,7 @@ class TestEntangleProbe:
             strategy = attack("entangle_probe")
             strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-            errors += int(alice.measure(ref, Basis.X, rng)[0] != 0)
+            errors += alice.measure(ref, Basis.X, rng) != 0
         assert abs(errors / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_immediate_measure_time(self):
@@ -197,6 +190,10 @@ class TestEntangleProbe:
         strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
         assert z_value(ref) == 1  # read at once: no ancilla, |1> kept
 
+    def test_bad_measure_time_rejected(self):
+        with pytest.raises(ValueError):
+            QubitProbe("entangle_probe", "whenever")
+
     def test_non_unitary_matrix_rejected_when_built(self):
         with pytest.raises(NonUnitaryError):
             QubitProbe("unitary_tamper_then_undo", np.array([[1, 1], [0, 1]]))
@@ -204,10 +201,6 @@ class TestEntangleProbe:
     def test_wrong_size_matrix_rejected_when_built(self):
         with pytest.raises(DimensionMismatchError):
             QubitProbe("unitary_tamper_then_undo", np.eye(4))
-
-    def test_bad_measure_time_rejected(self):
-        with pytest.raises(ValueError):
-            QubitProbe("entangle_probe", "whenever")
 
     def test_ancilla_budget_enforced(self):
         ref = fresh_qubit(Basis.Z, 0)
@@ -251,9 +244,9 @@ class TestTamperSignatureB:
         alice = quantum_party("alice")
         t_half, b_half = alice.prepare_bell_pair(0)
         TamperSignatureB([0]).tap_qubits(
-            TapPoint.ALICE_TO_BOB_QUANTUM, b_half, rng
+            TapPoint.ALICE_TO_BOB_QUANTUM, [b_half], rng
         )
-        assert equal_up_to_phase(state_of(b_half), prepare_bell(1))
+        assert equal_up_to_phase(b_half.register.state, prepare_bell(1))
 
     def test_out_of_range_position_rejected(self):
         with pytest.raises(IndexError):
@@ -301,29 +294,31 @@ class TestBlindness:
         assert trace_distance(rho0, rho0) < 1e-12
 
 
-class StashForwardHandle(AttackStrategy):
-    """Keep the forward tap's handle and flip a qubit through it later,
-    when the returned permutation goes by."""
+class StashForwardRefs(AttackStrategy):
+    """Keep refs from the forward tap, as `keep` picks them, and flip a
+    qubit through them later, when the returned permutation goes by."""
 
-    kind = "stash_forward_handle"
+    kind = "stash_forward_refs"
 
-    def __init__(self):
+    def __init__(self, keep=lambda refs: refs[:1]):
+        self.keep = keep
         self.stashed = None
 
     def tap_qubits(self, point, refs, rng):
         if point is TapPoint.FORWARD_ALICE_TO_TRENT:
-            self.stashed = refs[:1]
-        return refs
+            self.stashed = self.keep(refs)
+        return list(refs)
 
     def tap_classical(self, point, name, bits, rng):
         if name == "permutation":
-            apply_gate(self.stashed, PAULI_X)
+            for ref in self.stashed:
+                apply_gate(ref, PAULI_X)
         return bits
 
 
 class KeepAncillas(AttackStrategy):
-    """Attach an ancilla to every forward qubit inside the tap; read them
-    only when the permutation goes by."""
+    """Attach an ancilla to every forward qubit inside the tap; flip and
+    read the ancillas only when the returned permutation goes by."""
 
     kind = "keep_ancillas"
 
@@ -332,39 +327,49 @@ class KeepAncillas(AttackStrategy):
 
     def tap_qubits(self, point, refs, rng):
         if point is TapPoint.FORWARD_ALICE_TO_TRENT:
-            self.ancillas = attach_ancilla(refs)
-        return refs
+            self.ancillas = [attach_ancilla(ref) for ref in refs]
+        return list(refs)
 
     def tap_classical(self, point, name, bits, rng):
         if name == "permutation":
-            self.read = measure_qubit(self.ancillas, Basis.Z, rng)
+            for ancilla in self.ancillas:
+                apply_gate(ancilla, PAULI_X)
+            self.read = [measure_qubit(ancilla, Basis.Z, rng) for ancilla in self.ancillas]
         return bits
 
 
 class TestTapOnlyRule:
-    def test_stashed_forward_handle_is_revoked(self):
+    def test_stashed_forward_ref_is_revoked(self):
         with pytest.raises(RevokedHandleError):
             run_protocol_round(
                 n=2, message=(1, 0), mode=DetectionMode.IMPROVED,
-                strategy=StashForwardHandle(), rng=np.random.default_rng(3),
+                strategy=StashForwardRefs(), rng=np.random.default_rng(3),
             )
 
-    def test_slices_of_a_lent_handle_are_revoked(self):
-        channel = Channel(StashForwardHandle())
-        ref = fresh_qubit(Basis.Z, 0)
-        channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, ref, np.random.default_rng(0))
-        with pytest.raises(RevokedHandleError):
-            measure_qubit(channel.strategy.stashed, Basis.Z, np.random.default_rng(0))
-        # The sender's own handle to the same qubit stays usable.
-        assert measure_qubit(ref, Basis.Z, np.random.default_rng(0)).tolist() == [0]
+    def test_joined_lent_refs_are_revoked(self):
+        # A list joined from slices of the lent refs holds the same refs.
+        strategy = StashForwardRefs(keep=lambda refs: refs[1:] + refs[:1])
+        channel = Channel(strategy)
+        refs = [fresh_qubit(Basis.Z, 0), fresh_qubit(Basis.Z, 1)]
+        received = channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, refs,
+                                       np.random.default_rng(0))
+        for ref in strategy.stashed:
+            with pytest.raises(RevokedHandleError):
+                measure_qubit(ref, Basis.Z, np.random.default_rng(0))
+        # The sender's refs and the refs the receiver got stay usable.
+        assert [measure_qubit(ref, Basis.Z, np.random.default_rng(0)) for ref in refs] == [0, 1]
+        assert [z_value(ref) for ref in received] == [0, 1]
 
-    def test_own_ancillas_stay_usable(self):
+    def test_own_ancillas_stay_usable_and_reach_only_themselves(self):
+        # The flips land on the ancillas alone: the decoys still pass
+        # Alice's final check and the round goes through.
         strategy = KeepAncillas()
-        run_protocol_round(
+        result = run_protocol_round(
             n=2, message=(1, 0), mode=DetectionMode.IMPROVED,
             strategy=strategy, rng=np.random.default_rng(3),
         )
-        assert len(strategy.read) == 6  # one ancilla per forward qubit
+        assert strategy.read == [1] * 6  # one ancilla per forward qubit
+        assert not result.aborted and result.accepted
 
 
 class TestChannel:
@@ -402,7 +407,7 @@ class TestChannel:
             ref = fresh_qubit(Basis.Z, 0)
             channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             flips += equal_up_to_phase(
-                state_of(ref), prepare_single(Basis.Z, 1)
+                ref.register.state, prepare_single(Basis.Z, 1)
             )
         expected = 2 * p / 3
         sigma = np.sqrt(expected * (1 - expected) / trials)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sqsig.adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from sqsig.detection import (
     RECORD_BITS,
-    DecoyRecords,
+    DecoyRecord,
     DetectionMode,
     PermutationRecord,
     Verdict,
@@ -31,7 +31,6 @@ from sqsig.keys import keygen_init
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
-from sqsig.register import as_qubits
 from sqsig.roles import alice_sign
 
 
@@ -59,14 +58,7 @@ def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
 
 def z_records(transmission):
     """The sender's Z-decoy records, as the honest loc_z announcement lists them."""
-    return transmission.records.in_bases((Basis.Z,))
-
-
-def addresses(qubits):
-    """(stack, qubit index, row) of every qubit a handle or handle list names."""
-    qubits = as_qubits(qubits)
-    return [(id(qubits.lanes[lane][0]), qubits.lanes[lane][1], row)
-            for lane, row in zip(qubits.lane.tolist(), qubits.row.tolist())]
+    return [r for r in transmission.records if r.basis is Basis.Z]
 
 
 def carrier_positions(sequence, decoy_positions):
@@ -134,36 +126,35 @@ class TestBuildDecoys:
         rng = np.random.default_rng(2)
         alice = quantum_party("alice")
         refs, records = build_decoys(3, 2, (1, 0, 1), rng, alice)
-        z_bits = records.bit[~records.basis].tolist()
+        z_bits = [r.bit for r in records if r.basis is Basis.Z]
         assert z_bits[:3] == [1, 0, 1]
         # Interleaving keeps the decoy order, so the message still leads
         # the Z-decoys once the records are in position order.
         carriers = [alice.prepare(Basis.Z, 0) for _ in range(3)]
         tx = assemble_transmission(carriers, refs, records, rng)
-        positions = tx.records.position.tolist()
+        positions = [r.position for r in tx.records]
         assert positions == sorted(set(positions))
-        assert addresses([tx.sequence[p] for p in positions]) == addresses(refs)
-        assert z_records(tx).bit.tolist()[:3] == [1, 0, 1]
+        assert [tx.sequence[p] for p in positions] == refs
+        assert [r.bit for r in z_records(tx)][:3] == [1, 0, 1]
 
     def test_empty_decoy_set(self):
         refs, records = build_decoys(
             0, 0, None, np.random.default_rng(0), quantum_party("alice")
         )
-        assert len(refs) == 0 and len(records) == 0
+        assert refs == [] and records == []
 
     def test_deterministic_draws(self):
         alice = quantum_party("alice")
         _, a = build_decoys(4, 4, None, np.random.default_rng(5), alice)
         _, b = build_decoys(4, 4, None, np.random.default_rng(5), alice)
-        assert a.basis.tolist() == b.basis.tolist()
-        assert a.bit.tolist() == b.bit.tolist()
+        assert [(r.basis, r.bit) for r in a] == [(r.basis, r.bit) for r in b]
 
     def test_basis_counts(self):
         _, records = build_decoys(
             5, 3, None, np.random.default_rng(1), quantum_party("alice")
         )
-        assert np.count_nonzero(~records.basis) == 5
-        assert np.count_nonzero(records.basis) == 3
+        assert sum(r.basis is Basis.Z for r in records) == 5
+        assert sum(r.basis is Basis.X for r in records) == 3
 
     def test_embedding_overflow_rejected(self):
         with pytest.raises(ValueError):
@@ -176,15 +167,14 @@ class TestInterleave:
         alice = quantum_party("alice")
         carriers = [alice.prepare(Basis.Z, 0) for _ in range(2)]
         seq, decoy_pos = interleave(carriers, [], np.random.default_rng(0))
-        assert addresses(seq) == addresses(carriers)
+        assert seq == carriers
         assert decoy_pos == () and carrier_positions(seq, decoy_pos) == (0, 1)
 
     def test_no_carriers(self):
         alice = quantum_party("alice")
         decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
         seq, decoy_pos = interleave([], decoys, np.random.default_rng(0))
-        assert addresses(seq) == addresses(decoys)
-        assert carrier_positions(seq, decoy_pos) == ()
+        assert seq == decoys and carrier_positions(seq, decoy_pos) == ()
 
     def test_partition_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -194,8 +184,8 @@ class TestInterleave:
             decoys = [alice.prepare(Basis.X, 0) for _ in range(3)]
             seq, decoy_pos = interleave(carriers, decoys, rng)
             got_decoys, got_carriers = extract_decoys(seq, decoy_pos)
-            assert addresses(got_decoys) == addresses(decoys)
-            assert addresses(got_carriers) == addresses(carriers)
+            assert got_decoys == decoys
+            assert got_carriers == carriers
 
     def test_relative_orders_preserved(self):
         rng = np.random.default_rng(4)
@@ -204,27 +194,31 @@ class TestInterleave:
         decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
         seq, decoy_pos = interleave(carriers, decoys, rng)
         carrier_pos = carrier_positions(seq, decoy_pos)
-        assert addresses([seq[p] for p in carrier_pos]) == addresses(carriers)
-        assert addresses([seq[p] for p in decoy_pos]) == addresses(decoys)
+        assert [seq[p] for p in carrier_pos] == carriers
+        assert [seq[p] for p in decoy_pos] == decoys
 
 
 class TestWireEncodings:
     def test_loc_roundtrip(self):
-        records = DecoyRecords(position=[0, 3, 7], basis=[0, 1, 0], bit=[1, 0, 0])
+        records = [
+            DecoyRecord(position=0, basis=Basis.Z, bit=1),
+            DecoyRecord(position=3, basis=Basis.X, bit=0),
+            DecoyRecord(position=7, basis=Basis.Z, bit=0),
+        ]
         decoded = decode_loc(encode_loc(records))
-        assert decoded.position.tolist() == [0, 3, 7]
-        assert decoded.basis.tolist() == [False, True, False]  # Z, X, Z
-        assert decoded.bit.tolist() == [1, 0, 0]
+        assert [(r.position, r.basis, r.bit) for r in decoded] == [
+            (0, Basis.Z, 1), (3, Basis.X, 0), (7, Basis.Z, 0),
+        ]
 
     def test_loc_bits_per_record(self):
-        records = DecoyRecords(position=[5], basis=[1], bit=[1])
+        records = [DecoyRecord(position=5, basis=Basis.X, bit=1)]
         bits = encode_loc(records)
         assert len(bits) == 18
-        assert tuple(bits[:16].tolist()) == (0,) * 13 + (1, 0, 1)  # 5 big-endian
+        assert bits[:16] == (0,) * 13 + (1, 0, 1)  # 5 big-endian
         assert bits[16] == 1  # X basis flag
 
     def test_values_withheld_option(self):
-        records = DecoyRecords(position=[2], basis=[1], bit=[1])
+        records = [DecoyRecord(position=2, basis=Basis.X, bit=1)]
         bits = encode_loc(records, include_values=False)
         assert bits[17] == 0
 
@@ -237,7 +231,7 @@ class TestWireEncodings:
         assert decode_permutation(encode_permutation(perm)).mapping == (2, 0, 1)
 
     def test_permutation_entry_out_of_range_rejected(self):
-        bits = tuple(encode_permutation(PermutationRecord(mapping=(0, 1))).tolist())
+        bits = encode_permutation(PermutationRecord(mapping=(0, 1)))
         # Rewrite the second entry to the value 7 (out of range for d=2).
         tampered = bits[:16] + (0,) * 13 + (1, 1, 1)
         with pytest.raises(ValueError):
@@ -350,7 +344,7 @@ class TestRunDetectionRound:
             mode, FlipWireBit(wire, bit), seed=3, threshold=1.0
         )
         assert result.report.verdict is Verdict.ABORT
-        assert len(result.carriers) == 0 and result.recovered_m is None
+        assert result.carriers == [] and result.recovered_m is None
 
     @pytest.mark.parametrize("grow", [False, True])
     @pytest.mark.parametrize("mode, wire", [
@@ -369,7 +363,7 @@ class TestRunDetectionRound:
             mode, ResizeWire(wire, grow), seed=3, threshold=1.0
         )
         assert result.report.verdict is Verdict.ABORT
-        assert len(result.carriers) == 0 and result.recovered_m is None
+        assert result.carriers == [] and result.recovered_m is None
 
     @pytest.mark.parametrize("mode", list(DetectionMode))
     def test_withheld_decoy_aborts(self, mode):
@@ -500,7 +494,7 @@ class TestAliceFinalCheck:
         tx = signed.transmission
         # Trent measures the announced Z decoys, then shuffles all decoys.
         bob_z_check(trent, tx.sequence, z_records(tx), rng)
-        decoys, _ = extract_decoys(tx.sequence, tx.records.position)
+        decoys, _ = extract_decoys(tx.sequence, [r.position for r in tx.records])
         perm = PermutationRecord(mapping=(2, 0, 3, 1))
         returned = trent.reorder(decoys, list(perm.mapping))
         z_err, z_chk, x_err, x_chk = alice_final_check(

@@ -24,7 +24,7 @@ class TestKeygen:
     def test_deterministic_under_fixed_seed(self):
         a = keygen_init(8, np.random.default_rng(99))
         b = keygen_init(8, np.random.default_rng(99))
-        assert a.key_bits.tolist() == b.key_bits.tolist()
+        assert a.key_bits == b.key_bits
         assert len(a.key_bits) == 8
         assert a.cursor == 0
 
@@ -32,7 +32,7 @@ class TestKeygen:
         # 64 bits colliding across seeds would be a broken generator.
         a = keygen_init(64, np.random.default_rng(1))
         b = keygen_init(64, np.random.default_rng(2))
-        assert a.key_bits.tolist() != b.key_bits.tolist()
+        assert a.key_bits != b.key_bits
 
     def test_bits_are_bits(self):
         store = keygen_init(128, np.random.default_rng(5))
@@ -71,14 +71,14 @@ class TestAllocation:
 class TestOtp:
     def test_xor_definition(self):
         store = KeyStore(key_bits=(1, 1, 1, 1))
-        assert otp_encrypt(store, "p", (1, 0, 1, 0)).tolist() == [0, 1, 0, 1]
+        assert otp_encrypt(store, "p", (1, 0, 1, 0)) == (0, 1, 0, 1)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(17)
         store = keygen_init(32, rng)
         plaintext = random_bits(rng, 20)
         cipher = otp_encrypt(store, "msg", plaintext)
-        assert otp_decrypt(store, "msg", cipher).tolist() == plaintext.tolist()
+        assert otp_decrypt(store, "msg", cipher) == plaintext
 
     def test_reuse_of_consumed_range_rejected(self):
         store = keygen_init(8, np.random.default_rng(0))
@@ -98,14 +98,14 @@ class TestOtp:
         plaintext = (1,) * 16
         c1 = otp_encrypt(store, "a", plaintext)
         c2 = otp_encrypt(store, "b", plaintext)
-        assert c1.tolist() != c2.tolist()  # 2^-16 collision chance under this seed: none
+        assert c1 != c2  # 2^-16 collision chance under this seed: none
 
     @given(bitstrings)
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, plaintext):
         store = keygen_init(len(plaintext), np.random.default_rng(3))
         cipher = otp_encrypt(store, "p", plaintext)
-        assert otp_decrypt(store, "p", cipher).tolist() == list(plaintext)
+        assert otp_decrypt(store, "p", cipher) == tuple(plaintext)
 
 
 class TestRandomBits:
@@ -118,16 +118,16 @@ class TestRandomBits:
     def test_guesses_are_uniform(self):
         rng = np.random.default_rng(10)
         trials = 5000
-        ones = sum(int(random_bits(rng, 1)[0]) for _ in range(trials))
+        ones = sum(random_bits(rng, 1)[0] for _ in range(trials))
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_degenerate_empty(self):
-        assert len(random_bits(np.random.default_rng(0), 0)) == 0
+        assert random_bits(np.random.default_rng(0), 0) == ()
 
 
 class TestXorBits:
     def test_known_values(self):
-        assert xor_bits((1, 1, 0, 0), (1, 0, 1, 0)).tolist() == [0, 1, 1, 0]
+        assert xor_bits((1, 1, 0, 0), (1, 0, 1, 0)) == (0, 1, 1, 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestXorBits:
     @settings(max_examples=50, deadline=None)
     def test_self_inverse(self, bits):
         key = tuple(1 - b for b in bits)
-        assert xor_bits(xor_bits(bits, key), key).tolist() == list(bits)
+        assert xor_bits(xor_bits(bits, key), key) == tuple(bits)
 
 
 class TestComputeG:

@@ -8,7 +8,7 @@ amplitudes for the frequency checks.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqsig.quantum import (
@@ -76,23 +76,23 @@ def random_state(rng: np.random.Generator, n: int) -> StateVector:
 class TestPreparation:
     def test_z_zero(self):
         np.testing.assert_allclose(
-            prepare_single(Basis.Z, 0).amplitudes[0], [1, 0], atol=1e-15
+            prepare_single(Basis.Z, 0).amplitudes, [1, 0], atol=1e-15
         )
 
     def test_z_one(self):
         np.testing.assert_allclose(
-            prepare_single(Basis.Z, 1).amplitudes[0], [0, 1], atol=1e-15
+            prepare_single(Basis.Z, 1).amplitudes, [0, 1], atol=1e-15
         )
 
     def test_x_plus(self):
         np.testing.assert_allclose(
-            prepare_single(Basis.X, 0).amplitudes[0],
+            prepare_single(Basis.X, 0).amplitudes,
             [SQRT2_INV, SQRT2_INV], atol=1e-15,
         )
 
     def test_x_minus(self):
         np.testing.assert_allclose(
-            prepare_single(Basis.X, 1).amplitudes[0],
+            prepare_single(Basis.X, 1).amplitudes,
             [SQRT2_INV, -SQRT2_INV], atol=1e-15,
         )
 
@@ -102,12 +102,12 @@ class TestPreparation:
 
     def test_bell_zero_amplitudes(self):
         np.testing.assert_allclose(
-            prepare_bell(0).amplitudes[0], [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-15
+            prepare_bell(0).amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-15
         )
 
     def test_bell_one_amplitudes(self):
         np.testing.assert_allclose(
-            prepare_bell(1).amplitudes[0], [0, SQRT2_INV, SQRT2_INV, 0], atol=1e-15
+            prepare_bell(1).amplitudes, [0, SQRT2_INV, SQRT2_INV, 0], atol=1e-15
         )
 
     def test_all_preparations_normalized(self):
@@ -169,8 +169,8 @@ class TestApplyUnitary:
         rng = np.random.default_rng(11 * n + int(abs(gate).sum()))
         for target in range(n):
             state = random_state(rng, n)
-            got = apply_unitary(state, gate, (target,)).amplitudes[0]
-            want = kron_expand(gate, (target,), n) @ state.amplitudes[0]
+            got = apply_unitary(state, gate, (target,)).amplitudes
+            want = kron_expand(gate, (target,), n) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -178,8 +178,8 @@ class TestApplyUnitary:
         rng = np.random.default_rng(23 + n)
         for targets in [(a, b) for a in range(n) for b in range(n) if a != b]:
             state = random_state(rng, n)
-            got = apply_unitary(state, CNOT, targets).amplitudes[0]
-            want = kron_expand(CNOT, targets, n) @ state.amplitudes[0]
+            got = apply_unitary(state, CNOT, targets).amplitudes
+            want = kron_expand(CNOT, targets, n) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
@@ -198,15 +198,15 @@ class TestMeasurement:
     def test_eigenstate_is_deterministic(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert measure(prepare_single(Basis.Z, 1), 0, Basis.Z, rng).bits[0] == 1
-            assert measure(prepare_single(Basis.X, 1), 0, Basis.X, rng).bits[0] == 1
+            assert measure(prepare_single(Basis.Z, 1), 0, Basis.Z, rng).bit == 1
+            assert measure(prepare_single(Basis.X, 1), 0, Basis.X, rng).bit == 1
 
     def test_plus_in_z_is_fair_coin(self):
         # 10^5 samples; tolerance 3 * sqrt(p(1-p)/N) around p = 1/2.
         rng = np.random.default_rng(42)
         trials = 100_000
         plus = prepare_single(Basis.X, 0)
-        ones = sum(int(measure(plus, 0, Basis.Z, rng).bits[0]) for _ in range(trials))
+        ones = sum(measure(plus, 0, Basis.Z, rng).bit for _ in range(trials))
         p_hat = ones / trials
         assert abs(p_hat - 0.5) < 3 * np.sqrt(0.25 / trials)
 
@@ -215,7 +215,7 @@ class TestMeasurement:
         amps = np.array([0.6, 0.8], dtype=complex)
         state = StateVector(amps)
         trials = 100_000
-        ones = sum(int(measure(state, 0, Basis.Z, rng).bits[0]) for _ in range(trials))
+        ones = sum(measure(state, 0, Basis.Z, rng).bit for _ in range(trials))
         p1 = 0.64
         assert abs(ones / trials - p1) < 3 * np.sqrt(p1 * (1 - p1) / trials)
 
@@ -225,7 +225,7 @@ class TestMeasurement:
         for basis in (Basis.Z, Basis.X):
             out = measure(state, 0, basis, rng)
             again = measure(out.post_state, 0, basis, rng)
-            assert again.bits[0] == out.bits[0]
+            assert again.bit == out.bit
 
     def test_post_state_normalized(self):
         rng = np.random.default_rng(5)
@@ -240,7 +240,7 @@ class TestMeasurement:
         for _ in range(200):
             first = measure(prepare_bell(g), 0, Basis.Z, rng)
             second = measure(first.post_state, 1, Basis.Z, rng)
-            assert second.bits[0] == first.bits[0] ^ g
+            assert second.bit == first.bit ^ g
 
     def test_branches_sum_to_one(self):
         rng = np.random.default_rng(9)
@@ -257,7 +257,7 @@ class TestMeasurement:
         (p0, _), _ = measurement_branches(state, 1, Basis.X)
         trials = 100_000
         zeros = sum(
-            measure(state, 1, Basis.X, rng).bits[0] == 0 for _ in range(trials)
+            measure(state, 1, Basis.X, rng).bit == 0 for _ in range(trials)
         )
         assert abs(zeros / trials - p0) < 3 * np.sqrt(p0 * (1 - p0) / trials)
 
@@ -268,51 +268,29 @@ class TestMeasurement:
 
 
 @st.composite
-def measured_stacks(draw):
-    """A stack of 1..5 random registers of 1..3 qubits, the measured qubit,
-    one basis bit per row and a generator seed."""
+def measured_registers(draw):
+    """A random 1..3-qubit register, the measured qubit, a basis and a
+    generator seed."""
     n = draw(st.integers(1, 3))
-    rows = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    amps = rng.normal(size=(rows, 2 ** n)) + 1j * rng.normal(size=(rows, 2 ** n))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    bases = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
-    return (StateVector(amps), draw(st.integers(0, n - 1)), np.array(bases),
-            draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return (StateVector(amps / np.linalg.norm(amps)), draw(st.integers(0, n - 1)),
+            draw(st.sampled_from([Basis.Z, Basis.X])), draw(st.integers(0, 2 ** 32 - 1)))
 
 
-class TestStackedMeasurement:
-    @given(measured_stacks())
-    @settings(max_examples=80, deadline=None)
-    def test_stack_matches_rows_measured_in_turn(self, case):
-        state, qubit, bases, seed = case
-        stacked = measure(state, qubit, bases, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        for r in range(state.rows):
-            basis = Basis.X if bases[r] else Basis.Z
-            row = measure(StateVector(state.amplitudes[r]), qubit, basis, rng)
-            assert row.bits.tolist() == [stacked.bits[r]]
-            np.testing.assert_allclose(row.post_state.amplitudes[0],
-                                       stacked.post_state.amplitudes[r], atol=1e-12)
-
-    @given(measured_stacks())
-    @settings(max_examples=80, deadline=None)
-    def test_row_probabilities_match_branches(self, case):
-        state, qubit, bases, _ = case
-        branches = [measurement_branches(StateVector(a), qubit, Basis.X if b else Basis.Z)
-                    for a, b in zip(state.amplitudes, bases)]
-        p0 = np.array([b[0][0] for b in branches])
-        inner = (p0 > 1e-6) & (p0 < 1 - 1e-6)
-        # A row gives 0 exactly when its uniform lies below its P(0).
-        below = measure(state, qubit, bases, np.where(inner, p0 - 1e-9, 0.5))
-        above = measure(state, qubit, bases, np.where(inner, p0 + 1e-9, 0.5))
-        assert not below.bits[inner].any() and above.bits[inner].all()
-        for r, ((_, post0), (_, post1)) in enumerate(branches):
-            if inner[r]:
-                np.testing.assert_allclose(below.post_state.amplitudes[r],
-                                           post0.amplitudes[0], atol=1e-12)
-                np.testing.assert_allclose(above.post_state.amplitudes[r],
-                                           post1.amplitudes[0], atol=1e-12)
+class TestMeasurementAgainstBranches:
+    @given(measured_registers())
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_and_post_state_match_branches(self, case):
+        # The generator's next uniform picks 0 exactly below the enumerated
+        # P(0), and the register collapses onto that branch.
+        state, qubit, basis, seed = case
+        (p0, post0), (_, post1) = measurement_branches(state, qubit, basis)
+        u = np.random.default_rng(seed).random()
+        assume(abs(u - p0) > 1e-12)
+        out = measure(state, qubit, basis, np.random.default_rng(seed))
+        assert out.bit == (0 if u < p0 else 1)
+        assert equal_up_to_phase(out.post_state, post0 if out.bit == 0 else post1)
 
 
 class TestPartialTrace:
@@ -383,17 +361,17 @@ class TestTraceDistance:
 class TestTensor:
     def test_zero_one(self):
         out = tensor([prepare_single(Basis.Z, 0), prepare_single(Basis.Z, 1)])
-        np.testing.assert_allclose(out.amplitudes[0], [0, 1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
 
     def test_plus_zero_matches_kron_oracle(self):
         a = prepare_single(Basis.X, 0)
         b = prepare_single(Basis.Z, 0)
         out = tensor([a, b])
         np.testing.assert_allclose(
-            out.amplitudes[0], np.kron(a.amplitudes[0], b.amplitudes[0]), atol=1e-15
+            out.amplitudes, np.kron(a.amplitudes, b.amplitudes), atol=1e-15
         )
         np.testing.assert_allclose(
-            out.amplitudes[0], [SQRT2_INV, 0, SQRT2_INV, 0], atol=1e-15
+            out.amplitudes, [SQRT2_INV, 0, SQRT2_INV, 0], atol=1e-15
         )
 
     def test_single_state_identity(self):

@@ -12,7 +12,7 @@ from sqsig.parties import (
     classical_party,
     quantum_party,
 )
-from sqsig.quantum import Basis, StateVector, equal_up_to_phase, prepare_bell
+from sqsig.quantum import Basis, equal_up_to_phase, prepare_bell
 from sqsig.roles import (
     Evidence,
     SignatureBundle,
@@ -25,12 +25,6 @@ from sqsig.roles import (
     trent_receive,
     trent_verify,
 )
-
-
-def state_of(ref):
-    """The state of the register that holds a one-qubit handle."""
-    (stack, _), = ref.lanes
-    return StateVector(stack.amplitudes[ref.row])
 
 
 class TestTrentVerify:
@@ -97,7 +91,7 @@ class TestAliceSign:
         signed = alice_sign((m_bit,), store, alice, rng, d_z=1, d_x=1)
         g = m_bit ^ k_bit
         assert signed.g == (g,)
-        pair_state = state_of(signed.bundle.b_sequence[0])
+        pair_state = signed.bundle.b_sequence[0].register.state
         assert equal_up_to_phase(pair_state, prepare_bell(g))
 
     def test_bundle_lengths_match(self):
@@ -130,7 +124,7 @@ class TestTrentReceive:
         for _ in range(trials):
             alice = quantum_party("alice")
             t_half, _ = alice.prepare_bell_pair(0)
-            ones += int(trent.measure(t_half, Basis.Z, rng)[0])
+            ones += trent.measure(t_half, Basis.Z, rng)
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_recomputed_g_matches_alice(self):
@@ -158,7 +152,7 @@ class TestBobMeasure:
                 bob = classical_party("bob")
                 trent = classical_party("trent")
                 t_half, b_half = alice.prepare_bell_pair(g)
-                (t,) = trent.measure(t_half, Basis.Z, rng)
+                t = trent.measure(t_half, Basis.Z, rng)
                 (b,) = bob_measure([b_half], bob, rng)
                 assert b == t ^ g
 
@@ -170,7 +164,7 @@ class TestBobMeasure:
         for _ in range(trials):
             alice = quantum_party("alice")
             _, b_half = alice.prepare_bell_pair(1)
-            ones += int(bob.measure(b_half, Basis.Z, rng)[0])
+            ones += bob.measure(b_half, Basis.Z, rng)
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_op_log_only_z(self):
