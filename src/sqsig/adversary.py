@@ -96,6 +96,7 @@ class QubitProbe(AttackStrategy):
             self.read = action
         else:
             raise ValueError(f"unknown probe action {action!r}")
+        self.undo = None if self.u is None else self.u.conj().T
 
     def tap_qubits(self, point, refs, rng):
         if point is TapPoint.FORWARD_ALICE_TO_TRENT:
@@ -111,7 +112,7 @@ class QubitProbe(AttackStrategy):
         elif point is TapPoint.RETURN_TRENT_TO_ALICE:
             if self.u is not None:
                 for ref in refs:
-                    apply_gate(ref, self.u.conj().T)
+                    apply_gate(ref, self.undo)
             for probe in self.pending:
                 measure_qubit(probe, Basis.Z, rng)
             self.pending.clear()

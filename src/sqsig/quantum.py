@@ -6,9 +6,14 @@ preparation in the Z and X bases, Bell-pair preparation, unitary
 application, projective Z/X measurement with Born-rule collapse, partial
 trace, trace distance, and tensor products. Every operation is pure: it
 returns a new state (or an outcome plus a post-measurement state) and
-never mutates its inputs, so prepared states may be shared. A
-measurement works on the amplitudes as Python complex numbers: at one to
-four qubits that costs less than the numpy calls it would take.
+never mutates its inputs, so prepared states may be shared.
+
+Measurement, gates (CNOT included), ancilla attachment and the unitarity
+check work on the amplitudes and matrix entries as Python complex numbers
+over precomputed index tables: at one to four qubits that costs less than
+the numpy calls it would take. A gate matrix passes the check only when
+every entry of u^dagger u - I, the diagonal included, lies within
+UNITARY_ATOL (1e-10) in absolute value.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -178,32 +183,61 @@ def prepare_bell(g_bit: int) -> StateVector:
     return _BELL[g_bit]
 
 
+def _blocks(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where a gate on `targets` of an n-qubit register reads and writes.
+
+    Returns the amplitude indices whose target bits all read 0, and for
+    each row of the gate (the first target is the row's most significant
+    bit) the offset from such an index to the amplitude that row addresses.
+    """
+    offsets = (0,)
+    for t in targets:
+        offsets = tuple(o + b for o in offsets for b in (0, 1 << (n - 1 - t)))
+    return tuple(i for i in range(1 << n) if not i & offsets[-1]), offsets
+
+
+# Keyed by amplitude count and target tuple, for one or two distinct targets.
+_BLOCKS = {
+    (1 << n, targets): _blocks(n, targets)
+    for n in range(1, MAX_REGISTER_QUBITS + 1)
+    for targets in [(a,) for a in range(n)]
+    + [(a, b) for a in range(n) for b in range(n) if a != b]
+}
+
+
 def _check_unitary(u: np.ndarray, dim: int) -> None:
+    """Raise unless every entry of u^dagger u - I lies within UNITARY_ATOL.
+
+    The test is absolute on every entry, the diagonal included, and a NaN
+    or infinite entry fails it.
+    """
     if u.shape != (dim, dim):
         raise DimensionMismatchError(f"gate must be {dim}x{dim}, got {u.shape}")
-    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=UNITARY_ATOL):
-        raise NonUnitaryError("matrix is not unitary within tolerance")
+    rows = u.tolist()
+    for i in range(dim):
+        for j in range(i, dim):  # u^dagger u is Hermitian: the upper half decides
+            dot = 0j
+            for row in rows:
+                dot += row[i].conjugate() * row[j]
+            if not abs(dot - (i == j)) <= UNITARY_ATOL:
+                raise NonUnitaryError("matrix is not unitary within tolerance")
 
 
 def _apply_gate_unchecked(
     state: StateVector, u: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
-    n = state.num_qubits
-    k = len(targets)
-    if k == 1:
-        # Slice the target qubit out by reshaping; cheaper than tensordot.
-        a = state.amplitudes.reshape((1 << targets[0], 2, -1))
-        out = np.empty_like(a)
-        out[:, 0, :] = u[0, 0] * a[:, 0, :] + u[0, 1] * a[:, 1, :]
-        out[:, 1, :] = u[1, 0] * a[:, 0, :] + u[1, 1] * a[:, 1, :]
-        return StateVector(out.reshape(1 << n), check=False)
-    if n == 2 and tuple(targets) == (0, 1):
-        return StateVector(u @ state.amplitudes, check=False)
-    amps = state.amplitudes.reshape((2,) * n)
-    mat = u.reshape((2,) * (2 * k))
-    moved = np.tensordot(mat, amps, axes=(tuple(range(k, 2 * k)), tuple(targets)))
-    moved = np.moveaxis(moved, tuple(range(k)), tuple(targets))
-    return StateVector(moved.reshape(2 ** n), check=False)
+    amps = state.amplitudes.tolist()
+    base, offsets = _BLOCKS[len(amps), tuple(targets)]
+    rows = u.tolist()
+    out = [0j] * len(amps)
+    for i in base:
+        block = [amps[i + o] for o in offsets]
+        for o, row in zip(offsets, rows):
+            acc = 0j
+            for c, a in zip(row, block):
+                acc += c * a
+            out[i + o] = acc
+    return StateVector(out, check=False)
 
 
 def apply_unitary(
@@ -260,19 +294,15 @@ def measurement_branches(
     return branches[0], branches[1]
 
 
-# For each register size and qubit, the amplitude indices where the qubit reads 0.
-_ZERO_HALF = {
-    (1 << n, q): tuple(i for i in range(1 << n) if not i >> (n - 1 - q) & 1)
-    for n in range(1, MAX_REGISTER_QUBITS + 1) for q in range(n)
-}
-
-
 def measure(
     state: StateVector, qubit: int, basis: Basis, rng: np.random.Generator
 ) -> MeasurementOutcome:
     """Born-rule projective measurement of one qubit with collapse."""
-    if state.num_qubits == 1:
-        # Hot path: scalar arithmetic avoids the generic tensor machinery.
+    n = state.num_qubits
+    if qubit < 0 or qubit >= n:
+        raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
+    if n == 1:
+        # Hot path: the collapsed state is one of the shared preparations.
         a0, a1 = state.amplitudes.tolist()
         if basis is Basis.X:
             b0 = (a0 + a1) * _SQRT2_INV
@@ -282,12 +312,8 @@ def measure(
         bit = 0 if rng.random() < p0 else 1
         return MeasurementOutcome(bit=bit, post_state=_SINGLES[(basis, bit)])
 
-    n = state.num_qubits
-    if qubit < 0 or qubit >= n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
     amps = state.amplitudes.tolist()
-    stride = len(amps) >> (qubit + 1)
-    zero = _ZERO_HALF[len(amps), qubit]
+    zero, (_, stride) = _BLOCKS[len(amps), (qubit,)]
     if basis is Basis.X:
         w0 = [(amps[i] + amps[i + stride]) * _SQRT2_INV for i in zero]
         w1 = [(amps[i] - amps[i + stride]) * _SQRT2_INV for i in zero]

@@ -150,8 +150,8 @@ def attach_ancilla(ref: QubitRef) -> QubitRef:
             f"{MAX_REGISTER_QUBITS}"
         )
     # Appending |0> interleaves the old amplitudes with zeros.
-    amps = np.zeros(old.amplitudes.size * 2, dtype=complex)
-    amps[0::2] = old.amplitudes
+    amps = [0j] * (old.amplitudes.size * 2)
+    amps[0::2] = old.amplitudes.tolist()
     reg.state = StateVector(amps, check=False)
     return QubitRef(reg, reg.state.num_qubits - 1)
 

@@ -197,6 +197,8 @@ class TestEntangleProbe:
     def test_non_unitary_matrix_rejected_when_built(self):
         with pytest.raises(NonUnitaryError):
             QubitProbe("unitary_tamper_then_undo", np.array([[1, 1], [0, 1]]))
+        with pytest.raises(NonUnitaryError):
+            QubitProbe("unitary_tamper_then_undo", np.eye(2) * (1 + 2e-6))
 
     def test_wrong_size_matrix_rejected_when_built(self):
         with pytest.raises(DimensionMismatchError):

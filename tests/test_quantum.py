@@ -6,6 +6,8 @@ trace distance, and exact Born probabilities computed straight from
 amplitudes for the frequency checks.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from sqsig.quantum import (
     CNOT,
     HADAMARD,
     I2,
+    MAX_REGISTER_QUBITS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -24,6 +27,7 @@ from sqsig.quantum import (
     NonUnitaryError,
     RegisterSizeError,
     StateVector,
+    UNITARY_ATOL,
     apply_unitary,
     equal_up_to_phase,
     fidelity,
@@ -35,6 +39,7 @@ from sqsig.quantum import (
     tensor,
     trace_distance,
 )
+from sqsig.register import Register, attach_ancilla
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -43,7 +48,7 @@ def kron_expand(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
     """Oracle: full 2^n x 2^n matrix for u on targets, identity elsewhere.
 
     Built by summing outer products over the computational basis, which
-    shares no code with the tensordot path in apply_unitary.
+    shares no code with the index-table kernel in apply_unitary.
     """
     dim = 2 ** n
     full = np.zeros((dim, dim), dtype=complex)
@@ -65,6 +70,13 @@ def kron_expand(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
                 row = (row << 1) | b
             full[row, col] += amp
     return full
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Q of the QR decomposition of a complex Gaussian matrix."""
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(raw)
+    return q
 
 
 def random_state(rng: np.random.Generator, n: int) -> StateVector:
@@ -182,16 +194,75 @@ class TestApplyUnitary:
             want = kron_expand(CNOT, targets, n) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @given(st.integers(1, MAX_REGISTER_QUBITS), st.sampled_from([1, 2]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_unitary_matches_kron_oracle_on_every_target(self, n, k, seed):
+        assume(k <= n)
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, n)
+        u = random_unitary(rng, 2 ** k)
+        for targets in itertools.permutations(range(n), k):
+            got = apply_unitary(state, u, targets).amplitudes
+            want = kron_expand(u, targets, n) @ state.amplitudes
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @given(st.integers(1, MAX_REGISTER_QUBITS - 1), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_attach_ancilla_appends_zero(self, n, seed):
+        state = random_state(np.random.default_rng(seed), n)
+        reg = Register(state)
+        ancilla = attach_ancilla(reg.refs()[0])
+        assert ancilla.index == n
+        np.testing.assert_array_equal(
+            reg.state.amplitudes, np.kron(state.amplitudes, [1, 0])
+        )
+
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_norm_preserved_under_random_unitaries(self, seed, n):
         rng = np.random.default_rng(seed)
         state = random_state(rng, n)
-        # Haar-ish random unitary from QR decomposition.
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, _ = np.linalg.qr(raw)
+        q = random_unitary(rng, 2)
         out = apply_unitary(state, q, (int(rng.integers(0, n)),))
         assert abs(out.norm() - 1.0) < 1e-12
+
+
+class TestUnitarityTolerance:
+    """Every entry of u^dagger u - I is held to UNITARY_ATOL."""
+
+    def test_diagonal_error_beyond_tolerance_rejected(self):
+        with pytest.raises(NonUnitaryError):
+            apply_unitary(prepare_single(Basis.Z, 0), np.eye(2) * (1 + 2e-6), (0,))
+
+    def test_rounding_error_accepted(self):
+        for u in (PAULI_Y + 1e-13, HADAMARD * (1 + 1e-13)):
+            apply_unitary(prepare_single(Basis.X, 1), u, (0,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = bad
+        with pytest.raises(NonUnitaryError):
+            apply_unitary(prepare_single(Basis.Z, 0), u, (0,))
+
+    @given(st.sampled_from([1, 2]), st.sampled_from([-1.1, -0.9, 0.9, 1.1]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_numpy_reference_at_the_edge(self, k, edge, seed):
+        # u^dagger u = (1 + edge * UNITARY_ATOL) I up to rounding, so the
+        # matrix lies just inside the tolerance for |edge| < 1, else outside.
+        q = random_unitary(np.random.default_rng(seed), 2 ** k)
+        u = q * np.sqrt(1 + edge * UNITARY_ATOL)
+        reference = np.all(np.abs(u.conj().T @ u - np.eye(2 ** k)) <= UNITARY_ATOL)
+        assert reference == (abs(edge) < 1)
+        state = prepare_bell(0) if k == 2 else prepare_single(Basis.X, 0)
+        targets = tuple(range(k))
+        if reference:
+            apply_unitary(state, u, targets)
+        else:
+            with pytest.raises(NonUnitaryError):
+                apply_unitary(state, u, targets)
 
 
 class TestMeasurement:
@@ -265,6 +336,10 @@ class TestMeasurement:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             measure(prepare_bell(0), 2, Basis.Z, rng)
+        for qubit in (1, -1):
+            for basis in (Basis.Z, Basis.X):
+                with pytest.raises(ValueError):
+                    measure(prepare_single(Basis.Z, 0), qubit, basis, rng)
 
 
 @st.composite
