@@ -27,7 +27,7 @@ import numpy as np
 from .adversary import Channel, TapPoint
 from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt
 from .parties import Party
-from .quantum import Basis
+from .quantum import Basis, Uniforms
 from .register import QubitRef
 
 
@@ -59,6 +59,7 @@ class ModeSpec:
 
 
 _Z, _X, _ALL = (Basis.Z,), (Basis.X,), (Basis.Z, Basis.X)
+_BASIS_Z = Basis.Z
 
 MODE_SPECS = {
     DetectionMode.IMPROVED: ModeSpec(
@@ -231,9 +232,9 @@ def build_decoys(
     refs: list[QubitRef] = []
     records: list[DecoyRecord] = []
     message = iter(embedded)
-    for slot, idx in enumerate(order):
+    for slot, idx in enumerate(order.tolist()):
         basis = bases[idx]
-        bit = next(message, fill_bits[slot]) if basis is Basis.Z else fill_bits[slot]
+        bit = next(message, fill_bits[slot]) if basis is _BASIS_Z else fill_bits[slot]
         refs.append(preparer.prepare(basis, bit))
         records.append(DecoyRecord(position=-1, basis=basis, bit=bit))
     return refs, records
@@ -290,7 +291,8 @@ def bob_z_check(
     stay in their post-measurement states. With compare=False (the
     prior-scheme baseline) nothing counts as checked.
     """
-    measured = [receiver.measure(sequence[rec.position], Basis.Z, rng)
+    draws = Uniforms(rng, len(z_records))
+    measured = [receiver.measure(sequence[rec.position], _BASIS_Z, draws)
                 for rec in z_records]
     if not compare:
         return 0, 0, measured
@@ -326,9 +328,10 @@ def alice_final_check(
     for j, ref in enumerate(returned):
         restored[perm.mapping[j]] = ref
     tally = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [errors, checked]
+    draws = Uniforms(rng, len(records))
     for rec, ref in zip(records, restored):
         counts = tally[rec.basis]
-        counts[0] += alice.measure(ref, rec.basis, rng) != rec.bit
+        counts[0] += alice.measure(ref, rec.basis, draws) != rec.bit
         counts[1] += 1
     return (*tally[Basis.Z], *tally[Basis.X])
 
@@ -410,7 +413,7 @@ def run_detection_round(
     recovered_m: Bits | None = None
     if spec.measures:
         report.bob_z_errors, report.bob_z_checked, z_bits = bob_z_check(
-            receiver, seq, [r for r in announced if r.basis is Basis.Z], rng,
+            receiver, seq, [r for r in announced if r.basis is _BASIS_Z], rng,
             compare=spec.compares,
         )
         if report.rate("bob_z") > threshold:

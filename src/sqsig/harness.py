@@ -343,15 +343,15 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         return _run_forgery_trials(config), []
 
     start = time.perf_counter()
-    children = np.random.SeedSequence(config.seed).spawn(config.trials)
     stats = AggregateStats(config=config)
     transcript: list[dict] = []
     sums = {k: 0.0 for k in CHECKS}
     sumsq = {k: 0.0 for k in CHECKS}
     totals = {k: [0, 0] for k in CHECKS}
 
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for i in range(config.trials):
+        # Trial i's child of SeedSequence(seed).spawn(trials), built when needed.
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
         message = config.message
         if message is None:
             message = tuple(int(b) for b in rng.integers(0, 2, size=config.n))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum import Basis, prepare_bell, prepare_single
+from .quantum import Basis, Uniforms, prepare_bell, prepare_single
 from .register import QubitRef, Register, measure_qubit, new_qubit
 
 
@@ -49,6 +49,13 @@ class PartyKind(str, Enum):
     CLASSICAL = "classical"
 
 
+# Enum member reads, done once: they sit on the path of every party op.
+_Z = Basis.Z
+_CLASSICAL = PartyKind.CLASSICAL
+_PREPARE_Z, _PREPARE_X = OpKind.PREPARE_Z, OpKind.PREPARE_X
+_MEASURE_Z, _MEASURE_X = OpKind.MEASURE_Z, OpKind.MEASURE_X
+
+
 class CapabilityError(RuntimeError):
     """A classical party attempted an operation outside its capability set."""
 
@@ -60,14 +67,14 @@ class Party:
     op_log: list[OpKind] = field(default_factory=list)
 
     def _record(self, op: OpKind) -> None:
-        if self.kind is PartyKind.CLASSICAL and op not in CLASSICAL_ALLOWED:
+        if self.kind is _CLASSICAL and op not in CLASSICAL_ALLOWED:
             raise CapabilityError(
                 f"classical party {self.name} may not perform {op.value}"
             )
         self.op_log.append(op)
 
     def prepare(self, basis: Basis, bit: int) -> QubitRef:
-        self._record(OpKind.PREPARE_Z if basis is Basis.Z else OpKind.PREPARE_X)
+        self._record(_PREPARE_Z if basis is _Z else _PREPARE_X)
         return new_qubit(prepare_single(basis, bit))
 
     def prepare_bell_pair(self, g_bit: int) -> tuple[QubitRef, QubitRef]:
@@ -77,8 +84,10 @@ class Party:
         trent_half, bob_half = reg.refs()
         return trent_half, bob_half
 
-    def measure(self, ref: QubitRef, basis: Basis, rng: np.random.Generator) -> int:
-        self._record(OpKind.MEASURE_Z if basis is Basis.Z else OpKind.MEASURE_X)
+    def measure(
+        self, ref: QubitRef, basis: Basis, rng: np.random.Generator | Uniforms
+    ) -> int:
+        self._record(_MEASURE_Z if basis is _Z else _MEASURE_X)
         return measure_qubit(ref, basis, rng)
 
     def reflect(self, refs: Sequence[QubitRef]) -> list[QubitRef]:

@@ -8,12 +8,16 @@ trace, trace distance, and tensor products. Every operation is pure: it
 returns a new state (or an outcome plus a post-measurement state) and
 never mutates its inputs, so prepared states may be shared.
 
-Measurement, gates (CNOT included), ancilla attachment and the unitarity
-check work on the amplitudes and matrix entries as Python complex numbers
-over precomputed index tables: at one to four qubits that costs less than
-the numpy calls it would take. A gate matrix passes the check only when
-every entry of u^dagger u - I, the diagonal included, lies within
-UNITARY_ATOL (1e-10) in absolute value.
+A state keeps its amplitudes as a tuple of Python complex (`amps`), and
+`amplitudes` builds a fresh ndarray from it on each read, so no caller can
+change a state in place. Measurement, gates (CNOT included), ancilla
+attachment and the unitarity check work on that tuple and on the matrix
+entries as Python complex numbers over precomputed index tables: at one to
+four qubits that costs less than the numpy calls it would take. A stage
+that measures k qubits back to back may pass `measure` a `Uniforms` of k
+values drawn in one call in place of the generator. A gate matrix passes
+the check only when every entry of u^dagger u - I, the diagonal included,
+lies within UNITARY_ATOL (1e-10) in absolute value.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -42,7 +46,8 @@ class Basis(str, Enum):
     X = "X"
 
 
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+_X = Basis.X
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,6 +61,7 @@ CNOT = np.array(
      [0, 0, 1, 0]],
     dtype=complex,
 )
+_HADAMARD_ROWS = HADAMARD.tolist()
 
 
 class RegisterSizeError(ValueError):
@@ -71,33 +77,44 @@ class DimensionMismatchError(ValueError):
 
 
 class StateVector:
-    """Normalized complex amplitudes of a 1..4 qubit register."""
+    """Normalized complex amplitudes of a 1..4 qubit register.
 
-    __slots__ = ("amplitudes",)
+    `amps` is the tuple of Python complex that the core ops read; with
+    check=False a tuple is kept as given, so it must hold complex values.
+    """
+
+    __slots__ = ("amps",)
 
     def __init__(
         self, amplitudes: Sequence[complex] | np.ndarray, check: bool = True
     ) -> None:
-        amps = np.asarray(amplitudes, dtype=complex)
-        if check:
-            size = amps.size
-            if amps.ndim != 1 or size & (size - 1):
-                raise DimensionMismatchError(
-                    f"amplitude count must be a power of two, got {amps.shape}"
-                )
-            n = size.bit_length() - 1
-            if not 1 <= n <= MAX_REGISTER_QUBITS:
-                raise RegisterSizeError(
-                    f"register must hold 1..{MAX_REGISTER_QUBITS} qubits, got {n}"
-                )
-            norm = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"state not normalized: |amps|^2 = {norm}")
-        self.amplitudes = amps
+        if check or type(amplitudes) is not tuple:
+            arr = np.asarray(amplitudes, dtype=complex)
+            if check:
+                size = arr.size
+                if arr.ndim != 1 or size & (size - 1):
+                    raise DimensionMismatchError(
+                        f"amplitude count must be a power of two, got {arr.shape}"
+                    )
+                n = size.bit_length() - 1
+                if not 1 <= n <= MAX_REGISTER_QUBITS:
+                    raise RegisterSizeError(
+                        f"register must hold 1..{MAX_REGISTER_QUBITS} qubits, got {n}"
+                    )
+                norm = float(np.sum(np.abs(arr) ** 2))
+                if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
+                    raise ValueError(f"state not normalized: |amps|^2 = {norm}")
+            amplitudes = tuple(arr.tolist())
+        self.amps = amplitudes
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """A new ndarray of the amplitudes; writing into it changes no state."""
+        return np.array(self.amps, dtype=complex)
 
     @property
     def num_qubits(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
+        return len(self.amps).bit_length() - 1
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
@@ -148,25 +165,25 @@ class MeasurementOutcome:
     post_state: StateVector
 
 
-# The four single-qubit preparation states. StateVector instances are
-# immutable by convention (operations replace, never modify), so they
-# can be shared.
-_SINGLES = {
-    (Basis.Z, 0): StateVector([1.0, 0.0], check=False),
-    (Basis.Z, 1): StateVector([0.0, 1.0], check=False),
-    (Basis.X, 0): StateVector([_SQRT2_INV, _SQRT2_INV], check=False),
-    (Basis.X, 1): StateVector([_SQRT2_INV, -_SQRT2_INV], check=False),
-}
+# The single-qubit preparation states by bit: |0>, |1> and |+>, |->.
+# No operation changes a state, so they are shared.
+_Z_STATES = (StateVector([1.0, 0.0], check=False), StateVector([0.0, 1.0], check=False))
+_X_STATES = (StateVector([_SQRT2_INV, _SQRT2_INV], check=False),
+             StateVector([_SQRT2_INV, -_SQRT2_INV], check=False))
 
 
 def prepare_single(basis: Basis, bit: int) -> StateVector:
     """Prepare |0>, |1>, |+> or |-> as a one-qubit register."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return _SINGLES[(basis, bit)]
+    if basis is _X:
+        return _X_STATES[bit]
+    if basis is Basis.Z:
+        return _Z_STATES[bit]
+    raise ValueError(f"basis must be Z or X, got {basis!r}")
 
 
-# States are never mutated, so every pair shares one of these two.
+# Every pair shares one of these two.
 _BELL = (
     StateVector([_SQRT2_INV, 0, 0, _SQRT2_INV], check=False),
     StateVector([0, _SQRT2_INV, _SQRT2_INV, 0], check=False),
@@ -205,11 +222,11 @@ _BLOCKS = {
 }
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> None:
+def _check_unitary(u: np.ndarray, dim: int) -> list[list[complex]]:
     """Raise unless every entry of u^dagger u - I lies within UNITARY_ATOL.
 
     The test is absolute on every entry, the diagonal included, and a NaN
-    or infinite entry fails it.
+    or infinite entry fails it. Returns the rows of u as Python complex.
     """
     if u.shape != (dim, dim):
         raise DimensionMismatchError(f"gate must be {dim}x{dim}, got {u.shape}")
@@ -221,14 +238,15 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
                 dot += row[i].conjugate() * row[j]
             if not abs(dot - (i == j)) <= UNITARY_ATOL:
                 raise NonUnitaryError("matrix is not unitary within tolerance")
+    return rows
 
 
 def _apply_gate_unchecked(
-    state: StateVector, u: np.ndarray, targets: Sequence[int]
+    state: StateVector, rows: Sequence[Sequence[complex]], targets: tuple[int, ...]
 ) -> StateVector:
-    amps = state.amplitudes.tolist()
-    base, offsets = _BLOCKS[len(amps), tuple(targets)]
-    rows = u.tolist()
+    """Apply the gate whose rows of Python complex are `rows`, unchecked."""
+    amps = state.amps
+    base, offsets = _BLOCKS[len(amps), targets]
     out = [0j] * len(amps)
     for i in base:
         block = [amps[i + o] for o in offsets]
@@ -237,7 +255,7 @@ def _apply_gate_unchecked(
             for c, a in zip(row, block):
                 acc += c * a
             out[i + o] = acc
-    return StateVector(out, check=False)
+    return StateVector(tuple(out), check=False)
 
 
 def apply_unitary(
@@ -258,8 +276,7 @@ def apply_unitary(
     n = state.num_qubits
     if any(t < 0 or t >= n for t in targets):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
-    _check_unitary(u, 2 ** k)
-    return _apply_gate_unchecked(state, u, targets)
+    return _apply_gate_unchecked(state, _check_unitary(u, 2 ** k), targets)
 
 
 def measurement_branches(
@@ -275,7 +292,7 @@ def measurement_branches(
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
     work = state
     if basis is Basis.X:
-        work = _apply_gate_unchecked(state, HADAMARD, (qubit,))
+        work = _apply_gate_unchecked(state, _HADAMARD_ROWS, (qubit,))
     amps = work.amplitudes.reshape((2,) * n)
     branches = []
     for bit in (0, 1):
@@ -287,34 +304,77 @@ def measurement_branches(
         if p > 1e-15:
             post = StateVector(proj.reshape(2 ** n) / np.sqrt(p), check=False)
             if basis is Basis.X:
-                post = _apply_gate_unchecked(post, HADAMARD, (qubit,))
+                post = _apply_gate_unchecked(post, _HADAMARD_ROWS, (qubit,))
             branches.append((p, post))
         else:
             branches.append((0.0, None))
     return branches[0], branches[1]
 
 
-def measure(
-    state: StateVector, qubit: int, basis: Basis, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Born-rule projective measurement of one qubit with collapse."""
-    n = state.num_qubits
-    if qubit < 0 or qubit >= n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
-    if n == 1:
-        # Hot path: the collapsed state is one of the shared preparations.
-        a0, a1 = state.amplitudes.tolist()
-        if basis is Basis.X:
-            b0 = (a0 + a1) * _SQRT2_INV
-        else:
-            b0 = a0
-        p0 = b0.real * b0.real + b0.imag * b0.imag
-        bit = 0 if rng.random() < p0 else 1
-        return MeasurementOutcome(bit=bit, post_state=_SINGLES[(basis, bit)])
+class Uniforms:
+    """The k uniforms of a stage that measures k qubits back to back.
 
-    amps = state.amplitudes.tolist()
-    zero, (_, stride) = _BLOCKS[len(amps), (qubit,)]
-    if basis is Basis.X:
+    Passed to `measure` in place of the generator, it hands out one value
+    per `random()` call from a single `rng.random(k)` draw. numpy's bit
+    generators fill `random(k)` as k scalar draws, so the values, and the
+    generator's state after them, are those of k `rng.random()` calls.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator, k: int) -> None:
+        self.random = iter(rng.random(k).tolist()).__next__
+
+
+def measure(
+    state: StateVector, qubit: int, basis: Basis,
+    rng: np.random.Generator | Uniforms,
+) -> MeasurementOutcome:
+    """Born-rule projective measurement of one qubit with collapse.
+
+    Draws exactly one uniform from `rng`: the bit is 0 when it lies below
+    the probability of 0.
+    """
+    amps = state.amps
+    size = len(amps)
+    if qubit < 0 or 1 << qubit >= size:
+        raise ValueError(
+            f"qubit {qubit} out of range for {size.bit_length() - 1}-qubit register")
+    in_x = basis is _X
+    if size == 2:
+        # The collapsed state is one of the shared preparations.
+        b0 = (amps[0] + amps[1]) * _SQRT2_INV if in_x else amps[0]
+        bit = 0 if rng.random() < b0.real * b0.real + b0.imag * b0.imag else 1
+        return MeasurementOutcome(bit, (_X_STATES if in_x else _Z_STATES)[bit])
+
+    if size == 4 and not in_x:
+        # A Bell half read in Z: qubit 0 pairs amplitudes (0, 1) with (2, 3),
+        # qubit 1 pairs (0, 2) with (1, 3).
+        if qubit:
+            u0, v0, u1, v1 = amps
+        else:
+            u0, u1, v0, v1 = amps
+        p0 = ((u0.real * u0.real + u0.imag * u0.imag)
+              + (u1.real * u1.real + u1.imag * u1.imag))
+        if rng.random() < p0:
+            bit, p = 0, p0
+        else:
+            bit, u0, u1 = 1, v0, v1
+            p = ((v0.real * v0.real + v0.imag * v0.imag)
+                 + (v1.real * v1.real + v1.imag * v1.imag))
+        if p <= 1e-15:  # zero-probability branch cannot be sampled
+            raise RuntimeError("sampled a zero-probability branch")
+        scale = 1.0 / math.sqrt(p)
+        u0 *= scale
+        u1 *= scale
+        if qubit:
+            post = (0j, u0, 0j, u1) if bit else (u0, 0j, u1, 0j)
+        else:
+            post = (0j, 0j, u0, u1) if bit else (u0, u1, 0j, 0j)
+        return MeasurementOutcome(bit, StateVector(post, check=False))
+
+    zero, (_, stride) = _BLOCKS[size, (qubit,)]
+    if in_x:
         w0 = [(amps[i] + amps[i + stride]) * _SQRT2_INV for i in zero]
         w1 = [(amps[i] - amps[i + stride]) * _SQRT2_INV for i in zero]
     else:
@@ -333,15 +393,15 @@ def measure(
     if p <= 1e-15:  # zero-probability branch cannot be sampled
         raise RuntimeError("sampled a zero-probability branch")
     scale = 1.0 / math.sqrt(p)
-    out = [0j] * len(amps)
+    out = [0j] * size
     for i, c in zip(zero, w):
         c *= scale
-        if basis is Basis.X:
+        if in_x:
             out[i] = c * _SQRT2_INV
             out[i + stride] = c * (_SQRT2_INV if bit == 0 else -_SQRT2_INV)
         else:
             out[i + stride * bit] = c
-    return MeasurementOutcome(bit=bit, post_state=StateVector(out, check=False))
+    return MeasurementOutcome(bit, StateVector(tuple(out), check=False))
 
 
 def partial_trace(

@@ -26,10 +26,13 @@ from .quantum import (
     Basis,
     RegisterSizeError,
     StateVector,
+    Uniforms,
     _apply_gate_unchecked,
     apply_unitary,
     measure,
 )
+
+_CNOT_ROWS = CNOT.tolist()
 
 
 class Register:
@@ -126,7 +129,7 @@ def _lend(
 
 
 def new_qubit(state: StateVector) -> QubitRef:
-    if state.num_qubits != 1:
+    if len(state.amps) != 2:
         raise ValueError("new_qubit expects a one-qubit state")
     return QubitRef(Register(state), 0)
 
@@ -150,9 +153,9 @@ def attach_ancilla(ref: QubitRef) -> QubitRef:
             f"{MAX_REGISTER_QUBITS}"
         )
     # Appending |0> interleaves the old amplitudes with zeros.
-    amps = [0j] * (old.amplitudes.size * 2)
-    amps[0::2] = old.amplitudes.tolist()
-    reg.state = StateVector(amps, check=False)
+    amps = [0j] * (len(old.amps) * 2)
+    amps[0::2] = old.amps
+    reg.state = StateVector(tuple(amps), check=False)
     return QubitRef(reg, reg.state.num_qubits - 1)
 
 
@@ -161,10 +164,13 @@ def probe_cnot(control: QubitRef, target: QubitRef) -> None:
     reg = _live(control)
     if _live(target) is not reg:
         raise ValueError("CNOT requires qubits in the same register")
-    reg.state = _apply_gate_unchecked(reg.state, CNOT, (control.index, target.index))
+    reg.state = _apply_gate_unchecked(
+        reg.state, _CNOT_ROWS, (control.index, target.index))
 
 
-def measure_qubit(ref: QubitRef, basis: Basis, rng: np.random.Generator) -> int:
+def measure_qubit(
+    ref: QubitRef, basis: Basis, rng: np.random.Generator | Uniforms
+) -> int:
     """Projective measurement with collapse; updates the shared register."""
     reg = _live(ref)
     outcome = measure(reg.state, ref.index, basis, rng)

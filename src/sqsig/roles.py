@@ -17,12 +17,14 @@ import numpy as np
 from .detection import TrentTransmission, assemble_transmission, build_decoys
 from .keys import Bits, KeyStore, compute_g
 from .parties import Party
-from .quantum import Basis
+from .quantum import Basis, Uniforms
 from .register import QubitRef
 
 HashFn = Callable[[Sequence[int]], Bits]
 
 DEFAULT_DIGEST_BITS = 256
+
+_Z = Basis.Z
 
 
 # Bit expansion of every byte value, precomputed once.
@@ -119,7 +121,8 @@ def trent_receive(
 
     Returns (T, g).
     """
-    t_bits = tuple(trent.measure(ref, Basis.Z, rng) for ref in carriers)
+    draws = Uniforms(rng, len(carriers))
+    t_bits = tuple([trent.measure(ref, _Z, draws) for ref in carriers])
     trent.classical_compute()
     return t_bits, compute_g(recovered_m, store)
 
@@ -128,7 +131,8 @@ def bob_measure(
     bundle_qubits: Sequence[QubitRef], bob: Party, rng: np.random.Generator
 ) -> Bits:
     """Z-measure every signature qubit in order."""
-    return tuple(bob.measure(ref, Basis.Z, rng) for ref in bundle_qubits)
+    draws = Uniforms(rng, len(bundle_qubits))
+    return tuple([bob.measure(ref, _Z, draws) for ref in bundle_qubits])
 
 
 def trent_verify(g: Sequence[int], t: Sequence[int], b: Sequence[int]) -> VerificationOutcome:

@@ -31,7 +31,7 @@ from sqsig.keys import keygen_init
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
-from sqsig.roles import alice_sign
+from sqsig.roles import alice_sign, bob_measure, trent_receive
 
 
 def attack(text):
@@ -507,6 +507,59 @@ class TestAliceFinalCheck:
         alice = quantum_party("alice")
         with pytest.raises(ValueError):
             alice_final_check(alice, [], PermutationRecord(mapping=(0,)), [], rng)
+
+
+def advanced(seed, k):
+    """The state of a fresh generator on `seed` after k scalar uniforms."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        rng.random()
+    return rng.bit_generator.state
+
+
+def signed_round(seed):
+    """Alice's signature on three bits, with four Z- and three X-decoys."""
+    rng = np.random.default_rng(seed)
+    alice = quantum_party("alice")
+    store = keygen_init(12, rng)
+    signed = alice_sign((1, 0, 1), store, alice, rng, d_z=4, d_x=3)
+    decoys, carriers = extract_decoys(
+        signed.transmission.sequence, [r.position for r in signed.transmission.records])
+    return alice, store, signed, decoys, carriers
+
+
+class TestOneDrawPerStage:
+    """Each stage that measures k qubits back to back takes k uniforms,
+    and they give the bits that k scalar draws give."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_receiver_checks_take_one_uniform_per_qubit(self, seed):
+        alice, _, signed, decoys, _ = signed_round(seed)
+        tx = signed.transmission
+        stage = np.random.default_rng(100 + seed)
+        bob_z_check(classical_party("trent"), tx.sequence, z_records(tx), stage)
+        assert stage.bit_generator.state == advanced(100 + seed, 4)
+        stage = np.random.default_rng(200 + seed)
+        perm = PermutationRecord(mapping=tuple(range(len(decoys))))
+        assert alice_final_check(alice, decoys, perm, tx.records, stage)[1::2] == (4, 3)
+        assert stage.bit_generator.state == advanced(200 + seed, 7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bell_half_stages_match_scalar_draws(self, seed):
+        m = (1, 0, 1)
+        _, store, signed, _, carriers = signed_round(seed)
+        stage = np.random.default_rng(300 + seed)
+        t_bits, _ = trent_receive(carriers, m, store, classical_party("trent"), stage)
+        b_bits = bob_measure(signed.bundle.b_sequence, classical_party("bob"), stage)
+        assert stage.bit_generator.state == advanced(300 + seed, 6)
+        # The same round, measured one scalar draw at a time.
+        _, _, signed, _, carriers = signed_round(seed)
+        scalar = np.random.default_rng(300 + seed)
+        trent, bob = classical_party("trent"), classical_party("bob")
+        assert t_bits == tuple(trent.measure(ref, Basis.Z, scalar) for ref in carriers)
+        assert b_bits == tuple(
+            bob.measure(ref, Basis.Z, scalar) for ref in signed.bundle.b_sequence)
+        assert [t ^ b for t, b in zip(t_bits, b_bits)] == list(signed.g)
 
 
 class TestWrongLengthClassicalMessage:

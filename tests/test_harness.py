@@ -189,6 +189,17 @@ class TestRunTrials:
         assert stats.error_rate_means["bob_z"] == 0.0
         assert transcript  # first trial retained
 
+    def test_trial_seed_is_the_spawned_child(self):
+        # run_trials builds trial i's seed as SeedSequence(seed, spawn_key=(i,))
+        # when it runs the trial: the same seed and stream as the i-th child
+        # of SeedSequence(seed).spawn(trials).
+        for seed in (0, 5, 2 ** 40):
+            for i, child in enumerate(np.random.SeedSequence(seed).spawn(40)):
+                own = np.random.SeedSequence(seed, spawn_key=(i,))
+                assert own.generate_state(8).tolist() == child.generate_state(8).tolist()
+                assert (np.random.default_rng(own).random(4).tolist()
+                        == np.random.default_rng(child).random(4).tolist())
+
     def test_bit_flip_attack_always_aborts(self):
         config = ScenarioConfig(
             n=4, trials=30, seed=6, attack=parse_attack("pauli_x_tamper")

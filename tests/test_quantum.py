@@ -7,6 +7,7 @@ amplitudes for the frequency checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from sqsig.quantum import (
     RegisterSizeError,
     StateVector,
     UNITARY_ATOL,
+    Uniforms,
     apply_unitary,
     equal_up_to_phase,
     fidelity,
@@ -122,6 +124,26 @@ class TestPreparation:
             prepare_bell(1).amplitudes, [0, SQRT2_INV, SQRT2_INV, 0], atol=1e-15
         )
 
+    def test_writing_into_returned_arrays_changes_no_state(self):
+        # Preparations, Bell states and 1-qubit post-states are shared, so
+        # a write into any array they hand out must not reach the state.
+        rng = np.random.default_rng(0)
+        prepare_single(Basis.Z, 0).amplitudes[:] = [0, 1]
+        prepare_single(Basis.X, 1).amplitudes[:] = [1, 0]
+        prepare_bell(0).amplitudes[:] = [0, 1, 0, 0]
+        measure(prepare_single(Basis.X, 0), 0, Basis.Z, rng).post_state.amplitudes[:] = 0.5
+        measure(prepare_bell(1), 0, Basis.Z, rng).post_state.amplitudes[:] = 0.5
+        np.testing.assert_array_equal(prepare_single(Basis.Z, 0).amplitudes, [1, 0])
+        np.testing.assert_array_equal(prepare_single(Basis.Z, 1).amplitudes, [0, 1])
+        np.testing.assert_array_equal(
+            prepare_single(Basis.X, 1).amplitudes, [SQRT2_INV, -SQRT2_INV])
+        np.testing.assert_array_equal(
+            prepare_bell(0).amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV])
+        np.testing.assert_array_equal(
+            prepare_bell(1).amplitudes, [0, SQRT2_INV, SQRT2_INV, 0])
+        for bit in (0, 1):
+            assert measure(prepare_single(Basis.Z, bit), 0, Basis.Z, rng).bit == bit
+
     def test_all_preparations_normalized(self):
         for basis in (Basis.Z, Basis.X):
             for bit in (0, 1):
@@ -142,6 +164,20 @@ class TestStateVectorValidation:
     def test_register_cap(self):
         with pytest.raises(RegisterSizeError):
             StateVector(np.zeros(32))
+
+    @pytest.mark.parametrize("amps", [
+        [np.nan, 0.0], [np.nan, 0.0, 0.0, 0.0], [1.0, np.nan], [np.inf, 0.0],
+    ])
+    def test_non_finite_amplitudes_rejected(self, amps):
+        with pytest.raises(ValueError):
+            StateVector(amps)
+
+    def test_amplitudes_are_python_complex(self):
+        for amps in ([1, 0], np.array([0.6, 0.8j]), (SQRT2_INV, 0, 0, SQRT2_INV)):
+            state = StateVector(amps)
+            assert type(state.amps) is tuple
+            assert all(type(a) is complex for a in state.amps)
+            np.testing.assert_array_equal(state.amplitudes, np.asarray(amps, dtype=complex))
 
     def test_non_square_density_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -344,9 +380,9 @@ class TestMeasurement:
 
 @st.composite
 def measured_registers(draw):
-    """A random 1..3-qubit register, the measured qubit, a basis and a
-    generator seed."""
-    n = draw(st.integers(1, 3))
+    """A random register of 1..MAX_REGISTER_QUBITS qubits, the measured
+    qubit, a basis and a generator seed."""
+    n = draw(st.integers(1, MAX_REGISTER_QUBITS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return (StateVector(amps / np.linalg.norm(amps)), draw(st.integers(0, n - 1)),
@@ -366,6 +402,80 @@ class TestMeasurementAgainstBranches:
         out = measure(state, qubit, basis, np.random.default_rng(seed))
         assert out.bit == (0 if u < p0 else 1)
         assert equal_up_to_phase(out.post_state, post0 if out.bit == 0 else post1)
+
+    @given(measured_registers())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_reference_loop_exactly(self, case):
+        # Every size branch of the kernel, the written-out Bell-half case
+        # included, does the same float operations as one plain loop.
+        state, qubit, basis, seed = case
+        bit, post = reference_measure(state.amps, qubit, basis,
+                                      np.random.default_rng(seed).random())
+        out = measure(state, qubit, basis, np.random.default_rng(seed))
+        assert out.bit == bit
+        assert out.post_state.amps == post
+        assert all(type(a) is complex for a in out.post_state.amps)
+
+
+def reference_measure(amps, qubit, basis, u):
+    """The measurement arithmetic as one loop over amplitude pairs: P(0) and
+    P(1) as sums of squares, the kept branch scaled by 1 / sqrt(P)."""
+    n = len(amps).bit_length() - 1
+    stride = 1 << (n - 1 - qubit)
+    zero = [i for i in range(len(amps)) if not i & stride]
+    if basis is Basis.X:
+        w0 = [(amps[i] + amps[i + stride]) * SQRT2_INV for i in zero]
+        w1 = [(amps[i] - amps[i + stride]) * SQRT2_INV for i in zero]
+    else:
+        w0 = [amps[i] for i in zero]
+        w1 = [amps[i + stride] for i in zero]
+    p0 = 0.0
+    for w in w0:
+        p0 += w.real * w.real + w.imag * w.imag
+    bit = 0 if u < p0 else 1
+    w, p = (w0, p0) if bit == 0 else (w1, 0.0)
+    if bit:
+        for c in w1:
+            p += c.real * c.real + c.imag * c.imag
+    if n == 1:  # the post-state is the shared preparation
+        return bit, prepare_single(basis, bit).amps
+    scale = 1.0 / math.sqrt(p)
+    out = [0j] * len(amps)
+    for i, c in zip(zero, w):
+        c *= scale
+        if basis is Basis.X:
+            out[i] = c * SQRT2_INV
+            out[i + stride] = c * (SQRT2_INV if bit == 0 else -SQRT2_INV)
+        else:
+            out[i + stride * bit] = c
+    return bit, tuple(out)
+
+
+class TestUniforms:
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 64])
+    def test_one_draw_equals_k_scalar_draws(self, k):
+        # rng.random(k) gives the values of k rng.random() calls and leaves
+        # the generator where they leave it.
+        for seed in range(20):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = Uniforms(batched, k)
+            assert [draws.random() for _ in range(k)] == [scalar.random() for _ in range(k)]
+            assert batched.bit_generator.state == scalar.bit_generator.state
+            assert batched.random() == scalar.random()
+
+    def test_measure_through_uniforms_matches_generator(self):
+        # The same registers read through a stage's draws or straight from
+        # the generator give the same bits and post-states.
+        states = [prepare_single(Basis.X, 0), prepare_bell(0), prepare_bell(1),
+                  tensor([prepare_bell(1), prepare_single(Basis.X, 1)])]
+        for seed in range(10):
+            direct, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = Uniforms(batched, 2 * len(states))
+            for state in states:
+                for basis in (Basis.Z, Basis.X):
+                    a = measure(state, 0, basis, direct)
+                    b = measure(state, 0, basis, draws)
+                    assert (a.bit, a.post_state.amps) == (b.bit, b.post_state.amps)
 
 
 class TestPartialTrace:
