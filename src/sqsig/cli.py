@@ -6,7 +6,8 @@ Subcommands:
   density --n N    ciphertext density check for two distinct messages
   efficiency --n N qubit-efficiency counts
 
-Exit codes: 0 success, 1 configuration error, 2 internal invariant failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 internal invariant
+failure.
 The top-level --debug flag prints the traceback of an internal failure.
 """
 
@@ -120,8 +121,10 @@ def _cmd_efficiency(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; argparse's usage error 2 becomes 1
+        return 1 if exc.code else 0
     handlers = {
         "run": _cmd_run,
         "matrix": _cmd_matrix,

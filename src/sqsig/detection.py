@@ -84,15 +84,6 @@ class DecoyRecord:
     bit: int
 
 
-@dataclass
-class PermutationRecord:
-    mapping: tuple[int, ...]  # mapping[j] = original index of j-th returned decoy
-
-    def __post_init__(self) -> None:
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError("mapping is not a bijection")
-
-
 CHECKS = ("bob_z", "alice_z", "alice_x")  # receiver's Z check, sender's Z/X recheck
 
 
@@ -176,33 +167,21 @@ def decode_loc(bits: Sequence[int]) -> list[DecoyRecord]:
     ]
 
 
-def encode_permutation(perm: PermutationRecord) -> Bits:
-    """d entries of 16-bit big-endian original indices, in returned order."""
+def encode_permutation(mapping: Sequence[int]) -> Bits:
+    """16 bits big-endian per entry; mapping[j] is returned decoy j's original index."""
     out: list[int] = []
-    for orig in perm.mapping:
+    for orig in mapping:
         out.extend(_int_to_bits(orig, POSITION_FIELD_BITS))
     return tuple(out)
 
 
-def decode_permutation(bits: Sequence[int]) -> PermutationRecord:
+def decode_permutation(bits: Sequence[int]) -> tuple[int, ...]:
+    """The announced mapping; the round checks that it is a bijection."""
     if len(bits) % POSITION_FIELD_BITS != 0:
         raise ValueError("permutation payload length is not a multiple of 16 bits")
-    d = len(bits) // POSITION_FIELD_BITS
     digits = _digits(bits)
-    mapping = tuple(int(digits[i:i + POSITION_FIELD_BITS], 2)
-                    for i in range(0, len(digits), POSITION_FIELD_BITS))
-    if d and max(mapping) >= d:
-        raise ValueError(f"permutation entry {max(mapping)} out of range for d={d}")
-    return PermutationRecord(mapping=mapping)
-
-
-def loc_announcement_bits(d_z: int, d_x: int) -> int:
-    """Key budget for the inline-OTP announcement of all decoy records."""
-    return RECORD_BITS * (d_z + d_x)
-
-
-def permutation_announcement_bits(d_total: int) -> int:
-    return POSITION_FIELD_BITS * d_total
+    return tuple(int(digits[i:i + POSITION_FIELD_BITS], 2)
+                 for i in range(0, len(digits), POSITION_FIELD_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -240,100 +219,37 @@ def build_decoys(
     return refs, records
 
 
-def interleave(
-    carriers: Sequence[QubitRef],
-    decoys: Sequence[QubitRef],
-    rng: np.random.Generator,
-) -> tuple[list[QubitRef], tuple[int, ...]]:
-    """Insert decoys uniformly among the carriers, preserving both orders.
-
-    Returns (sequence, decoy positions in decoy order).
-    """
-    n, d = len(carriers), len(decoys)
-    total = n + d
-    if d:
-        decoy_pos = sorted(int(p) for p in rng.choice(total, size=d, replace=False))
-    else:
-        decoy_pos = []
-    decoy_set = set(decoy_pos)
-    carrier_pos = [p for p in range(total) if p not in decoy_set]
-    sequence: list[QubitRef] = [None] * total  # type: ignore[list-item]
-    for p, ref in zip(decoy_pos, decoys):
-        sequence[p] = ref
-    for p, ref in zip(carrier_pos, carriers):
-        sequence[p] = ref
-    return sequence, tuple(decoy_pos)
-
-
 def assemble_transmission(
     carriers: Sequence[QubitRef],
     decoy_refs: Sequence[QubitRef],
     records: Sequence[DecoyRecord],
     rng: np.random.Generator,
 ) -> TrentTransmission:
-    """Interleave the decoys; each record gets its position, in order."""
-    sequence, decoy_pos = interleave(carriers, decoy_refs, rng)
+    """Insert the decoys uniformly among the carriers, keeping both orders.
+
+    Each record gets its decoy's transmitted position, in order.
+    """
+    d = len(decoy_refs)
+    total = len(carriers) + d
+    decoy_pos = sorted(rng.choice(total, size=d, replace=False).tolist()) if d else []
+    decoy_set = set(decoy_pos)
+    carrier_it, decoy_it = iter(carriers), iter(decoy_refs)
+    sequence = [next(decoy_it) if p in decoy_set else next(carrier_it)
+                for p in range(total)]
     for pos, rec in zip(decoy_pos, records):
         rec.position = pos
     return TrentTransmission(sequence=sequence, records=list(records))
 
 
-def bob_z_check(
-    receiver: Party,
-    sequence: Sequence[QubitRef],
-    z_records: Sequence[DecoyRecord],
-    rng: np.random.Generator,
-    compare: bool = True,
-) -> tuple[int, int, list[int]]:
-    """Measure announced Z-decoys; optionally compare against announced bits.
-
-    Returns (errors, checked, measured bits in record order). The decoys
-    stay in their post-measurement states. With compare=False (the
-    prior-scheme baseline) nothing counts as checked.
-    """
-    draws = Uniforms(rng, len(z_records))
-    measured = [receiver.measure(sequence[rec.position], _BASIS_Z, draws)
-                for rec in z_records]
-    if not compare:
-        return 0, 0, measured
-    errors = sum(bit != rec.bit for bit, rec in zip(measured, z_records))
-    return errors, len(z_records), measured
-
-
-def extract_decoys(
-    sequence: Sequence[QubitRef], decoy_positions: Sequence[int]
-) -> tuple[list[QubitRef], list[QubitRef]]:
-    """Split the received sequence into (decoys in position order, carriers)."""
-    decoy_set = set(decoy_positions)
-    decoys = [sequence[p] for p in sorted(decoy_set)]
-    carriers = [ref for p, ref in enumerate(sequence) if p not in decoy_set]
-    return decoys, carriers
-
-
-def alice_final_check(
-    alice: Party,
-    returned: Sequence[QubitRef],
-    perm: PermutationRecord,
+def measure_records(
+    party: Party,
+    refs: Sequence[QubitRef],
     records: Sequence[DecoyRecord],
     rng: np.random.Generator,
-) -> tuple[int, int, int, int]:
-    """Restore decoy order, measure each in its recorded basis, count errors.
-
-    `records` are the sender's own, in position order. Returns
-    (z_errors, z_checked, x_errors, x_checked).
-    """
-    if len(perm.mapping) != len(returned) or len(returned) != len(records):
-        raise ValueError("permutation inconsistent with decoy count")
-    restored: list[QubitRef] = [None] * len(returned)  # type: ignore[list-item]
-    for j, ref in enumerate(returned):
-        restored[perm.mapping[j]] = ref
-    tally = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [errors, checked]
-    draws = Uniforms(rng, len(records))
-    for rec, ref in zip(records, restored):
-        counts = tally[rec.basis]
-        counts[0] += alice.measure(ref, rec.basis, draws) != rec.bit
-        counts[1] += 1
-    return (*tally[Basis.Z], *tally[Basis.X])
+) -> list[int]:
+    """Measure each ref in its record's basis, from one draw of len(refs) uniforms."""
+    draws = Uniforms(rng, len(refs))
+    return [party.measure(ref, rec.basis, draws) for ref, rec in zip(refs, records)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +292,9 @@ def run_detection_round(
     checked error rate exceeds the threshold, and, whatever the threshold,
     when an announcement was tampered into nonsense: one that does not
     decrypt or decode (a wrong length), a decoy position outside the
-    received sequence or named twice, or a returned permutation that is
-    not a bijection over the sender's decoys.
+    received sequence or named twice, a returned permutation that is not
+    a bijection over the sender's decoys, or a return that does not hold
+    one qubit per decoy.
     """
     spec = MODE_SPECS[mode]
     if spec.encrypted and store is None:
@@ -408,24 +325,27 @@ def run_detection_round(
     positions = {r.position for r in announced}
     if len(positions) < len(announced) or any(p >= len(seq) for p in positions):
         return _abort(report)
-    decoys, carriers = extract_decoys(seq, positions)
+    decoys = [seq[p] for p in sorted(positions)]
+    carriers = [ref for p, ref in enumerate(seq) if p not in positions]
 
     recovered_m: Bits | None = None
     if spec.measures:
-        report.bob_z_errors, report.bob_z_checked, z_bits = bob_z_check(
-            receiver, seq, [r for r in announced if r.basis is _BASIS_Z], rng,
-            compare=spec.compares,
-        )
+        z_announced = [r for r in announced if r.basis is _BASIS_Z]
+        z_bits = measure_records(
+            receiver, [seq[r.position] for r in z_announced], z_announced, rng)
+        if spec.compares:
+            report.bob_z_checked = len(z_announced)
+            report.bob_z_errors = sum(
+                bit != r.bit for bit, r in zip(z_bits, z_announced))
         if report.rate("bob_z") > threshold:
             return _abort(report)
         recovered_m = tuple(z_bits[:len(carriers)])
-        mapping = [int(p) for p in rng.permutation(len(decoys))]
+        mapping = tuple(rng.permutation(len(decoys)).tolist())
         returned = receiver.reorder(decoys, mapping)
     else:
         receiver.delay()
         returned = receiver.reflect(decoys)
-        mapping = list(range(len(records)))
-    perm = PermutationRecord(mapping=tuple(mapping))
+        mapping = tuple(range(len(records)))
 
     returned = channel.send_qubits(TapPoint.RETURN_TRENT_TO_ALICE, returned, rng)
 
@@ -435,20 +355,26 @@ def run_detection_round(
                 TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", (1,), rng
             )
         try:
-            perm = decode_permutation(_announce(
+            mapping = decode_permutation(_announce(
                 channel, TapPoint.RETURN_TRENT_TO_ALICE,
                 "perm_ciphertext" if spec.encrypted else "permutation",
-                encode_permutation(perm), pad, "perm_announce", rng,
+                encode_permutation(mapping), pad, "perm_announce", rng,
             ))
-        except ValueError:  # a wrong length, entries out of range or repeated
+        except ValueError:  # a length that does not decrypt or decode
             return _abort(report)
-    if not len(perm.mapping) == len(returned) == len(records):
+    # The one check of the return: a bijection over the sender's decoys,
+    # and one returned qubit for each of them.
+    if sorted(mapping) != list(range(len(records))) or len(returned) != len(records):
         return _abort(report)
 
-    (report.alice_z_errors, report.alice_z_checked,
-     report.alice_x_errors, report.alice_x_checked) = alice_final_check(
-        sender, returned, perm, records, rng
-    )
+    restored: list[QubitRef] = [None] * len(records)  # type: ignore[list-item]
+    for j, ref in enumerate(returned):
+        restored[mapping[j]] = ref
+    bits = measure_records(sender, restored, records, rng)
+    for check, basis in (("alice_z", Basis.Z), ("alice_x", Basis.X)):
+        misses = [bit != r.bit for bit, r in zip(bits, records) if r.basis is basis]
+        setattr(report, f"{check}_errors", sum(misses))
+        setattr(report, f"{check}_checked", len(misses))
     if max(report.rate("alice_z"), report.rate("alice_x")) > threshold:
         return _abort(report)
 

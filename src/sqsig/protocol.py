@@ -9,11 +9,11 @@ import numpy as np
 from .adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from .detection import (
     MODE_SPECS,
+    POSITION_FIELD_BITS,
+    RECORD_BITS,
     DetectionMode,
     DetectionReport,
     Verdict,
-    loc_announcement_bits,
-    permutation_announcement_bits,
     run_detection_round,
 )
 from .keys import Bits, KeyStore, keygen_init
@@ -32,11 +32,9 @@ from .roles import (
 
 def key_budget(n: int, d_z: int, d_x: int, mode: DetectionMode) -> int:
     """Key bits one run consumes: the signing pad plus inline OTP traffic."""
-    budget = n
-    if MODE_SPECS[mode].encrypted:
-        budget += loc_announcement_bits(d_z, d_x)
-        budget += permutation_announcement_bits(d_z + d_x)
-    return budget
+    if MODE_SPECS[mode].encrypted:  # one LOC record and permutation entry a decoy
+        return n + (RECORD_BITS + POSITION_FIELD_BITS) * (d_z + d_x)
+    return n
 
 
 @dataclass
@@ -70,10 +68,13 @@ def run_protocol_round(
 
     Signing, the eavesdropping-detection round on the Trent leg, carrier
     measurement, the Bob leg, and both verification steps. Aborted
-    detection short-circuits the rest of the round.
+    detection short-circuits the rest of the round. A given `store` serves
+    one round: a store with consumed segments would reuse their pads.
     """
     if len(message) != n:
         raise ValueError("message length must equal n")
+    if store is not None and store.segments:
+        raise ValueError("a key store serves one round; this one is used")
     if d_z is None:
         d_z = n
     if d_x is None:

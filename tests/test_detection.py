@@ -7,23 +7,18 @@ from hypothesis import strategies as st
 
 from sqsig.adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from sqsig.detection import (
+    POSITION_FIELD_BITS,
     RECORD_BITS,
     DecoyRecord,
     DetectionMode,
-    PermutationRecord,
     Verdict,
-    alice_final_check,
     assemble_transmission,
-    bob_z_check,
     build_decoys,
     decode_loc,
     decode_permutation,
     encode_loc,
     encode_permutation,
-    extract_decoys,
-    interleave,
-    loc_announcement_bits,
-    permutation_announcement_bits,
+    measure_records,
     run_detection_round,
 )
 from sqsig.harness import build_strategy, parse_attack
@@ -39,7 +34,7 @@ def attack(text):
 
 
 def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
-              threshold=0.0):
+              threshold=0.0, transcript=None):
     """One signing plus detection round under the given mode and attack."""
     rng = np.random.default_rng(seed)
     message = message if message is not None else tuple(
@@ -49,7 +44,7 @@ def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
     alice = quantum_party("alice")
     trent = classical_party("trent")
     signed = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
-    channel = Channel(strategy)
+    channel = Channel(strategy, transcript=transcript)
     result = run_detection_round(
         mode, channel, signed.transmission, threshold, alice, trent, store, rng
     )
@@ -61,9 +56,17 @@ def z_records(transmission):
     return [r for r in transmission.records if r.basis is Basis.Z]
 
 
-def carrier_positions(sequence, decoy_positions):
-    """The carriers' positions: every position not holding a decoy."""
-    return tuple(p for p in range(len(sequence)) if p not in decoy_positions)
+def split_sequence(transmission):
+    """(decoys in position order, carriers) of an assembled transmission."""
+    positions = {r.position for r in transmission.records}
+    seq = transmission.sequence
+    return ([seq[p] for p in sorted(positions)],
+            [ref for p, ref in enumerate(seq) if p not in positions])
+
+
+def unplaced(basis, bit, count):
+    """Sender records for `count` decoys not yet given a position."""
+    return [DecoyRecord(position=-1, basis=basis, bit=bit) for _ in range(count)]
 
 
 class FlipWireBit(AttackStrategy):
@@ -84,18 +87,18 @@ class FlipWireBit(AttackStrategy):
 
 
 class ResizeWire(AttackStrategy):
-    """Drop the last bit of the named announcement, or append a 0 bit."""
+    """Append `delta` 0 bits to the named announcement, or drop -delta bits."""
 
     kind = "resize_wire"
 
-    def __init__(self, wire, grow):
+    def __init__(self, wire, delta):
         super().__init__()
-        self.wire, self.grow = wire, grow
+        self.wire, self.delta = wire, delta
 
     def tap_classical(self, point, name, bits, rng):
         bits = super().tap_classical(point, name, bits, rng)
         if name == self.wire:
-            bits = bits + (0,) if self.grow else bits[:-1]
+            bits = bits + (0,) * self.delta if self.delta > 0 else bits[:self.delta]
         return bits
 
 
@@ -166,15 +169,16 @@ class TestInterleave:
     def test_no_decoys_identity(self):
         alice = quantum_party("alice")
         carriers = [alice.prepare(Basis.Z, 0) for _ in range(2)]
-        seq, decoy_pos = interleave(carriers, [], np.random.default_rng(0))
-        assert seq == carriers
-        assert decoy_pos == () and carrier_positions(seq, decoy_pos) == (0, 1)
+        tx = assemble_transmission(carriers, [], [], np.random.default_rng(0))
+        assert tx.sequence == carriers and tx.records == []
 
     def test_no_carriers(self):
         alice = quantum_party("alice")
         decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
-        seq, decoy_pos = interleave([], decoys, np.random.default_rng(0))
-        assert seq == decoys and carrier_positions(seq, decoy_pos) == ()
+        tx = assemble_transmission([], decoys, unplaced(Basis.Z, 1, 3),
+                                   np.random.default_rng(0))
+        assert tx.sequence == decoys
+        assert [r.position for r in tx.records] == [0, 1, 2]
 
     def test_partition_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -182,20 +186,20 @@ class TestInterleave:
         for _ in range(20):
             carriers = [alice.prepare(Basis.Z, 0) for _ in range(4)]
             decoys = [alice.prepare(Basis.X, 0) for _ in range(3)]
-            seq, decoy_pos = interleave(carriers, decoys, rng)
-            got_decoys, got_carriers = extract_decoys(seq, decoy_pos)
-            assert got_decoys == decoys
-            assert got_carriers == carriers
+            tx = assemble_transmission(carriers, decoys, unplaced(Basis.X, 0, 3), rng)
+            assert split_sequence(tx) == (decoys, carriers)
 
     def test_relative_orders_preserved(self):
         rng = np.random.default_rng(4)
         alice = quantum_party("alice")
         carriers = [alice.prepare(Basis.Z, 0) for _ in range(3)]
         decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
-        seq, decoy_pos = interleave(carriers, decoys, rng)
-        carrier_pos = carrier_positions(seq, decoy_pos)
-        assert [seq[p] for p in carrier_pos] == carriers
-        assert [seq[p] for p in decoy_pos] == decoys
+        tx = assemble_transmission(carriers, decoys, unplaced(Basis.Z, 1, 3), rng)
+        decoy_pos = [r.position for r in tx.records]
+        assert decoy_pos == sorted(set(decoy_pos))
+        carrier_pos = [p for p in range(6) if p not in decoy_pos]
+        assert [tx.sequence[p] for p in carrier_pos] == carriers
+        assert [tx.sequence[p] for p in decoy_pos] == decoys
 
 
 class TestWireEncodings:
@@ -227,80 +231,83 @@ class TestWireEncodings:
             decode_loc((0, 1, 0))
 
     def test_permutation_roundtrip(self):
-        perm = PermutationRecord(mapping=(2, 0, 1))
-        assert decode_permutation(encode_permutation(perm)).mapping == (2, 0, 1)
+        assert decode_permutation(encode_permutation((2, 0, 1))) == (2, 0, 1)
 
     def test_permutation_entry_out_of_range_rejected(self):
-        bits = encode_permutation(PermutationRecord(mapping=(0, 1)))
+        bits = encode_permutation((0, 1))
         # Rewrite the second entry to the value 7 (out of range for d=2).
         tampered = bits[:16] + (0,) * 13 + (1, 1, 1)
+        # The codec reads the entry as sent; the round is what refuses it.
+        assert decode_permutation(tampered) == (0, 7)
+        for mode in (DetectionMode.IMPROVED, DetectionMode.MEASURE_THEN_RETURN):
+            result, _, _, _ = run_round(
+                mode, FlipWireBit("permutation", 0), seed=3, threshold=1.0
+            )
+            assert result.report.verdict is Verdict.ABORT
+            assert result.carriers == [] and result.recovered_m is None
+
+    @pytest.mark.parametrize("position",[1 << POSITION_FIELD_BITS, -1])
+    def test_position_outside_field_rejected(self, position):
         with pytest.raises(ValueError):
-            decode_permutation(tampered)
+            encode_loc([DecoyRecord(position=position, basis=Basis.Z, bit=0)])
+        with pytest.raises(ValueError):
+            encode_permutation((0, position))
 
     def test_budget_helpers(self):
-        assert loc_announcement_bits(3, 2) == 18 * 5
-        assert permutation_announcement_bits(5) == 16 * 5
+        # One 18-bit LOC record and one 16-bit permutation entry per decoy.
+        assert key_budget(4, 3, 2, DetectionMode.IMPROVED_INLINE_OTP) == 4 + 34 * 5
+        for mode in (DetectionMode.IMPROVED, DetectionMode.MEASURE_THEN_RETURN,
+                     DetectionMode.DIRECT_REFLECTION):
+            assert key_budget(4, 3, 2, mode) == 4
+        # An honest inline round consumes exactly the budgeted key.
+        result = run_protocol_round(
+            n=4, message=(1, 0, 0, 1), mode=DetectionMode.IMPROVED_INLINE_OTP,
+            strategy=None, rng=np.random.default_rng(7), d_z=5, d_x=2,
+        )
+        assert result.accepted
+        assert result.store.cursor == len(result.store.key_bits) == 4 + 34 * 7
 
     @given(st.permutations(list(range(6))))
     @settings(max_examples=40, deadline=None)
     def test_permutation_roundtrip_property(self, mapping):
-        perm = PermutationRecord(mapping=tuple(mapping))
-        assert decode_permutation(encode_permutation(perm)).mapping == tuple(mapping)
-
-
-class TestPermutationRecord:
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            PermutationRecord(mapping=(0, 0, 2))
+        assert decode_permutation(encode_permutation(mapping)) == tuple(mapping)
 
 
 class TestChecks:
-    def _transmission(self, seed, d_z=3, d_x=3):
-        rng = np.random.default_rng(seed)
-        alice = quantum_party("alice")
-        store = keygen_init(4, rng)
-        signed = alice_sign((1, 0), store, alice, rng, d_z=d_z, d_x=d_x)
-        return signed.transmission, alice, rng
-
     def test_honest_receiver_check_clean(self):
-        transmission, _, rng = self._transmission(10)
-        trent = classical_party("trent")
-        errors, checked, _ = bob_z_check(
-            trent, transmission.sequence, z_records(transmission), rng
-        )
-        assert (errors, checked) == (0, 3)
+        rng = np.random.default_rng(10)
+        alice = quantum_party("alice")
+        signed = alice_sign((1, 0), keygen_init(4, rng), alice, rng, d_z=3, d_x=3)
+        tx = signed.transmission
+        z = z_records(tx)
+        z_refs = [tx.sequence[r.position] for r in z]
+        assert measure_records(classical_party("trent"), z_refs, z, rng) == [
+            r.bit for r in z]
+        decoys, _ = split_sequence(tx)
+        assert measure_records(alice, decoys, tx.records, rng) == [
+            r.bit for r in tx.records]
 
     def test_bit_flip_on_every_qubit_all_errors(self):
-        transmission, _, rng = self._transmission(11)
-        attack("pauli_x_tamper").tap_qubits(
-            TapPoint.FORWARD_ALICE_TO_TRENT, transmission.sequence, rng
-        )
-        trent = classical_party("trent")
-        errors, checked, _ = bob_z_check(
-            trent, transmission.sequence, z_records(transmission), rng
-        )
-        assert errors == checked == 3
+        result, _, _, _ = run_round(DetectionMode.IMPROVED, attack("pauli_x_tamper"),
+                                    seed=11, d_z=3, threshold=1.0)
+        rep = result.report
+        assert rep.bob_z_errors == rep.bob_z_checked == 3
 
     def test_z_measurement_attack_invisible_to_z_check(self):
-        transmission, _, rng = self._transmission(12)
-        attack("intercept_resend_z").tap_qubits(
-            TapPoint.FORWARD_ALICE_TO_TRENT, transmission.sequence, rng
-        )
-        trent = classical_party("trent")
-        errors, _, _ = bob_z_check(
-            trent, transmission.sequence, z_records(transmission), rng
-        )
-        assert errors == 0
+        result, _, _, _ = run_round(DetectionMode.IMPROVED, attack("intercept_resend_z"),
+                                    seed=12, d_z=3, threshold=1.0)
+        rep = result.report
+        assert (rep.bob_z_errors, rep.bob_z_checked) == (0, 3)
 
     def test_compare_disabled_counts_nothing(self):
-        transmission, _, rng = self._transmission(13)
-        trent = classical_party("trent")
-        _, checked, measured = bob_z_check(
-            trent, transmission.sequence, z_records(transmission), rng,
-            compare=False,
-        )
-        assert checked == 0
-        assert len(measured) == 3
+        # The receiver of measure_then_return measures every Z-decoy (its
+        # recovered message is the flipped one) but compares none of them.
+        result, _, _, _ = run_round(DetectionMode.MEASURE_THEN_RETURN,
+                                    attack("pauli_x_tamper"), seed=13,
+                                    message=(1, 0))
+        rep = result.report
+        assert rep.bob_z_errors == rep.bob_z_checked == 0
+        assert result.recovered_m == (0, 1)
 
 
 class TestRunDetectionRound:
@@ -329,20 +336,29 @@ class TestRunDetectionRound:
         assert rep.bob_z_errors == 1
         assert rep.verdict is Verdict.ABORT
 
-    @pytest.mark.parametrize("mode, wire, bit", [
+    @pytest.mark.parametrize("mode, wire, tamper", [
         (DetectionMode.IMPROVED, "loc_z", 0),  # position out of range
         (DetectionMode.IMPROVED, "loc_z", 15),  # position named twice
         (DetectionMode.IMPROVED, "permutation", 0),  # entry out of range
-        (DetectionMode.IMPROVED, "permutation", 15),  # not a bijection
+        # Flipping the low bit of the first of four entries repeats another.
+        (DetectionMode.IMPROVED, "permutation", 15),
+        (DetectionMode.MEASURE_THEN_RETURN, "permutation", 15),
+        (DetectionMode.IMPROVED_INLINE_OTP, "perm_ciphertext", 15),
+        (DetectionMode.IMPROVED, "permutation", "drop_entry"),  # wrong count
+        (DetectionMode.MEASURE_THEN_RETURN, "permutation", "drop_entry"),
+        (DetectionMode.IMPROVED_INLINE_OTP, "perm_ciphertext", "drop_entry"),
         (DetectionMode.DIRECT_REFLECTION, "decoy_positions", 0),
         (DetectionMode.IMPROVED_INLINE_OTP, "loc_ciphertext", 0),
     ])
-    def test_tampered_announcement_aborts(self, mode, wire, bit):
+    def test_tampered_announcement_aborts(self, mode, wire, tamper):
         # Threshold 1.0 lets no error rate abort: only the malformed
-        # announcement itself can.
-        result, _, _, _ = run_round(
-            mode, FlipWireBit(wire, bit), seed=3, threshold=1.0
-        )
+        # announcement itself can. A tamper is a bit to flip, or
+        # "drop_entry" to announce one permutation entry too few.
+        if tamper == "drop_entry":
+            strategy = ResizeWire(wire, -POSITION_FIELD_BITS)
+        else:
+            strategy = FlipWireBit(wire, tamper)
+        result, _, _, _ = run_round(mode, strategy, seed=3, threshold=1.0)
         assert result.report.verdict is Verdict.ABORT
         assert result.carriers == [] and result.recovered_m is None
 
@@ -360,7 +376,7 @@ class TestRunDetectionRound:
         # An announcement one bit short or long cannot be decoded (or
         # decrypted); the round aborts whatever the threshold.
         result, _, _, _ = run_round(
-            mode, ResizeWire(wire, grow), seed=3, threshold=1.0
+            mode, ResizeWire(wire, 1 if grow else -1), seed=3, threshold=1.0
         )
         assert result.report.verdict is Verdict.ABORT
         assert result.carriers == [] and result.recovered_m is None
@@ -469,44 +485,29 @@ class TestInlineAnnouncements:
             assert a_stop <= b_start  # pairwise disjoint
 
     def test_ciphertext_bit_flip_never_silently_valid(self):
-        # Flipping wire bits either breaks the decode or changes the
-        # mapping; it can never decode back to the original permutation.
-        perm = PermutationRecord(mapping=(1, 2, 0))
-        bits = encode_permutation(perm)
+        # Flipping a wire bit changes the mapping; it can never decode
+        # back to the original permutation.
+        mapping = (1, 2, 0)
+        bits = encode_permutation(mapping)
         for i in range(len(bits)):
             tampered = tuple(
                 b ^ (j == i) for j, b in enumerate(bits)
             )
-            try:
-                decoded = decode_permutation(tampered)
-            except ValueError:
-                continue
-            assert decoded.mapping != perm.mapping
+            assert decode_permutation(tampered) != mapping
 
 
 class TestAliceFinalCheck:
     def test_shuffled_return_restores_and_passes(self):
-        rng = np.random.default_rng(40)
-        alice = quantum_party("alice")
-        trent = classical_party("trent")
-        store = keygen_init(2, rng)
-        signed = alice_sign((1,), store, alice, rng, d_z=2, d_x=2)
-        tx = signed.transmission
-        # Trent measures the announced Z decoys, then shuffles all decoys.
-        bob_z_check(trent, tx.sequence, z_records(tx), rng)
-        decoys, _ = extract_decoys(tx.sequence, [r.position for r in tx.records])
-        perm = PermutationRecord(mapping=(2, 0, 3, 1))
-        returned = trent.reorder(decoys, list(perm.mapping))
-        z_err, z_chk, x_err, x_chk = alice_final_check(
-            alice, returned, perm, tx.records, rng
-        )
-        assert (z_err, z_chk, x_err, x_chk) == (0, 2, 0, 2)
-
-    def test_count_mismatch_rejected(self):
-        rng = np.random.default_rng(41)
-        alice = quantum_party("alice")
-        with pytest.raises(ValueError):
-            alice_final_check(alice, [], PermutationRecord(mapping=(0,)), [], rng)
+        transcript: list = []
+        result, _, _, _ = run_round(DetectionMode.IMPROVED, NoAttack(), seed=40,
+                                    d_z=4, d_x=4, transcript=transcript)
+        wire = next(ev["bits"] for ev in transcript if ev.get("name") == "permutation")
+        mapping = decode_permutation(tuple(int(b) for b in wire))
+        assert mapping != tuple(range(8))  # the receiver did shuffle
+        rep = result.report
+        assert rep.verdict is Verdict.CONTINUE
+        assert (rep.alice_z_errors, rep.alice_z_checked,
+                rep.alice_x_errors, rep.alice_x_checked) == (0, 4, 0, 4)
 
 
 def advanced(seed, k):
@@ -523,8 +524,7 @@ def signed_round(seed):
     alice = quantum_party("alice")
     store = keygen_init(12, rng)
     signed = alice_sign((1, 0, 1), store, alice, rng, d_z=4, d_x=3)
-    decoys, carriers = extract_decoys(
-        signed.transmission.sequence, [r.position for r in signed.transmission.records])
+    decoys, carriers = split_sequence(signed.transmission)
     return alice, store, signed, decoys, carriers
 
 
@@ -534,15 +534,20 @@ class TestOneDrawPerStage:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_receiver_checks_take_one_uniform_per_qubit(self, seed):
-        alice, _, signed, decoys, _ = signed_round(seed)
-        tx = signed.transmission
+        def measured(measure):
+            # Each decoy in the other basis, so each bit is a fresh coin.
+            alice, _, signed, decoys, _ = signed_round(seed)
+            swapped = [DecoyRecord(r.position, Basis.X if r.basis is Basis.Z else Basis.Z,
+                                   r.bit) for r in signed.transmission.records]
+            return measure(alice, decoys, swapped)
+
         stage = np.random.default_rng(100 + seed)
-        bob_z_check(classical_party("trent"), tx.sequence, z_records(tx), stage)
-        assert stage.bit_generator.state == advanced(100 + seed, 4)
-        stage = np.random.default_rng(200 + seed)
-        perm = PermutationRecord(mapping=tuple(range(len(decoys))))
-        assert alice_final_check(alice, decoys, perm, tx.records, stage)[1::2] == (4, 3)
-        assert stage.bit_generator.state == advanced(200 + seed, 7)
+        bits = measured(lambda party, refs, records: measure_records(
+            party, refs, records, stage))
+        assert stage.bit_generator.state == advanced(100 + seed, 7)
+        scalar = np.random.default_rng(100 + seed)
+        assert bits == measured(lambda party, refs, records: [
+            party.measure(ref, r.basis, scalar) for ref, r in zip(refs, records)])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bell_half_stages_match_scalar_draws(self, seed):

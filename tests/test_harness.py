@@ -410,6 +410,20 @@ class TestCli:
         assert main(["matrix", "--n", "1", "--trials", "1", "--seed", "-1"]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--n", "abc"],
+        ["bogus"],
+        ["run", "scenario.scn", "--format", "bogus"],
+    ])
+    def test_usage_error_exit_code(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["matrix", "--help"]])
+    def test_help_exit_code(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: sqsig" in capsys.readouterr().out
+
     def test_non_utf8_scenario_exit_code(self, tmp_path, capsys):
         path = tmp_path / "latin1.scn"
         path.write_bytes("n = 2  # caf\u00e9\n".encode("latin-1"))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from sqsig.detection import extract_decoys
 from sqsig.keys import KeyStore, keygen_init
 from sqsig.parties import (
     CLASSICAL_ALLOWED,
@@ -134,10 +133,9 @@ class TestTrentReceive:
         trent = classical_party("trent")
         m = (1, 0, 1, 1, 0, 0)
         signed = alice_sign(m, store, alice, rng, d_z=6, d_x=6)
-        _, carriers = extract_decoys(
-            signed.transmission.sequence,
-            [r.position for r in signed.transmission.records],
-        )
+        positions = {r.position for r in signed.transmission.records}
+        carriers = [ref for p, ref in enumerate(signed.transmission.sequence)
+                    if p not in positions]
         t_bits, g_trent = trent_receive(carriers, m, store, trent, rng)
         assert g_trent == signed.g
         assert len(t_bits) == len(m)
