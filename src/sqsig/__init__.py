@@ -26,8 +26,6 @@ from .adversary import (
     TapPoint,
 )
 from .roles import (
-    Evidence,
-    SignatureBundle,
     VerificationOutcome,
     bob_accept,
     bob_measure,

@@ -191,7 +191,7 @@ def decode_permutation(bits: Sequence[int]) -> tuple[int, ...]:
 def build_decoys(
     d_z: int,
     d_x: int,
-    embedded_m: Sequence[int] | None,
+    embedded_m: Sequence[int],
     rng: np.random.Generator,
     preparer: Party,
 ) -> tuple[list[QubitRef], list[DecoyRecord]]:
@@ -200,17 +200,16 @@ def build_decoys(
     Returned records are in decoy-sequence order with position unset (-1);
     assemble_transmission() sets the transmitted positions.
     """
-    embedded = tuple(embedded_m) if embedded_m is not None else ()
-    if len(embedded) > d_z:
+    if len(embedded_m) > d_z:
         raise ValueError(
-            f"cannot embed {len(embedded)} message bits into {d_z} Z-decoys"
+            f"cannot embed {len(embedded_m)} message bits into {d_z} Z-decoys"
         )
     bases = [Basis.Z] * d_z + [Basis.X] * d_x
     order = rng.permutation(d_z + d_x)
     fill_bits = rng.integers(0, 2, size=d_z + d_x).tolist()
     refs: list[QubitRef] = []
     records: list[DecoyRecord] = []
-    message = iter(embedded)
+    message = iter(embedded_m)
     for slot, idx in enumerate(order.tolist()):
         basis = bases[idx]
         bit = next(message, fill_bits[slot]) if basis is _BASIS_Z else fill_bits[slot]
@@ -291,10 +290,10 @@ def run_detection_round(
     len(carriers) of its Z results. The verdict is Abort as soon as any
     checked error rate exceeds the threshold, and, whatever the threshold,
     when an announcement was tampered into nonsense: one that does not
-    decrypt or decode (a wrong length), a decoy position outside the
-    received sequence or named twice, a returned permutation that is not
-    a bijection over the sender's decoys, or a return that does not hold
-    one qubit per decoy.
+    decrypt or decode (a wrong length), a record in a basis its wire does
+    not announce, a decoy position outside the received sequence or named
+    twice, a returned permutation that is not a bijection over the
+    sender's decoys, or a return that does not hold one qubit per decoy.
     """
     spec = MODE_SPECS[mode]
     if spec.encrypted and store is None:
@@ -314,12 +313,15 @@ def run_detection_round(
     for wire_name, bases, values in spec.announcements:
         payload = encode_loc([r for r in records if r.basis in bases], include_values=values)
         try:
-            announced += decode_loc(_announce(
+            received = decode_loc(_announce(
                 channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name, payload,
                 pad, "loc_announce", rng,
             ))
         except ValueError:  # a length that does not decrypt or decode
             return _abort(report)
+        if any(r.basis not in bases for r in received):
+            return _abort(report)
+        announced += received
     if spec.encrypted:
         receiver.classical_compute()
     positions = {r.position for r in announced}

@@ -233,7 +233,7 @@ def load_scenario(path: str) -> ScenarioConfig:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -356,7 +356,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         if message is None:
             message = tuple(int(b) for b in rng.integers(0, 2, size=config.n))
         result = run_protocol_round(
-            n=config.n, message=message, mode=config.mode,
+            message=message, mode=config.mode,
             strategy=build_strategy(config.attack), rng=rng,
             d_z=config.d_z, d_x=config.d_x, threshold=config.threshold,
             noise_p=config.noise_p, record_transcript=(i == 0),

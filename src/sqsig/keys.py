@@ -2,9 +2,8 @@
 
 The signer and the trusted third party hold the same key string. Segments
 are allocated for named purposes (signing pad, announcement encryption)
-and may never overlap; the cursor only advances. Either holder can read
-back an already-designated segment by purpose, but consuming the same
-range twice is rejected.
+at the cursor, which only advances, so no two segments overlap. Either
+holder can read back an already-designated segment by purpose.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ Bits = tuple[int, ...]
 
 class KeyExhaustedError(RuntimeError):
     """Allocation request exceeds the remaining key bits."""
-
-
-class KeyReuseError(RuntimeError):
-    """Allocation request overlaps an already-consumed range."""
 
 
 def random_bits(rng: np.random.Generator, k: int) -> Bits:
@@ -49,24 +44,17 @@ class KeyStore:
     cursor: int = 0
     segments: list[Segment] = field(default_factory=list)
 
-    def allocate(self, purpose: str, nbits: int, start: int | None = None) -> Segment:
-        if start is None:
-            start = self.cursor
-        stop = start + nbits
-        for seg in self.segments:
-            if start < seg.stop and seg.start < stop:
-                raise KeyReuseError(
-                    f"range [{start},{stop}) overlaps consumed segment "
-                    f"{seg.purpose} [{seg.start},{seg.stop})"
-                )
+    def allocate(self, purpose: str, nbits: int) -> Segment:
+        """The next nbits of the key, past every segment allocated so far."""
+        stop = self.cursor + nbits
         if stop > len(self.key_bits):
             raise KeyExhaustedError(
-                f"need {nbits} bits at offset {start}, "
+                f"need {nbits} bits at offset {self.cursor}, "
                 f"key holds {len(self.key_bits)}"
             )
-        seg = Segment(purpose=purpose, start=start, stop=stop)
+        seg = Segment(purpose, self.cursor, stop)
         self.segments.append(seg)
-        self.cursor = max(self.cursor, stop)
+        self.cursor = stop
         return seg
 
     def segment_bits(self, seg: Segment) -> Bits:
@@ -84,10 +72,8 @@ def keygen_init(n_total: int, rng: np.random.Generator) -> KeyStore:
     return KeyStore(key_bits=random_bits(rng, n_total))
 
 
-def otp_encrypt(
-    store: KeyStore, purpose: str, plaintext: Sequence[int], start: int | None = None
-) -> Bits:
-    seg = store.allocate(purpose, len(plaintext), start=start)
+def otp_encrypt(store: KeyStore, purpose: str, plaintext: Sequence[int]) -> Bits:
+    seg = store.allocate(purpose, len(plaintext))
     return xor_bits(plaintext, store.segment_bits(seg))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AttackStrategy, Channel, NoAttack, TapPoint
+from .adversary import AttackStrategy, Channel, TapPoint
 from .detection import (
     MODE_SPECS,
     POSITION_FIELD_BITS,
@@ -51,35 +51,28 @@ class TrialResult:
 
 
 def run_protocol_round(
-    n: int,
     message: Bits,
     mode: DetectionMode,
-    strategy: AttackStrategy | None,
+    strategy: AttackStrategy,
     rng: np.random.Generator,
-    d_z: int | None = None,
-    d_x: int | None = None,
+    d_z: int,
+    d_x: int,
     threshold: float = 0.0,
     noise_p: float = 0.0,
     hash_fn: HashFn = hash_message,
     store: KeyStore | None = None,
     record_transcript: bool = True,
 ) -> TrialResult:
-    """One full protocol run under the given detection mode and attack.
+    """One full protocol run of len(message) signature qubits.
 
     Signing, the eavesdropping-detection round on the Trent leg, carrier
     measurement, the Bob leg, and both verification steps. Aborted
     detection short-circuits the rest of the round. A given `store` serves
     one round: a store with consumed segments would reuse their pads.
     """
-    if len(message) != n:
-        raise ValueError("message length must equal n")
+    n = len(message)
     if store is not None and store.segments:
         raise ValueError("a key store serves one round; this one is used")
-    if d_z is None:
-        d_z = n
-    if d_x is None:
-        d_x = n
-    strategy = strategy or NoAttack()
     alice = quantum_party("alice")
     bob = classical_party("bob")
     trent = classical_party("trent")
@@ -88,9 +81,9 @@ def run_protocol_round(
     if store is None:
         store = keygen_init(key_budget(n, d_z, d_x, mode), rng)
 
-    signed = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
+    transmission, b_refs = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
     detection = run_detection_round(
-        mode, channel, signed.transmission, threshold, alice, trent, store, rng
+        mode, channel, transmission, threshold, alice, trent, store, rng
     )
     if detection.report.verdict is Verdict.ABORT:
         return TrialResult(
@@ -116,16 +109,14 @@ def run_protocol_round(
     m_received = channel.send_classical(
         TapPoint.ALICE_TO_BOB_CLASSICAL, "message", message, rng
     )
-    b_refs = channel.send_qubits(
-        TapPoint.ALICE_TO_BOB_QUANTUM, signed.bundle.b_sequence, rng
-    )
+    b_refs = channel.send_qubits(TapPoint.ALICE_TO_BOB_QUANTUM, b_refs, rng)
     b_bits = bob_measure(b_refs, bob, rng)
     b_received = channel.send_classical(
         TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", b_bits, rng
     )
 
     if well_formed and len(b_received) == n:
-        outcome, _ = trent_conclude(
+        outcome = trent_conclude(
             g_trent, t_bits, b_received, recovered_m, hash_fn
         )
     else:

@@ -49,7 +49,6 @@ class Basis(str, Enum):
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _X = Basis.X
 
-I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

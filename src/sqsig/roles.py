@@ -1,4 +1,4 @@
-"""Signing, verification, and evidence handling for the three participants.
+"""Signing and verification for the three participants.
 
 Alice (quantum) signs by encoding g = m XOR k into Bell pairs; Trent and
 Bob (classical) verify through Z-basis measurements only. The message
@@ -43,44 +43,11 @@ def hash_message(m: Sequence[int]) -> Bits:
     return tuple(out)
 
 
-def toy_hash8(m: Sequence[int]) -> Bits:
-    """8-bit truncation for property tests that need reachable collisions."""
-    return hash_message(m)[:8]
-
-
-@dataclass
-class SignatureBundle:
-    message: Bits
-    b_sequence: list[QubitRef]
-
-    def __post_init__(self) -> None:
-        if len(self.message) != len(self.b_sequence):
-            raise ValueError("message and qubit sequence lengths differ")
-
-
-@dataclass
-class Evidence:
-    message: Bits
-    t_bits: Bits
-    b_bits: Bits
-
-    def __post_init__(self) -> None:
-        if not len(self.message) == len(self.t_bits) == len(self.b_bits):
-            raise ValueError("evidence components must have equal length")
-
-
 @dataclass
 class VerificationOutcome:
     verdict: bool  # True = Yes
     digest: Bits | None = None
     failing_positions: tuple[int, ...] = ()
-
-
-@dataclass
-class AliceSignOutput:
-    g: Bits
-    transmission: TrentTransmission
-    bundle: SignatureBundle
 
 
 def alice_sign(
@@ -90,11 +57,11 @@ def alice_sign(
     rng: np.random.Generator,
     d_z: int,
     d_x: int,
-) -> AliceSignOutput:
+) -> tuple[TrentTransmission, list[QubitRef]]:
     """Encode g into Bell pairs and build the decoy-laden Trent transmission.
 
-    The message rides in the leading Z-decoys; the Bob halves plus the
-    plaintext message form the signature bundle.
+    The message rides in the leading Z-decoys. Returns the transmission
+    and the Bob halves, which with the plaintext message form the signature.
     """
     m = tuple(int(b) for b in m)
     g = compute_g(m, store)
@@ -105,9 +72,7 @@ def alice_sign(
         t_refs.append(t_half)
         b_refs.append(b_half)
     decoy_refs, records = build_decoys(d_z, d_x, m, rng, alice)
-    transmission = assemble_transmission(t_refs, decoy_refs, records, rng)
-    bundle = SignatureBundle(message=m, b_sequence=b_refs)
-    return AliceSignOutput(g=g, transmission=transmission, bundle=bundle)
+    return assemble_transmission(t_refs, decoy_refs, records, rng), b_refs
 
 
 def trent_receive(
@@ -155,14 +120,12 @@ def trent_conclude(
     b: Sequence[int],
     m: Sequence[int],
     hash_fn: HashFn = hash_message,
-) -> tuple[VerificationOutcome, Evidence | None]:
-    """Full verification step: verdict, digest on Yes, and evidence retention."""
+) -> VerificationOutcome:
+    """Full verification step: verdict, and the digest of m on Yes."""
     outcome = trent_verify(g, t, b)
     if outcome.verdict:
         outcome.digest = hash_fn(m)
-        evidence = Evidence(message=tuple(m), t_bits=tuple(t), b_bits=tuple(b))
-        return outcome, evidence
-    return outcome, None
+    return outcome
 
 
 def bob_accept(

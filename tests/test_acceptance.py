@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sqsig.adversary import NoAttack
 from sqsig.detection import DetectionMode
 from sqsig.harness import (
     MATRIX_ATTACKS,
@@ -64,8 +65,9 @@ def test_correctness_honest_runs(capsys):
             for key in itertools.product((0, 1), repeat=n):
                 rng = np.random.default_rng(hash((n, m, key)) % (2 ** 32))
                 result = run_protocol_round(
-                    n=n, message=m, mode=DetectionMode.IMPROVED,
-                    strategy=None, rng=rng, store=KeyStore(key_bits=key),
+                    message=m, mode=DetectionMode.IMPROVED,
+                    strategy=NoAttack(), rng=rng, d_z=n, d_x=n,
+                    store=KeyStore(key_bits=key),
                     record_transcript=False,
                 )
                 ok = ok and not result.aborted and result.accepted
@@ -225,11 +227,11 @@ def test_tamper_detectability(capsys):
             trial_rng = np.random.default_rng(rng.integers(0, 2 ** 32))
             m = tuple(int(b) for b in trial_rng.integers(0, 2, size=4))
             result = run_protocol_round(
-                n=4, message=m, mode=DetectionMode.IMPROVED,
+                message=m, mode=DetectionMode.IMPROVED,
                 strategy=build_strategy(parse_attack(
                     "tamper_b:" + ",".join(str(p) for p in positions)
                 )),
-                rng=trial_rng, record_transcript=False,
+                rng=trial_rng, d_z=4, d_x=4, record_transcript=False,
             )
             ok = (
                 ok
@@ -242,11 +244,11 @@ def test_tamper_detectability(capsys):
             trial_rng = np.random.default_rng(rng.integers(0, 2 ** 32))
             m = tuple(int(b) for b in trial_rng.integers(0, 2, size=8))
             result = run_protocol_round(
-                n=8, message=m, mode=DetectionMode.IMPROVED,
+                message=m, mode=DetectionMode.IMPROVED,
                 strategy=build_strategy(parse_attack(
                     "tamper_m:" + ",".join(str(p) for p in positions)
                 )),
-                rng=trial_rng, record_transcript=False,
+                rng=trial_rng, d_z=8, d_x=8, record_transcript=False,
             )
             ok = ok and result.outcome.verdict and not result.accepted
     report(capsys, "7 tamper detectability", ok)
@@ -276,9 +278,9 @@ def test_infrastructure_properties(capsys):
             for seed in range(5):
                 rng = np.random.default_rng(10_000 + seed)
                 result = run_protocol_round(
-                    n=2, message=(1, 0), mode=mode,
+                    message=(1, 0), mode=mode,
                     strategy=build_strategy(parse_attack(attack_text)),
-                    rng=rng, record_transcript=False,
+                    rng=rng, d_z=2, d_x=2, record_transcript=False,
                 )
                 for party in (result.bob, result.trent):
                     ok = ok and set(party.op_log) <= CLASSICAL_ALLOWED

@@ -217,8 +217,9 @@ class TestTamperSignatureB:
     def test_single_flip_fails_exactly_that_position(self):
         rng = np.random.default_rng(11)
         result = run_protocol_round(
-            n=4, message=(1, 0, 1, 1), mode=DetectionMode.IMPROVED,
+            message=(1, 0, 1, 1), mode=DetectionMode.IMPROVED,
             strategy=TamperSignatureB([2]), rng=rng,
+            d_z=4, d_x=4,
         )
         assert not result.aborted
         assert not result.outcome.verdict
@@ -228,16 +229,18 @@ class TestTamperSignatureB:
     def test_all_positions_flipped_all_fail(self):
         rng = np.random.default_rng(12)
         result = run_protocol_round(
-            n=3, message=(0, 1, 0), mode=DetectionMode.IMPROVED,
+            message=(0, 1, 0), mode=DetectionMode.IMPROVED,
             strategy=TamperSignatureB([0, 1, 2]), rng=rng,
+            d_z=3, d_x=3,
         )
         assert result.outcome.failing_positions == (0, 1, 2)
 
     def test_zero_positions_is_noop(self):
         rng = np.random.default_rng(13)
         result = run_protocol_round(
-            n=3, message=(0, 1, 0), mode=DetectionMode.IMPROVED,
+            message=(0, 1, 0), mode=DetectionMode.IMPROVED,
             strategy=TamperSignatureB([]), rng=rng,
+            d_z=3, d_x=3,
         )
         assert result.outcome.verdict and result.accepted
 
@@ -273,8 +276,9 @@ class TestTamperClassicalMessage:
     def test_bob_rejects_in_full_round(self):
         rng = np.random.default_rng(16)
         result = run_protocol_round(
-            n=4, message=(1, 1, 0, 0), mode=DetectionMode.IMPROVED,
+            message=(1, 1, 0, 0), mode=DetectionMode.IMPROVED,
             strategy=TamperClassicalMessage([1]), rng=rng,
+            d_z=4, d_x=4,
         )
         assert result.outcome.verdict  # Trent sees a consistent signature
         assert not result.accepted  # digest mismatch at Bob
@@ -344,8 +348,9 @@ class TestTapOnlyRule:
     def test_stashed_forward_ref_is_revoked(self):
         with pytest.raises(RevokedHandleError):
             run_protocol_round(
-                n=2, message=(1, 0), mode=DetectionMode.IMPROVED,
+                message=(1, 0), mode=DetectionMode.IMPROVED,
                 strategy=StashForwardRefs(), rng=np.random.default_rng(3),
+                d_z=2, d_x=2,
             )
 
     def test_joined_lent_refs_are_revoked(self):
@@ -367,8 +372,9 @@ class TestTapOnlyRule:
         # Alice's final check and the round goes through.
         strategy = KeepAncillas()
         result = run_protocol_round(
-            n=2, message=(1, 0), mode=DetectionMode.IMPROVED,
+            message=(1, 0), mode=DetectionMode.IMPROVED,
             strategy=strategy, rng=np.random.default_rng(3),
+            d_z=2, d_x=2,
         )
         assert strategy.read == [1] * 6  # one ancilla per forward qubit
         assert not result.aborted and result.accepted

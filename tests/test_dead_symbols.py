@@ -1,9 +1,11 @@
-"""Every top-level name in `src/sqsig` is used somewhere.
+"""Every top-level name in `src/sqsig` is used somewhere, and not by tests alone.
 
 A name counts as used when an identifier, attribute, import or dotted
 string constant (the traced benchmark binds names by string) mentions it
 in `src/`, `tests/` or `benchmarks/`, outside the lines of its own
-definition.
+definition. A re-export in `__init__.py` is not a use for the second
+check: a name that only tests use belongs in the tests, unless it is a
+reference the tests check the package against (REFERENCE_ONLY).
 """
 
 import ast
@@ -12,8 +14,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sqsig"
-SEARCHED = [SRC, ROOT / "tests", ROOT / "benchmarks"]
+TESTS = ROOT / "tests"
+SEARCHED = [SRC, TESTS, ROOT / "benchmarks"]
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+# Names only tests use that stay in the package, each with its reason.
+REFERENCE_ONLY = {
+    "quantum.measurement_branches": "the exact oracle the sampled measurement is checked against",
+    "quantum.tensor": "builds the joint states the probe-oracle tests compare with",
+    "quantum.equal_up_to_phase": "the state comparison the party and probe tests assert with",
+}
 
 
 def _definitions(tree: ast.Module):
@@ -44,7 +54,9 @@ def _references(tree: ast.Module):
                 yield part, node.lineno
 
 
-def unused_names() -> list[str]:
+def _uses() -> dict[str, list[Path]]:
+    """Each top-level src name, as module.name -> the files that mention it
+    outside its own definition."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for root in SEARCHED for path in sorted(root.rglob("*.py"))
@@ -53,19 +65,34 @@ def unused_names() -> list[str]:
     for path, tree in trees.items():
         for name, line in _references(tree):
             mentions.setdefault(name, []).append((path, line))
-    unused = []
+    uses = {}
     for path in sorted(SRC.glob("*.py")):
         for name, node in _definitions(trees[path]):
-            if name.startswith("__"):
-                continue
-            outside = [
-                (p, line) for p, line in mentions.get(name, [])
-                if p != path or not node.lineno <= line <= node.end_lineno
-            ]
-            if not outside:
-                unused.append(f"{path.stem}.{name}")
-    return unused
+            if not name.startswith("__"):
+                uses[f"{path.stem}.{name}"] = [
+                    p for p, line in mentions.get(name, [])
+                    if p != path or not node.lineno <= line <= node.end_lineno
+                ]
+    return uses
+
+
+def unused_names() -> list[str]:
+    return [name for name, files in _uses().items() if not files]
+
+
+def names_only_tests_use() -> list[str]:
+    """Names whose every use, apart from re-exports, is in `tests/`."""
+    only = []
+    for name, files in _uses().items():
+        files = [p for p in files if p != SRC / "__init__.py"]
+        if files and all(TESTS in p.parents for p in files):
+            only.append(name)
+    return only
 
 
 def test_no_unused_top_level_names():
     assert unused_names() == []
+
+
+def test_no_names_only_tests_use():
+    assert sorted(names_only_tests_use()) == sorted(REFERENCE_ONLY)

@@ -22,7 +22,7 @@ from sqsig.detection import (
     run_detection_round,
 )
 from sqsig.harness import build_strategy, parse_attack
-from sqsig.keys import keygen_init
+from sqsig.keys import compute_g, keygen_init
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
@@ -43,12 +43,12 @@ def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
     store = keygen_init(key_budget(n, d_z, d_x, mode), rng)
     alice = quantum_party("alice")
     trent = classical_party("trent")
-    signed = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
+    transmission, _ = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
     channel = Channel(strategy, transcript=transcript)
     result = run_detection_round(
-        mode, channel, signed.transmission, threshold, alice, trent, store, rng
+        mode, channel, transmission, threshold, alice, trent, store, rng
     )
-    return result, signed, alice, trent
+    return result, transmission, alice, trent
 
 
 def z_records(transmission):
@@ -142,19 +142,19 @@ class TestBuildDecoys:
 
     def test_empty_decoy_set(self):
         refs, records = build_decoys(
-            0, 0, None, np.random.default_rng(0), quantum_party("alice")
+            0, 0, (), np.random.default_rng(0), quantum_party("alice")
         )
         assert refs == [] and records == []
 
     def test_deterministic_draws(self):
         alice = quantum_party("alice")
-        _, a = build_decoys(4, 4, None, np.random.default_rng(5), alice)
-        _, b = build_decoys(4, 4, None, np.random.default_rng(5), alice)
+        _, a = build_decoys(4, 4, (), np.random.default_rng(5), alice)
+        _, b = build_decoys(4, 4, (), np.random.default_rng(5), alice)
         assert [(r.basis, r.bit) for r in a] == [(r.basis, r.bit) for r in b]
 
     def test_basis_counts(self):
         _, records = build_decoys(
-            5, 3, None, np.random.default_rng(1), quantum_party("alice")
+            5, 3, (), np.random.default_rng(1), quantum_party("alice")
         )
         assert sum(r.basis is Basis.Z for r in records) == 5
         assert sum(r.basis is Basis.X for r in records) == 3
@@ -261,8 +261,8 @@ class TestWireEncodings:
             assert key_budget(4, 3, 2, mode) == 4
         # An honest inline round consumes exactly the budgeted key.
         result = run_protocol_round(
-            n=4, message=(1, 0, 0, 1), mode=DetectionMode.IMPROVED_INLINE_OTP,
-            strategy=None, rng=np.random.default_rng(7), d_z=5, d_x=2,
+            message=(1, 0, 0, 1), mode=DetectionMode.IMPROVED_INLINE_OTP,
+            strategy=NoAttack(), rng=np.random.default_rng(7), d_z=5, d_x=2,
         )
         assert result.accepted
         assert result.store.cursor == len(result.store.key_bits) == 4 + 34 * 7
@@ -277,8 +277,7 @@ class TestChecks:
     def test_honest_receiver_check_clean(self):
         rng = np.random.default_rng(10)
         alice = quantum_party("alice")
-        signed = alice_sign((1, 0), keygen_init(4, rng), alice, rng, d_z=3, d_x=3)
-        tx = signed.transmission
+        tx, _ = alice_sign((1, 0), keygen_init(4, rng), alice, rng, d_z=3, d_x=3)
         z = z_records(tx)
         z_refs = [tx.sequence[r.position] for r in z]
         assert measure_records(classical_party("trent"), z_refs, z, rng) == [
@@ -362,6 +361,21 @@ class TestRunDetectionRound:
         assert result.report.verdict is Verdict.ABORT
         assert result.carriers == [] and result.recovered_m is None
 
+    @pytest.mark.parametrize("mode, wire", [
+        (DetectionMode.IMPROVED, "loc_z"),
+        (DetectionMode.IMPROVED, "decoy_positions_x"),
+        (DetectionMode.MEASURE_THEN_RETURN, "decoy_positions_z"),
+    ])
+    def test_record_in_the_other_basis_aborts(self, mode, wire):
+        # Bit 16 is the basis bit of the first record: the wire now lists
+        # a decoy in a basis it does not announce.
+        for seed in range(200):
+            result, _, _, _ = run_round(
+                mode, FlipWireBit(wire, POSITION_FIELD_BITS), seed=seed, threshold=1.0
+            )
+            assert result.report.verdict is Verdict.ABORT, seed
+            assert result.carriers == [] and result.recovered_m is None
+
     @pytest.mark.parametrize("grow", [False, True])
     @pytest.mark.parametrize("mode, wire", [
         (DetectionMode.IMPROVED, "loc_z"),
@@ -422,14 +436,14 @@ class TestRunDetectionRound:
     def test_recovered_message_in_measuring_modes(self):
         for mode in (DetectionMode.IMPROVED, DetectionMode.IMPROVED_INLINE_OTP,
                      DetectionMode.MEASURE_THEN_RETURN):
-            result, signed, _, _ = run_round(
+            result, _, _, _ = run_round(
                 mode, NoAttack(), seed=24, n=3, d_z=3, d_x=3, message=(1, 1, 0)
             )
             assert result.recovered_m == (1, 1, 0)
 
     def test_carriers_survive_detection(self):
-        result, signed, _, _ = run_round(DetectionMode.IMPROVED, NoAttack(),
-                                         seed=25, n=4, d_z=4, d_x=4)
+        result, _, _, _ = run_round(DetectionMode.IMPROVED, NoAttack(),
+                                    seed=25, n=4, d_z=4, d_x=4)
         assert len(result.carriers) == 4
 
     def test_threshold_tolerates_errors(self):
@@ -456,21 +470,19 @@ class TestInlineAnnouncements:
         alice = quantum_party("alice")
         trent = classical_party("trent")
         message = (1, 0)
-        signed = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
+        transmission, _ = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
         transcript: list = []
         channel = Channel(NoAttack(), transcript=transcript)
         result = run_detection_round(
-            mode, channel, signed.transmission, 0.0, alice, trent, store, rng
+            mode, channel, transmission, 0.0, alice, trent, store, rng
         )
-        return result, signed, store, transcript
+        return result, transmission, store, transcript
 
     def test_announcements_are_ciphertext(self):
-        result, signed, store, transcript = self._channel_round(30)
+        result, transmission, store, transcript = self._channel_round(30)
         wire = {ev["name"]: ev["bits"] for ev in transcript
                 if ev["event"] == "classical"}
-        plain_loc = "".join(
-            str(b) for b in encode_loc(signed.transmission.records)
-        )
+        plain_loc = "".join(str(b) for b in encode_loc(transmission.records))
         assert wire["loc_ciphertext"] != plain_loc
         seg = store.find("loc_announce")
         assert seg is not None and seg.stop - seg.start == len(plain_loc)
@@ -523,9 +535,8 @@ def signed_round(seed):
     rng = np.random.default_rng(seed)
     alice = quantum_party("alice")
     store = keygen_init(12, rng)
-    signed = alice_sign((1, 0, 1), store, alice, rng, d_z=4, d_x=3)
-    decoys, carriers = split_sequence(signed.transmission)
-    return alice, store, signed, decoys, carriers
+    transmission, b_refs = alice_sign((1, 0, 1), store, alice, rng, d_z=4, d_x=3)
+    return alice, store, transmission, b_refs
 
 
 class TestOneDrawPerStage:
@@ -536,9 +547,10 @@ class TestOneDrawPerStage:
     def test_receiver_checks_take_one_uniform_per_qubit(self, seed):
         def measured(measure):
             # Each decoy in the other basis, so each bit is a fresh coin.
-            alice, _, signed, decoys, _ = signed_round(seed)
+            alice, _, transmission, _ = signed_round(seed)
+            decoys, _ = split_sequence(transmission)
             swapped = [DecoyRecord(r.position, Basis.X if r.basis is Basis.Z else Basis.Z,
-                                   r.bit) for r in signed.transmission.records]
+                                   r.bit) for r in transmission.records]
             return measure(alice, decoys, swapped)
 
         stage = np.random.default_rng(100 + seed)
@@ -552,19 +564,20 @@ class TestOneDrawPerStage:
     @pytest.mark.parametrize("seed", range(6))
     def test_bell_half_stages_match_scalar_draws(self, seed):
         m = (1, 0, 1)
-        _, store, signed, _, carriers = signed_round(seed)
+        _, store, transmission, b_refs = signed_round(seed)
+        _, carriers = split_sequence(transmission)
         stage = np.random.default_rng(300 + seed)
         t_bits, _ = trent_receive(carriers, m, store, classical_party("trent"), stage)
-        b_bits = bob_measure(signed.bundle.b_sequence, classical_party("bob"), stage)
+        b_bits = bob_measure(b_refs, classical_party("bob"), stage)
         assert stage.bit_generator.state == advanced(300 + seed, 6)
         # The same round, measured one scalar draw at a time.
-        _, _, signed, _, carriers = signed_round(seed)
+        _, store, transmission, b_refs = signed_round(seed)
+        _, carriers = split_sequence(transmission)
         scalar = np.random.default_rng(300 + seed)
         trent, bob = classical_party("trent"), classical_party("bob")
         assert t_bits == tuple(trent.measure(ref, Basis.Z, scalar) for ref in carriers)
-        assert b_bits == tuple(
-            bob.measure(ref, Basis.Z, scalar) for ref in signed.bundle.b_sequence)
-        assert [t ^ b for t, b in zip(t_bits, b_bits)] == list(signed.g)
+        assert b_bits == tuple(bob.measure(ref, Basis.Z, scalar) for ref in b_refs)
+        assert tuple(t ^ b for t, b in zip(t_bits, b_bits)) == compute_g(m, store)
 
 
 class TestWrongLengthClassicalMessage:
@@ -577,8 +590,8 @@ class TestWrongLengthClassicalMessage:
         # A message or B string one bit short or long cannot verify: the
         # round completes with Trent's No, and Bob rejects.
         result = run_protocol_round(
-            n=2, message=(1, 0), mode=mode, strategy=ResizeWire(wire, grow),
-            rng=np.random.default_rng(3),
+            message=(1, 0), mode=mode, strategy=ResizeWire(wire, 1 if grow else -1),
+            rng=np.random.default_rng(3), d_z=2, d_x=2,
         )
         assert not result.aborted
         assert result.outcome.verdict is False
@@ -588,8 +601,9 @@ class TestWrongLengthClassicalMessage:
         # At this seed the withheld last qubit is a carrier, so the decoy
         # checks pass and Trent measures one T bit too few.
         result = run_protocol_round(
-            n=2, message=(1, 0), mode=DetectionMode.DIRECT_REFLECTION,
+            message=(1, 0), mode=DetectionMode.DIRECT_REFLECTION,
             strategy=WithholdForwardQubit(), rng=np.random.default_rng(3),
+            d_z=2, d_x=2,
         )
         assert not result.aborted
         assert result.outcome.verdict is False

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqsig.adversary import NoAttack
 from sqsig.detection import DetectionMode
 from sqsig.keys import (
     KeyExhaustedError,
-    KeyReuseError,
     KeyStore,
     compute_g,
     keygen_init,
@@ -55,11 +55,14 @@ class TestAllocation:
         with pytest.raises(KeyExhaustedError):
             store.allocate("b", 1)
 
-    def test_explicit_overlap_rejected(self):
-        store = keygen_init(8, np.random.default_rng(0))
-        store.allocate("a", 4)
-        with pytest.raises(KeyReuseError):
-            store.allocate("b", 2, start=2)
+    def test_allocations_tile_the_key(self):
+        store = keygen_init(12, np.random.default_rng(0))
+        segments = [store.allocate(f"p{i}", size) for i, size in enumerate((3, 1, 5, 3))]
+        assert [(s.start, s.stop) for s in segments] == [(0, 3), (3, 4), (4, 9), (9, 12)]
+        with pytest.raises(KeyExhaustedError):
+            store.allocate("past_end", 1)
+        assert store.segments == segments
+        assert store.cursor == 12
 
     def test_cursor_never_decreases(self):
         store = keygen_init(16, np.random.default_rng(0))
@@ -81,12 +84,6 @@ class TestOtp:
         plaintext = random_bits(rng, 20)
         cipher = otp_encrypt(store, "msg", plaintext)
         assert otp_decrypt(store, "msg", cipher) == plaintext
-
-    def test_reuse_of_consumed_range_rejected(self):
-        store = keygen_init(8, np.random.default_rng(0))
-        otp_encrypt(store, "a", (1, 0, 1, 0))
-        with pytest.raises(KeyReuseError):
-            otp_encrypt(store, "b", (1, 1), start=0)
 
     def test_decrypt_unknown_purpose_rejected(self):
         store = keygen_init(8, np.random.default_rng(0))
@@ -176,13 +173,13 @@ class TestStorePerRound:
         # A second round on the same store would sign with the first
         # round's pad (and decrypt with its announcement segments).
         store = keygen_init(600, np.random.default_rng(0))  # room for two rounds
-        first = run_protocol_round(n=4, message=(1, 0, 1, 1), mode=DetectionMode(mode),
-                                   strategy=None, rng=np.random.default_rng(1),
-                                   store=store)
+        first = run_protocol_round(message=(1, 0, 1, 1), mode=DetectionMode(mode),
+                                   strategy=NoAttack(), rng=np.random.default_rng(1),
+                                   d_z=4, d_x=4, store=store)
         assert first.accepted
         consumed = list(store.segments)
         with pytest.raises(ValueError):
-            run_protocol_round(n=4, message=(0, 1, 1, 0), mode=DetectionMode(mode),
-                               strategy=None, rng=np.random.default_rng(2),
-                               store=store)
+            run_protocol_round(message=(0, 1, 1, 0), mode=DetectionMode(mode),
+                               strategy=NoAttack(), rng=np.random.default_rng(2),
+                               d_z=4, d_x=4, store=store)
         assert store.segments == consumed

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from sqsig.quantum import (
     CNOT,
     HADAMARD,
-    I2,
     MAX_REGISTER_QUBITS,
     PAULI_X,
     PAULI_Y,
@@ -44,6 +43,7 @@ from sqsig.quantum import (
 from sqsig.register import Register, attach_ancilla
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
+I2 = np.eye(2, dtype=complex)
 
 
 def kron_expand(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:

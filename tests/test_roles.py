@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqsig.keys import KeyStore, keygen_init
+from sqsig.keys import KeyStore, compute_g, keygen_init
 from sqsig.parties import (
     CLASSICAL_ALLOWED,
     CapabilityError,
@@ -13,17 +13,19 @@ from sqsig.parties import (
 )
 from sqsig.quantum import Basis, equal_up_to_phase, prepare_bell
 from sqsig.roles import (
-    Evidence,
-    SignatureBundle,
     alice_sign,
     bob_accept,
     bob_measure,
     hash_message,
-    toy_hash8,
     trent_conclude,
     trent_receive,
     trent_verify,
 )
+
+
+def toy_hash8(m):
+    """8-bit truncation for property tests that need reachable collisions."""
+    return hash_message(m)[:8]
 
 
 class TestTrentVerify:
@@ -87,22 +89,22 @@ class TestAliceSign:
         store = KeyStore(key_bits=(k_bit,) + (0,) * 8)
         alice = quantum_party("alice")
         rng = np.random.default_rng(0)
-        signed = alice_sign((m_bit,), store, alice, rng, d_z=1, d_x=1)
+        _, b_refs = alice_sign((m_bit,), store, alice, rng, d_z=1, d_x=1)
         g = m_bit ^ k_bit
-        assert signed.g == (g,)
-        pair_state = signed.bundle.b_sequence[0].register.state
+        assert compute_g((m_bit,), store) == (g,)
+        pair_state = b_refs[0].register.state
         assert equal_up_to_phase(pair_state, prepare_bell(g))
 
     def test_bundle_lengths_match(self):
         store = keygen_init(32, np.random.default_rng(1))
-        signed = alice_sign(
+        transmission, b_refs = alice_sign(
             (1, 0, 1, 1), store, quantum_party("alice"),
             np.random.default_rng(2), d_z=4, d_x=4,
         )
-        assert len(signed.bundle.b_sequence) == 4
-        assert signed.bundle.message == (1, 0, 1, 1)
+        assert len(b_refs) == 4
         # 4 carriers + 8 decoys in the outgoing sequence
-        assert len(signed.transmission.sequence) == 12
+        assert len(transmission.sequence) == 12
+        assert len(transmission.records) == 8
 
     def test_embedding_too_large_rejected(self):
         store = keygen_init(32, np.random.default_rng(1))
@@ -132,12 +134,13 @@ class TestTrentReceive:
         alice = quantum_party("alice")
         trent = classical_party("trent")
         m = (1, 0, 1, 1, 0, 0)
-        signed = alice_sign(m, store, alice, rng, d_z=6, d_x=6)
-        positions = {r.position for r in signed.transmission.records}
-        carriers = [ref for p, ref in enumerate(signed.transmission.sequence)
+        transmission, _ = alice_sign(m, store, alice, rng, d_z=6, d_x=6)
+        positions = {r.position for r in transmission.records}
+        carriers = [ref for p, ref in enumerate(transmission.sequence)
                     if p not in positions]
         t_bits, g_trent = trent_receive(carriers, m, store, trent, rng)
-        assert g_trent == signed.g
+        # Alice's pad is the first n key bits.
+        assert g_trent == tuple(mi ^ ki for mi, ki in zip(m, store.key_bits))
         assert len(t_bits) == len(m)
 
 
@@ -175,18 +178,18 @@ class TestBobMeasure:
 
 
 class TestTrentConclude:
-    def test_yes_attaches_digest_and_evidence(self):
+    def test_yes_attaches_digest(self):
         m = (1, 0)
-        outcome, evidence = trent_conclude((0, 1), (1, 0), (1, 1), m)
+        outcome = trent_conclude((0, 1), (1, 0), (1, 1), m)
         assert outcome.verdict
         assert outcome.digest == hash_message(m)
-        assert evidence == Evidence(message=m, t_bits=(1, 0), b_bits=(1, 1))
+        assert outcome.failing_positions == ()
 
     def test_no_keeps_nothing(self):
-        outcome, evidence = trent_conclude((0,), (0,), (1,), (1,))
+        outcome = trent_conclude((0,), (0,), (1,), (1,))
         assert not outcome.verdict
         assert outcome.digest is None
-        assert evidence is None
+        assert outcome.failing_positions == (0,)
 
     def test_evidence_satisfies_correlation(self):
         rng = np.random.default_rng(15)
@@ -194,31 +197,33 @@ class TestTrentConclude:
             g = tuple(int(x) for x in rng.integers(0, 2, size=4))
             t = tuple(int(x) for x in rng.integers(0, 2, size=4))
             b = tuple(ti ^ gi for ti, gi in zip(t, g))
-            _, evidence = trent_conclude(g, t, b, (0, 0, 0, 0))
-            assert evidence is not None
-            assert evidence.b_bits == tuple(
-                ti ^ gi for ti, gi in zip(evidence.t_bits, g)
-            )
+            outcome = trent_conclude(g, t, b, (0, 0, 0, 0))
+            assert outcome.verdict
+            assert outcome.digest == hash_message((0, 0, 0, 0))
+            # One flipped B bit breaks the correlation at that position only.
+            i = int(rng.integers(0, 4))
+            flipped = tuple(bj ^ (j == i) for j, bj in enumerate(b))
+            assert trent_conclude(g, t, flipped, (0,) * 4).failing_positions == (i,)
 
 
 class TestBobAccept:
     def test_matching_digest_accepts(self):
         m = (1, 1, 0)
-        outcome, _ = trent_conclude((0,) * 3, (1, 0, 1), (1, 0, 1), m)
+        outcome = trent_conclude((0,) * 3, (1, 0, 1), (1, 0, 1), m)
         assert bob_accept(m, outcome)
 
     def test_no_verdict_rejects(self):
-        outcome, _ = trent_conclude((0,), (0,), (1,), (1,))
+        outcome = trent_conclude((0,), (0,), (1,), (1,))
         assert not bob_accept((1,), outcome)
 
     def test_tampered_message_rejects(self):
         m = (1, 1, 0)
-        outcome, _ = trent_conclude((0,) * 3, (1, 0, 1), (1, 0, 1), m)
+        outcome = trent_conclude((0,) * 3, (1, 0, 1), (1, 0, 1), m)
         assert not bob_accept((1, 0, 0), outcome)
 
     def test_pluggable_hash(self):
         m = (0, 1, 0, 1)
-        outcome, _ = trent_conclude(
+        outcome = trent_conclude(
             (0,) * 4, (0,) * 4, (0,) * 4, m, hash_fn=toy_hash8
         )
         assert bob_accept(m, outcome, hash_fn=toy_hash8)
@@ -263,15 +268,3 @@ class TestCapabilities:
         with pytest.raises(CapabilityError):
             bob.prepare(Basis.X, 0)
         assert OpKind.PREPARE_X not in bob.op_log
-
-
-class TestBundleInvariants:
-    def test_length_mismatch_rejected(self):
-        alice = quantum_party("alice")
-        _, b_half = alice.prepare_bell_pair(0)
-        with pytest.raises(ValueError):
-            SignatureBundle(message=(0, 1), b_sequence=[b_half])
-
-    def test_evidence_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Evidence(message=(0, 1), t_bits=(0,), b_bits=(0, 1))
