@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +57,7 @@ class ModeSpec:
     compares: bool  # the receiver checks its Z results against the values
 
 
-_Z, _X, _ALL = (Basis.Z,), (Basis.X,), (Basis.Z, Basis.X)
+_Z, _X, _ALL = (Basis.Z,), (Basis.X,), (Basis.Z, Basis.X)  # _ALL[LOC basis bit]
 _BASIS_Z = Basis.Z
 
 MODE_SPECS = {
@@ -125,63 +124,54 @@ class DetectionResult:
 POSITION_FIELD_BITS = 16
 RECORD_BITS = POSITION_FIELD_BITS + 2
 
-
-# Turns bit values 0/1 into the ASCII digits of a binary string.
+# Turn bit values 0/1 into the ASCII digits of a binary string, and back.
 _BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@lru_cache(maxsize=None)
-def _int_to_bits(value: int, width: int) -> Bits:
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+def _pack(fields: Sequence[int], width: int) -> Bits:
+    """Each field as `width` big-endian bits; ValueError if one does not fit."""
+    if fields and (min(fields) < 0 or max(fields) >> width):
+        raise ValueError(f"a field does not fit in {width} bits")
+    value = 1  # a leading 1 keeps the leading zeros of the first field
+    for f in fields:
+        value = value << width | f
+    return tuple(format(value, "b")[1:].encode().translate(_DIGITS_TO_BITS))
 
 
-def _digits(bits: Sequence[int]) -> str:
-    """The bits as binary digits; ValueError for a value other than 0 or 1."""
+def _unpack(bits: Sequence[int], width: int) -> list[int]:
+    """The big-endian `width`-bit fields of `bits`; ValueError for a payload
+    that is not a whole number of fields or holds a bit other than 0 or 1."""
+    if len(bits) % width:
+        raise ValueError(f"payload length is not a multiple of {width} bits")
     digits = bytes(bits).translate(_BITS_TO_DIGITS)
     if digits.translate(None, b"01"):
         raise ValueError("wire bits must be 0 or 1")
-    return digits.decode()
+    value = int(b"1" + digits, 2)  # the leading 1 of _pack; an empty payload parses
+    mask = (1 << width) - 1
+    return [value >> shift & mask for shift in range(len(digits) - width, -1, -width)]
 
 
 def encode_loc(entries: Sequence[DecoyRecord], include_values: bool = True) -> Bits:
-    """18 bits per decoy: 16-bit big-endian position, basis bit (0=Z), value."""
-    out: list[int] = []
-    for e in sorted(entries, key=lambda r: r.position):
-        out.extend(_int_to_bits(e.position, POSITION_FIELD_BITS))
-        out.append(0 if e.basis is Basis.Z else 1)
-        out.append(e.bit if include_values else 0)
-    return tuple(out)
+    """One 18-bit field per decoy, in position order:
+    position << 2 | basis bit (0=Z, 1=X) << 1 | value (0 when withheld)."""
+    return _pack(sorted(r.position << 2 | (r.basis is not _BASIS_Z) << 1
+                        | (r.bit if include_values else 0) for r in entries), RECORD_BITS)
 
 
 def decode_loc(bits: Sequence[int]) -> list[DecoyRecord]:
-    if len(bits) % RECORD_BITS != 0:
-        raise ValueError("LOC payload length is not a multiple of 18 bits")
-    digits = _digits(bits)
-    return [
-        DecoyRecord(position=int(digits[i:i + POSITION_FIELD_BITS], 2),
-                    basis=Basis.Z if digits[i + POSITION_FIELD_BITS] == "0" else Basis.X,
-                    bit=int(digits[i + POSITION_FIELD_BITS + 1], 2))
-        for i in range(0, len(digits), RECORD_BITS)
-    ]
+    fields = _unpack(bits, RECORD_BITS)
+    return [DecoyRecord(f >> 2, _ALL[f >> 1 & 1], f & 1) for f in fields]
 
 
 def encode_permutation(mapping: Sequence[int]) -> Bits:
     """16 bits big-endian per entry; mapping[j] is returned decoy j's original index."""
-    out: list[int] = []
-    for orig in mapping:
-        out.extend(_int_to_bits(orig, POSITION_FIELD_BITS))
-    return tuple(out)
+    return _pack(mapping, POSITION_FIELD_BITS)
 
 
 def decode_permutation(bits: Sequence[int]) -> tuple[int, ...]:
     """The announced mapping; the round checks that it is a bijection."""
-    if len(bits) % POSITION_FIELD_BITS != 0:
-        raise ValueError("permutation payload length is not a multiple of 16 bits")
-    digits = _digits(bits)
-    return tuple(int(digits[i:i + POSITION_FIELD_BITS], 2)
-                 for i in range(0, len(digits), POSITION_FIELD_BITS))
+    return tuple(_unpack(bits, POSITION_FIELD_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +268,7 @@ def run_detection_round(
     threshold: float,
     sender: Party,
     receiver: Party,
-    store: KeyStore | None,
+    store: KeyStore,
     rng: np.random.Generator,
 ) -> DetectionResult:
     """Run the chosen detection mode end to end over the adversarial channel.
@@ -290,14 +280,13 @@ def run_detection_round(
     len(carriers) of its Z results. The verdict is Abort as soon as any
     checked error rate exceeds the threshold, and, whatever the threshold,
     when an announcement was tampered into nonsense: one that does not
-    decrypt or decode (a wrong length), a record in a basis its wire does
-    not announce, a decoy position outside the received sequence or named
-    twice, a returned permutation that is not a bijection over the
-    sender's decoys, or a return that does not hold one qubit per decoy.
+    decrypt or decode (a wrong length, a bit other than 0 or 1), a record
+    in a basis its wire does not announce, a decoy position outside the
+    received sequence or named twice, a returned permutation that is not
+    a bijection over the sender's decoys, or a return that does not hold
+    one qubit per decoy.
     """
     spec = MODE_SPECS[mode]
-    if spec.encrypted and store is None:
-        raise ValueError("encrypted announcements require the shared key store")
     pad = store if spec.encrypted else None
     report = DetectionReport()
     records = transmission.records
@@ -317,7 +306,7 @@ def run_detection_round(
                 channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name, payload,
                 pad, "loc_announce", rng,
             ))
-        except ValueError:  # a length that does not decrypt or decode
+        except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
         if any(r.basis not in bases for r in received):
             return _abort(report)
@@ -362,7 +351,7 @@ def run_detection_round(
                 "perm_ciphertext" if spec.encrypted else "permutation",
                 encode_permutation(mapping), pad, "perm_announce", rng,
             ))
-        except ValueError:  # a length that does not decrypt or decode
+        except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
     # The one check of the return: a bijection over the sender's decoys,
     # and one returned qubit for each of them.

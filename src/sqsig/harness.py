@@ -278,7 +278,7 @@ class EfficiencyCounts:
     eta_with_digest: Fraction
 
 
-def compute_efficiency(n: int, digest_bits: int = DEFAULT_DIGEST_BITS) -> EfficiencyCounts:
+def compute_efficiency(n: int) -> EfficiencyCounts:
     """Signed bits over transmitted qubits plus verification classical bits.
 
     Detection-only traffic is excluded. Reported with the digest counted
@@ -290,8 +290,8 @@ def compute_efficiency(n: int, digest_bits: int = DEFAULT_DIGEST_BITS) -> Effici
     return EfficiencyCounts(
         c=c, q=q, b=b,
         eta=Fraction(c, q + b),
-        digest_bits=digest_bits,
-        eta_with_digest=Fraction(c, q + b + digest_bits),
+        digest_bits=DEFAULT_DIGEST_BITS,
+        eta_with_digest=Fraction(c, q + b + DEFAULT_DIGEST_BITS),
     )
 
 

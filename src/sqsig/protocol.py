@@ -19,7 +19,6 @@ from .detection import (
 from .keys import Bits, KeyStore, keygen_init
 from .parties import Party, classical_party, quantum_party
 from .roles import (
-    HashFn,
     alice_sign,
     bob_accept,
     bob_measure,
@@ -59,27 +58,21 @@ def run_protocol_round(
     d_x: int,
     threshold: float = 0.0,
     noise_p: float = 0.0,
-    hash_fn: HashFn = hash_message,
-    store: KeyStore | None = None,
     record_transcript: bool = True,
 ) -> TrialResult:
     """One full protocol run of len(message) signature qubits.
 
     Signing, the eavesdropping-detection round on the Trent leg, carrier
     measurement, the Bob leg, and both verification steps. Aborted
-    detection short-circuits the rest of the round. A given `store` serves
-    one round: a store with consumed segments would reuse their pads.
+    detection short-circuits the rest of the round.
     """
     n = len(message)
-    if store is not None and store.segments:
-        raise ValueError("a key store serves one round; this one is used")
     alice = quantum_party("alice")
     bob = classical_party("bob")
     trent = classical_party("trent")
     transcript: list | None = [] if record_transcript else None
     channel = Channel(strategy, noise_p=noise_p, transcript=transcript)
-    if store is None:
-        store = keygen_init(key_budget(n, d_z, d_x, mode), rng)
+    store = keygen_init(key_budget(n, d_z, d_x, mode), rng)
 
     transmission, b_refs = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
     detection = run_detection_round(
@@ -117,11 +110,11 @@ def run_protocol_round(
 
     if well_formed and len(b_received) == n:
         outcome = trent_conclude(
-            g_trent, t_bits, b_received, recovered_m, hash_fn
+            g_trent, t_bits, b_received, recovered_m, hash_message
         )
     else:
         outcome = VerificationOutcome(verdict=False)
-    accepted = bob_accept(m_received, outcome, hash_fn)
+    accepted = bob_accept(m_received, outcome, hash_message)
     if transcript is not None:
         digest = "".join(str(b) for b in outcome.digest) if outcome.digest else ""
         transcript.append({"event": "verdict",

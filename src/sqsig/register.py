@@ -51,26 +51,22 @@ class RevokedHandleError(RuntimeError):
     """A qubit ref was used after the tap it was lent for returned."""
 
 
-class _Lease:
-    __slots__ = ("live",)
-
-    def __init__(self) -> None:
-        self.live = True
-
-
 class QubitRef:
     """Handle to one qubit of a (possibly shared) register.
 
-    A ref lent to a strategy carries the lease of its tap; other refs carry
-    none and never expire.
+    A ref lent to a strategy carries its tap's lease and names the caller's
+    ref it stands for as its owner; other refs carry neither and never
+    expire.
     """
 
-    __slots__ = ("register", "index", "lease")
+    __slots__ = ("register", "index", "lease", "owner")
 
-    def __init__(self, register: Register, index: int, lease: _Lease | None = None) -> None:
+    def __init__(self, register: Register, index: int,
+                 lease: _LentRefs | None = None, owner: QubitRef | None = None) -> None:
         self.register = register
         self.index = index
         self.lease = lease
+        self.owner = owner
 
 
 def _live(ref: QubitRef) -> Register:
@@ -81,16 +77,15 @@ def _live(ref: QubitRef) -> Register:
 
 
 class _LentRefs:
-    """The refs of one tap, as a list the strategy reads: each ref it reads
-    is issued under the tap's lease, and `issued` maps it back to the
-    caller's ref."""
+    """The refs of one tap, as a list the strategy reads, and the tap's
+    lease: each ref it reads is issued under this lease, owned by the
+    caller's ref it stands for."""
 
-    __slots__ = ("owners", "lease", "issued")
+    __slots__ = ("owners", "live")
 
     def __init__(self, owners: list[QubitRef]) -> None:
         self.owners = owners
-        self.lease = _Lease()
-        self.issued: dict[int, tuple[QubitRef, QubitRef]] = {}
+        self.live = True
 
     def __len__(self) -> int:
         return len(self.owners)
@@ -99,9 +94,7 @@ class _LentRefs:
         if isinstance(key, slice):
             return [self[i] for i in range(len(self.owners))[key]]
         owner = self.owners[key]
-        ref = QubitRef(_live(owner), owner.index, self.lease)
-        self.issued[id(ref)] = (ref, owner)
-        return ref
+        return QubitRef(_live(owner), owner.index, self, owner)
 
     def __iter__(self):
         return (self[i] for i in range(len(self.owners)))
@@ -112,20 +105,16 @@ def _lend(
 ) -> list[QubitRef]:
     """Call `tap` with the refs lent for the call alone.
 
-    Every ref `tap` reads from what it is lent carries a fresh lease,
-    revoked when `tap` returns. Returns the refs `tap` hands back, each
-    lent one replaced by the caller's ref to the same qubit.
+    Every ref `tap` reads from what it is lent is revoked when `tap`
+    returns. Returns the refs `tap` hands back, each lent one replaced by
+    its owner, the caller's ref to the same qubit.
     """
     lent = _LentRefs(list(refs))
     out = tap(lent)
-    lent.lease.live = False
+    lent.live = False
     if out is lent:
         return lent.owners
-    back = []
-    for ref in out:
-        hit = lent.issued.get(id(ref))
-        back.append(hit[1] if hit is not None and hit[0] is ref else ref)
-    return back
+    return [r.owner if r.lease is lent else r for r in out]
 
 
 def new_qubit(state: StateVector) -> QubitRef:

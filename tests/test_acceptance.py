@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import sqsig.protocol
 from sqsig.adversary import NoAttack
 from sqsig.detection import DetectionMode
 from sqsig.harness import (
@@ -50,7 +51,7 @@ def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
 
 
-def test_correctness_honest_runs(capsys):
+def test_correctness_honest_runs(capsys, monkeypatch):
     config = ScenarioConfig(n=64, trials=1000, seed=101)
     stats, _ = run_trials(config)
     ok = (
@@ -59,15 +60,17 @@ def test_correctness_honest_runs(capsys):
         and stats.bob_accepts == 1000
     )
 
-    # Exhaustive message/key sweep for short signatures.
+    # Exhaustive message/key sweep for short signatures. The round's key
+    # agreement is replaced to hand out the chosen key, drawing nothing.
     for n in (1, 2, 3, 4):
         for m in itertools.product((0, 1), repeat=n):
             for key in itertools.product((0, 1), repeat=n):
+                monkeypatch.setattr(sqsig.protocol, "keygen_init",
+                                    lambda n_total, rng: KeyStore(key_bits=key))
                 rng = np.random.default_rng(hash((n, m, key)) % (2 ** 32))
                 result = run_protocol_round(
                     message=m, mode=DetectionMode.IMPROVED,
                     strategy=NoAttack(), rng=rng, d_z=n, d_x=n,
-                    store=KeyStore(key_bits=key),
                     record_transcript=False,
                 )
                 ok = ok and not result.aborted and result.accepted

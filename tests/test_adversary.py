@@ -380,6 +380,35 @@ class TestTapOnlyRule:
         assert not result.aborted and result.accepted
 
 
+class ReturnReversed(AttackStrategy):
+    """Hand the lent refs back in reverse order, followed by `extra`."""
+
+    kind = "return_reversed"
+
+    def __init__(self, extra=()):
+        self.extra = list(extra)
+
+    def tap_qubits(self, point, refs, rng):
+        return list(refs)[::-1] + self.extra
+
+
+class TestLentRefsReturn:
+    def test_reversed_lent_refs_come_back_as_the_callers_refs(self):
+        refs = [fresh_qubit(Basis.Z, bit) for bit in (0, 1, 1)]
+        received = Channel(ReturnReversed()).send_qubits(
+            TapPoint.FORWARD_ALICE_TO_TRENT, refs, np.random.default_rng(0))
+        assert len(received) == 3
+        assert all(got is own for got, own in zip(received, refs[::-1]))
+
+    def test_a_ref_that_was_not_lent_comes_back_as_it_is(self):
+        own = fresh_qubit(Basis.X, 0)
+        refs = [fresh_qubit(Basis.Z, 0), fresh_qubit(Basis.Z, 1)]
+        received = Channel(ReturnReversed([own])).send_qubits(
+            TapPoint.FORWARD_ALICE_TO_TRENT, refs, np.random.default_rng(0))
+        assert [id(r) for r in received] == [id(refs[1]), id(refs[0]), id(own)]
+        assert [z_value(r) for r in received[:2]] == [1, 0]
+
+
 class TestChannel:
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,10 @@ in `src/`, `tests/` or `benchmarks/`, outside the lines of its own
 definition. A re-export in `__init__.py` is not a use for the second
 check: a name that only tests use belongs in the tests, unless it is a
 reference the tests check the package against (REFERENCE_ONLY).
+
+Likewise every defaulted parameter of a `src/sqsig` function or method is
+passed by some call in `src/` or `benchmarks/`, unless it is listed in
+OPTIONS_OF_ENTRY_POINTS: an option that only tests set belongs in the tests.
 """
 
 import ast
@@ -23,6 +27,13 @@ REFERENCE_ONLY = {
     "quantum.measurement_branches": "the exact oracle the sampled measurement is checked against",
     "quantum.tensor": "builds the joint states the probe-oracle tests compare with",
     "quantum.equal_up_to_phase": "the state comparison the party and probe tests assert with",
+}
+
+# Defaulted parameters no call in `src/` or `benchmarks/` passes, each with its reason.
+OPTIONS_OF_ENTRY_POINTS = {
+    "cli.main.argv": "the console script reads sys.argv; tests pass the arguments",
+    "quantum.DensityMatrix.maximally_mixed.num_qubits":
+        "a reference state the density tests build at one and two qubits",
 }
 
 
@@ -96,3 +107,69 @@ def test_no_unused_top_level_names():
 
 def test_no_names_only_tests_use():
     assert sorted(names_only_tests_use()) == sorted(REFERENCE_ONLY)
+
+
+def _defaulted_parameters():
+    """(module.qualname.param, callee names, position, param) for every
+    parameter with a default of a function or method in `src/sqsig`.
+
+    A class's `__init__` is also called by the class name. The position
+    counts the arguments a call passes positionally (a method's `self` or
+    `cls` is bound) and is None for a keyword-only parameter.
+    """
+    for path in sorted(SRC.glob("*.py")):
+        scopes = [(ast.parse(path.read_text(), filename=str(path)), path.stem, None)]
+        while scopes:
+            node, prefix, cls = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    scopes.append((child, f"{prefix}.{child.name}", child.name))
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = f"{prefix}.{child.name}"
+                scopes.append((child, name, None))
+                callees = {child.name, cls} if child.name == "__init__" else {child.name}
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                bound = cls is not None and not static
+                args = child.args
+                positional = args.posonlyargs + args.args
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    yield f"{name}.{positional[i].arg}", callees, i - bound, positional[i].arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{name}.{arg.arg}", callees, None, arg.arg
+
+
+def _calls():
+    """(callee name, positional arg count, keyword names) for every call in
+    `src/` and `benchmarks/`; `functools.partial(f, ...)` counts as a call of
+    f. A call with a `*` argument passes every positional parameter, and one
+    with a `**` argument every keyword."""
+    for root in (SRC, ROOT / "benchmarks"):
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func, args = node.func, node.args
+                if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+                    func, args = args[0], args[1:]
+                name = getattr(func, "id", getattr(func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in args)
+                keywords = {k.arg for k in node.keywords}
+                yield name, (float("inf") if starred else len(args)), keywords
+
+
+def options_only_tests_set() -> list[str]:
+    calls = list(_calls())
+    unset = []
+    for qualified, callees, index, arg in _defaulted_parameters():
+        if not any(name in callees and (arg in keywords or None in keywords
+                                        or (index is not None and count > index))
+                   for name, count, keywords in calls):
+            unset.append(qualified)
+    return unset
+
+
+def test_no_options_only_tests_set():
+    assert sorted(options_only_tests_set()) == sorted(OPTIONS_OF_ENTRY_POINTS)

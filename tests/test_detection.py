@@ -86,6 +86,22 @@ class FlipWireBit(AttackStrategy):
         return bits
 
 
+class WriteWireValue(AttackStrategy):
+    """Write `value`, which need not be a bit, at `index` of the named announcement."""
+
+    kind = "write_wire_value"
+
+    def __init__(self, wire, index, value):
+        super().__init__()
+        self.wire, self.index, self.value = wire, index, value
+
+    def tap_classical(self, point, name, bits, rng):
+        bits = super().tap_classical(point, name, bits, rng)
+        if name == self.wire:
+            bits = bits[:self.index] + (self.value,) + bits[self.index + 1:]
+        return bits
+
+
 class ResizeWire(AttackStrategy):
     """Append `delta` 0 bits to the named announcement, or drop -delta bits."""
 
@@ -271,6 +287,66 @@ class TestWireEncodings:
     @settings(max_examples=40, deadline=None)
     def test_permutation_roundtrip_property(self, mapping):
         assert decode_permutation(encode_permutation(mapping)) == tuple(mapping)
+
+
+def reference_field(value, width):
+    """`value` as `width` bits, most significant first, one shift at a time."""
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+records_strategy = st.lists(
+    st.tuples(st.integers(0, (1 << POSITION_FIELD_BITS) - 1),
+              st.sampled_from(list(Basis)), st.integers(0, 1)),
+    max_size=40, unique_by=lambda t: t[0],
+).map(lambda ts: [DecoyRecord(p, basis, bit) for p, basis, bit in ts])
+
+
+class TestWireLayout:
+    """The codecs match the documented layout bit for bit: big-endian fields,
+    18 bits a LOC record (16-bit position, basis bit with X = 1, value bit,
+    0 when withheld) in position order, and 16 bits a permutation entry."""
+
+    @given(records_strategy, st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_loc_matches_reference_and_decodes_back(self, records, values, shuffler):
+        shuffler.shuffle(records)
+        expected = []
+        for r in sorted(records, key=lambda r: r.position):
+            expected += reference_field(r.position, POSITION_FIELD_BITS)
+            expected += [int(r.basis is Basis.X), r.bit if values else 0]
+        bits = encode_loc(records, include_values=values)
+        assert bits == tuple(expected)
+        assert [(r.position, r.basis, r.bit) for r in decode_loc(bits)] == [
+            (r.position, r.basis, r.bit if values else 0)
+            for r in sorted(records, key=lambda r: r.position)]
+
+    @given(st.lists(st.integers(0, (1 << POSITION_FIELD_BITS) - 1), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_permutation_matches_reference_and_decodes_back(self, mapping):
+        expected = [bit for entry in mapping
+                    for bit in reference_field(entry, POSITION_FIELD_BITS)]
+        bits = encode_permutation(mapping)
+        assert bits == tuple(expected)
+        assert decode_permutation(bits) == tuple(mapping)
+
+    @pytest.mark.parametrize("value", [2, -1, 256])
+    @pytest.mark.parametrize("mode, wire", [
+        (DetectionMode.IMPROVED, "loc_z"),
+        (DetectionMode.IMPROVED, "decoy_positions_x"),
+        (DetectionMode.IMPROVED, "permutation"),
+        (DetectionMode.MEASURE_THEN_RETURN, "decoy_positions_z"),
+        (DetectionMode.DIRECT_REFLECTION, "decoy_positions"),
+        (DetectionMode.IMPROVED_INLINE_OTP, "loc_ciphertext"),
+        (DetectionMode.IMPROVED_INLINE_OTP, "perm_ciphertext"),
+    ])
+    def test_value_other_than_a_bit_aborts(self, mode, wire, value):
+        # A wire entry that is not 0 or 1, even one no byte can hold,
+        # aborts the round rather than raising.
+        result, _, _, _ = run_round(
+            mode, WriteWireValue(wire, 0, value), seed=3, threshold=1.0
+        )
+        assert result.report.verdict is Verdict.ABORT
+        assert result.carriers == [] and result.recovered_m is None
 
 
 class TestChecks:

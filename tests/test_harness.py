@@ -300,7 +300,7 @@ class TestEfficiency:
             assert (eff.c, eff.q, eff.b) == (n, 2 * n, n)
 
     def test_with_digest_at_matching_length(self):
-        eff = compute_efficiency(256, digest_bits=256)
+        eff = compute_efficiency(256)
         assert eff.eta_with_digest == Fraction(256, 512 + 256 + 256)
         assert float(eff.eta_with_digest) == 0.25
 

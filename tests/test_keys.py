@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsig.adversary import NoAttack
-from sqsig.detection import DetectionMode
 from sqsig.keys import (
     KeyExhaustedError,
     KeyStore,
@@ -17,7 +15,6 @@ from sqsig.keys import (
     random_bits,
     xor_bits,
 )
-from sqsig.protocol import run_protocol_round
 
 bitstrings = st.lists(st.integers(0, 1), min_size=1, max_size=64).map(tuple)
 
@@ -166,20 +163,3 @@ class TestComputeG:
         with pytest.raises(ValueError):
             compute_g((1, 0), store)
 
-
-class TestStorePerRound:
-    @pytest.mark.parametrize("mode", ["improved", "improved_inline_otp"])
-    def test_used_store_refused_for_a_second_round(self, mode):
-        # A second round on the same store would sign with the first
-        # round's pad (and decrypt with its announcement segments).
-        store = keygen_init(600, np.random.default_rng(0))  # room for two rounds
-        first = run_protocol_round(message=(1, 0, 1, 1), mode=DetectionMode(mode),
-                                   strategy=NoAttack(), rng=np.random.default_rng(1),
-                                   d_z=4, d_x=4, store=store)
-        assert first.accepted
-        consumed = list(store.segments)
-        with pytest.raises(ValueError):
-            run_protocol_round(message=(0, 1, 1, 0), mode=DetectionMode(mode),
-                               strategy=NoAttack(), rng=np.random.default_rng(2),
-                               d_z=4, d_x=4, store=store)
-        assert store.segments == consumed
