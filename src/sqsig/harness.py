@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -302,14 +302,21 @@ class AggregateStats:
     detection_aborts: int = 0
     trent_yes: int = 0
     bob_accepts: int = 0
-    error_rate_means: dict[str, float] = field(default_factory=dict)
-    error_rate_vars: dict[str, float] = field(default_factory=dict)
-    error_totals: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # Per check; a run that checks no decoys (forge) keeps these zeros.
+    error_rate_means: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(CHECKS, 0.0))
+    error_rate_vars: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(CHECKS, 0.0))
+    error_totals: dict[str, tuple[int, int]] = field(
+        default_factory=lambda: dict.fromkeys(CHECKS, (0, 0)))
     forgery_acceptance_rate: float | None = None
     qubit_efficiency: EfficiencyCounts | None = None
     wall_time: float = 0.0
-    per_trial: list[dict] = field(default_factory=list)
-    forge_accepts: np.ndarray | None = None
+    per_trial: list[dict] = field(default_factory=list)  # trial i's record at i
+
+
+# A forge trial's record, indexed by its accept bit; every trial shares one.
+_FORGE_RECORDS = ({"accepted": False}, {"accepted": True})
 
 
 def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
@@ -327,7 +334,7 @@ def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
     stats = AggregateStats(config=config)
     stats.trials_run = trials
     stats.forgery_acceptance_rate = float(accepts.mean())
-    stats.forge_accepts = accepts
+    stats.per_trial = [_FORGE_RECORDS[a] for a in accepts.tolist()]
     if n >= 1:
         stats.qubit_efficiency = compute_efficiency(n)
     stats.wall_time = time.perf_counter() - start
@@ -364,7 +371,6 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         if i == 0:
             transcript = result.transcript
         record = {
-            "trial": i,
             "aborted": result.aborted,
             "trent_yes": bool(result.outcome.verdict) if result.outcome else False,
             "accepted": result.accepted,
@@ -464,114 +470,98 @@ def _ci3(rate: float, n: int) -> tuple[float, float]:
     return max(rate - half, 0.0), min(rate + half, 1.0)
 
 
-def _summary_dict(stats: AggregateStats) -> dict:
-    m = stats.trials_run
-    summary = {
-        "record": "summary",
-        "config": stats.config.echo(),
-        "trials_run": m,
-        "detection_aborts": stats.detection_aborts,
-        "trent_yes": stats.trent_yes,
-        "bob_accepts": stats.bob_accepts,
+def _check_rate(stats: AggregateStats, k: str) -> float:
+    errors, checked = stats.error_totals[k]
+    return errors / checked if checked else 0.0
+
+
+def _efficiency(stats: AggregateStats) -> dict | None:
+    eff = stats.qubit_efficiency
+    return None if eff is None else {
+        **asdict(eff), "eta": float(eff.eta), "eta_with_digest": float(eff.eta_with_digest)
     }
-    for k in CHECKS:
-        errors, checked = stats.error_totals.get(k, (0, 0))
-        rate = errors / checked if checked else 0.0
-        lo, hi = _ci3(rate, checked)
-        summary[f"{k}_rate"] = rate
-        summary[f"{k}_rate_ci3"] = [lo, hi]
-        summary[f"{k}_mean"] = stats.error_rate_means.get(k, 0.0)
-        summary[f"{k}_var"] = stats.error_rate_vars.get(k, 0.0)
-    if stats.forgery_acceptance_rate is not None:
-        summary["forgery_acceptance_rate"] = stats.forgery_acceptance_rate
-    if stats.qubit_efficiency is not None:
-        eff = stats.qubit_efficiency
-        summary["efficiency"] = {
-            "c": eff.c, "q": eff.q, "b": eff.b,
-            "eta": float(eff.eta),
-            "digest_bits": eff.digest_bits,
-            "eta_with_digest": float(eff.eta_with_digest),
-        }
-    return summary
 
 
-def _iter_trial_records(stats: AggregateStats):
-    if stats.forge_accepts is not None:
-        for i, acc in enumerate(stats.forge_accepts):
-            yield {"record": "trial", "trial": i, "accepted": bool(acc)}
-    else:
-        for rec in stats.per_trial:
-            yield {"record": "trial", **rec}
+def _check_fields(k: str) -> tuple:
+    rate = f"{k}_rate"
+    return (
+        (rate, lambda s: _check_rate(s, k), rate + "\t{v:.9f}", None),
+        (f"{rate}_ci3",
+         lambda s: list(_ci3(_check_rate(s, k), s.error_totals[k][1])),
+         rate + "_ci3\t{v[0]:.9f},{v[1]:.9f}",
+         f"{k:>8} rate     : {{{rate}:.6f}} (3-sigma CI [{{v[0]:.6f}}, {{v[1]:.6f}}])"),
+        (f"{k}_mean", lambda s: s.error_rate_means[k], None, None),
+        (f"{k}_var", lambda s: s.error_rate_vars[k], None, None),
+    )
+
+
+# The run summary in report order: (jsonl key, its value from the stats,
+# tsv row template, human line template). A value of None leaves the field
+# out of every format; a template of None leaves it out of that format. A
+# template formats the field's value as {v} and any other field by its key.
+# The renderers print the config echo as their own header.
+SUMMARY_FIELDS = (
+    ("config", lambda s: s.config.echo(), None, None),
+    ("trials_run", lambda s: s.trials_run,
+     "trials_run\t{v}", "trials run        : {v}"),
+    ("detection_aborts", lambda s: s.detection_aborts,
+     "detection_aborts\t{v}", "detection aborts  : {v}"),
+    ("trent_yes", lambda s: s.trent_yes,
+     "trent_yes\t{v}", "trent yes         : {v}"),
+    ("bob_accepts", lambda s: s.bob_accepts,
+     "bob_accepts\t{v}", "bob accepts       : {v}"),
+    *(f for k in CHECKS for f in _check_fields(k)),
+    ("forgery_acceptance_rate", lambda s: s.forgery_acceptance_rate,
+     "forgery_acceptance_rate\t{v:.9f}", "forgery accept    : {v:.3e}"),
+    ("efficiency", _efficiency,
+     "efficiency.eta\t{v[eta]:.9f}\n"
+     "efficiency.eta_with_digest\t{v[eta_with_digest]:.9f}",
+     "qubit efficiency  : {v[eta]:.6f} (with digest: {v[eta_with_digest]:.6f})"),
+)
+
+
+def _render(summary: dict, format: str) -> list[str]:
+    """The summary's tsv rows or human lines, in table order."""
+    lines = []
+    for key, _, tsv, human in SUMMARY_FIELDS:
+        template = tsv if format == "tsv" else human
+        if template is not None and key in summary:
+            lines.append(template.format(v=summary[key], **summary))
+    return lines
 
 
 def emit_report(
     stats: AggregateStats, transcript: list[dict], format: str = "human"
 ) -> str:
-    """Deterministic serialization of a run (wall time excluded)."""
+    """Serialize a run; the same seed gives the same bytes.
+
+    The one exception is the human report's `wall time (s)` line.
+    """
     if format not in REPORT_FORMATS:
         raise ValueError(
             f"unknown format {format!r}; choose from {REPORT_FORMATS}"
         )
-    summary = _summary_dict(stats)
+    summary = {key: v for key, value, _, _ in SUMMARY_FIELDS
+               if (v := value(stats)) is not None}
+    config = summary["config"]
     if format == "jsonl":
-        lines = [json.dumps({"record": "config", **stats.config.echo()},
-                            sort_keys=True)]
-        lines += [json.dumps(rec, sort_keys=True)
-                  for rec in _iter_trial_records(stats)]
-        lines.append(json.dumps(summary, sort_keys=True))
-        return "\n".join(lines) + "\n"
-
-    if format == "tsv":
-        rows = [("metric", "value")]
-        for key, value in stats.config.echo().items():
-            rows.append((f"config.{key}", str(value)))
-        for key in ("trials_run", "detection_aborts", "trent_yes", "bob_accepts"):
-            rows.append((key, str(summary[key])))
-        for k in CHECKS:
-            rows.append((f"{k}_rate", f"{summary[f'{k}_rate']:.9f}"))
-            lo, hi = summary[f"{k}_rate_ci3"]
-            rows.append((f"{k}_rate_ci3", f"{lo:.9f},{hi:.9f}"))
-        if "forgery_acceptance_rate" in summary:
-            rows.append(("forgery_acceptance_rate",
-                         f"{summary['forgery_acceptance_rate']:.9f}"))
-        if "efficiency" in summary:
-            eff = summary["efficiency"]
-            rows.append(("efficiency.eta", f"{eff['eta']:.9f}"))
-            rows.append(("efficiency.eta_with_digest",
-                         f"{eff['eta_with_digest']:.9f}"))
-        return "\n".join("\t".join(r) for r in rows) + "\n"
-
-    # human
-    lines = ["=== run report ==="]
-    for key, value in stats.config.echo().items():
-        lines.append(f"{key:>12}: {value}")
-    lines.append("")
-    lines.append(f"trials run        : {summary['trials_run']}")
-    lines.append(f"detection aborts  : {summary['detection_aborts']}")
-    lines.append(f"trent yes         : {summary['trent_yes']}")
-    lines.append(f"bob accepts       : {summary['bob_accepts']}")
-    for k in CHECKS:
-        lo, hi = summary[f"{k}_rate_ci3"]
-        lines.append(
-            f"{k:>8} rate     : {summary[f'{k}_rate']:.6f} "
-            f"(3-sigma CI [{lo:.6f}, {hi:.6f}])"
-        )
-    if "forgery_acceptance_rate" in summary:
-        lines.append(
-            f"forgery accept    : {summary['forgery_acceptance_rate']:.3e}"
-        )
-    if "efficiency" in summary:
-        eff = summary["efficiency"]
-        lines.append(
-            f"qubit efficiency  : {eff['eta']:.6f} "
-            f"(with digest: {eff['eta_with_digest']:.6f})"
-        )
-    lines.append(f"wall time (s)     : {stats.wall_time:.3f}")
-    if transcript:
+        lines = [json.dumps({"record": "config", **config}, sort_keys=True)]
+        lines += [json.dumps({"record": "trial", "trial": i, **rec}, sort_keys=True)
+                  for i, rec in enumerate(stats.per_trial)]
+        lines.append(json.dumps({"record": "summary", **summary}, sort_keys=True))
+    elif format == "tsv":
+        lines = ["metric\tvalue"]
+        lines += [f"config.{key}\t{value}" for key, value in config.items()]
+        lines += _render(summary, format)
+    else:
+        lines = ["=== run report ==="]
+        lines += [f"{key:>12}: {value}" for key, value in config.items()]
         lines.append("")
-        lines.append("--- first trial transcript ---")
-        for ev in transcript:
-            lines.append(json.dumps(ev, sort_keys=True))
+        lines += _render(summary, format)
+        lines.append(f"wall time (s)     : {stats.wall_time:.3f}")
+        if transcript:
+            lines += ["", "--- first trial transcript ---"]
+            lines += [json.dumps(ev, sort_keys=True) for ev in transcript]
     return "\n".join(lines) + "\n"
 
 

@@ -48,8 +48,16 @@ def _scenarios() -> dict[str, ScenarioConfig]:
     out["forge"] = ScenarioConfig(
         n=N, attack=parse_attack("forge"), trials=TRIALS, seed=SEED
     )
+    # n = 0 is the one forge run without an efficiency field.
+    out["forge/n0"] = ScenarioConfig(
+        n=0, attack=parse_attack("forge"), trials=TRIALS, seed=SEED
+    )
     out["noise"] = ScenarioConfig(
         n=N, noise_p=0.05, threshold=0.25, trials=TRIALS, seed=SEED
+    )
+    # The config echo prints a fixed message as its bit string, not "random".
+    out["fixed_message"] = ScenarioConfig(
+        n=N, message=(1, 0), trials=TRIALS, seed=SEED
     )
     for attack in LARGE_N_ATTACKS:
         for mode in MATRIX_MODES:
@@ -86,6 +94,12 @@ def _digests(config: ScenarioConfig) -> dict[str, str]:
 def test_output_bytes_unchanged(name):
     golden = json.loads(DIGEST_FILE.read_text())
     assert _digests(SCENARIOS[name]) == golden[name]
+
+
+def test_digest_file_lists_every_scenario():
+    # A digest whose scenario was removed would otherwise never be checked.
+    golden = json.loads(DIGEST_FILE.read_text())
+    assert sorted(golden) == sorted(SCENARIOS)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sqsig.adversary import QubitProbe
 from sqsig.cli import main
-from sqsig.detection import DetectionMode
+from sqsig.detection import CHECKS, DetectionMode
 from sqsig.harness import (
     ATTACKS,
     AttackSpec,
@@ -354,6 +354,74 @@ class TestEmitReport:
         for needle in ("trials run", "detection aborts", "qubit efficiency",
                        "3-sigma CI", "seed"):
             assert needle in text
+
+    @pytest.mark.parametrize("overrides", [
+        {"n": 0, "attack": "forge"},
+        {"attack": "forge"},
+        {"attack": "intercept_resend_z"},
+        {"noise_p": 0.05, "threshold": 0.25},
+    ], ids=["forge/n0", "forge", "intercept_resend_z", "noise"])
+    def test_formats_agree(self, overrides):
+        # The tsv and human reports print the jsonl summary's values, each at
+        # its own precision; tsv leaves out the means and variances.
+        overrides = {"n": 2, **overrides}
+        if "attack" in overrides:
+            overrides["attack"] = parse_attack(overrides["attack"])
+        stats, transcript = run_trials(ScenarioConfig(trials=20, seed=7, **overrides))
+        report = {fmt: emit_report(stats, transcript, format=fmt).splitlines()
+                  for fmt in ("jsonl", "tsv", "human")}
+        summary = json.loads(report["jsonl"][-1])
+        echo = summary.pop("config")
+        del summary["record"]
+
+        def tsv_text(value):
+            if isinstance(value, list):
+                return ",".join(f"{x:.9f}" for x in value)
+            return f"{value:.9f}" if isinstance(value, float) else str(value)
+
+        rows = [line.split("\t") for line in report["tsv"]]
+        assert rows[0] == ["metric", "value"]
+        config_rows = [row for row in rows[1:] if row[0].startswith("config.")]
+        assert dict(config_rows) == {f"config.{k}": str(v) for k, v in echo.items()}
+        metrics = rows[1 + len(config_rows):]
+        for metric, value in metrics:
+            head, _, sub = metric.partition(".")
+            assert value == tsv_text(summary[head][sub] if sub else summary[head]), metric
+        assert {m.partition(".")[0] for m, _ in metrics} == {
+            key for key in summary if not key.endswith(("_mean", "_var"))}
+
+        human = report["human"]
+        blank = human.index("")
+        assert dict(line.split(": ", 1) for line in human[1:blank]) == {
+            f"{k:>12}": str(v) for k, v in echo.items()}
+        body = human[blank + 1:]
+        body = body[:body.index("")] if "" in body else body
+        lines = dict(line.split(": ", 1) for line in body)
+        assert lines.pop("wall time (s)     ")
+        expected = {f"{label:<18}": str(summary[key]) for label, key in (
+            ("trials run", "trials_run"), ("detection aborts", "detection_aborts"),
+            ("trent yes", "trent_yes"), ("bob accepts", "bob_accepts"))}
+        for k in CHECKS:
+            lo, hi = summary[f"{k}_rate_ci3"]
+            expected[f"{k:>8} rate     "] = (
+                f"{summary[f'{k}_rate']:.6f} (3-sigma CI [{lo:.6f}, {hi:.6f}])")
+        if "forgery_acceptance_rate" in summary:
+            expected["forgery accept    "] = f"{summary['forgery_acceptance_rate']:.3e}"
+        if "efficiency" in summary:
+            eff = summary["efficiency"]
+            expected["qubit efficiency  "] = (
+                f"{eff['eta']:.6f} (with digest: {eff['eta_with_digest']:.6f})")
+        assert lines == expected
+
+    def test_forge_trial_records(self):
+        config = ScenarioConfig(n=2, trials=40, seed=3, attack=parse_attack("forge"))
+        stats, transcript = run_trials(config)
+        lines = emit_report(stats, transcript, format="jsonl").splitlines()
+        trials = [json.loads(line) for line in lines[1:-1]]
+        assert [sorted(rec) for rec in trials] == [["accepted", "record", "trial"]] * 40
+        assert [rec["trial"] for rec in trials] == list(range(40))
+        accepted = sum(rec["accepted"] for rec in trials)
+        assert accepted / 40 == stats.forgery_acceptance_rate
 
     def test_unknown_format_rejected(self):
         _, (stats, transcript) = self._stats()
