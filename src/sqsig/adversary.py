@@ -3,7 +3,11 @@
 Every transmission in a run passes through the channel, which applies
 optional depolarizing noise and then hands the payload to the active
 strategy exactly once per direction. Strategies mutate in-flight qubits
-through their refs or rewrite classical bit payloads. A strategy may touch
+through their refs or rewrite classical payloads. A classical payload
+reaches `tap_classical` as `keys.Bits`, one 0/1 byte per bit; the tap may
+return any sequence of ints, and the receiver refuses what is not bits:
+a value other than 0 or 1 on an announcement aborts the round, and on a
+message wire it leaves Trent's No or Bob's rejection. A strategy may touch
 a protocol qubit only inside its tap: the channel lends it refs of its own
 and revokes them when the tap returns. Ancillas it attached itself stay
 usable.
@@ -52,7 +56,7 @@ class AttackStrategy:
 
     def tap_classical(
         self, point: TapPoint, name: str, bits: Bits, rng: np.random.Generator
-    ) -> Bits:
+    ) -> Sequence[int]:
         return bits
 
 
@@ -146,12 +150,12 @@ class TamperClassicalMessage(AttackStrategy):
 
     def tap_classical(self, point, name, bits, rng):
         if point is TapPoint.ALICE_TO_BOB_CLASSICAL and name == "message":
-            out = list(bits)
+            out = bytearray(bits)
             for p in self.positions:
                 if p < 0 or p >= len(out):
                     raise IndexError(f"tamper position {p} out of range")
                 out[p] ^= 1
-            return tuple(out)
+            return bytes(out)
         return bits
 
 
@@ -192,11 +196,11 @@ class Channel:
         return out
 
     def send_classical(
-        self, point: TapPoint, name: str, bits: Sequence[int],
-        rng: np.random.Generator,
-    ) -> Bits:
-        out = self.strategy.tap_classical(point, name, tuple(bits), rng)
+        self, point: TapPoint, name: str, bits: Bits, rng: np.random.Generator,
+    ) -> Sequence[int]:
+        """The payload as the tap hands it on: any sequence of ints."""
+        out = self.strategy.tap_classical(point, name, bits, rng)
         if self.transcript is not None:
             self._log("classical", point=point.value, name=name,
-                      bits="".join(str(b) for b in out))
+                      bits="".join(map(str, out)))
         return out

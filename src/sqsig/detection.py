@@ -1,7 +1,10 @@
 """Decoy-based eavesdropping detection rounds.
 
-The sender's decoy state is one list of DecoyRecords in position order;
-the first n Z-decoys in that order carry the message. The receiver works
+A decoy record is the 18-bit LOC field it is announced as: position << 2
+| basis bit (Z = 0, X = 1) << 1 | value. The sender's decoy state is one
+list of records in position order; the first n Z-decoys in that order
+carry the message. Every classical payload is `keys.Bits`, one 0/1 byte
+per bit, and a wire field is `width` big-endian bits. The receiver works
 only from the announcements it decodes, and the sender rechecks every
 returned decoy against its own records. Each DetectionMode has one
 ModeSpec in MODE_SPECS, which run_detection_round reads:
@@ -24,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import Channel, TapPoint
-from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt
+from .keys import Bits, KeyStore, bits_to_int, int_to_bits, otp_decrypt, otp_encrypt
 from .parties import Party
-from .quantum import Basis, Uniforms
+from .quantum import Basis
 from .register import QubitRef
 
 
@@ -46,8 +49,9 @@ class Verdict(str, Enum):
 class ModeSpec:
     """The protocol facts that tell the detection modes apart."""
 
-    # Forward announcements: (wire name, decoy bases listed, with values).
-    announcements: tuple[tuple[str, tuple[Basis, ...], bool], ...]
+    # Forward announcements: (wire name, basis flags (record & 2) of the
+    # decoys listed, with values).
+    announcements: tuple[tuple[str, tuple[int, ...], bool], ...]
     # OTP ciphertext under the shared key: no receipt confirmations, and
     # one classical_compute by the receiver.
     encrypted: bool
@@ -57,7 +61,8 @@ class ModeSpec:
     compares: bool  # the receiver checks its Z results against the values
 
 
-_Z, _X, _ALL = (Basis.Z,), (Basis.X,), (Basis.Z, Basis.X)  # _ALL[LOC basis bit]
+_Z, _X, _ALL = (0,), (2,), (0, 2)
+_BASES = (Basis.Z, Basis.X)  # by the record's basis bit
 _BASIS_Z = Basis.Z
 
 MODE_SPECS = {
@@ -74,13 +79,6 @@ MODE_SPECS = {
         (("decoy_positions", _ALL, False),),
         encrypted=False, measures=False, compares=False),
 }
-
-
-@dataclass
-class DecoyRecord:
-    position: int  # index in the transmitted sequence; -1 until interleaved
-    basis: Basis
-    bit: int
 
 
 CHECKS = ("bob_z", "alice_z", "alice_x")  # receiver's Z check, sender's Z/X recheck
@@ -107,7 +105,7 @@ class TrentTransmission:
     """Interleaved carrier + decoy sequence plus the sender's private records."""
 
     sequence: list[QubitRef]
-    records: list[DecoyRecord]  # all decoys, sorted by position
+    records: list[int]  # every decoy's LOC field, in position order
 
 
 @dataclass
@@ -124,19 +122,15 @@ class DetectionResult:
 POSITION_FIELD_BITS = 16
 RECORD_BITS = POSITION_FIELD_BITS + 2
 
-# Turn bit values 0/1 into the ASCII digits of a binary string, and back.
-_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
 
 def _pack(fields: Sequence[int], width: int) -> Bits:
     """Each field as `width` big-endian bits; ValueError if one does not fit."""
     if fields and (min(fields) < 0 or max(fields) >> width):
         raise ValueError(f"a field does not fit in {width} bits")
-    value = 1  # a leading 1 keeps the leading zeros of the first field
+    value = 0
     for f in fields:
         value = value << width | f
-    return tuple(format(value, "b")[1:].encode().translate(_DIGITS_TO_BITS))
+    return int_to_bits(value, width * len(fields))
 
 
 def _unpack(bits: Sequence[int], width: int) -> list[int]:
@@ -144,24 +138,21 @@ def _unpack(bits: Sequence[int], width: int) -> list[int]:
     that is not a whole number of fields or holds a bit other than 0 or 1."""
     if len(bits) % width:
         raise ValueError(f"payload length is not a multiple of {width} bits")
-    digits = bytes(bits).translate(_BITS_TO_DIGITS)
-    if digits.translate(None, b"01"):
-        raise ValueError("wire bits must be 0 or 1")
-    value = int(b"1" + digits, 2)  # the leading 1 of _pack; an empty payload parses
+    value = bits_to_int(bits)
     mask = (1 << width) - 1
-    return [value >> shift & mask for shift in range(len(digits) - width, -1, -width)]
+    return [value >> shift & mask for shift in range(len(bits) - width, -1, -width)]
 
 
-def encode_loc(entries: Sequence[DecoyRecord], include_values: bool = True) -> Bits:
-    """One 18-bit field per decoy, in position order:
-    position << 2 | basis bit (0=Z, 1=X) << 1 | value (0 when withheld)."""
-    return _pack(sorted(r.position << 2 | (r.basis is not _BASIS_Z) << 1
-                        | (r.bit if include_values else 0) for r in entries), RECORD_BITS)
+def encode_loc(records: Sequence[int], include_values: bool = True) -> Bits:
+    """One 18-bit field per decoy, in position order; the value bit is 0
+    when withheld."""
+    return _pack(sorted(records if include_values else [r & ~1 for r in records]),
+                 RECORD_BITS)
 
 
-def decode_loc(bits: Sequence[int]) -> list[DecoyRecord]:
-    fields = _unpack(bits, RECORD_BITS)
-    return [DecoyRecord(f >> 2, _ALL[f >> 1 & 1], f & 1) for f in fields]
+def decode_loc(bits: Sequence[int]) -> list[int]:
+    """The announced records, in wire order."""
+    return _unpack(bits, RECORD_BITS)
 
 
 def encode_permutation(mapping: Sequence[int]) -> Bits:
@@ -184,39 +175,33 @@ def build_decoys(
     embedded_m: Sequence[int],
     rng: np.random.Generator,
     preparer: Party,
-) -> tuple[list[QubitRef], list[DecoyRecord]]:
+) -> tuple[list[QubitRef], list[int]]:
     """Prepare the mixed decoy sequence D, message bits leading the Z-decoys.
 
-    Returned records are in decoy-sequence order with position unset (-1);
-    assemble_transmission() sets the transmitted positions.
+    Returned records are in decoy-sequence order with position 0;
+    assemble_transmission() adds the transmitted positions.
     """
     if len(embedded_m) > d_z:
         raise ValueError(
             f"cannot embed {len(embedded_m)} message bits into {d_z} Z-decoys"
         )
-    bases = [Basis.Z] * d_z + [Basis.X] * d_x
-    order = rng.permutation(d_z + d_x)
-    fill_bits = rng.integers(0, 2, size=d_z + d_x).tolist()
-    refs: list[QubitRef] = []
-    records: list[DecoyRecord] = []
+    bases = [_BASES[i >= d_z] for i in rng.permutation(d_z + d_x).tolist()]
+    fill = rng.integers(0, 2, size=d_z + d_x).tolist()
     message = iter(embedded_m)
-    for slot, idx in enumerate(order.tolist()):
-        basis = bases[idx]
-        bit = next(message, fill_bits[slot]) if basis is _BASIS_Z else fill_bits[slot]
-        refs.append(preparer.prepare(basis, bit))
-        records.append(DecoyRecord(position=-1, basis=basis, bit=bit))
-    return refs, records
+    bits = [next(message, f) if b is _BASIS_Z else f for b, f in zip(bases, fill)]
+    records = [(b is not _BASIS_Z) << 1 | bit for b, bit in zip(bases, bits)]
+    return preparer.prepare(bases, bits), records
 
 
 def assemble_transmission(
     carriers: Sequence[QubitRef],
     decoy_refs: Sequence[QubitRef],
-    records: Sequence[DecoyRecord],
+    records: Sequence[int],
     rng: np.random.Generator,
 ) -> TrentTransmission:
     """Insert the decoys uniformly among the carriers, keeping both orders.
 
-    Each record gets its decoy's transmitted position, in order.
+    Each record gains its decoy's transmitted position, in order.
     """
     d = len(decoy_refs)
     total = len(carriers) + d
@@ -225,20 +210,8 @@ def assemble_transmission(
     carrier_it, decoy_it = iter(carriers), iter(decoy_refs)
     sequence = [next(decoy_it) if p in decoy_set else next(carrier_it)
                 for p in range(total)]
-    for pos, rec in zip(decoy_pos, records):
-        rec.position = pos
-    return TrentTransmission(sequence=sequence, records=list(records))
-
-
-def measure_records(
-    party: Party,
-    refs: Sequence[QubitRef],
-    records: Sequence[DecoyRecord],
-    rng: np.random.Generator,
-) -> list[int]:
-    """Measure each ref in its record's basis, from one draw of len(refs) uniforms."""
-    draws = Uniforms(rng, len(refs))
-    return [party.measure(ref, rec.basis, draws) for ref, rec in zip(refs, records)]
+    return TrentTransmission(
+        sequence=sequence, records=[p << 2 | r for p, r in zip(decoy_pos, records)])
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +221,7 @@ def measure_records(
 def _announce(
     channel: Channel, point: TapPoint, wire: str, payload: Bits,
     pad: KeyStore | None, purpose: str, rng: np.random.Generator,
-) -> Bits:
+) -> Sequence[int]:
     """Send one classical announcement, under the one-time pad if `pad` is set."""
     if pad is None:
         return channel.send_classical(point, wire, payload, rng)
@@ -296,11 +269,11 @@ def run_detection_round(
     )
     if not spec.encrypted:
         channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", (1,), rng
+            TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", b"\x01", rng
         )
-    announced: list[DecoyRecord] = []
+    announced: list[int] = []
     for wire_name, bases, values in spec.announcements:
-        payload = encode_loc([r for r in records if r.basis in bases], include_values=values)
+        payload = encode_loc([r for r in records if r & 2 in bases], include_values=values)
         try:
             received = decode_loc(_announce(
                 channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name, payload,
@@ -308,12 +281,12 @@ def run_detection_round(
             ))
         except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
-        if any(r.basis not in bases for r in received):
+        if any(r & 2 not in bases for r in received):
             return _abort(report)
         announced += received
     if spec.encrypted:
         receiver.classical_compute()
-    positions = {r.position for r in announced}
+    positions = {r >> 2 for r in announced}
     if len(positions) < len(announced) or any(p >= len(seq) for p in positions):
         return _abort(report)
     decoys = [seq[p] for p in sorted(positions)]
@@ -321,16 +294,16 @@ def run_detection_round(
 
     recovered_m: Bits | None = None
     if spec.measures:
-        z_announced = [r for r in announced if r.basis is _BASIS_Z]
-        z_bits = measure_records(
-            receiver, [seq[r.position] for r in z_announced], z_announced, rng)
+        z_announced = [r for r in announced if not r & 2]
+        z_bits = receiver.measure([seq[r >> 2] for r in z_announced],
+                                  (_BASIS_Z,) * len(z_announced), rng)
         if spec.compares:
             report.bob_z_checked = len(z_announced)
             report.bob_z_errors = sum(
-                bit != r.bit for bit, r in zip(z_bits, z_announced))
+                bit != r & 1 for bit, r in zip(z_bits, z_announced))
         if report.rate("bob_z") > threshold:
             return _abort(report)
-        recovered_m = tuple(z_bits[:len(carriers)])
+        recovered_m = z_bits[:len(carriers)]
         mapping = tuple(rng.permutation(len(decoys)).tolist())
         returned = receiver.reorder(decoys, mapping)
     else:
@@ -343,7 +316,7 @@ def run_detection_round(
     if spec.measures:  # the shuffle must be announced; a reflection keeps order
         if not spec.encrypted:
             channel.send_classical(
-                TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", (1,), rng
+                TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", b"\x01", rng
             )
         try:
             mapping = decode_permutation(_announce(
@@ -361,9 +334,9 @@ def run_detection_round(
     restored: list[QubitRef] = [None] * len(records)  # type: ignore[list-item]
     for j, ref in enumerate(returned):
         restored[mapping[j]] = ref
-    bits = measure_records(sender, restored, records, rng)
-    for check, basis in (("alice_z", Basis.Z), ("alice_x", Basis.X)):
-        misses = [bit != r.bit for bit, r in zip(bits, records) if r.basis is basis]
+    bits = sender.measure(restored, [_BASES[r >> 1 & 1] for r in records], rng)
+    for check, flag in (("alice_z", 0), ("alice_x", 2)):
+        misses = [bit != r & 1 for bit, r in zip(bits, records) if r & 2 == flag]
         setattr(report, f"{check}_errors", sum(misses))
         setattr(report, f"{check}_checked", len(misses))
     if max(report.rate("alice_z"), report.rate("alice_x")) > threshold:

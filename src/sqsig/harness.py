@@ -20,6 +20,7 @@ from .adversary import (
     TamperSignatureB,
 )
 from .detection import CHECKS, POSITION_FIELD_BITS, DetectionMode
+from .keys import Bits, random_bits
 from .protocol import run_protocol_round
 from .quantum import (
     Basis,
@@ -30,8 +31,6 @@ from .quantum import (
     trace_distance,
 )
 from .roles import DEFAULT_DIGEST_BITS
-
-Bits = tuple[int, ...]
 
 
 class ConfigError(ValueError):
@@ -200,7 +199,7 @@ def _message(text: str) -> Bits | None:
         return None
     if not set(text) <= {"0", "1"}:
         raise ValueError
-    return tuple(int(c) for c in text)
+    return bytes(int(c) for c in text)
 
 
 # Each key a scenario file may set: its converter, and the complaint when
@@ -361,7 +360,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
         message = config.message
         if message is None:
-            message = tuple(int(b) for b in rng.integers(0, 2, size=config.n))
+            message = random_bits(rng, config.n)
         result = run_protocol_round(
             message=message, mode=config.mode,
             strategy=build_strategy(config.attack), rng=rng,

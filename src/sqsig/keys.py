@@ -1,5 +1,10 @@
 """Shared key store with one-time-pad segment accounting.
 
+Every classical payload, the key included, is `Bits`: bytes holding one
+0/1 byte per bit, read most significant first where it stands for an
+integer. A pad is one XOR of the payload and its key segment, each read
+as a big-endian integer of bytes.
+
 The signer and the trusted third party hold the same key string. Segments
 are allocated for named purposes (signing pad, announcement encryption)
 at the cursor, which only advances, so no two segments overlap. Either
@@ -9,12 +14,16 @@ holder can read back an already-designated segment by purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import xor
 from typing import Sequence
 
 import numpy as np
 
-Bits = tuple[int, ...]
+Bits = bytes  # one 0/1 byte per bit
+
+# Turn bit values 0/1 into the ASCII digits of a binary string, and back.
+# The digit bytes themselves become "x", so that they cannot pass for bits.
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x0101", b"01xx")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class KeyExhaustedError(RuntimeError):
@@ -22,13 +31,29 @@ class KeyExhaustedError(RuntimeError):
 
 
 def random_bits(rng: np.random.Generator, k: int) -> Bits:
-    return tuple(rng.integers(0, 2, size=k).tolist())
+    return rng.integers(0, 2, size=k).astype(np.uint8).tobytes()
+
+
+def int_to_bits(value: int, k: int) -> Bits:
+    """The k bits of 0 <= value < 2**k, most significant first."""
+    return format(1 << k | value, "b")[1:].encode().translate(_DIGITS_TO_BITS)
+
+
+def bits_to_int(bits: Sequence[int]) -> int:
+    """The integer `bits` spell, most significant first; ValueError for a
+    value other than 0 or 1."""
+    # bytes() returns a bytes payload itself, and refuses a value outside 0..255.
+    digits = bytes(bits).translate(_BITS_TO_DIGITS)
+    if digits.translate(None, b"01"):
+        raise ValueError("wire bits must be 0 or 1")
+    return int(b"0" + digits, 2)
 
 
 def xor_bits(a: Sequence[int], b: Sequence[int]) -> Bits:
+    """Bytewise XOR; ValueError for unequal lengths or a value outside 0..255."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(map(xor, a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 @dataclass

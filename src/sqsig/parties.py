@@ -5,7 +5,9 @@ A classical party is restricted to Z-basis preparation and measurement,
 reflection, reordering, delaying, and classical computation. Every
 primitive operation a party performs is appended to its op_log, and a
 classical party attempting a non-classical operation is rejected at the
-interface with CapabilityError.
+interface with CapabilityError. Preparation and measurement take a whole
+stage of qubits: its ops are checked before any qubit is touched, then
+logged in stage order.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .keys import Bits
 from .quantum import Basis, Uniforms, prepare_bell, prepare_single
 from .register import QubitRef, Register, measure_qubit, new_qubit
 
@@ -54,6 +57,7 @@ _Z = Basis.Z
 _CLASSICAL = PartyKind.CLASSICAL
 _PREPARE_Z, _PREPARE_X = OpKind.PREPARE_Z, OpKind.PREPARE_X
 _MEASURE_Z, _MEASURE_X = OpKind.MEASURE_Z, OpKind.MEASURE_X
+_PREPARE_ENTANGLED = OpKind.PREPARE_ENTANGLED
 
 
 class CapabilityError(RuntimeError):
@@ -66,29 +70,37 @@ class Party:
     kind: PartyKind
     op_log: list[OpKind] = field(default_factory=list)
 
-    def _record(self, op: OpKind) -> None:
-        if self.kind is _CLASSICAL and op not in CLASSICAL_ALLOWED:
+    def _record(self, *ops: OpKind) -> None:
+        if self.kind is _CLASSICAL and not CLASSICAL_ALLOWED.issuperset(ops):
+            op = next(op for op in ops if op not in CLASSICAL_ALLOWED)
             raise CapabilityError(
                 f"classical party {self.name} may not perform {op.value}"
             )
-        self.op_log.append(op)
+        self.op_log.extend(ops)
 
-    def prepare(self, basis: Basis, bit: int) -> QubitRef:
-        self._record(_PREPARE_Z if basis is _Z else _PREPARE_X)
-        return new_qubit(prepare_single(basis, bit))
+    def prepare(self, bases: Sequence[Basis], bits: Sequence[int]) -> list[QubitRef]:
+        """One fresh qubit per (basis, bit), in stage order."""
+        if len(bases) != len(bits):
+            raise ValueError("a stage needs one basis per bit")
+        self._record(*[_PREPARE_Z if b is _Z else _PREPARE_X for b in bases])
+        return [new_qubit(prepare_single(b, bit)) for b, bit in zip(bases, bits)]
 
     def prepare_bell_pair(self, g_bit: int) -> tuple[QubitRef, QubitRef]:
         """Returns (trent_half, bob_half) handles of a fresh Bell pair."""
-        self._record(OpKind.PREPARE_ENTANGLED)
+        self._record(_PREPARE_ENTANGLED)
         reg = Register(prepare_bell(g_bit))
-        trent_half, bob_half = reg.refs()
-        return trent_half, bob_half
+        return QubitRef(reg, 0), QubitRef(reg, 1)
 
     def measure(
-        self, ref: QubitRef, basis: Basis, rng: np.random.Generator | Uniforms
-    ) -> int:
-        self._record(_MEASURE_Z if basis is _Z else _MEASURE_X)
-        return measure_qubit(ref, basis, rng)
+        self, refs: Sequence[QubitRef], bases: Sequence[Basis],
+        rng: np.random.Generator,
+    ) -> Bits:
+        """Measure refs[i] in bases[i], in order, from one draw of len(refs) uniforms."""
+        if len(bases) != len(refs):
+            raise ValueError("a stage needs one basis per qubit")
+        self._record(*[_MEASURE_Z if b is _Z else _MEASURE_X for b in bases])
+        draws = Uniforms(rng, len(refs))
+        return bytes([measure_qubit(ref, b, draws) for ref, b in zip(refs, bases)])
 
     def reflect(self, refs: Sequence[QubitRef]) -> list[QubitRef]:
         """Send qubits back undisturbed."""

@@ -66,6 +66,7 @@ def run_protocol_round(
     measurement, the Bob leg, and both verification steps. Aborted
     detection short-circuits the rest of the round.
     """
+    message = bytes(message)
     n = len(message)
     alice = quantum_party("alice")
     bob = classical_party("bob")
@@ -92,8 +93,10 @@ def run_protocol_round(
             TapPoint.FORWARD_ALICE_TO_TRENT, "message_to_trent", message, rng
         )
 
-    # Trent cannot verify a message, T or B string of the wrong length: No.
-    well_formed = len(recovered_m) == len(detection.carriers) == n
+    # Trent cannot verify a message, T or B string of the wrong length, nor
+    # a message holding a value other than a bit: No.
+    well_formed = (len(recovered_m) == len(detection.carriers) == n
+                   and set(recovered_m) <= {0, 1})
     if well_formed:
         t_bits, g_trent = trent_receive(
             detection.carriers, recovered_m, store, trent, rng

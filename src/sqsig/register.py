@@ -43,9 +43,6 @@ class Register:
     def __init__(self, state: StateVector) -> None:
         self.state = state
 
-    def refs(self) -> list["QubitRef"]:
-        return [QubitRef(self, i) for i in range(self.state.num_qubits)]
-
 
 class RevokedHandleError(RuntimeError):
     """A qubit ref was used after the tap it was lent for returned."""

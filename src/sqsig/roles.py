@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .detection import TrentTransmission, assemble_transmission, build_decoys
-from .keys import Bits, KeyStore, compute_g
+from .keys import Bits, KeyStore, compute_g, int_to_bits
 from .parties import Party
-from .quantum import Basis, Uniforms
+from .quantum import Basis
 from .register import QubitRef
 
 HashFn = Callable[[Sequence[int]], Bits]
@@ -27,20 +27,10 @@ DEFAULT_DIGEST_BITS = 256
 _Z = Basis.Z
 
 
-# Bit expansion of every byte value, precomputed once.
-_BYTE_BITS = tuple(
-    tuple((value >> (7 - i)) & 1 for i in range(8)) for value in range(256)
-)
-
-
 def hash_message(m: Sequence[int]) -> Bits:
     """Fixed public 256-bit digest of a bit string (SHA-256 of its text form)."""
-    payload = "".join(str(b) for b in m).encode("ascii")
-    digest = hashlib.sha256(payload).digest()
-    out: list[int] = []
-    for byte in digest:
-        out.extend(_BYTE_BITS[byte])
-    return tuple(out)
+    digest = hashlib.sha256("".join(map(str, m)).encode("ascii")).digest()
+    return int_to_bits(int.from_bytes(digest, "big"), DEFAULT_DIGEST_BITS)
 
 
 @dataclass
@@ -63,7 +53,6 @@ def alice_sign(
     The message rides in the leading Z-decoys. Returns the transmission
     and the Bob halves, which with the plaintext message form the signature.
     """
-    m = tuple(int(b) for b in m)
     g = compute_g(m, store)
     t_refs: list[QubitRef] = []
     b_refs: list[QubitRef] = []
@@ -86,8 +75,7 @@ def trent_receive(
 
     Returns (T, g).
     """
-    draws = Uniforms(rng, len(carriers))
-    t_bits = tuple([trent.measure(ref, _Z, draws) for ref in carriers])
+    t_bits = trent.measure(carriers, (_Z,) * len(carriers), rng)
     trent.classical_compute()
     return t_bits, compute_g(recovered_m, store)
 
@@ -96,8 +84,7 @@ def bob_measure(
     bundle_qubits: Sequence[QubitRef], bob: Party, rng: np.random.Generator
 ) -> Bits:
     """Z-measure every signature qubit in order."""
-    draws = Uniforms(rng, len(bundle_qubits))
-    return tuple([bob.measure(ref, _Z, draws) for ref in bundle_qubits])
+    return bob.measure(bundle_qubits, (_Z,) * len(bundle_qubits), rng)
 
 
 def trent_verify(g: Sequence[int], t: Sequence[int], b: Sequence[int]) -> VerificationOutcome:

@@ -69,9 +69,9 @@ class TestNoAttack:
         rng = np.random.default_rng(0)
         strategy = NoAttack()
         bits = strategy.tap_classical(
-            TapPoint.ALICE_TO_BOB_CLASSICAL, "message", (1, 0, 1), rng
+            TapPoint.ALICE_TO_BOB_CLASSICAL, "message", bytes((1, 0, 1)), rng
         )
-        assert bits == (1, 0, 1)
+        assert bits == bytes((1, 0, 1))
 
 
 class TestInterceptMeasureResendZ:
@@ -180,7 +180,7 @@ class TestEntangleProbe:
             strategy = attack("entangle_probe")
             strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
             strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-            errors += alice.measure(ref, Basis.X, rng) != 0
+            errors += alice.measure([ref], [Basis.X], rng) != b"\x00"
         assert abs(errors / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_immediate_measure_time(self):
@@ -265,13 +265,13 @@ class TestTamperClassicalMessage:
         rng = np.random.default_rng(15)
         strategy = TamperClassicalMessage([0])
         out = strategy.tap_classical(
-            TapPoint.ALICE_TO_BOB_CLASSICAL, "message", (0, 1, 1), rng
+            TapPoint.ALICE_TO_BOB_CLASSICAL, "message", bytes((0, 1, 1)), rng
         )
-        assert out == (1, 1, 1)
+        assert out == bytes((1, 1, 1))
         untouched = strategy.tap_classical(
-            TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", (0, 1, 1), rng
+            TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", bytes((0, 1, 1)), rng
         )
-        assert untouched == (0, 1, 1)
+        assert untouched == bytes((0, 1, 1))
 
     def test_bob_rejects_in_full_round(self):
         rng = np.random.default_rng(16)

@@ -1,4 +1,8 @@
-"""Decoy construction, wire encodings, and detection-round tests."""
+"""Decoy construction, wire encodings, and detection-round tests.
+
+A decoy record is its 18-bit LOC field, position << 2 | basis bit (X = 1)
+<< 1 | value, and a wire payload is bytes with one 0/1 byte per bit.
+"""
 
 import numpy as np
 import pytest
@@ -9,16 +13,16 @@ from sqsig.adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from sqsig.detection import (
     POSITION_FIELD_BITS,
     RECORD_BITS,
-    DecoyRecord,
     DetectionMode,
     Verdict,
+    _pack,
+    _unpack,
     assemble_transmission,
     build_decoys,
     decode_loc,
     decode_permutation,
     encode_loc,
     encode_permutation,
-    measure_records,
     run_detection_round,
 )
 from sqsig.harness import build_strategy, parse_attack
@@ -26,6 +30,7 @@ from sqsig.keys import compute_g, keygen_init
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
+from sqsig.register import measure_qubit
 from sqsig.roles import alice_sign, bob_measure, trent_receive
 
 
@@ -51,14 +56,23 @@ def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
     return result, transmission, alice, trent
 
 
+def record(position, basis, bit):
+    """The LOC field of one decoy."""
+    return position << 2 | (basis is Basis.X) << 1 | bit
+
+
+def basis_of(r):
+    return Basis.X if r & 2 else Basis.Z
+
+
 def z_records(transmission):
     """The sender's Z-decoy records, as the honest loc_z announcement lists them."""
-    return [r for r in transmission.records if r.basis is Basis.Z]
+    return [r for r in transmission.records if basis_of(r) is Basis.Z]
 
 
 def split_sequence(transmission):
     """(decoys in position order, carriers) of an assembled transmission."""
-    positions = {r.position for r in transmission.records}
+    positions = {r >> 2 for r in transmission.records}
     seq = transmission.sequence
     return ([seq[p] for p in sorted(positions)],
             [ref for p, ref in enumerate(seq) if p not in positions])
@@ -66,7 +80,7 @@ def split_sequence(transmission):
 
 def unplaced(basis, bit, count):
     """Sender records for `count` decoys not yet given a position."""
-    return [DecoyRecord(position=-1, basis=basis, bit=bit) for _ in range(count)]
+    return [record(0, basis, bit)] * count
 
 
 class FlipWireBit(AttackStrategy):
@@ -81,8 +95,9 @@ class FlipWireBit(AttackStrategy):
     def tap_classical(self, point, name, bits, rng):
         bits = super().tap_classical(point, name, bits, rng)
         if name == self.wire:
-            i = self.index
-            bits = bits[:i] + (1 - bits[i],) + bits[i + 1:]
+            bits = bytearray(bits)
+            bits[self.index] ^= 1
+            bits = bytes(bits)
         return bits
 
 
@@ -98,7 +113,8 @@ class WriteWireValue(AttackStrategy):
     def tap_classical(self, point, name, bits, rng):
         bits = super().tap_classical(point, name, bits, rng)
         if name == self.wire:
-            bits = bits[:self.index] + (self.value,) + bits[self.index + 1:]
+            # A tuple: the value need not fit in a byte.
+            bits = (*bits[:self.index], self.value, *bits[self.index + 1:])
         return bits
 
 
@@ -114,7 +130,7 @@ class ResizeWire(AttackStrategy):
     def tap_classical(self, point, name, bits, rng):
         bits = super().tap_classical(point, name, bits, rng)
         if name == self.wire:
-            bits = bits + (0,) * self.delta if self.delta > 0 else bits[:self.delta]
+            bits = bits + bytes(self.delta) if self.delta > 0 else bits[:self.delta]
         return bits
 
 
@@ -145,16 +161,18 @@ class TestBuildDecoys:
         rng = np.random.default_rng(2)
         alice = quantum_party("alice")
         refs, records = build_decoys(3, 2, (1, 0, 1), rng, alice)
-        z_bits = [r.bit for r in records if r.basis is Basis.Z]
+        assert all(r >> 2 == 0 for r in records)  # no position yet
+        z_bits = [r & 1 for r in records if basis_of(r) is Basis.Z]
         assert z_bits[:3] == [1, 0, 1]
         # Interleaving keeps the decoy order, so the message still leads
         # the Z-decoys once the records are in position order.
-        carriers = [alice.prepare(Basis.Z, 0) for _ in range(3)]
+        carriers = alice.prepare([Basis.Z] * 3, [0] * 3)
         tx = assemble_transmission(carriers, refs, records, rng)
-        positions = [r.position for r in tx.records]
+        positions = [r >> 2 for r in tx.records]
         assert positions == sorted(set(positions))
+        assert [r & 3 for r in tx.records] == records
         assert [tx.sequence[p] for p in positions] == refs
-        assert [r.bit for r in z_records(tx)][:3] == [1, 0, 1]
+        assert [r & 1 for r in z_records(tx)][:3] == [1, 0, 1]
 
     def test_empty_decoy_set(self):
         refs, records = build_decoys(
@@ -166,14 +184,14 @@ class TestBuildDecoys:
         alice = quantum_party("alice")
         _, a = build_decoys(4, 4, (), np.random.default_rng(5), alice)
         _, b = build_decoys(4, 4, (), np.random.default_rng(5), alice)
-        assert [(r.basis, r.bit) for r in a] == [(r.basis, r.bit) for r in b]
+        assert a == b
 
     def test_basis_counts(self):
         _, records = build_decoys(
             5, 3, (), np.random.default_rng(1), quantum_party("alice")
         )
-        assert sum(r.basis is Basis.Z for r in records) == 5
-        assert sum(r.basis is Basis.X for r in records) == 3
+        assert sum(basis_of(r) is Basis.Z for r in records) == 5
+        assert sum(basis_of(r) is Basis.X for r in records) == 3
 
     def test_embedding_overflow_rejected(self):
         with pytest.raises(ValueError):
@@ -184,34 +202,34 @@ class TestBuildDecoys:
 class TestInterleave:
     def test_no_decoys_identity(self):
         alice = quantum_party("alice")
-        carriers = [alice.prepare(Basis.Z, 0) for _ in range(2)]
+        carriers = alice.prepare([Basis.Z] * 2, [0] * 2)
         tx = assemble_transmission(carriers, [], [], np.random.default_rng(0))
         assert tx.sequence == carriers and tx.records == []
 
     def test_no_carriers(self):
         alice = quantum_party("alice")
-        decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
+        decoys = alice.prepare([Basis.Z] * 3, [1] * 3)
         tx = assemble_transmission([], decoys, unplaced(Basis.Z, 1, 3),
                                    np.random.default_rng(0))
         assert tx.sequence == decoys
-        assert [r.position for r in tx.records] == [0, 1, 2]
+        assert tx.records == [record(p, Basis.Z, 1) for p in (0, 1, 2)]
 
     def test_partition_roundtrip(self):
         rng = np.random.default_rng(3)
         alice = quantum_party("alice")
         for _ in range(20):
-            carriers = [alice.prepare(Basis.Z, 0) for _ in range(4)]
-            decoys = [alice.prepare(Basis.X, 0) for _ in range(3)]
+            carriers = alice.prepare([Basis.Z] * 4, [0] * 4)
+            decoys = alice.prepare([Basis.X] * 3, [0] * 3)
             tx = assemble_transmission(carriers, decoys, unplaced(Basis.X, 0, 3), rng)
             assert split_sequence(tx) == (decoys, carriers)
 
     def test_relative_orders_preserved(self):
         rng = np.random.default_rng(4)
         alice = quantum_party("alice")
-        carriers = [alice.prepare(Basis.Z, 0) for _ in range(3)]
-        decoys = [alice.prepare(Basis.Z, 1) for _ in range(3)]
+        carriers = alice.prepare([Basis.Z] * 3, [0] * 3)
+        decoys = alice.prepare([Basis.Z] * 3, [1] * 3)
         tx = assemble_transmission(carriers, decoys, unplaced(Basis.Z, 1, 3), rng)
-        decoy_pos = [r.position for r in tx.records]
+        decoy_pos = [r >> 2 for r in tx.records]
         assert decoy_pos == sorted(set(decoy_pos))
         carrier_pos = [p for p in range(6) if p not in decoy_pos]
         assert [tx.sequence[p] for p in carrier_pos] == carriers
@@ -220,31 +238,25 @@ class TestInterleave:
 
 class TestWireEncodings:
     def test_loc_roundtrip(self):
-        records = [
-            DecoyRecord(position=0, basis=Basis.Z, bit=1),
-            DecoyRecord(position=3, basis=Basis.X, bit=0),
-            DecoyRecord(position=7, basis=Basis.Z, bit=0),
-        ]
-        decoded = decode_loc(encode_loc(records))
-        assert [(r.position, r.basis, r.bit) for r in decoded] == [
-            (0, Basis.Z, 1), (3, Basis.X, 0), (7, Basis.Z, 0),
+        records = [record(7, Basis.Z, 0), record(0, Basis.Z, 1), record(3, Basis.X, 0)]
+        # Encoded in position order; decoded as the fields on the wire.
+        assert decode_loc(encode_loc(records)) == [
+            record(0, Basis.Z, 1), record(3, Basis.X, 0), record(7, Basis.Z, 0),
         ]
 
     def test_loc_bits_per_record(self):
-        records = [DecoyRecord(position=5, basis=Basis.X, bit=1)]
-        bits = encode_loc(records)
-        assert len(bits) == 18
-        assert bits[:16] == (0,) * 13 + (1, 0, 1)  # 5 big-endian
+        bits = encode_loc([record(5, Basis.X, 1)])
+        assert type(bits) is bytes and len(bits) == 18
+        assert bits[:16] == bytes(13) + bytes((1, 0, 1))  # 5 big-endian
         assert bits[16] == 1  # X basis flag
 
     def test_values_withheld_option(self):
-        records = [DecoyRecord(position=2, basis=Basis.X, bit=1)]
-        bits = encode_loc(records, include_values=False)
+        bits = encode_loc([record(2, Basis.X, 1)], include_values=False)
         assert bits[17] == 0
 
     def test_loc_bad_length_rejected(self):
         with pytest.raises(ValueError):
-            decode_loc((0, 1, 0))
+            decode_loc(bytes((0, 1, 0)))
 
     def test_permutation_roundtrip(self):
         assert decode_permutation(encode_permutation((2, 0, 1))) == (2, 0, 1)
@@ -252,7 +264,7 @@ class TestWireEncodings:
     def test_permutation_entry_out_of_range_rejected(self):
         bits = encode_permutation((0, 1))
         # Rewrite the second entry to the value 7 (out of range for d=2).
-        tampered = bits[:16] + (0,) * 13 + (1, 1, 1)
+        tampered = bits[:16] + bytes(13) + bytes((1, 1, 1))
         # The codec reads the entry as sent; the round is what refuses it.
         assert decode_permutation(tampered) == (0, 7)
         for mode in (DetectionMode.IMPROVED, DetectionMode.MEASURE_THEN_RETURN):
@@ -265,7 +277,7 @@ class TestWireEncodings:
     @pytest.mark.parametrize("position",[1 << POSITION_FIELD_BITS, -1])
     def test_position_outside_field_rejected(self, position):
         with pytest.raises(ValueError):
-            encode_loc([DecoyRecord(position=position, basis=Basis.Z, bit=0)])
+            encode_loc([record(position, Basis.Z, 0)])
         with pytest.raises(ValueError):
             encode_permutation((0, position))
 
@@ -298,7 +310,7 @@ records_strategy = st.lists(
     st.tuples(st.integers(0, (1 << POSITION_FIELD_BITS) - 1),
               st.sampled_from(list(Basis)), st.integers(0, 1)),
     max_size=40, unique_by=lambda t: t[0],
-).map(lambda ts: [DecoyRecord(p, basis, bit) for p, basis, bit in ts])
+).map(lambda ts: [record(p, basis, bit) for p, basis, bit in ts])
 
 
 class TestWireLayout:
@@ -311,14 +323,12 @@ class TestWireLayout:
     def test_loc_matches_reference_and_decodes_back(self, records, values, shuffler):
         shuffler.shuffle(records)
         expected = []
-        for r in sorted(records, key=lambda r: r.position):
-            expected += reference_field(r.position, POSITION_FIELD_BITS)
-            expected += [int(r.basis is Basis.X), r.bit if values else 0]
+        for r in sorted(records):
+            expected += reference_field(r >> 2, POSITION_FIELD_BITS)
+            expected += [int(basis_of(r) is Basis.X), r & 1 if values else 0]
         bits = encode_loc(records, include_values=values)
-        assert bits == tuple(expected)
-        assert [(r.position, r.basis, r.bit) for r in decode_loc(bits)] == [
-            (r.position, r.basis, r.bit if values else 0)
-            for r in sorted(records, key=lambda r: r.position)]
+        assert bits == bytes(expected)
+        assert decode_loc(bits) == [r if values else r & ~1 for r in sorted(records)]
 
     @given(st.lists(st.integers(0, (1 << POSITION_FIELD_BITS) - 1), max_size=40))
     @settings(max_examples=150, deadline=None)
@@ -326,10 +336,31 @@ class TestWireLayout:
         expected = [bit for entry in mapping
                     for bit in reference_field(entry, POSITION_FIELD_BITS)]
         bits = encode_permutation(mapping)
-        assert bits == tuple(expected)
+        assert bits == bytes(expected)
         assert decode_permutation(bits) == tuple(mapping)
 
-    @pytest.mark.parametrize("value", [2, -1, 256])
+    @given(st.sampled_from([POSITION_FIELD_BITS, RECORD_BITS]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pack_unpack_match_the_bitwise_codec(self, width, data):
+        fields = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=300))
+        bits = _pack(fields, width)
+        assert bits == bytes(b for f in fields for b in reference_field(f, width))
+        assert _unpack(bits, width) == fields
+        # A tuple or list of the same bits parses the same way.
+        assert _unpack(list(bits), width) == _unpack(tuple(bits), width) == fields
+
+    @given(st.sampled_from([POSITION_FIELD_BITS, RECORD_BITS]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_unpack_refuses_a_byte_other_than_a_bit(self, width, data):
+        bits = bytearray(data.draw(st.binary(min_size=width, max_size=5 * width)
+                                   .map(lambda b: bytes(x & 1 for x in b))
+                                   .filter(lambda b: len(b) % width == 0)))
+        bits[data.draw(st.integers(0, len(bits) - 1))] = data.draw(st.integers(2, 255))
+        with pytest.raises(ValueError):
+            _unpack(bytes(bits), width)
+
+    # 48 and 49 are the digit bytes "0" and "1".
+    @pytest.mark.parametrize("value", [2, -1, 256, 48, 49])
     @pytest.mark.parametrize("mode, wire", [
         (DetectionMode.IMPROVED, "loc_z"),
         (DetectionMode.IMPROVED, "decoy_positions_x"),
@@ -355,12 +386,12 @@ class TestChecks:
         alice = quantum_party("alice")
         tx, _ = alice_sign((1, 0), keygen_init(4, rng), alice, rng, d_z=3, d_x=3)
         z = z_records(tx)
-        z_refs = [tx.sequence[r.position] for r in z]
-        assert measure_records(classical_party("trent"), z_refs, z, rng) == [
-            r.bit for r in z]
+        z_refs = [tx.sequence[r >> 2] for r in z]
+        assert classical_party("trent").measure(z_refs, [Basis.Z] * len(z), rng) == bytes(
+            r & 1 for r in z)
         decoys, _ = split_sequence(tx)
-        assert measure_records(alice, decoys, tx.records, rng) == [
-            r.bit for r in tx.records]
+        assert alice.measure(decoys, [basis_of(r) for r in tx.records], rng) == bytes(
+            r & 1 for r in tx.records)
 
     def test_bit_flip_on_every_qubit_all_errors(self):
         result, _, _, _ = run_round(DetectionMode.IMPROVED, attack("pauli_x_tamper"),
@@ -382,7 +413,7 @@ class TestChecks:
                                     message=(1, 0))
         rep = result.report
         assert rep.bob_z_errors == rep.bob_z_checked == 0
-        assert result.recovered_m == (0, 1)
+        assert result.recovered_m == bytes((0, 1))
 
 
 class TestRunDetectionRound:
@@ -515,7 +546,7 @@ class TestRunDetectionRound:
             result, _, _, _ = run_round(
                 mode, NoAttack(), seed=24, n=3, d_z=3, d_x=3, message=(1, 1, 0)
             )
-            assert result.recovered_m == (1, 1, 0)
+            assert result.recovered_m == bytes((1, 1, 0))
 
     def test_carriers_survive_detection(self):
         result, _, _, _ = run_round(DetectionMode.IMPROVED, NoAttack(),
@@ -578,9 +609,7 @@ class TestInlineAnnouncements:
         mapping = (1, 2, 0)
         bits = encode_permutation(mapping)
         for i in range(len(bits)):
-            tampered = tuple(
-                b ^ (j == i) for j, b in enumerate(bits)
-            )
+            tampered = bytes(b ^ (j == i) for j, b in enumerate(bits))
             assert decode_permutation(tampered) != mapping
 
 
@@ -590,7 +619,7 @@ class TestAliceFinalCheck:
         result, _, _, _ = run_round(DetectionMode.IMPROVED, NoAttack(), seed=40,
                                     d_z=4, d_x=4, transcript=transcript)
         wire = next(ev["bits"] for ev in transcript if ev.get("name") == "permutation")
-        mapping = decode_permutation(tuple(int(b) for b in wire))
+        mapping = decode_permutation(bytes(int(b) for b in wire))
         assert mapping != tuple(range(8))  # the receiver did shuffle
         rep = result.report
         assert rep.verdict is Verdict.CONTINUE
@@ -625,17 +654,14 @@ class TestOneDrawPerStage:
             # Each decoy in the other basis, so each bit is a fresh coin.
             alice, _, transmission, _ = signed_round(seed)
             decoys, _ = split_sequence(transmission)
-            swapped = [DecoyRecord(r.position, Basis.X if r.basis is Basis.Z else Basis.Z,
-                                   r.bit) for r in transmission.records]
-            return measure(alice, decoys, swapped)
+            return measure(alice, decoys, [basis_of(r ^ 2) for r in transmission.records])
 
         stage = np.random.default_rng(100 + seed)
-        bits = measured(lambda party, refs, records: measure_records(
-            party, refs, records, stage))
+        bits = measured(lambda party, refs, bases: party.measure(refs, bases, stage))
         assert stage.bit_generator.state == advanced(100 + seed, 7)
         scalar = np.random.default_rng(100 + seed)
-        assert bits == measured(lambda party, refs, records: [
-            party.measure(ref, r.basis, scalar) for ref, r in zip(refs, records)])
+        assert bits == measured(lambda party, refs, bases: bytes(
+            measure_qubit(ref, b, scalar) for ref, b in zip(refs, bases)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bell_half_stages_match_scalar_draws(self, seed):
@@ -650,10 +676,9 @@ class TestOneDrawPerStage:
         _, store, transmission, b_refs = signed_round(seed)
         _, carriers = split_sequence(transmission)
         scalar = np.random.default_rng(300 + seed)
-        trent, bob = classical_party("trent"), classical_party("bob")
-        assert t_bits == tuple(trent.measure(ref, Basis.Z, scalar) for ref in carriers)
-        assert b_bits == tuple(bob.measure(ref, Basis.Z, scalar) for ref in b_refs)
-        assert tuple(t ^ b for t, b in zip(t_bits, b_bits)) == compute_g(m, store)
+        assert t_bits == bytes(measure_qubit(ref, Basis.Z, scalar) for ref in carriers)
+        assert b_bits == bytes(measure_qubit(ref, Basis.Z, scalar) for ref in b_refs)
+        assert bytes(t ^ b for t, b in zip(t_bits, b_bits)) == compute_g(m, store)
 
 
 class TestWrongLengthClassicalMessage:
@@ -671,6 +696,24 @@ class TestWrongLengthClassicalMessage:
         )
         assert not result.aborted
         assert result.outcome.verdict is False
+        assert not result.accepted
+
+    @pytest.mark.parametrize("value", [2, -1, 256])
+    @pytest.mark.parametrize("mode, wire", [
+        *((mode, wire) for wire in ("message", "b_string") for mode in DetectionMode),
+        (DetectionMode.DIRECT_REFLECTION, "message_to_trent"),
+    ])
+    def test_value_other_than_a_bit_gives_no(self, mode, wire, value):
+        # A message wire is not an announcement: a value that is not a bit
+        # leaves the round to complete. Trent, who never reads `message`,
+        # says Yes on it and Bob's digest check rejects; on the B string
+        # and on the message to Trent, Trent says No.
+        result = run_protocol_round(
+            message=(1, 0), mode=mode, strategy=WriteWireValue(wire, 0, value),
+            rng=np.random.default_rng(3), d_z=2, d_x=2,
+        )
+        assert not result.aborted
+        assert result.outcome.verdict is (wire == "message")
         assert not result.accepted
 
     def test_missing_carrier_gives_no(self):

@@ -2,7 +2,8 @@
 
 Most scenarios run at n=2 with 20 trials and a fixed seed. A second set
 runs at n=16 (d_z = d_x = 16), where each protocol stage acts on many
-qubits at once, and one run has uneven decoy counts. The jsonl and tsv
+qubits at once, and one run has uneven decoy counts. Three runs of 3
+trials at n=64 pin 128-record wires and the 4416-bit inline pad. The jsonl and tsv
 reports, the human report without its `wall time (s)` line, and
 `json.dumps` of the first trial's transcript are hashed with sha256 and
 compared with `golden_digests.json`.
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from sqsig.detection import DetectionMode
 from sqsig.harness import (
     MATRIX_ATTACKS,
     MATRIX_MODES,
@@ -33,6 +35,7 @@ N, TRIALS, SEED = 2, 20, 7
 LARGE_N = 16
 LARGE_N_ATTACKS = ("none", "intercept_resend_z", "entangle_probe",
                    "unitary_tamper_then_undo:H", "tamper_b:0,15", "tamper_m:3")
+XL_N, XL_TRIALS = 64, 3
 
 
 def _scenarios() -> dict[str, ScenarioConfig]:
@@ -72,6 +75,14 @@ def _scenarios() -> dict[str, ScenarioConfig]:
         n=3, d_z=5, d_x=9, attack=parse_attack("entangle_probe"),
         trials=TRIALS, seed=SEED,
     )
+    # n = 64: the first-trial transcript holds every bit of 128-record wires
+    # and, under the inline pad, of all 4416 key bits' ciphertext.
+    for attack, mode in (("none", "improved"), ("none", "improved_inline_otp"),
+                         ("entangle_probe", "improved_inline_otp")):
+        out[f"n{XL_N}/{attack}/{mode}"] = ScenarioConfig(
+            n=XL_N, mode=DetectionMode(mode), attack=parse_attack(attack),
+            trials=XL_TRIALS, seed=SEED,
+        )
     return out
 
 

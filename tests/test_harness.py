@@ -121,7 +121,7 @@ class TestLoadScenario:
 
     def test_explicit_message(self, tmp_path):
         config = load_scenario(write_scenario(tmp_path, "n = 4\nmessage = 1010\n"))
-        assert config.message == (1, 0, 1, 0)
+        assert config.message == bytes((1, 0, 1, 0))
 
     def test_values_case_insensitive(self, tmp_path):
         text = "n = 2\nmode = IMPROVED\nmessage = RANDOM\n"

@@ -1,4 +1,10 @@
-"""Key store, one-time pad, and signing-pad tests."""
+"""Key store, one-time pad, and signing-pad tests.
+
+A payload is bytes with one 0/1 byte per bit, the key included.
+"""
+
+import copy
+from operator import xor
 
 import numpy as np
 import pytest
@@ -16,7 +22,8 @@ from sqsig.keys import (
     xor_bits,
 )
 
-bitstrings = st.lists(st.integers(0, 1), min_size=1, max_size=64).map(tuple)
+bitstrings = st.lists(st.integers(0, 1), min_size=1, max_size=64).map(bytes)
+long_bitstrings = st.binary(max_size=5000).map(lambda b: bytes(x & 1 for x in b))
 
 
 class TestKeygen:
@@ -72,8 +79,8 @@ class TestAllocation:
 
 class TestOtp:
     def test_xor_definition(self):
-        store = KeyStore(key_bits=(1, 1, 1, 1))
-        assert otp_encrypt(store, "p", (1, 0, 1, 0)) == (0, 1, 0, 1)
+        store = KeyStore(key_bits=bytes((1, 1, 1, 1)))
+        assert otp_encrypt(store, "p", bytes((1, 0, 1, 0))) == bytes((0, 1, 0, 1))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(17)
@@ -85,13 +92,13 @@ class TestOtp:
     def test_decrypt_unknown_purpose_rejected(self):
         store = keygen_init(8, np.random.default_rng(0))
         with pytest.raises(KeyError):
-            otp_decrypt(store, "nothing", (0, 1))
+            otp_decrypt(store, "nothing", bytes((0, 1)))
 
     def test_ciphertext_hides_plaintext(self):
         # Same plaintext under fresh segments yields unrelated ciphertexts.
         rng = np.random.default_rng(23)
         store = keygen_init(64, rng)
-        plaintext = (1,) * 16
+        plaintext = bytes((1,) * 16)
         c1 = otp_encrypt(store, "a", plaintext)
         c2 = otp_encrypt(store, "b", plaintext)
         assert c1 != c2  # 2^-16 collision chance under this seed: none
@@ -101,7 +108,15 @@ class TestOtp:
     def test_roundtrip_property(self, plaintext):
         store = keygen_init(len(plaintext), np.random.default_rng(3))
         cipher = otp_encrypt(store, "p", plaintext)
-        assert otp_decrypt(store, "p", cipher) == tuple(plaintext)
+        assert otp_decrypt(store, "p", cipher) == plaintext
+
+    @given(long_bitstrings, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property_up_to_5000_bits(self, plaintext, seed):
+        store = keygen_init(len(plaintext), np.random.default_rng(seed))
+        cipher = otp_encrypt(store, "p", plaintext)
+        assert cipher == bytes(map(xor, plaintext, store.key_bits))
+        assert otp_decrypt(store, "p", cipher) == plaintext
 
 
 class TestRandomBits:
@@ -118,38 +133,58 @@ class TestRandomBits:
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_degenerate_empty(self):
-        assert random_bits(np.random.default_rng(0), 0) == ()
+        assert random_bits(np.random.default_rng(0), 0) == b""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5000))
+    @settings(max_examples=60, deadline=None)
+    def test_same_draws_as_integers(self, seed, k):
+        # The bytes hold the values of the int64 draw, and the generator
+        # ends where that draw leaves it.
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        bits = random_bits(rng, k)
+        assert type(bits) is bytes
+        assert list(bits) == clone.integers(0, 2, size=k).tolist()
+        assert rng.bit_generator.state == clone.bit_generator.state
 
 
 class TestXorBits:
     def test_known_values(self):
-        assert xor_bits((1, 1, 0, 0), (1, 0, 1, 0)) == (0, 1, 1, 0)
+        assert xor_bits(bytes((1, 1, 0, 0)), bytes((1, 0, 1, 0))) == bytes((0, 1, 1, 0))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            xor_bits((0, 1), (0,))
+            xor_bits(bytes((0, 1)), bytes((0,)))
 
     @given(bitstrings)
     @settings(max_examples=50, deadline=None)
     def test_self_inverse(self, bits):
-        key = tuple(1 - b for b in bits)
-        assert xor_bits(xor_bits(bits, key), key) == tuple(bits)
+        key = bytes(1 - b for b in bits)
+        assert xor_bits(xor_bits(bits, key), key) == bits
+
+    @given(st.data(), st.integers(0, 5000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_elementwise_xor(self, data, k):
+        a, b = (data.draw(st.binary(min_size=k, max_size=k)) for _ in range(2))
+        assert tuple(xor_bits(a, b)) == tuple(map(xor, a, b))
+        # Any sequence of byte values is read the same as its bytes.
+        assert xor_bits(tuple(a), list(b)) == xor_bits(a, b)
 
 
 class TestComputeG:
     def test_zero_message_reveals_key(self):
-        store = KeyStore(key_bits=(1, 0, 1, 0))
-        assert compute_g((0, 0, 0, 0), store) == (1, 0, 1, 0)
+        store = KeyStore(key_bits=bytes((1, 0, 1, 0)))
+        assert compute_g(bytes((0, 0, 0, 0)), store) == bytes((1, 0, 1, 0))
 
     def test_message_equal_to_key_cancels(self):
-        store = KeyStore(key_bits=(1, 0, 1, 0))
-        assert compute_g((1, 0, 1, 0), store) == (0, 0, 0, 0)
+        store = KeyStore(key_bits=bytes((1, 0, 1, 0)))
+        assert compute_g(bytes((1, 0, 1, 0)), store) == bytes((0, 0, 0, 0))
 
     def test_bitwise_xor_oracle(self):
-        store = KeyStore(key_bits=(1, 0, 1, 0))
-        m = (1, 1, 0, 0)
-        expected = tuple(mi ^ ki for mi, ki in zip(m, store.key_bits))
-        assert compute_g(m, store) == expected == (0, 1, 1, 0)
+        store = KeyStore(key_bits=bytes((1, 0, 1, 0)))
+        m = bytes((1, 1, 0, 0))
+        expected = bytes(mi ^ ki for mi, ki in zip(m, store.key_bits))
+        assert compute_g(m, store) == expected == bytes((0, 1, 1, 0))
 
     def test_both_holders_read_same_segment(self):
         store = keygen_init(12, np.random.default_rng(8))

@@ -40,7 +40,7 @@ from sqsig.quantum import (
     tensor,
     trace_distance,
 )
-from sqsig.register import Register, attach_ancilla
+from sqsig.register import QubitRef, Register, attach_ancilla
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)
@@ -248,7 +248,7 @@ class TestApplyUnitary:
     def test_attach_ancilla_appends_zero(self, n, seed):
         state = random_state(np.random.default_rng(seed), n)
         reg = Register(state)
-        ancilla = attach_ancilla(reg.refs()[0])
+        ancilla = attach_ancilla(QubitRef(reg, 0))
         assert ancilla.index == n
         np.testing.assert_array_equal(
             reg.state.amplitudes, np.kron(state.amplitudes, [1, 0])

@@ -1,7 +1,12 @@
 """Signing, verification, hashing, and capability-model tests."""
 
+import copy
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqsig.keys import KeyStore, compute_g, keygen_init
 from sqsig.parties import (
@@ -11,7 +16,16 @@ from sqsig.parties import (
     classical_party,
     quantum_party,
 )
-from sqsig.quantum import Basis, equal_up_to_phase, prepare_bell
+from sqsig.quantum import (
+    MAX_REGISTER_QUBITS,
+    Basis,
+    StateVector,
+    Uniforms,
+    equal_up_to_phase,
+    prepare_bell,
+    prepare_single,
+)
+from sqsig.register import QubitRef, Register, measure_qubit
 from sqsig.roles import (
     alice_sign,
     bob_accept,
@@ -82,16 +96,23 @@ class TestHash:
     def test_length_extension_inputs_distinct(self):
         assert hash_message((0,)) != hash_message((0, 0))
 
+    def test_digest_is_sha256_of_the_bit_text(self):
+        # The digest's bits, most significant first, as one 0/1 byte each;
+        # a bytes message and the same bits in a tuple hash alike.
+        digest = hashlib.sha256(b"1011").digest()
+        expected = bytes(byte >> (7 - i) & 1 for byte in digest for i in range(8))
+        assert hash_message(bytes((1, 0, 1, 1))) == hash_message((1, 0, 1, 1)) == expected
+
 
 class TestAliceSign:
     @pytest.mark.parametrize("m_bit,k_bit", [(0, 0), (1, 0), (0, 1), (1, 1)])
     def test_bell_choice_follows_g(self, m_bit, k_bit):
-        store = KeyStore(key_bits=(k_bit,) + (0,) * 8)
+        store = KeyStore(key_bits=bytes((k_bit,) + (0,) * 8))
         alice = quantum_party("alice")
         rng = np.random.default_rng(0)
         _, b_refs = alice_sign((m_bit,), store, alice, rng, d_z=1, d_x=1)
         g = m_bit ^ k_bit
-        assert compute_g((m_bit,), store) == (g,)
+        assert compute_g((m_bit,), store) == bytes((g,))
         pair_state = b_refs[0].register.state
         assert equal_up_to_phase(pair_state, prepare_bell(g))
 
@@ -119,13 +140,14 @@ class TestTrentReceive:
         # 3 * sqrt(0.25 / N) at N = 10^5.
         rng = np.random.default_rng(77)
         trent = classical_party("trent")
-        store = KeyStore(key_bits=(0,))
+        store = KeyStore(key_bits=b"\x00")
         trials = 100_000
         ones = 0
         for _ in range(trials):
             alice = quantum_party("alice")
             t_half, _ = alice.prepare_bell_pair(0)
-            ones += trent.measure(t_half, Basis.Z, rng)
+            (t,) = trent.measure([t_half], [Basis.Z], rng)
+            ones += t
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_recomputed_g_matches_alice(self):
@@ -135,12 +157,12 @@ class TestTrentReceive:
         trent = classical_party("trent")
         m = (1, 0, 1, 1, 0, 0)
         transmission, _ = alice_sign(m, store, alice, rng, d_z=6, d_x=6)
-        positions = {r.position for r in transmission.records}
+        positions = {r >> 2 for r in transmission.records}
         carriers = [ref for p, ref in enumerate(transmission.sequence)
                     if p not in positions]
         t_bits, g_trent = trent_receive(carriers, m, store, trent, rng)
         # Alice's pad is the first n key bits.
-        assert g_trent == tuple(mi ^ ki for mi, ki in zip(m, store.key_bits))
+        assert g_trent == bytes(mi ^ ki for mi, ki in zip(m, store.key_bits))
         assert len(t_bits) == len(m)
 
 
@@ -153,7 +175,7 @@ class TestBobMeasure:
                 bob = classical_party("bob")
                 trent = classical_party("trent")
                 t_half, b_half = alice.prepare_bell_pair(g)
-                t = trent.measure(t_half, Basis.Z, rng)
+                (t,) = trent.measure([t_half], [Basis.Z], rng)
                 (b,) = bob_measure([b_half], bob, rng)
                 assert b == t ^ g
 
@@ -165,7 +187,8 @@ class TestBobMeasure:
         for _ in range(trials):
             alice = quantum_party("alice")
             _, b_half = alice.prepare_bell_pair(1)
-            ones += bob.measure(b_half, Basis.Z, rng)
+            (b,) = bob.measure([b_half], [Basis.Z], rng)
+            ones += b
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_op_log_only_z(self):
@@ -232,14 +255,14 @@ class TestBobAccept:
 class TestCapabilities:
     def test_classical_cannot_prepare_x(self):
         with pytest.raises(CapabilityError):
-            classical_party("bob").prepare(Basis.X, 0)
+            classical_party("bob").prepare([Basis.X], [0])
 
     def test_classical_cannot_measure_x(self):
         rng = np.random.default_rng(0)
         alice = quantum_party("alice")
-        ref = alice.prepare(Basis.X, 0)
+        refs = alice.prepare([Basis.X], [0])
         with pytest.raises(CapabilityError):
-            classical_party("trent").measure(ref, Basis.X, rng)
+            classical_party("trent").measure(refs, [Basis.X], rng)
 
     def test_classical_cannot_prepare_entangled(self):
         with pytest.raises(CapabilityError):
@@ -248,10 +271,10 @@ class TestCapabilities:
     def test_classical_allowed_set(self):
         rng = np.random.default_rng(0)
         bob = classical_party("bob")
-        ref = bob.prepare(Basis.Z, 1)
-        bob.measure(ref, Basis.Z, rng)
-        bob.reflect([ref])
-        bob.reorder([ref], [0])
+        refs = bob.prepare([Basis.Z], [1])
+        bob.measure(refs, [Basis.Z], rng)
+        bob.reflect(refs)
+        bob.reorder(refs, [0])
         bob.delay()
         bob.classical_compute()
         assert set(bob.op_log) <= CLASSICAL_ALLOWED
@@ -259,12 +282,109 @@ class TestCapabilities:
     def test_quantum_party_unrestricted(self):
         rng = np.random.default_rng(0)
         alice = quantum_party("alice")
-        ref = alice.prepare(Basis.X, 1)
-        alice.measure(ref, Basis.X, rng)
+        refs = alice.prepare([Basis.X], [1])
+        alice.measure(refs, [Basis.X], rng)
         alice.prepare_bell_pair(1)
 
     def test_rejected_op_not_logged(self):
         bob = classical_party("bob")
         with pytest.raises(CapabilityError):
-            bob.prepare(Basis.X, 0)
+            bob.prepare([Basis.X], [0])
         assert OpKind.PREPARE_X not in bob.op_log
+
+
+@st.composite
+def measuring_stages(draw):
+    """States of 1..4 registers of 1..MAX_REGISTER_QUBITS qubits each, a
+    stage of (register, qubit, basis) in any order, a seed, and the
+    position of one X basis in the stage."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, MAX_REGISTER_QUBITS))
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        states.append(StateVector(amps / np.linalg.norm(amps)))
+    slots = [(r, q) for r, state in enumerate(states) for q in range(state.num_qubits)]
+    order = draw(st.permutations(slots))
+    stage = order[:draw(st.integers(1, len(order)))]
+    bases = draw(st.lists(st.sampled_from([Basis.Z, Basis.X]),
+                          min_size=len(stage), max_size=len(stage)))
+    return states, stage, bases, seed, draw(st.integers(0, len(stage) - 1))
+
+
+def stage_refs(states, stage):
+    registers = [Register(state) for state in states]
+    return registers, [QubitRef(registers[r], q) for r, q in stage]
+
+
+class TestPartyStages:
+    """A stage is its qubits, in order: the same bits, post-states, op log
+    and generator state as one measure_qubit (or prepare_single) a qubit."""
+
+    @given(measuring_stages())
+    @settings(max_examples=150, deadline=None)
+    def test_measure_is_its_qubits_in_order(self, case):
+        states, stage, bases, seed, _ = case
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        alice = quantum_party("alice")
+        registers, refs = stage_refs(states, stage)
+        bits = alice.measure(refs, bases, rng)
+        expected_registers, expected_refs = stage_refs(states, stage)
+        draws = Uniforms(clone, len(stage))
+        expected = bytes(measure_qubit(ref, b, draws)
+                         for ref, b in zip(expected_refs, bases))
+        assert bits == expected
+        assert ([reg.state.amps for reg in registers]
+                == [reg.state.amps for reg in expected_registers])
+        assert alice.op_log == [OpKind.MEASURE_Z if b is Basis.Z else OpKind.MEASURE_X
+                                for b in bases]
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+    @given(measuring_stages())
+    @settings(max_examples=100, deadline=None)
+    def test_classical_stage_with_one_x_touches_nothing(self, case):
+        states, stage, bases, seed, x_at = case
+        bases = [Basis.Z] * len(stage)
+        bases[x_at] = Basis.X
+        rng = np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        trent = classical_party("trent")
+        trent.delay()
+        registers, refs = stage_refs(states, stage)
+        with pytest.raises(CapabilityError):
+            trent.measure(refs, bases, rng)
+        assert [reg.state for reg in registers] == states  # the same objects
+        assert trent.op_log == [OpKind.DELAY]
+        assert rng.bit_generator.state == before
+
+    @given(st.lists(st.tuples(st.sampled_from([Basis.Z, Basis.X]), st.integers(0, 1)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_prepare_is_its_qubits_in_order(self, stage):
+        bases, bits = zip(*stage)
+        alice = quantum_party("alice")
+        refs = alice.prepare(bases, bits)
+        assert [ref.register.state for ref in refs] == [
+            prepare_single(b, bit) for b, bit in stage]
+        assert len({id(ref.register) for ref in refs}) == len(stage)  # fresh registers
+        assert alice.op_log == [OpKind.PREPARE_Z if b is Basis.Z else OpKind.PREPARE_X
+                                for b in bases]
+        bob = classical_party("bob")
+        bob.delay()
+        if Basis.X in bases:
+            with pytest.raises(CapabilityError):
+                bob.prepare(bases, bits)
+            assert bob.op_log == [OpKind.DELAY]
+        else:
+            assert len(bob.prepare(bases, bits)) == len(stage)
+
+    def test_stage_lengths_must_agree(self):
+        alice = quantum_party("alice")
+        with pytest.raises(ValueError):
+            alice.prepare([Basis.Z], [0, 1])
+        refs = alice.prepare([Basis.Z] * 2, [0, 1])
+        with pytest.raises(ValueError):
+            alice.measure(refs, [Basis.Z], np.random.default_rng(0))
+        assert alice.op_log == [OpKind.PREPARE_Z] * 2
