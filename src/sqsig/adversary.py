@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .keys import Bits
-from .quantum import Basis, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, _check_unitary
+from .quantum import (
+    Basis, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, Uniforms, _check_unitary,
+)
 from .register import (
     QubitRef,
     _lend,
@@ -103,13 +105,17 @@ class QubitProbe(AttackStrategy):
         self.undo = None if self.u is None else self.u.conj().T
 
     def tap_qubits(self, point, refs, rng):
+        # Each tap's reads take their uniforms from one draw.
         if point is TapPoint.FORWARD_ALICE_TO_TRENT:
-            for ref in refs:
-                if self.u is not None:
+            if self.u is not None:
+                for ref in refs:
                     apply_gate(ref, self.u)
-                elif self.read == "immediate":
-                    measure_qubit(ref, Basis.Z, rng)
-                else:
+            elif self.read == "immediate":
+                draws = Uniforms(rng, len(refs))
+                for ref in refs:
+                    measure_qubit(ref, Basis.Z, draws)
+            else:
+                for ref in refs:
                     probe = attach_ancilla(ref)
                     probe_cnot(ref, probe)
                     self.pending.append(probe)
@@ -117,9 +123,11 @@ class QubitProbe(AttackStrategy):
             if self.u is not None:
                 for ref in refs:
                     apply_gate(ref, self.undo)
-            for probe in self.pending:
-                measure_qubit(probe, Basis.Z, rng)
-            self.pending.clear()
+            if self.pending:
+                draws = Uniforms(rng, len(self.pending))
+                for probe in self.pending:
+                    measure_qubit(probe, Basis.Z, draws)
+                self.pending.clear()
         return refs
 
 

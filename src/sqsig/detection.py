@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_, or_
 from typing import Sequence
 
 import numpy as np
@@ -62,8 +64,11 @@ class ModeSpec:
 
 
 _Z, _X, _ALL = (0,), (2,), (0, 2)
-_BASES = (Basis.Z, Basis.X)  # by the record's basis bit
 _BASIS_Z = Basis.Z
+# By a record's low bits, basis bit << 1 | value: the whole record before
+# assembly adds its position.
+_BASIS_OF = (Basis.Z, Basis.Z, Basis.X, Basis.X)
+_VALUE_OF = (0, 1, 0, 1)
 
 MODE_SPECS = {
     DetectionMode.IMPROVED: ModeSpec(
@@ -185,12 +190,14 @@ def build_decoys(
         raise ValueError(
             f"cannot embed {len(embedded_m)} message bits into {d_z} Z-decoys"
         )
-    bases = [_BASES[i >= d_z] for i in rng.permutation(d_z + d_x).tolist()]
+    order = rng.permutation(d_z + d_x).tolist()
     fill = rng.integers(0, 2, size=d_z + d_x).tolist()
     message = iter(embedded_m)
-    bits = [next(message, f) if b is _BASIS_Z else f for b, f in zip(bases, fill)]
-    records = [(b is not _BASIS_Z) << 1 | bit for b, bit in zip(bases, bits)]
-    return preparer.prepare(bases, bits), records
+    # Decoy i is an X-decoy when order[i] >= d_z; a Z-decoy takes the next
+    # message bit while one is left.
+    records = [2 | f if i >= d_z else next(message, f) for i, f in zip(order, fill)]
+    bases = list(map(_BASIS_OF.__getitem__, records))
+    return preparer.prepare(bases, list(map(_VALUE_OF.__getitem__, records))), records
 
 
 def assemble_transmission(
@@ -206,12 +213,13 @@ def assemble_transmission(
     d = len(decoy_refs)
     total = len(carriers) + d
     decoy_pos = sorted(rng.choice(total, size=d, replace=False).tolist()) if d else []
-    decoy_set = set(decoy_pos)
-    carrier_it, decoy_it = iter(carriers), iter(decoy_refs)
-    sequence = [next(decoy_it) if p in decoy_set else next(carrier_it)
-                for p in range(total)]
-    return TrentTransmission(
-        sequence=sequence, records=[p << 2 | r for p, r in zip(decoy_pos, records)])
+    # Inserted in ascending position order, each decoy lands where it belongs.
+    sequence = list(carriers)
+    placed = []
+    for p, ref, r in zip(decoy_pos, decoy_refs, records):
+        sequence.insert(p, ref)
+        placed.append(p << 2 | r)
+    return TrentTransmission(sequence=sequence, records=placed)
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +281,27 @@ def run_detection_round(
         )
     announced: list[int] = []
     for wire_name, bases, values in spec.announcements:
-        payload = encode_loc([r for r in records if r & 2 in bases], include_values=values)
+        listed = records if bases is _ALL else [r for r in records if r & 2 in bases]
         try:
             received = decode_loc(_announce(
-                channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name, payload,
-                pad, "loc_announce", rng,
+                channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
+                encode_loc(listed, include_values=values), pad, "loc_announce", rng,
             ))
         except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
-        if any(r & 2 not in bases for r in received):
+        # Every record of a Z-only wire has basis bit 0, so their OR does;
+        # every record of an X-only wire has it 1, so their AND does.
+        if (bases is _Z and reduce(or_, received, 0) & 2
+                or bases is _X and not reduce(and_, received, 2) & 2):
             return _abort(report)
         announced += received
     if spec.encrypted:
         receiver.classical_compute()
     positions = {r >> 2 for r in announced}
-    if len(positions) < len(announced) or any(p >= len(seq) for p in positions):
+    if len(positions) < len(announced) or max(positions, default=-1) >= len(seq):
         return _abort(report)
-    decoys = [seq[p] for p in sorted(positions)]
-    carriers = [ref for p, ref in enumerate(seq) if p not in positions]
+    decoys = list(map(seq.__getitem__, sorted(positions)))
+    carriers = list(map(seq.__getitem__, sorted(set(range(len(seq))) - positions)))
 
     recovered_m: Bits | None = None
     if spec.measures:
@@ -299,8 +310,7 @@ def run_detection_round(
                                   (_BASIS_Z,) * len(z_announced), rng)
         if spec.compares:
             report.bob_z_checked = len(z_announced)
-            report.bob_z_errors = sum(
-                bit != r & 1 for bit, r in zip(z_bits, z_announced))
+            report.bob_z_errors = sum([(r ^ bit) & 1 for bit, r in zip(z_bits, z_announced)])
         if report.rate("bob_z") > threshold:
             return _abort(report)
         recovered_m = z_bits[:len(carriers)]
@@ -331,14 +341,15 @@ def run_detection_round(
     if sorted(mapping) != list(range(len(records))) or len(returned) != len(records):
         return _abort(report)
 
-    restored: list[QubitRef] = [None] * len(records)  # type: ignore[list-item]
-    for j, ref in enumerate(returned):
-        restored[mapping[j]] = ref
-    bits = sender.measure(restored, [_BASES[r >> 1 & 1] for r in records], rng)
-    for check, flag in (("alice_z", 0), ("alice_x", 2)):
-        misses = [bit != r & 1 for bit, r in zip(bits, records) if r & 2 == flag]
-        setattr(report, f"{check}_errors", sum(misses))
-        setattr(report, f"{check}_checked", len(misses))
+    # Returned decoy j goes back to position mapping[j]; the indices are
+    # distinct, so sorting the pairs never compares two refs.
+    restored = [ref for _, ref in sorted(zip(mapping, returned))]
+    bits = sender.measure(restored, [_BASIS_OF[r & 3] for r in records], rng)
+    # (r ^ bit) & 3 is the record's basis bit << 1 | whether its bit missed.
+    kinds = [(r ^ bit) & 3 for bit, r in zip(bits, records)]
+    report.alice_z_errors, report.alice_x_errors = kinds.count(1), kinds.count(3)
+    report.alice_z_checked = kinds.count(0) + report.alice_z_errors
+    report.alice_x_checked = kinds.count(2) + report.alice_x_errors
     if max(report.rate("alice_z"), report.rate("alice_x")) > threshold:
         return _abort(report)
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -311,11 +312,27 @@ class AggregateStats:
     forgery_acceptance_rate: float | None = None
     qubit_efficiency: EfficiencyCounts | None = None
     wall_time: float = 0.0
-    per_trial: list[dict] = field(default_factory=list)  # trial i's record at i
+    per_trial: Sequence[dict] = field(default_factory=list)  # trial i's record at i
 
 
 # A forge trial's record, indexed by its accept bit; every trial shares one.
 _FORGE_RECORDS = ({"accepted": False}, {"accepted": True})
+
+
+class _ForgeTrials(Sequence):
+    """A forge run's per-trial records, kept as one accept byte a trial."""
+
+    def __init__(self, accepts: bytes) -> None:
+        self.accepts = accepts
+
+    def __len__(self) -> int:
+        return len(self.accepts)
+
+    def __getitem__(self, i: int) -> dict:
+        return _FORGE_RECORDS[self.accepts[i]]
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(_FORGE_RECORDS.__getitem__, self.accepts)
 
 
 def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
@@ -333,7 +350,7 @@ def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
     stats = AggregateStats(config=config)
     stats.trials_run = trials
     stats.forgery_acceptance_rate = float(accepts.mean())
-    stats.per_trial = [_FORGE_RECORDS[a] for a in accepts.tolist()]
+    stats.per_trial = _ForgeTrials(accepts.tobytes())
     if n >= 1:
         stats.qubit_efficiency = compute_efficiency(n)
     stats.wall_time = time.perf_counter() - start

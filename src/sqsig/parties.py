@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ _Z = Basis.Z
 _CLASSICAL = PartyKind.CLASSICAL
 _PREPARE_Z, _PREPARE_X = OpKind.PREPARE_Z, OpKind.PREPARE_X
 _MEASURE_Z, _MEASURE_X = OpKind.MEASURE_Z, OpKind.MEASURE_X
-_PREPARE_ENTANGLED = OpKind.PREPARE_ENTANGLED
+_ENTANGLED_OPS = (OpKind.PREPARE_ENTANGLED,)
 
 
 class CapabilityError(RuntimeError):
@@ -70,7 +71,7 @@ class Party:
     kind: PartyKind
     op_log: list[OpKind] = field(default_factory=list)
 
-    def _record(self, *ops: OpKind) -> None:
+    def _record(self, ops: Sequence[OpKind]) -> None:
         if self.kind is _CLASSICAL and not CLASSICAL_ALLOWED.issuperset(ops):
             op = next(op for op in ops if op not in CLASSICAL_ALLOWED)
             raise CapabilityError(
@@ -82,12 +83,12 @@ class Party:
         """One fresh qubit per (basis, bit), in stage order."""
         if len(bases) != len(bits):
             raise ValueError("a stage needs one basis per bit")
-        self._record(*[_PREPARE_Z if b is _Z else _PREPARE_X for b in bases])
-        return [new_qubit(prepare_single(b, bit)) for b, bit in zip(bases, bits)]
+        self._record([_PREPARE_Z if b is _Z else _PREPARE_X for b in bases])
+        return list(map(new_qubit, map(prepare_single, bases, bits)))
 
     def prepare_bell_pair(self, g_bit: int) -> tuple[QubitRef, QubitRef]:
         """Returns (trent_half, bob_half) handles of a fresh Bell pair."""
-        self._record(_PREPARE_ENTANGLED)
+        self._record(_ENTANGLED_OPS)
         reg = Register(prepare_bell(g_bit))
         return QubitRef(reg, 0), QubitRef(reg, 1)
 
@@ -98,27 +99,26 @@ class Party:
         """Measure refs[i] in bases[i], in order, from one draw of len(refs) uniforms."""
         if len(bases) != len(refs):
             raise ValueError("a stage needs one basis per qubit")
-        self._record(*[_MEASURE_Z if b is _Z else _MEASURE_X for b in bases])
-        draws = Uniforms(rng, len(refs))
-        return bytes([measure_qubit(ref, b, draws) for ref, b in zip(refs, bases)])
+        self._record([_MEASURE_Z if b is _Z else _MEASURE_X for b in bases])
+        return bytes(map(measure_qubit, refs, bases, repeat(Uniforms(rng, len(refs)))))
 
     def reflect(self, refs: Sequence[QubitRef]) -> list[QubitRef]:
         """Send qubits back undisturbed."""
-        self._record(OpKind.REFLECT)
+        self._record((OpKind.REFLECT,))
         return list(refs)
 
     def reorder(self, refs: Sequence[QubitRef], perm: Sequence[int]) -> list[QubitRef]:
         """Return refs permuted so that result[j] = refs[perm[j]]."""
-        self._record(OpKind.REORDER)
+        self._record((OpKind.REORDER,))
         if sorted(perm) != list(range(len(refs))):
             raise ValueError("perm is not a bijection on the refs")
         return [refs[p] for p in perm]
 
     def delay(self) -> None:
-        self._record(OpKind.DELAY)
+        self._record((OpKind.DELAY,))
 
     def classical_compute(self) -> None:
-        self._record(OpKind.CLASSICAL_COMPUTE)
+        self._record((OpKind.CLASSICAL_COMPUTE,))
 
 
 def quantum_party(name: str) -> Party:

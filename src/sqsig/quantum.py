@@ -10,10 +10,20 @@ never mutates its inputs, so prepared states may be shared.
 
 A state keeps its amplitudes as a tuple of Python complex (`amps`), and
 `amplitudes` builds a fresh ndarray from it on each read, so no caller can
-change a state in place. Measurement, gates (CNOT included), ancilla
-attachment and the unitarity check work on that tuple and on the matrix
-entries as Python complex numbers over precomputed index tables: at one to
-four qubits that costs less than the numpy calls it would take. A stage
+change a state in place. Measurement, gates, ancilla attachment and the
+unitarity check work on that tuple and on the matrix entries as Python
+complex numbers over precomputed index tables: at one to four qubits that
+costs less than the numpy calls it would take.
+
+The shared states are the four one-qubit preparations, the two Bell
+states, and every post-state a Z or X measurement reaches from them (84 in
+all, with amplitudes that differ only in the sign of a zero kept apart).
+Each has a branch table, built once at import by the same `_p0` and
+`_collapse` the live path calls: per qubit and basis, p0 and both
+outcomes, whose post-states are shared states themselves. `measure` reads
+a shared state's table, keyed by the state object, and computes any other
+state; the bits, post-state amplitudes and uniforms drawn are the same
+either way, since the table holds what the computation returns. A stage
 that measures k qubits back to back may pass `measure` a `Uniforms` of k
 values drawn in one call in place of the generator. A gate matrix passes
 the check only when every entry of u^dagger u - I, the diagonal included,
@@ -28,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -156,8 +166,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix not PSD: min eigenvalue {eigvals.min()}")
 
 
-@dataclass
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     """Result of a projective measurement: sampled bit and collapsed state."""
 
     bit: int
@@ -169,6 +178,9 @@ class MeasurementOutcome:
 _Z_STATES = (StateVector([1.0, 0.0], check=False), StateVector([0.0, 1.0], check=False))
 _X_STATES = (StateVector([_SQRT2_INV, _SQRT2_INV], check=False),
              StateVector([_SQRT2_INV, -_SQRT2_INV], check=False))
+_Z_OUTCOMES = tuple(MeasurementOutcome(b, s) for b, s in enumerate(_Z_STATES))
+_X_OUTCOMES = tuple(MeasurementOutcome(b, s) for b, s in enumerate(_X_STATES))
+_ZERO_BRANCH = "sampled a zero-probability branch"
 
 
 def prepare_single(basis: Basis, bit: int) -> StateVector:
@@ -325,6 +337,97 @@ class Uniforms:
         self.random = iter(rng.random(k).tolist()).__next__
 
 
+def _p0(amps: tuple[complex, ...], qubit: int, in_x: bool) -> float:
+    """Born probability of reading 0 on `qubit`, in X when `in_x`, else Z."""
+    zero, (_, stride) = _BLOCKS[len(amps), (qubit,)]
+    p0 = 0.0
+    for i in zero:
+        w = (amps[i] + amps[i + stride]) * _SQRT2_INV if in_x else amps[i]
+        p0 += w.real * w.real + w.imag * w.imag
+    return p0
+
+
+def _collapse(
+    amps: tuple[complex, ...], qubit: int, in_x: bool, bit: int
+) -> MeasurementOutcome:
+    """The outcome `bit` on `qubit` with its normalized post-state.
+
+    RuntimeError when the branch has zero probability, except on one qubit,
+    where the post-state is the shared preparation of that basis and bit.
+    """
+    size = len(amps)
+    if size == 2:
+        return (_X_OUTCOMES if in_x else _Z_OUTCOMES)[bit]
+    zero, (_, stride) = _BLOCKS[size, (qubit,)]
+    if not in_x:
+        w = [amps[i + stride * bit] for i in zero]
+    elif bit:
+        w = [(amps[i] - amps[i + stride]) * _SQRT2_INV for i in zero]
+    else:
+        w = [(amps[i] + amps[i + stride]) * _SQRT2_INV for i in zero]
+    p = 0.0
+    for c in w:
+        p += c.real * c.real + c.imag * c.imag
+    if p <= 1e-15:
+        raise RuntimeError(_ZERO_BRANCH)
+    scale = 1.0 / math.sqrt(p)
+    out = [0j] * size
+    for i, c in zip(zero, w):
+        c *= scale
+        if in_x:
+            out[i] = c * _SQRT2_INV
+            out[i + stride] = c * (-_SQRT2_INV if bit else _SQRT2_INV)
+        else:
+            out[i + stride * bit] = c
+    return MeasurementOutcome(bit, StateVector(tuple(out), check=False))
+
+
+# p0 and the outcomes of bits 0 and 1 for one (qubit, basis).
+_Branches = tuple[float, MeasurementOutcome | None, MeasurementOutcome | None]
+
+
+def _branch_tables(
+    seeds: Sequence[StateVector],
+) -> dict[StateVector, tuple[tuple[_Branches, _Branches], ...]]:
+    """The branch table of every state reachable from `seeds` by Z/X reads.
+
+    A state's table holds, per qubit and then per basis (Z, X), p0 and the
+    outcome of each bit, whose post-state is itself tabled; None stands for
+    a branch `_collapse` refuses. Post-states whose amplitudes have the
+    same repr, which keeps every bit of a float and the sign of a zero, are
+    one shared object. The tables are keyed by the state object.
+    """
+    shared = {repr(s.amps): s for s in seeds}
+    tables = {}
+    todo = list(seeds)
+    while todo:
+        state = todo.pop(0)
+        amps = state.amps
+        rows = []
+        for qubit in range(state.num_qubits):
+            row = []
+            for in_x in (False, True):
+                branches = []
+                for bit in (0, 1):
+                    try:
+                        post = _collapse(amps, qubit, in_x, bit).post_state
+                    except RuntimeError:
+                        branches.append(None)
+                        continue
+                    key = repr(post.amps)
+                    if key not in shared:
+                        shared[key] = post
+                        todo.append(post)
+                    branches.append(MeasurementOutcome(bit, shared[key]))
+                row.append((_p0(amps, qubit, in_x), *branches))
+            rows.append(tuple(row))
+        tables[state] = tuple(rows)
+    return tables
+
+
+_TABLES = _branch_tables(_Z_STATES + _X_STATES + _BELL)
+
+
 def measure(
     state: StateVector, qubit: int, basis: Basis,
     rng: np.random.Generator | Uniforms,
@@ -332,75 +435,23 @@ def measure(
     """Born-rule projective measurement of one qubit with collapse.
 
     Draws exactly one uniform from `rng`: the bit is 0 when it lies below
-    the probability of 0.
+    the probability of 0. A shared state reads p0 and both outcomes from
+    its branch table; any other state computes them.
     """
+    table = _TABLES.get(state)
+    if table is not None and 0 <= qubit < len(table):
+        p0, zero, one = table[qubit][basis is _X]
+        outcome = zero if rng.random() < p0 else one
+        if outcome is None:
+            raise RuntimeError(_ZERO_BRANCH)
+        return outcome
     amps = state.amps
-    size = len(amps)
-    if qubit < 0 or 1 << qubit >= size:
+    if qubit < 0 or 1 << qubit >= len(amps):
         raise ValueError(
-            f"qubit {qubit} out of range for {size.bit_length() - 1}-qubit register")
+            f"qubit {qubit} out of range for {len(amps).bit_length() - 1}-qubit register")
     in_x = basis is _X
-    if size == 2:
-        # The collapsed state is one of the shared preparations.
-        b0 = (amps[0] + amps[1]) * _SQRT2_INV if in_x else amps[0]
-        bit = 0 if rng.random() < b0.real * b0.real + b0.imag * b0.imag else 1
-        return MeasurementOutcome(bit, (_X_STATES if in_x else _Z_STATES)[bit])
-
-    if size == 4 and not in_x:
-        # A Bell half read in Z: qubit 0 pairs amplitudes (0, 1) with (2, 3),
-        # qubit 1 pairs (0, 2) with (1, 3).
-        if qubit:
-            u0, v0, u1, v1 = amps
-        else:
-            u0, u1, v0, v1 = amps
-        p0 = ((u0.real * u0.real + u0.imag * u0.imag)
-              + (u1.real * u1.real + u1.imag * u1.imag))
-        if rng.random() < p0:
-            bit, p = 0, p0
-        else:
-            bit, u0, u1 = 1, v0, v1
-            p = ((v0.real * v0.real + v0.imag * v0.imag)
-                 + (v1.real * v1.real + v1.imag * v1.imag))
-        if p <= 1e-15:  # zero-probability branch cannot be sampled
-            raise RuntimeError("sampled a zero-probability branch")
-        scale = 1.0 / math.sqrt(p)
-        u0 *= scale
-        u1 *= scale
-        if qubit:
-            post = (0j, u0, 0j, u1) if bit else (u0, 0j, u1, 0j)
-        else:
-            post = (0j, 0j, u0, u1) if bit else (u0, u1, 0j, 0j)
-        return MeasurementOutcome(bit, StateVector(post, check=False))
-
-    zero, (_, stride) = _BLOCKS[size, (qubit,)]
-    if in_x:
-        w0 = [(amps[i] + amps[i + stride]) * _SQRT2_INV for i in zero]
-        w1 = [(amps[i] - amps[i + stride]) * _SQRT2_INV for i in zero]
-    else:
-        w0 = [amps[i] for i in zero]
-        w1 = [amps[i + stride] for i in zero]
-    p0 = 0.0
-    for w in w0:
-        p0 += w.real * w.real + w.imag * w.imag
-    bit = 0 if rng.random() < p0 else 1
-    if bit == 0:
-        w, p = w0, p0
-    else:
-        w, p = w1, 0.0
-        for c in w1:
-            p += c.real * c.real + c.imag * c.imag
-    if p <= 1e-15:  # zero-probability branch cannot be sampled
-        raise RuntimeError("sampled a zero-probability branch")
-    scale = 1.0 / math.sqrt(p)
-    out = [0j] * size
-    for i, c in zip(zero, w):
-        c *= scale
-        if in_x:
-            out[i] = c * _SQRT2_INV
-            out[i + stride] = c * (_SQRT2_INV if bit == 0 else -_SQRT2_INV)
-        else:
-            out[i + stride * bit] = c
-    return MeasurementOutcome(bit, StateVector(tuple(out), check=False))
+    p0 = _p0(amps, qubit, in_x)
+    return _collapse(amps, qubit, in_x, 0 if rng.random() < p0 else 1)
 
 
 def partial_trace(

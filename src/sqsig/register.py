@@ -21,18 +21,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quantum import (
-    CNOT,
+    _BLOCKS,
     MAX_REGISTER_QUBITS,
     Basis,
     RegisterSizeError,
     StateVector,
     Uniforms,
-    _apply_gate_unchecked,
     apply_unitary,
     measure,
 )
-
-_CNOT_ROWS = CNOT.tolist()
 
 
 class Register:
@@ -146,19 +143,27 @@ def attach_ancilla(ref: QubitRef) -> QubitRef:
 
 
 def probe_cnot(control: QubitRef, target: QubitRef) -> None:
-    """CNOT with trusted constant matrix (skips the unitarity check)."""
+    """CNOT as the swap it is: where the control reads 1, the amplitudes of
+    target 0 and target 1 trade places. No matrix, so no unitarity check."""
     reg = _live(control)
     if _live(target) is not reg:
         raise ValueError("CNOT requires qubits in the same register")
-    reg.state = _apply_gate_unchecked(
-        reg.state, _CNOT_ROWS, (control.index, target.index))
+    amps = reg.state.amps
+    # Offsets 2 and 3 of a block address control 1 with target 0 and 1.
+    base, (_, _, on, flip) = _BLOCKS[len(amps), (control.index, target.index)]
+    out = list(amps)
+    for i in base:
+        out[i + on], out[i + flip] = amps[i + flip], amps[i + on]
+    reg.state = StateVector(tuple(out), check=False)
 
 
 def measure_qubit(
     ref: QubitRef, basis: Basis, rng: np.random.Generator | Uniforms
 ) -> int:
     """Projective measurement with collapse; updates the shared register."""
-    reg = _live(ref)
-    outcome = measure(reg.state, ref.index, basis, rng)
-    reg.state = outcome.post_state
-    return outcome.bit
+    lease = ref.lease
+    if lease is not None and not lease.live:
+        raise RevokedHandleError("qubit ref used after its tap returned")
+    reg = ref.register
+    bit, reg.state = measure(reg.state, ref.index, basis, rng)
+    return bit

@@ -120,7 +120,12 @@ def bob_accept(
     outcome: VerificationOutcome,
     hash_fn: HashFn = hash_message,
 ) -> bool:
-    """Accept iff Trent said Yes and the digest matches Bob's own hash of m."""
-    if not outcome.verdict or outcome.digest is None:
+    """Accept iff Trent said Yes, m is a bit string and the digest matches
+    Bob's own hash of m.
+
+    The digest hashes the decimal text of each value, so a value other than
+    0 or 1 could spell the text of several bits: (101,) hashes as (1, 0, 1).
+    """
+    if not outcome.verdict or outcome.digest is None or not set(m_received) <= {0, 1}:
         return False
     return hash_fn(m_received) == outcome.digest

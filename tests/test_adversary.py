@@ -35,6 +35,7 @@ from sqsig.register import (
     attach_ancilla,
     measure_qubit,
     new_qubit,
+    probe_cnot,
 )
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -211,6 +212,43 @@ class TestEntangleProbe:
         attach_ancilla(ref)
         with pytest.raises(RegisterSizeError):
             attach_ancilla(ref)
+
+
+class TestOneDrawPerTap:
+    # A tap's reads take their uniforms from one rng.random(k) call, which
+    # gives the values and generator state of k scalar draws.
+    PREPARED = [(Basis.X, 0), (Basis.X, 1), (Basis.Z, 1), (Basis.X, 0), (Basis.Z, 0)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_intercept_forward_tap_equals_scalar_draws(self, seed):
+        tapped = [fresh_qubit(b, v) for b, v in self.PREPARED]
+        rng = np.random.default_rng(seed)
+        attack("intercept_resend_z").tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, tapped, rng)
+        scalar = np.random.default_rng(seed)
+        read = [fresh_qubit(b, v) for b, v in self.PREPARED]
+        for ref in read:
+            measure_qubit(ref, Basis.Z, scalar)
+        assert [r.register.state.amps for r in tapped] == [r.register.state.amps for r in read]
+        assert rng.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_probe_ancilla_reads_equal_scalar_draws(self, seed):
+        tapped = [fresh_qubit(b, v) for b, v in self.PREPARED]
+        rng = np.random.default_rng(seed)
+        probe = attack("entangle_probe")
+        probe.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, tapped, rng)
+        probe.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, tapped, rng)
+        assert probe.pending == []
+        scalar = np.random.default_rng(seed)
+        read = [fresh_qubit(b, v) for b, v in self.PREPARED]
+        ancillas = []
+        for ref in read:
+            ancillas.append(attach_ancilla(ref))
+            probe_cnot(ref, ancillas[-1])
+        for ancilla in ancillas:
+            measure_qubit(ancilla, Basis.Z, scalar)
+        assert [r.register.state.amps for r in tapped] == [r.register.state.amps for r in read]
+        assert rng.bit_generator.state == scalar.bit_generator.state
 
 
 class TestTamperSignatureB:

@@ -27,6 +27,7 @@ REFERENCE_ONLY = {
     "quantum.measurement_branches": "the exact oracle the sampled measurement is checked against",
     "quantum.tensor": "builds the joint states the probe-oracle tests compare with",
     "quantum.equal_up_to_phase": "the state comparison the party and probe tests assert with",
+    "quantum.CNOT": "the matrix the probe's CNOT swap and the probe oracles are checked against",
 }
 
 # Defaulted parameters no call in `src/` or `benchmarks/` passes, each with its reason.

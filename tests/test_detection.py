@@ -31,7 +31,7 @@ from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
 from sqsig.register import measure_qubit
-from sqsig.roles import alice_sign, bob_measure, trent_receive
+from sqsig.roles import alice_sign, bob_measure, hash_message, trent_receive
 
 
 def attack(text):
@@ -132,6 +132,20 @@ class ResizeWire(AttackStrategy):
         if name == self.wire:
             bits = bits + bytes(self.delta) if self.delta > 0 else bits[:self.delta]
         return bits
+
+
+class ReplaceWire(AttackStrategy):
+    """Replace the named announcement's payload with `payload`."""
+
+    kind = "replace_wire"
+
+    def __init__(self, wire, payload):
+        super().__init__()
+        self.wire, self.payload = wire, payload
+
+    def tap_classical(self, point, name, bits, rng):
+        bits = super().tap_classical(point, name, bits, rng)
+        return self.payload if name == self.wire else bits
 
 
 class WithholdReturnedDecoy(AttackStrategy):
@@ -714,6 +728,20 @@ class TestWrongLengthClassicalMessage:
         )
         assert not result.aborted
         assert result.outcome.verdict is (wire == "message")
+        assert not result.accepted
+
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_one_value_spelling_the_message_is_rejected(self, mode):
+        # The digest hashes the decimal text of each value, so (101,) hashes
+        # as (1, 0, 1) does. Trent, who never reads `message`, says Yes; Bob
+        # refuses a message that is not a bit string before hashing it.
+        result = run_protocol_round(
+            message=(1, 0, 1), mode=mode, strategy=ReplaceWire("message", (101,)),
+            rng=np.random.default_rng(3), d_z=3, d_x=3,
+        )
+        assert not result.aborted
+        assert result.outcome.verdict is True
+        assert hash_message((101,)) == result.outcome.digest
         assert not result.accepted
 
     def test_missing_carrier_gives_no(self):

@@ -17,6 +17,7 @@ from sqsig.harness import (
     ATTACKS,
     AttackSpec,
     ConfigError,
+    _FORGE_RECORDS,
     ScenarioConfig,
     attack_spec_text,
     build_strategy,
@@ -422,6 +423,17 @@ class TestEmitReport:
         assert [rec["trial"] for rec in trials] == list(range(40))
         accepted = sum(rec["accepted"] for rec in trials)
         assert accepted / 40 == stats.forgery_acceptance_rate
+
+    def test_forge_per_trial_holds_the_shared_records(self):
+        # A forge run keeps one accept byte a trial; reading it back gives
+        # the two shared records, by index and by iteration alike.
+        config = ScenarioConfig(n=1, trials=50, seed=4, attack=parse_attack("forge"))
+        stats, _ = run_trials(config)
+        records = list(stats.per_trial)
+        assert len(stats.per_trial) == len(records) == 50
+        assert all(rec is _FORGE_RECORDS[rec["accepted"]] for rec in records)
+        assert records == [stats.per_trial[i] for i in range(50)]
+        assert sum(rec["accepted"] for rec in records) / 50 == stats.forgery_acceptance_rate
 
     def test_unknown_format_rejected(self):
         _, (stats, transcript) = self._stats()

@@ -39,8 +39,16 @@ from sqsig.quantum import (
     prepare_single,
     tensor,
     trace_distance,
+    _BELL,
+    _TABLES,
+    _X_STATES,
+    _Z_STATES,
+    _apply_gate_unchecked,
 )
-from sqsig.register import QubitRef, Register, attach_ancilla
+from sqsig.adversary import NoAttack
+from sqsig.detection import DetectionMode
+from sqsig.protocol import run_protocol_round
+from sqsig.register import QubitRef, Register, attach_ancilla, probe_cnot
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)
@@ -476,6 +484,108 @@ class TestUniforms:
                     a = measure(state, 0, basis, direct)
                     b = measure(state, 0, basis, draws)
                     assert (a.bit, a.post_state.amps) == (b.bit, b.post_state.amps)
+
+
+class FixedUniform:
+    """Stands in for the generator: hands out `u` and counts the draws."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def _measured(state, qubit, basis, u):
+    """(bit, post amplitudes, draws) of one measurement, or the RuntimeError."""
+    draws = FixedUniform(u)
+    try:
+        out = measure(state, qubit, basis, draws)
+    except RuntimeError as err:
+        return repr(err), draws.draws
+    return out.bit, out.post_state.amps, draws.draws
+
+
+class TestBranchTables:
+    """The shared states read from their tables exactly what a fresh state
+    with the same amplitudes computes."""
+
+    CASES = [(state, qubit, basis) for state in _TABLES
+             for qubit in range(state.num_qubits) for basis in (Basis.Z, Basis.X)]
+
+    def test_the_shared_states_are_closed_and_fixed(self):
+        assert len(_TABLES) == 84
+        assert sum(s.num_qubits == 1 for s in _TABLES) == 4
+        for state in _Z_STATES + _X_STATES + _BELL:
+            assert state in _TABLES
+        for table in _TABLES.values():
+            for row in table:
+                for _, *outcomes in row:
+                    for out in outcomes:
+                        assert out is None or out.post_state in _TABLES
+
+    def test_table_count_is_fixed_after_import(self):
+        before = dict(_TABLES)
+        for seed in range(3):
+            run_protocol_round(
+                message=b"\x01\x00\x01", mode=DetectionMode.IMPROVED,
+                strategy=NoAttack(), rng=np.random.default_rng(seed), d_z=3, d_x=3)
+            measure(prepare_bell(seed % 2), 0, Basis.X, np.random.default_rng(seed))
+        assert _TABLES == before
+
+    @pytest.mark.parametrize("state, qubit, basis", CASES)
+    def test_tabled_measure_equals_the_computed_path(self, state, qubit, basis):
+        fresh = StateVector(state.amps, check=False)
+        assert fresh not in _TABLES
+        p0 = _TABLES[state][qubit][basis is Basis.X][0]
+        for u in (0.0, math.nextafter(p0, -1.0), p0, math.nextafter(p0, 2.0),
+                  math.nextafter(1.0, 0.0)):
+            tabled = _measured(state, qubit, basis, u)
+            computed = _measured(fresh, qubit, basis, u)
+            assert tabled == computed
+            assert tabled[-1] == 1  # one uniform, whichever path
+            if len(tabled) == 3:  # same bits to the sign of a zero
+                assert repr(tabled[1]) == repr(computed[1])
+                assert all(type(a) is complex for a in tabled[1])
+
+    def test_a_tabled_read_returns_a_shared_state(self):
+        bell = prepare_bell(0)
+        out = measure(bell, 0, Basis.Z, FixedUniform(0.0))
+        assert out.post_state in _TABLES
+        fresh = measure(StateVector(bell.amps, check=False), 0, Basis.Z, FixedUniform(0.0))
+        assert fresh.post_state not in _TABLES
+        assert fresh.post_state.amps == out.post_state.amps
+
+    def test_outcome_is_a_named_tuple(self):
+        out = measure(prepare_bell(1), 1, Basis.Z, FixedUniform(0.9))
+        bit, post = out
+        assert (out.bit, out.post_state) == (bit, post) == (1, out[1])
+
+    def test_qubit_out_of_range_rejected_on_a_tabled_state(self):
+        for qubit in (-1, 2):
+            with pytest.raises(ValueError):
+                measure(prepare_bell(0), qubit, Basis.Z, FixedUniform(0.5))
+
+
+class TestProbeCnotSwap:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_swap_equals_the_cnot_product(self, n):
+        # Every control/target pair, on random registers: the swap gives the
+        # amplitudes the 4x4 product gives, compared with ==.
+        rng = np.random.default_rng(n)
+        for control, target in itertools.permutations(range(n), 2):
+            for _ in range(5):
+                state = random_state(rng, n)
+                reg = Register(state)
+                probe_cnot(QubitRef(reg, control), QubitRef(reg, target))
+                want = _apply_gate_unchecked(state, CNOT.tolist(), (control, target))
+                assert reg.state.amps == want.amps
+
+    def test_swap_needs_one_register(self):
+        with pytest.raises(ValueError):
+            probe_cnot(QubitRef(Register(prepare_bell(0)), 0),
+                       QubitRef(Register(prepare_bell(0)), 1))
 
 
 class TestPartialTrace:
