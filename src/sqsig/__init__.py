@@ -3,6 +3,7 @@
 from .quantum import (
     Basis,
     DensityMatrix,
+    Gate,
     MeasurementOutcome,
     StateVector,
     apply_unitary,

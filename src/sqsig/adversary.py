@@ -14,7 +14,13 @@ usable.
 
 The four quantum attacks on the Alice->Trent->Alice leg are one
 `QubitProbe` family (Boyer, Kenigsberg & Mor, PRL 99, 140501, 2007),
-whose only per-run state is its unread ancillas.
+whose only per-run state is its unread ancillas. Every gate a strategy or
+the channel applies is a `quantum.Gate`, checked once when it is built:
+a unitary probe builds its u and its undo u-dagger when the probe is
+built, and the named unitaries, the tamper flip and the noise Paulis are
+the shared Gates of `quantum.GATES`, each its own undo. On a shared state
+each gate, ancilla and CNOT follows an edge of `quantum` to the next
+shared state.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .keys import Bits
-from .quantum import (
-    Basis, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, Uniforms, _check_unitary,
-)
+from .quantum import GATES, Basis, DimensionMismatchError, Gate, Uniforms
 from .register import (
     QubitRef,
     _lend,
@@ -66,21 +70,15 @@ class NoAttack(AttackStrategy):
     kind = "no_attack"
 
 
-_NAMED_UNITARIES = {
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-    "H": HADAMARD,
-}
-
-
 class QubitProbe(AttackStrategy):
     """One action on every qubit of the Alice->Trent->Alice round trip.
 
     `action` is one of:
     - a 1-qubit unitary u (a matrix, or a name in X, Y, Z, H), applied to
-      each forward qubit and undone with u-dagger on return; a matrix that
-      is not a 2x2 unitary is refused here, when the probe is built;
+      each forward qubit and undone with u-dagger on return. Both are
+      Gates, built here: a matrix whose u or u-dagger is not a 2x2 unitary
+      within tolerance is refused when the probe is built. Each named
+      unitary is its own u-dagger, so one shared Gate does both;
     - "immediate": a Z measurement of each forward qubit (intercept-resend);
     - "after_return": a CNOT from each forward qubit onto a fresh |0>
       ancilla, whose Z value is read once the qubits have returned.
@@ -91,18 +89,19 @@ class QubitProbe(AttackStrategy):
     def __init__(self, kind: str, action: np.ndarray | str = "after_return") -> None:
         self.kind = kind  # the attack name that transcripts show
         self.read = None
-        self.u = None
+        self.u = self.undo = None
         self.pending: list[QubitRef] = []  # ancillas still to be read
         if not isinstance(action, str):
-            self.u = np.asarray(action, dtype=complex)
-            _check_unitary(self.u, 2)
-        elif action in _NAMED_UNITARIES:
-            self.u = _NAMED_UNITARIES[action]
+            u = np.asarray(action, dtype=complex)
+            if u.shape != (2, 2):
+                raise DimensionMismatchError(f"a probe unitary must be 2x2, got {u.shape}")
+            self.u, self.undo = Gate(u), Gate(u.conj().T)
+        elif action in GATES:
+            self.u = self.undo = GATES[action]
         elif action in self.READ_TIMES:
             self.read = action
         else:
             raise ValueError(f"unknown probe action {action!r}")
-        self.undo = None if self.u is None else self.u.conj().T
 
     def tap_qubits(self, point, refs, rng):
         # Each tap's reads take their uniforms from one draw.
@@ -144,7 +143,7 @@ class TamperSignatureB(AttackStrategy):
             for p in self.positions:
                 if p < 0 or p >= len(refs):
                     raise IndexError(f"tamper position {p} out of range")
-                apply_gate(refs[p], PAULI_X)
+                apply_gate(refs[p], GATES["X"])
         return refs
 
 
@@ -167,7 +166,7 @@ class TamperClassicalMessage(AttackStrategy):
         return bits
 
 
-_PAULI_CYCLE = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_CYCLE = (GATES["X"], GATES["Y"], GATES["Z"])
 
 
 class Channel:

@@ -13,7 +13,6 @@ from typing import Callable
 import numpy as np
 
 from .adversary import (
-    _NAMED_UNITARIES,
     AttackStrategy,
     NoAttack,
     QubitProbe,
@@ -24,6 +23,7 @@ from .detection import CHECKS, POSITION_FIELD_BITS, DetectionMode
 from .keys import Bits, random_bits
 from .protocol import run_protocol_round
 from .quantum import (
+    GATES,
     Basis,
     DensityMatrix,
     partial_trace,
@@ -62,7 +62,7 @@ def _one_of(name: str, text: str, choices: Sequence[str]) -> str:
 
 
 def _unitary(name: str, text: str) -> str:
-    return _one_of(name, text.upper(), _NAMED_UNITARIES)
+    return _one_of(name, text.upper(), GATES)
 
 
 def _positions(name: str, text: str) -> tuple[int, ...]:

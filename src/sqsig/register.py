@@ -4,7 +4,12 @@ The protocol moves individual qubits around (halves of Bell pairs, decoy
 particles, adversary ancillas) while the underlying registers stay put.
 A Register owns one StateVector; a QubitRef names one qubit inside it.
 Operations on refs replace the register's state with the pure-core result,
-so every holder of a ref to the same register observes the update.
+so every holder of a ref to the same register observes the update. Each
+is one call of a pure op of `quantum`: `apply_gate` of `apply_unitary`
+with a checked `Gate`, `attach_ancilla` of `append_ancilla`, `probe_cnot`
+of `cnot` and `measure_qubit` of `measure`. While a register holds a
+shared state, each of those follows an edge or a branch table to the next
+shared state instead of computing it.
 
 A strategy may touch a protocol qubit only inside its tap. The channel
 lends it refs of its own (`_lend`) under a lease that is revoked when the
@@ -21,13 +26,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quantum import (
-    _BLOCKS,
-    MAX_REGISTER_QUBITS,
     Basis,
-    RegisterSizeError,
+    Gate,
     StateVector,
     Uniforms,
+    append_ancilla,
     apply_unitary,
+    cnot,
     measure,
 )
 
@@ -117,10 +122,10 @@ def new_qubit(state: StateVector) -> QubitRef:
     return QubitRef(Register(state), 0)
 
 
-def apply_gate(ref: QubitRef, u: np.ndarray) -> None:
-    """Apply a single-qubit unitary in place."""
+def apply_gate(ref: QubitRef, gate: Gate) -> None:
+    """Apply a single-qubit Gate in place."""
     reg = _live(ref)
-    reg.state = apply_unitary(reg.state, u, (ref.index,))
+    reg.state = apply_unitary(reg.state, gate, (ref.index,))
 
 
 def attach_ancilla(ref: QubitRef) -> QubitRef:
@@ -129,32 +134,16 @@ def attach_ancilla(ref: QubitRef) -> QubitRef:
     The returned ref names the ancilla alone and carries no lease.
     """
     reg = _live(ref)
-    old = reg.state
-    if old.num_qubits + 1 > MAX_REGISTER_QUBITS:
-        raise RegisterSizeError(
-            f"register of {old.num_qubits + 1} qubits exceeds cap "
-            f"{MAX_REGISTER_QUBITS}"
-        )
-    # Appending |0> interleaves the old amplitudes with zeros.
-    amps = [0j] * (len(old.amps) * 2)
-    amps[0::2] = old.amps
-    reg.state = StateVector(tuple(amps), check=False)
+    reg.state = append_ancilla(reg.state)
     return QubitRef(reg, reg.state.num_qubits - 1)
 
 
 def probe_cnot(control: QubitRef, target: QubitRef) -> None:
-    """CNOT as the swap it is: where the control reads 1, the amplitudes of
-    target 0 and target 1 trade places. No matrix, so no unitarity check."""
+    """CNOT from `control` onto `target`, two qubits of one register."""
     reg = _live(control)
     if _live(target) is not reg:
         raise ValueError("CNOT requires qubits in the same register")
-    amps = reg.state.amps
-    # Offsets 2 and 3 of a block address control 1 with target 0 and 1.
-    base, (_, _, on, flip) = _BLOCKS[len(amps), (control.index, target.index)]
-    out = list(amps)
-    for i in base:
-        out[i + on], out[i + flip] = amps[i + flip], amps[i + on]
-    reg.state = StateVector(tuple(out), check=False)
+    reg.state = cnot(reg.state, control.index, target.index)
 
 
 def measure_qubit(

@@ -32,6 +32,7 @@ from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
     CNOT,
     Basis,
+    Gate,
     apply_unitary,
     measurement_branches,
     prepare_single,
@@ -183,7 +184,7 @@ def _probe_round_detection_oracle(records: list[tuple[Basis, int]]) -> float:
             prepare_single(basis, bit),
             prepare_single(Basis.Z, 0),
         ])
-        joint = apply_unitary(joint, CNOT, (0, 1))
+        joint = apply_unitary(joint, Gate(CNOT), (0, 1))
         receiver_branches = (
             measurement_branches(joint, 0, Basis.Z)
             if basis is Basis.Z else ((1.0, joint), (0.0, None))

@@ -18,9 +18,10 @@ from sqsig.parties import quantum_party
 from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
     Basis,
+    GATES,
     DimensionMismatchError,
+    Gate,
     NonUnitaryError,
-    PAULI_X,
     RegisterSizeError,
     equal_up_to_phase,
     partial_trace,
@@ -201,6 +202,27 @@ class TestEntangleProbe:
         with pytest.raises(NonUnitaryError):
             QubitProbe("unitary_tamper_then_undo", np.eye(2) * (1 + 2e-6))
 
+    def test_matrix_whose_undo_fails_the_check_rejected_when_built(self):
+        # u passes the entrywise check and u-dagger does not, so the undo is
+        # refused when the probe is built, not on its first return tap
+        # (where a direct_reflection round used to raise NonUnitaryError).
+        u = np.array([
+            [-0.44754781686863204 - 0.7519717425177289j, 0.3117910406015707 - 0.37016995700142535j],
+            [0.36322925860984406 - 0.3198498957295838j, -0.7616246184270078 - 0.43091587417139693j],
+        ])
+        Gate(u)
+        with pytest.raises(NonUnitaryError):
+            Gate(u.conj().T)
+        with pytest.raises(NonUnitaryError):
+            QubitProbe("unitary_tamper_then_undo", u)
+
+    def test_named_unitary_is_its_own_undo(self):
+        for name, gate in GATES.items():
+            probe = QubitProbe("unitary_tamper_then_undo", name)
+            assert probe.u is probe.undo is gate
+            rows = np.array(gate.rows)
+            assert (rows.conj().T == rows).all()  # entry for entry
+
     def test_wrong_size_matrix_rejected_when_built(self):
         with pytest.raises(DimensionMismatchError):
             QubitProbe("unitary_tamper_then_undo", np.eye(4))
@@ -356,7 +378,7 @@ class StashForwardRefs(AttackStrategy):
     def tap_classical(self, point, name, bits, rng):
         if name == "permutation":
             for ref in self.stashed:
-                apply_gate(ref, PAULI_X)
+                apply_gate(ref, GATES["X"])
         return bits
 
 
@@ -377,7 +399,7 @@ class KeepAncillas(AttackStrategy):
     def tap_classical(self, point, name, bits, rng):
         if name == "permutation":
             for ancilla in self.ancillas:
-                apply_gate(ancilla, PAULI_X)
+                apply_gate(ancilla, GATES["X"])
             self.read = [measure_qubit(ancilla, Basis.Z, rng) for ancilla in self.ancillas]
         return bits
 

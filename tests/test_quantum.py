@@ -8,28 +8,40 @@ amplitudes for the frequency checks.
 
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sqsig.quantum as quantum
+import sqsig.register as register
+from sqsig.adversary import QubitProbe
+from sqsig.detection import DetectionMode
+from sqsig.harness import run_matrix
+from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
     CNOT,
+    GATES,
     HADAMARD,
     MAX_REGISTER_QUBITS,
+    MAX_SHARED_STATES,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     Basis,
     DensityMatrix,
     DimensionMismatchError,
+    Gate,
     NonUnitaryError,
     RegisterSizeError,
     StateVector,
     UNITARY_ATOL,
     Uniforms,
+    append_ancilla,
     apply_unitary,
+    cnot,
     equal_up_to_phase,
     fidelity,
     measure,
@@ -40,14 +52,11 @@ from sqsig.quantum import (
     tensor,
     trace_distance,
     _BELL,
-    _TABLES,
     _X_STATES,
     _Z_STATES,
     _apply_gate_unchecked,
+    _p0,
 )
-from sqsig.adversary import NoAttack
-from sqsig.detection import DetectionMode
-from sqsig.protocol import run_protocol_round
 from sqsig.register import QubitRef, Register, attach_ancilla, probe_cnot
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -194,28 +203,63 @@ class TestStateVectorValidation:
 
 class TestApplyUnitary:
     def test_x_flips_zero(self):
-        out = apply_unitary(prepare_single(Basis.Z, 0), PAULI_X, (0,))
+        out = apply_unitary(prepare_single(Basis.Z, 0), GATES["X"], (0,))
         assert equal_up_to_phase(out, prepare_single(Basis.Z, 1))
 
     def test_x_on_bob_half_toggles_bell(self):
-        out = apply_unitary(prepare_bell(0), PAULI_X, (1,))
+        out = apply_unitary(prepare_bell(0), GATES["X"], (1,))
         assert equal_up_to_phase(out, prepare_bell(1))
 
     def test_x_fixes_plus_up_to_phase(self):
         plus = prepare_single(Basis.X, 0)
-        assert equal_up_to_phase(apply_unitary(plus, PAULI_X, (0,)), plus)
+        assert equal_up_to_phase(apply_unitary(plus, GATES["X"], (0,)), plus)
 
-    def test_non_unitary_rejected(self):
-        with pytest.raises(NonUnitaryError):
-            apply_unitary(prepare_single(Basis.Z, 0), np.array([[1, 1], [0, 1]]), (0,))
+    def test_bare_matrix_refused(self):
+        for u in (PAULI_X, PAULI_X.tolist()):
+            with pytest.raises(TypeError):
+                apply_unitary(prepare_single(Basis.Z, 0), u, (0,))
 
     def test_repeated_targets_rejected(self):
         with pytest.raises(ValueError):
-            apply_unitary(prepare_bell(0), CNOT, (0, 0))
+            apply_unitary(prepare_bell(0), Gate(CNOT), (0, 0))
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
-            apply_unitary(prepare_single(Basis.Z, 0), PAULI_X, (1,))
+            apply_unitary(prepare_single(Basis.Z, 0), GATES["X"], (1,))
+
+    def test_target_count_must_fit_the_gate(self):
+        with pytest.raises(DimensionMismatchError):
+            apply_unitary(prepare_bell(0), Gate(CNOT), (0,))
+        with pytest.raises(DimensionMismatchError):
+            apply_unitary(prepare_bell(0), GATES["X"], (0, 1))
+
+    def test_check_runs_once_per_gate_built(self, monkeypatch):
+        # Over a whole attack x mode grid, and a round with a matrix probe,
+        # the unitarity check runs when a Gate is built, never when one is
+        # applied.
+        counts = {"checks": 0, "built": 0, "applied": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(quantum, "_check_unitary",
+                            counted("checks", quantum._check_unitary))
+        monkeypatch.setattr(Gate, "__init__", counted("built", Gate.__init__))
+        monkeypatch.setattr(register, "apply_unitary",
+                            counted("applied", quantum.apply_unitary))
+        run_matrix(n=2, trials=5)
+        assert counts["applied"] > 0
+        assert counts["checks"] == counts["built"] == 0
+        applied = counts["applied"]
+        probe = QubitProbe("unitary_tamper_then_undo",
+                           random_unitary(np.random.default_rng(5), 2))
+        run_protocol_round(message=b"\x01\x00\x01", mode=DetectionMode.IMPROVED,
+                           strategy=probe, rng=np.random.default_rng(0), d_z=3, d_x=3)
+        assert counts["applied"] > applied
+        assert counts["checks"] == counts["built"] == 2  # u and its undo
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize(
@@ -225,7 +269,7 @@ class TestApplyUnitary:
         rng = np.random.default_rng(11 * n + int(abs(gate).sum()))
         for target in range(n):
             state = random_state(rng, n)
-            got = apply_unitary(state, gate, (target,)).amplitudes
+            got = apply_unitary(state, Gate(gate), (target,)).amplitudes
             want = kron_expand(gate, (target,), n) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -234,7 +278,7 @@ class TestApplyUnitary:
         rng = np.random.default_rng(23 + n)
         for targets in [(a, b) for a in range(n) for b in range(n) if a != b]:
             state = random_state(rng, n)
-            got = apply_unitary(state, CNOT, targets).amplitudes
+            got = apply_unitary(state, Gate(CNOT), targets).amplitudes
             want = kron_expand(CNOT, targets, n) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -247,7 +291,7 @@ class TestApplyUnitary:
         state = random_state(rng, n)
         u = random_unitary(rng, 2 ** k)
         for targets in itertools.permutations(range(n), k):
-            got = apply_unitary(state, u, targets).amplitudes
+            got = apply_unitary(state, Gate(u), targets).amplitudes
             want = kron_expand(u, targets, n) @ state.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -268,27 +312,37 @@ class TestApplyUnitary:
         rng = np.random.default_rng(seed)
         state = random_state(rng, n)
         q = random_unitary(rng, 2)
-        out = apply_unitary(state, q, (int(rng.integers(0, n)),))
+        out = apply_unitary(state, Gate(q), (int(rng.integers(0, n)),))
         assert abs(out.norm() - 1.0) < 1e-12
 
 
 class TestUnitarityTolerance:
-    """Every entry of u^dagger u - I is held to UNITARY_ATOL."""
+    """A Gate is built only when every entry of u^dagger u - I is within
+    UNITARY_ATOL, and only from a 2x2 or 4x4 matrix."""
+
+    def test_non_unitary_rejected(self):
+        with pytest.raises(NonUnitaryError):
+            Gate(np.array([[1, 1], [0, 1]]))
 
     def test_diagonal_error_beyond_tolerance_rejected(self):
         with pytest.raises(NonUnitaryError):
-            apply_unitary(prepare_single(Basis.Z, 0), np.eye(2) * (1 + 2e-6), (0,))
+            Gate(np.eye(2) * (1 + 2e-6))
 
     def test_rounding_error_accepted(self):
         for u in (PAULI_Y + 1e-13, HADAMARD * (1 + 1e-13)):
-            apply_unitary(prepare_single(Basis.X, 1), u, (0,))
+            apply_unitary(prepare_single(Basis.X, 1), Gate(u), (0,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_entry_rejected(self, bad):
         u = np.eye(2, dtype=complex)
         u[1, 0] = bad
         with pytest.raises(NonUnitaryError):
-            apply_unitary(prepare_single(Basis.Z, 0), u, (0,))
+            Gate(u)
+
+    @pytest.mark.parametrize("u", [np.eye(1), np.eye(3), np.eye(8), np.ones(2), np.eye(4)[:2]])
+    def test_only_one_and_two_qubit_squares_accepted(self, u):
+        with pytest.raises(DimensionMismatchError):
+            Gate(u)
 
     @given(st.sampled_from([1, 2]), st.sampled_from([-1.1, -0.9, 0.9, 1.1]),
            st.integers(0, 2 ** 32 - 1))
@@ -300,13 +354,11 @@ class TestUnitarityTolerance:
         u = q * np.sqrt(1 + edge * UNITARY_ATOL)
         reference = np.all(np.abs(u.conj().T @ u - np.eye(2 ** k)) <= UNITARY_ATOL)
         assert reference == (abs(edge) < 1)
-        state = prepare_bell(0) if k == 2 else prepare_single(Basis.X, 0)
-        targets = tuple(range(k))
         if reference:
-            apply_unitary(state, u, targets)
+            Gate(u)
         else:
             with pytest.raises(NonUnitaryError):
-                apply_unitary(state, u, targets)
+                Gate(u)
 
 
 class TestMeasurement:
@@ -507,54 +559,196 @@ def _measured(state, qubit, basis, u):
     return out.bit, out.post_state.amps, draws.draws
 
 
+SEEDS = _Z_STATES + _X_STATES + _BELL
+SHARED_MAPS = [(quantum, "_SHARED"), (quantum, "_TABLES"), (quantum, "_ANCILLA_EDGES"),
+               (quantum, "_CNOT_EDGES")] + [(gate, "edges") for gate in GATES.values()]
+# The shared set and edge maps as this module found them when it was imported,
+# before any test ran: the seeds and the states their reads reach, all tabled,
+# and no edges.
+AT_IMPORT = [dict(getattr(owner, name)) for owner, name in SHARED_MAPS]
+
+
+@contextmanager
+def import_time_shared_set():
+    """Run with copies of the import-time shared set, tables and edge maps,
+    whatever earlier tests added; the maps in use come back afterwards."""
+    saved = [getattr(owner, name) for owner, name in SHARED_MAPS]
+    for (owner, name), value in zip(SHARED_MAPS, AT_IMPORT):
+        setattr(owner, name, dict(value))
+    try:
+        yield
+    finally:
+        for (owner, name), value in zip(SHARED_MAPS, saved):
+            setattr(owner, name, value)
+
+
+def _follow(path):
+    """The state a path of reads (seed index, ((qubit, basis, bit), ...)) ends in."""
+    seed, reads = path
+    state = SEEDS[seed]
+    for qubit, basis, bit in reads:
+        p0 = _p0(state.amps, qubit, basis is Basis.X)
+        state = measure(state, qubit, basis, FixedUniform(p0 if bit else 0.0)).post_state
+    return state
+
+
+def _read_cases():
+    """(path, qubit, basis) for each qubit and basis of every state that Z/X
+    reads reach from the seeds, with one path of reads to the state."""
+    cases, seen = [], set()
+    with import_time_shared_set():
+        todo = [(i, ()) for i in range(len(SEEDS))]
+        while todo:
+            path = todo.pop(0)
+            state = _follow(path)
+            if state in seen:
+                continue
+            seen.add(state)
+            for qubit, row in enumerate(quantum._TABLES[state]):
+                for basis, (_, *outcomes) in zip((Basis.Z, Basis.X), row):
+                    cases.append((path, qubit, basis))
+                    todo += [(path[0], path[1] + ((qubit, basis, out.bit),))
+                             for out in outcomes if out is not None]
+    return cases
+
+
+READ_CASES = _read_cases()
+READ_CASE_IDS = [
+    f"{path[0]}" + "".join(f"-{q}{b.value}{bit}" for q, b, bit in path[1]) + f"/{q}{b.value}"
+    for path, q, b in READ_CASES
+]
+
+
+# An op of a walk: a named gate on a target, an ancilla, a CNOT, or a Z/X read
+# whose uniform is 0, P(0) or one ulp either side of it, or 1 - 1 ulp.
+WALK_OPS = st.one_of(
+    st.tuples(st.just("gate"), st.sampled_from(sorted(GATES)), st.integers(-1, 4)),
+    st.tuples(st.just("attach")),
+    st.tuples(st.just("cnot"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("read"), st.integers(-1, 4), st.sampled_from([Basis.Z, Basis.X]),
+              st.sampled_from(["zero", "below", "at", "above", "top"])),
+)
+
+
+def _step(state, op):
+    """What one walk op gives on `state`, and the state after it. A read
+    also gives its bit and the uniforms it drew; an error leaves the state."""
+    kind, *args = op
+    draws = None
+    try:
+        if kind == "gate":
+            out = apply_unitary(state, GATES[args[0]], (args[1],))
+        elif kind == "attach":
+            out = append_ancilla(state)
+        elif kind == "cnot":
+            out = cnot(state, *args)
+        else:
+            qubit, basis, where = args
+            in_range = 0 <= qubit < state.num_qubits
+            p0 = _p0(state.amps, qubit, basis is Basis.X) if in_range else 0.5
+            draws = FixedUniform({
+                "zero": 0.0, "below": math.nextafter(p0, -1.0), "at": p0,
+                "above": math.nextafter(p0, 2.0), "top": math.nextafter(1.0, 0.0),
+            }[where])
+            bit, out = measure(state, qubit, basis, draws)
+    except (ValueError, RuntimeError) as err:
+        got, out = repr(err), state
+    else:
+        assert all(type(a) is complex for a in out.amps)
+        got = repr(out.amps) if draws is None else (bit, repr(out.amps))
+    return (got, None if draws is None else draws.draws), out
+
+
 class TestBranchTables:
-    """The shared states read from their tables exactly what a fresh state
-    with the same amplitudes computes."""
+    """Every op on a shared state gives exactly what the computed path gives
+    a fresh state with the same amplitudes."""
 
-    CASES = [(state, qubit, basis) for state in _TABLES
-             for qubit in range(state.num_qubits) for basis in (Basis.Z, Basis.X)]
+    def test_the_seeds_reads_are_tabled_at_import(self):
+        # At import the shared set holds the seeds and every state Z/X reads
+        # reach from them, each with its table; no op has an edge yet.
+        shared, tables, *edges = AT_IMPORT
+        assert set(SEEDS) <= set(tables)
+        assert all(table is not None for table in tables.values())
+        posts = {out.post_state for table in tables.values() for row in table
+                 for _, *outcomes in row for out in outcomes if out is not None}
+        assert posts <= set(tables)
+        assert set(tables) == set(shared.values())
+        assert all(shared[repr(s.amps)] is s for s in tables)
+        assert edges == [{}] * len(edges)
 
-    def test_the_shared_states_are_closed_and_fixed(self):
-        assert len(_TABLES) == 84
-        assert sum(s.num_qubits == 1 for s in _TABLES) == 4
-        for state in _Z_STATES + _X_STATES + _BELL:
-            assert state in _TABLES
-        for table in _TABLES.values():
-            for row in table:
-                for _, *outcomes in row:
-                    for out in outcomes:
-                        assert out is None or out.post_state in _TABLES
+    @given(st.sampled_from(range(len(SEEDS))), st.lists(WALK_OPS, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_a_walk_over_edges_equals_the_computed_walk(self, seed, ops):
+        # The same ops from a seed and from an unshared copy of it give the
+        # same amplitudes, bits, errors and uniform counts, to the repr. The
+        # shared walk runs twice: the second time along the edges and tables
+        # the first one built.
+        with import_time_shared_set():
+            computed, state = [], StateVector(SEEDS[seed].amps, check=False)
+            for op in ops:
+                assert state not in quantum._TABLES
+                got, state = _step(state, op)
+                computed.append(got)
+                state = StateVector(state.amps, check=False)
+            for _ in range(2):
+                shared, state = [], SEEDS[seed]
+                for op in ops:
+                    got, state = _step(state, op)
+                    shared.append(got)
+                    assert state in quantum._TABLES  # far below the ceiling
+                assert shared == computed
 
-    def test_table_count_is_fixed_after_import(self):
-        before = dict(_TABLES)
-        for seed in range(3):
-            run_protocol_round(
-                message=b"\x01\x00\x01", mode=DetectionMode.IMPROVED,
-                strategy=NoAttack(), rng=np.random.default_rng(seed), d_z=3, d_x=3)
-            measure(prepare_bell(seed % 2), 0, Basis.X, np.random.default_rng(seed))
-        assert _TABLES == before
+    def test_the_shared_set_stops_at_its_ceiling(self):
+        # H drifts, so every application reaches a new state. Past the
+        # ceiling, gates and reads still give the computed results, and
+        # neither the set nor its tables grow.
+        with import_time_shared_set():
+            state = prepare_single(Basis.X, 0)
+            for step in range(MAX_SHARED_STATES):
+                fresh = StateVector(state.amps, check=False)
+                state = apply_unitary(state, GATES["H"], (0,))
+                assert state.amps == apply_unitary(fresh, GATES["H"], (0,)).amps
+            assert len(quantum._SHARED) == len(quantum._TABLES) == MAX_SHARED_STATES
+            tables = sum(t is not None for t in quantum._TABLES.values())
+            last = [s for s in quantum._TABLES if quantum._TABLES[s] is None][-1]
+            for state in (state, last):
+                fresh = StateVector(state.amps, check=False)
+                for gate in GATES.values():
+                    assert repr(apply_unitary(state, gate, (0,)).amps) == repr(
+                        apply_unitary(fresh, gate, (0,)).amps)
+                    for u in (0.25, 0.75):
+                        for basis in (Basis.Z, Basis.X):
+                            assert _measured(state, 0, basis, u) == _measured(
+                                fresh, 0, basis, u)
+            assert len(quantum._SHARED) == MAX_SHARED_STATES
+            assert sum(t is not None for t in quantum._TABLES.values()) == tables
 
-    @pytest.mark.parametrize("state, qubit, basis", CASES)
-    def test_tabled_measure_equals_the_computed_path(self, state, qubit, basis):
-        fresh = StateVector(state.amps, check=False)
-        assert fresh not in _TABLES
-        p0 = _TABLES[state][qubit][basis is Basis.X][0]
-        for u in (0.0, math.nextafter(p0, -1.0), p0, math.nextafter(p0, 2.0),
-                  math.nextafter(1.0, 0.0)):
-            tabled = _measured(state, qubit, basis, u)
-            computed = _measured(fresh, qubit, basis, u)
-            assert tabled == computed
-            assert tabled[-1] == 1  # one uniform, whichever path
-            if len(tabled) == 3:  # same bits to the sign of a zero
-                assert repr(tabled[1]) == repr(computed[1])
-                assert all(type(a) is complex for a in tabled[1])
+    @pytest.mark.parametrize("path, qubit, basis", READ_CASES, ids=READ_CASE_IDS)
+    def test_tabled_measure_equals_the_computed_path(self, path, qubit, basis):
+        # Every state Z/X reads reach from the seeds, read on every qubit and
+        # basis from its import-time table.
+        with import_time_shared_set():
+            state = _follow(path)
+            fresh = StateVector(state.amps, check=False)
+            assert state in quantum._TABLES and fresh not in quantum._TABLES
+            p0 = _p0(state.amps, qubit, basis is Basis.X)
+            for u in (0.0, math.nextafter(p0, -1.0), p0, math.nextafter(p0, 2.0),
+                      math.nextafter(1.0, 0.0)):
+                tabled = _measured(state, qubit, basis, u)
+                computed = _measured(fresh, qubit, basis, u)
+                assert tabled == computed
+                assert tabled[-1] == 1  # one uniform, whichever path
+                if len(tabled) == 3:  # same bits to the sign of a zero
+                    assert repr(tabled[1]) == repr(computed[1])
+                    assert all(type(a) is complex for a in tabled[1])
+            assert quantum._TABLES[state][qubit][basis is Basis.X][0] == p0
 
     def test_a_tabled_read_returns_a_shared_state(self):
         bell = prepare_bell(0)
         out = measure(bell, 0, Basis.Z, FixedUniform(0.0))
-        assert out.post_state in _TABLES
+        assert out.post_state in quantum._TABLES
         fresh = measure(StateVector(bell.amps, check=False), 0, Basis.Z, FixedUniform(0.0))
-        assert fresh.post_state not in _TABLES
+        assert fresh.post_state not in quantum._TABLES
         assert fresh.post_state.amps == out.post_state.amps
 
     def test_outcome_is_a_named_tuple(self):
