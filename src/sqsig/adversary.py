@@ -192,10 +192,14 @@ class Channel:
     def send_qubits(
         self, point: TapPoint, refs: Sequence[QubitRef], rng: np.random.Generator
     ) -> list[QubitRef]:
-        if self.noise_p > 0.0:
-            for ref in refs:
-                if rng.random() < self.noise_p:
-                    apply_gate(ref, _PAULI_CYCLE[rng.integers(0, 3)])
+        p = self.noise_p
+        if p > 0.0:
+            # One uniform u a qubit, from one draw a send: the qubit is hit
+            # when u < p, and u / p, uniform on [0, 1) then, picks its Pauli
+            # (3u / p can round up to 3 for u just below p).
+            for ref, u in zip(refs, rng.random(len(refs)).tolist()):
+                if u < p:
+                    apply_gate(ref, _PAULI_CYCLE[min(int(3 * u / p), 2)])
         out = _lend(refs, lambda lent: self.strategy.tap_qubits(point, lent, rng))
         if self.transcript is not None:
             self._log("quantum_send", point=point.value, count=len(out),

@@ -29,7 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import Channel, TapPoint
-from .keys import Bits, KeyStore, bits_to_int, int_to_bits, otp_decrypt, otp_encrypt
+from .keys import (
+    Bits,
+    KeyStore,
+    bits_to_int,
+    int_to_bits,
+    otp_decrypt,
+    otp_encrypt,
+    random_bits,
+)
 from .parties import Party
 from .quantum import Basis
 from .register import QubitRef
@@ -183,6 +191,8 @@ def build_decoys(
 ) -> tuple[list[QubitRef], list[int]]:
     """Prepare the mixed decoy sequence D, message bits leading the Z-decoys.
 
+    Draws `rng.permutation(d_z + d_x)`, which places the X-decoys, then
+    `random_bits(rng, d_z + d_x)` for the values the message leaves free.
     Returned records are in decoy-sequence order with position 0;
     assemble_transmission() adds the transmitted positions.
     """
@@ -191,7 +201,7 @@ def build_decoys(
             f"cannot embed {len(embedded_m)} message bits into {d_z} Z-decoys"
         )
     order = rng.permutation(d_z + d_x).tolist()
-    fill = rng.integers(0, 2, size=d_z + d_x).tolist()
+    fill = random_bits(rng, d_z + d_x)
     message = iter(embedded_m)
     # Decoy i is an X-decoy when order[i] >= d_z; a Z-decoy takes the next
     # message bit while one is left.
@@ -208,11 +218,12 @@ def assemble_transmission(
 ) -> TrentTransmission:
     """Insert the decoys uniformly among the carriers, keeping both orders.
 
-    Each record gains its decoy's transmitted position, in order.
+    The decoy positions are the sorted first d entries of one
+    `rng.permutation(total)`: a uniform d-subset of the transmitted
+    positions. Each record gains its decoy's position, in order.
     """
     d = len(decoy_refs)
-    total = len(carriers) + d
-    decoy_pos = sorted(rng.choice(total, size=d, replace=False).tolist()) if d else []
+    decoy_pos = sorted(rng.permutation(len(carriers) + d)[:d].tolist())
     # Inserted in ascending position order, each decoy lands where it belongs.
     sequence = list(carriers)
     placed = []

@@ -31,7 +31,8 @@ class KeyExhaustedError(RuntimeError):
 
 
 def random_bits(rng: np.random.Generator, k: int) -> Bits:
-    return rng.integers(0, 2, size=k).astype(np.uint8).tobytes()
+    """k uniform bits from one draw: bit i is 1 when `rng.random(k)[i] < 0.5`."""
+    return (rng.random(k) < 0.5).tobytes()
 
 
 def int_to_bits(value: int, k: int) -> Bits:

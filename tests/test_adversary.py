@@ -1,8 +1,11 @@
 """Attack-strategy and channel-tap tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from sqsig import adversary
 from sqsig.adversary import (
     AttackStrategy,
     Channel,
@@ -509,3 +512,38 @@ class TestChannel:
         expected = 2 * p / 3
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(flips / trials - expected) < 3 * sigma
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noise_is_one_draw_a_send(self, monkeypatch, seed):
+        # Qubit j is hit when the j-th uniform u of one random(k) draw is
+        # below p, by X, Y or Z as int(3u / p) is 0, 1 or 2.
+        p, k = 0.4, 50
+        hits = []
+        monkeypatch.setattr(adversary, "apply_gate",
+                            lambda ref, gate: hits.append((ref, gate)))
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        refs = [fresh_qubit(Basis.Z, 0) for _ in range(k)]
+        Channel(NoAttack(), noise_p=p).send_qubits(
+            TapPoint.FORWARD_ALICE_TO_TRENT, refs, rng)
+        paulis = (GATES["X"], GATES["Y"], GATES["Z"])
+        assert hits == [(ref, paulis[int(3 * u / p)])
+                        for ref, u in zip(refs, clone.random(k).tolist()) if u < p]
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_noise_just_below_p_is_z(self, monkeypatch):
+        # For p = 0.021 and u one ulp below it, 3u / p rounds up to 3.0.
+        p = 0.021
+        u = np.nextafter(p, 0.0)
+        assert u < p and 3 * u / p == 3.0
+
+        class JustBelow:
+            def random(self, k):
+                return np.full(k, u)
+
+        hits = []
+        monkeypatch.setattr(adversary, "apply_gate",
+                            lambda ref, gate: hits.append(gate))
+        Channel(NoAttack(), noise_p=p).send_qubits(
+            TapPoint.FORWARD_ALICE_TO_TRENT, [fresh_qubit(Basis.Z, 0)], JustBelow())
+        assert hits == [GATES["Z"]]

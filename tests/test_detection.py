@@ -4,6 +4,11 @@ A decoy record is its 18-bit LOC field, position << 2 | basis bit (X = 1)
 << 1 | value, and a wire payload is bytes with one 0/1 byte per bit.
 """
 
+import copy
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +253,32 @@ class TestInterleave:
         carrier_pos = [p for p in range(6) if p not in decoy_pos]
         assert [tx.sequence[p] for p in carrier_pos] == carriers
         assert [tx.sequence[p] for p in decoy_pos] == decoys
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_positions_are_the_sorted_head_of_one_permutation(self, seed):
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        tx = assemble_transmission(["c"] * 4, ["d"] * 3, [0] * 3, rng)
+        assert [r >> 2 for r in tx.records] == sorted(clone.permutation(7)[:3].tolist())
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+    @pytest.mark.parametrize("total", range(1, 7))
+    def test_every_decoy_subset_equally_likely(self, total):
+        # Fed each of the total! equally likely permutations once, the
+        # positions hit every d-subset equally often.
+        class Replay:
+            def permutation(self, n):
+                return np.array(next(perms))
+
+        for d in range(total + 1):
+            perms = itertools.permutations(range(total))
+            counts = Counter(
+                tuple(r >> 2 for r in assemble_transmission(
+                    ["c"] * (total - d), ["d"] * d, [0] * d, Replay()).records)
+                for _ in range(math.factorial(total))
+            )
+            assert sorted(counts) == list(itertools.combinations(range(total), d))
+            assert set(counts.values()) == {math.factorial(d) * math.factorial(total - d)}
 
 
 class TestWireEncodings:
@@ -745,13 +776,21 @@ class TestWrongLengthClassicalMessage:
         assert not result.accepted
 
     def test_missing_carrier_gives_no(self):
-        # At this seed the withheld last qubit is a carrier, so the decoy
-        # checks pass and Trent measures one T bit too few.
-        result = run_protocol_round(
-            message=(1, 0), mode=DetectionMode.DIRECT_REFLECTION,
-            strategy=WithholdForwardQubit(), rng=np.random.default_rng(3),
-            d_z=2, d_x=2,
-        )
+        # The first seed whose announced decoy positions leave the last of
+        # the 6 qubits a carrier: withholding it keeps every decoy, so the
+        # decoy checks pass and Trent measures one T bit too few.
+        for seed in range(50):
+            result = run_protocol_round(
+                message=(1, 0), mode=DetectionMode.DIRECT_REFLECTION,
+                strategy=WithholdForwardQubit(), rng=np.random.default_rng(seed),
+                d_z=2, d_x=2,
+            )
+            [announced] = [ev["bits"] for ev in result.transcript
+                           if ev.get("name") == "decoy_positions"]
+            positions = {r >> 2 for r in decode_loc(bytes(map(int, announced)))}
+            if 5 not in positions:
+                break
+        assert len(positions) == 4 and 5 not in positions
         assert not result.aborted
         assert result.outcome.verdict is False
         assert not result.accepted

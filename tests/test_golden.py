@@ -8,9 +8,11 @@ reports, the human report without its `wall time (s)` line, and
 `json.dumps` of the first trial's transcript are hashed with sha256 and
 compared with `golden_digests.json`.
 
-A change that alters the random streams on purpose regenerates the file
-with `PYTHONPATH=src python tests/test_golden.py --regenerate` and names
-itself in CHANGES.md.
+A change that alters the random streams on purpose bumps
+`harness.RNG_SCHEME`, regenerates the file with
+`PYTHONPATH=src python tests/test_golden.py --regenerate` and names
+itself in CHANGES.md. The file records the scheme its digests were made
+under, and every test here fails while that differs from the harness's.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from sqsig.detection import DetectionMode
 from sqsig.harness import (
     MATRIX_ATTACKS,
     MATRIX_MODES,
+    RNG_SCHEME,
     ScenarioConfig,
     emit_report,
     parse_attack,
@@ -101,20 +104,39 @@ def _digests(config: ScenarioConfig) -> dict[str, str]:
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
 
 
+def _golden() -> dict:
+    """The recorded digests by scenario; fails unless they were made under
+    the harness's random-stream scheme."""
+    golden = json.loads(DIGEST_FILE.read_text())
+    scheme = golden.pop("rng_scheme", None)
+    if scheme != RNG_SCHEME:
+        pytest.fail(f"{DIGEST_FILE.name} holds rng_scheme {scheme}, the harness "
+                    f"{RNG_SCHEME}: regenerate it with "
+                    "`PYTHONPATH=src python tests/test_golden.py --regenerate`")
+    return golden
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_output_bytes_unchanged(name):
-    golden = json.loads(DIGEST_FILE.read_text())
-    assert _digests(SCENARIOS[name]) == golden[name]
+    assert _digests(SCENARIOS[name]) == _golden()[name]
 
 
 def test_digest_file_lists_every_scenario():
     # A digest whose scenario was removed would otherwise never be checked.
-    golden = json.loads(DIGEST_FILE.read_text())
-    assert sorted(golden) == sorted(SCENARIOS)
+    assert sorted(_golden()) == sorted(SCENARIOS)
+
+
+def test_other_scheme_names_the_regenerate_command(tmp_path, monkeypatch):
+    stale = tmp_path / DIGEST_FILE.name
+    stale.write_text(json.dumps({**_golden(), "rng_scheme": RNG_SCHEME - 1}))
+    monkeypatch.setitem(globals(), "DIGEST_FILE", stale)
+    with pytest.raises(pytest.fail.Exception, match="tests/test_golden.py --regenerate"):
+        _golden()
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         raise SystemExit("usage: python tests/test_golden.py --regenerate")
     table = {name: _digests(config) for name, config in sorted(SCENARIOS.items())}
+    table["rng_scheme"] = RNG_SCHEME
     DIGEST_FILE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -2,7 +2,10 @@
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqsig import harness
 from sqsig.adversary import QubitProbe
 from sqsig.cli import main
-from sqsig.detection import CHECKS, DetectionMode
+from sqsig.detection import CHECKS, DetectionMode, DetectionReport
 from sqsig.harness import (
     ATTACKS,
     AttackSpec,
     ConfigError,
+    RNG_SCHEME,
     _FORGE_RECORDS,
     ScenarioConfig,
     attack_spec_text,
@@ -28,6 +33,8 @@ from sqsig.harness import (
     parse_attack,
     run_trials,
 )
+from sqsig.keys import random_bits
+from sqsig.protocol import TrialResult, run_protocol_round
 
 
 _positions = st.lists(st.integers(0, 99), min_size=1, max_size=4).map(tuple)
@@ -190,16 +197,87 @@ class TestRunTrials:
         assert stats.error_rate_means["bob_z"] == 0.0
         assert transcript  # first trial retained
 
-    def test_trial_seed_is_the_spawned_child(self):
-        # run_trials builds trial i's seed as SeedSequence(seed, spawn_key=(i,))
-        # when it runs the trial: the same seed and stream as the i-th child
-        # of SeedSequence(seed).spawn(trials).
-        for seed in (0, 5, 2 ** 40):
-            for i, child in enumerate(np.random.SeedSequence(seed).spawn(40)):
-                own = np.random.SeedSequence(seed, spawn_key=(i,))
-                assert own.generate_state(8).tolist() == child.generate_state(8).tolist()
-                assert (np.random.default_rng(own).random(4).tolist()
-                        == np.random.default_rng(child).random(4).tolist())
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40])
+    def test_trial_is_its_jump_ahead_substream(self, monkeypatch, seed):
+        # Trial i is a round run alone on PCG64(seed) advanced by i * 2**64,
+        # its random message drawn first: the same message, key, report and
+        # party ops, and the generator left in the same state.
+        def seen(result, rng):
+            return (result.store.key_bits, result.detection,
+                    [p.op_log for p in (result.alice, result.bob, result.trent)],
+                    rng.bit_generator.state)
+
+        trials = []
+
+        def recording_round(**kwargs):
+            result = run_protocol_round(**kwargs)
+            trials.append((kwargs["message"], *seen(result, kwargs["rng"])))
+            return result
+
+        monkeypatch.setattr(harness, "run_protocol_round", recording_round)
+        config = ScenarioConfig(n=3, mode=DetectionMode.IMPROVED_INLINE_OTP,
+                                attack=parse_attack("entangle_probe"),
+                                noise_p=0.1, threshold=1.0, trials=6, seed=seed)
+        run_trials(config)
+        assert len(trials) == 6
+        for i, trial in enumerate(trials):
+            rng = np.random.Generator(np.random.PCG64(seed).advance(i << 64))
+            message = random_bits(rng, config.n)
+            alone = run_protocol_round(
+                message=message, mode=config.mode,
+                strategy=build_strategy(config.attack), rng=rng,
+                d_z=config.d_z, d_x=config.d_x, threshold=config.threshold,
+                noise_p=config.noise_p, record_transcript=False,
+            )
+            assert trial == (message, *seen(alone, rng))
+
+    def test_shorter_run_is_a_prefix(self):
+        def records(trials):
+            config = ScenarioConfig(n=2, attack=parse_attack("intercept_resend_z"),
+                                    trials=trials, seed=4)
+            return run_trials(config)[0].per_trial
+
+        assert records(5)[:3] == records(3)
+
+    def test_constant_rate_has_zero_variance(self, monkeypatch):
+        # A naive sumsq / m - mean**2 gives 3.15e-15 here; Welford's update 0.
+        report = DetectionReport(bob_z_errors=1, bob_z_checked=3,
+                                 alice_z_errors=1, alice_z_checked=3,
+                                 alice_x_errors=1, alice_x_checked=3)
+        result = TrialResult(detection=report, aborted=False, outcome=None,
+                             accepted=False, alice=None, bob=None, trent=None,
+                             store=None, transcript=[])
+        monkeypatch.setattr(harness, "run_protocol_round", lambda **_: result)
+        stats, _ = run_trials(ScenarioConfig(n=1, trials=1000, seed=0))
+        # The means stay sums / m, the rates added in trial order.
+        mean = reduce(add, [1 / 3] * 1000) / 1000
+        assert stats.error_rate_means == dict.fromkeys(CHECKS, mean)
+        assert stats.error_rate_vars == dict.fromkeys(CHECKS, 0.0)
+
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_generator_calls_per_trial_do_not_grow_with_n(self, monkeypatch, mode):
+        # Each stage makes one draw whatever its qubit count; a noisy round
+        # under a probe, at a threshold that never aborts, runs every stage.
+        def calls(n):
+            counts = Counter()
+
+            class Counting:
+                def __init__(self, bit_generator):
+                    self.rng = np.random.default_rng(bit_generator)
+
+                def __getattr__(self, name):
+                    counts[name] += 1
+                    return getattr(self.rng, name)
+
+            monkeypatch.setattr(np.random, "Generator", Counting)
+            config = ScenarioConfig(n=n, mode=mode, attack=parse_attack("entangle_probe"),
+                                    noise_p=0.1, threshold=1.0, trials=1, seed=3)
+            stats, _ = run_trials(config)
+            monkeypatch.undo()
+            assert stats.detection_aborts == 0
+            return counts
+
+        assert calls(64) == calls(1)
 
     def test_bit_flip_attack_always_aborts(self):
         config = ScenarioConfig(
@@ -480,6 +558,14 @@ class TestCli:
     def test_bad_scenario_exit_code(self, tmp_path, capsys, text):
         assert main(["run", write_scenario(tmp_path, text)]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_rng_scheme_is_echoed_and_cannot_be_set(self, tmp_path, capsys):
+        assert main(["run", write_scenario(tmp_path, "n = 2\n"), "--format", "jsonl"]) == 0
+        config = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert config["rng_scheme"] == RNG_SCHEME == 2
+        scenario = write_scenario(tmp_path, "n = 2\nrng_scheme = 2\n")
+        assert main(["run", scenario]) == 1
+        assert "unknown key 'rng_scheme'" in capsys.readouterr().err
 
     def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, "n = 2\n")

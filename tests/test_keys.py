@@ -4,6 +4,7 @@ A payload is bytes with one 0/1 byte per bit, the key included.
 """
 
 import copy
+import math
 from operator import xor
 
 import numpy as np
@@ -119,6 +120,24 @@ class TestOtp:
         assert otp_decrypt(store, "p", cipher) == plaintext
 
 
+def binomial_band(trials: int, p: float, alpha: float = 1e-7) -> tuple[int, int]:
+    """Smallest [lo, hi] with P(X < lo) <= alpha/2 and P(X > hi) <= alpha/2,
+    X ~ Binomial(trials, p), from the exact probability mass."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    pmf = [math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
+                    - math.lgamma(trials - k + 1) + k * log_p + (trials - k) * log_q)
+           for k in range(trials + 1)]
+    lo, below = 0, 0.0
+    while below + pmf[lo] <= alpha / 2:
+        below += pmf[lo]
+        lo += 1
+    hi, above = trials, 0.0
+    while above + pmf[hi] <= alpha / 2:
+        above += pmf[hi]
+        hi -= 1
+    return lo, hi
+
+
 class TestRandomBits:
     def test_length_and_alphabet(self):
         rng = np.random.default_rng(9)
@@ -137,15 +156,25 @@ class TestRandomBits:
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5000))
     @settings(max_examples=60, deadline=None)
-    def test_same_draws_as_integers(self, seed, k):
-        # The bytes hold the values of the int64 draw, and the generator
-        # ends where that draw leaves it.
+    def test_same_draws_as_its_derivation(self, seed, k):
+        # Bit i is 1 when the i-th uniform of one random(k) draw is below
+        # 1/2, and the generator ends where that draw leaves it.
         rng = np.random.default_rng(seed)
         clone = copy.deepcopy(rng)
         bits = random_bits(rng, k)
         assert type(bits) is bytes
-        assert list(bits) == clone.integers(0, 2, size=k).tolist()
+        assert list(bits) == [int(u < 0.5) for u in clone.random(k).tolist()]
         assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_bits_and_pairs_in_exact_binomial_bands(self):
+        # 10^5 bits hold Binomial(10^5, 1/2) ones, and each 2-bit pattern
+        # of their 5 * 10^4 disjoint pairs Binomial(5 * 10^4, 1/4) times.
+        bits = random_bits(np.random.default_rng(2024), 100_000)
+        lo, hi = binomial_band(100_000, 0.5)
+        assert lo <= sum(bits) <= hi
+        pairs = [2 * a + b for a, b in zip(bits[::2], bits[1::2])]
+        lo, hi = binomial_band(len(pairs), 0.25)
+        assert all(lo <= pairs.count(pattern) <= hi for pattern in range(4))
 
 
 class TestXorBits:
