@@ -4,10 +4,15 @@ Every transmission in a run passes through the channel, which applies
 optional depolarizing noise and then hands the payload to the active
 strategy exactly once per direction. Strategies mutate in-flight qubits
 through their refs or rewrite classical payloads. A classical payload
-reaches `tap_classical` as `keys.Bits`, one 0/1 byte per bit; the tap may
-return any sequence of ints, and the receiver refuses what is not bits:
-a value other than 0 or 1 on an announcement aborts the round, and on a
-message wire it leaves Trent's No or Bob's rejection. A strategy may touch
+reaches `tap_classical` as its fields: `keys.Bits`, one 0/1 byte per bit,
+on a bit wire (`message`, `message_to_trent`, `b_string`, the receipt
+confirmations), and a list of ints on an announcement (18-bit LOC
+records, 16-bit permutation entries). The tap may return any sequence,
+and the receiver refuses what is not fields of its wire: an item on an
+announcement that is not an int in [0, 2**width) aborts the round, and a
+value other than 0 or 1 on a message wire leaves Trent's No or Bob's
+rejection. The transcript renders each field as `width` binary digits,
+and an item that is not an int as `width` question marks. A strategy may touch
 a protocol qubit only inside its tap: the channel lends it refs of its own
 and revokes them when the tap returns. Ancillas it attached itself stay
 usable.
@@ -30,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .keys import Bits
 from .quantum import GATES, Basis, DimensionMismatchError, Gate, Uniforms
 from .register import (
     QubitRef,
@@ -61,9 +65,10 @@ class AttackStrategy:
         return refs
 
     def tap_classical(
-        self, point: TapPoint, name: str, bits: Bits, rng: np.random.Generator
+        self, point: TapPoint, name: str, payload: Sequence[int],
+        rng: np.random.Generator,
     ) -> Sequence[int]:
-        return bits
+        return payload
 
 
 class NoAttack(AttackStrategy):
@@ -207,11 +212,13 @@ class Channel:
         return out
 
     def send_classical(
-        self, point: TapPoint, name: str, bits: Bits, rng: np.random.Generator,
+        self, point: TapPoint, name: str, payload: Sequence[int],
+        rng: np.random.Generator, width: int = 1,
     ) -> Sequence[int]:
-        """The payload as the tap hands it on: any sequence of ints."""
-        out = self.strategy.tap_classical(point, name, bits, rng)
+        """The payload of `width`-bit fields as the tap hands it on: any sequence."""
+        out = self.strategy.tap_classical(point, name, payload, rng)
         if self.transcript is not None:
-            self._log("classical", point=point.value, name=name,
-                      bits="".join(map(str, out)))
+            digits = f"0{width}b"
+            self._log("classical", point=point.value, name=name, bits="".join(
+                format(f, digits) if type(f) is int else "?" * width for f in out))
         return out

@@ -3,9 +3,12 @@
 A decoy record is the 18-bit LOC field it is announced as: position << 2
 | basis bit (Z = 0, X = 1) << 1 | value. The sender's decoy state is one
 list of records in position order; the first n Z-decoys in that order
-carry the message. Every classical payload is `keys.Bits`, one 0/1 byte
-per bit, and a wire field is `width` big-endian bits. The receiver works
-only from the announcements it decodes, and the sender rechecks every
+carry the message. An announcement travels as its fields, a list of
+ints: 18-bit LOC records and 16-bit permutation entries, each read as
+`width` big-endian bits wherever bits matter (the transcript, the inline
+pad). A receiver decodes a payload only if every item is an int in
+[0, 2**width); anything else aborts the round. The receiver works only
+from the announcements it decodes, and the sender rechecks every
 returned decoy against its own records. Each DetectionMode has one
 ModeSpec in MODE_SPECS, which run_detection_round reads:
 
@@ -23,21 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from itertools import compress
 from operator import and_, or_
 from typing import Sequence
 
 import numpy as np
 
 from .adversary import Channel, TapPoint
-from .keys import (
-    Bits,
-    KeyStore,
-    bits_to_int,
-    int_to_bits,
-    otp_decrypt,
-    otp_encrypt,
-    random_bits,
-)
+from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt, random_bits
 from .parties import Party
 from .quantum import Basis
 from .register import QubitRef
@@ -129,53 +125,50 @@ class DetectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Wire encodings (bit-exact external interface)
+# Wire encodings: fixed-width int fields
 # ---------------------------------------------------------------------------
 
 POSITION_FIELD_BITS = 16
 RECORD_BITS = POSITION_FIELD_BITS + 2
 
-
-def _pack(fields: Sequence[int], width: int) -> Bits:
-    """Each field as `width` big-endian bits; ValueError if one does not fit."""
-    if fields and (min(fields) < 0 or max(fields) >> width):
-        raise ValueError(f"a field does not fit in {width} bits")
-    value = 0
-    for f in fields:
-        value = value << width | f
-    return int_to_bits(value, width * len(fields))
+_INT = {int}
+# Swaps the 0 and 1 bytes of a position mask: decoys for carriers.
+_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _unpack(bits: Sequence[int], width: int) -> list[int]:
-    """The big-endian `width`-bit fields of `bits`; ValueError for a payload
-    that is not a whole number of fields or holds a bit other than 0 or 1."""
-    if len(bits) % width:
-        raise ValueError(f"payload length is not a multiple of {width} bits")
-    value = bits_to_int(bits)
-    mask = (1 << width) - 1
-    return [value >> shift & mask for shift in range(len(bits) - width, -1, -width)]
+def _fields(payload: Sequence[int], width: int) -> list[int]:
+    """The payload's fields; ValueError unless each is an int in [0, 2**width).
+
+    An int subclass such as bool, or a numpy integer, is not an int here.
+    """
+    fields = list(payload)
+    if fields and not (set(map(type, fields)) == _INT
+                       and min(fields) >= 0 and not max(fields) >> width):
+        raise ValueError(f"a field is not an int of {width} bits")
+    return fields
 
 
-def encode_loc(records: Sequence[int], include_values: bool = True) -> Bits:
+def encode_loc(records: Sequence[int], include_values: bool = True) -> list[int]:
     """One 18-bit field per decoy, in position order; the value bit is 0
-    when withheld."""
-    return _pack(sorted(records if include_values else [r & ~1 for r in records]),
-                 RECORD_BITS)
+    when withheld. ValueError for a record that does not fit."""
+    return _fields(sorted(records if include_values else [r & ~1 for r in records]),
+                   RECORD_BITS)
 
 
-def decode_loc(bits: Sequence[int]) -> list[int]:
+def decode_loc(payload: Sequence[int]) -> list[int]:
     """The announced records, in wire order."""
-    return _unpack(bits, RECORD_BITS)
+    return _fields(payload, RECORD_BITS)
 
 
-def encode_permutation(mapping: Sequence[int]) -> Bits:
-    """16 bits big-endian per entry; mapping[j] is returned decoy j's original index."""
-    return _pack(mapping, POSITION_FIELD_BITS)
+def encode_permutation(mapping: Sequence[int]) -> list[int]:
+    """One 16-bit field per entry; mapping[j] is returned decoy j's original
+    index. ValueError for an entry that does not fit."""
+    return _fields(mapping, POSITION_FIELD_BITS)
 
 
-def decode_permutation(bits: Sequence[int]) -> tuple[int, ...]:
+def decode_permutation(payload: Sequence[int]) -> tuple[int, ...]:
     """The announced mapping; the round checks that it is a bijection."""
-    return tuple(_unpack(bits, POSITION_FIELD_BITS))
+    return tuple(_fields(payload, POSITION_FIELD_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +216,14 @@ def assemble_transmission(
     positions. Each record gains its decoy's position, in order.
     """
     d = len(decoy_refs)
-    decoy_pos = sorted(rng.permutation(len(carriers) + d)[:d].tolist())
-    # Inserted in ascending position order, each decoy lands where it belongs.
-    sequence = list(carriers)
-    placed = []
-    for p, ref, r in zip(decoy_pos, decoy_refs, records):
-        sequence.insert(p, ref)
-        placed.append(p << 2 | r)
+    total = len(carriers) + d
+    decoy_pos = sorted(rng.permutation(total)[:d].tolist())
+    is_decoy = bytearray(total)
+    for p in decoy_pos:
+        is_decoy[p] = 1
+    next_decoy, next_carrier = iter(decoy_refs).__next__, iter(carriers).__next__
+    sequence = [next_decoy() if m else next_carrier() for m in is_decoy]
+    placed = [p << 2 | r for p, r in zip(decoy_pos, records)]
     return TrentTransmission(sequence=sequence, records=placed)
 
 
@@ -238,14 +232,16 @@ def assemble_transmission(
 # ---------------------------------------------------------------------------
 
 def _announce(
-    channel: Channel, point: TapPoint, wire: str, payload: Bits,
+    channel: Channel, point: TapPoint, wire: str, fields: list[int], width: int,
     pad: KeyStore | None, purpose: str, rng: np.random.Generator,
 ) -> Sequence[int]:
-    """Send one classical announcement, under the one-time pad if `pad` is set."""
+    """Send one announcement of `width`-bit fields, under the one-time pad
+    if `pad` is set; ValueError for a ciphertext that does not decrypt."""
     if pad is None:
-        return channel.send_classical(point, wire, payload, rng)
-    cipher = otp_encrypt(pad, purpose, payload)
-    return otp_decrypt(pad, purpose, channel.send_classical(point, wire, cipher, rng))
+        return channel.send_classical(point, wire, fields, rng, width)
+    cipher = otp_encrypt(pad, purpose, fields, width)
+    received = channel.send_classical(point, wire, cipher, rng, width)
+    return otp_decrypt(pad, purpose, _fields(received, width), width)
 
 
 def _abort(report: DetectionReport) -> DetectionResult:
@@ -272,7 +268,8 @@ def run_detection_round(
     len(carriers) of its Z results. The verdict is Abort as soon as any
     checked error rate exceeds the threshold, and, whatever the threshold,
     when an announcement was tampered into nonsense: one that does not
-    decrypt or decode (a wrong length, a bit other than 0 or 1), a record
+    decrypt or decode (a ciphertext of the wrong length, an item that is
+    not an int of its field width), a record
     in a basis its wire does not announce, a decoy position outside the
     received sequence or named twice, a returned permutation that is not
     a bijection over the sender's decoys, or a return that does not hold
@@ -296,7 +293,8 @@ def run_detection_round(
         try:
             received = decode_loc(_announce(
                 channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
-                encode_loc(listed, include_values=values), pad, "loc_announce", rng,
+                encode_loc(listed, include_values=values), RECORD_BITS,
+                pad, "loc_announce", rng,
             ))
         except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
@@ -308,11 +306,16 @@ def run_detection_round(
         announced += received
     if spec.encrypted:
         receiver.classical_compute()
-    positions = {r >> 2 for r in announced}
-    if len(positions) < len(announced) or max(positions, default=-1) >= len(seq):
+    positions = [r >> 2 for r in announced]
+    if max(positions, default=-1) >= len(seq):
         return _abort(report)
-    decoys = list(map(seq.__getitem__, sorted(positions)))
-    carriers = list(map(seq.__getitem__, sorted(set(range(len(seq))) - positions)))
+    mask = bytearray(len(seq))  # 1 where an announced decoy is
+    for p in positions:
+        mask[p] = 1
+    if mask.count(1) < len(positions):  # a position named twice
+        return _abort(report)
+    decoys = list(compress(seq, mask))
+    carriers = list(compress(seq, mask.translate(_INVERT)))
 
     recovered_m: Bits | None = None
     if spec.measures:
@@ -343,18 +346,23 @@ def run_detection_round(
             mapping = decode_permutation(_announce(
                 channel, TapPoint.RETURN_TRENT_TO_ALICE,
                 "perm_ciphertext" if spec.encrypted else "permutation",
-                encode_permutation(mapping), pad, "perm_announce", rng,
+                encode_permutation(mapping), POSITION_FIELD_BITS,
+                pad, "perm_announce", rng,
             ))
         except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
-    # The one check of the return: a bijection over the sender's decoys,
-    # and one returned qubit for each of them.
-    if sorted(mapping) != list(range(len(records))) or len(returned) != len(records):
+    # The one check of the return: a bijection over the sender's decoys
+    # (d distinct entries, none past the last decoy, none negative once
+    # decoded), and one returned qubit for each of them.
+    d = len(records)
+    if not (len(set(mapping)) == len(mapping) == len(returned) == d
+            and max(mapping, default=-1) < d):
         return _abort(report)
 
-    # Returned decoy j goes back to position mapping[j]; the indices are
-    # distinct, so sorting the pairs never compares two refs.
-    restored = [ref for _, ref in sorted(zip(mapping, returned))]
+    # Returned decoy j goes back to position mapping[j].
+    restored = [None] * d
+    for original, ref in zip(mapping, returned):
+        restored[original] = ref
     bits = sender.measure(restored, [_BASIS_OF[r & 3] for r in records], rng)
     # (r ^ bit) & 3 is the record's basis bit << 1 | whether its bit missed.
     kinds = [(r ^ bit) & 3 for bit, r in zip(bits, records)]

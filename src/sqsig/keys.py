@@ -1,9 +1,14 @@
 """Shared key store with one-time-pad segment accounting.
 
-Every classical payload, the key included, is `Bits`: bytes holding one
-0/1 byte per bit, read most significant first where it stands for an
-integer. A pad is one XOR of the payload and its key segment, each read
-as a big-endian integer of bytes.
+Every bit string (the key, the message, T and B, the receipt
+confirmations and the digest) is `Bits`: bytes holding one 0/1 byte per
+bit, read most significant first where it stands for an integer. The
+announcements of the detection round are not bit strings but lists of
+fixed-width int fields. The pad of a bit string is one XOR of the payload
+and its key segment, each read as a big-endian integer of bytes. The pad
+of `width`-bit fields XORs field j with key field j, bits
+[j * width, (j + 1) * width) of the segment read big-endian: the value
+the bitwise pad gives on the fields' bits, from the same key bits.
 
 The signer and the trusted third party hold the same key string. Segments
 are allocated for named purposes (signing pad, announcement encryption)
@@ -14,16 +19,18 @@ holder can read back an already-designated segment by purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import xor
 from typing import Sequence
 
 import numpy as np
 
 Bits = bytes  # one 0/1 byte per bit
 
-# Turn bit values 0/1 into the ASCII digits of a binary string, and back.
-# The digit bytes themselves become "x", so that they cannot pass for bits.
-_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x0101", b"01xx")
+# Turn the ASCII digits of a binary string into bit values 0/1.
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# By width (up to 32), the weight of each bit of a big-endian field: one
+# matrix product turns a segment's key bits into its key fields.
+_FIELD_WEIGHTS = [1 << np.arange(w - 1, -1, -1, dtype=np.int64) for w in range(33)]
 
 
 class KeyExhaustedError(RuntimeError):
@@ -38,16 +45,6 @@ def random_bits(rng: np.random.Generator, k: int) -> Bits:
 def int_to_bits(value: int, k: int) -> Bits:
     """The k bits of 0 <= value < 2**k, most significant first."""
     return format(1 << k | value, "b")[1:].encode().translate(_DIGITS_TO_BITS)
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """The integer `bits` spell, most significant first; ValueError for a
-    value other than 0 or 1."""
-    # bytes() returns a bytes payload itself, and refuses a value outside 0..255.
-    digits = bytes(bits).translate(_BITS_TO_DIGITS)
-    if digits.translate(None, b"01"):
-        raise ValueError("wire bits must be 0 or 1")
-    return int(b"0" + digits, 2)
 
 
 def xor_bits(a: Sequence[int], b: Sequence[int]) -> Bits:
@@ -98,18 +95,37 @@ def keygen_init(n_total: int, rng: np.random.Generator) -> KeyStore:
     return KeyStore(key_bits=random_bits(rng, n_total))
 
 
-def otp_encrypt(store: KeyStore, purpose: str, plaintext: Sequence[int]) -> Bits:
-    seg = store.allocate(purpose, len(plaintext))
-    return xor_bits(plaintext, store.segment_bits(seg))
+def otp_encrypt(
+    store: KeyStore, purpose: str, plaintext: Sequence[int], width: int = 1,
+) -> Bits | list[int]:
+    """The `width`-bit fields of `plaintext` under the next segment of the
+    key: Bits at width 1, a list of fields otherwise."""
+    seg = store.allocate(purpose, width * len(plaintext))
+    return _pad(store, seg, plaintext, width)
 
 
-def otp_decrypt(store: KeyStore, purpose: str, ciphertext: Sequence[int]) -> Bits:
+def otp_decrypt(
+    store: KeyStore, purpose: str, ciphertext: Sequence[int], width: int = 1,
+) -> Bits | list[int]:
+    """The inverse of otp_encrypt over the segment allocated for `purpose`;
+    ValueError when the ciphertext does not fill that segment."""
     seg = store.find(purpose)
     if seg is None:
         raise KeyError(f"no segment allocated for purpose {purpose!r}")
-    if seg.stop - seg.start != len(ciphertext):
+    if seg.stop - seg.start != width * len(ciphertext):
         raise ValueError("ciphertext length does not match the allocated segment")
-    return xor_bits(ciphertext, store.segment_bits(seg))
+    return _pad(store, seg, ciphertext, width)
+
+
+def _pad(
+    store: KeyStore, seg: Segment, fields: Sequence[int], width: int,
+) -> Bits | list[int]:
+    """Each field XOR its key field; every key field of the segment from one call."""
+    if width == 1:
+        return xor_bits(fields, store.segment_bits(seg))
+    key = np.frombuffer(store.key_bits, np.uint8, seg.stop - seg.start, seg.start)
+    key_fields = key.reshape(-1, width) @ _FIELD_WEIGHTS[width]
+    return list(map(xor, fields, key_fields.tolist()))
 
 
 def compute_g(m: Sequence[int], store: KeyStore) -> Bits:

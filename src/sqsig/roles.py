@@ -54,12 +54,7 @@ def alice_sign(
     and the Bob halves, which with the plaintext message form the signature.
     """
     g = compute_g(m, store)
-    t_refs: list[QubitRef] = []
-    b_refs: list[QubitRef] = []
-    for g_i in g:
-        t_half, b_half = alice.prepare_bell_pair(g_i)
-        t_refs.append(t_half)
-        b_refs.append(b_half)
+    t_refs, b_refs = alice.prepare_bell_pair(g)
     decoy_refs, records = build_decoys(d_z, d_x, m, rng, alice)
     return assemble_transmission(t_refs, decoy_refs, records, rng), b_refs
 

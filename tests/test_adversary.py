@@ -310,7 +310,7 @@ class TestTamperSignatureB:
     def test_helper_flips_bell_pairing(self):
         rng = np.random.default_rng(14)
         alice = quantum_party("alice")
-        t_half, b_half = alice.prepare_bell_pair(0)
+        [t_half], [b_half] = alice.prepare_bell_pair((0,))
         TamperSignatureB([0]).tap_qubits(
             TapPoint.ALICE_TO_BOB_QUANTUM, [b_half], rng
         )

@@ -1,7 +1,9 @@
 """Decoy construction, wire encodings, and detection-round tests.
 
 A decoy record is its 18-bit LOC field, position << 2 | basis bit (X = 1)
-<< 1 | value, and a wire payload is bytes with one 0/1 byte per bit.
+<< 1 | value. An announcement travels as a list of its int fields (18-bit
+LOC records, 16-bit permutation entries); every other classical payload
+is bytes with one 0/1 byte per bit.
 """
 
 import copy
@@ -20,8 +22,6 @@ from sqsig.detection import (
     RECORD_BITS,
     DetectionMode,
     Verdict,
-    _pack,
-    _unpack,
     assemble_transmission,
     build_decoys,
     decode_loc,
@@ -31,7 +31,7 @@ from sqsig.detection import (
     run_detection_round,
 )
 from sqsig.harness import build_strategy, parse_attack
-from sqsig.keys import compute_g, keygen_init
+from sqsig.keys import KeyStore, compute_g, keygen_init, otp_decrypt, otp_encrypt
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
@@ -88,8 +88,54 @@ def unplaced(basis, bit, count):
     return [record(0, basis, bit)] * count
 
 
+# The field width of each announcement wire; every other wire carries bits.
+WIDTHS = {
+    **dict.fromkeys(("loc_z", "decoy_positions_x", "decoy_positions_z",
+                     "decoy_positions", "loc_ciphertext"), RECORD_BITS),
+    **dict.fromkeys(("permutation", "perm_ciphertext"), POSITION_FIELD_BITS),
+}
+
+# Each announcement wire, in the mode that sends it.
+ANNOUNCEMENT_WIRES = [
+    (DetectionMode.IMPROVED, "loc_z"),
+    (DetectionMode.IMPROVED, "decoy_positions_x"),
+    (DetectionMode.IMPROVED, "permutation"),
+    (DetectionMode.MEASURE_THEN_RETURN, "decoy_positions_z"),
+    (DetectionMode.DIRECT_REFLECTION, "decoy_positions"),
+    (DetectionMode.IMPROVED_INLINE_OTP, "loc_ciphertext"),
+    (DetectionMode.IMPROVED_INLINE_OTP, "perm_ciphertext"),
+]
+
+
+def reference_field(value, width):
+    """`value` as `width` bits, most significant first, one shift at a time."""
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def width_of(wire):
+    return WIDTHS.get(wire, 1)
+
+
+def reference_bits(fields, width):
+    """The fields as one bit list, each through the reference codec."""
+    return [b for f in fields for b in reference_field(f, width)]
+
+
+def flip_bit(fields, width, j):
+    """The fields with bit j of their big-endian bit string flipped."""
+    fields = list(fields)
+    fields[j // width] ^= 1 << (width - 1 - j % width)
+    return fields
+
+
+def transcript_fields(bits, width):
+    """The fields a transcript's `bits` string spells, `width` digits each."""
+    return [int(bits[i:i + width], 2) for i in range(0, len(bits), width)]
+
+
 class FlipWireBit(AttackStrategy):
-    """Flip one bit of the named classical announcement; leave qubits alone."""
+    """Flip bit `index` of the named wire, as its big-endian fields spell it;
+    leave qubits alone."""
 
     kind = "flip_wire_bit"
 
@@ -97,17 +143,15 @@ class FlipWireBit(AttackStrategy):
         super().__init__()
         self.wire, self.index = wire, index
 
-    def tap_classical(self, point, name, bits, rng):
-        bits = super().tap_classical(point, name, bits, rng)
+    def tap_classical(self, point, name, payload, rng):
+        payload = super().tap_classical(point, name, payload, rng)
         if name == self.wire:
-            bits = bytearray(bits)
-            bits[self.index] ^= 1
-            bits = bytes(bits)
-        return bits
+            payload = flip_bit(payload, width_of(name), self.index)
+        return payload
 
 
 class WriteWireValue(AttackStrategy):
-    """Write `value`, which need not be a bit, at `index` of the named announcement."""
+    """Write `value`, which need not be a field, at `index` of the named wire."""
 
     kind = "write_wire_value"
 
@@ -115,16 +159,16 @@ class WriteWireValue(AttackStrategy):
         super().__init__()
         self.wire, self.index, self.value = wire, index, value
 
-    def tap_classical(self, point, name, bits, rng):
-        bits = super().tap_classical(point, name, bits, rng)
+    def tap_classical(self, point, name, payload, rng):
+        payload = super().tap_classical(point, name, payload, rng)
         if name == self.wire:
             # A tuple: the value need not fit in a byte.
-            bits = (*bits[:self.index], self.value, *bits[self.index + 1:])
-        return bits
+            payload = (*payload[:self.index], self.value, *payload[self.index + 1:])
+        return payload
 
 
 class ResizeWire(AttackStrategy):
-    """Append `delta` 0 bits to the named announcement, or drop -delta bits."""
+    """Append `delta` 0 fields to the named wire, or drop the last -delta."""
 
     kind = "resize_wire"
 
@@ -132,11 +176,26 @@ class ResizeWire(AttackStrategy):
         super().__init__()
         self.wire, self.delta = wire, delta
 
-    def tap_classical(self, point, name, bits, rng):
-        bits = super().tap_classical(point, name, bits, rng)
+    def tap_classical(self, point, name, payload, rng):
+        payload = super().tap_classical(point, name, payload, rng)
         if name == self.wire:
-            bits = bits + bytes(self.delta) if self.delta > 0 else bits[:self.delta]
-        return bits
+            payload = list(payload)
+            payload = payload + [0] * self.delta if self.delta > 0 else payload[:self.delta]
+        return payload
+
+
+class RecordWires(AttackStrategy):
+    """Pass everything on, keeping the last payload of each classical wire."""
+
+    kind = "record_wires"
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {}
+
+    def tap_classical(self, point, name, payload, rng):
+        self.seen[name] = list(payload)
+        return payload
 
 
 class ReplaceWire(AttackStrategy):
@@ -289,27 +348,31 @@ class TestWireEncodings:
             record(0, Basis.Z, 1), record(3, Basis.X, 0), record(7, Basis.Z, 0),
         ]
 
-    def test_loc_bits_per_record(self):
-        bits = encode_loc([record(5, Basis.X, 1)])
-        assert type(bits) is bytes and len(bits) == 18
-        assert bits[:16] == bytes(13) + bytes((1, 0, 1))  # 5 big-endian
+    def test_loc_field_per_record(self):
+        fields = encode_loc([record(5, Basis.X, 1)])
+        assert type(fields) is list and fields == [5 << 2 | 2 | 1]
+        bits = reference_field(fields[0], RECORD_BITS)
+        assert bits[:16] == [0] * 13 + [1, 0, 1]  # 5 big-endian
         assert bits[16] == 1  # X basis flag
 
     def test_values_withheld_option(self):
-        bits = encode_loc([record(2, Basis.X, 1)], include_values=False)
-        assert bits[17] == 0
+        [field] = encode_loc([record(2, Basis.X, 1)], include_values=False)
+        assert field == record(2, Basis.X, 0)
+        assert reference_field(field, RECORD_BITS)[17] == 0
 
-    def test_loc_bad_length_rejected(self):
+    @pytest.mark.parametrize("item", [1 << RECORD_BITS, -1, 1.0, None, "1", True,
+                                      np.int64(1)])
+    def test_loc_item_not_a_field_rejected(self, item):
         with pytest.raises(ValueError):
-            decode_loc(bytes((0, 1, 0)))
+            decode_loc([record(0, Basis.Z, 0), item])
 
     def test_permutation_roundtrip(self):
         assert decode_permutation(encode_permutation((2, 0, 1))) == (2, 0, 1)
 
     def test_permutation_entry_out_of_range_rejected(self):
-        bits = encode_permutation((0, 1))
+        fields = encode_permutation((0, 1))
         # Rewrite the second entry to the value 7 (out of range for d=2).
-        tampered = bits[:16] + bytes(13) + bytes((1, 1, 1))
+        tampered = fields[:1] + [7]
         # The codec reads the entry as sent; the round is what refuses it.
         assert decode_permutation(tampered) == (0, 7)
         for mode in (DetectionMode.IMPROVED, DetectionMode.MEASURE_THEN_RETURN):
@@ -346,11 +409,6 @@ class TestWireEncodings:
         assert decode_permutation(encode_permutation(mapping)) == tuple(mapping)
 
 
-def reference_field(value, width):
-    """`value` as `width` bits, most significant first, one shift at a time."""
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
 records_strategy = st.lists(
     st.tuples(st.integers(0, (1 << POSITION_FIELD_BITS) - 1),
               st.sampled_from(list(Basis)), st.integers(0, 1)),
@@ -358,10 +416,23 @@ records_strategy = st.lists(
 ).map(lambda ts: [record(p, basis, bit) for p, basis, bit in ts])
 
 
+# Items that are not a field of either width: not an int (bool and numpy
+# integers included), negative, or too wide for an 18-bit record.
+non_fields = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.complex_numbers(), st.text(max_size=3),
+    st.binary(max_size=3), st.decimals(), st.fractions(),
+    st.integers(max_value=-1), st.integers(min_value=1 << RECORD_BITS),
+    st.integers(0, 3).map(np.int64), st.lists(st.integers(0, 1), max_size=2),
+    st.tuples(st.integers(0, 3)),
+)
+
+
 class TestWireLayout:
-    """The codecs match the documented layout bit for bit: big-endian fields,
-    18 bits a LOC record (16-bit position, basis bit with X = 1, value bit,
-    0 when withheld) in position order, and 16 bits a permutation entry."""
+    """The fields match the documented layout bit for bit: big-endian
+    fields, 18 bits a LOC record (16-bit position, basis bit with X = 1,
+    value bit, 0 when withheld) in position order, and 16 bits a
+    permutation entry. The transcript spells each field in those bits, and
+    the inline pad of a field is the bitwise pad of its bits."""
 
     @given(records_strategy, st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
@@ -371,58 +442,114 @@ class TestWireLayout:
         for r in sorted(records):
             expected += reference_field(r >> 2, POSITION_FIELD_BITS)
             expected += [int(basis_of(r) is Basis.X), r & 1 if values else 0]
-        bits = encode_loc(records, include_values=values)
-        assert bits == bytes(expected)
-        assert decode_loc(bits) == [r if values else r & ~1 for r in sorted(records)]
+        fields = encode_loc(records, include_values=values)
+        assert reference_bits(fields, RECORD_BITS) == expected
+        assert decode_loc(fields) == [r if values else r & ~1 for r in sorted(records)]
 
     @given(st.lists(st.integers(0, (1 << POSITION_FIELD_BITS) - 1), max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_permutation_matches_reference_and_decodes_back(self, mapping):
         expected = [bit for entry in mapping
                     for bit in reference_field(entry, POSITION_FIELD_BITS)]
-        bits = encode_permutation(mapping)
-        assert bits == bytes(expected)
-        assert decode_permutation(bits) == tuple(mapping)
+        fields = encode_permutation(mapping)
+        assert reference_bits(fields, POSITION_FIELD_BITS) == expected
+        assert decode_permutation(fields) == tuple(mapping)
+
+    @given(st.sampled_from(list(DetectionMode)), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_transcript_spells_each_field_in_reference_bits(self, mode, seed, n, d_z, d_x):
+        # Every classical wire of the round, the bit wires included: its
+        # transcript bits are the reference encoding of the fields sent.
+        transcript = []
+        recorder = RecordWires()
+        d_z = max(d_z, n)
+        result, transmission, _, _ = run_round(mode, recorder, seed, n=n, d_z=d_z,
+                                               d_x=d_x, transcript=transcript)
+        assert result.report.verdict is Verdict.CONTINUE
+        wire = {ev["name"]: ev["bits"] for ev in transcript if ev["event"] == "classical"}
+        assert set(wire) == set(recorder.seen)
+        for name, fields in recorder.seen.items():
+            assert wire[name] == "".join(map(str, reference_bits(fields, width_of(name))))
+        # The plaintext LOC wires list the sender's records as documented.
+        records = transmission.records
+        z = [r for r in records if basis_of(r) is Basis.Z]
+        x = [r & ~1 for r in records if basis_of(r) is Basis.X]
+        expected = {
+            DetectionMode.IMPROVED: {"loc_z": z, "decoy_positions_x": x},
+            DetectionMode.MEASURE_THEN_RETURN: {
+                "decoy_positions_z": [r & ~1 for r in z], "decoy_positions_x": x},
+            DetectionMode.DIRECT_REFLECTION: {
+                "decoy_positions": [r & ~1 for r in records]},
+            DetectionMode.IMPROVED_INLINE_OTP: {},
+        }[mode]
+        assert {name: recorder.seen[name] for name in expected} == expected
 
     @given(st.sampled_from([POSITION_FIELD_BITS, RECORD_BITS]), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_pack_unpack_match_the_bitwise_codec(self, width, data):
-        fields = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=300))
-        bits = _pack(fields, width)
-        assert bits == bytes(b for f in fields for b in reference_field(f, width))
-        assert _unpack(bits, width) == fields
-        # A tuple or list of the same bits parses the same way.
-        assert _unpack(list(bits), width) == _unpack(tuple(bits), width) == fields
+    def test_field_pad_is_the_bitwise_pad(self, width, data):
+        fields = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+        skip = data.draw(st.integers(0, 40))  # key bits an earlier segment used
+        key = data.draw(st.lists(st.integers(0, 1), min_size=skip + width * len(fields),
+                                 max_size=skip + width * len(fields)))
+        store = KeyStore(key_bits=bytes(key))
+        store.allocate("earlier", skip)
+        cipher = otp_encrypt(store, "p", fields, width)
+        assert reference_bits(cipher, width) == [
+            b ^ k for b, k in zip(reference_bits(fields, width), key[skip:])]
+        assert otp_decrypt(store, "p", cipher, width) == fields
+        assert store.cursor == len(key)
 
     @given(st.sampled_from([POSITION_FIELD_BITS, RECORD_BITS]), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_unpack_refuses_a_byte_other_than_a_bit(self, width, data):
-        bits = bytearray(data.draw(st.binary(min_size=width, max_size=5 * width)
-                                   .map(lambda b: bytes(x & 1 for x in b))
-                                   .filter(lambda b: len(b) % width == 0)))
-        bits[data.draw(st.integers(0, len(bits) - 1))] = data.draw(st.integers(2, 255))
+    def test_decode_refuses_an_item_that_is_not_a_field(self, width, data):
+        fields = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=5))
+        fields.insert(data.draw(st.integers(0, len(fields))), data.draw(st.one_of(
+            non_fields, st.integers(1 << width, 1 << RECORD_BITS))))
+        decode = decode_loc if width == RECORD_BITS else decode_permutation
         with pytest.raises(ValueError):
-            _unpack(bytes(bits), width)
+            decode(fields)
 
-    # 48 and 49 are the digit bytes "0" and "1".
-    @pytest.mark.parametrize("value", [2, -1, 256, 48, 49])
-    @pytest.mark.parametrize("mode, wire", [
-        (DetectionMode.IMPROVED, "loc_z"),
-        (DetectionMode.IMPROVED, "decoy_positions_x"),
-        (DetectionMode.IMPROVED, "permutation"),
-        (DetectionMode.MEASURE_THEN_RETURN, "decoy_positions_z"),
-        (DetectionMode.DIRECT_REFLECTION, "decoy_positions"),
-        (DetectionMode.IMPROVED_INLINE_OTP, "loc_ciphertext"),
-        (DetectionMode.IMPROVED_INLINE_OTP, "perm_ciphertext"),
-    ])
-    def test_value_other_than_a_bit_aborts(self, mode, wire, value):
-        # A wire entry that is not 0 or 1, even one no byte can hold,
-        # aborts the round rather than raising.
+    @pytest.mark.parametrize("value", ["too_wide", -1, 1.0, None, "1", True, np.int64(1)])
+    @pytest.mark.parametrize("mode, wire", ANNOUNCEMENT_WIRES)
+    def test_item_other_than_a_field_aborts(self, mode, wire, value):
+        # A wire entry one past the largest field, negative, or not an int
+        # (a bool and a numpy integer included) aborts the round rather
+        # than raising.
+        if value == "too_wide":
+            value = 1 << WIDTHS[wire]
         result, _, _, _ = run_round(
             mode, WriteWireValue(wire, 0, value), seed=3, threshold=1.0
         )
         assert result.report.verdict is Verdict.ABORT
         assert result.carriers == [] and result.recovered_m is None
+
+    @given(st.sampled_from(ANNOUNCEMENT_WIRES), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_payload_with_a_non_field_aborts(self, mode_wire, whole, data):
+        # Either one entry of the honest payload is overwritten, or the whole
+        # payload is replaced by a sequence holding at least one non-field.
+        # The round aborts whatever the threshold, and the transcript
+        # renders every item the same way twice.
+        mode, wire = mode_wire
+        bad = data.draw(non_fields)
+        if whole:
+            items = data.draw(st.lists(st.one_of(non_fields, st.integers(0, 7)),
+                                       max_size=4))
+            items.insert(data.draw(st.integers(0, len(items))), bad)
+            payload = data.draw(st.sampled_from([list, tuple]))(items)
+            strategy = ReplaceWire(wire, payload)
+        else:  # every announcement of this round holds at least two fields
+            strategy = WriteWireValue(wire, data.draw(st.integers(0, 1)), bad)
+        transcripts = []
+        for _ in range(2):
+            transcript = []
+            result, _, _, _ = run_round(mode, strategy, seed=3, threshold=1.0,
+                                        transcript=transcript)
+            assert result.report.verdict is Verdict.ABORT
+            assert result.carriers == [] and result.recovered_m is None
+            transcripts.append(transcript)
+        assert transcripts[0] == transcripts[1]
 
 
 class TestChecks:
@@ -506,7 +633,7 @@ class TestRunDetectionRound:
         # announcement itself can. A tamper is a bit to flip, or
         # "drop_entry" to announce one permutation entry too few.
         if tamper == "drop_entry":
-            strategy = ResizeWire(wire, -POSITION_FIELD_BITS)
+            strategy = ResizeWire(wire, -1)
         else:
             strategy = FlipWireBit(wire, tamper)
         result, _, _, _ = run_round(mode, strategy, seed=3, threshold=1.0)
@@ -539,8 +666,9 @@ class TestRunDetectionRound:
         (DetectionMode.DIRECT_REFLECTION, "decoy_positions"),
     ])
     def test_resized_announcement_aborts(self, mode, wire, grow):
-        # An announcement one bit short or long cannot be decoded (or
-        # decrypted); the round aborts whatever the threshold.
+        # An announcement one field short or long does not decrypt, or names
+        # a decoy too few or too many (an appended field names position 0
+        # in the Z basis); the round aborts whatever the threshold.
         result, _, _, _ = run_round(
             mode, ResizeWire(wire, 1 if grow else -1), seed=3, threshold=1.0
         )
@@ -634,7 +762,8 @@ class TestInlineAnnouncements:
         result, transmission, store, transcript = self._channel_round(30)
         wire = {ev["name"]: ev["bits"] for ev in transcript
                 if ev["event"] == "classical"}
-        plain_loc = "".join(str(b) for b in encode_loc(transmission.records))
+        plain_loc = "".join(map(str, reference_bits(encode_loc(transmission.records),
+                                                    RECORD_BITS)))
         assert wire["loc_ciphertext"] != plain_loc
         seg = store.find("loc_announce")
         assert seg is not None and seg.stop - seg.start == len(plain_loc)
@@ -648,13 +777,36 @@ class TestInlineAnnouncements:
         for (a_start, a_stop), (b_start, b_stop) in zip(ranges, ranges[1:]):
             assert a_stop <= b_start  # pairwise disjoint
 
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_ciphertext_is_the_bitwise_pad_of_the_reference_bits(self, seed):
+        result, transmission, store, transcript = self._channel_round(seed)
+        assert result.report.verdict is Verdict.CONTINUE
+        wire = {ev["name"]: ev["bits"] for ev in transcript
+                if ev["event"] == "classical"}
+
+        def plain_bits(name, purpose):
+            seg = store.find(purpose)
+            key = store.key_bits[seg.start:seg.stop]
+            assert len(wire[name]) == len(key)
+            return [int(c) ^ k for c, k in zip(wire[name], key)]
+
+        plain_loc = plain_bits("loc_ciphertext", "loc_announce")
+        assert plain_loc == reference_bits(sorted(transmission.records), RECORD_BITS)
+        # The receiver's shuffle is its own draw: the pad must uncover a
+        # bijection over the four decoys, spelled in reference bits.
+        plain_perm = plain_bits("perm_ciphertext", "perm_announce")
+        mapping = transcript_fields("".join(map(str, plain_perm)), POSITION_FIELD_BITS)
+        assert sorted(mapping) == [0, 1, 2, 3]
+        assert plain_perm == reference_bits(mapping, POSITION_FIELD_BITS)
+
     def test_ciphertext_bit_flip_never_silently_valid(self):
         # Flipping a wire bit changes the mapping; it can never decode
         # back to the original permutation.
         mapping = (1, 2, 0)
-        bits = encode_permutation(mapping)
-        for i in range(len(bits)):
-            tampered = bytes(b ^ (j == i) for j, b in enumerate(bits))
+        fields = encode_permutation(mapping)
+        for i in range(POSITION_FIELD_BITS * len(fields)):
+            tampered = flip_bit(fields, POSITION_FIELD_BITS, i)
             assert decode_permutation(tampered) != mapping
 
 
@@ -664,7 +816,7 @@ class TestAliceFinalCheck:
         result, _, _, _ = run_round(DetectionMode.IMPROVED, NoAttack(), seed=40,
                                     d_z=4, d_x=4, transcript=transcript)
         wire = next(ev["bits"] for ev in transcript if ev.get("name") == "permutation")
-        mapping = decode_permutation(bytes(int(b) for b in wire))
+        mapping = decode_permutation(transcript_fields(wire, POSITION_FIELD_BITS))
         assert mapping != tuple(range(8))  # the receiver did shuffle
         rep = result.report
         assert rep.verdict is Verdict.CONTINUE
@@ -787,7 +939,8 @@ class TestWrongLengthClassicalMessage:
             )
             [announced] = [ev["bits"] for ev in result.transcript
                            if ev.get("name") == "decoy_positions"]
-            positions = {r >> 2 for r in decode_loc(bytes(map(int, announced)))}
+            positions = {r >> 2 for r in decode_loc(transcript_fields(announced,
+                                                                      RECORD_BITS))}
             if 5 not in positions:
                 break
         assert len(positions) == 4 and 5 not in positions

@@ -22,10 +22,17 @@ from sqsig.quantum import (
     StateVector,
     Uniforms,
     equal_up_to_phase,
+    measure_tabled,
     prepare_bell,
     prepare_single,
 )
-from sqsig.register import QubitRef, Register, measure_qubit
+from sqsig.register import (
+    QubitRef,
+    Register,
+    RevokedHandleError,
+    _lend,
+    measure_qubit,
+)
 from sqsig.roles import (
     alice_sign,
     bob_accept,
@@ -145,7 +152,7 @@ class TestTrentReceive:
         ones = 0
         for _ in range(trials):
             alice = quantum_party("alice")
-            t_half, _ = alice.prepare_bell_pair(0)
+            [t_half], _ = alice.prepare_bell_pair((0,))
             (t,) = trent.measure([t_half], [Basis.Z], rng)
             ones += t
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
@@ -174,7 +181,7 @@ class TestBobMeasure:
                 alice = quantum_party("alice")
                 bob = classical_party("bob")
                 trent = classical_party("trent")
-                t_half, b_half = alice.prepare_bell_pair(g)
+                [t_half], [b_half] = alice.prepare_bell_pair((g,))
                 (t,) = trent.measure([t_half], [Basis.Z], rng)
                 (b,) = bob_measure([b_half], bob, rng)
                 assert b == t ^ g
@@ -186,7 +193,7 @@ class TestBobMeasure:
         ones = 0
         for _ in range(trials):
             alice = quantum_party("alice")
-            _, b_half = alice.prepare_bell_pair(1)
+            _, [b_half] = alice.prepare_bell_pair((1,))
             (b,) = bob.measure([b_half], [Basis.Z], rng)
             ones += b
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
@@ -195,7 +202,7 @@ class TestBobMeasure:
         rng = np.random.default_rng(9)
         bob = classical_party("bob")
         alice = quantum_party("alice")
-        halves = [alice.prepare_bell_pair(0)[1] for _ in range(3)]
+        _, halves = alice.prepare_bell_pair((0, 0, 0))
         bob_measure(halves, bob, rng)
         assert set(bob.op_log) == {OpKind.MEASURE_Z}
 
@@ -266,7 +273,7 @@ class TestCapabilities:
 
     def test_classical_cannot_prepare_entangled(self):
         with pytest.raises(CapabilityError):
-            classical_party("bob").prepare_bell_pair(0)
+            classical_party("bob").prepare_bell_pair((0,))
 
     def test_classical_allowed_set(self):
         rng = np.random.default_rng(0)
@@ -284,7 +291,7 @@ class TestCapabilities:
         alice = quantum_party("alice")
         refs = alice.prepare([Basis.X], [1])
         alice.measure(refs, [Basis.X], rng)
-        alice.prepare_bell_pair(1)
+        alice.prepare_bell_pair((1,))
 
     def test_rejected_op_not_logged(self):
         bob = classical_party("bob")
@@ -379,6 +386,56 @@ class TestPartyStages:
             assert bob.op_log == [OpKind.DELAY]
         else:
             assert len(bob.prepare(bases, bits)) == len(stage)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.permutations(range(6)),
+           st.lists(st.sampled_from([Basis.Z, Basis.X]), min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_stage_of_tabled_and_unshared_states_is_its_qubits(self, seed, order, bases):
+        # Tabled: both halves of a Bell pair and a |+>; unshared, so computed:
+        # a fresh one-qubit state and both qubits of a fresh two-qubit state.
+        def stage():
+            alice = quantum_party("alice")
+            [t_half], [b_half] = alice.prepare_bell_pair((1,))
+            pair = Register(StateVector([0.6, 0, 0, 0.8]))
+            refs = [t_half, b_half, *alice.prepare([Basis.X], [0]),
+                    QubitRef(Register(StateVector([0.6, 0.8])), 0),
+                    QubitRef(pair, 0), QubitRef(pair, 1)]
+            return [refs[i] for i in order]
+
+        refs = stage()
+        tabled = [measure_tabled(ref.register.state, ref.index, Basis.Z,
+                                 np.random.default_rng(0)) is not None for ref in refs]
+        assert sorted(tabled) == [False] * 3 + [True] * 3
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        alice = quantum_party("alice")
+        bits = alice.measure(refs, bases, rng)
+        expected_refs = stage()
+        draws = Uniforms(clone, len(refs))
+        expected = bytes(measure_qubit(ref, b, draws)
+                         for ref, b in zip(expected_refs, bases))
+        assert bits == expected
+        assert ([ref.register.state.amps for ref in refs]
+                == [ref.register.state.amps for ref in expected_refs])
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_stage_refuses_a_revoked_ref(self):
+        [ref] = quantum_party("alice").prepare([Basis.Z], [0])
+        lent = []
+        _lend([ref], lambda refs: lent.extend(refs) or refs)
+        with pytest.raises(RevokedHandleError):
+            quantum_party("alice").measure(lent, [Basis.Z], np.random.default_rng(0))
+
+    @given(st.lists(st.integers(0, 1), max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_bell_pairs_are_one_per_bit(self, g):
+        alice = quantum_party("alice")
+        t_halves, b_halves = alice.prepare_bell_pair(g)
+        assert [ref.register.state for ref in t_halves] == [prepare_bell(bit) for bit in g]
+        assert [ref.register for ref in b_halves] == [ref.register for ref in t_halves]
+        assert len({id(ref.register) for ref in t_halves}) == len(g)  # fresh registers
+        assert {ref.index for ref in t_halves} <= {0} and {ref.index for ref in b_halves} <= {1}
+        assert alice.op_log == [OpKind.PREPARE_ENTANGLED] * len(g)
 
     def test_stage_lengths_must_agree(self):
         alice = quantum_party("alice")
