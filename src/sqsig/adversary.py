@@ -6,16 +6,17 @@ strategy exactly once per direction. Strategies mutate in-flight qubits
 through their refs or rewrite classical payloads. A classical payload
 reaches `tap_classical` as its fields: `keys.Bits`, one 0/1 byte per bit,
 on a bit wire (`message`, `message_to_trent`, `b_string`, the receipt
-confirmations), and a list of ints on an announcement (18-bit LOC
-records, 16-bit permutation entries). The tap may return any sequence,
-and the receiver refuses what is not fields of its wire: an item on an
-announcement that is not an int in [0, 2**width) aborts the round, and a
-value other than 0 or 1 on a message wire leaves Trent's No or Bob's
-rejection. The transcript renders each field as `width` binary digits,
-and an item that is not an int as `width` question marks. A strategy may touch
-a protocol qubit only inside its tap: the channel lends it refs of its own
-and revokes them when the tap returns. Ancillas it attached itself stay
-usable.
+confirmations), and a tuple of ints on an announcement (18-bit LOC
+records, 16-bit permutation entries; a list of ciphertext fields under
+inline OTP). The tap may return any sequence, and the receiver refuses
+what is not fields of its wire: an item on an announcement that is not
+an int in [0, 2**width) aborts the round, and an item on a bit wire that
+is not an int 0 or 1 (a bool, a float or a numpy integer included)
+leaves Trent's No or Bob's rejection. The transcript renders each field as `width` binary digits,
+and an item that is not an int as `width` question marks. A strategy may
+touch a protocol qubit only inside its tap: the channel lends it refs of
+its own, built once a tap, and revokes them when the tap returns.
+Ancillas it attached itself stay usable.
 
 The four quantum attacks on the Alice->Trent->Alice leg are one
 `QubitProbe` family (Boyer, Kenigsberg & Mor, PRL 99, 140501, 2007),
@@ -42,6 +43,7 @@ from .register import (
     apply_gate,
     attach_ancilla,
     measure_qubit,
+    measure_qubits,
     probe_cnot,
 )
 
@@ -84,7 +86,8 @@ class QubitProbe(AttackStrategy):
       Gates, built here: a matrix whose u or u-dagger is not a 2x2 unitary
       within tolerance is refused when the probe is built. Each named
       unitary is its own u-dagger, so one shared Gate does both;
-    - "immediate": a Z measurement of each forward qubit (intercept-resend);
+    - "immediate": a Z measurement of each forward qubit (intercept-resend),
+      one `measure_qubits` stage;
     - "after_return": a CNOT from each forward qubit onto a fresh |0>
       ancilla, whose Z value is read once the qubits have returned.
     """
@@ -115,9 +118,7 @@ class QubitProbe(AttackStrategy):
                 for ref in refs:
                     apply_gate(ref, self.u)
             elif self.read == "immediate":
-                draws = Uniforms(rng, len(refs))
-                for ref in refs:
-                    measure_qubit(ref, Basis.Z, draws)
+                measure_qubits(refs, (Basis.Z,) * len(refs), rng)
             else:
                 for ref in refs:
                     probe = attach_ancilla(ref)

@@ -3,14 +3,16 @@
 A decoy record is the 18-bit LOC field it is announced as: position << 2
 | basis bit (Z = 0, X = 1) << 1 | value. The sender's decoy state is one
 list of records in position order; the first n Z-decoys in that order
-carry the message. An announcement travels as its fields, a list of
+carry the message. An announcement travels as its fields, a tuple of
 ints: 18-bit LOC records and 16-bit permutation entries, each read as
 `width` big-endian bits wherever bits matter (the transcript, the inline
 pad). A receiver decodes a payload only if every item is an int in
-[0, 2**width); anything else aborts the round. The receiver works only
-from the announcements it decodes, and the sender rechecks every
-returned decoy against its own records. Each DetectionMode has one
-ModeSpec in MODE_SPECS, which run_detection_round reads:
+[0, 2**width) (`is_fields`, the rule of a bit wire at width 1); anything
+else aborts the round. The very tuple the sender encoded, handed back
+by the tap, needs no decoding. The receiver works only from the
+announcements it receives, and the sender rechecks every returned decoy
+against its own records. Each DetectionMode has one ModeSpec in
+MODE_SPECS, which run_detection_round reads:
 
 - improved: Z-decoy values and X-decoy positions in clear; the receiver
   checks the Z-decoys, then returns all decoys shuffled for the sender's
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import compress
-from operator import and_, or_
-from typing import Sequence
+from operator import and_, attrgetter, or_
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,6 +93,7 @@ MODE_SPECS = {
 
 
 CHECKS = ("bob_z", "alice_z", "alice_x")  # receiver's Z check, sender's Z/X recheck
+_COUNTS_OF = {k: attrgetter(f"{k}_errors", f"{k}_checked") for k in CHECKS}
 
 
 @dataclass
@@ -105,8 +108,8 @@ class DetectionReport:
 
     def rate(self, check: str) -> float:
         """Error rate of one of CHECKS; 0 when nothing was checked."""
-        checked = getattr(self, f"{check}_checked")
-        return getattr(self, f"{check}_errors") / checked if checked else 0.0
+        errors, checked = _COUNTS_OF[check](self)  # its (errors, checked) fields
+        return errors / checked if checked else 0.0
 
 
 @dataclass
@@ -136,23 +139,28 @@ _INT = {int}
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _fields(payload: Sequence[int], width: int) -> list[int]:
-    """The payload's fields; ValueError unless each is an int in [0, 2**width).
+def is_fields(items: Sequence, width: int) -> bool:
+    """Whether every item is an int in [0, 2**width); an int subclass such
+    as bool, or a numpy integer, is not an int here."""
+    if type(items) is bytes:  # the honest bit wires: every item an int
+        return not items or not max(items) >> width
+    return len(items) == 0 or (set(map(type, items)) == _INT
+                               and min(items) >= 0 and not max(items) >> width)
 
-    An int subclass such as bool, or a numpy integer, is not an int here.
-    """
+
+def _fields(payload: Sequence[int], width: int) -> list[int]:
+    """The payload's fields; ValueError unless they are `is_fields`."""
     fields = list(payload)
-    if fields and not (set(map(type, fields)) == _INT
-                       and min(fields) >= 0 and not max(fields) >> width):
+    if not is_fields(fields, width):
         raise ValueError(f"a field is not an int of {width} bits")
     return fields
 
 
-def encode_loc(records: Sequence[int], include_values: bool = True) -> list[int]:
+def encode_loc(records: Sequence[int], include_values: bool = True) -> tuple[int, ...]:
     """One 18-bit field per decoy, in position order; the value bit is 0
     when withheld. ValueError for a record that does not fit."""
-    return _fields(sorted(records if include_values else [r & ~1 for r in records]),
-                   RECORD_BITS)
+    return tuple(_fields(sorted(records if include_values else [r & ~1 for r in records]),
+                         RECORD_BITS))
 
 
 def decode_loc(payload: Sequence[int]) -> list[int]:
@@ -160,10 +168,10 @@ def decode_loc(payload: Sequence[int]) -> list[int]:
     return _fields(payload, RECORD_BITS)
 
 
-def encode_permutation(mapping: Sequence[int]) -> list[int]:
+def encode_permutation(mapping: Sequence[int]) -> tuple[int, ...]:
     """One 16-bit field per entry; mapping[j] is returned decoy j's original
     index. ValueError for an entry that does not fit."""
-    return _fields(mapping, POSITION_FIELD_BITS)
+    return tuple(_fields(mapping, POSITION_FIELD_BITS))
 
 
 def decode_permutation(payload: Sequence[int]) -> tuple[int, ...]:
@@ -232,16 +240,19 @@ def assemble_transmission(
 # ---------------------------------------------------------------------------
 
 def _announce(
-    channel: Channel, point: TapPoint, wire: str, fields: list[int], width: int,
+    channel: Channel, point: TapPoint, wire: str, fields: tuple[int, ...], width: int,
     pad: KeyStore | None, purpose: str, rng: np.random.Generator,
+    decode: Callable[[Sequence[int]], Sequence[int]],
 ) -> Sequence[int]:
     """Send one announcement of `width`-bit fields, under the one-time pad
-    if `pad` is set; ValueError for a ciphertext that does not decrypt."""
-    if pad is None:
-        return channel.send_classical(point, wire, fields, rng, width)
-    cipher = otp_encrypt(pad, purpose, fields, width)
-    received = channel.send_classical(point, wire, cipher, rng, width)
-    return otp_decrypt(pad, purpose, _fields(received, width), width)
+    if `pad` is set, and `decode` what arrives, unless it is the very tuple
+    sent: a tuple cannot change in place. ValueError for a payload that
+    does not decrypt or decode."""
+    sent = fields if pad is None else otp_encrypt(pad, purpose, fields, width)
+    received = channel.send_classical(point, wire, sent, rng, width)
+    if pad is not None:
+        received = otp_decrypt(pad, purpose, _fields(received, width), width)
+    return fields if received is fields else decode(received)
 
 
 def _abort(report: DetectionReport) -> DetectionResult:
@@ -291,11 +302,11 @@ def run_detection_round(
     for wire_name, bases, values in spec.announcements:
         listed = records if bases is _ALL else [r for r in records if r & 2 in bases]
         try:
-            received = decode_loc(_announce(
+            received = _announce(
                 channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
                 encode_loc(listed, include_values=values), RECORD_BITS,
-                pad, "loc_announce", rng,
-            ))
+                pad, "loc_announce", rng, decode_loc,
+            )
         except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
         # Every record of a Z-only wire has basis bit 0, so their OR does;
@@ -343,12 +354,12 @@ def run_detection_round(
                 TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", b"\x01", rng
             )
         try:
-            mapping = decode_permutation(_announce(
+            mapping = _announce(
                 channel, TapPoint.RETURN_TRENT_TO_ALICE,
                 "perm_ciphertext" if spec.encrypted else "permutation",
                 encode_permutation(mapping), POSITION_FIELD_BITS,
-                pad, "perm_announce", rng,
-            ))
+                pad, "perm_announce", rng, decode_permutation,
+            )
         except ValueError:  # a payload that does not decrypt or decode
             return _abort(report)
     # The one check of the return: a bijection over the sender's decoys

@@ -1,13 +1,16 @@
-"""Scenario loading, Monte Carlo execution, statistics, and reports."""
+"""Scenario loading, Monte Carlo execution, statistics, and reports; a
+run keeps its trial records as columns, read as dicts (`TrialRecords`)."""
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -301,6 +304,38 @@ def compute_efficiency(n: int) -> EfficiencyCounts:
     )
 
 
+class TrialRecords(Sequence):
+    """A run's per-trial records as columns, read-only: record i maps each
+    key to its column's i-th value, a bytes column holding bools as 0/1."""
+
+    def __init__(self, columns: dict[str, Sequence]) -> None:
+        self.columns = columns  # in record key order
+
+    def __len__(self) -> int:
+        return min(map(len, self.columns.values()), default=0)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
+        return {key: bool(c[i]) if type(c) is bytes else c[i] for key, c in self.columns.items()}
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def json_lines(self) -> Iterator[str]:
+        """Trial i's line, `json.dumps({"record": "trial", "trial": i, **self[i]},
+        sort_keys=True)`, each from one template built for the run."""
+        columns = {**self.columns, "trial": range(len(self))}
+        fields = {**dict.fromkeys(columns, "%s"), "record": '"trial"'}
+        template = "{" + ", ".join(f'"{k}": {fields[k]}' for k in sorted(fields)) + "}"
+        return map(template.__mod__, zip(*(
+            map(("false", "true").__getitem__, c) if type(c) is bytes else map(repr, c)
+            for c in map(columns.__getitem__, sorted(columns)))))
+
+
 @dataclass
 class AggregateStats:
     config: ScenarioConfig
@@ -318,27 +353,7 @@ class AggregateStats:
     forgery_acceptance_rate: float | None = None
     qubit_efficiency: EfficiencyCounts | None = None
     wall_time: float = 0.0
-    per_trial: Sequence[dict] = field(default_factory=list)  # trial i's record at i
-
-
-# A forge trial's record, indexed by its accept bit; every trial shares one.
-_FORGE_RECORDS = ({"accepted": False}, {"accepted": True})
-
-
-class _ForgeTrials(Sequence):
-    """A forge run's per-trial records, kept as one accept byte a trial."""
-
-    def __init__(self, accepts: bytes) -> None:
-        self.accepts = accepts
-
-    def __len__(self) -> int:
-        return len(self.accepts)
-
-    def __getitem__(self, i: int) -> dict:
-        return _FORGE_RECORDS[self.accepts[i]]
-
-    def __iter__(self) -> Iterator[dict]:
-        return map(_FORGE_RECORDS.__getitem__, self.accepts)
+    per_trial: TrialRecords = field(default_factory=lambda: TrialRecords({}))
 
 
 def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
@@ -346,21 +361,21 @@ def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n, trials = config.n, config.trials
-    if n == 0:
-        accepts = np.ones(trials, dtype=bool)  # empty conjunction
-    else:
-        g = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
-        t = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
-        b = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
-        accepts = np.all(b == (t ^ g), axis=1)
+    g, t, b = (rng.integers(0, 2, size=(trials, n), dtype=np.uint8) for _ in range(3))
+    accepts = np.all(b == (t ^ g), axis=1)  # at n = 0, the empty conjunction
     stats = AggregateStats(config=config)
     stats.trials_run = trials
     stats.forgery_acceptance_rate = float(accepts.mean())
-    stats.per_trial = _ForgeTrials(accepts.tobytes())
+    stats.per_trial = TrialRecords({"accepted": accepts.tobytes()})
     if n >= 1:
         stats.qubit_efficiency = compute_efficiency(n)
     stats.wall_time = time.perf_counter() - start
     return stats
+
+
+# A report's six counts: errors and checked of each of CHECKS in turn.
+_REPORT_COUNTS = attrgetter(*(f"{k}_{count}" for k in CHECKS
+                              for count in ("errors", "checked")))
 
 
 def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
@@ -371,7 +386,9 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
     the first k trials of a run are those of any longer run. A trial with
     a random message draws it first, with `random_bits(rng, n)`.
 
-    Returns the statistics and the transcript events of the first trial.
+    A trial appends its three outcomes and its report's six counts to two
+    flat columns, read into the records and statistics after the last
+    trial. Returns the statistics and the first trial's transcript events.
     """
     if config.attack.name == "forge":
         return _run_forgery_trials(config), []
@@ -379,12 +396,8 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
     start = time.perf_counter()
     stats = AggregateStats(config=config)
     transcript: list[dict] = []
-    # The means are sums / m; the variances come from Welford's update
-    # (Technometrics 4, 419, 1962), which keeps a constant rate's at 0.
-    sums = {k: 0.0 for k in CHECKS}
-    running = {k: 0.0 for k in CHECKS}
-    m2 = {k: 0.0 for k in CHECKS}
-    totals = {k: [0, 0] for k in CHECKS}
+    outcomes = bytearray()  # aborted, trent_yes, accepted of each trial in turn
+    counts = array("q")  # _REPORT_COUNTS of each trial in turn
 
     bit_generator = np.random.PCG64(config.seed)
     base = bit_generator.state
@@ -404,29 +417,31 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         )
         if i == 0:
             transcript = result.transcript
-        record = {
-            "aborted": result.aborted,
-            "trent_yes": bool(result.outcome.verdict) if result.outcome else False,
-            "accepted": result.accepted,
-            **{f"{k}_rate": result.detection.rate(k) for k in CHECKS},
-        }
-        stats.detection_aborts += record["aborted"]
-        stats.trent_yes += record["trent_yes"]
-        stats.bob_accepts += record["accepted"]
-        for k in CHECKS:
-            r = record[f"{k}_rate"]
-            sums[k] += r
-            delta = r - running[k]
-            running[k] += delta / (i + 1)
-            m2[k] += delta * (r - running[k])
-            totals[k][0] += getattr(result.detection, f"{k}_errors")
-            totals[k][1] += getattr(result.detection, f"{k}_checked")
-        stats.per_trial.append(record)
+        outcome = result.outcome
+        outcomes.extend((result.aborted, bool(outcome.verdict) if outcome else False,
+                         result.accepted))
+        counts.extend(_REPORT_COUNTS(result.detection))
 
-    m = stats.trials_run = len(stats.per_trial)
-    stats.error_rate_means = {k: sums[k] / m for k in CHECKS}
-    stats.error_rate_vars = {k: m2[k] / m for k in CHECKS}
-    stats.error_totals = {k: (totals[k][0], totals[k][1]) for k in CHECKS}
+    m = stats.trials_run = config.trials
+    columns = {key: bytes(outcomes[j::3])
+               for j, key in enumerate(("aborted", "trent_yes", "accepted"))}
+    stats.detection_aborts, stats.trent_yes, stats.bob_accepts = (
+        column.count(1) for column in columns.values())
+    for j, k in enumerate(CHECKS):
+        errors, checked = counts[2 * j::6], counts[2 * j + 1::6]
+        rates = columns[f"{k}_rate"] = array(
+            "d", [e / c if c else 0.0 for e, c in zip(errors, checked)])
+        # The means are sums / m; the variances come from Welford's update
+        # (Technometrics 4, 419, 1962), which keeps a constant rate's at 0.
+        total = mean = m2 = 0.0
+        for t, r in enumerate(rates, 1):
+            total += r
+            delta = r - mean
+            mean += delta / t
+            m2 += delta * (r - mean)
+        stats.error_rate_means[k], stats.error_rate_vars[k] = total / m, m2 / m
+        stats.error_totals[k] = (sum(errors), sum(checked))
+    stats.per_trial = TrialRecords(columns)
     stats.qubit_efficiency = compute_efficiency(config.n)
     stats.wall_time = time.perf_counter() - start
     return stats, transcript
@@ -580,8 +595,7 @@ def emit_report(
     config = summary["config"]
     if format == "jsonl":
         lines = [json.dumps({"record": "config", **config}, sort_keys=True)]
-        lines += [json.dumps({"record": "trial", "trial": i, **rec}, sort_keys=True)
-                  for i, rec in enumerate(stats.per_trial)]
+        lines += stats.per_trial.json_lines()
         lines.append(json.dumps({"record": "summary", **summary}, sort_keys=True))
     elif format == "tsv":
         lines = ["metric\tvalue"]

@@ -14,6 +14,7 @@ from .detection import (
     DetectionMode,
     DetectionReport,
     Verdict,
+    is_fields,
     run_detection_round,
 )
 from .keys import Bits, KeyStore, keygen_init
@@ -94,9 +95,9 @@ def run_protocol_round(
         )
 
     # Trent cannot verify a message, T or B string of the wrong length, nor
-    # a message holding a value other than a bit: No.
+    # one holding an item other than an int 0 or 1: No.
     well_formed = (len(recovered_m) == len(detection.carriers) == n
-                   and set(recovered_m) <= {0, 1})
+                   and is_fields(recovered_m, 1))
     if well_formed:
         t_bits, g_trent = trent_receive(
             detection.carriers, recovered_m, store, trent, rng
@@ -111,7 +112,7 @@ def run_protocol_round(
         TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", b_bits, rng
     )
 
-    if well_formed and len(b_received) == n:
+    if well_formed and len(b_received) == n and is_fields(b_received, 1):
         outcome = trent_conclude(
             g_trent, t_bits, b_received, recovered_m, hash_message
         )

@@ -17,8 +17,9 @@ A strategy may touch a protocol qubit only inside its tap. The channel
 lends it refs of its own (`_lend`) under a lease that is revoked when the
 tap returns, and every gate, measurement or ancilla through a revoked ref
 raises RevokedHandleError; a list sliced or joined from the lent refs holds
-the same revoked refs. The ref `attach_ancilla` returns names only the
-ancilla and stays usable, so a probe may read its ancilla later.
+the same revoked refs, which are built once a tap, on its first read.
+The ref `attach_ancilla` returns names only the ancilla and stays
+usable, so a probe may read its ancilla later.
 """
 
 from __future__ import annotations
@@ -80,26 +81,28 @@ def _live(ref: QubitRef) -> Register:
 
 class _LentRefs:
     """The refs of one tap, as a list the strategy reads, and the tap's
-    lease: each ref it reads is issued under this lease, owned by the
-    caller's ref it stands for."""
+    lease: on the tap's first read, one ref is issued under this lease for
+    each caller's ref, its owner, and every read gives those same refs."""
 
-    __slots__ = ("owners", "live")
+    __slots__ = ("owners", "live", "issued")
 
     def __init__(self, owners: list[QubitRef]) -> None:
-        self.owners = owners
-        self.live = True
+        self.owners, self.live, self.issued = owners, True, None
+
+    def _refs(self) -> list[QubitRef]:
+        if self.issued is None:
+            self.issued = [QubitRef(_live(owner), owner.index, self, owner)
+                           for owner in self.owners]
+        return self.issued
 
     def __len__(self) -> int:
         return len(self.owners)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self[i] for i in range(len(self.owners))[key]]
-        owner = self.owners[key]
-        return QubitRef(_live(owner), owner.index, self, owner)
+        return self._refs()[key]
 
     def __iter__(self):
-        return (self[i] for i in range(len(self.owners)))
+        return iter(self._refs())
 
 
 def _lend(
@@ -153,10 +156,7 @@ def measure_qubit(
     ref: QubitRef, basis: Basis, rng: np.random.Generator | Uniforms
 ) -> int:
     """Projective measurement with collapse; updates the shared register."""
-    lease = ref.lease
-    if lease is not None and not lease.live:
-        raise RevokedHandleError("qubit ref used after its tap returned")
-    reg = ref.register
+    reg = _live(ref)
     bit, reg.state = measure(reg.state, ref.index, basis, rng)
     return bit
 

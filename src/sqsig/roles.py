@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detection import TrentTransmission, assemble_transmission, build_decoys
+from .detection import TrentTransmission, assemble_transmission, build_decoys, is_fields
 from .keys import Bits, KeyStore, compute_g, int_to_bits
 from .parties import Party
 from .quantum import Basis
@@ -115,12 +115,13 @@ def bob_accept(
     outcome: VerificationOutcome,
     hash_fn: HashFn = hash_message,
 ) -> bool:
-    """Accept iff Trent said Yes, m is a bit string and the digest matches
-    Bob's own hash of m.
+    """Accept iff Trent said Yes, m is a bit string (every item an int 0
+    or 1) and the digest matches Bob's own hash of m.
 
-    The digest hashes the decimal text of each value, so a value other than
-    0 or 1 could spell the text of several bits: (101,) hashes as (1, 0, 1).
+    The digest hashes the decimal text of each value, so an item other than
+    an int 0 or 1 could spell the text of one or several bits: (101,) hashes
+    as (1, 0, 1), and numpy's int64(1) as 1.
     """
-    if not outcome.verdict or outcome.digest is None or not set(m_received) <= {0, 1}:
+    if not outcome.verdict or outcome.digest is None or not is_fields(m_received, 1):
         return False
     return hash_fn(m_received) == outcome.digest

@@ -1,6 +1,7 @@
 """Attack-strategy and channel-tap tests."""
 
 import copy
+import operator
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from sqsig.quantum import (
 )
 from sqsig.register import (
     RevokedHandleError,
+    _lend,
     apply_gate,
     attach_ancilla,
     measure_qubit,
@@ -470,6 +472,51 @@ class TestLentRefsReturn:
             TapPoint.FORWARD_ALICE_TO_TRENT, refs, np.random.default_rng(0))
         assert [id(r) for r in received] == [id(refs[1]), id(refs[0]), id(own)]
         assert [z_value(r) for r in received[:2]] == [1, 0]
+
+
+class ReadLentRefsEveryWay(AttackStrategy):
+    """Read the lent refs by iteration, index, slice and unpacking; pass them on."""
+
+    kind = "read_lent_refs_every_way"
+
+    def __init__(self):
+        self.views = {}
+
+    def tap_qubits(self, point, refs, rng):
+        self.views[point] = (list(refs), [refs[i] for i in range(len(refs))],
+                             refs[:], refs[::-1][::-1], [*refs], [refs[-3], *refs[1:]])
+        return refs
+
+
+class TestLentRefsIssuedOnce:
+    def test_every_read_of_a_tap_gives_the_same_refs(self):
+        strategy = ReadLentRefsEveryWay()
+        channel = Channel(strategy)
+        refs = [fresh_qubit(Basis.Z, bit) for bit in (0, 1, 1)]
+        rng = np.random.default_rng(0)
+        forward = channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, refs, rng)
+        channel.send_qubits(TapPoint.RETURN_TRENT_TO_ALICE, forward, rng)
+        lent_forward, lent_return = (strategy.views[point] for point in (
+            TapPoint.FORWARD_ALICE_TO_TRENT, TapPoint.RETURN_TRENT_TO_ALICE))
+        for views in (lent_forward, lent_return):
+            first = views[0]
+            assert len(first) == 3
+            assert all(len(view) == 3 and all(map(operator.is_, view, first))
+                       for view in views)
+            assert not any(lent is own for lent in first for own in refs)
+        # A new tap lends new refs; the caller's come back as they were.
+        assert not any(a is b for a in lent_forward[0] for b in lent_return[0])
+        assert all(map(operator.is_, forward, refs))
+        for ref in lent_forward[0]:
+            with pytest.raises(RevokedHandleError):
+                measure_qubit(ref, Basis.Z, rng)
+
+    def test_a_tap_that_reads_no_ref_builds_none(self):
+        lent = []
+        refs = [fresh_qubit(Basis.X, 0), fresh_qubit(Basis.Z, 1)]
+        out = _lend(refs, lambda refs: lent.append(refs) or refs)
+        assert out == refs and all(map(operator.is_, out, refs))
+        assert len(lent[0]) == 2 and lent[0].issued is None
 
 
 class TestChannel:

@@ -1,9 +1,10 @@
 """Decoy construction, wire encodings, and detection-round tests.
 
 A decoy record is its 18-bit LOC field, position << 2 | basis bit (X = 1)
-<< 1 | value. An announcement travels as a list of its int fields (18-bit
-LOC records, 16-bit permutation entries); every other classical payload
-is bytes with one 0/1 byte per bit.
+<< 1 | value. An announcement travels as a tuple of its int fields (18-bit
+LOC records, 16-bit permutation entries; a list of ciphertext fields
+under inline OTP); every other classical payload is bytes with one 0/1
+byte per bit.
 """
 
 import copy
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from sqsig.adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from sqsig.detection import (
+    MODE_SPECS,
     POSITION_FIELD_BITS,
     RECORD_BITS,
     DetectionMode,
@@ -31,7 +33,7 @@ from sqsig.detection import (
     run_detection_round,
 )
 from sqsig.harness import build_strategy, parse_attack
-from sqsig.keys import KeyStore, compute_g, keygen_init, otp_decrypt, otp_encrypt
+from sqsig.keys import KeyStore, compute_g, keygen_init, otp_decrypt, otp_encrypt, random_bits
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
 from sqsig.quantum import Basis
@@ -350,7 +352,7 @@ class TestWireEncodings:
 
     def test_loc_field_per_record(self):
         fields = encode_loc([record(5, Basis.X, 1)])
-        assert type(fields) is list and fields == [5 << 2 | 2 | 1]
+        assert type(fields) is tuple and fields == (5 << 2 | 2 | 1,)
         bits = reference_field(fields[0], RECORD_BITS)
         assert bits[:16] == [0] * 13 + [1, 0, 1]  # 5 big-endian
         assert bits[16] == 1  # X basis flag
@@ -372,7 +374,7 @@ class TestWireEncodings:
     def test_permutation_entry_out_of_range_rejected(self):
         fields = encode_permutation((0, 1))
         # Rewrite the second entry to the value 7 (out of range for d=2).
-        tampered = fields[:1] + [7]
+        tampered = [*fields[:1], 7]
         # The codec reads the entry as sent; the round is what refuses it.
         assert decode_permutation(tampered) == (0, 7)
         for mode in (DetectionMode.IMPROVED, DetectionMode.MEASURE_THEN_RETURN):
@@ -550,6 +552,66 @@ class TestWireLayout:
             assert result.carriers == [] and result.recovered_m is None
             transcripts.append(transcript)
         assert transcripts[0] == transcripts[1]
+
+
+class CopyWires(AttackStrategy):
+    """Run `inner`, then hand on an equal but new list or tuple on each of
+    the named wires."""
+
+    def __init__(self, inner, wires, make):
+        super().__init__()
+        self.inner, self.wires, self.make = inner, wires, make
+        self.kind = inner.kind  # the transcripts name the inner attack
+        self.copied = 0
+
+    def tap_qubits(self, point, refs, rng):
+        return self.inner.tap_qubits(point, refs, rng)
+
+    def tap_classical(self, point, name, payload, rng):
+        payload = self.inner.tap_classical(point, name, payload, rng)
+        if name in self.wires:
+            copy = self.make(payload)
+            assert copy == self.make(list(payload))
+            # An empty tuple is one object in CPython; any other copy is new.
+            assert copy is not payload or not payload
+            self.copied += 1
+            return copy
+        return payload
+
+
+class TestUntouchedAnnouncements:
+    """A receiver takes the very tuple the sender encoded as it is; an
+    equal payload in a new object is decoded and checked, to the same end."""
+
+    @given(st.sampled_from(list(DetectionMode)),
+           st.sampled_from(["none", "intercept_resend_z", "entangle_probe",
+                            "pauli_x_tamper", "unitary_tamper_then_undo:H"]),
+           st.sets(st.sampled_from(sorted(WIDTHS)), min_size=1),
+           st.sampled_from([list, lambda fields: tuple(list(fields))]),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 3),
+           st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.2]))
+    @settings(max_examples=150, deadline=None)
+    def test_an_equal_new_payload_gives_the_same_round(
+            self, mode, attack_text, wires, make, seed, n, d_x, threshold, noise_p):
+        def run(strategy):
+            rng = np.random.default_rng(seed)
+            result = run_protocol_round(
+                message=random_bits(rng, n), mode=mode, strategy=strategy, rng=rng,
+                d_z=n, d_x=d_x, threshold=threshold, noise_p=noise_p,
+            )
+            outcome = result.outcome
+            return (result.aborted, outcome and (outcome.verdict, outcome.digest),
+                    result.accepted, result.detection, result.transcript,
+                    rng.bit_generator.state)
+
+        copying = CopyWires(attack(attack_text), wires, make)
+        assert run(copying) == run(attack(attack_text))
+        if attack_text == "none" and noise_p == 0.0:  # every wire of the mode is sent
+            spec = MODE_SPECS[mode]
+            sent = {wire for wire, _, _ in spec.announcements}
+            if spec.measures:
+                sent.add("perm_ciphertext" if spec.encrypted else "permutation")
+            assert copying.copied == len(sent & wires)
 
 
 class TestChecks:
@@ -908,6 +970,25 @@ class TestWrongLengthClassicalMessage:
         result = run_protocol_round(
             message=(1, 0), mode=mode, strategy=WriteWireValue(wire, 0, value),
             rng=np.random.default_rng(3), d_z=2, d_x=2,
+        )
+        assert not result.aborted
+        assert result.outcome.verdict is (wire == "message")
+        assert not result.accepted
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, None, "1", True, np.int64(1), 2, -1])
+    @pytest.mark.parametrize("mode, wire", [
+        *((mode, wire) for wire in ("message", "b_string") for mode in DetectionMode),
+        (DetectionMode.DIRECT_REFLECTION, "message_to_trent"),
+    ])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_item_not_an_int_bit_gives_no(self, mode, wire, value, seed):
+        # One rule for every bit wire: an item counts only as an int 0 or 1,
+        # not as a bool, a float or a numpy integer, whatever it equals. The
+        # round completes; Trent says No on the B string and on the message
+        # to Trent, and Bob refuses such a message.
+        result = run_protocol_round(
+            message=(1, 0), mode=mode, strategy=WriteWireValue(wire, 0, value),
+            rng=np.random.default_rng(seed), d_z=2, d_x=2,
         )
         assert not result.aborted
         assert result.outcome.verdict is (wire == "message")

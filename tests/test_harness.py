@@ -22,7 +22,6 @@ from sqsig.harness import (
     AttackSpec,
     ConfigError,
     RNG_SCHEME,
-    _FORGE_RECORDS,
     ScenarioConfig,
     attack_spec_text,
     build_strategy,
@@ -502,21 +501,102 @@ class TestEmitReport:
         accepted = sum(rec["accepted"] for rec in trials)
         assert accepted / 40 == stats.forgery_acceptance_rate
 
-    def test_forge_per_trial_holds_the_shared_records(self):
-        # A forge run keeps one accept byte a trial; reading it back gives
-        # the two shared records, by index and by iteration alike.
-        config = ScenarioConfig(n=1, trials=50, seed=4, attack=parse_attack("forge"))
-        stats, _ = run_trials(config)
-        records = list(stats.per_trial)
-        assert len(stats.per_trial) == len(records) == 50
-        assert all(rec is _FORGE_RECORDS[rec["accepted"]] for rec in records)
-        assert records == [stats.per_trial[i] for i in range(50)]
-        assert sum(rec["accepted"] for rec in records) / 50 == stats.forgery_acceptance_rate
-
     def test_unknown_format_rejected(self):
         _, (stats, transcript) = self._stats()
         with pytest.raises(ValueError):
             emit_report(stats, transcript, format="yaml")
+
+
+def reference_records(config):
+    """Each trial's record built the way the per-trial loop once built it:
+    one dict a trial, from the round run alone on its substream (or, for
+    forge, from the run's whole g, T and B draws)."""
+    if config.attack.name == "forge":
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        shape = (config.trials, config.n)
+        g, t, b = (rng.integers(0, 2, size=shape, dtype=np.uint8) for _ in range(3))
+        return [{"accepted": bool(np.array_equal(bi, ti ^ gi))} for gi, ti, bi in zip(g, t, b)]
+    records = []
+    for i in range(config.trials):
+        rng = np.random.Generator(np.random.PCG64(config.seed).advance(i << 64))
+        message = config.message
+        if message is None:
+            message = random_bits(rng, config.n)
+        result = run_protocol_round(
+            message=message, mode=config.mode,
+            strategy=build_strategy(config.attack), rng=rng,
+            d_z=config.d_z, d_x=config.d_x, threshold=config.threshold,
+            noise_p=config.noise_p, record_transcript=False,
+        )
+        report = result.detection
+        rates = {}
+        for k in CHECKS:
+            errors, checked = (getattr(report, f"{k}_{c}") for c in ("errors", "checked"))
+            rates[f"{k}_rate"] = errors / checked if checked else 0.0
+        records.append({
+            "aborted": result.aborted,
+            "trent_yes": bool(result.outcome.verdict) if result.outcome else False,
+            "accepted": result.accepted,
+            **rates,
+        })
+    return records
+
+
+class TestTrialRecords:
+    """`per_trial` reads back, as dicts, what a per-trial loop builds, and
+    each jsonl trial line is `json.dumps` of its record."""
+
+    @pytest.mark.parametrize("config", [
+        # noisy, some trials with errors that a threshold of 0 aborts
+        ScenarioConfig(n=2, noise_p=0.1, trials=30, seed=13),
+        # thresholded: errors counted, rates kept, rounds continue
+        ScenarioConfig(n=2, d_x=3, attack=parse_attack("intercept_resend_z"),
+                       threshold=0.5, trials=30, seed=5),
+        # aborting, with a fixed message, under every check
+        ScenarioConfig(n=1, message=b"\x01", mode=DetectionMode.IMPROVED_INLINE_OTP,
+                       attack=parse_attack("entangle_probe"), trials=30, seed=2),
+        ScenarioConfig(n=2, mode=DetectionMode.DIRECT_REFLECTION,
+                       attack=parse_attack("tamper_b:1"), trials=20, seed=8),
+        ScenarioConfig(n=0, attack=parse_attack("forge"), trials=10, seed=4),
+        ScenarioConfig(n=2, attack=parse_attack("forge"), trials=50, seed=4),
+    ], ids=["noisy", "thresholded", "aborting", "trent_no", "forge_n0", "forge"])
+    def test_records_equal_the_reference_loop(self, config):
+        stats, transcript = run_trials(config)
+        expected = reference_records(config)
+        records = stats.per_trial
+        assert len(records) == len(expected) == stats.trials_run
+        # Same keys in the same order, same types, same values.
+        for got in (list(records), [records[i] for i in range(len(records))]):
+            assert [list(rec.items()) for rec in got] == [list(r.items()) for r in expected]
+            assert [[type(v) for v in rec.values()] for rec in got] == [
+                [type(v) for v in r.values()] for r in expected]
+        assert records == expected and expected == records
+        assert records[3:7] == expected[3:7] and records[-1] == expected[-1]
+        assert records[::-2] == expected[::-2]
+        with pytest.raises(IndexError):
+            records[len(expected)]
+        with pytest.raises(TypeError):
+            records[0] = expected[0]
+        if config.attack.name == "forge":
+            assert sum(r["accepted"] for r in expected) / config.trials == (
+                stats.forgery_acceptance_rate)
+        else:
+            assert (stats.detection_aborts, stats.trent_yes, stats.bob_accepts) == tuple(
+                sum(r[key] for r in expected) for key in ("aborted", "trent_yes", "accepted"))
+        lines = emit_report(stats, transcript, format="jsonl").splitlines()
+        assert lines[1:-1] == [
+            json.dumps({"record": "trial", "trial": i, **rec}, sort_keys=True)
+            for i, rec in enumerate(expected)]
+
+    def test_equal_runs_compare_equal(self):
+        config = ScenarioConfig(n=2, attack=parse_attack("intercept_resend_z"),
+                                trials=12, seed=3)
+        a, b = run_trials(config)[0].per_trial, run_trials(config)[0].per_trial
+        assert a == b and list(a) == list(b)
+        other = run_trials(ScenarioConfig(n=2, attack=parse_attack("intercept_resend_z"),
+                                          trials=12, seed=4))[0].per_trial
+        assert a != other and a != list(other)
+        assert a != list(a)[:-1]
 
 
 class TestCli:
