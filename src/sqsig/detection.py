@@ -93,7 +93,14 @@ MODE_SPECS = {
 
 
 CHECKS = ("bob_z", "alice_z", "alice_x")  # receiver's Z check, sender's Z/X recheck
-_COUNTS_OF = {k: attrgetter(f"{k}_errors", f"{k}_checked") for k in CHECKS}
+# A report's six counts: errors and checked of each of CHECKS in turn.
+REPORT_COUNTS = attrgetter(*(f"{k}_{count}" for k in CHECKS
+                             for count in ("errors", "checked")))
+
+
+def error_rate(errors: int, checked: int) -> float:
+    """Errors over checked; 0 when nothing was checked."""
+    return errors / checked if checked else 0.0
 
 
 @dataclass
@@ -107,9 +114,9 @@ class DetectionReport:
     verdict: Verdict = Verdict.CONTINUE
 
     def rate(self, check: str) -> float:
-        """Error rate of one of CHECKS; 0 when nothing was checked."""
-        errors, checked = _COUNTS_OF[check](self)  # its (errors, checked) fields
-        return errors / checked if checked else 0.0
+        """Error rate of one of CHECKS."""
+        j = 2 * CHECKS.index(check)
+        return error_rate(*REPORT_COUNTS(self)[j:j + 2])
 
 
 @dataclass
@@ -142,8 +149,6 @@ _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 def is_fields(items: Sequence, width: int) -> bool:
     """Whether every item is an int in [0, 2**width); an int subclass such
     as bool, or a numpy integer, is not an int here."""
-    if type(items) is bytes:  # the honest bit wires: every item an int
-        return not items or not max(items) >> width
     return len(items) == 0 or (set(map(type, items)) == _INT
                                and min(items) >= 0 and not max(items) >> width)
 

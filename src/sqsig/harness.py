@@ -10,7 +10,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -22,7 +21,13 @@ from .adversary import (
     TamperClassicalMessage,
     TamperSignatureB,
 )
-from .detection import CHECKS, POSITION_FIELD_BITS, DetectionMode
+from .detection import (
+    CHECKS,
+    POSITION_FIELD_BITS,
+    REPORT_COUNTS,
+    DetectionMode,
+    error_rate,
+)
 from .keys import Bits, random_bits
 from .protocol import run_protocol_round
 from .quantum import (
@@ -373,11 +378,6 @@ def _run_forgery_trials(config: ScenarioConfig) -> AggregateStats:
     return stats
 
 
-# A report's six counts: errors and checked of each of CHECKS in turn.
-_REPORT_COUNTS = attrgetter(*(f"{k}_{count}" for k in CHECKS
-                              for count in ("errors", "checked")))
-
-
 def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
     """Run all trials, each on its own substream, and aggregate the statistics.
 
@@ -397,7 +397,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
     stats = AggregateStats(config=config)
     transcript: list[dict] = []
     outcomes = bytearray()  # aborted, trent_yes, accepted of each trial in turn
-    counts = array("q")  # _REPORT_COUNTS of each trial in turn
+    counts = array("q")  # REPORT_COUNTS of each trial in turn
 
     bit_generator = np.random.PCG64(config.seed)
     base = bit_generator.state
@@ -420,7 +420,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         outcome = result.outcome
         outcomes.extend((result.aborted, bool(outcome.verdict) if outcome else False,
                          result.accepted))
-        counts.extend(_REPORT_COUNTS(result.detection))
+        counts.extend(REPORT_COUNTS(result.detection))
 
     m = stats.trials_run = config.trials
     columns = {key: bytes(outcomes[j::3])
@@ -429,8 +429,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
         column.count(1) for column in columns.values())
     for j, k in enumerate(CHECKS):
         errors, checked = counts[2 * j::6], counts[2 * j + 1::6]
-        rates = columns[f"{k}_rate"] = array(
-            "d", [e / c if c else 0.0 for e, c in zip(errors, checked)])
+        rates = columns[f"{k}_rate"] = array("d", map(error_rate, errors, checked))
         # The means are sums / m; the variances come from Welford's update
         # (Technometrics 4, 419, 1962), which keeps a constant rate's at 0.
         total = mean = m2 = 0.0
