@@ -24,9 +24,9 @@ whose only per-run state is its unread ancillas. Every gate a strategy or
 the channel applies is a `quantum.Gate`, checked once when it is built:
 a unitary probe builds its u and its undo u-dagger when the probe is
 built, and the named unitaries, the tamper flip and the noise Paulis are
-the shared Gates of `quantum.GATES`, each its own undo. On a shared state
-each gate, ancilla and CNOT follows an edge of `quantum` to the next
-shared state.
+the shared Gates of `quantum.GATES`, each its own undo. On a state of
+`quantum`'s state table each gate, ancilla and CNOT follows a transition
+of the table to the next state.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ ints: 18-bit LOC records and 16-bit permutation entries, each read as
 `width` big-endian bits wherever bits matter (the transcript, the inline
 pad). A receiver decodes a payload only if every item is an int in
 [0, 2**width) (`is_fields`, the rule of a bit wire at width 1); anything
-else aborts the round. The very tuple the sender encoded, handed back
-by the tap, needs no decoding. The receiver works only from the
-announcements it receives, and the sender rechecks every returned decoy
-against its own records. Each DetectionMode has one ModeSpec in
+else aborts the round. The sender's encoders do not check: each
+announcement is checked once, when the receiver decodes it. The receiver
+works only from the announcements it receives, and the sender rechecks
+every returned decoy against its own records. Each DetectionMode has one ModeSpec in
 MODE_SPECS, which run_detection_round reads:
 
 - improved: Z-decoy values and X-decoy positions in clear; the receiver
@@ -163,9 +163,8 @@ def _fields(payload: Sequence[int], width: int) -> list[int]:
 
 def encode_loc(records: Sequence[int], include_values: bool = True) -> tuple[int, ...]:
     """One 18-bit field per decoy, in position order; the value bit is 0
-    when withheld. ValueError for a record that does not fit."""
-    return tuple(_fields(sorted(records if include_values else [r & ~1 for r in records]),
-                         RECORD_BITS))
+    when withheld. The receiver's decode checks the fields."""
+    return tuple(sorted(records if include_values else [r & ~1 for r in records]))
 
 
 def decode_loc(payload: Sequence[int]) -> list[int]:
@@ -175,8 +174,8 @@ def decode_loc(payload: Sequence[int]) -> list[int]:
 
 def encode_permutation(mapping: Sequence[int]) -> tuple[int, ...]:
     """One 16-bit field per entry; mapping[j] is returned decoy j's original
-    index. ValueError for an entry that does not fit."""
-    return tuple(_fields(mapping, POSITION_FIELD_BITS))
+    index. The receiver's decode checks the fields."""
+    return tuple(mapping)
 
 
 def decode_permutation(payload: Sequence[int]) -> tuple[int, ...]:
@@ -250,14 +249,13 @@ def _announce(
     decode: Callable[[Sequence[int]], Sequence[int]],
 ) -> Sequence[int]:
     """Send one announcement of `width`-bit fields, under the one-time pad
-    if `pad` is set, and `decode` what arrives, unless it is the very tuple
-    sent: a tuple cannot change in place. ValueError for a payload that
-    does not decrypt or decode."""
+    if `pad` is set, and `decode` what arrives. ValueError for a payload
+    that does not decrypt or decode."""
     sent = fields if pad is None else otp_encrypt(pad, purpose, fields, width)
     received = channel.send_classical(point, wire, sent, rng, width)
     if pad is not None:
         received = otp_decrypt(pad, purpose, _fields(received, width), width)
-    return fields if received is fields else decode(received)
+    return decode(received)
 
 
 def _abort(report: DetectionReport) -> DetectionResult:

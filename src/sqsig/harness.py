@@ -518,11 +518,6 @@ def _ci3(rate: float, n: int) -> tuple[float, float]:
     return max(rate - half, 0.0), min(rate + half, 1.0)
 
 
-def _check_rate(stats: AggregateStats, k: str) -> float:
-    errors, checked = stats.error_totals[k]
-    return errors / checked if checked else 0.0
-
-
 def _efficiency(stats: AggregateStats) -> dict | None:
     eff = stats.qubit_efficiency
     return None if eff is None else {
@@ -533,9 +528,9 @@ def _efficiency(stats: AggregateStats) -> dict | None:
 def _check_fields(k: str) -> tuple:
     rate = f"{k}_rate"
     return (
-        (rate, lambda s: _check_rate(s, k), rate + "\t{v:.9f}", None),
+        (rate, lambda s: error_rate(*s.error_totals[k]), rate + "\t{v:.9f}", None),
         (f"{rate}_ci3",
-         lambda s: list(_ci3(_check_rate(s, k), s.error_totals[k][1])),
+         lambda s: list(_ci3(error_rate(*s.error_totals[k]), s.error_totals[k][1])),
          rate + "_ci3\t{v[0]:.9f},{v[1]:.9f}",
          f"{k:>8} rate     : {{{rate}:.6f}} (3-sigma CI [{{v[0]:.6f}}, {{v[1]:.6f}}])"),
         (f"{k}_mean", lambda s: s.error_rate_means[k], None, None),

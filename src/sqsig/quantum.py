@@ -22,26 +22,25 @@ UNITARY_ATOL (1e-10) in absolute value. `apply_unitary` takes only a Gate,
 so no application checks again. X, Y, Z and H each equal their own
 conjugate transpose and are one shared Gate each, in `GATES`.
 
-The shared states grow from six seeds, the four one-qubit preparations
-and the two Bell states; states whose amplitudes have the same repr,
-which keeps every bit of a float and the sign of a zero, are one object.
-Every op on a shared state is an edge to a shared state, built on its
-first use by the same kernel an unshared state runs and kept for later
-uses: a gate's edges are keyed by (state, targets) on the Gate,
-`append_ancilla`'s by the state and `cnot`'s by (state, control,
-target). A shared state gets its branch table on its first measurement:
-per qubit and basis, p0 and both outcomes, whose post-states are shared.
-The seeds and every state Z/X reads reach from them (84 states) are
-tabled at import instead. So an op on a shared state returns what the
-computation returns, the same amplitudes, bits and uniforms drawn,
-without computing it again. The shared set stops growing at
-MAX_SHARED_STATES: rounding drifts under H (H applied twice to |0> reads
-0.9999999999999998, not 1), so repeated gates keep reaching new states;
-past the ceiling results are computed and not kept, and a table is built
-only while all its post-states fit. A stage that measures k qubits back
-to back may pass `measure` a `Uniforms` of k values drawn in one call in
-place of the generator. `measure_tabled` is the branch-table read alone,
-which `measure` makes first and a stage loop makes for each of its qubits.
+Every op the protocol uses (Bell and Z/X preparation, Pauli noise, H,
+the probe's CNOT and ancilla, Z/X reads) is Clifford, so every state it
+reaches is a stabilizer state (Aaronson & Gottesman, PRA 70, 052328,
+2004): its nonzero amplitudes are 1, -1, i or -i times 2^(-r/2) on a
+support of 2^r amplitudes. Scaled by 2^(r/2) and rounded, within
+KEY_ATOL, those amplitudes are the state's exact key, and the state
+table holds one state per key, with the key's amplitudes. It starts from
+the six seeds, the four one-qubit preparations and the two Bell states,
+and fills on first use. An op on a state in the table runs the float
+kernel once; a result with a key is the table's state for it and is kept
+as the transition from (state, op). A state in the table gets its branch
+rows on its first read: per qubit and basis, p0, exactly 0, 1/2 or 1,
+and the outcome of each bit that can occur, whose post-state is in the
+table. A state with no key, such as one a non-Clifford matrix reaches,
+is outside the table and runs the float kernel alone. A stage that
+measures k qubits back to back may pass `measure` a `Uniforms` of k
+values drawn in one call in place of the generator. `measure_tabled` is
+the branch-row read alone, which `measure` makes first and a stage loop
+makes for each of its qubits.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -57,14 +56,13 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 MAX_REGISTER_QUBITS = 4
-# The most states the shared set holds; past it, results are computed and not kept.
-MAX_SHARED_STATES = 1024
 
 # Numeric tolerances; single source of truth for the whole package.
 DENSITY_ATOL = 1e-12
 PSD_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
 PHASE_FIDELITY_ATOL = 1e-10
+KEY_ATOL = 1e-9
 
 
 class Basis(str, Enum):
@@ -188,14 +186,60 @@ class MeasurementOutcome(NamedTuple):
     post_state: StateVector
 
 
-# The single-qubit preparation states by bit: |0>, |1> and |+>, |->.
-# No operation changes a state, so they are shared.
-_Z_STATES = (StateVector([1.0, 0.0], check=False), StateVector([0.0, 1.0], check=False))
-_X_STATES = (StateVector([_SQRT2_INV, _SQRT2_INV], check=False),
-             StateVector([_SQRT2_INV, -_SQRT2_INV], check=False))
+# The state table: each state by its key, each state's branch rows (None
+# until its first read), and the transitions from each state by (state, op).
+_STATES: dict[tuple[complex, ...], StateVector] = {}
+_ROWS: dict[StateVector, tuple | None] = {}
+_NEXT: dict[tuple, StateVector] = {}
+_KEY_ENTRIES = {0, 1, -1, 1j, -1j}
+
+
+def _key(amps: tuple[complex, ...]) -> tuple[complex, ...] | None:
+    """The amplitudes times 2^(r/2), rounded to Gaussian integers, where
+    2^-r is the largest |amplitude|^2; None unless each lies within
+    KEY_ATOL of its rounding, which is 0, 1, -1, i or -i, and 2^r of those
+    are nonzero."""
+    support = 1 << round(-2 * math.log2(max(map(abs, amps))))
+    scale = math.sqrt(support)
+    key = tuple(complex(round(a.real * scale), round(a.imag * scale)) for a in amps)
+    if (len(key) - key.count(0) == support and _KEY_ENTRIES.issuperset(key)
+            and all(abs(a * scale - k) <= KEY_ATOL for a, k in zip(amps, key))):
+        return key
+    return None
+
+
+def _intern(state: StateVector) -> StateVector | None:
+    """The table's state with the key of `state`, entered with the key's
+    amplitudes when it is new; None when `state` has no key."""
+    key = _key(state.amps)
+    if key is None:
+        return None
+    found = _STATES.get(key)
+    if found is None:
+        scale = 1.0 / math.sqrt(len(key) - key.count(0))
+        found = _STATES[key] = StateVector(
+            tuple(complex(k.real * scale, k.imag * scale) for k in key), check=False)
+        _ROWS[found] = None
+    return found
+
+
+def _transition(key: tuple, out: StateVector) -> StateVector:
+    """`out`, the result of the op `key` names as (state, *op). When the
+    state is in the table and `out` has a key, the table's state for `out`,
+    kept as the transition `key`."""
+    if key[0] in _ROWS:
+        found = _intern(out)
+        if found is not None:
+            _NEXT[key] = out = found
+    return out
+
+
+# The seeds. The single-qubit preparation states by bit: |0>, |1> and |+>, |->.
+_Z_STATES = (_intern(StateVector([1, 0])), _intern(StateVector([0, 1])))
+_X_STATES = (_intern(StateVector([_SQRT2_INV, _SQRT2_INV])),
+             _intern(StateVector([_SQRT2_INV, -_SQRT2_INV])))
 _Z_OUTCOMES = tuple(MeasurementOutcome(b, s) for b, s in enumerate(_Z_STATES))
 _X_OUTCOMES = tuple(MeasurementOutcome(b, s) for b, s in enumerate(_X_STATES))
-_ZERO_BRANCH = "sampled a zero-probability branch"
 
 
 def prepare_single(basis: Basis, bit: int) -> StateVector:
@@ -211,8 +255,8 @@ def prepare_single(basis: Basis, bit: int) -> StateVector:
 
 # Every pair shares one of these two.
 _BELL = (
-    StateVector([_SQRT2_INV, 0, 0, _SQRT2_INV], check=False),
-    StateVector([0, _SQRT2_INV, _SQRT2_INV, 0], check=False),
+    _intern(StateVector([_SQRT2_INV, 0, 0, _SQRT2_INV])),
+    _intern(StateVector([0, _SQRT2_INV, _SQRT2_INV, 0])),
 )
 
 
@@ -269,20 +313,18 @@ def _check_unitary(u: np.ndarray) -> list[list[complex]]:
 class Gate:
     """A unitary on one or two qubits, checked once, when it is built.
 
-    `rows` holds the matrix rows as Python complex. `edges` maps a shared
-    state and a target tuple to the shared state the gate leads to; it
-    fills as the gate is applied. Raises DimensionMismatchError unless u is
-    2x2 or 4x4, and NonUnitaryError unless it is unitary within tolerance.
+    `rows` holds the matrix rows as tuples of Python complex. Raises
+    DimensionMismatchError unless u is 2x2 or 4x4, and NonUnitaryError
+    unless it is unitary within tolerance.
     """
 
-    __slots__ = ("rows", "edges")
+    __slots__ = ("rows",)
 
     def __init__(self, u: np.ndarray | Sequence[Sequence[complex]]) -> None:
         u = np.asarray(u, dtype=complex)
         if u.shape not in ((2, 2), (4, 4)):
             raise DimensionMismatchError(f"gate must be 2x2 or 4x4, got {u.shape}")
-        self.rows = _check_unitary(u)
-        self.edges: dict[tuple[StateVector, tuple[int, ...]], StateVector] = {}
+        self.rows = tuple(map(tuple, _check_unitary(u)))
 
 
 # One Gate each: X, Y, Z and H equal their own conjugate transpose, entry
@@ -310,14 +352,17 @@ def _apply_gate_unchecked(
 def apply_unitary(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateVector:
     """Apply a Gate to the listed target qubits.
 
-    On a shared state this follows the gate's edge for those targets.
     Raises TypeError for anything but a Gate, and ValueError for invalid
     or repeated targets or a target count the gate does not act on.
     """
     if not isinstance(gate, Gate):
         raise TypeError(f"apply_unitary takes a Gate, got {type(gate).__name__}")
     targets = tuple(targets)
-    out = gate.edges.get((state, targets))
+    # Keyed by the gate's entries, not by the Gate: a probe built from a
+    # matrix builds new Gates every trial, and Gates with equal entries share
+    # their transitions, so the map grows only with distinct matrices.
+    key = (state, gate.rows, targets)
+    out = _NEXT.get(key)
     if out is not None:
         return out
     k = len(targets)
@@ -329,13 +374,13 @@ def apply_unitary(state: StateVector, gate: Gate, targets: Sequence[int]) -> Sta
     n = state.num_qubits
     if any(t < 0 or t >= n for t in targets):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
-    return _edge(gate.edges, (state, targets), state,
-                 _apply_gate_unchecked(state, gate.rows, targets))
+    return _transition(key, _apply_gate_unchecked(state, gate.rows, targets))
 
 
 def append_ancilla(state: StateVector) -> StateVector:
     """The state with a |0> qubit appended after its last qubit."""
-    out = _ANCILLA_EDGES.get(state)
+    key = (state,)
+    out = _NEXT.get(key)
     if out is not None:
         return out
     n = state.num_qubits + 1
@@ -345,14 +390,14 @@ def append_ancilla(state: StateVector) -> StateVector:
     # Appending |0> interleaves the old amplitudes with zeros.
     amps = [0j] * (2 * len(state.amps))
     amps[0::2] = state.amps
-    return _edge(_ANCILLA_EDGES, state, state, StateVector(tuple(amps), check=False))
+    return _transition(key, StateVector(tuple(amps), check=False))
 
 
 def cnot(state: StateVector, control: int, target: int) -> StateVector:
     """CNOT as the swap it is: where the control reads 1, the amplitudes of
     target 0 and target 1 trade places. No matrix, so no unitarity check."""
     key = (state, control, target)
-    out = _CNOT_EDGES.get(key)
+    out = _NEXT.get(key)
     if out is not None:
         return out
     amps = state.amps
@@ -365,7 +410,7 @@ def cnot(state: StateVector, control: int, target: int) -> StateVector:
     out = list(amps)
     for i in base:
         out[i + on], out[i + flip] = amps[i + flip], amps[i + on]
-    return _edge(_CNOT_EDGES, key, state, StateVector(tuple(out), check=False))
+    return _transition(key, StateVector(tuple(out), check=False))
 
 
 def measurement_branches(
@@ -448,7 +493,7 @@ def _collapse(
     for c in w:
         p += c.real * c.real + c.imag * c.imag
     if p <= 1e-15:
-        raise RuntimeError(_ZERO_BRANCH)
+        raise RuntimeError("sampled a zero-probability branch")
     scale = 1.0 / math.sqrt(p)
     out = [0j] * size
     for i, c in zip(zero, w):
@@ -465,92 +510,47 @@ def _collapse(
 _Branches = tuple[float, MeasurementOutcome | None, MeasurementOutcome | None]
 
 
-# The shared set: its states by the repr of their amplitudes, and each one's
-# branch table, None until the state is first measured.
-_SHARED: dict[str, StateVector] = {}
-_TABLES: dict[StateVector, tuple[tuple[_Branches, _Branches], ...] | None] = {}
-# The edges of `append_ancilla` and `cnot` from shared states; a Gate keeps its own.
-_ANCILLA_EDGES: dict[StateVector, StateVector] = {}
-_CNOT_EDGES: dict[tuple[StateVector, int, int], StateVector] = {}
+def _branch_rows(state: StateVector) -> tuple[tuple[_Branches, _Branches], ...]:
+    """Per qubit and then per basis (Z, X), p0 and the outcome of each bit,
+    None for a bit of probability 0. A post-state with a key is the table's.
 
-
-def _share(state: StateVector) -> StateVector | None:
-    """The shared state whose amplitudes have the repr of `state`'s: `state`
-    itself when there is none yet and the set has room, None when it is full."""
-    key = repr(state.amps)
-    shared = _SHARED.get(key)
-    if shared is None and len(_SHARED) < MAX_SHARED_STATES:
-        shared = _SHARED[key] = state
-        _TABLES[state] = None
-    return shared
-
-
-def _edge(edges: dict, key, state: StateVector, out: StateVector) -> StateVector:
-    """Return `out`, the result of an op on `state`. When `state` is shared,
-    `out` is shared too if the set has room, and kept as the op's edge `key`."""
-    if state in _TABLES:
-        shared = _share(out)
-        if shared is not None:
-            edges[key] = out = shared
-    return out
-
-
-def _branch_table(state: StateVector) -> tuple[tuple[_Branches, _Branches], ...]:
-    """Per qubit and then per basis (Z, X), p0 and the outcome of each bit.
-
-    Each post-state is shared, so the caller leaves the set room for all of
-    them; None stands for a branch `_collapse` refuses.
+    A stabilizer state's p0 is 0, 1/2 or 1, and its float p0 is rounded to
+    it; a keyed state that is not one keeps the float.
     """
     amps = state.amps
     rows = []
     for qubit in range(state.num_qubits):
         row = []
         for in_x in (False, True):
-            branches = []
-            for bit in (0, 1):
-                try:
+            p0 = _p0(amps, qubit, in_x)
+            if abs(p0 - round(2 * p0) / 2) <= KEY_ATOL:
+                p0 = round(2 * p0) / 2
+            outcomes = [None, None]
+            for bit, p in ((0, p0), (1, 1.0 - p0)):
+                if p:
                     post = _collapse(amps, qubit, in_x, bit).post_state
-                except RuntimeError:
-                    branches.append(None)
-                else:
-                    branches.append(MeasurementOutcome(bit, _share(post)))
-            row.append((_p0(amps, qubit, in_x), *branches))
+                    outcomes[bit] = MeasurementOutcome(bit, _intern(post) or post)
+            row.append((p0, *outcomes))
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _table_every_shared_state() -> None:
-    """Table each untabled shared state, then the post-states those tables
-    share, until every shared state has its table."""
-    todo = [state for state, table in _TABLES.items() if table is None]
-    while todo:
-        for state in todo:
-            _TABLES[state] = _branch_table(state)
-        todo = [state for state, table in _TABLES.items() if table is None]
-
-
-# The seeds' reads are tabled at import. Built lazily during the first trials
-# instead, these long-lived tables left the peak RSS of each benchmark workload
-# 0.2-0.3 MB higher at equal pass counts (CPython 3.11 on x86-64 Linux).
-for _seed in _Z_STATES + _X_STATES + _BELL:
-    _share(_seed)
-_table_every_shared_state()
 
 
 def measure_tabled(
     state: StateVector, qubit: int, basis: Basis,
     rng: np.random.Generator | Uniforms,
 ) -> MeasurementOutcome | None:
-    """`measure` read from the state's branch table, drawing one uniform;
-    None, drawing nothing, when the state has no table yet or none at all."""
-    table = _TABLES.get(state)
-    if table is None or not 0 <= qubit < len(table):
+    """`measure` read from the state's branch rows, built on its first read,
+    drawing one uniform; None, drawing nothing, for a state outside the
+    table or a qubit outside the register."""
+    rows = _ROWS.get(state)
+    if rows is None:
+        if state not in _ROWS:
+            return None
+        rows = _ROWS[state] = _branch_rows(state)
+    if not 0 <= qubit < len(rows):
         return None
-    p0, zero, one = table[qubit][basis is _X]
-    outcome = zero if rng.random() < p0 else one
-    if outcome is None:
-        raise RuntimeError(_ZERO_BRANCH)
-    return outcome
+    p0, zero, one = rows[qubit][basis is _X]
+    return zero if rng.random() < p0 else one
 
 
 def measure(
@@ -560,9 +560,8 @@ def measure(
     """Born-rule projective measurement of one qubit with collapse.
 
     Draws exactly one uniform from `rng`: the bit is 0 when it lies below
-    the probability of 0. A shared state reads p0 and both outcomes from
-    its branch table, built on its first measurement; any other state
-    computes them.
+    the probability of 0. A state in the table reads p0 and both outcomes
+    from its branch rows; any other state computes them.
     """
     outcome = measure_tabled(state, qubit, basis, rng)
     if outcome is not None:
@@ -571,10 +570,6 @@ def measure(
     n = len(amps).bit_length() - 1
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
-    # A table may add 4n post-states, so it is built only while they fit.
-    if state in _TABLES and len(_SHARED) + 4 * n <= MAX_SHARED_STATES:
-        _TABLES[state] = _branch_table(state)
-        return measure(state, qubit, basis, rng)
     in_x = basis is _X
     p0 = _p0(amps, qubit, in_x)
     return _collapse(amps, qubit, in_x, 0 if rng.random() < p0 else 1)

@@ -7,11 +7,11 @@ Operations on refs replace the register's state with the pure-core result,
 so every holder of a ref to the same register observes the update. Each
 is one call of a pure op of `quantum`: `apply_gate` of `apply_unitary`
 with a checked `Gate`, `attach_ancilla` of `append_ancilla`, `probe_cnot`
-of `cnot` and `measure_qubit` of `measure`. While a register holds a
-shared state, each of those follows an edge or a branch table to the next
-shared state instead of computing it. `measure_qubits` measures a whole
-stage in one loop: each qubit whose state has a branch table is read from
-it by `measure_tabled`, and only the others call `measure`.
+of `cnot` and `measure_qubit` of `measure`. On a state of `quantum`'s
+state table, each follows a transition or branch row of the table instead
+of computing it. `measure_qubits` measures a whole stage in one loop: a
+qubit whose state is in the table is read from its rows by
+`measure_tabled`, and only the others call `measure`.
 
 A strategy may touch a protocol qubit only inside its tap. The channel
 lends it refs of its own (`_lend`) under a lease that is revoked when the

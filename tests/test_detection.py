@@ -384,13 +384,6 @@ class TestWireEncodings:
             assert result.report.verdict is Verdict.ABORT
             assert result.carriers == [] and result.recovered_m is None
 
-    @pytest.mark.parametrize("position",[1 << POSITION_FIELD_BITS, -1])
-    def test_position_outside_field_rejected(self, position):
-        with pytest.raises(ValueError):
-            encode_loc([record(position, Basis.Z, 0)])
-        with pytest.raises(ValueError):
-            encode_permutation((0, position))
-
     def test_budget_helpers(self):
         # One 18-bit LOC record and one 16-bit permutation entry per decoy.
         assert key_budget(4, 3, 2, DetectionMode.IMPROVED_INLINE_OTP) == 4 + 34 * 5
@@ -580,8 +573,8 @@ class CopyWires(AttackStrategy):
 
 
 class TestUntouchedAnnouncements:
-    """A receiver takes the very tuple the sender encoded as it is; an
-    equal payload in a new object is decoded and checked, to the same end."""
+    """A receiver decodes whatever object arrives: an equal payload in a new
+    list or tuple gives the same round as the very tuple the sender encoded."""
 
     @given(st.sampled_from(list(DetectionMode)),
            st.sampled_from(["none", "intercept_resend_z", "entangle_probe",

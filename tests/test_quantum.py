@@ -6,13 +6,13 @@ trace distance, and exact Born probabilities computed straight from
 amplitudes for the frequency checks.
 """
 
+import collections
 import itertools
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sqsig.quantum as quantum
@@ -26,7 +26,6 @@ from sqsig.quantum import (
     GATES,
     HADAMARD,
     MAX_REGISTER_QUBITS,
-    MAX_SHARED_STATES,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -549,37 +548,44 @@ class FixedUniform:
         return self.u
 
 
+# The largest uniform a generator gives.
+TOP = math.nextafter(1.0, 0.0)
+
+
 def _measured(state, qubit, basis, u):
-    """(bit, post amplitudes, draws) of one measurement, or the RuntimeError."""
+    """The record of one measurement, (error, bit, post amplitudes, draws),
+    and the state after it. On a ValueError or RuntimeError the record
+    holds its repr, bit and amplitudes are None, and the state is unchanged."""
     draws = FixedUniform(u)
     try:
-        out = measure(state, qubit, basis, draws)
-    except RuntimeError as err:
-        return repr(err), draws.draws
-    return out.bit, out.post_state.amps, draws.draws
+        bit, post = measure(state, qubit, basis, draws)
+    except (ValueError, RuntimeError) as err:
+        return (repr(err), None, None, draws.draws), state
+    return (None, bit, post.amps, draws.draws), post
+
+
+def _agree(a, b):
+    """Whether two records give the same error, bit and draws, and
+    amplitudes within 1e-12."""
+    (error_a, bit_a, amps_a, draws_a), (error_b, bit_b, amps_b, draws_b) = a, b
+    if (error_a, bit_a, draws_a) != (error_b, bit_b, draws_b):
+        return False
+    if amps_a is None or amps_b is None:
+        return amps_a is amps_b
+    return len(amps_a) == len(amps_b) and np.allclose(amps_a, amps_b, rtol=0, atol=1e-12)
 
 
 SEEDS = _Z_STATES + _X_STATES + _BELL
-SHARED_MAPS = [(quantum, "_SHARED"), (quantum, "_TABLES"), (quantum, "_ANCILLA_EDGES"),
-               (quantum, "_CNOT_EDGES")] + [(gate, "edges") for gate in GATES.values()]
-# The shared set and edge maps as this module found them when it was imported,
-# before any test ran: the seeds and the states their reads reach, all tabled,
-# and no edges.
-AT_IMPORT = [dict(getattr(owner, name)) for owner, name in SHARED_MAPS]
 
 
-@contextmanager
-def import_time_shared_set():
-    """Run with copies of the import-time shared set, tables and edge maps,
-    whatever earlier tests added; the maps in use come back afterwards."""
-    saved = [getattr(owner, name) for owner, name in SHARED_MAPS]
-    for (owner, name), value in zip(SHARED_MAPS, AT_IMPORT):
-        setattr(owner, name, dict(value))
-    try:
-        yield
-    finally:
-        for (owner, name), value in zip(SHARED_MAPS, saved):
-            setattr(owner, name, value)
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The state table as a fresh process starts it, the six seeds with no
+    rows and no transitions, for this test alone."""
+    monkeypatch.setattr(quantum, "_STATES", {
+        key: state for key, state in quantum._STATES.items() if state in SEEDS})
+    monkeypatch.setattr(quantum, "_ROWS", dict.fromkeys(SEEDS))
+    monkeypatch.setattr(quantum, "_NEXT", {})
 
 
 def _follow(path):
@@ -587,8 +593,7 @@ def _follow(path):
     seed, reads = path
     state = SEEDS[seed]
     for qubit, basis, bit in reads:
-        p0 = _p0(state.amps, qubit, basis is Basis.X)
-        state = measure(state, qubit, basis, FixedUniform(p0 if bit else 0.0)).post_state
+        state = measure(state, qubit, basis, FixedUniform(TOP if bit else 0.0)).post_state
     return state
 
 
@@ -596,19 +601,18 @@ def _read_cases():
     """(path, qubit, basis) for each qubit and basis of every state that Z/X
     reads reach from the seeds, with one path of reads to the state."""
     cases, seen = [], set()
-    with import_time_shared_set():
-        todo = [(i, ()) for i in range(len(SEEDS))]
-        while todo:
-            path = todo.pop(0)
-            state = _follow(path)
-            if state in seen:
-                continue
-            seen.add(state)
-            for qubit, row in enumerate(quantum._TABLES[state]):
-                for basis, (_, *outcomes) in zip((Basis.Z, Basis.X), row):
-                    cases.append((path, qubit, basis))
-                    todo += [(path[0], path[1] + ((qubit, basis, out.bit),))
-                             for out in outcomes if out is not None]
+    todo = [(i, ()) for i in range(len(SEEDS))]
+    while todo:
+        path = todo.pop(0)
+        state = _follow(path)
+        if state in seen:
+            continue
+        seen.add(state)
+        for qubit in range(state.num_qubits):
+            for basis in (Basis.Z, Basis.X):
+                cases.append((path, qubit, basis))
+                todo += [(path[0], path[1] + ((qubit, basis, bit),)) for bit in (0, 1)
+                         if measure(state, qubit, basis, FixedUniform(TOP if bit else 0.0)).bit == bit]
     return cases
 
 
@@ -617,138 +621,167 @@ READ_CASE_IDS = [
     f"{path[0]}" + "".join(f"-{q}{b.value}{bit}" for q, b, bit in path[1]) + f"/{q}{b.value}"
     for path, q, b in READ_CASES
 ]
+UNIFORMS = {"zero": 0.0, "quarter": 0.25, "half": 0.5, "three_quarters": 0.75, "top": TOP}
 
 
 # An op of a walk: a named gate on a target, an ancilla, a CNOT, or a Z/X read
-# whose uniform is 0, P(0) or one ulp either side of it, or 1 - 1 ulp.
+# with one of UNIFORMS.
 WALK_OPS = st.one_of(
     st.tuples(st.just("gate"), st.sampled_from(sorted(GATES)), st.integers(-1, 4)),
     st.tuples(st.just("attach")),
     st.tuples(st.just("cnot"), st.integers(0, 3), st.integers(0, 3)),
     st.tuples(st.just("read"), st.integers(-1, 4), st.sampled_from([Basis.Z, Basis.X]),
-              st.sampled_from(["zero", "below", "at", "above", "top"])),
+              st.sampled_from(sorted(UNIFORMS))),
 )
 
 
 def _step(state, op):
-    """What one walk op gives on `state`, and the state after it. A read
-    also gives its bit and the uniforms it drew; an error leaves the state."""
+    """The record one walk op gives on `state`, in the form of `_measured`'s,
+    and the state after it. A read whose uniform lies within 1e-9 of P(0) is
+    skipped; an error leaves the state."""
     kind, *args = op
-    draws = None
+    if kind == "read":
+        qubit, basis, where = args
+        u = UNIFORMS[where]
+        if 0 <= qubit < state.num_qubits and abs(u - _p0(state.amps, qubit, basis is Basis.X)) < 1e-9:
+            return ("skipped", None, None, None), state
+        return _measured(state, qubit, basis, u)
     try:
         if kind == "gate":
             out = apply_unitary(state, GATES[args[0]], (args[1],))
         elif kind == "attach":
             out = append_ancilla(state)
-        elif kind == "cnot":
-            out = cnot(state, *args)
         else:
-            qubit, basis, where = args
-            in_range = 0 <= qubit < state.num_qubits
-            p0 = _p0(state.amps, qubit, basis is Basis.X) if in_range else 0.5
-            draws = FixedUniform({
-                "zero": 0.0, "below": math.nextafter(p0, -1.0), "at": p0,
-                "above": math.nextafter(p0, 2.0), "top": math.nextafter(1.0, 0.0),
-            }[where])
-            bit, out = measure(state, qubit, basis, draws)
-    except (ValueError, RuntimeError) as err:
-        got, out = repr(err), state
-    else:
-        assert all(type(a) is complex for a in out.amps)
-        got = repr(out.amps) if draws is None else (bit, repr(out.amps))
-    return (got, None if draws is None else draws.draws), out
+            out = cnot(state, *args)
+    except ValueError as err:
+        return (repr(err), None, None, None), state
+    assert all(type(a) is complex for a in out.amps)
+    return (None, None, out.amps, None), out
+
+
+def _closure():
+    """Every state a BFS from the seeds reaches over X/Y/Z/H on each target,
+    an ancilla up to three qubits, CNOT on each pair and Z/X reads."""
+    seen, todo = set(), list(SEEDS)
+    while todo:
+        state = todo.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        n = state.num_qubits
+        todo += [apply_unitary(state, gate, (t,)) for gate in GATES.values() for t in range(n)]
+        todo += [cnot(state, c, t) for c, t in itertools.permutations(range(n), 2)]
+        todo += [measure(state, t, basis, FixedUniform(u)).post_state for t in range(n)
+                 for basis in (Basis.Z, Basis.X) for u in (0.0, TOP)]
+        if n < 3:
+            todo.append(append_ancilla(state))
+    return seen
 
 
 class TestBranchTables:
-    """Every op on a shared state gives exactly what the computed path gives
-    a fresh state with the same amplitudes."""
+    """A state in the table gives what the float kernel gives an unshared
+    copy of it, to within 1e-12, except where a uniform lies within 1e-9 of
+    a float p0 that is exactly 0, 1/2 or 1."""
 
-    def test_the_seeds_reads_are_tabled_at_import(self):
-        # At import the shared set holds the seeds and every state Z/X reads
-        # reach from them, each with its table; no op has an edge yet.
-        shared, tables, *edges = AT_IMPORT
-        assert set(SEEDS) <= set(tables)
-        assert all(table is not None for table in tables.values())
-        posts = {out.post_state for table in tables.values() for row in table
-                 for _, *outcomes in row for out in outcomes if out is not None}
-        assert posts <= set(tables)
-        assert set(tables) == set(shared.values())
-        assert all(shared[repr(s.amps)] is s for s in tables)
-        assert edges == [{}] * len(edges)
+    def test_the_table_closes_at_the_stabilizer_states(self, fresh_table):
+        # 1072 states, 16, 96 and 960 by size, each in the table once; every
+        # p0 the rows hold is exactly 0, 1/2 or 1.
+        reached = _closure()
+        assert collections.Counter(s.num_qubits for s in reached) == {1: 16, 2: 96, 3: 960}
+        assert set(quantum._STATES.values()) == set(quantum._ROWS) == reached
+        assert len(quantum._STATES) == 1072
+        assert {branches[0] for rows in quantum._ROWS.values() for row in rows
+                for branches in row} == {0.0, 0.5, 1.0}
+        assert all(quantum._STATES[quantum._key(s.amps)] is s for s in reached)
+
+    def test_states_with_equal_keys_are_one_object(self, fresh_table):
+        # H twice is the seed itself, and a state whose amplitudes differ from
+        # a seed's only in the sign of a zero or by rounding is the seed.
+        h = GATES["H"]
+        for seed in SEEDS:
+            for t in range(seed.num_qubits):
+                assert apply_unitary(apply_unitary(seed, h, (t,)), h, (t,)) is seed
+            z = apply_unitary(apply_unitary(seed, GATES["Z"], (0,)), GATES["Z"], (0,))
+            assert z is seed and quantum._intern(StateVector(
+                [complex(-0.0, -0.0) if a == 0 else a * (1 + 1e-12) for a in seed.amps],
+                check=False)) is seed
+
+    @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+    def test_h_twice_reads_as_the_state_it_started_from(self, basis):
+        # H twice on |0> read in Z, or on |+> read in X, gives 0 for every
+        # uniform: in floats p0 is 0.9999999999999998 and 0.9999999999999993,
+        # and the largest uniform below 1 would read 1.
+        h = GATES["H"]
+        state = apply_unitary(apply_unitary(prepare_single(basis, 0), h, (0,)), h, (0,))
+        for u in (0.0, 0.5, TOP):
+            assert measure(state, 0, basis, FixedUniform(u)).bit == 0
+        assert state is prepare_single(basis, 0)
+
+    def test_a_state_without_a_key_is_outside_the_table(self, fresh_table):
+        for amps in ([0.6, 0.8], [0.6, 0, 0, 0.8j], [0.5, 0.5, 0.5, -0.5 + 1e-6]):
+            state = StateVector(np.array(amps) / np.linalg.norm(amps))
+            assert quantum._key(state.amps) is None
+            assert quantum.measure_tabled(state, 0, Basis.Z, FixedUniform(0.5)) is None
+        u = Gate(random_unitary(np.random.default_rng(1), 2))
+        out = apply_unitary(prepare_single(Basis.Z, 0), u, (0,))
+        assert out not in quantum._ROWS and quantum._NEXT == {}
+        assert len(quantum._STATES) == len(SEEDS)
+
+    def test_a_keyed_state_off_the_stabilizer_set_keeps_its_float_p0(self, fresh_table):
+        # Controlled-S on |++> has a key, (1, 1, 1, i) / 2, but is not a
+        # stabilizer state: reading qubit 0 in X gives 0 with probability 3/4.
+        plus_plus = apply_unitary(append_ancilla(prepare_single(Basis.X, 0)), GATES["H"], (1,))
+        state = apply_unitary(plus_plus, Gate(np.diag([1, 1, 1, 1j])), (0, 1))
+        assert state in quantum._ROWS
+        fresh = StateVector(state.amps, check=False)
+        for u in (0.7, 0.8):
+            assert _agree(_measured(state, 0, Basis.X, u)[0], _measured(fresh, 0, Basis.X, u)[0])
+        assert abs(quantum._ROWS[state][0][1][0] - 0.75) < 1e-12
 
     @given(st.sampled_from(range(len(SEEDS))), st.lists(WALK_OPS, max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_a_walk_over_edges_equals_the_computed_walk(self, seed, ops):
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_walk_over_edges_equals_the_computed_walk(self, fresh_table, seed, ops):
         # The same ops from a seed and from an unshared copy of it give the
-        # same amplitudes, bits, errors and uniform counts, to the repr. The
-        # shared walk runs twice: the second time along the edges and tables
-        # the first one built.
-        with import_time_shared_set():
-            computed, state = [], StateVector(SEEDS[seed].amps, check=False)
+        # same bits, errors and uniform counts, and amplitudes within 1e-12.
+        # The walk in the table runs twice: the second time along the
+        # transitions and rows the first one built.
+        computed, state = [], StateVector(SEEDS[seed].amps, check=False)
+        for op in ops:
+            assert state not in quantum._ROWS
+            got, state = _step(state, op)
+            computed.append(got)
+            state = StateVector(state.amps, check=False)
+        for _ in range(2):
+            tabled, state = [], SEEDS[seed]
             for op in ops:
-                assert state not in quantum._TABLES
                 got, state = _step(state, op)
-                computed.append(got)
-                state = StateVector(state.amps, check=False)
-            for _ in range(2):
-                shared, state = [], SEEDS[seed]
-                for op in ops:
-                    got, state = _step(state, op)
-                    shared.append(got)
-                    assert state in quantum._TABLES  # far below the ceiling
-                assert shared == computed
-
-    def test_the_shared_set_stops_at_its_ceiling(self):
-        # H drifts, so every application reaches a new state. Past the
-        # ceiling, gates and reads still give the computed results, and
-        # neither the set nor its tables grow.
-        with import_time_shared_set():
-            state = prepare_single(Basis.X, 0)
-            for step in range(MAX_SHARED_STATES):
-                fresh = StateVector(state.amps, check=False)
-                state = apply_unitary(state, GATES["H"], (0,))
-                assert state.amps == apply_unitary(fresh, GATES["H"], (0,)).amps
-            assert len(quantum._SHARED) == len(quantum._TABLES) == MAX_SHARED_STATES
-            tables = sum(t is not None for t in quantum._TABLES.values())
-            last = [s for s in quantum._TABLES if quantum._TABLES[s] is None][-1]
-            for state in (state, last):
-                fresh = StateVector(state.amps, check=False)
-                for gate in GATES.values():
-                    assert repr(apply_unitary(state, gate, (0,)).amps) == repr(
-                        apply_unitary(fresh, gate, (0,)).amps)
-                    for u in (0.25, 0.75):
-                        for basis in (Basis.Z, Basis.X):
-                            assert _measured(state, 0, basis, u) == _measured(
-                                fresh, 0, basis, u)
-            assert len(quantum._SHARED) == MAX_SHARED_STATES
-            assert sum(t is not None for t in quantum._TABLES.values()) == tables
+                tabled.append(got)
+                assert state in quantum._ROWS
+            assert all(map(_agree, tabled, computed))
 
     @pytest.mark.parametrize("path, qubit, basis", READ_CASES, ids=READ_CASE_IDS)
-    def test_tabled_measure_equals_the_computed_path(self, path, qubit, basis):
+    def test_tabled_measure_equals_the_computed_path(self, fresh_table, path, qubit, basis):
         # Every state Z/X reads reach from the seeds, read on every qubit and
-        # basis from its import-time table.
-        with import_time_shared_set():
-            state = _follow(path)
-            fresh = StateVector(state.amps, check=False)
-            assert state in quantum._TABLES and fresh not in quantum._TABLES
-            p0 = _p0(state.amps, qubit, basis is Basis.X)
-            for u in (0.0, math.nextafter(p0, -1.0), p0, math.nextafter(p0, 2.0),
-                      math.nextafter(1.0, 0.0)):
-                tabled = _measured(state, qubit, basis, u)
-                computed = _measured(fresh, qubit, basis, u)
-                assert tabled == computed
-                assert tabled[-1] == 1  # one uniform, whichever path
-                if len(tabled) == 3:  # same bits to the sign of a zero
-                    assert repr(tabled[1]) == repr(computed[1])
-                    assert all(type(a) is complex for a in tabled[1])
-            assert quantum._TABLES[state][qubit][basis is Basis.X][0] == p0
+        # basis from the rows a fresh table builds, against an unshared copy.
+        state = _follow(path)
+        fresh = StateVector(state.amps, check=False)
+        assert state in quantum._ROWS and fresh not in quantum._ROWS
+        for u in UNIFORMS.values():
+            tabled, _ = _measured(state, qubit, basis, u)
+            p0 = quantum._ROWS[state][qubit][basis is Basis.X][0]
+            if abs(u - p0) >= 1e-9:
+                assert _agree(tabled, _measured(fresh, qubit, basis, u)[0])
+            assert tabled[-1] == 1  # one uniform, whichever path
+        assert p0 in (0.0, 0.5, 1.0)
+        assert abs(p0 - _p0(fresh.amps, qubit, basis is Basis.X)) < 1e-12
 
     def test_a_tabled_read_returns_a_shared_state(self):
         bell = prepare_bell(0)
         out = measure(bell, 0, Basis.Z, FixedUniform(0.0))
-        assert out.post_state in quantum._TABLES
+        assert out.post_state in quantum._ROWS
         fresh = measure(StateVector(bell.amps, check=False), 0, Basis.Z, FixedUniform(0.0))
-        assert fresh.post_state not in quantum._TABLES
+        assert fresh.post_state not in quantum._ROWS
         assert fresh.post_state.amps == out.post_state.amps
 
     def test_outcome_is_a_named_tuple(self):
