@@ -384,6 +384,18 @@ class TestWireEncodings:
             assert result.report.verdict is Verdict.ABORT
             assert result.carriers == [] and result.recovered_m is None
 
+    @pytest.mark.parametrize("position",[1 << POSITION_FIELD_BITS, -1])
+    def test_position_outside_field_rejected(self, position):
+        # The encoders take the sender's fields as they are; a position
+        # outside the 16-bit field, written onto a LOC record or a
+        # permutation entry in transit, aborts the round at the receiver.
+        for wire, value in (("loc_z", record(position, Basis.Z, 0)), ("permutation", position)):
+            result, _, _, _ = run_round(
+                DetectionMode.IMPROVED, WriteWireValue(wire, 0, value), seed=3, threshold=1.0
+            )
+            assert result.report.verdict is Verdict.ABORT
+            assert result.carriers == [] and result.recovered_m is None
+
     def test_budget_helpers(self):
         # One 18-bit LOC record and one 16-bit permutation entry per decoy.
         assert key_budget(4, 3, 2, DetectionMode.IMPROVED_INLINE_OTP) == 4 + 34 * 5

@@ -593,26 +593,43 @@ def _follow(path):
     seed, reads = path
     state = SEEDS[seed]
     for qubit, basis, bit in reads:
-        state = measure(state, qubit, basis, FixedUniform(TOP if bit else 0.0)).post_state
+        out = measure(state, qubit, basis, FixedUniform(TOP if bit else 0.0))
+        assert out.bit == bit
+        state = out.post_state
     return state
 
 
+def _follow_computed(path):
+    """The state the float kernel reaches along a path of reads, unshared."""
+    seed, reads = path
+    state = StateVector(SEEDS[seed].amps, check=False)
+    for qubit, basis, bit in reads:
+        state = quantum._collapse(state.amps, qubit, basis is Basis.X, bit).post_state
+    return StateVector(state.amps, check=False)
+
+
 def _read_cases():
-    """(path, qubit, basis) for each qubit and basis of every state that Z/X
-    reads reach from the seeds, with one path of reads to the state."""
+    """(path, qubit, basis) for each qubit and basis of every state that the
+    float kernel's Z/X reads reach from the seeds, states told apart by the
+    repr of their amplitudes, with one path of reads to each. Rounding makes
+    many of them one state of the table."""
     cases, seen = [], set()
     todo = [(i, ()) for i in range(len(SEEDS))]
     while todo:
         path = todo.pop(0)
-        state = _follow(path)
-        if state in seen:
+        amps = _follow_computed(path).amps
+        if repr(amps) in seen:
             continue
-        seen.add(state)
-        for qubit in range(state.num_qubits):
+        seen.add(repr(amps))
+        for qubit in range(len(amps).bit_length() - 1):
             for basis in (Basis.Z, Basis.X):
                 cases.append((path, qubit, basis))
-                todo += [(path[0], path[1] + ((qubit, basis, bit),)) for bit in (0, 1)
-                         if measure(state, qubit, basis, FixedUniform(TOP if bit else 0.0)).bit == bit]
+                for bit in (0, 1):
+                    try:
+                        quantum._collapse(amps, qubit, basis is Basis.X, bit)
+                    except RuntimeError:
+                        continue
+                    todo.append((path[0], path[1] + ((qubit, basis, bit),)))
     return cases
 
 
@@ -763,10 +780,12 @@ class TestBranchTables:
     @pytest.mark.parametrize("path, qubit, basis", READ_CASES, ids=READ_CASE_IDS)
     def test_tabled_measure_equals_the_computed_path(self, fresh_table, path, qubit, basis):
         # Every state Z/X reads reach from the seeds, read on every qubit and
-        # basis from the rows a fresh table builds, against an unshared copy.
+        # basis from the rows a fresh table builds, against the unshared state
+        # the float kernel reaches along the same path.
         state = _follow(path)
-        fresh = StateVector(state.amps, check=False)
+        fresh = _follow_computed(path)
         assert state in quantum._ROWS and fresh not in quantum._ROWS
+        assert np.allclose(state.amps, fresh.amps, rtol=0, atol=1e-12)
         for u in UNIFORMS.values():
             tabled, _ = _measured(state, qubit, basis, u)
             p0 = quantum._ROWS[state][qubit][basis is Basis.X][0]
