@@ -25,8 +25,9 @@ the channel applies is a `quantum.Gate`, checked once when it is built:
 a unitary probe builds its u and its undo u-dagger when the probe is
 built, and the named unitaries, the tamper flip and the noise Paulis are
 the shared Gates of `quantum.GATES`, each its own undo. On a state of
-`quantum`'s state table each gate, ancilla and CNOT follows a transition
-of the table to the next state.
+`quantum`'s state table each shared Gate, ancilla and CNOT follows a
+transition of the table to the next state; a probe's own u and undo run
+the float kernel, and a result with a key is the table's state.
 """
 
 from __future__ import annotations

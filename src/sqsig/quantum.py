@@ -30,17 +30,17 @@ support of 2^r amplitudes. Scaled by 2^(r/2) and rounded, within
 KEY_ATOL, those amplitudes are the state's exact key, and the state
 table holds one state per key, with the key's amplitudes. It starts from
 the six seeds, the four one-qubit preparations and the two Bell states,
-and fills on first use. An op on a state in the table runs the float
-kernel once; a result with a key is the table's state for it and is kept
-as the transition from (state, op). A state in the table gets its branch
-rows on its first read: per qubit and basis, p0, exactly 0, 1/2 or 1,
-and the outcome of each bit that can occur, whose post-state is in the
-table. A state with no key, such as one a non-Clifford matrix reaches,
-is outside the table and runs the float kernel alone. A stage that
-measures k qubits back to back may pass `measure` a `Uniforms` of k
-values drawn in one call in place of the generator. `measure_tabled` is
-the branch-row read alone, which `measure` makes first and a stage loop
-makes for each of its qubits.
+and fills on first use. A gate, ancilla or CNOT whose result has a key
+returns the table's state for it; on a state in the table, that is kept
+as the transition from (state, op), except for a Gate not in GATES. A
+state in the table gets its branch rows on its first read: per qubit and
+basis, p0, exactly 0, 1/2 or 1, and the outcome of each bit that can
+occur, whose post-state is in the table. A state with no key, such as
+one a non-Clifford matrix reaches, is outside the table and runs the
+float kernel alone. A stage that measures k qubits back to back may pass
+`measure` a `Uniforms` of k values drawn in one call in place of the
+generator. `measure_tabled` is the branch-row read alone, which
+`measure` makes first and a stage loop makes for each of its qubits.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -223,15 +223,16 @@ def _intern(state: StateVector) -> StateVector | None:
     return found
 
 
-def _transition(key: tuple, out: StateVector) -> StateVector:
-    """`out`, the result of the op `key` names as (state, *op). When the
-    state is in the table and `out` has a key, the table's state for `out`,
-    kept as the transition `key`."""
-    if key[0] in _ROWS:
-        found = _intern(out)
-        if found is not None:
-            _NEXT[key] = out = found
-    return out
+def _transition(key: tuple, out: StateVector, keep: bool = True) -> StateVector:
+    """`out`, the result of the op `key` names as (state, *op), or the
+    table's state for it when it has a key; that is kept as the transition
+    `key` when `keep` and the state is in the table."""
+    found = _intern(out)
+    if found is None:
+        return out
+    if keep and key[0] in _ROWS:
+        _NEXT[key] = found
+    return found
 
 
 # The seeds. The single-qubit preparation states by bit: |0>, |1> and |+>, |->.
@@ -330,6 +331,7 @@ class Gate:
 # One Gate each: X, Y, Z and H equal their own conjugate transpose, entry
 # for entry, so a probe undoes each with the Gate it applied.
 GATES = {"X": Gate(PAULI_X), "Y": Gate(PAULI_Y), "Z": Gate(PAULI_Z), "H": Gate(HADAMARD)}
+_SHARED_GATES = frozenset(GATES.values())
 
 
 def _apply_gate_unchecked(
@@ -358,10 +360,7 @@ def apply_unitary(state: StateVector, gate: Gate, targets: Sequence[int]) -> Sta
     if not isinstance(gate, Gate):
         raise TypeError(f"apply_unitary takes a Gate, got {type(gate).__name__}")
     targets = tuple(targets)
-    # Keyed by the gate's entries, not by the Gate: a probe built from a
-    # matrix builds new Gates every trial, and Gates with equal entries share
-    # their transitions, so the map grows only with distinct matrices.
-    key = (state, gate.rows, targets)
+    key = (state, gate, targets)
     out = _NEXT.get(key)
     if out is not None:
         return out
@@ -374,7 +373,10 @@ def apply_unitary(state: StateVector, gate: Gate, targets: Sequence[int]) -> Sta
     n = state.num_qubits
     if any(t < 0 or t >= n for t in targets):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
-    return _transition(key, _apply_gate_unchecked(state, gate.rows, targets))
+    # Only the shared Gates keep transitions: a Gate built from a matrix may
+    # be new in every trial, and its transitions would hold it forever.
+    out = _apply_gate_unchecked(state, gate.rows, targets)
+    return _transition(key, out, gate in _SHARED_GATES)
 
 
 def append_ancilla(state: StateVector) -> StateVector:

@@ -8,8 +8,8 @@ so every holder of a ref to the same register observes the update. Each
 is one call of a pure op of `quantum`: `apply_gate` of `apply_unitary`
 with a checked `Gate`, `attach_ancilla` of `append_ancilla`, `probe_cnot`
 of `cnot` and `measure_qubit` of `measure`. On a state of `quantum`'s
-state table, each follows a transition or branch row of the table instead
-of computing it. `measure_qubits` measures a whole stage in one loop: a
+state table, an ancilla, a CNOT, a shared Gate and a read follow a
+transition or branch row of the table instead of computing it. `measure_qubits` measures a whole stage in one loop: a
 qubit whose state is in the table is read from its rows by
 `measure_tabled`, and only the others call `measure`.
 

@@ -561,6 +561,7 @@ def _measured(state, qubit, basis, u):
         bit, post = measure(state, qubit, basis, draws)
     except (ValueError, RuntimeError) as err:
         return (repr(err), None, None, draws.draws), state
+    assert all(type(a) is complex for a in post.amps)
     return (None, bit, post.amps, draws.draws), post
 
 
@@ -723,16 +724,33 @@ class TestBranchTables:
                 [complex(-0.0, -0.0) if a == 0 else a * (1 + 1e-12) for a in seed.amps],
                 check=False)) is seed
 
+    @pytest.mark.parametrize("undo", ["H", "matrix"])
     @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
-    def test_h_twice_reads_as_the_state_it_started_from(self, basis):
+    def test_h_twice_reads_as_the_state_it_started_from(self, basis, undo):
         # H twice on |0> read in Z, or on |+> read in X, gives 0 for every
         # uniform: in floats p0 is 0.9999999999999998 and 0.9999999999999993,
-        # and the largest uniform below 1 would read 1.
-        h = GATES["H"]
-        state = apply_unitary(apply_unitary(prepare_single(basis, 0), h, (0,)), h, (0,))
-        for u in (0.0, 0.5, TOP):
-            assert measure(state, 0, basis, FixedUniform(u)).bit == 0
+        # and the largest uniform below 1 would read 1. So does a matrix u,
+        # a rotation times H that leaves the table, followed by u-dagger:
+        # in floats p0 is 0.9999999999999993 and 0.9999999999999991.
+        if undo == "H":
+            u = u_dagger = GATES["H"]
+        else:
+            c, s = math.cos(0.3), math.sin(0.3)
+            m = np.array([[c, -s], [s, c]]) @ HADAMARD
+            u, u_dagger = Gate(m), Gate(m.conj().T)
+        state = apply_unitary(apply_unitary(prepare_single(basis, 0), u, (0,)), u_dagger, (0,))
+        for r in (0.0, 0.5, TOP):
+            assert measure(state, 0, basis, FixedUniform(r)).bit == 0
         assert state is prepare_single(basis, 0)
+
+    def test_matrix_gates_keep_no_transitions(self, fresh_table):
+        # A diagonal phase gate leaves |0> where it is, in the table, for
+        # every angle; the transition map holds none of the 200 matrices.
+        zero = prepare_single(Basis.Z, 0)
+        for theta in np.linspace(0.0, 2 * np.pi, 200):
+            gate = Gate(np.diag([1, np.exp(1j * theta)]))
+            assert apply_unitary(zero, gate, (0,)) is zero
+        assert quantum._NEXT == {} and len(quantum._STATES) == len(SEEDS)
 
     def test_a_state_without_a_key_is_outside_the_table(self, fresh_table):
         for amps in ([0.6, 0.8], [0.6, 0, 0, 0.8j], [0.5, 0.5, 0.5, -0.5 + 1e-6]):
@@ -758,17 +776,21 @@ class TestBranchTables:
     @given(st.sampled_from(range(len(SEEDS))), st.lists(WALK_OPS, max_size=12))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_a_walk_over_edges_equals_the_computed_walk(self, fresh_table, seed, ops):
+    def test_a_walk_over_edges_equals_the_computed_walk(
+            self, fresh_table, monkeypatch, seed, ops):
         # The same ops from a seed and from an unshared copy of it give the
         # same bits, errors and uniform counts, and amplitudes within 1e-12.
-        # The walk in the table runs twice: the second time along the
-        # transitions and rows the first one built.
+        # The copy's walk runs the float kernel alone, with no result
+        # interned. The walk in the table runs twice: the second time along
+        # the transitions and rows the first one built.
         computed, state = [], StateVector(SEEDS[seed].amps, check=False)
-        for op in ops:
-            assert state not in quantum._ROWS
-            got, state = _step(state, op)
-            computed.append(got)
-            state = StateVector(state.amps, check=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_intern", lambda state: None)
+            for op in ops:
+                assert state not in quantum._ROWS
+                got, state = _step(state, op)
+                computed.append(got)
+                state = StateVector(state.amps, check=False)
         for _ in range(2):
             tabled, state = [], SEEDS[seed]
             for op in ops:
