@@ -12,8 +12,9 @@ inline OTP). The tap may return any sequence, and the receiver refuses
 what is not fields of its wire: an item on an announcement that is not
 an int in [0, 2**width) aborts the round, and an item on a bit wire that
 is not an int 0 or 1 (a bool, a float or a numpy integer included)
-leaves Trent's No or Bob's rejection. The transcript renders each field as `width` binary digits,
-and an item that is not an int as `width` question marks. A strategy may
+leaves Trent's No or Bob's rejection. The transcript renders each field
+as `width` binary digits, and any other item, an int outside
+[0, 2**width) included, as `width` question marks. A strategy may
 touch a protocol qubit only inside its tap: the channel lends it refs of
 its own, built once a tap, and revokes them when the tap returns.
 Ancillas it attached itself stay usable.
@@ -24,10 +25,7 @@ whose only per-run state is its unread ancillas. Every gate a strategy or
 the channel applies is a `quantum.Gate`, checked once when it is built:
 a unitary probe builds its u and its undo u-dagger when the probe is
 built, and the named unitaries, the tamper flip and the noise Paulis are
-the shared Gates of `quantum.GATES`, each its own undo. On a state of
-`quantum`'s state table each shared Gate, ancilla and CNOT follows a
-transition of the table to the next state; a probe's own u and undo run
-the float kernel, and a result with a key is the table's state.
+the shared Gates of `quantum.GATES`, each its own undo.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum import GATES, Basis, DimensionMismatchError, Gate, Uniforms
+from .quantum import GATES, Basis, DimensionMismatchError, Gate
 from .register import (
     QubitRef,
     _lend,
@@ -130,9 +128,8 @@ class QubitProbe(AttackStrategy):
                 for ref in refs:
                     apply_gate(ref, self.undo)
             if self.pending:
-                draws = Uniforms(rng, len(self.pending))
-                for probe in self.pending:
-                    measure_qubit(probe, Basis.Z, draws)
+                for probe, u in zip(self.pending, rng.random(len(self.pending)).tolist()):
+                    measure_qubit(probe, Basis.Z, u)
                 self.pending.clear()
         return refs
 
@@ -221,6 +218,8 @@ class Channel:
         out = self.strategy.tap_classical(point, name, payload, rng)
         if self.transcript is not None:
             digits = f"0{width}b"
+            # f >> width is 0 exactly for an int f in [0, 2**width).
             self._log("classical", point=point.value, name=name, bits="".join(
-                format(f, digits) if type(f) is int else "?" * width for f in out))
+                format(f, digits) if type(f) is int and not f >> width else "?" * width
+                for f in out))
         return out

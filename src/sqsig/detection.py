@@ -249,13 +249,11 @@ def _announce(
     decode: Callable[[Sequence[int]], Sequence[int]],
 ) -> Sequence[int]:
     """Send one announcement of `width`-bit fields, under the one-time pad
-    if `pad` is set, and `decode` what arrives. ValueError for a payload
-    that does not decrypt or decode."""
+    if `pad` is set, `decode` what arrives and decrypt that. ValueError for
+    a payload that does not decode or decrypt."""
     sent = fields if pad is None else otp_encrypt(pad, purpose, fields, width)
-    received = channel.send_classical(point, wire, sent, rng, width)
-    if pad is not None:
-        received = otp_decrypt(pad, purpose, _fields(received, width), width)
-    return decode(received)
+    received = decode(channel.send_classical(point, wire, sent, rng, width))
+    return received if pad is None else otp_decrypt(pad, purpose, received, width)
 
 
 def _abort(report: DetectionReport) -> DetectionResult:

@@ -4,11 +4,11 @@ Every bit string (the key, the message, T and B, the receipt
 confirmations and the digest) is `Bits`: bytes holding one 0/1 byte per
 bit, read most significant first where it stands for an integer. The
 announcements of the detection round are not bit strings but lists of
-fixed-width int fields. The pad of a bit string is one XOR of the payload
-and its key segment, each read as a big-endian integer of bytes. The pad
-of `width`-bit fields XORs field j with key field j, bits
-[j * width, (j + 1) * width) of the segment read big-endian: the value
-the bitwise pad gives on the fields' bits, from the same key bits.
+fixed-width int fields. The one-time pad of `width`-bit fields XORs
+field j with key field j, bits [j * width, (j + 1) * width) of the
+segment read big-endian: the value the bitwise pad gives on the fields'
+bits, from the same key bits. It returns the fields as a list of ints at
+every width, 1 included.
 
 The signer and the trusted third party hold the same key string. Segments
 are allocated for named purposes (signing pad, announcement encryption)
@@ -96,17 +96,15 @@ def keygen_init(n_total: int, rng: np.random.Generator) -> KeyStore:
 
 
 def otp_encrypt(
-    store: KeyStore, purpose: str, plaintext: Sequence[int], width: int = 1,
-) -> Bits | list[int]:
-    """The `width`-bit fields of `plaintext` under the next segment of the
-    key: Bits at width 1, a list of fields otherwise."""
-    seg = store.allocate(purpose, width * len(plaintext))
-    return _pad(store, seg, plaintext, width)
+    store: KeyStore, purpose: str, plaintext: Sequence[int], width: int,
+) -> list[int]:
+    """The `width`-bit fields of `plaintext` under the next segment of the key."""
+    return _pad(store, store.allocate(purpose, width * len(plaintext)), plaintext, width)
 
 
 def otp_decrypt(
-    store: KeyStore, purpose: str, ciphertext: Sequence[int], width: int = 1,
-) -> Bits | list[int]:
+    store: KeyStore, purpose: str, ciphertext: Sequence[int], width: int,
+) -> list[int]:
     """The inverse of otp_encrypt over the segment allocated for `purpose`;
     ValueError when the ciphertext does not fill that segment."""
     seg = store.find(purpose)
@@ -117,12 +115,8 @@ def otp_decrypt(
     return _pad(store, seg, ciphertext, width)
 
 
-def _pad(
-    store: KeyStore, seg: Segment, fields: Sequence[int], width: int,
-) -> Bits | list[int]:
+def _pad(store: KeyStore, seg: Segment, fields: Sequence[int], width: int) -> list[int]:
     """Each field XOR its key field; every key field of the segment from one call."""
-    if width == 1:
-        return xor_bits(fields, store.segment_bits(seg))
     key = np.frombuffer(store.key_bits, np.uint8, seg.stop - seg.start, seg.start)
     key_fields = key.reshape(-1, width) @ _FIELD_WEIGHTS[width]
     return list(map(xor, fields, key_fields.tolist()))

@@ -37,10 +37,8 @@ state in the table gets its branch rows on its first read: per qubit and
 basis, p0, exactly 0, 1/2 or 1, and the outcome of each bit that can
 occur, whose post-state is in the table. A state with no key, such as
 one a non-Clifford matrix reaches, is outside the table and runs the
-float kernel alone. A stage that measures k qubits back to back may pass
-`measure` a `Uniforms` of k values drawn in one call in place of the
-generator. `measure_tabled` is the branch-row read alone, which
-`measure` makes first and a stage loop makes for each of its qubits.
+float kernel alone. `measure` takes its uniform as a float, so no
+operation here draws from a generator.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -420,8 +418,8 @@ def measurement_branches(
 ) -> tuple[tuple[float, StateVector | None], tuple[float, StateVector | None]]:
     """Deterministic projection of a measurement: ((p0, post0), (p1, post1)).
 
-    A branch with zero probability carries post-state None. Used both by
-    the sampling path and by exhaustive outcome-enumeration oracles.
+    A branch with zero probability carries post-state None. The exact
+    oracle that outcome-enumeration tests check `measure` against.
     """
     n = state.num_qubits
     if qubit < 0 or qubit >= n:
@@ -446,21 +444,6 @@ def measurement_branches(
         else:
             branches.append((0.0, None))
     return branches[0], branches[1]
-
-
-class Uniforms:
-    """The k uniforms of a stage that measures k qubits back to back.
-
-    Passed to `measure` in place of the generator, it hands out one value
-    per `random()` call from a single `rng.random(k)` draw. numpy's bit
-    generators fill `random(k)` as k scalar draws, so the values, and the
-    generator's state after them, are those of k `rng.random()` calls.
-    """
-
-    __slots__ = ("random",)
-
-    def __init__(self, rng: np.random.Generator, k: int) -> None:
-        self.random = iter(rng.random(k).tolist()).__next__
 
 
 def _p0(amps: tuple[complex, ...], qubit: int, in_x: bool) -> float:
@@ -537,44 +520,25 @@ def _branch_rows(state: StateVector) -> tuple[tuple[_Branches, _Branches], ...]:
     return tuple(rows)
 
 
-def measure_tabled(
-    state: StateVector, qubit: int, basis: Basis,
-    rng: np.random.Generator | Uniforms,
-) -> MeasurementOutcome | None:
-    """`measure` read from the state's branch rows, built on its first read,
-    drawing one uniform; None, drawing nothing, for a state outside the
-    table or a qubit outside the register."""
-    rows = _ROWS.get(state)
-    if rows is None:
-        if state not in _ROWS:
-            return None
-        rows = _ROWS[state] = _branch_rows(state)
-    if not 0 <= qubit < len(rows):
-        return None
-    p0, zero, one = rows[qubit][basis is _X]
-    return zero if rng.random() < p0 else one
-
-
-def measure(
-    state: StateVector, qubit: int, basis: Basis,
-    rng: np.random.Generator | Uniforms,
-) -> MeasurementOutcome:
+def measure(state: StateVector, qubit: int, basis: Basis, u: float) -> MeasurementOutcome:
     """Born-rule projective measurement of one qubit with collapse.
 
-    Draws exactly one uniform from `rng`: the bit is 0 when it lies below
-    the probability of 0. A state in the table reads p0 and both outcomes
-    from its branch rows; any other state computes them.
+    The bit is 0 when the uniform `u` lies below the probability of 0. A
+    state in the table reads p0 and both outcomes from its branch rows,
+    built on its first read; any other state computes them.
     """
-    outcome = measure_tabled(state, qubit, basis, rng)
-    if outcome is not None:
-        return outcome
+    rows = _ROWS.get(state)
+    if rows is None and state in _ROWS:
+        rows = _ROWS[state] = _branch_rows(state)
+    if rows is not None and 0 <= qubit < len(rows):
+        p0, zero, one = rows[qubit][basis is _X]
+        return zero if u < p0 else one
     amps = state.amps
     n = len(amps).bit_length() - 1
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
     in_x = basis is _X
-    p0 = _p0(amps, qubit, in_x)
-    return _collapse(amps, qubit, in_x, 0 if rng.random() < p0 else 1)
+    return _collapse(amps, qubit, in_x, 0 if u < _p0(amps, qubit, in_x) else 1)
 
 
 def partial_trace(

@@ -7,11 +7,9 @@ Operations on refs replace the register's state with the pure-core result,
 so every holder of a ref to the same register observes the update. Each
 is one call of a pure op of `quantum`: `apply_gate` of `apply_unitary`
 with a checked `Gate`, `attach_ancilla` of `append_ancilla`, `probe_cnot`
-of `cnot` and `measure_qubit` of `measure`. On a state of `quantum`'s
-state table, an ancilla, a CNOT, a shared Gate and a read follow a
-transition or branch row of the table instead of computing it. `measure_qubits` measures a whole stage in one loop: a
-qubit whose state is in the table is read from its rows by
-`measure_tabled`, and only the others call `measure`.
+of `cnot` and `measure_qubit` of `measure`, with the uniform it is
+given. `measure_qubits` measures a whole stage in one loop of `measure`,
+the stage's uniforms from one draw of the generator.
 
 A strategy may touch a protocol qubit only inside its tap. The channel
 lends it refs of its own (`_lend`) under a lease that is revoked when the
@@ -28,17 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import (
-    Basis,
-    Gate,
-    StateVector,
-    Uniforms,
-    append_ancilla,
-    apply_unitary,
-    cnot,
-    measure,
-    measure_tabled,
-)
+from .quantum import Basis, Gate, StateVector, append_ancilla, apply_unitary, cnot, measure
 
 
 class Register:
@@ -152,31 +140,25 @@ def probe_cnot(control: QubitRef, target: QubitRef) -> None:
     reg.state = cnot(reg.state, control.index, target.index)
 
 
-def measure_qubit(
-    ref: QubitRef, basis: Basis, rng: np.random.Generator | Uniforms
-) -> int:
-    """Projective measurement with collapse; updates the shared register."""
+def measure_qubit(ref: QubitRef, basis: Basis, u: float) -> int:
+    """Projective measurement with collapse, the bit 0 when the uniform `u`
+    lies below the probability of 0; updates the shared register."""
     reg = _live(ref)
-    bit, reg.state = measure(reg.state, ref.index, basis, rng)
+    bit, reg.state = measure(reg.state, ref.index, basis, u)
     return bit
 
 
 def measure_qubits(
     refs: Sequence[QubitRef], bases: Sequence[Basis], rng: np.random.Generator
 ) -> bytes:
-    """measure_qubit of refs[i] in bases[i], in order, each taking its
-    uniform from one draw of len(refs) uniforms; the bits as bytes."""
-    draws = Uniforms(rng, len(refs))
+    """measure_qubit of refs[i] in bases[i], in order, with uniform i of
+    one draw of len(refs) uniforms; the bits as bytes."""
     bits = bytearray()
-    for ref, basis in zip(refs, bases):
+    for ref, basis, u in zip(refs, bases, rng.random(len(refs)).tolist()):
         lease = ref.lease
         if lease is not None and not lease.live:
             raise RevokedHandleError("qubit ref used after its tap returned")
         reg = ref.register
-        state = reg.state
-        outcome = measure_tabled(state, ref.index, basis, draws)
-        if outcome is None:
-            outcome = measure(state, ref.index, basis, draws)
-        bit, reg.state = outcome
+        bit, reg.state = measure(reg.state, ref.index, basis, u)
         bits.append(bit)
     return bytes(bits)

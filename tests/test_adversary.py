@@ -254,7 +254,7 @@ class TestOneDrawPerTap:
         scalar = np.random.default_rng(seed)
         read = [fresh_qubit(b, v) for b, v in self.PREPARED]
         for ref in read:
-            measure_qubit(ref, Basis.Z, scalar)
+            measure_qubit(ref, Basis.Z, scalar.random())
         assert [r.register.state.amps for r in tapped] == [r.register.state.amps for r in read]
         assert rng.bit_generator.state == scalar.bit_generator.state
 
@@ -273,7 +273,7 @@ class TestOneDrawPerTap:
             ancillas.append(attach_ancilla(ref))
             probe_cnot(ref, ancillas[-1])
         for ancilla in ancillas:
-            measure_qubit(ancilla, Basis.Z, scalar)
+            measure_qubit(ancilla, Basis.Z, scalar.random())
         assert [r.register.state.amps for r in tapped] == [r.register.state.amps for r in read]
         assert rng.bit_generator.state == scalar.bit_generator.state
 
@@ -405,7 +405,8 @@ class KeepAncillas(AttackStrategy):
         if name == "permutation":
             for ancilla in self.ancillas:
                 apply_gate(ancilla, GATES["X"])
-            self.read = [measure_qubit(ancilla, Basis.Z, rng) for ancilla in self.ancillas]
+            self.read = [measure_qubit(ancilla, Basis.Z, rng.random())
+                         for ancilla in self.ancillas]
         return bits
 
 
@@ -427,9 +428,9 @@ class TestTapOnlyRule:
                                        np.random.default_rng(0))
         for ref in strategy.stashed:
             with pytest.raises(RevokedHandleError):
-                measure_qubit(ref, Basis.Z, np.random.default_rng(0))
+                measure_qubit(ref, Basis.Z, 0.5)
         # The sender's refs and the refs the receiver got stay usable.
-        assert [measure_qubit(ref, Basis.Z, np.random.default_rng(0)) for ref in refs] == [0, 1]
+        assert [measure_qubit(ref, Basis.Z, 0.5) for ref in refs] == [0, 1]
         assert [z_value(ref) for ref in received] == [0, 1]
 
     def test_own_ancillas_stay_usable_and_reach_only_themselves(self):
@@ -509,7 +510,7 @@ class TestLentRefsIssuedOnce:
         assert all(map(operator.is_, forward, refs))
         for ref in lent_forward[0]:
             with pytest.raises(RevokedHandleError):
-                measure_qubit(ref, Basis.Z, rng)
+                measure_qubit(ref, Basis.Z, rng.random())
 
     def test_a_tap_that_reads_no_ref_builds_none(self):
         lent = []

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqsig.detection as detection
 from sqsig.adversary import AttackStrategy, Channel, NoAttack, TapPoint
 from sqsig.detection import (
     MODE_SPECS,
@@ -462,6 +463,20 @@ class TestWireLayout:
         assert reference_bits(fields, POSITION_FIELD_BITS) == expected
         assert decode_permutation(fields) == tuple(mapping)
 
+    @pytest.mark.parametrize("value", [-1, 1 << RECORD_BITS])
+    def test_transcript_marks_an_int_outside_its_field(self, value):
+        # An int a tap writes outside [0, 2**18) shows as 18 question marks,
+        # so the wire keeps 18 characters a record.
+        transcript = []
+        result, transmission, _, _ = run_round(
+            DetectionMode.IMPROVED, WriteWireValue("loc_z", 0, value), seed=3,
+            transcript=transcript)
+        assert result.report.verdict is Verdict.ABORT
+        [bits] = [ev["bits"] for ev in transcript if ev.get("name") == "loc_z"]
+        rest = reference_bits(z_records(transmission)[1:], RECORD_BITS)
+        assert bits == "?" * RECORD_BITS + "".join(map(str, rest))
+        assert len(bits) == 2 * RECORD_BITS
+
     @given(st.sampled_from(list(DetectionMode)), st.integers(0, 2 ** 32 - 1),
            st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
@@ -582,6 +597,25 @@ class CopyWires(AttackStrategy):
             self.copied += 1
             return copy
         return payload
+
+
+class TestOneCheckPerAnnouncement:
+    @pytest.mark.parametrize("mode, widths", [
+        (DetectionMode.IMPROVED, [RECORD_BITS, RECORD_BITS, POSITION_FIELD_BITS]),
+        (DetectionMode.IMPROVED_INLINE_OTP, [RECORD_BITS, POSITION_FIELD_BITS]),
+        (DetectionMode.DIRECT_REFLECTION, [RECORD_BITS]),
+        (DetectionMode.MEASURE_THEN_RETURN, [RECORD_BITS, RECORD_BITS, POSITION_FIELD_BITS]),
+    ])
+    def test_each_announcement_is_checked_once(self, monkeypatch, mode, widths):
+        # The receiver checks each payload that arrives, and nothing more:
+        # under inline OTP the plaintext, the XOR of two fields, is not
+        # checked again.
+        checked, check = [], detection.is_fields
+        monkeypatch.setattr(detection, "is_fields",
+                            lambda items, width: checked.append(width) or check(items, width))
+        result, _, _, _ = run_round(mode, NoAttack(), seed=3)
+        assert result.report.verdict is Verdict.CONTINUE
+        assert checked == widths
 
 
 class TestUntouchedAnnouncements:
@@ -925,7 +959,7 @@ class TestOneDrawPerStage:
         assert stage.bit_generator.state == advanced(100 + seed, 7)
         scalar = np.random.default_rng(100 + seed)
         assert bits == measured(lambda party, refs, bases: bytes(
-            measure_qubit(ref, b, scalar) for ref, b in zip(refs, bases)))
+            measure_qubit(ref, b, scalar.random()) for ref, b in zip(refs, bases)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bell_half_stages_match_scalar_draws(self, seed):
@@ -940,8 +974,8 @@ class TestOneDrawPerStage:
         _, store, transmission, b_refs = signed_round(seed)
         _, carriers = split_sequence(transmission)
         scalar = np.random.default_rng(300 + seed)
-        assert t_bits == bytes(measure_qubit(ref, Basis.Z, scalar) for ref in carriers)
-        assert b_bits == bytes(measure_qubit(ref, Basis.Z, scalar) for ref in b_refs)
+        assert t_bits == bytes(measure_qubit(ref, Basis.Z, scalar.random()) for ref in carriers)
+        assert b_bits == bytes(measure_qubit(ref, Basis.Z, scalar.random()) for ref in b_refs)
         assert bytes(t ^ b for t, b in zip(t_bits, b_bits)) == compute_g(m, store)
 
 

@@ -1,6 +1,7 @@
 """Key store, one-time pad, and signing-pad tests.
 
-A payload is bytes with one 0/1 byte per bit, the key included.
+A bit string is bytes with one 0/1 byte per bit, the key included; the
+pad takes and returns its fields as a list of ints.
 """
 
 import copy
@@ -79,45 +80,49 @@ class TestAllocation:
 
 
 class TestOtp:
+    """The pad at width 1: each field is one bit, and the fields come back
+    as a list of ints, as at every width."""
+
     def test_xor_definition(self):
         store = KeyStore(key_bits=bytes((1, 1, 1, 1)))
-        assert otp_encrypt(store, "p", bytes((1, 0, 1, 0))) == bytes((0, 1, 0, 1))
+        assert otp_encrypt(store, "p", [1, 0, 1, 0], 1) == [0, 1, 0, 1]
 
     def test_roundtrip(self):
         rng = np.random.default_rng(17)
         store = keygen_init(32, rng)
-        plaintext = random_bits(rng, 20)
-        cipher = otp_encrypt(store, "msg", plaintext)
-        assert otp_decrypt(store, "msg", cipher) == plaintext
+        plaintext = list(random_bits(rng, 20))
+        cipher = otp_encrypt(store, "msg", plaintext, 1)
+        assert otp_decrypt(store, "msg", cipher, 1) == plaintext
 
     def test_decrypt_unknown_purpose_rejected(self):
         store = keygen_init(8, np.random.default_rng(0))
         with pytest.raises(KeyError):
-            otp_decrypt(store, "nothing", bytes((0, 1)))
+            otp_decrypt(store, "nothing", [0, 1], 1)
 
     def test_ciphertext_hides_plaintext(self):
         # Same plaintext under fresh segments yields unrelated ciphertexts.
         rng = np.random.default_rng(23)
         store = keygen_init(64, rng)
-        plaintext = bytes((1,) * 16)
-        c1 = otp_encrypt(store, "a", plaintext)
-        c2 = otp_encrypt(store, "b", plaintext)
+        plaintext = [1] * 16
+        c1 = otp_encrypt(store, "a", plaintext, 1)
+        c2 = otp_encrypt(store, "b", plaintext, 1)
         assert c1 != c2  # 2^-16 collision chance under this seed: none
 
     @given(bitstrings)
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, plaintext):
         store = keygen_init(len(plaintext), np.random.default_rng(3))
-        cipher = otp_encrypt(store, "p", plaintext)
-        assert otp_decrypt(store, "p", cipher) == plaintext
+        cipher = otp_encrypt(store, "p", list(plaintext), 1)
+        assert otp_decrypt(store, "p", cipher, 1) == list(plaintext)
 
     @given(long_bitstrings, st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property_up_to_5000_bits(self, plaintext, seed):
         store = keygen_init(len(plaintext), np.random.default_rng(seed))
-        cipher = otp_encrypt(store, "p", plaintext)
-        assert cipher == bytes(map(xor, plaintext, store.key_bits))
-        assert otp_decrypt(store, "p", cipher) == plaintext
+        cipher = otp_encrypt(store, "p", list(plaintext), 1)
+        assert cipher == list(map(xor, plaintext, store.key_bits))
+        assert all(type(c) is int for c in cipher)
+        assert otp_decrypt(store, "p", cipher, 1) == list(plaintext)
 
 
 def binomial_band(trials: int, p: float, alpha: float = 1e-7) -> tuple[int, int]:

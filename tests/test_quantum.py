@@ -37,7 +37,6 @@ from sqsig.quantum import (
     RegisterSizeError,
     StateVector,
     UNITARY_ATOL,
-    Uniforms,
     append_ancilla,
     apply_unitary,
     cnot,
@@ -147,8 +146,8 @@ class TestPreparation:
         prepare_single(Basis.Z, 0).amplitudes[:] = [0, 1]
         prepare_single(Basis.X, 1).amplitudes[:] = [1, 0]
         prepare_bell(0).amplitudes[:] = [0, 1, 0, 0]
-        measure(prepare_single(Basis.X, 0), 0, Basis.Z, rng).post_state.amplitudes[:] = 0.5
-        measure(prepare_bell(1), 0, Basis.Z, rng).post_state.amplitudes[:] = 0.5
+        for state in (prepare_single(Basis.X, 0), prepare_bell(1)):
+            measure(state, 0, Basis.Z, rng.random()).post_state.amplitudes[:] = 0.5
         np.testing.assert_array_equal(prepare_single(Basis.Z, 0).amplitudes, [1, 0])
         np.testing.assert_array_equal(prepare_single(Basis.Z, 1).amplitudes, [0, 1])
         np.testing.assert_array_equal(
@@ -158,7 +157,7 @@ class TestPreparation:
         np.testing.assert_array_equal(
             prepare_bell(1).amplitudes, [0, SQRT2_INV, SQRT2_INV, 0])
         for bit in (0, 1):
-            assert measure(prepare_single(Basis.Z, bit), 0, Basis.Z, rng).bit == bit
+            assert measure(prepare_single(Basis.Z, bit), 0, Basis.Z, rng.random()).bit == bit
 
     def test_all_preparations_normalized(self):
         for basis in (Basis.Z, Basis.X):
@@ -364,15 +363,15 @@ class TestMeasurement:
     def test_eigenstate_is_deterministic(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert measure(prepare_single(Basis.Z, 1), 0, Basis.Z, rng).bit == 1
-            assert measure(prepare_single(Basis.X, 1), 0, Basis.X, rng).bit == 1
+            assert measure(prepare_single(Basis.Z, 1), 0, Basis.Z, rng.random()).bit == 1
+            assert measure(prepare_single(Basis.X, 1), 0, Basis.X, rng.random()).bit == 1
 
     def test_plus_in_z_is_fair_coin(self):
         # 10^5 samples; tolerance 3 * sqrt(p(1-p)/N) around p = 1/2.
         rng = np.random.default_rng(42)
         trials = 100_000
         plus = prepare_single(Basis.X, 0)
-        ones = sum(measure(plus, 0, Basis.Z, rng).bit for _ in range(trials))
+        ones = sum(measure(plus, 0, Basis.Z, rng.random()).bit for _ in range(trials))
         p_hat = ones / trials
         assert abs(p_hat - 0.5) < 3 * np.sqrt(0.25 / trials)
 
@@ -381,7 +380,7 @@ class TestMeasurement:
         amps = np.array([0.6, 0.8], dtype=complex)
         state = StateVector(amps)
         trials = 100_000
-        ones = sum(measure(state, 0, Basis.Z, rng).bit for _ in range(trials))
+        ones = sum(measure(state, 0, Basis.Z, rng.random()).bit for _ in range(trials))
         p1 = 0.64
         assert abs(ones / trials - p1) < 3 * np.sqrt(p1 * (1 - p1) / trials)
 
@@ -389,23 +388,23 @@ class TestMeasurement:
         rng = np.random.default_rng(3)
         state = prepare_single(Basis.X, 0)
         for basis in (Basis.Z, Basis.X):
-            out = measure(state, 0, basis, rng)
-            again = measure(out.post_state, 0, basis, rng)
+            out = measure(state, 0, basis, rng.random())
+            again = measure(out.post_state, 0, basis, rng.random())
             assert again.bit == out.bit
 
     def test_post_state_normalized(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             state = random_state(rng, 3)
-            out = measure(state, int(rng.integers(0, 3)), Basis.X, rng)
+            out = measure(state, int(rng.integers(0, 3)), Basis.X, rng.random())
             assert abs(out.post_state.norm() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_bell_halves_correlate(self, g):
         rng = np.random.default_rng(100 + g)
         for _ in range(200):
-            first = measure(prepare_bell(g), 0, Basis.Z, rng)
-            second = measure(first.post_state, 1, Basis.Z, rng)
+            first = measure(prepare_bell(g), 0, Basis.Z, rng.random())
+            second = measure(first.post_state, 1, Basis.Z, rng.random())
             assert second.bit == first.bit ^ g
 
     def test_branches_sum_to_one(self):
@@ -423,18 +422,18 @@ class TestMeasurement:
         (p0, _), _ = measurement_branches(state, 1, Basis.X)
         trials = 100_000
         zeros = sum(
-            measure(state, 1, Basis.X, rng).bit == 0 for _ in range(trials)
+            measure(state, 1, Basis.X, rng.random()).bit == 0 for _ in range(trials)
         )
         assert abs(zeros / trials - p0) < 3 * np.sqrt(p0 * (1 - p0) / trials)
 
     def test_bad_index_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            measure(prepare_bell(0), 2, Basis.Z, rng)
+            measure(prepare_bell(0), 2, Basis.Z, rng.random())
         for qubit in (1, -1):
             for basis in (Basis.Z, Basis.X):
                 with pytest.raises(ValueError):
-                    measure(prepare_single(Basis.Z, 0), qubit, basis, rng)
+                    measure(prepare_single(Basis.Z, 0), qubit, basis, rng.random())
 
 
 @st.composite
@@ -458,7 +457,7 @@ class TestMeasurementAgainstBranches:
         (p0, post0), (_, post1) = measurement_branches(state, qubit, basis)
         u = np.random.default_rng(seed).random()
         assume(abs(u - p0) > 1e-12)
-        out = measure(state, qubit, basis, np.random.default_rng(seed))
+        out = measure(state, qubit, basis, u)
         assert out.bit == (0 if u < p0 else 1)
         assert equal_up_to_phase(out.post_state, post0 if out.bit == 0 else post1)
 
@@ -468,9 +467,9 @@ class TestMeasurementAgainstBranches:
         # Every size branch of the kernel, the written-out Bell-half case
         # included, does the same float operations as one plain loop.
         state, qubit, basis, seed = case
-        bit, post = reference_measure(state.amps, qubit, basis,
-                                      np.random.default_rng(seed).random())
-        out = measure(state, qubit, basis, np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random()
+        bit, post = reference_measure(state.amps, qubit, basis, u)
+        out = measure(state, qubit, basis, u)
         assert out.bit == bit
         assert out.post_state.amps == post
         assert all(type(a) is complex for a in out.post_state.amps)
@@ -513,39 +512,14 @@ def reference_measure(amps, qubit, basis, u):
 class TestUniforms:
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 64])
     def test_one_draw_equals_k_scalar_draws(self, k):
-        # rng.random(k) gives the values of k rng.random() calls and leaves
-        # the generator where they leave it.
+        # rng.random(k).tolist() gives the values of k rng.random() calls and
+        # leaves the generator where they leave it, so a stage that takes
+        # its k uniforms from one draw keeps the streams of rng_scheme 2.
         for seed in range(20):
             batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-            draws = Uniforms(batched, k)
-            assert [draws.random() for _ in range(k)] == [scalar.random() for _ in range(k)]
+            assert batched.random(k).tolist() == [scalar.random() for _ in range(k)]
             assert batched.bit_generator.state == scalar.bit_generator.state
             assert batched.random() == scalar.random()
-
-    def test_measure_through_uniforms_matches_generator(self):
-        # The same registers read through a stage's draws or straight from
-        # the generator give the same bits and post-states.
-        states = [prepare_single(Basis.X, 0), prepare_bell(0), prepare_bell(1),
-                  tensor([prepare_bell(1), prepare_single(Basis.X, 1)])]
-        for seed in range(10):
-            direct, batched = np.random.default_rng(seed), np.random.default_rng(seed)
-            draws = Uniforms(batched, 2 * len(states))
-            for state in states:
-                for basis in (Basis.Z, Basis.X):
-                    a = measure(state, 0, basis, direct)
-                    b = measure(state, 0, basis, draws)
-                    assert (a.bit, a.post_state.amps) == (b.bit, b.post_state.amps)
-
-
-class FixedUniform:
-    """Stands in for the generator: hands out `u` and counts the draws."""
-
-    def __init__(self, u):
-        self.u, self.draws = u, 0
-
-    def random(self):
-        self.draws += 1
-        return self.u
 
 
 # The largest uniform a generator gives.
@@ -553,23 +527,23 @@ TOP = math.nextafter(1.0, 0.0)
 
 
 def _measured(state, qubit, basis, u):
-    """The record of one measurement, (error, bit, post amplitudes, draws),
-    and the state after it. On a ValueError or RuntimeError the record
-    holds its repr, bit and amplitudes are None, and the state is unchanged."""
-    draws = FixedUniform(u)
+    """The record of one measurement with the uniform `u`, (error, bit,
+    post amplitudes), and the state after it. On a ValueError or
+    RuntimeError the record holds its repr, bit and amplitudes are None,
+    and the state is unchanged."""
     try:
-        bit, post = measure(state, qubit, basis, draws)
+        bit, post = measure(state, qubit, basis, u)
     except (ValueError, RuntimeError) as err:
-        return (repr(err), None, None, draws.draws), state
+        return (repr(err), None, None), state
     assert all(type(a) is complex for a in post.amps)
-    return (None, bit, post.amps, draws.draws), post
+    return (None, bit, post.amps), post
 
 
 def _agree(a, b):
-    """Whether two records give the same error, bit and draws, and
-    amplitudes within 1e-12."""
-    (error_a, bit_a, amps_a, draws_a), (error_b, bit_b, amps_b, draws_b) = a, b
-    if (error_a, bit_a, draws_a) != (error_b, bit_b, draws_b):
+    """Whether two records give the same error and bit, and amplitudes
+    within 1e-12."""
+    (error_a, bit_a, amps_a), (error_b, bit_b, amps_b) = a, b
+    if (error_a, bit_a) != (error_b, bit_b):
         return False
     if amps_a is None or amps_b is None:
         return amps_a is amps_b
@@ -594,7 +568,7 @@ def _follow(path):
     seed, reads = path
     state = SEEDS[seed]
     for qubit, basis, bit in reads:
-        out = measure(state, qubit, basis, FixedUniform(TOP if bit else 0.0))
+        out = measure(state, qubit, basis, TOP if bit else 0.0)
         assert out.bit == bit
         state = out.post_state
     return state
@@ -662,7 +636,7 @@ def _step(state, op):
         qubit, basis, where = args
         u = UNIFORMS[where]
         if 0 <= qubit < state.num_qubits and abs(u - _p0(state.amps, qubit, basis is Basis.X)) < 1e-9:
-            return ("skipped", None, None, None), state
+            return ("skipped", None, None), state
         return _measured(state, qubit, basis, u)
     try:
         if kind == "gate":
@@ -672,9 +646,9 @@ def _step(state, op):
         else:
             out = cnot(state, *args)
     except ValueError as err:
-        return (repr(err), None, None, None), state
+        return (repr(err), None, None), state
     assert all(type(a) is complex for a in out.amps)
-    return (None, None, out.amps, None), out
+    return (None, None, out.amps), out
 
 
 def _closure():
@@ -689,7 +663,7 @@ def _closure():
         n = state.num_qubits
         todo += [apply_unitary(state, gate, (t,)) for gate in GATES.values() for t in range(n)]
         todo += [cnot(state, c, t) for c, t in itertools.permutations(range(n), 2)]
-        todo += [measure(state, t, basis, FixedUniform(u)).post_state for t in range(n)
+        todo += [measure(state, t, basis, u).post_state for t in range(n)
                  for basis in (Basis.Z, Basis.X) for u in (0.0, TOP)]
         if n < 3:
             todo.append(append_ancilla(state))
@@ -740,7 +714,7 @@ class TestBranchTables:
             u, u_dagger = Gate(m), Gate(m.conj().T)
         state = apply_unitary(apply_unitary(prepare_single(basis, 0), u, (0,)), u_dagger, (0,))
         for r in (0.0, 0.5, TOP):
-            assert measure(state, 0, basis, FixedUniform(r)).bit == 0
+            assert measure(state, 0, basis, r).bit == 0
         assert state is prepare_single(basis, 0)
 
     def test_matrix_gates_keep_no_transitions(self, fresh_table):
@@ -756,7 +730,7 @@ class TestBranchTables:
         for amps in ([0.6, 0.8], [0.6, 0, 0, 0.8j], [0.5, 0.5, 0.5, -0.5 + 1e-6]):
             state = StateVector(np.array(amps) / np.linalg.norm(amps))
             assert quantum._key(state.amps) is None
-            assert quantum.measure_tabled(state, 0, Basis.Z, FixedUniform(0.5)) is None
+            assert state not in quantum._ROWS
         u = Gate(random_unitary(np.random.default_rng(1), 2))
         out = apply_unitary(prepare_single(Basis.Z, 0), u, (0,))
         assert out not in quantum._ROWS and quantum._NEXT == {}
@@ -779,10 +753,10 @@ class TestBranchTables:
     def test_a_walk_over_edges_equals_the_computed_walk(
             self, fresh_table, monkeypatch, seed, ops):
         # The same ops from a seed and from an unshared copy of it give the
-        # same bits, errors and uniform counts, and amplitudes within 1e-12.
-        # The copy's walk runs the float kernel alone, with no result
-        # interned. The walk in the table runs twice: the second time along
-        # the transitions and rows the first one built.
+        # same bits and errors, and amplitudes within 1e-12. The copy's walk
+        # runs the float kernel alone, with no result interned. The walk in
+        # the table runs twice: the second time along the transitions and
+        # rows the first one built.
         computed, state = [], StateVector(SEEDS[seed].amps, check=False)
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "_intern", lambda state: None)
@@ -813,27 +787,26 @@ class TestBranchTables:
             p0 = quantum._ROWS[state][qubit][basis is Basis.X][0]
             if abs(u - p0) >= 1e-9:
                 assert _agree(tabled, _measured(fresh, qubit, basis, u)[0])
-            assert tabled[-1] == 1  # one uniform, whichever path
         assert p0 in (0.0, 0.5, 1.0)
         assert abs(p0 - _p0(fresh.amps, qubit, basis is Basis.X)) < 1e-12
 
     def test_a_tabled_read_returns_a_shared_state(self):
         bell = prepare_bell(0)
-        out = measure(bell, 0, Basis.Z, FixedUniform(0.0))
+        out = measure(bell, 0, Basis.Z, 0.0)
         assert out.post_state in quantum._ROWS
-        fresh = measure(StateVector(bell.amps, check=False), 0, Basis.Z, FixedUniform(0.0))
+        fresh = measure(StateVector(bell.amps, check=False), 0, Basis.Z, 0.0)
         assert fresh.post_state not in quantum._ROWS
         assert fresh.post_state.amps == out.post_state.amps
 
     def test_outcome_is_a_named_tuple(self):
-        out = measure(prepare_bell(1), 1, Basis.Z, FixedUniform(0.9))
+        out = measure(prepare_bell(1), 1, Basis.Z, 0.9)
         bit, post = out
         assert (out.bit, out.post_state) == (bit, post) == (1, out[1])
 
     def test_qubit_out_of_range_rejected_on_a_tabled_state(self):
         for qubit in (-1, 2):
             with pytest.raises(ValueError):
-                measure(prepare_bell(0), qubit, Basis.Z, FixedUniform(0.5))
+                measure(prepare_bell(0), qubit, Basis.Z, 0.5)
 
 
 class TestProbeCnotSwap:
