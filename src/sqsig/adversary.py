@@ -3,9 +3,11 @@
 Every transmission in a run passes through the channel, which applies
 optional depolarizing noise and then hands the payload to the active
 strategy exactly once per direction. Strategies mutate in-flight qubits
-through their refs or rewrite classical payloads. A classical payload
-reaches `tap_classical` as its fields: `keys.Bits`, one 0/1 byte per bit,
-on a bit wire (`message`, `message_to_trent`, `b_string`, the receipt
+through their refs or rewrite classical payloads. The protocol sends int
+handles into the round's `register.Slots`, which the channel carries,
+and only a strategy sees `QubitRef`s. A classical payload reaches
+`tap_classical` as its fields: `keys.Bits`, one 0/1 byte per bit, on a
+bit wire (`message`, `message_to_trent`, `b_string`, the receipt
 confirmations), and a tuple of ints on an announcement (18-bit LOC
 records, 16-bit permutation entries; a list of ciphertext fields under
 inline OTP). The tap may return any sequence, and the receiver refuses
@@ -14,10 +16,10 @@ an int in [0, 2**width) aborts the round, and an item on a bit wire that
 is not an int 0 or 1 (a bool, a float or a numpy integer included)
 leaves Trent's No or Bob's rejection. The transcript renders each field
 as `width` binary digits, and any other item, an int outside
-[0, 2**width) included, as `width` question marks. A strategy may
-touch a protocol qubit only inside its tap: the channel lends it refs of
-its own, built once a tap, and revokes them when the tap returns.
-Ancillas it attached itself stay usable.
+[0, 2**width) included, as `width` question marks. A strategy may touch
+a protocol qubit only inside its tap: an op on a qubit that the running
+tap is not lent raises RevokedHandleError, however its ref was built.
+Ancillas the strategy attached stay usable for the whole round.
 
 The four quantum attacks on the Alice->Trent->Alice leg are one
 `QubitProbe` family (Boyer, Kenigsberg & Mor, PRL 99, 140501, 2007),
@@ -36,15 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .quantum import GATES, Basis, DimensionMismatchError, Gate
-from .register import (
-    QubitRef,
-    _lend,
-    apply_gate,
-    attach_ancilla,
-    measure_qubit,
-    measure_qubits,
-    probe_cnot,
-)
+from .register import (QubitRef, Slots, _lend, apply_gate, attach_ancilla, gate_handle,
+                       measure_qubit, measure_qubits, probe_cnot)
 
 
 class TapPoint(str, Enum):
@@ -179,12 +174,14 @@ class Channel:
     def __init__(
         self,
         strategy: AttackStrategy,
+        slots: Slots,
         noise_p: float = 0.0,
         transcript: list | None = None,
     ) -> None:
         if not 0.0 <= noise_p < 1.0:
             raise ValueError(f"noise_p must lie in [0,1), got {noise_p}")
         self.strategy = strategy
+        self.slots = slots  # the registers of the round the channel carries
         self.noise_p = noise_p
         # A None transcript disables logging entirely (bulk Monte Carlo runs).
         self.transcript = transcript
@@ -194,17 +191,18 @@ class Channel:
             self.transcript.append({"event": event, **detail})
 
     def send_qubits(
-        self, point: TapPoint, refs: Sequence[QubitRef], rng: np.random.Generator
-    ) -> list[QubitRef]:
+        self, point: TapPoint, handles: Sequence[int], rng: np.random.Generator
+    ) -> Sequence[int]:
         p = self.noise_p
         if p > 0.0:
             # One uniform u a qubit, from one draw a send: the qubit is hit
             # when u < p, and u / p, uniform on [0, 1) then, picks its Pauli
             # (3u / p can round up to 3 for u just below p).
-            for ref, u in zip(refs, rng.random(len(refs)).tolist()):
+            for handle, u in zip(handles, rng.random(len(handles)).tolist()):
                 if u < p:
-                    apply_gate(ref, _PAULI_CYCLE[min(int(3 * u / p), 2)])
-        out = _lend(refs, lambda lent: self.strategy.tap_qubits(point, lent, rng))
+                    gate_handle(self.slots, handle, _PAULI_CYCLE[min(int(3 * u / p), 2)])
+        out = _lend(self.slots, handles,
+                    lambda lent: self.strategy.tap_qubits(point, lent, rng))
         if self.transcript is not None:
             self._log("quantum_send", point=point.value, count=len(out),
                       tap=self.strategy.kind)

@@ -11,8 +11,9 @@ pad). A receiver decodes a payload only if every item is an int in
 else aborts the round. The sender's encoders do not check: each
 announcement is checked once, when the receiver decodes it. The receiver
 works only from the announcements it receives, and the sender rechecks
-every returned decoy against its own records. Each DetectionMode has one ModeSpec in
-MODE_SPECS, which run_detection_round reads:
+every returned decoy against its own records. Qubits travel as int
+handles into the channel's `register.Slots`. Each DetectionMode has one
+ModeSpec in MODE_SPECS, which run_detection_round reads:
 
 - improved: Z-decoy values and X-decoy positions in clear; the receiver
   checks the Z-decoys, then returns all decoys shuffled for the sender's
@@ -38,7 +39,7 @@ from .adversary import Channel, TapPoint
 from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt, random_bits
 from .parties import Party
 from .quantum import Basis
-from .register import QubitRef
+from .register import Slots
 
 
 class DetectionMode(str, Enum):
@@ -121,16 +122,16 @@ class DetectionReport:
 
 @dataclass
 class TrentTransmission:
-    """Interleaved carrier + decoy sequence plus the sender's private records."""
+    """Interleaved carrier + decoy handles plus the sender's private records."""
 
-    sequence: list[QubitRef]
+    sequence: list[int]
     records: list[int]  # every decoy's LOC field, in position order
 
 
 @dataclass
 class DetectionResult:
     report: DetectionReport
-    carriers: list[QubitRef]
+    carriers: list[int]
     recovered_m: Bits | None
 
 
@@ -188,12 +189,13 @@ def decode_permutation(payload: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def build_decoys(
+    slots: Slots,
     d_z: int,
     d_x: int,
     embedded_m: Sequence[int],
     rng: np.random.Generator,
     preparer: Party,
-) -> tuple[list[QubitRef], list[int]]:
+) -> tuple[list[int], list[int]]:
     """Prepare the mixed decoy sequence D, message bits leading the Z-decoys.
 
     Draws `rng.permutation(d_z + d_x)`, which places the X-decoys, then
@@ -212,12 +214,12 @@ def build_decoys(
     # message bit while one is left.
     records = [2 | f if i >= d_z else next(message, f) for i, f in zip(order, fill)]
     bases = list(map(_BASIS_OF.__getitem__, records))
-    return preparer.prepare(bases, list(map(_VALUE_OF.__getitem__, records))), records
+    return preparer.prepare(slots, bases, list(map(_VALUE_OF.__getitem__, records))), records
 
 
 def assemble_transmission(
-    carriers: Sequence[QubitRef],
-    decoy_refs: Sequence[QubitRef],
+    carriers: Sequence[int],
+    decoys: Sequence[int],
     records: Sequence[int],
     rng: np.random.Generator,
 ) -> TrentTransmission:
@@ -227,13 +229,13 @@ def assemble_transmission(
     `rng.permutation(total)`: a uniform d-subset of the transmitted
     positions. Each record gains its decoy's position, in order.
     """
-    d = len(decoy_refs)
+    d = len(decoys)
     total = len(carriers) + d
     decoy_pos = sorted(rng.permutation(total)[:d].tolist())
     is_decoy = bytearray(total)
     for p in decoy_pos:
         is_decoy[p] = 1
-    next_decoy, next_carrier = iter(decoy_refs).__next__, iter(carriers).__next__
+    next_decoy, next_carrier = iter(decoys).__next__, iter(carriers).__next__
     sequence = [next_decoy() if m else next_carrier() for m in is_decoy]
     placed = [p << 2 | r for p, r in zip(decoy_pos, records)]
     return TrentTransmission(sequence=sequence, records=placed)
@@ -288,6 +290,7 @@ def run_detection_round(
     one qubit per decoy.
     """
     spec = MODE_SPECS[mode]
+    slots = channel.slots
     pad = store if spec.encrypted else None
     report = DetectionReport()
     records = transmission.records
@@ -332,7 +335,7 @@ def run_detection_round(
     recovered_m: Bits | None = None
     if spec.measures:
         z_announced = [r for r in announced if not r & 2]
-        z_bits = receiver.measure([seq[r >> 2] for r in z_announced],
+        z_bits = receiver.measure(slots, [seq[r >> 2] for r in z_announced],
                                   (_BASIS_Z,) * len(z_announced), rng)
         if spec.compares:
             report.bob_z_checked = len(z_announced)
@@ -373,9 +376,9 @@ def run_detection_round(
 
     # Returned decoy j goes back to position mapping[j].
     restored = [None] * d
-    for original, ref in zip(mapping, returned):
-        restored[original] = ref
-    bits = sender.measure(restored, [_BASIS_OF[r & 3] for r in records], rng)
+    for original, handle in zip(mapping, returned):
+        restored[original] = handle
+    bits = sender.measure(slots, restored, [_BASIS_OF[r & 3] for r in records], rng)
     # (r ^ bit) & 3 is the record's basis bit << 1 | whether its bit missed.
     kinds = [(r ^ bit) & 3 for bit, r in zip(bits, records)]
     report.alice_z_errors, report.alice_x_errors = kinds.count(1), kinds.count(3)

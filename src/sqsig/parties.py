@@ -7,7 +7,9 @@ primitive operation a party performs is appended to its op_log, and a
 classical party attempting a non-classical operation is rejected at the
 interface with CapabilityError. Preparation, Bell pairs included, and
 measurement take a whole stage of qubits: its ops are checked before any
-qubit is touched, then logged in stage order.
+qubit is touched, then logged in stage order. A qubit is its int handle
+into the round's `register.Slots`; a preparing stage prepares each
+distinct state once, and a measuring stage is one `quantum.measure_stage`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .keys import Bits
-from .quantum import Basis, prepare_bell, prepare_single
+from .quantum import Basis, measure_stage, prepare_bell, prepare_single
 
 # measure_qubit is not called here: the benchmark tracer binds it in this module.
-from .register import QubitRef, Register, measure_qubit, measure_qubits, new_qubit
+from .register import Slots, measure_qubit, new_qubit
 
 
 class OpKind(str, Enum):
@@ -80,43 +82,56 @@ class Party:
             )
         self.op_log.extend(ops)
 
-    def prepare(self, bases: Sequence[Basis], bits: Sequence[int]) -> list[QubitRef]:
-        """One fresh qubit per (basis, bit), in stage order."""
+    def prepare(
+        self, slots: Slots, bases: Sequence[Basis], bits: Sequence[int]
+    ) -> list[int]:
+        """One fresh qubit per (basis, bit), in stage order: their handles."""
         if len(bases) != len(bits):
             raise ValueError("a stage needs one basis per bit")
         self._record([_PREPARE_Z if b is _Z else _PREPARE_X for b in bases])
-        return list(map(new_qubit, map(prepare_single, bases, bits)))
+        made: dict = {}  # each distinct (basis, bit) of the stage, prepared once
+        handles = []
+        for key in zip(bases, bits):
+            state = made.get(key)
+            if state is None:
+                state = made[key] = prepare_single(*key)
+            handles.append(new_qubit(slots, state))
+        return handles
 
     def prepare_bell_pair(
-        self, g: Sequence[int]
-    ) -> tuple[list[QubitRef], list[QubitRef]]:
-        """One fresh Bell pair per bit of g: the (trent_halves, bob_halves) handles."""
+        self, slots: Slots, g: Sequence[int]
+    ) -> tuple[list[int], list[int]]:
+        """One fresh Bell pair per bit of g: the (trent_halves, bob_halves)."""
         self._record(_ENTANGLED_OPS * len(g))
-        registers = list(map(Register, map(prepare_bell, g)))
-        return ([QubitRef(reg, 0) for reg in registers],
-                [QubitRef(reg, 1) for reg in registers])
+        made = {bit: prepare_bell(bit) for bit in dict.fromkeys(g)}  # each value once
+        states = slots.states
+        first = len(states) << 2
+        states += map(made.__getitem__, g)
+        t_halves = list(range(first, len(states) << 2, 4))
+        return t_halves, [h | 1 for h in t_halves]
 
     def measure(
-        self, refs: Sequence[QubitRef], bases: Sequence[Basis],
+        self, slots: Slots, handles: Sequence[int], bases: Sequence[Basis],
         rng: np.random.Generator,
     ) -> Bits:
-        """Measure refs[i] in bases[i], in order, from one draw of len(refs) uniforms."""
-        if len(bases) != len(refs):
+        """Measure handles[i] in bases[i], in order, from one draw of uniforms."""
+        if len(bases) != len(handles):
             raise ValueError("a stage needs one basis per qubit")
         self._record([_MEASURE_Z if b is _Z else _MEASURE_X for b in bases])
-        return measure_qubits(refs, bases, rng)
+        return measure_stage(slots.states, handles, bases,
+                             rng.random(len(handles)).tolist())
 
-    def reflect(self, refs: Sequence[QubitRef]) -> list[QubitRef]:
+    def reflect(self, handles: Sequence[int]) -> list[int]:
         """Send qubits back undisturbed."""
         self._record((OpKind.REFLECT,))
-        return list(refs)
+        return list(handles)
 
-    def reorder(self, refs: Sequence[QubitRef], perm: Sequence[int]) -> list[QubitRef]:
-        """Return refs permuted so that result[j] = refs[perm[j]]."""
+    def reorder(self, handles: Sequence[int], perm: Sequence[int]) -> list[int]:
+        """Return handles permuted so that result[j] = handles[perm[j]]."""
         self._record((OpKind.REORDER,))
-        if sorted(perm) != list(range(len(refs))):
-            raise ValueError("perm is not a bijection on the refs")
-        return [refs[p] for p in perm]
+        if sorted(perm) != list(range(len(handles))):
+            raise ValueError("perm is not a bijection on the qubits")
+        return list(map(handles.__getitem__, perm))
 
     def delay(self) -> None:
         self._record((OpKind.DELAY,))

@@ -19,6 +19,7 @@ from .detection import (
 )
 from .keys import Bits, KeyStore, keygen_init
 from .parties import Party, classical_party, quantum_party
+from .register import Slots
 from .roles import (
     alice_sign,
     bob_accept,
@@ -73,10 +74,11 @@ def run_protocol_round(
     bob = classical_party("bob")
     trent = classical_party("trent")
     transcript: list | None = [] if record_transcript else None
-    channel = Channel(strategy, noise_p=noise_p, transcript=transcript)
+    slots = Slots()  # every register of the round
+    channel = Channel(strategy, slots, noise_p=noise_p, transcript=transcript)
     store = keygen_init(key_budget(n, d_z, d_x, mode), rng)
 
-    transmission, b_refs = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
+    transmission, b_halves = alice_sign(slots, message, store, alice, rng, d_z=d_z, d_x=d_x)
     detection = run_detection_round(
         mode, channel, transmission, threshold, alice, trent, store, rng
     )
@@ -100,14 +102,14 @@ def run_protocol_round(
                    and is_fields(recovered_m, 1))
     if well_formed:
         t_bits, g_trent = trent_receive(
-            detection.carriers, recovered_m, store, trent, rng
+            slots, detection.carriers, recovered_m, store, trent, rng
         )
 
     m_received = channel.send_classical(
         TapPoint.ALICE_TO_BOB_CLASSICAL, "message", message, rng
     )
-    b_refs = channel.send_qubits(TapPoint.ALICE_TO_BOB_QUANTUM, b_refs, rng)
-    b_bits = bob_measure(b_refs, bob, rng)
+    b_halves = channel.send_qubits(TapPoint.ALICE_TO_BOB_QUANTUM, b_halves, rng)
+    b_bits = bob_measure(slots, b_halves, bob, rng)
     b_received = channel.send_classical(
         TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", b_bits, rng
     )

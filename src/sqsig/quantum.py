@@ -38,7 +38,9 @@ basis, p0, exactly 0, 1/2 or 1, and the outcome of each bit that can
 occur, whose post-state is in the table. A state with no key, such as
 one a non-Clifford matrix reaches, is outside the table and runs the
 float kernel alone. `measure` takes its uniform as a float, so no
-operation here draws from a generator.
+operation here draws from a generator; `measure_stage` reads a stage of a
+slot list's qubits, each as `measure` would, with no call for a state
+whose branch rows are built.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -539,6 +541,27 @@ def measure(state: StateVector, qubit: int, basis: Basis, u: float) -> Measureme
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
     in_x = basis is _X
     return _collapse(amps, qubit, in_x, 0 if u < _p0(amps, qubit, in_x) else 1)
+
+
+def measure_stage(
+    states: list[StateVector], handles: Sequence[int], bases: Sequence[Basis],
+    us: Sequence[float],
+) -> bytes:
+    """`measure` of qubit h & 3 of states[h >> 2] in bases[i] with the
+    uniform us[i], for each h = handles[i] in order, each post-state
+    replacing its state, so a later read of a slot sees the collapse."""
+    bits = bytearray()
+    append, rows_of = bits.append, _ROWS.get
+    for h, basis, u in zip(handles, bases, us):
+        s = h >> 2
+        rows = rows_of(states[s])
+        if rows is None:  # a first read, or a state outside the table
+            bit, states[s] = measure(states[s], h & 3, basis, u)
+        else:
+            p0, zero, one = rows[h & 3][basis is _X]
+            bit, states[s] = zero if u < p0 else one
+        append(bit)
+    return bytes(bits)
 
 
 def partial_trace(

@@ -1,23 +1,19 @@
-"""Mutable qubit handles layered over the pure state-vector core.
+"""A protocol round's qubits, as slots of one list, over the pure core.
 
-The protocol moves individual qubits around (halves of Bell pairs, decoy
-particles, adversary ancillas) while the underlying registers stay put.
-A Register owns one StateVector; a QubitRef names one qubit inside it.
-Operations on refs replace the register's state with the pure-core result,
-so every holder of a ref to the same register observes the update. Each
-is one call of a pure op of `quantum`: `apply_gate` of `apply_unitary`
-with a checked `Gate`, `attach_ancilla` of `append_ancilla`, `probe_cnot`
-of `cnot` and `measure_qubit` of `measure`, with the uniform it is
-given. `measure_qubits` measures a whole stage in one loop of `measure`,
-the stage's uniforms from one draw of the generator.
+A round keeps its registers in one `Slots`: `states[s]` is register s,
+and the int handle `s << 2 | index` names qubit `index` of it. Parties,
+detection and the channel pass lists of handles; an op replaces the state
+in its slot with the pure-core result, and a read stage is one
+`quantum.measure_stage` over the slot list.
 
-A strategy may touch a protocol qubit only inside its tap. The channel
-lends it refs of its own (`_lend`) under a lease that is revoked when the
-tap returns, and every gate, measurement or ancilla through a revoked ref
-raises RevokedHandleError; a list sliced or joined from the lent refs holds
-the same revoked refs, which are built once a tap, on its first read.
-The ref `attach_ancilla` returns names only the ancilla and stays
-usable, so a probe may read its ancilla later.
+A strategy acts only through a `QubitRef`, a (slots, handle) pair: each
+op is one pure op of `quantum` (`apply_gate` of `apply_unitary`,
+`attach_ancilla` of `append_ancilla`, `probe_cnot` of `cnot`,
+`measure_qubit` of `measure`, `measure_qubits` a stage from one draw).
+The slot list, not the ref, decides who may act: `lent` holds what the
+running tap is lent (`_lend`) and `ancillas` what the strategy attached,
+and an op on any other handle, however its ref was built, raises
+RevokedHandleError. A tap's refs are built once, on its first read.
 """
 
 from __future__ import annotations
@@ -26,65 +22,65 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import Basis, Gate, StateVector, append_ancilla, apply_unitary, cnot, measure
+from .quantum import (Basis, Gate, StateVector, append_ancilla, apply_unitary, cnot,
+                      measure, measure_stage)
 
 
-class Register:
-    """Mutable slot holding the current state of one qubit register."""
+class Slots:
+    """The registers of one round by slot, and who may act on which qubit."""
 
-    __slots__ = ("state",)
+    __slots__ = ("states", "lent", "ancillas")
 
-    def __init__(self, state: StateVector) -> None:
-        self.state = state
+    def __init__(self) -> None:
+        self.states: list[StateVector] = []
+        self.lent: _LentRefs | None = None  # the running tap's
+        self.ancillas: set[int] = set()  # attached by the strategy
 
 
 class RevokedHandleError(RuntimeError):
-    """A qubit ref was used after the tap it was lent for returned."""
+    """A strategy acted on a qubit that its running tap does not hold."""
 
 
 class QubitRef:
-    """Handle to one qubit of a (possibly shared) register.
+    """A strategy's handle to one qubit of a round's slot list."""
 
-    A ref lent to a strategy carries its tap's lease and names the caller's
-    ref it stands for as its owner; other refs carry neither and never
-    expire.
-    """
+    __slots__ = ("slots", "handle")
 
-    __slots__ = ("register", "index", "lease", "owner")
-
-    def __init__(self, register: Register, index: int,
-                 lease: _LentRefs | None = None, owner: QubitRef | None = None) -> None:
-        self.register = register
-        self.index = index
-        self.lease = lease
-        self.owner = owner
+    def __init__(self, slots: Slots, handle: int) -> None:
+        self.slots, self.handle = slots, handle
 
 
-def _live(ref: QubitRef) -> Register:
-    """The ref's register; RevokedHandleError once its lease is revoked."""
-    if ref.lease is not None and not ref.lease.live:
-        raise RevokedHandleError("qubit ref used after its tap returned")
-    return ref.register
+def _held(slots: Slots, ref: QubitRef) -> int:
+    """The ref's handle; RevokedHandleError unless the ref is into `slots`
+    and the running tap lends its handle or the strategy attached it."""
+    handle = ref.handle
+    if ref.slots is slots:
+        lent = slots.lent
+        if lent is not None:
+            if lent.held is None:  # built on the tap's first check
+                lent.held = set(lent.handles)
+            if handle in lent.held:
+                return handle
+        if handle in slots.ancillas:
+            return handle
+    raise RevokedHandleError("qubit used outside the tap that holds it")
 
 
 class _LentRefs:
-    """The refs of one tap, as a list the strategy reads, and the tap's
-    lease: on the tap's first read, one ref is issued under this lease for
-    each caller's ref, its owner, and every read gives those same refs."""
+    """A tap's refs as a list: one per lent handle, built on the first read."""
 
-    __slots__ = ("owners", "live", "issued")
+    __slots__ = ("slots", "handles", "issued", "held")
 
-    def __init__(self, owners: list[QubitRef]) -> None:
-        self.owners, self.live, self.issued = owners, True, None
+    def __init__(self, slots: Slots, handles: Sequence[int]) -> None:
+        self.slots, self.handles, self.issued, self.held = slots, handles, None, None
 
     def _refs(self) -> list[QubitRef]:
         if self.issued is None:
-            self.issued = [QubitRef(_live(owner), owner.index, self, owner)
-                           for owner in self.owners]
+            self.issued = [QubitRef(self.slots, h) for h in self.handles]
         return self.issued
 
     def __len__(self) -> int:
-        return len(self.owners)
+        return len(self.handles)
 
     def __getitem__(self, key):
         return self._refs()[key]
@@ -94,57 +90,64 @@ class _LentRefs:
 
 
 def _lend(
-    refs: Sequence[QubitRef], tap: Callable[[Sequence[QubitRef]], Sequence[QubitRef]]
-) -> list[QubitRef]:
-    """Call `tap` with the refs lent for the call alone.
-
-    Every ref `tap` reads from what it is lent is revoked when `tap`
-    returns. Returns the refs `tap` hands back, each lent one replaced by
-    its owner, the caller's ref to the same qubit.
-    """
-    lent = _LentRefs(list(refs))
-    out = tap(lent)
-    lent.live = False
-    if out is lent:
-        return lent.owners
-    return [r.owner if r.lease is lent else r for r in out]
+    slots: Slots, handles: Sequence[int],
+    tap: Callable[[Sequence[QubitRef]], Sequence[QubitRef]],
+) -> Sequence[int]:
+    """Call `tap` with `handles` lent to it for the call alone; the handles
+    of the refs it hands back, each lent or an ancilla it attached."""
+    lent = slots.lent = _LentRefs(slots, handles)
+    try:
+        out = tap(lent)
+        return handles if out is lent else [_held(slots, ref) for ref in out]
+    finally:
+        slots.lent = None
 
 
-def new_qubit(state: StateVector) -> QubitRef:
+def new_qubit(slots: Slots, state: StateVector) -> int:
+    """The handle of a fresh slot holding the one-qubit `state`."""
     if len(state.amps) != 2:
         raise ValueError("new_qubit expects a one-qubit state")
-    return QubitRef(Register(state), 0)
+    states = slots.states
+    states.append(state)
+    return len(states) - 1 << 2
+
+
+def gate_handle(slots: Slots, handle: int, gate: Gate) -> None:
+    """Apply a single-qubit Gate to the qubit `handle` names, in place."""
+    states, s = slots.states, handle >> 2
+    states[s] = apply_unitary(states[s], gate, (handle & 3,))
 
 
 def apply_gate(ref: QubitRef, gate: Gate) -> None:
     """Apply a single-qubit Gate in place."""
-    reg = _live(ref)
-    reg.state = apply_unitary(reg.state, gate, (ref.index,))
+    gate_handle(ref.slots, _held(ref.slots, ref), gate)
 
 
 def attach_ancilla(ref: QubitRef) -> QubitRef:
-    """Append a fresh |0> ancilla to the ref's register and return its handle.
-
-    The returned ref names the ancilla alone and carries no lease.
-    """
-    reg = _live(ref)
-    reg.state = append_ancilla(reg.state)
-    return QubitRef(reg, reg.state.num_qubits - 1)
+    """Append a |0> ancilla to the ref's register; its ref stays usable
+    for the rest of the round."""
+    slots = ref.slots
+    s = _held(slots, ref) >> 2
+    state = slots.states[s] = append_ancilla(slots.states[s])
+    handle = s << 2 | state.num_qubits - 1
+    slots.ancillas.add(handle)
+    return QubitRef(slots, handle)
 
 
 def probe_cnot(control: QubitRef, target: QubitRef) -> None:
     """CNOT from `control` onto `target`, two qubits of one register."""
-    reg = _live(control)
-    if _live(target) is not reg:
+    slots = control.slots
+    c, t = _held(slots, control), _held(slots, target)
+    if c >> 2 != t >> 2:
         raise ValueError("CNOT requires qubits in the same register")
-    reg.state = cnot(reg.state, control.index, target.index)
+    slots.states[c >> 2] = cnot(slots.states[c >> 2], c & 3, t & 3)
 
 
 def measure_qubit(ref: QubitRef, basis: Basis, u: float) -> int:
     """Projective measurement with collapse, the bit 0 when the uniform `u`
-    lies below the probability of 0; updates the shared register."""
-    reg = _live(ref)
-    bit, reg.state = measure(reg.state, ref.index, basis, u)
+    lies below the probability of 0."""
+    states, handle = ref.slots.states, _held(ref.slots, ref)
+    bit, states[handle >> 2] = measure(states[handle >> 2], handle & 3, basis, u)
     return bit
 
 
@@ -153,12 +156,6 @@ def measure_qubits(
 ) -> bytes:
     """measure_qubit of refs[i] in bases[i], in order, with uniform i of
     one draw of len(refs) uniforms; the bits as bytes."""
-    bits = bytearray()
-    for ref, basis, u in zip(refs, bases, rng.random(len(refs)).tolist()):
-        lease = ref.lease
-        if lease is not None and not lease.live:
-            raise RevokedHandleError("qubit ref used after its tap returned")
-        reg = ref.register
-        bit, reg.state = measure(reg.state, ref.index, basis, u)
-        bits.append(bit)
-    return bytes(bits)
+    slots = refs[0].slots if len(refs) else Slots()
+    handles = [_held(slots, ref) for ref in refs]
+    return measure_stage(slots.states, handles, bases, rng.random(len(handles)).tolist())

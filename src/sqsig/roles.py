@@ -1,7 +1,8 @@
 """Signing and verification for the three participants.
 
 Alice (quantum) signs by encoding g = m XOR k into Bell pairs; Trent and
-Bob (classical) verify through Z-basis measurements only. The message
+Bob (classical) verify through Z-basis measurements only. Qubits are int
+handles into the round's `register.Slots`. The message
 digest check binds the plaintext message Bob received to the message
 Trent recovered.
 """
@@ -18,7 +19,7 @@ from .detection import TrentTransmission, assemble_transmission, build_decoys, i
 from .keys import Bits, KeyStore, compute_g, int_to_bits
 from .parties import Party
 from .quantum import Basis
-from .register import QubitRef
+from .register import Slots
 
 HashFn = Callable[[Sequence[int]], Bits]
 
@@ -41,26 +42,28 @@ class VerificationOutcome:
 
 
 def alice_sign(
+    slots: Slots,
     m: Sequence[int],
     store: KeyStore,
     alice: Party,
     rng: np.random.Generator,
     d_z: int,
     d_x: int,
-) -> tuple[TrentTransmission, list[QubitRef]]:
+) -> tuple[TrentTransmission, list[int]]:
     """Encode g into Bell pairs and build the decoy-laden Trent transmission.
 
     The message rides in the leading Z-decoys. Returns the transmission
     and the Bob halves, which with the plaintext message form the signature.
     """
     g = compute_g(m, store)
-    t_refs, b_refs = alice.prepare_bell_pair(g)
-    decoy_refs, records = build_decoys(d_z, d_x, m, rng, alice)
-    return assemble_transmission(t_refs, decoy_refs, records, rng), b_refs
+    t_halves, b_halves = alice.prepare_bell_pair(slots, g)
+    decoys, records = build_decoys(slots, d_z, d_x, m, rng, alice)
+    return assemble_transmission(t_halves, decoys, records, rng), b_halves
 
 
 def trent_receive(
-    carriers: Sequence[QubitRef],
+    slots: Slots,
+    carriers: Sequence[int],
     recovered_m: Sequence[int],
     store: KeyStore,
     trent: Party,
@@ -70,16 +73,16 @@ def trent_receive(
 
     Returns (T, g).
     """
-    t_bits = trent.measure(carriers, (_Z,) * len(carriers), rng)
+    t_bits = trent.measure(slots, carriers, (_Z,) * len(carriers), rng)
     trent.classical_compute()
     return t_bits, compute_g(recovered_m, store)
 
 
 def bob_measure(
-    bundle_qubits: Sequence[QubitRef], bob: Party, rng: np.random.Generator
+    slots: Slots, bundle_qubits: Sequence[int], bob: Party, rng: np.random.Generator
 ) -> Bits:
     """Z-measure every signature qubit in order."""
-    return bob.measure(bundle_qubits, (_Z,) * len(bundle_qubits), rng)
+    return bob.measure(slots, bundle_qubits, (_Z,) * len(bundle_qubits), rng)
 
 
 def trent_verify(g: Sequence[int], t: Sequence[int], b: Sequence[int]) -> VerificationOutcome:

@@ -27,7 +27,10 @@ from sqsig.quantum import (
     Gate,
     NonUnitaryError,
     RegisterSizeError,
+    append_ancilla,
+    cnot,
     equal_up_to_phase,
+    measure,
     partial_trace,
     prepare_bell,
     prepare_single,
@@ -35,30 +38,43 @@ from sqsig.quantum import (
     DensityMatrix,
 )
 from sqsig.register import (
+    QubitRef,
     RevokedHandleError,
+    Slots,
     _lend,
     apply_gate,
     attach_ancilla,
     measure_qubit,
+    measure_qubits,
     new_qubit,
     probe_cnot,
 )
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
+FORWARD, RETURN = TapPoint.FORWARD_ALICE_TO_TRENT, TapPoint.RETURN_TRENT_TO_ALICE
 
 
-def fresh_qubit(basis, bit):
-    return new_qubit(prepare_single(basis, bit))
+def fresh_qubit(slots, basis, bit):
+    return new_qubit(slots, prepare_single(basis, bit))
 
 
 def attack(text):
     return build_strategy(parse_attack(text))
 
 
-def z_value(ref):
-    """b when the ref's register is the 1-qubit state |b>, else None."""
+def send(strategy, point, slots, handles, rng):
+    """The handles `strategy` hands on when the channel lends them at `point`."""
+    return Channel(strategy, slots).send_qubits(point, handles, rng)
+
+
+def state_of(slots, handle):
+    return slots.states[handle >> 2]
+
+
+def z_value(slots, handle):
+    """b when the handle's register is the 1-qubit state |b>, else None."""
     for bit in (0, 1):
-        if equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, bit)):
+        if equal_up_to_phase(state_of(slots, handle), prepare_single(Basis.Z, bit)):
             return bit
     return None
 
@@ -66,11 +82,13 @@ def z_value(ref):
 class TestNoAttack:
     def test_qubits_untouched(self):
         rng = np.random.default_rng(0)
-        ref = fresh_qubit(Basis.X, 1)
-        before = ref.register.state.amplitudes.copy()
-        out = NoAttack().tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-        assert out == [ref]
-        np.testing.assert_array_equal(ref.register.state.amplitudes, before)
+        slots = Slots()
+        handle = fresh_qubit(slots, Basis.X, 1)
+        before = state_of(slots, handle)
+        refs = [QubitRef(slots, handle)]
+        assert NoAttack().tap_qubits(FORWARD, refs, rng) is refs
+        assert send(NoAttack(), FORWARD, slots, [handle], rng) == [handle]
+        assert state_of(slots, handle) is before
 
     def test_classical_passthrough_observed(self):
         rng = np.random.default_rng(0)
@@ -87,10 +105,10 @@ class TestInterceptMeasureResendZ:
         zeros = ones = 0
         trials = 2000
         for _ in range(trials):
-            ref = fresh_qubit(Basis.X, 0)
-            strategy = attack("intercept_resend_z")
-            strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-            bit = z_value(ref)
+            slots = Slots()
+            handle = fresh_qubit(slots, Basis.X, 0)
+            send(attack("intercept_resend_z"), FORWARD, slots, [handle], rng)
+            bit = z_value(slots, handle)
             assert bit is not None
             zeros += bit == 0
             ones += bit == 1
@@ -99,38 +117,37 @@ class TestInterceptMeasureResendZ:
     def test_z_eigenstates_pass_unchanged(self):
         rng = np.random.default_rng(2)
         for bit in (0, 1):
-            ref = fresh_qubit(Basis.Z, bit)
-            strategy = attack("intercept_resend_z")
-            strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-            assert z_value(ref) == bit
+            slots = Slots()
+            handle = fresh_qubit(slots, Basis.Z, bit)
+            send(attack("intercept_resend_z"), FORWARD, slots, [handle], rng)
+            assert z_value(slots, handle) == bit
 
     def test_return_leg_untouched(self):
         rng = np.random.default_rng(3)
-        ref = fresh_qubit(Basis.X, 0)
-        attack("intercept_resend_z").tap_qubits(
-            TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng
-        )
-        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.X, 0))
+        slots = Slots()
+        handle = fresh_qubit(slots, Basis.X, 0)
+        send(attack("intercept_resend_z"), RETURN, slots, [handle], rng)
+        assert equal_up_to_phase(state_of(slots, handle), prepare_single(Basis.X, 0))
 
 
 class TestUnitaryTamperThenUndo:
     def test_x_forward_flips(self):
         rng = np.random.default_rng(4)
-        ref = fresh_qubit(Basis.Z, 0)
-        attack("pauli_x_tamper").tap_qubits(
-            TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng
-        )
-        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, 1))
+        slots = Slots()
+        handle = fresh_qubit(slots, Basis.Z, 0)
+        send(attack("pauli_x_tamper"), FORWARD, slots, [handle], rng)
+        assert equal_up_to_phase(state_of(slots, handle), prepare_single(Basis.Z, 1))
 
     def test_forward_then_return_is_identity(self):
         rng = np.random.default_rng(5)
         for name in ("X", "Y", "Z", "H"):
             strategy = attack(f"unitary_tamper_then_undo:{name}")
-            ref = fresh_qubit(Basis.X, 1)
-            strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-            strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
+            slots = Slots()
+            handle = fresh_qubit(slots, Basis.X, 1)
+            send(strategy, FORWARD, slots, [handle], rng)
+            send(strategy, RETURN, slots, [handle], rng)
             assert equal_up_to_phase(
-                ref.register.state, prepare_single(Basis.X, 1)
+                state_of(slots, handle), prepare_single(Basis.X, 1)
             )
 
     def test_custom_matrix_accepted(self):
@@ -141,39 +158,42 @@ class TestUnitaryTamperThenUndo:
         )
         strategy = QubitProbe("unitary_tamper_then_undo", rot)
         rng = np.random.default_rng(6)
-        ref = fresh_qubit(Basis.Z, 0)
-        strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-        strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-        assert equal_up_to_phase(ref.register.state, prepare_single(Basis.Z, 0))
+        slots = Slots()
+        handle = fresh_qubit(slots, Basis.Z, 0)
+        send(strategy, FORWARD, slots, [handle], rng)
+        send(strategy, RETURN, slots, [handle], rng)
+        assert equal_up_to_phase(state_of(slots, handle), prepare_single(Basis.Z, 0))
 
 
 class TestEntangleProbe:
     def test_probe_on_zero_gives_product_state(self):
         rng = np.random.default_rng(0)
-        ref = fresh_qubit(Basis.Z, 0)
+        slots = Slots()
+        handle = fresh_qubit(slots, Basis.Z, 0)
         strategy = attack("entangle_probe")
-        strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
+        send(strategy, FORWARD, slots, [handle], rng)
         np.testing.assert_allclose(
-            ref.register.state.amplitudes, [1, 0, 0, 0], atol=1e-12
+            state_of(slots, handle).amplitudes, [1, 0, 0, 0], atol=1e-12
         )
         # Reading the ancilla on return leaves the product state as it was.
-        strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
+        send(strategy, RETURN, slots, [handle], rng)
         np.testing.assert_allclose(
-            ref.register.state.amplitudes, [1, 0, 0, 0], atol=1e-12
+            state_of(slots, handle).amplitudes, [1, 0, 0, 0], atol=1e-12
         )
 
     def test_probe_on_plus_creates_entangled_pair(self):
         rng = np.random.default_rng(0)
-        ref = fresh_qubit(Basis.X, 0)
+        slots = Slots()
+        handle = fresh_qubit(slots, Basis.X, 0)
         strategy = attack("entangle_probe")
-        strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
+        send(strategy, FORWARD, slots, [handle], rng)
         np.testing.assert_allclose(
-            ref.register.state.amplitudes,
+            state_of(slots, handle).amplitudes,
             [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-12,
         )
         # Reading the ancilla on return collapses the pair to |00> or |11>.
-        strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-        amps = np.abs(ref.register.state.amplitudes)
+        send(strategy, RETURN, slots, [handle], rng)
+        amps = np.abs(state_of(slots, handle).amplitudes)
         assert any(np.allclose(amps, target, atol=1e-12)
                    for target in ([1, 0, 0, 0], [0, 0, 0, 1]))
 
@@ -183,19 +203,20 @@ class TestEntangleProbe:
         trials = 2000
         errors = 0
         for _ in range(trials):
-            ref = fresh_qubit(Basis.X, 0)
+            slots = Slots()
+            handle = fresh_qubit(slots, Basis.X, 0)
             strategy = attack("entangle_probe")
-            strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-            strategy.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, [ref], rng)
-            errors += alice.measure([ref], [Basis.X], rng) != b"\x00"
+            send(strategy, FORWARD, slots, [handle], rng)
+            send(strategy, RETURN, slots, [handle], rng)
+            errors += alice.measure(slots, [handle], [Basis.X], rng) != b"\x00"
         assert abs(errors / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_immediate_measure_time(self):
         rng = np.random.default_rng(8)
-        strategy = attack("entangle_probe:immediate")
-        ref = fresh_qubit(Basis.Z, 1)
-        strategy.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-        assert z_value(ref) == 1  # read at once: no ancilla, |1> kept
+        slots = Slots()
+        handle = fresh_qubit(slots, Basis.Z, 1)
+        send(attack("entangle_probe:immediate"), FORWARD, slots, [handle], rng)
+        assert z_value(slots, handle) == 1  # read at once: no ancilla, |1> kept
 
     def test_bad_measure_time_rejected(self):
         with pytest.raises(ValueError):
@@ -233,48 +254,54 @@ class TestEntangleProbe:
             QubitProbe("unitary_tamper_then_undo", np.eye(4))
 
     def test_ancilla_budget_enforced(self):
-        ref = fresh_qubit(Basis.Z, 0)
-        attach_ancilla(ref)
-        attach_ancilla(ref)
-        attach_ancilla(ref)
-        with pytest.raises(RegisterSizeError):
-            attach_ancilla(ref)
+        slots = Slots()
+
+        def tap(refs):
+            attach_ancilla(refs[0])
+            attach_ancilla(refs[0])
+            attach_ancilla(refs[0])
+            with pytest.raises(RegisterSizeError):
+                attach_ancilla(refs[0])
+            return refs
+
+        _lend(slots, [fresh_qubit(slots, Basis.Z, 0)], tap)
+        assert slots.states[0].num_qubits == 4
 
 
 class TestOneDrawPerTap:
     # A tap's reads take their uniforms from one rng.random(k) call, which
-    # gives the values and generator state of k scalar draws.
+    # gives the values and generator state of k scalar draws, each read
+    # the one quantum.measure it stands for.
     PREPARED = [(Basis.X, 0), (Basis.X, 1), (Basis.Z, 1), (Basis.X, 0), (Basis.Z, 0)]
+
+    def tapped(self):
+        slots = Slots()
+        return slots, [fresh_qubit(slots, b, v) for b, v in self.PREPARED]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_intercept_forward_tap_equals_scalar_draws(self, seed):
-        tapped = [fresh_qubit(b, v) for b, v in self.PREPARED]
+        slots, handles = self.tapped()
         rng = np.random.default_rng(seed)
-        attack("intercept_resend_z").tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, tapped, rng)
+        send(attack("intercept_resend_z"), FORWARD, slots, handles, rng)
         scalar = np.random.default_rng(seed)
-        read = [fresh_qubit(b, v) for b, v in self.PREPARED]
-        for ref in read:
-            measure_qubit(ref, Basis.Z, scalar.random())
-        assert [r.register.state.amps for r in tapped] == [r.register.state.amps for r in read]
+        read = [measure(prepare_single(b, v), 0, Basis.Z, scalar.random()).post_state
+                for b, v in self.PREPARED]
+        assert [s.amps for s in slots.states] == [s.amps for s in read]
         assert rng.bit_generator.state == scalar.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(8))
     def test_probe_ancilla_reads_equal_scalar_draws(self, seed):
-        tapped = [fresh_qubit(b, v) for b, v in self.PREPARED]
+        slots, handles = self.tapped()
         rng = np.random.default_rng(seed)
         probe = attack("entangle_probe")
-        probe.tap_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, tapped, rng)
-        probe.tap_qubits(TapPoint.RETURN_TRENT_TO_ALICE, tapped, rng)
+        send(probe, FORWARD, slots, handles, rng)
+        send(probe, RETURN, slots, handles, rng)
         assert probe.pending == []
+        assert slots.ancillas == {h | 1 for h in handles}
         scalar = np.random.default_rng(seed)
-        read = [fresh_qubit(b, v) for b, v in self.PREPARED]
-        ancillas = []
-        for ref in read:
-            ancillas.append(attach_ancilla(ref))
-            probe_cnot(ref, ancillas[-1])
-        for ancilla in ancillas:
-            measure_qubit(ancilla, Basis.Z, scalar.random())
-        assert [r.register.state.amps for r in tapped] == [r.register.state.amps for r in read]
+        read = [measure(cnot(append_ancilla(prepare_single(b, v)), 0, 1), 1, Basis.Z,
+                        scalar.random()).post_state for b, v in self.PREPARED]
+        assert [s.amps for s in slots.states] == [s.amps for s in read]
         assert rng.bit_generator.state == scalar.bit_generator.state
 
 
@@ -312,11 +339,10 @@ class TestTamperSignatureB:
     def test_helper_flips_bell_pairing(self):
         rng = np.random.default_rng(14)
         alice = quantum_party("alice")
-        [t_half], [b_half] = alice.prepare_bell_pair((0,))
-        TamperSignatureB([0]).tap_qubits(
-            TapPoint.ALICE_TO_BOB_QUANTUM, [b_half], rng
-        )
-        assert equal_up_to_phase(b_half.register.state, prepare_bell(1))
+        slots = Slots()
+        [t_half], [b_half] = alice.prepare_bell_pair(slots, (0,))
+        send(TamperSignatureB([0]), TapPoint.ALICE_TO_BOB_QUANTUM, slots, [b_half], rng)
+        assert equal_up_to_phase(state_of(slots, b_half), prepare_bell(1))
 
     def test_out_of_range_position_rejected(self):
         with pytest.raises(IndexError):
@@ -387,6 +413,27 @@ class StashForwardRefs(AttackStrategy):
         return bits
 
 
+class RebuildForwardRefs(AttackStrategy):
+    """Rebuild each lent ref from its fields in the forward tap, and read
+    the rebuilt refs in X when the returned permutation goes by."""
+
+    kind = "rebuild_forward_refs"
+
+    def __init__(self):
+        self.rebuilt = None
+
+    def tap_qubits(self, point, refs, rng):
+        if point is TapPoint.FORWARD_ALICE_TO_TRENT:
+            self.rebuilt = [QubitRef(ref.slots, ref.handle) for ref in refs]
+        return refs
+
+    def tap_classical(self, point, name, bits, rng):
+        if name == "permutation":
+            for ref in self.rebuilt:
+                measure_qubit(ref, Basis.X, rng.random())
+        return bits
+
+
 class KeepAncillas(AttackStrategy):
     """Attach an ancilla to every forward qubit inside the tap; flip and
     read the ancillas only when the returned permutation goes by."""
@@ -419,19 +466,55 @@ class TestTapOnlyRule:
                 d_z=2, d_x=2,
             )
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_ref_rebuilt_from_its_fields_is_revoked(self, seed):
+        # The slot list, not the ref, says who holds a qubit: a ref built
+        # again from the fields of a lent one is refused once the tap returns.
+        strategy = RebuildForwardRefs()
+        with pytest.raises(RevokedHandleError):
+            run_protocol_round(
+                message=(1, 0), mode=DetectionMode.IMPROVED,
+                strategy=strategy, rng=np.random.default_rng(seed),
+                d_z=2, d_x=2,
+            )
+        assert len(strategy.rebuilt) == 6
+
+    def test_inside_a_tap_only_its_own_qubits_are_held(self):
+        # A ref rebuilt inside a tap reaches a qubit that tap lends, and no
+        # other qubit of the round.
+        slots = Slots()
+        lent = [fresh_qubit(slots, Basis.Z, 0), fresh_qubit(slots, Basis.Z, 1)]
+        kept = fresh_qubit(slots, Basis.Z, 1)
+
+        def tap(refs):
+            apply_gate(QubitRef(slots, lent[1]), GATES["X"])
+            with pytest.raises(RevokedHandleError):
+                apply_gate(QubitRef(slots, kept), GATES["X"])
+            with pytest.raises(RevokedHandleError):
+                attach_ancilla(QubitRef(slots, kept))
+            with pytest.raises(RevokedHandleError):
+                probe_cnot(refs[0], QubitRef(slots, kept))
+            with pytest.raises(RevokedHandleError):
+                measure_qubits([QubitRef(slots, kept)], [Basis.Z], rng)
+            return refs
+
+        rng = np.random.default_rng(0)
+        assert _lend(slots, lent, tap) is lent
+        assert [z_value(slots, h) for h in (*lent, kept)] == [0, 0, 1]
+
     def test_joined_lent_refs_are_revoked(self):
         # A list joined from slices of the lent refs holds the same refs.
         strategy = StashForwardRefs(keep=lambda refs: refs[1:] + refs[:1])
-        channel = Channel(strategy)
-        refs = [fresh_qubit(Basis.Z, 0), fresh_qubit(Basis.Z, 1)]
-        received = channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, refs,
-                                       np.random.default_rng(0))
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.Z, 0), fresh_qubit(slots, Basis.Z, 1)]
+        received = send(strategy, FORWARD, slots, handles, np.random.default_rng(0))
         for ref in strategy.stashed:
             with pytest.raises(RevokedHandleError):
                 measure_qubit(ref, Basis.Z, 0.5)
-        # The sender's refs and the refs the receiver got stay usable.
-        assert [measure_qubit(ref, Basis.Z, 0.5) for ref in refs] == [0, 1]
-        assert [z_value(ref) for ref in received] == [0, 1]
+        # The handles the receiver got are the sender's, and a party reads them.
+        assert received == handles
+        assert quantum_party("alice").measure(
+            slots, received, [Basis.Z] * 2, np.random.default_rng(0)) == bytes((0, 1))
 
     def test_own_ancillas_stay_usable_and_reach_only_themselves(self):
         # The flips land on the ancillas alone: the decoys still pass
@@ -447,32 +530,57 @@ class TestTapOnlyRule:
 
 
 class ReturnReversed(AttackStrategy):
-    """Hand the lent refs back in reverse order, followed by `extra`."""
+    """Hand the lent refs back in reverse order, followed by an ancilla
+    attached to the first of them when `ancilla` is set."""
 
     kind = "return_reversed"
 
-    def __init__(self, extra=()):
-        self.extra = list(extra)
+    def __init__(self, ancilla=False):
+        self.ancilla = ancilla
 
     def tap_qubits(self, point, refs, rng):
-        return list(refs)[::-1] + self.extra
+        return list(refs)[::-1] + ([attach_ancilla(refs[0])] if self.ancilla else [])
+
+
+class HandBack(AttackStrategy):
+    """Hand back the refs `make(refs)` builds."""
+
+    kind = "hand_back"
+
+    def __init__(self, make):
+        self.make = make
+
+    def tap_qubits(self, point, refs, rng):
+        return self.make(refs)
 
 
 class TestLentRefsReturn:
-    def test_reversed_lent_refs_come_back_as_the_callers_refs(self):
-        refs = [fresh_qubit(Basis.Z, bit) for bit in (0, 1, 1)]
-        received = Channel(ReturnReversed()).send_qubits(
-            TapPoint.FORWARD_ALICE_TO_TRENT, refs, np.random.default_rng(0))
-        assert len(received) == 3
-        assert all(got is own for got, own in zip(received, refs[::-1]))
+    def test_reversed_lent_refs_come_back_as_the_callers_handles(self):
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.Z, bit) for bit in (0, 1, 1)]
+        received = send(ReturnReversed(), FORWARD, slots, handles, np.random.default_rng(0))
+        assert received == handles[::-1]
 
-    def test_a_ref_that_was_not_lent_comes_back_as_it_is(self):
-        own = fresh_qubit(Basis.X, 0)
-        refs = [fresh_qubit(Basis.Z, 0), fresh_qubit(Basis.Z, 1)]
-        received = Channel(ReturnReversed([own])).send_qubits(
-            TapPoint.FORWARD_ALICE_TO_TRENT, refs, np.random.default_rng(0))
-        assert [id(r) for r in received] == [id(refs[1]), id(refs[0]), id(own)]
-        assert [z_value(r) for r in received[:2]] == [1, 0]
+    def test_an_own_ancilla_comes_back_as_its_handle(self):
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.Z, 0), fresh_qubit(slots, Basis.Z, 1)]
+        received = send(ReturnReversed(ancilla=True), FORWARD, slots, handles,
+                        np.random.default_rng(0))
+        assert received == [handles[1], handles[0], handles[0] | 1]
+        assert z_value(slots, handles[1]) == 1
+        assert state_of(slots, handles[0]).amps == (1, 0, 0, 0)  # |0> and its ancilla
+
+    @pytest.mark.parametrize("make", [
+        lambda refs: [QubitRef(refs[0].slots, refs[0].handle + 4)],  # a qubit not lent
+        lambda refs: [QubitRef(Slots(), refs[0].handle)],  # a ref of another round
+    ])
+    def test_a_ref_the_tap_does_not_hold_is_refused(self, make):
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.Z, 0), fresh_qubit(slots, Basis.Z, 1)]
+        with pytest.raises(RevokedHandleError):
+            send(HandBack(lambda refs: make(refs[:1])), FORWARD, slots, handles[:1],
+                 np.random.default_rng(0))
+        assert slots.lent is None
 
 
 class ReadLentRefsEveryWay(AttackStrategy):
@@ -492,55 +600,53 @@ class ReadLentRefsEveryWay(AttackStrategy):
 class TestLentRefsIssuedOnce:
     def test_every_read_of_a_tap_gives_the_same_refs(self):
         strategy = ReadLentRefsEveryWay()
-        channel = Channel(strategy)
-        refs = [fresh_qubit(Basis.Z, bit) for bit in (0, 1, 1)]
+        slots = Slots()
+        channel = Channel(strategy, slots)
+        handles = [fresh_qubit(slots, Basis.Z, bit) for bit in (0, 1, 1)]
         rng = np.random.default_rng(0)
-        forward = channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, refs, rng)
-        channel.send_qubits(TapPoint.RETURN_TRENT_TO_ALICE, forward, rng)
-        lent_forward, lent_return = (strategy.views[point] for point in (
-            TapPoint.FORWARD_ALICE_TO_TRENT, TapPoint.RETURN_TRENT_TO_ALICE))
+        forward = channel.send_qubits(FORWARD, handles, rng)
+        channel.send_qubits(RETURN, forward, rng)
+        lent_forward, lent_return = (strategy.views[point] for point in (FORWARD, RETURN))
         for views in (lent_forward, lent_return):
             first = views[0]
-            assert len(first) == 3
+            assert [ref.handle for ref in first] == handles
             assert all(len(view) == 3 and all(map(operator.is_, view, first))
                        for view in views)
-            assert not any(lent is own for lent in first for own in refs)
-        # A new tap lends new refs; the caller's come back as they were.
+        # A new tap lends new refs; the caller's handles come back as they were.
         assert not any(a is b for a in lent_forward[0] for b in lent_return[0])
-        assert all(map(operator.is_, forward, refs))
+        assert forward is handles
         for ref in lent_forward[0]:
             with pytest.raises(RevokedHandleError):
                 measure_qubit(ref, Basis.Z, rng.random())
 
     def test_a_tap_that_reads_no_ref_builds_none(self):
         lent = []
-        refs = [fresh_qubit(Basis.X, 0), fresh_qubit(Basis.Z, 1)]
-        out = _lend(refs, lambda refs: lent.append(refs) or refs)
-        assert out == refs and all(map(operator.is_, out, refs))
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.X, 0), fresh_qubit(slots, Basis.Z, 1)]
+        out = _lend(slots, handles, lambda refs: lent.append(refs) or refs)
+        assert out is handles
         assert len(lent[0]) == 2 and lent[0].issued is None
 
 
 class TestChannel:
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
-            Channel(NoAttack(), noise_p=1.0)
+            Channel(NoAttack(), Slots(), noise_p=1.0)
 
     def test_transcript_records_order(self):
         rng = np.random.default_rng(17)
         transcript: list = []
-        channel = Channel(NoAttack(), transcript=transcript)
-        ref = fresh_qubit(Basis.Z, 0)
-        channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
-        channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "loc_z", (1, 0), rng
-        )
+        slots = Slots()
+        channel = Channel(NoAttack(), slots, transcript=transcript)
+        channel.send_qubits(FORWARD, [fresh_qubit(slots, Basis.Z, 0)], rng)
+        channel.send_classical(FORWARD, "loc_z", (1, 0), rng)
         assert [ev["event"] for ev in transcript] == ["quantum_send", "classical"]
         assert transcript[1]["bits"] == "10"
 
     def test_disabled_transcript_stays_none(self):
         rng = np.random.default_rng(18)
-        channel = Channel(NoAttack(), transcript=None)
-        channel.send_classical(TapPoint.FORWARD_ALICE_TO_TRENT, "x", (1,), rng)
+        channel = Channel(NoAttack(), Slots(), transcript=None)
+        channel.send_classical(FORWARD, "x", (1,), rng)
         assert channel.transcript is None
 
     def test_noise_flips_eigenstates(self):
@@ -548,14 +654,14 @@ class TestChannel:
         # flip probability per transit is 2p/3.
         rng = np.random.default_rng(19)
         p = 0.3
-        channel = Channel(NoAttack(), noise_p=p, transcript=None)
         trials = 4000
         flips = 0
         for _ in range(trials):
-            ref = fresh_qubit(Basis.Z, 0)
-            channel.send_qubits(TapPoint.FORWARD_ALICE_TO_TRENT, [ref], rng)
+            slots = Slots()
+            handle = fresh_qubit(slots, Basis.Z, 0)
+            Channel(NoAttack(), slots, noise_p=p).send_qubits(FORWARD, [handle], rng)
             flips += equal_up_to_phase(
-                ref.register.state, prepare_single(Basis.Z, 1)
+                state_of(slots, handle), prepare_single(Basis.Z, 1)
             )
         expected = 2 * p / 3
         sigma = np.sqrt(expected * (1 - expected) / trials)
@@ -567,16 +673,16 @@ class TestChannel:
         # below p, by X, Y or Z as int(3u / p) is 0, 1 or 2.
         p, k = 0.4, 50
         hits = []
-        monkeypatch.setattr(adversary, "apply_gate",
-                            lambda ref, gate: hits.append((ref, gate)))
+        monkeypatch.setattr(adversary, "gate_handle",
+                            lambda slots, handle, gate: hits.append((handle, gate)))
         rng = np.random.default_rng(seed)
         clone = copy.deepcopy(rng)
-        refs = [fresh_qubit(Basis.Z, 0) for _ in range(k)]
-        Channel(NoAttack(), noise_p=p).send_qubits(
-            TapPoint.FORWARD_ALICE_TO_TRENT, refs, rng)
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.Z, 0) for _ in range(k)]
+        Channel(NoAttack(), slots, noise_p=p).send_qubits(FORWARD, handles, rng)
         paulis = (GATES["X"], GATES["Y"], GATES["Z"])
-        assert hits == [(ref, paulis[int(3 * u / p)])
-                        for ref, u in zip(refs, clone.random(k).tolist()) if u < p]
+        assert hits == [(handle, paulis[int(3 * u / p)])
+                        for handle, u in zip(handles, clone.random(k).tolist()) if u < p]
         assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_noise_just_below_p_is_z(self, monkeypatch):
@@ -590,8 +696,9 @@ class TestChannel:
                 return np.full(k, u)
 
         hits = []
-        monkeypatch.setattr(adversary, "apply_gate",
-                            lambda ref, gate: hits.append(gate))
-        Channel(NoAttack(), noise_p=p).send_qubits(
-            TapPoint.FORWARD_ALICE_TO_TRENT, [fresh_qubit(Basis.Z, 0)], JustBelow())
+        monkeypatch.setattr(adversary, "gate_handle",
+                            lambda slots, handle, gate: hits.append(gate))
+        slots = Slots()
+        Channel(NoAttack(), slots, noise_p=p).send_qubits(
+            FORWARD, [fresh_qubit(slots, Basis.Z, 0)], JustBelow())
         assert hits == [GATES["Z"]]

@@ -37,8 +37,8 @@ from sqsig.harness import build_strategy, parse_attack
 from sqsig.keys import KeyStore, compute_g, keygen_init, otp_decrypt, otp_encrypt, random_bits
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
-from sqsig.quantum import Basis
-from sqsig.register import measure_qubit
+from sqsig.quantum import Basis, measure
+from sqsig.register import Slots
 from sqsig.roles import alice_sign, bob_measure, hash_message, trent_receive
 
 
@@ -56,8 +56,9 @@ def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
     store = keygen_init(key_budget(n, d_z, d_x, mode), rng)
     alice = quantum_party("alice")
     trent = classical_party("trent")
-    transmission, _ = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
-    channel = Channel(strategy, transcript=transcript)
+    slots = Slots()
+    transmission, _ = alice_sign(slots, message, store, alice, rng, d_z=d_z, d_x=d_x)
+    channel = Channel(strategy, slots, transcript=transcript)
     result = run_detection_round(
         mode, channel, transmission, threshold, alice, trent, store, rng
     )
@@ -241,55 +242,56 @@ class TestBuildDecoys:
     def test_message_leads_z_decoys(self):
         rng = np.random.default_rng(2)
         alice = quantum_party("alice")
-        refs, records = build_decoys(3, 2, (1, 0, 1), rng, alice)
+        slots = Slots()
+        decoys, records = build_decoys(slots, 3, 2, (1, 0, 1), rng, alice)
         assert all(r >> 2 == 0 for r in records)  # no position yet
         z_bits = [r & 1 for r in records if basis_of(r) is Basis.Z]
         assert z_bits[:3] == [1, 0, 1]
         # Interleaving keeps the decoy order, so the message still leads
         # the Z-decoys once the records are in position order.
-        carriers = alice.prepare([Basis.Z] * 3, [0] * 3)
-        tx = assemble_transmission(carriers, refs, records, rng)
+        carriers = alice.prepare(slots, [Basis.Z] * 3, [0] * 3)
+        tx = assemble_transmission(carriers, decoys, records, rng)
         positions = [r >> 2 for r in tx.records]
         assert positions == sorted(set(positions))
         assert [r & 3 for r in tx.records] == records
-        assert [tx.sequence[p] for p in positions] == refs
+        assert [tx.sequence[p] for p in positions] == decoys
         assert [r & 1 for r in z_records(tx)][:3] == [1, 0, 1]
 
     def test_empty_decoy_set(self):
-        refs, records = build_decoys(
-            0, 0, (), np.random.default_rng(0), quantum_party("alice")
+        decoys, records = build_decoys(
+            Slots(), 0, 0, (), np.random.default_rng(0), quantum_party("alice")
         )
-        assert refs == [] and records == []
+        assert decoys == [] and records == []
 
     def test_deterministic_draws(self):
         alice = quantum_party("alice")
-        _, a = build_decoys(4, 4, (), np.random.default_rng(5), alice)
-        _, b = build_decoys(4, 4, (), np.random.default_rng(5), alice)
+        _, a = build_decoys(Slots(), 4, 4, (), np.random.default_rng(5), alice)
+        _, b = build_decoys(Slots(), 4, 4, (), np.random.default_rng(5), alice)
         assert a == b
 
     def test_basis_counts(self):
         _, records = build_decoys(
-            5, 3, (), np.random.default_rng(1), quantum_party("alice")
+            Slots(), 5, 3, (), np.random.default_rng(1), quantum_party("alice")
         )
         assert sum(basis_of(r) is Basis.Z for r in records) == 5
         assert sum(basis_of(r) is Basis.X for r in records) == 3
 
     def test_embedding_overflow_rejected(self):
         with pytest.raises(ValueError):
-            build_decoys(2, 2, (1, 0, 1), np.random.default_rng(0),
+            build_decoys(Slots(), 2, 2, (1, 0, 1), np.random.default_rng(0),
                          quantum_party("alice"))
 
 
 class TestInterleave:
     def test_no_decoys_identity(self):
         alice = quantum_party("alice")
-        carriers = alice.prepare([Basis.Z] * 2, [0] * 2)
+        carriers = alice.prepare(Slots(), [Basis.Z] * 2, [0] * 2)
         tx = assemble_transmission(carriers, [], [], np.random.default_rng(0))
         assert tx.sequence == carriers and tx.records == []
 
     def test_no_carriers(self):
         alice = quantum_party("alice")
-        decoys = alice.prepare([Basis.Z] * 3, [1] * 3)
+        decoys = alice.prepare(Slots(), [Basis.Z] * 3, [1] * 3)
         tx = assemble_transmission([], decoys, unplaced(Basis.Z, 1, 3),
                                    np.random.default_rng(0))
         assert tx.sequence == decoys
@@ -298,17 +300,19 @@ class TestInterleave:
     def test_partition_roundtrip(self):
         rng = np.random.default_rng(3)
         alice = quantum_party("alice")
+        slots = Slots()
         for _ in range(20):
-            carriers = alice.prepare([Basis.Z] * 4, [0] * 4)
-            decoys = alice.prepare([Basis.X] * 3, [0] * 3)
+            carriers = alice.prepare(slots, [Basis.Z] * 4, [0] * 4)
+            decoys = alice.prepare(slots, [Basis.X] * 3, [0] * 3)
             tx = assemble_transmission(carriers, decoys, unplaced(Basis.X, 0, 3), rng)
             assert split_sequence(tx) == (decoys, carriers)
 
     def test_relative_orders_preserved(self):
         rng = np.random.default_rng(4)
         alice = quantum_party("alice")
-        carriers = alice.prepare([Basis.Z] * 3, [0] * 3)
-        decoys = alice.prepare([Basis.Z] * 3, [1] * 3)
+        slots = Slots()
+        carriers = alice.prepare(slots, [Basis.Z] * 3, [0] * 3)
+        decoys = alice.prepare(slots, [Basis.Z] * 3, [1] * 3)
         tx = assemble_transmission(carriers, decoys, unplaced(Basis.Z, 1, 3), rng)
         decoy_pos = [r >> 2 for r in tx.records]
         assert decoy_pos == sorted(set(decoy_pos))
@@ -657,13 +661,14 @@ class TestChecks:
     def test_honest_receiver_check_clean(self):
         rng = np.random.default_rng(10)
         alice = quantum_party("alice")
-        tx, _ = alice_sign((1, 0), keygen_init(4, rng), alice, rng, d_z=3, d_x=3)
+        slots = Slots()
+        tx, _ = alice_sign(slots, (1, 0), keygen_init(4, rng), alice, rng, d_z=3, d_x=3)
         z = z_records(tx)
-        z_refs = [tx.sequence[r >> 2] for r in z]
-        assert classical_party("trent").measure(z_refs, [Basis.Z] * len(z), rng) == bytes(
-            r & 1 for r in z)
+        z_decoys = [tx.sequence[r >> 2] for r in z]
+        assert classical_party("trent").measure(
+            slots, z_decoys, [Basis.Z] * len(z), rng) == bytes(r & 1 for r in z)
         decoys, _ = split_sequence(tx)
-        assert alice.measure(decoys, [basis_of(r) for r in tx.records], rng) == bytes(
+        assert alice.measure(slots, decoys, [basis_of(r) for r in tx.records], rng) == bytes(
             r & 1 for r in tx.records)
 
     def test_bit_flip_on_every_qubit_all_errors(self):
@@ -851,9 +856,10 @@ class TestInlineAnnouncements:
         alice = quantum_party("alice")
         trent = classical_party("trent")
         message = (1, 0)
-        transmission, _ = alice_sign(message, store, alice, rng, d_z=d_z, d_x=d_x)
+        slots = Slots()
+        transmission, _ = alice_sign(slots, message, store, alice, rng, d_z=d_z, d_x=d_x)
         transcript: list = []
-        channel = Channel(NoAttack(), transcript=transcript)
+        channel = Channel(NoAttack(), slots, transcript=transcript)
         result = run_detection_round(
             mode, channel, transmission, 0.0, alice, trent, store, rng
         )
@@ -938,8 +944,19 @@ def signed_round(seed):
     rng = np.random.default_rng(seed)
     alice = quantum_party("alice")
     store = keygen_init(12, rng)
-    transmission, b_refs = alice_sign((1, 0, 1), store, alice, rng, d_z=4, d_x=3)
-    return alice, store, transmission, b_refs
+    slots = Slots()
+    transmission, b_halves = alice_sign(slots, (1, 0, 1), store, alice, rng, d_z=4, d_x=3)
+    return alice, store, slots, transmission, b_halves
+
+
+def scalar_reads(slots, handles, bases, rng):
+    """One quantum.measure a qubit, in order, each with one scalar draw."""
+    bits = bytearray()
+    for handle, basis in zip(handles, bases):
+        s = handle >> 2
+        bit, slots.states[s] = measure(slots.states[s], handle & 3, basis, rng.random())
+        bits.append(bit)
+    return bytes(bits)
 
 
 class TestOneDrawPerStage:
@@ -948,34 +965,37 @@ class TestOneDrawPerStage:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_receiver_checks_take_one_uniform_per_qubit(self, seed):
-        def measured(measure):
+        def measured(read):
             # Each decoy in the other basis, so each bit is a fresh coin.
-            alice, _, transmission, _ = signed_round(seed)
+            alice, _, slots, transmission, _ = signed_round(seed)
             decoys, _ = split_sequence(transmission)
-            return measure(alice, decoys, [basis_of(r ^ 2) for r in transmission.records])
+            return read(alice, slots, decoys,
+                        [basis_of(r ^ 2) for r in transmission.records])
 
         stage = np.random.default_rng(100 + seed)
-        bits = measured(lambda party, refs, bases: party.measure(refs, bases, stage))
+        bits = measured(lambda party, slots, handles, bases: party.measure(
+            slots, handles, bases, stage))
         assert stage.bit_generator.state == advanced(100 + seed, 7)
         scalar = np.random.default_rng(100 + seed)
-        assert bits == measured(lambda party, refs, bases: bytes(
-            measure_qubit(ref, b, scalar.random()) for ref, b in zip(refs, bases)))
+        assert bits == measured(lambda party, slots, handles, bases: scalar_reads(
+            slots, handles, bases, scalar))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bell_half_stages_match_scalar_draws(self, seed):
         m = (1, 0, 1)
-        _, store, transmission, b_refs = signed_round(seed)
+        _, store, slots, transmission, b_halves = signed_round(seed)
         _, carriers = split_sequence(transmission)
         stage = np.random.default_rng(300 + seed)
-        t_bits, _ = trent_receive(carriers, m, store, classical_party("trent"), stage)
-        b_bits = bob_measure(b_refs, classical_party("bob"), stage)
+        t_bits, _ = trent_receive(slots, carriers, m, store, classical_party("trent"), stage)
+        b_bits = bob_measure(slots, b_halves, classical_party("bob"), stage)
         assert stage.bit_generator.state == advanced(300 + seed, 6)
         # The same round, measured one scalar draw at a time.
-        _, store, transmission, b_refs = signed_round(seed)
+        _, store, slots, transmission, b_halves = signed_round(seed)
         _, carriers = split_sequence(transmission)
         scalar = np.random.default_rng(300 + seed)
-        assert t_bits == bytes(measure_qubit(ref, Basis.Z, scalar.random()) for ref in carriers)
-        assert b_bits == bytes(measure_qubit(ref, Basis.Z, scalar.random()) for ref in b_refs)
+        z = [Basis.Z] * 3
+        assert t_bits == scalar_reads(slots, carriers, z, scalar)
+        assert b_bits == scalar_reads(slots, b_halves, z, scalar)
         assert bytes(t ^ b for t, b in zip(t_bits, b_bits)) == compute_g(m, store)
 
 

@@ -43,6 +43,7 @@ from sqsig.quantum import (
     equal_up_to_phase,
     fidelity,
     measure,
+    measure_stage,
     measurement_branches,
     partial_trace,
     prepare_bell,
@@ -55,7 +56,7 @@ from sqsig.quantum import (
     _apply_gate_unchecked,
     _p0,
 )
-from sqsig.register import QubitRef, Register, attach_ancilla, probe_cnot
+from sqsig.register import Slots, _lend, attach_ancilla, probe_cnot
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)
@@ -297,11 +298,14 @@ class TestApplyUnitary:
     @settings(max_examples=30, deadline=None)
     def test_attach_ancilla_appends_zero(self, n, seed):
         state = random_state(np.random.default_rng(seed), n)
-        reg = Register(state)
-        ancilla = attach_ancilla(QubitRef(reg, 0))
-        assert ancilla.index == n
+        slots = Slots()
+        slots.states += [prepare_single(Basis.Z, 0), state]
+        ancillas = []
+        _lend(slots, [1 << 2], lambda refs: ancillas.append(attach_ancilla(refs[0])) or refs)
+        assert ancillas[0].handle == 1 << 2 | n  # slot 1, qubit n
+        assert slots.ancillas == {1 << 2 | n}
         np.testing.assert_array_equal(
-            reg.state.amplitudes, np.kron(state.amplitudes, [1, 0])
+            slots.states[1].amplitudes, np.kron(state.amplitudes, [1, 0])
         )
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
@@ -818,15 +822,102 @@ class TestProbeCnotSwap:
         for control, target in itertools.permutations(range(n), 2):
             for _ in range(5):
                 state = random_state(rng, n)
-                reg = Register(state)
-                probe_cnot(QubitRef(reg, control), QubitRef(reg, target))
+                slots = Slots()
+                slots.states.append(state)
+                _lend(slots, [control, target], lambda refs: probe_cnot(*refs) or refs)
                 want = _apply_gate_unchecked(state, CNOT.tolist(), (control, target))
-                assert reg.state.amps == want.amps
+                assert slots.states[0].amps == want.amps
 
     def test_swap_needs_one_register(self):
-        with pytest.raises(ValueError):
-            probe_cnot(QubitRef(Register(prepare_bell(0)), 0),
-                       QubitRef(Register(prepare_bell(0)), 1))
+        slots = Slots()
+        slots.states += [prepare_bell(0), prepare_bell(0)]
+
+        def tap(refs):
+            with pytest.raises(ValueError):
+                probe_cnot(*refs)
+            return refs
+
+        _lend(slots, [0 << 2, 1 << 2 | 1], tap)
+        assert slots.states == [prepare_bell(0), prepare_bell(0)]
+
+
+# A step of a register's walk from a seed: a shared Gate on a target, an
+# ancilla, or a CNOT; a step the register cannot take is skipped.
+TABLE_STEPS = st.one_of(
+    st.tuples(st.just("gate"), st.sampled_from(sorted(GATES)), st.integers(0, 3)),
+    st.tuples(st.just("attach")),
+    st.tuples(st.just("cnot"), st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+def _walked(seed, steps):
+    state = SEEDS[seed]
+    for kind, *args in steps:
+        n = state.num_qubits
+        if kind == "gate" and args[1] < n:
+            state = apply_unitary(state, GATES[args[0]], (args[1],))
+        elif kind == "attach" and n < MAX_REGISTER_QUBITS:
+            state = append_ancilla(state)
+        elif kind == "cnot" and args[0] != args[1] and max(args) < n:
+            state = cnot(state, *args)
+    return state
+
+
+@st.composite
+def read_stages(draw):
+    """Registers walked from the seeds, one state outside the table among
+    them, and a stage of (slot, qubit, basis, uniform) reads: one or more
+    reads may share a slot, and a qubit may be read twice."""
+    states = [_walked(draw(st.integers(0, len(SEEDS) - 1)),
+                      draw(st.lists(TABLE_STEPS, max_size=8)))
+              for _ in range(draw(st.integers(1, 5)))]
+    outside = StateVector(draw(st.sampled_from([[0.6, 0.8], [0.6, 0, 0, 0.8]])))
+    states.insert(draw(st.integers(0, len(states))), outside)
+    reads = draw(st.lists(st.tuples(
+        st.integers(0, len(states) - 1), st.integers(0, MAX_REGISTER_QUBITS - 1),
+        st.sampled_from([Basis.Z, Basis.X]),
+        st.one_of(st.sampled_from([0.0, 0.5, TOP]), st.floats(0.0, 1.0, exclude_max=True))),
+        max_size=12))
+    return states, [(r, q % states[r].num_qubits, b, u) for r, q, b, u in reads]
+
+
+class TestStageRead:
+    """`measure_stage` is one `measure` a qubit, in order, each read seeing
+    the collapse of the reads before it."""
+
+    @given(read_stages())
+    @settings(max_examples=300, deadline=None)
+    def test_a_stage_is_one_measure_a_qubit_in_order(self, case):
+        states, reads = case
+        expected_states, expected_bits = list(states), bytearray()
+        got = list(states)
+        stage = ([slot << 2 | qubit for slot, qubit, _, _ in reads],
+                 [basis for _, _, basis, _ in reads], [u for *_, u in reads])
+        try:
+            for slot, qubit, basis, u in reads:
+                bit, expected_states[slot] = measure(expected_states[slot], qubit, basis, u)
+                expected_bits.append(bit)
+        except RuntimeError:
+            # A float p0 off by an ulp can sample a branch of probability 0
+            # outside the table; the stage read fails the same way.
+            with pytest.raises(RuntimeError):
+                measure_stage(got, *stage)
+            return
+        bits = measure_stage(got, *stage)
+        assert bits == bytes(expected_bits)
+        assert [s.amps for s in got] == [s.amps for s in expected_states]
+        # A tabled post-state is the table's own state.
+        assert all(a is b for a, b in zip(got, expected_states) if b in quantum._ROWS)
+
+    def test_a_second_read_of_a_slot_sees_the_first_collapse(self):
+        # Both halves of one Bell pair: the second Z read repeats the first.
+        for g in (0, 1):
+            for u in (0.2, 0.7):
+                states = [prepare_bell(g)]
+                bits = measure_stage(states, [0, 1], [Basis.Z, Basis.Z], [u, 0.99])
+                assert bits[1] == bits[0] ^ g
+                assert states[0] is measure(measure(prepare_bell(g), 0, Basis.Z, u)[1],
+                                            1, Basis.Z, 0.99)[1]
 
 
 class TestPartialTrace:

@@ -8,30 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqsig.register as register
+from sqsig.adversary import Channel, NoAttack
+from sqsig.detection import DetectionMode
 from sqsig.keys import KeyStore, compute_g, keygen_init
 from sqsig.parties import (
     CLASSICAL_ALLOWED,
     CapabilityError,
     OpKind,
+    Party,
     classical_party,
     quantum_party,
 )
+from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
     MAX_REGISTER_QUBITS,
     Basis,
     StateVector,
     _ROWS,
     equal_up_to_phase,
+    measure,
     prepare_bell,
     prepare_single,
 )
-from sqsig.register import (
-    QubitRef,
-    Register,
-    RevokedHandleError,
-    _lend,
-    measure_qubit,
-)
+from sqsig.register import RevokedHandleError, Slots, _lend, measure_qubits, new_qubit
 from sqsig.roles import (
     alice_sign,
     bob_accept,
@@ -116,19 +116,20 @@ class TestAliceSign:
         store = KeyStore(key_bits=bytes((k_bit,) + (0,) * 8))
         alice = quantum_party("alice")
         rng = np.random.default_rng(0)
-        _, b_refs = alice_sign((m_bit,), store, alice, rng, d_z=1, d_x=1)
+        slots = Slots()
+        _, b_halves = alice_sign(slots, (m_bit,), store, alice, rng, d_z=1, d_x=1)
         g = m_bit ^ k_bit
         assert compute_g((m_bit,), store) == bytes((g,))
-        pair_state = b_refs[0].register.state
+        pair_state = slots.states[b_halves[0] >> 2]
         assert equal_up_to_phase(pair_state, prepare_bell(g))
 
     def test_bundle_lengths_match(self):
         store = keygen_init(32, np.random.default_rng(1))
-        transmission, b_refs = alice_sign(
-            (1, 0, 1, 1), store, quantum_party("alice"),
+        transmission, b_halves = alice_sign(
+            Slots(), (1, 0, 1, 1), store, quantum_party("alice"),
             np.random.default_rng(2), d_z=4, d_x=4,
         )
-        assert len(b_refs) == 4
+        assert len(b_halves) == 4
         # 4 carriers + 8 decoys in the outgoing sequence
         assert len(transmission.sequence) == 12
         assert len(transmission.records) == 8
@@ -136,7 +137,7 @@ class TestAliceSign:
     def test_embedding_too_large_rejected(self):
         store = keygen_init(32, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            alice_sign((1, 0, 1), store, quantum_party("alice"),
+            alice_sign(Slots(), (1, 0, 1), store, quantum_party("alice"),
                        np.random.default_rng(2), d_z=2, d_x=2)
 
 
@@ -151,8 +152,9 @@ class TestTrentReceive:
         ones = 0
         for _ in range(trials):
             alice = quantum_party("alice")
-            [t_half], _ = alice.prepare_bell_pair((0,))
-            (t,) = trent.measure([t_half], [Basis.Z], rng)
+            slots = Slots()
+            [t_half], _ = alice.prepare_bell_pair(slots, (0,))
+            (t,) = trent.measure(slots, [t_half], [Basis.Z], rng)
             ones += t
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
@@ -162,11 +164,12 @@ class TestTrentReceive:
         alice = quantum_party("alice")
         trent = classical_party("trent")
         m = (1, 0, 1, 1, 0, 0)
-        transmission, _ = alice_sign(m, store, alice, rng, d_z=6, d_x=6)
+        slots = Slots()
+        transmission, _ = alice_sign(slots, m, store, alice, rng, d_z=6, d_x=6)
         positions = {r >> 2 for r in transmission.records}
-        carriers = [ref for p, ref in enumerate(transmission.sequence)
+        carriers = [handle for p, handle in enumerate(transmission.sequence)
                     if p not in positions]
-        t_bits, g_trent = trent_receive(carriers, m, store, trent, rng)
+        t_bits, g_trent = trent_receive(slots, carriers, m, store, trent, rng)
         # Alice's pad is the first n key bits.
         assert g_trent == bytes(mi ^ ki for mi, ki in zip(m, store.key_bits))
         assert len(t_bits) == len(m)
@@ -180,9 +183,10 @@ class TestBobMeasure:
                 alice = quantum_party("alice")
                 bob = classical_party("bob")
                 trent = classical_party("trent")
-                [t_half], [b_half] = alice.prepare_bell_pair((g,))
-                (t,) = trent.measure([t_half], [Basis.Z], rng)
-                (b,) = bob_measure([b_half], bob, rng)
+                slots = Slots()
+                [t_half], [b_half] = alice.prepare_bell_pair(slots, (g,))
+                (t,) = trent.measure(slots, [t_half], [Basis.Z], rng)
+                (b,) = bob_measure(slots, [b_half], bob, rng)
                 assert b == t ^ g
 
     def test_unmeasured_partner_marginal_uniform(self):
@@ -192,8 +196,9 @@ class TestBobMeasure:
         ones = 0
         for _ in range(trials):
             alice = quantum_party("alice")
-            _, [b_half] = alice.prepare_bell_pair((1,))
-            (b,) = bob.measure([b_half], [Basis.Z], rng)
+            slots = Slots()
+            _, [b_half] = alice.prepare_bell_pair(slots, (1,))
+            (b,) = bob.measure(slots, [b_half], [Basis.Z], rng)
             ones += b
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
@@ -201,8 +206,9 @@ class TestBobMeasure:
         rng = np.random.default_rng(9)
         bob = classical_party("bob")
         alice = quantum_party("alice")
-        _, halves = alice.prepare_bell_pair((0, 0, 0))
-        bob_measure(halves, bob, rng)
+        slots = Slots()
+        _, halves = alice.prepare_bell_pair(slots, (0, 0, 0))
+        bob_measure(slots, halves, bob, rng)
         assert set(bob.op_log) == {OpKind.MEASURE_Z}
 
 
@@ -261,26 +267,30 @@ class TestBobAccept:
 class TestCapabilities:
     def test_classical_cannot_prepare_x(self):
         with pytest.raises(CapabilityError):
-            classical_party("bob").prepare([Basis.X], [0])
+            classical_party("bob").prepare(Slots(), [Basis.X], [0])
 
     def test_classical_cannot_measure_x(self):
         rng = np.random.default_rng(0)
         alice = quantum_party("alice")
-        refs = alice.prepare([Basis.X], [0])
+        slots = Slots()
+        handles = alice.prepare(slots, [Basis.X], [0])
         with pytest.raises(CapabilityError):
-            classical_party("trent").measure(refs, [Basis.X], rng)
+            classical_party("trent").measure(slots, handles, [Basis.X], rng)
 
     def test_classical_cannot_prepare_entangled(self):
+        slots = Slots()
         with pytest.raises(CapabilityError):
-            classical_party("bob").prepare_bell_pair((0,))
+            classical_party("bob").prepare_bell_pair(slots, (0,))
+        assert slots.states == []
 
     def test_classical_allowed_set(self):
         rng = np.random.default_rng(0)
         bob = classical_party("bob")
-        refs = bob.prepare([Basis.Z], [1])
-        bob.measure(refs, [Basis.Z], rng)
-        bob.reflect(refs)
-        bob.reorder(refs, [0])
+        slots = Slots()
+        handles = bob.prepare(slots, [Basis.Z], [1])
+        bob.measure(slots, handles, [Basis.Z], rng)
+        bob.reflect(handles)
+        bob.reorder(handles, [0])
         bob.delay()
         bob.classical_compute()
         assert set(bob.op_log) <= CLASSICAL_ALLOWED
@@ -288,15 +298,18 @@ class TestCapabilities:
     def test_quantum_party_unrestricted(self):
         rng = np.random.default_rng(0)
         alice = quantum_party("alice")
-        refs = alice.prepare([Basis.X], [1])
-        alice.measure(refs, [Basis.X], rng)
-        alice.prepare_bell_pair((1,))
+        slots = Slots()
+        handles = alice.prepare(slots, [Basis.X], [1])
+        alice.measure(slots, handles, [Basis.X], rng)
+        alice.prepare_bell_pair(slots, (1,))
 
     def test_rejected_op_not_logged(self):
         bob = classical_party("bob")
+        slots = Slots()
         with pytest.raises(CapabilityError):
-            bob.prepare([Basis.X], [0])
+            bob.prepare(slots, [Basis.X], [0])
         assert OpKind.PREPARE_X not in bob.op_log
+        assert slots.states == []
 
 
 @st.composite
@@ -311,22 +324,34 @@ def measuring_stages(draw):
         n = draw(st.integers(1, MAX_REGISTER_QUBITS))
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         states.append(StateVector(amps / np.linalg.norm(amps)))
-    slots = [(r, q) for r, state in enumerate(states) for q in range(state.num_qubits)]
-    order = draw(st.permutations(slots))
+    qubits = [(r, q) for r, state in enumerate(states) for q in range(state.num_qubits)]
+    order = draw(st.permutations(qubits))
     stage = order[:draw(st.integers(1, len(order)))]
     bases = draw(st.lists(st.sampled_from([Basis.Z, Basis.X]),
                           min_size=len(stage), max_size=len(stage)))
     return states, stage, bases, seed, draw(st.integers(0, len(stage) - 1))
 
 
-def stage_refs(states, stage):
-    registers = [Register(state) for state in states]
-    return registers, [QubitRef(registers[r], q) for r, q in stage]
+def stage_handles(states, stage):
+    """A slot list holding `states`, and the handles of the stage's qubits."""
+    slots = Slots()
+    slots.states.extend(states)
+    return slots, [r << 2 | q for r, q in stage]
+
+
+def read_one_by_one(states, stage, bases, rng):
+    """The bits and the post-states of one quantum.measure a qubit, in order."""
+    states = list(states)
+    bits = bytearray()
+    for (r, q), basis in zip(stage, bases):
+        bit, states[r] = measure(states[r], q, basis, rng.random())
+        bits.append(bit)
+    return bytes(bits), states
 
 
 class TestPartyStages:
     """A stage is its qubits, in order: the same bits, post-states, op log
-    and generator state as one measure_qubit (or prepare_single) a qubit."""
+    and generator state as one quantum.measure (or prepare_single) a qubit."""
 
     @given(measuring_stages())
     @settings(max_examples=150, deadline=None)
@@ -335,14 +360,11 @@ class TestPartyStages:
         rng = np.random.default_rng(seed)
         clone = copy.deepcopy(rng)
         alice = quantum_party("alice")
-        registers, refs = stage_refs(states, stage)
-        bits = alice.measure(refs, bases, rng)
-        expected_registers, expected_refs = stage_refs(states, stage)
-        expected = bytes(measure_qubit(ref, b, clone.random())
-                         for ref, b in zip(expected_refs, bases))
+        slots, handles = stage_handles(states, stage)
+        bits = alice.measure(slots, handles, bases, rng)
+        expected, expected_states = read_one_by_one(states, stage, bases, clone)
         assert bits == expected
-        assert ([reg.state.amps for reg in registers]
-                == [reg.state.amps for reg in expected_registers])
+        assert [s.amps for s in slots.states] == [s.amps for s in expected_states]
         assert alice.op_log == [OpKind.MEASURE_Z if b is Basis.Z else OpKind.MEASURE_X
                                 for b in bases]
         assert rng.bit_generator.state == clone.bit_generator.state
@@ -357,10 +379,10 @@ class TestPartyStages:
         before = rng.bit_generator.state
         trent = classical_party("trent")
         trent.delay()
-        registers, refs = stage_refs(states, stage)
+        slots, handles = stage_handles(states, stage)
         with pytest.raises(CapabilityError):
-            trent.measure(refs, bases, rng)
-        assert [reg.state for reg in registers] == states  # the same objects
+            trent.measure(slots, handles, bases, rng)
+        assert slots.states == states  # the same objects
         assert trent.op_log == [OpKind.DELAY]
         assert rng.bit_generator.state == before
 
@@ -370,20 +392,22 @@ class TestPartyStages:
     def test_prepare_is_its_qubits_in_order(self, stage):
         bases, bits = zip(*stage)
         alice = quantum_party("alice")
-        refs = alice.prepare(bases, bits)
-        assert [ref.register.state for ref in refs] == [
-            prepare_single(b, bit) for b, bit in stage]
-        assert len({id(ref.register) for ref in refs}) == len(stage)  # fresh registers
+        slots = Slots()
+        slots.states.append(prepare_bell(0))  # a slot the stage leaves alone
+        handles = alice.prepare(slots, bases, bits)
+        assert handles == [s << 2 for s in range(1, len(stage) + 1)]  # fresh slots
+        assert slots.states == [prepare_bell(0), *(prepare_single(b, bit) for b, bit in stage)]
         assert alice.op_log == [OpKind.PREPARE_Z if b is Basis.Z else OpKind.PREPARE_X
                                 for b in bases]
         bob = classical_party("bob")
         bob.delay()
         if Basis.X in bases:
             with pytest.raises(CapabilityError):
-                bob.prepare(bases, bits)
+                bob.prepare(slots, bases, bits)
             assert bob.op_log == [OpKind.DELAY]
+            assert len(slots.states) == len(stage) + 1
         else:
-            assert len(bob.prepare(bases, bits)) == len(stage)
+            assert len(bob.prepare(slots, bases, bits)) == len(stage)
 
     @given(st.integers(0, 2 ** 32 - 1), st.permutations(range(6)),
            st.lists(st.sampled_from([Basis.Z, Basis.X]), min_size=6, max_size=6))
@@ -393,51 +417,91 @@ class TestPartyStages:
         # a fresh one-qubit state and both qubits of a fresh two-qubit state.
         def stage():
             alice = quantum_party("alice")
-            [t_half], [b_half] = alice.prepare_bell_pair((1,))
-            pair = Register(StateVector([0.6, 0, 0, 0.8]))
-            refs = [t_half, b_half, *alice.prepare([Basis.X], [0]),
-                    QubitRef(Register(StateVector([0.6, 0.8])), 0),
-                    QubitRef(pair, 0), QubitRef(pair, 1)]
-            return [refs[i] for i in order]
+            slots = Slots()
+            [t_half], [b_half] = alice.prepare_bell_pair(slots, (1,))
+            handles = [t_half, b_half, *alice.prepare(slots, [Basis.X], [0]),
+                       new_qubit(slots, StateVector([0.6, 0.8]))]
+            slots.states.append(StateVector([0.6, 0, 0, 0.8]))
+            handles += [len(slots.states) - 1 << 2, len(slots.states) - 1 << 2 | 1]
+            return slots, [handles[i] for i in order]
 
-        refs = stage()
-        tabled = [ref.register.state in _ROWS for ref in refs]
+        slots, handles = stage()
+        tabled = [slots.states[h >> 2] in _ROWS for h in handles]
         assert sorted(tabled) == [False] * 3 + [True] * 3
         rng = np.random.default_rng(seed)
         clone = copy.deepcopy(rng)
-        alice = quantum_party("alice")
-        bits = alice.measure(refs, bases, rng)
-        expected_refs = stage()
-        expected = bytes(measure_qubit(ref, b, clone.random())
-                         for ref, b in zip(expected_refs, bases))
+        bits = quantum_party("alice").measure(slots, handles, bases, rng)
+        expected_slots, expected_handles = stage()
+        expected, expected_states = read_one_by_one(
+            expected_slots.states, [(h >> 2, h & 3) for h in expected_handles], bases, clone)
         assert bits == expected
-        assert ([ref.register.state.amps for ref in refs]
-                == [ref.register.state.amps for ref in expected_refs])
+        assert [s.amps for s in slots.states] == [s.amps for s in expected_states]
         assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_stage_refuses_a_revoked_ref(self):
-        [ref] = quantum_party("alice").prepare([Basis.Z], [0])
+        slots = Slots()
+        handles = quantum_party("alice").prepare(slots, [Basis.Z], [0])
         lent = []
-        _lend([ref], lambda refs: lent.extend(refs) or refs)
+        _lend(slots, handles, lambda refs: lent.extend(refs) or refs)
         with pytest.raises(RevokedHandleError):
-            quantum_party("alice").measure(lent, [Basis.Z], np.random.default_rng(0))
+            measure_qubits(lent, [Basis.Z], np.random.default_rng(0))
 
     @given(st.lists(st.integers(0, 1), max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_bell_pairs_are_one_per_bit(self, g):
         alice = quantum_party("alice")
-        t_halves, b_halves = alice.prepare_bell_pair(g)
-        assert [ref.register.state for ref in t_halves] == [prepare_bell(bit) for bit in g]
-        assert [ref.register for ref in b_halves] == [ref.register for ref in t_halves]
-        assert len({id(ref.register) for ref in t_halves}) == len(g)  # fresh registers
-        assert {ref.index for ref in t_halves} <= {0} and {ref.index for ref in b_halves} <= {1}
+        slots = Slots()
+        slots.states.append(prepare_single(Basis.Z, 0))  # a slot the pairs leave alone
+        t_halves, b_halves = alice.prepare_bell_pair(slots, g)
+        assert slots.states == [prepare_single(Basis.Z, 0), *map(prepare_bell, g)]
+        assert t_halves == [s << 2 for s in range(1, len(g) + 1)]  # fresh slots, qubit 0
+        assert b_halves == [h | 1 for h in t_halves]  # the same slots, qubit 1
         assert alice.op_log == [OpKind.PREPARE_ENTANGLED] * len(g)
 
     def test_stage_lengths_must_agree(self):
         alice = quantum_party("alice")
+        slots = Slots()
         with pytest.raises(ValueError):
-            alice.prepare([Basis.Z], [0, 1])
-        refs = alice.prepare([Basis.Z] * 2, [0, 1])
+            alice.prepare(slots, [Basis.Z], [0, 1])
+        handles = alice.prepare(slots, [Basis.Z] * 2, [0, 1])
         with pytest.raises(ValueError):
-            alice.measure(refs, [Basis.Z], np.random.default_rng(0))
+            alice.measure(slots, handles, [Basis.Z], np.random.default_rng(0))
         assert alice.op_log == [OpKind.PREPARE_Z] * 2
+
+
+class TestHonestRoundHoldsInts:
+    """An honest round passes int handles from stage to stage and builds
+    no QubitRef: refs are for strategies alone."""
+
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_no_ref_and_only_int_handles(self, monkeypatch, mode):
+        refs_built, stages = [], []
+
+        def refuse_refs(ref, slots, handle):
+            refs_built.append(handle)
+
+        def watched(fn, *, arg, out):
+            # Keep the handle list at position `arg` and, when `out`, the
+            # handle lists `fn` returns.
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                if arg is not None:
+                    stages.append(args[arg])
+                if out:
+                    stages.extend(result if isinstance(result, tuple) else (result,))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(register.QubitRef, "__init__", refuse_refs)
+        for name, arg, out in (("prepare", None, True), ("prepare_bell_pair", None, True),
+                               ("measure", 2, False), ("reflect", 1, True),
+                               ("reorder", 1, True)):
+            monkeypatch.setattr(Party, name, watched(getattr(Party, name), arg=arg, out=out))
+        monkeypatch.setattr(Channel, "send_qubits",
+                            watched(Channel.send_qubits, arg=2, out=True))
+        result = run_protocol_round(message=(1, 0, 1, 1), mode=mode, strategy=NoAttack(),
+                                    rng=np.random.default_rng(0), d_z=4, d_x=4)
+        assert result.accepted
+        assert refs_built == []
+        assert len(stages) >= 8 and any(stages)
+        assert all(type(h) is int for stage in stages for h in stage)
