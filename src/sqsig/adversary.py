@@ -50,6 +50,14 @@ class TapPoint(str, Enum):
     BOB_TO_TRENT_CLASSICAL = "bob_to_trent_classical"
 
 
+# Enum member reads, done once: they sit on the path of every send.
+_FORWARD = TapPoint.FORWARD_ALICE_TO_TRENT
+_RETURN = TapPoint.RETURN_TRENT_TO_ALICE
+_BOB_QUANTUM = TapPoint.ALICE_TO_BOB_QUANTUM
+_BOB_CLASSICAL = TapPoint.ALICE_TO_BOB_CLASSICAL
+_Z = Basis.Z
+
+
 class AttackStrategy:
     """Base strategy: pass qubits and classical traffic through untouched."""
 
@@ -107,24 +115,24 @@ class QubitProbe(AttackStrategy):
 
     def tap_qubits(self, point, refs, rng):
         # Each tap's reads take their uniforms from one draw.
-        if point is TapPoint.FORWARD_ALICE_TO_TRENT:
+        if point is _FORWARD:
             if self.u is not None:
                 for ref in refs:
                     apply_gate(ref, self.u)
             elif self.read == "immediate":
-                measure_qubits(refs, (Basis.Z,) * len(refs), rng)
+                measure_qubits(refs, (_Z,) * len(refs), rng)
             else:
                 for ref in refs:
                     probe = attach_ancilla(ref)
                     probe_cnot(ref, probe)
                     self.pending.append(probe)
-        elif point is TapPoint.RETURN_TRENT_TO_ALICE:
+        elif point is _RETURN:
             if self.u is not None:
                 for ref in refs:
                     apply_gate(ref, self.undo)
             if self.pending:
                 for probe, u in zip(self.pending, rng.random(len(self.pending)).tolist()):
-                    measure_qubit(probe, Basis.Z, u)
+                    measure_qubit(probe, _Z, u)
                 self.pending.clear()
         return refs
 
@@ -138,7 +146,7 @@ class TamperSignatureB(AttackStrategy):
         self.positions = tuple(sorted(set(int(p) for p in positions)))
 
     def tap_qubits(self, point, refs, rng):
-        if point is TapPoint.ALICE_TO_BOB_QUANTUM:
+        if point is _BOB_QUANTUM:
             for p in self.positions:
                 if p < 0 or p >= len(refs):
                     raise IndexError(f"tamper position {p} out of range")
@@ -155,7 +163,7 @@ class TamperClassicalMessage(AttackStrategy):
         self.positions = tuple(sorted(set(int(p) for p in positions)))
 
     def tap_classical(self, point, name, bits, rng):
-        if point is TapPoint.ALICE_TO_BOB_CLASSICAL and name == "message":
+        if point is _BOB_CLASSICAL and name == "message":
             out = bytearray(bits)
             for p in self.positions:
                 if p < 0 or p >= len(out):
@@ -201,8 +209,7 @@ class Channel:
             for handle, u in zip(handles, rng.random(len(handles)).tolist()):
                 if u < p:
                     gate_handle(self.slots, handle, _PAULI_CYCLE[min(int(3 * u / p), 2)])
-        out = _lend(self.slots, handles,
-                    lambda lent: self.strategy.tap_qubits(point, lent, rng))
+        out = _lend(self.slots, handles, self.strategy.tap_qubits, point, rng)
         if self.transcript is not None:
             self._log("quantum_send", point=point.value, count=len(out),
                       tap=self.strategy.kind)

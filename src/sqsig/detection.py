@@ -2,11 +2,12 @@
 
 A decoy record is the 18-bit LOC field it is announced as: position << 2
 | basis bit (Z = 0, X = 1) << 1 | value. The sender's decoy state is one
-list of records in position order; the first n Z-decoys in that order
-carry the message. An announcement travels as its fields, a tuple of
-ints: 18-bit LOC records and 16-bit permutation entries, each read as
-`width` big-endian bits wherever bits matter (the transcript, the inline
-pad). A receiver decodes a payload only if every item is an int in
+list of records in position order, with their low two bits, the decoy
+codes, as bytes, so its recheck is one XOR of codes and bits; the first
+n Z-decoys in that order carry the message. An announcement travels as
+its fields, a tuple of ints: 18-bit LOC records and 16-bit permutation
+entries, each read as `width` big-endian bits wherever bits matter (the
+transcript, the inline pad). A receiver decodes a payload only if every item is an int in
 [0, 2**width) (`is_fields`, the rule of a bit wire at width 1); anything
 else aborts the round. The sender's encoders do not check: each
 announcement is checked once, when the receiver decodes it. The receiver
@@ -36,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .adversary import Channel, TapPoint
-from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt, random_bits
+from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt, random_bits, xor_bits
 from .parties import Party
 from .quantum import Basis
 from .register import Slots
@@ -71,11 +72,14 @@ class ModeSpec:
 
 
 _Z, _X, _ALL = (0,), (2,), (0, 2)
+# Enum member reads, done once: they sit on the path of every round.
 _BASIS_Z = Basis.Z
+_FORWARD = TapPoint.FORWARD_ALICE_TO_TRENT
+_RETURN = TapPoint.RETURN_TRENT_TO_ALICE
+_ABORT = Verdict.ABORT
 # By a record's low bits, basis bit << 1 | value: the whole record before
 # assembly adds its position.
 _BASIS_OF = (Basis.Z, Basis.Z, Basis.X, Basis.X)
-_VALUE_OF = (0, 1, 0, 1)
 
 MODE_SPECS = {
     DetectionMode.IMPROVED: ModeSpec(
@@ -114,11 +118,6 @@ class DetectionReport:
     alice_x_checked: int = 0
     verdict: Verdict = Verdict.CONTINUE
 
-    def rate(self, check: str) -> float:
-        """Error rate of one of CHECKS."""
-        j = 2 * CHECKS.index(check)
-        return error_rate(*REPORT_COUNTS(self)[j:j + 2])
-
 
 @dataclass
 class TrentTransmission:
@@ -126,6 +125,7 @@ class TrentTransmission:
 
     sequence: list[int]
     records: list[int]  # every decoy's LOC field, in position order
+    codes: bytes  # every decoy's basis bit << 1 | value, in position order
 
 
 @dataclass
@@ -198,7 +198,8 @@ def build_decoys(
 ) -> tuple[list[int], list[int]]:
     """Prepare the mixed decoy sequence D, message bits leading the Z-decoys.
 
-    Draws `rng.permutation(d_z + d_x)`, which places the X-decoys, then
+    Shuffles `list(range(d_z + d_x))` with `rng.shuffle`, the draws of
+    `rng.permutation(d_z + d_x)`, which places the X-decoys, then draws
     `random_bits(rng, d_z + d_x)` for the values the message leaves free.
     Returned records are in decoy-sequence order with position 0;
     assemble_transmission() adds the transmitted positions.
@@ -207,14 +208,15 @@ def build_decoys(
         raise ValueError(
             f"cannot embed {len(embedded_m)} message bits into {d_z} Z-decoys"
         )
-    order = rng.permutation(d_z + d_x).tolist()
+    order = list(range(d_z + d_x))
+    rng.shuffle(order)
     fill = random_bits(rng, d_z + d_x)
     message = iter(embedded_m)
     # Decoy i is an X-decoy when order[i] >= d_z; a Z-decoy takes the next
     # message bit while one is left.
     records = [2 | f if i >= d_z else next(message, f) for i, f in zip(order, fill)]
-    bases = list(map(_BASIS_OF.__getitem__, records))
-    return preparer.prepare(slots, bases, list(map(_VALUE_OF.__getitem__, records))), records
+    bases = [_BASIS_OF[r] for r in records]
+    return preparer.prepare(slots, bases, [r & 1 for r in records]), records
 
 
 def assemble_transmission(
@@ -225,20 +227,23 @@ def assemble_transmission(
 ) -> TrentTransmission:
     """Insert the decoys uniformly among the carriers, keeping both orders.
 
-    The decoy positions are the sorted first d entries of one
-    `rng.permutation(total)`: a uniform d-subset of the transmitted
+    The decoy positions are the sorted first d entries of
+    `list(range(total))` after one `rng.shuffle` (the draws of
+    `rng.permutation(total)`): a uniform d-subset of the transmitted
     positions. Each record gains its decoy's position, in order.
     """
     d = len(decoys)
     total = len(carriers) + d
-    decoy_pos = sorted(rng.permutation(total)[:d].tolist())
-    is_decoy = bytearray(total)
-    for p in decoy_pos:
-        is_decoy[p] = 1
-    next_decoy, next_carrier = iter(decoys).__next__, iter(carriers).__next__
-    sequence = [next_decoy() if m else next_carrier() for m in is_decoy]
+    order = list(range(total))
+    rng.shuffle(order)
+    decoy_pos = sorted(order[:d])
+    sequence = [0] * total
+    for p, handle in zip(decoy_pos, decoys):
+        sequence[p] = handle
+    for p, handle in zip(sorted(order[d:]), carriers):  # the other positions
+        sequence[p] = handle
     placed = [p << 2 | r for p, r in zip(decoy_pos, records)]
-    return TrentTransmission(sequence=sequence, records=placed)
+    return TrentTransmission(sequence, placed, bytes(records))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,7 @@ def _announce(
 
 
 def _abort(report: DetectionReport) -> DetectionResult:
-    report.verdict = Verdict.ABORT
+    report.verdict = _ABORT
     return DetectionResult(report, [], None)
 
 
@@ -295,19 +300,15 @@ def run_detection_round(
     report = DetectionReport()
     records = transmission.records
 
-    seq = channel.send_qubits(
-        TapPoint.FORWARD_ALICE_TO_TRENT, transmission.sequence, rng
-    )
+    seq = channel.send_qubits(_FORWARD, transmission.sequence, rng)
     if not spec.encrypted:
-        channel.send_classical(
-            TapPoint.RETURN_TRENT_TO_ALICE, "confirm_receipt", b"\x01", rng
-        )
+        channel.send_classical(_RETURN, "confirm_receipt", b"\x01", rng)
     announced: list[int] = []
     for wire_name, bases, values in spec.announcements:
         listed = records if bases is _ALL else [r for r in records if r & 2 in bases]
         try:
             received = _announce(
-                channel, TapPoint.FORWARD_ALICE_TO_TRENT, wire_name,
+                channel, _FORWARD, wire_name,
                 encode_loc(listed, include_values=values), RECORD_BITS,
                 pad, "loc_announce", rng, decode_loc,
             )
@@ -338,28 +339,29 @@ def run_detection_round(
         z_bits = receiver.measure(slots, [seq[r >> 2] for r in z_announced],
                                   (_BASIS_Z,) * len(z_announced), rng)
         if spec.compares:
-            report.bob_z_checked = len(z_announced)
-            report.bob_z_errors = sum([(r ^ bit) & 1 for bit, r in zip(z_bits, z_announced)])
-        if report.rate("bob_z") > threshold:
-            return _abort(report)
+            checked = report.bob_z_checked = len(z_announced)
+            errors = report.bob_z_errors = sum(
+                [(r ^ bit) & 1 for bit, r in zip(z_bits, z_announced)])
+            # Abort when errors / checked exceeds the threshold (which is >= 0).
+            if errors and errors / checked > threshold:
+                return _abort(report)
         recovered_m = z_bits[:len(carriers)]
-        mapping = tuple(rng.permutation(len(decoys)).tolist())
+        mapping = list(range(len(decoys)))
+        rng.shuffle(mapping)  # the draws of rng.permutation(len(decoys))
         returned = receiver.reorder(decoys, mapping)
     else:
         receiver.delay()
         returned = receiver.reflect(decoys)
         mapping = tuple(range(len(records)))
 
-    returned = channel.send_qubits(TapPoint.RETURN_TRENT_TO_ALICE, returned, rng)
+    returned = channel.send_qubits(_RETURN, returned, rng)
 
     if spec.measures:  # the shuffle must be announced; a reflection keeps order
         if not spec.encrypted:
-            channel.send_classical(
-                TapPoint.FORWARD_ALICE_TO_TRENT, "confirm_return_receipt", b"\x01", rng
-            )
+            channel.send_classical(_FORWARD, "confirm_return_receipt", b"\x01", rng)
         try:
             mapping = _announce(
-                channel, TapPoint.RETURN_TRENT_TO_ALICE,
+                channel, _RETURN,
                 "perm_ciphertext" if spec.encrypted else "permutation",
                 encode_permutation(mapping), POSITION_FIELD_BITS,
                 pad, "perm_announce", rng, decode_permutation,
@@ -378,13 +380,16 @@ def run_detection_round(
     restored = [None] * d
     for original, handle in zip(mapping, returned):
         restored[original] = handle
-    bits = sender.measure(slots, restored, [_BASIS_OF[r & 3] for r in records], rng)
-    # (r ^ bit) & 3 is the record's basis bit << 1 | whether its bit missed.
-    kinds = [(r ^ bit) & 3 for bit, r in zip(bits, records)]
-    report.alice_z_errors, report.alice_x_errors = kinds.count(1), kinds.count(3)
-    report.alice_z_checked = kinds.count(0) + report.alice_z_errors
-    report.alice_x_checked = kinds.count(2) + report.alice_x_errors
-    if max(report.rate("alice_z"), report.rate("alice_x")) > threshold:
+    codes = transmission.codes
+    bits = sender.measure(slots, restored, [_BASIS_OF[c] for c in codes], rng)
+    # Code ^ bit is the decoy's basis bit << 1 | whether its bit missed.
+    kinds = xor_bits(codes, bits)
+    z_errors = report.alice_z_errors = kinds.count(1)
+    x_errors = report.alice_x_errors = kinds.count(3)
+    z_checked = report.alice_z_checked = kinds.count(0) + z_errors
+    x_checked = report.alice_x_checked = kinds.count(2) + x_errors
+    if (z_errors and z_errors / z_checked > threshold
+            or x_errors and x_errors / x_checked > threshold):
         return _abort(report)
 
     return DetectionResult(report, carriers, recovered_m)

@@ -128,12 +128,13 @@ def parse_attack(text: str) -> AttackSpec:
     return AttackSpec(head, ATTACKS[head].parse(head, arg))
 
 
-def build_strategy(spec: AttackSpec) -> AttackStrategy:
-    """Fresh strategy instance (a probe's pending ancillas are per-run)."""
+def strategy_factory(spec: AttackSpec) -> Callable[[], AttackStrategy]:
+    """A maker of fresh strategy instances, one a call (a probe's pending
+    ancillas are per-run)."""
     strategy = ATTACKS[spec.name].strategy
     if strategy is None:
         raise ConfigError(f"{spec.name} runs its own experiment, not a channel strategy")
-    return strategy() if spec.arg is None else strategy(spec.arg)
+    return strategy if spec.arg is None else partial(strategy, spec.arg)
 
 
 def attack_spec_text(spec: AttackSpec) -> str:
@@ -399,6 +400,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
     outcomes = bytearray()  # aborted, trent_yes, accepted of each trial in turn
     counts = array("q")  # REPORT_COUNTS of each trial in turn
 
+    new_strategy = strategy_factory(config.attack)
     bit_generator = np.random.PCG64(config.seed)
     base = bit_generator.state
     rng = np.random.Generator(bit_generator)
@@ -411,7 +413,7 @@ def run_trials(config: ScenarioConfig) -> tuple[AggregateStats, list[dict]]:
             message = random_bits(rng, config.n)
         result = run_protocol_round(
             message=message, mode=config.mode,
-            strategy=build_strategy(config.attack), rng=rng,
+            strategy=new_strategy(), rng=rng,
             d_z=config.d_z, d_x=config.d_x, threshold=config.threshold,
             noise_p=config.noise_p, record_transcript=(i == 0),
         )

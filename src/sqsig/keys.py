@@ -49,9 +49,10 @@ def int_to_bits(value: int, k: int) -> Bits:
 
 def xor_bits(a: Sequence[int], b: Sequence[int]) -> Bits:
     """Bytewise XOR; ValueError for unequal lengths or a value outside 0..255."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    n = len(a)
+    if n != len(b):
+        raise ValueError(f"length mismatch: {n} vs {len(b)}")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 
 @dataclass

@@ -8,8 +8,9 @@ classical party attempting a non-classical operation is rejected at the
 interface with CapabilityError. Preparation, Bell pairs included, and
 measurement take a whole stage of qubits: its ops are checked before any
 qubit is touched, then logged in stage order. A qubit is its int handle
-into the round's `register.Slots`; a preparing stage prepares each
-distinct state once, and a measuring stage is one `quantum.measure_stage`.
+into the round's `register.Slots`; a preparing stage fills its slots with
+one `register.new_qubit` call, and a measuring stage is one
+`quantum.measure_stage`.
 """
 
 from __future__ import annotations
@@ -58,10 +59,12 @@ class PartyKind(str, Enum):
 
 # Enum member reads, done once: they sit on the path of every party op.
 _Z = Basis.Z
-_CLASSICAL = PartyKind.CLASSICAL
+_QUANTUM, _CLASSICAL = PartyKind.QUANTUM, PartyKind.CLASSICAL
 _PREPARE_Z, _PREPARE_X = OpKind.PREPARE_Z, OpKind.PREPARE_X
 _MEASURE_Z, _MEASURE_X = OpKind.MEASURE_Z, OpKind.MEASURE_X
 _ENTANGLED_OPS = (OpKind.PREPARE_ENTANGLED,)
+_REFLECT_OPS, _REORDER_OPS = (OpKind.REFLECT,), (OpKind.REORDER,)
+_DELAY_OPS, _COMPUTE_OPS = (OpKind.DELAY,), (OpKind.CLASSICAL_COMPUTE,)
 
 
 class CapabilityError(RuntimeError):
@@ -89,14 +92,7 @@ class Party:
         if len(bases) != len(bits):
             raise ValueError("a stage needs one basis per bit")
         self._record([_PREPARE_Z if b is _Z else _PREPARE_X for b in bases])
-        made: dict = {}  # each distinct (basis, bit) of the stage, prepared once
-        handles = []
-        for key in zip(bases, bits):
-            state = made.get(key)
-            if state is None:
-                state = made[key] = prepare_single(*key)
-            handles.append(new_qubit(slots, state))
-        return handles
+        return new_qubit(slots, list(map(prepare_single, bases, bits)))
 
     def prepare_bell_pair(
         self, slots: Slots, g: Sequence[int]
@@ -115,34 +111,34 @@ class Party:
         rng: np.random.Generator,
     ) -> Bits:
         """Measure handles[i] in bases[i], in order, from one draw of uniforms."""
-        if len(bases) != len(handles):
+        k = len(handles)
+        if len(bases) != k:
             raise ValueError("a stage needs one basis per qubit")
         self._record([_MEASURE_Z if b is _Z else _MEASURE_X for b in bases])
-        return measure_stage(slots.states, handles, bases,
-                             rng.random(len(handles)).tolist())
+        return measure_stage(slots.states, handles, bases, rng.random(k).tolist())
 
     def reflect(self, handles: Sequence[int]) -> list[int]:
         """Send qubits back undisturbed."""
-        self._record((OpKind.REFLECT,))
+        self._record(_REFLECT_OPS)
         return list(handles)
 
     def reorder(self, handles: Sequence[int], perm: Sequence[int]) -> list[int]:
         """Return handles permuted so that result[j] = handles[perm[j]]."""
-        self._record((OpKind.REORDER,))
+        self._record(_REORDER_OPS)
         if sorted(perm) != list(range(len(handles))):
             raise ValueError("perm is not a bijection on the qubits")
         return list(map(handles.__getitem__, perm))
 
     def delay(self) -> None:
-        self._record((OpKind.DELAY,))
+        self._record(_DELAY_OPS)
 
     def classical_compute(self) -> None:
-        self._record((OpKind.CLASSICAL_COMPUTE,))
+        self._record(_COMPUTE_OPS)
 
 
 def quantum_party(name: str) -> Party:
-    return Party(name=name, kind=PartyKind.QUANTUM)
+    return Party(name, _QUANTUM)
 
 
 def classical_party(name: str) -> Party:
-    return Party(name=name, kind=PartyKind.CLASSICAL)
+    return Party(name, _CLASSICAL)

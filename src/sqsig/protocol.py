@@ -30,6 +30,13 @@ from .roles import (
     VerificationOutcome,
 )
 
+# Enum member reads, done once: they sit on the path of every round.
+_FORWARD = TapPoint.FORWARD_ALICE_TO_TRENT
+_BOB_QUANTUM = TapPoint.ALICE_TO_BOB_QUANTUM
+_BOB_CLASSICAL = TapPoint.ALICE_TO_BOB_CLASSICAL
+_B_TO_TRENT = TapPoint.BOB_TO_TRENT_CLASSICAL
+_ABORT = Verdict.ABORT
+
 
 def key_budget(n: int, d_z: int, d_x: int, mode: DetectionMode) -> int:
     """Key bits one run consumes: the signing pad plus inline OTP traffic."""
@@ -82,7 +89,7 @@ def run_protocol_round(
     detection = run_detection_round(
         mode, channel, transmission, threshold, alice, trent, store, rng
     )
-    if detection.report.verdict is Verdict.ABORT:
+    if detection.report.verdict is _ABORT:
         return TrialResult(
             detection=detection.report, aborted=True, outcome=None,
             accepted=False, alice=alice, bob=bob, trent=trent, store=store,
@@ -92,9 +99,7 @@ def run_protocol_round(
     recovered_m = detection.recovered_m
     if recovered_m is None:
         # Reflected decoys cannot carry the message; it travels in clear.
-        recovered_m = channel.send_classical(
-            TapPoint.FORWARD_ALICE_TO_TRENT, "message_to_trent", message, rng
-        )
+        recovered_m = channel.send_classical(_FORWARD, "message_to_trent", message, rng)
 
     # Trent cannot verify a message, T or B string of the wrong length, nor
     # one holding an item other than an int 0 or 1: No.
@@ -105,14 +110,10 @@ def run_protocol_round(
             slots, detection.carriers, recovered_m, store, trent, rng
         )
 
-    m_received = channel.send_classical(
-        TapPoint.ALICE_TO_BOB_CLASSICAL, "message", message, rng
-    )
-    b_halves = channel.send_qubits(TapPoint.ALICE_TO_BOB_QUANTUM, b_halves, rng)
+    m_received = channel.send_classical(_BOB_CLASSICAL, "message", message, rng)
+    b_halves = channel.send_qubits(_BOB_QUANTUM, b_halves, rng)
     b_bits = bob_measure(slots, b_halves, bob, rng)
-    b_received = channel.send_classical(
-        TapPoint.BOB_TO_TRENT_CLASSICAL, "b_string", b_bits, rng
-    )
+    b_received = channel.send_classical(_B_TO_TRENT, "b_string", b_bits, rng)
 
     if well_formed and len(b_received) == n and is_fields(b_received, 1):
         outcome = trent_conclude(

@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -527,7 +528,9 @@ def measure(state: StateVector, qubit: int, basis: Basis, u: float) -> Measureme
 
     The bit is 0 when the uniform `u` lies below the probability of 0. A
     state in the table reads p0 and both outcomes from its branch rows,
-    built on its first read; any other state computes them.
+    built on its first read; any other state computes them, reads a p0
+    within 1e-15 of 0 or 1 as exactly that, and hands back the table's
+    state for a post-state that has a key.
     """
     rows = _ROWS.get(state)
     if rows is None and state in _ROWS:
@@ -540,7 +543,11 @@ def measure(state: StateVector, qubit: int, basis: Basis, u: float) -> Measureme
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
     in_x = basis is _X
-    return _collapse(amps, qubit, in_x, 0 if u < _p0(amps, qubit, in_x) else 1)
+    p0 = _p0(amps, qubit, in_x)
+    # A branch within the cut _collapse refuses has probability exactly 0.
+    p0 = 0.0 if p0 <= 1e-15 else 1.0 if p0 >= 1.0 - 1e-15 else p0
+    bit, post = _collapse(amps, qubit, in_x, 0 if u < p0 else 1)
+    return MeasurementOutcome(bit, _intern(post) or post)
 
 
 def measure_stage(
@@ -549,18 +556,20 @@ def measure_stage(
 ) -> bytes:
     """`measure` of qubit h & 3 of states[h >> 2] in bases[i] with the
     uniform us[i], for each h = handles[i] in order, each post-state
-    replacing its state, so a later read of a slot sees the collapse."""
-    bits = bytearray()
-    append, rows_of = bits.append, _ROWS.get
-    for h, basis, u in zip(handles, bases, us):
+    replacing its state, so a later read of a slot sees the collapse.
+    One basis and one uniform a handle."""
+    bits = bytearray(len(handles))
+    for i, h, basis, u in zip(count(), handles, bases, us):
         s = h >> 2
-        rows = rows_of(states[s])
-        if rows is None:  # a first read, or a state outside the table
-            bit, states[s] = measure(states[s], h & 3, basis, u)
+        try:
+            rows = _ROWS[states[s]]
+        except KeyError:  # a state outside the table
+            rows = None
+        if rows is None:  # or a first read
+            bits[i], states[s] = measure(states[s], h & 3, basis, u)
         else:
             p0, zero, one = rows[h & 3][basis is _X]
-            bit, states[s] = zero if u < p0 else one
-        append(bit)
+            bits[i], states[s] = zero if u < p0 else one
     return bytes(bits)
 
 

@@ -2,8 +2,9 @@
 
 A round keeps its registers in one `Slots`: `states[s]` is register s,
 and the int handle `s << 2 | index` names qubit `index` of it. Parties,
-detection and the channel pass lists of handles; an op replaces the state
-in its slot with the pure-core result, and a read stage is one
+detection and the channel pass lists of handles; a preparing stage fills
+its fresh slots with one `new_qubit` call, an op replaces the state in
+its slot with the pure-core result, and a read stage is one
 `quantum.measure_stage` over the slot list.
 
 A strategy acts only through a `QubitRef`, a (slots, handle) pair: each
@@ -13,7 +14,9 @@ op is one pure op of `quantum` (`apply_gate` of `apply_unitary`,
 The slot list, not the ref, decides who may act: `lent` holds what the
 running tap is lent (`_lend`) and `ancillas` what the strategy attached,
 and an op on any other handle, however its ref was built, raises
-RevokedHandleError. A tap's refs are built once, on its first read.
+RevokedHandleError. A tap's refs are built once, on its first read, and
+`measure_qubits` over the running tap's own lent list reads its handles
+with one lease check and builds no ref.
 """
 
 from __future__ import annotations
@@ -91,25 +94,26 @@ class _LentRefs:
 
 def _lend(
     slots: Slots, handles: Sequence[int],
-    tap: Callable[[Sequence[QubitRef]], Sequence[QubitRef]],
+    tap: Callable[[object, Sequence[QubitRef], np.random.Generator], Sequence[QubitRef]],
+    point: object, rng: np.random.Generator,
 ) -> Sequence[int]:
-    """Call `tap` with `handles` lent to it for the call alone; the handles
-    of the refs it hands back, each lent or an ancilla it attached."""
+    """Call `tap(point, refs, rng)`, a strategy's `tap_qubits`, with
+    `handles` lent to it as `refs` for the call alone; the handles of the
+    refs it hands back, each lent or an ancilla it attached."""
     lent = slots.lent = _LentRefs(slots, handles)
     try:
-        out = tap(lent)
+        out = tap(point, lent, rng)
         return handles if out is lent else [_held(slots, ref) for ref in out]
     finally:
         slots.lent = None
 
 
-def new_qubit(slots: Slots, state: StateVector) -> int:
-    """The handle of a fresh slot holding the one-qubit `state`."""
-    if len(state.amps) != 2:
-        raise ValueError("new_qubit expects a one-qubit state")
-    states = slots.states
-    states.append(state)
-    return len(states) - 1 << 2
+def new_qubit(slots: Slots, states: Sequence[StateVector]) -> list[int]:
+    """The handles of fresh slots holding the one-qubit `states`, in order:
+    qubit 0 of each."""
+    first = len(slots.states)
+    slots.states += states
+    return list(range(first << 2, len(slots.states) << 2, 4))
 
 
 def gate_handle(slots: Slots, handle: int, gate: Gate) -> None:
@@ -155,7 +159,11 @@ def measure_qubits(
     refs: Sequence[QubitRef], bases: Sequence[Basis], rng: np.random.Generator
 ) -> bytes:
     """measure_qubit of refs[i] in bases[i], in order, with uniform i of
-    one draw of len(refs) uniforms; the bits as bytes."""
-    slots = refs[0].slots if len(refs) else Slots()
-    handles = [_held(slots, ref) for ref in refs]
+    one draw of len(refs) uniforms; the bits as bytes. The running tap's
+    own lent list is read by its handles, with no ref built."""
+    if type(refs) is _LentRefs and refs.slots.lent is refs:
+        slots, handles = refs.slots, refs.handles
+    else:
+        slots = refs[0].slots if len(refs) else Slots()
+        handles = [_held(slots, ref) for ref in refs]
     return measure_stage(slots.states, handles, bases, rng.random(len(handles)).tolist())

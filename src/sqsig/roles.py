@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,16 +87,17 @@ def bob_measure(
 
 
 def trent_verify(g: Sequence[int], t: Sequence[int], b: Sequence[int]) -> VerificationOutcome:
-    """Position i passes iff b_i = t_i XOR g_i; verdict Yes iff all pass.
+    """Position i of the bit strings passes iff b_i = t_i XOR g_i; verdict
+    Yes iff all pass.
 
     The digest is left unset; the caller attaches it on Yes once the
     message is known.
     """
     if not len(g) == len(t) == len(b):
         raise ValueError("g, T, B must have equal length")
-    failing = tuple(
-        i for i, (gi, ti, bi) in enumerate(zip(g, t, b)) if bi != (ti ^ gi)
-    )
+    # One XOR of the three bit strings: its byte i is 1 where position i fails.
+    miss = int.from_bytes(g, "big") ^ int.from_bytes(t, "big") ^ int.from_bytes(b, "big")
+    failing = tuple(compress(range(len(g)), miss.to_bytes(len(g), "big")))
     return VerificationOutcome(verdict=not failing, failing_positions=failing)
 
 

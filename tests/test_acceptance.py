@@ -19,12 +19,12 @@ from sqsig.harness import (
     MATRIX_ATTACKS,
     MATRIX_MODES,
     ScenarioConfig,
-    build_strategy,
     compute_efficiency,
     density_check,
     emit_report,
     parse_attack,
     run_trials,
+    strategy_factory,
 )
 from sqsig.keys import KeyStore
 from sqsig.parties import CLASSICAL_ALLOWED
@@ -232,9 +232,9 @@ def test_tamper_detectability(capsys):
             m = tuple(int(b) for b in trial_rng.integers(0, 2, size=4))
             result = run_protocol_round(
                 message=m, mode=DetectionMode.IMPROVED,
-                strategy=build_strategy(parse_attack(
+                strategy=strategy_factory(parse_attack(
                     "tamper_b:" + ",".join(str(p) for p in positions)
-                )),
+                ))(),
                 rng=trial_rng, d_z=4, d_x=4, record_transcript=False,
             )
             ok = (
@@ -249,9 +249,9 @@ def test_tamper_detectability(capsys):
             m = tuple(int(b) for b in trial_rng.integers(0, 2, size=8))
             result = run_protocol_round(
                 message=m, mode=DetectionMode.IMPROVED,
-                strategy=build_strategy(parse_attack(
+                strategy=strategy_factory(parse_attack(
                     "tamper_m:" + ",".join(str(p) for p in positions)
-                )),
+                ))(),
                 rng=trial_rng, d_z=8, d_x=8, record_transcript=False,
             )
             ok = ok and result.outcome.verdict and not result.accepted
@@ -283,7 +283,7 @@ def test_infrastructure_properties(capsys):
                 rng = np.random.default_rng(10_000 + seed)
                 result = run_protocol_round(
                     message=(1, 0), mode=mode,
-                    strategy=build_strategy(parse_attack(attack_text)),
+                    strategy=strategy_factory(parse_attack(attack_text))(),
                     rng=rng, d_z=2, d_x=2, record_transcript=False,
                 )
                 for party in (result.bob, result.trent):

@@ -17,7 +17,7 @@ from sqsig.adversary import (
     TapPoint,
 )
 from sqsig.detection import DetectionMode
-from sqsig.harness import build_strategy, parse_attack
+from sqsig.harness import parse_attack, strategy_factory
 from sqsig.parties import quantum_party
 from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
@@ -55,11 +55,12 @@ FORWARD, RETURN = TapPoint.FORWARD_ALICE_TO_TRENT, TapPoint.RETURN_TRENT_TO_ALIC
 
 
 def fresh_qubit(slots, basis, bit):
-    return new_qubit(slots, prepare_single(basis, bit))
+    [handle] = new_qubit(slots, [prepare_single(basis, bit)])
+    return handle
 
 
 def attack(text):
-    return build_strategy(parse_attack(text))
+    return strategy_factory(parse_attack(text))()
 
 
 def send(strategy, point, slots, handles, rng):
@@ -128,6 +129,19 @@ class TestInterceptMeasureResendZ:
         handle = fresh_qubit(slots, Basis.X, 0)
         send(attack("intercept_resend_z"), RETURN, slots, [handle], rng)
         assert equal_up_to_phase(state_of(slots, handle), prepare_single(Basis.X, 0))
+
+    def test_forward_tap_builds_no_ref(self, monkeypatch):
+        # The tap reads its own lent list by handle, with one lease check,
+        # and builds no QubitRef.
+        built = []
+        monkeypatch.setattr(QubitRef, "__init__",
+                            lambda ref, slots, handle: built.append(handle))
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.X, 0), fresh_qubit(slots, Basis.Z, 1)]
+        out = send(attack("intercept_resend_z"), FORWARD, slots, handles,
+                   np.random.default_rng(4))
+        assert out is handles and built == []
+        assert z_value(slots, handles[0]) is not None and z_value(slots, handles[1]) == 1
 
 
 class TestUnitaryTamperThenUndo:
@@ -256,7 +270,7 @@ class TestEntangleProbe:
     def test_ancilla_budget_enforced(self):
         slots = Slots()
 
-        def tap(refs):
+        def tap(point, refs, rng):
             attach_ancilla(refs[0])
             attach_ancilla(refs[0])
             attach_ancilla(refs[0])
@@ -264,7 +278,7 @@ class TestEntangleProbe:
                 attach_ancilla(refs[0])
             return refs
 
-        _lend(slots, [fresh_qubit(slots, Basis.Z, 0)], tap)
+        _lend(slots, [fresh_qubit(slots, Basis.Z, 0)], tap, FORWARD, None)
         assert slots.states[0].num_qubits == 4
 
 
@@ -486,7 +500,7 @@ class TestTapOnlyRule:
         lent = [fresh_qubit(slots, Basis.Z, 0), fresh_qubit(slots, Basis.Z, 1)]
         kept = fresh_qubit(slots, Basis.Z, 1)
 
-        def tap(refs):
+        def tap(point, refs, rng):
             apply_gate(QubitRef(slots, lent[1]), GATES["X"])
             with pytest.raises(RevokedHandleError):
                 apply_gate(QubitRef(slots, kept), GATES["X"])
@@ -499,7 +513,7 @@ class TestTapOnlyRule:
             return refs
 
         rng = np.random.default_rng(0)
-        assert _lend(slots, lent, tap) is lent
+        assert _lend(slots, lent, tap, FORWARD, rng) is lent
         assert [z_value(slots, h) for h in (*lent, kept)] == [0, 0, 1]
 
     def test_joined_lent_refs_are_revoked(self):
@@ -623,7 +637,8 @@ class TestLentRefsIssuedOnce:
         lent = []
         slots = Slots()
         handles = [fresh_qubit(slots, Basis.X, 0), fresh_qubit(slots, Basis.Z, 1)]
-        out = _lend(slots, handles, lambda refs: lent.append(refs) or refs)
+        out = _lend(slots, handles, lambda point, refs, rng: lent.append(refs) or refs,
+                    FORWARD, None)
         assert out is handles
         assert len(lent[0]) == 2 and lent[0].issued is None
 

@@ -33,7 +33,7 @@ from sqsig.detection import (
     encode_permutation,
     run_detection_round,
 )
-from sqsig.harness import build_strategy, parse_attack
+from sqsig.harness import parse_attack, strategy_factory
 from sqsig.keys import KeyStore, compute_g, keygen_init, otp_decrypt, otp_encrypt, random_bits
 from sqsig.parties import classical_party, quantum_party
 from sqsig.protocol import key_budget, run_protocol_round
@@ -43,7 +43,7 @@ from sqsig.roles import alice_sign, bob_measure, hash_message, trent_receive
 
 
 def attack(text):
-    return build_strategy(parse_attack(text))
+    return strategy_factory(parse_attack(text))()
 
 
 def run_round(mode, strategy, seed, n=2, d_z=2, d_x=2, message=None,
@@ -330,11 +330,11 @@ class TestInterleave:
 
     @pytest.mark.parametrize("total", range(1, 7))
     def test_every_decoy_subset_equally_likely(self, total):
-        # Fed each of the total! equally likely permutations once, the
+        # Fed each of the total! equally likely shuffles once, the
         # positions hit every d-subset equally often.
         class Replay:
-            def permutation(self, n):
-                return np.array(next(perms))
+            def shuffle(self, x):
+                x[:] = next(perms)
 
         for d in range(total + 1):
             perms = itertools.permutations(range(total))
@@ -345,6 +345,22 @@ class TestInterleave:
             )
             assert sorted(counts) == list(itertools.combinations(range(total), d))
             assert set(counts.values()) == {math.factorial(d) * math.factorial(total - d)}
+
+
+class TestShuffleStream:
+    """The round's shuffles are `rng.shuffle` of a list of range(k); the
+    random streams (rng_scheme 2) rest on that making the draws of
+    `rng.permutation(k)`: the same order and the same generator state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 + 5])
+    def test_shuffle_of_a_list_is_permutation(self, seed):
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        for k in range(301):
+            order = list(range(k))
+            rng.shuffle(order)
+            assert order == clone.permutation(k).tolist()
+            assert rng.bit_generator.state == clone.bit_generator.state
 
 
 class TestWireEncodings:

@@ -24,13 +24,13 @@ from sqsig.harness import (
     RNG_SCHEME,
     ScenarioConfig,
     attack_spec_text,
-    build_strategy,
     compute_efficiency,
     density_check,
     emit_report,
     load_scenario,
     parse_attack,
     run_trials,
+    strategy_factory,
 )
 from sqsig.keys import random_bits
 from sqsig.protocol import TrialResult, run_protocol_round
@@ -102,14 +102,14 @@ class TestParseAttack:
         assert default == parse_attack("entangle_probe")
         assert attack_spec_text(default) == "entangle_probe"
 
-    def test_build_strategy_fresh_instances(self):
-        spec = parse_attack("entangle_probe")
-        a, b = build_strategy(spec), build_strategy(spec)
+    def test_strategy_factory_makes_fresh_instances(self):
+        make = strategy_factory(parse_attack("entangle_probe"))
+        a, b = make(), make()
         assert a is not b and a.pending is not b.pending
 
     def test_forge_has_no_strategy(self):
         with pytest.raises(ConfigError, match="own experiment"):
-            build_strategy(parse_attack("forge"))
+            strategy_factory(parse_attack("forge"))
 
 
 class TestLoadScenario:
@@ -224,7 +224,7 @@ class TestRunTrials:
             message = random_bits(rng, config.n)
             alone = run_protocol_round(
                 message=message, mode=config.mode,
-                strategy=build_strategy(config.attack), rng=rng,
+                strategy=strategy_factory(config.attack)(), rng=rng,
                 d_z=config.d_z, d_x=config.d_x, threshold=config.threshold,
                 noise_p=config.noise_p, record_transcript=False,
             )
@@ -524,7 +524,7 @@ def reference_records(config):
             message = random_bits(rng, config.n)
         result = run_protocol_round(
             message=message, mode=config.mode,
-            strategy=build_strategy(config.attack), rng=rng,
+            strategy=strategy_factory(config.attack)(), rng=rng,
             d_z=config.d_z, d_x=config.d_x, threshold=config.threshold,
             noise_p=config.noise_p, record_transcript=False,
         )

@@ -301,7 +301,9 @@ class TestApplyUnitary:
         slots = Slots()
         slots.states += [prepare_single(Basis.Z, 0), state]
         ancillas = []
-        _lend(slots, [1 << 2], lambda refs: ancillas.append(attach_ancilla(refs[0])) or refs)
+        _lend(slots, [1 << 2],
+              lambda point, refs, rng: ancillas.append(attach_ancilla(refs[0])) or refs,
+              None, None)
         assert ancillas[0].handle == 1 << 2 | n  # slot 1, qubit n
         assert slots.ancillas == {1 << 2 | n}
         np.testing.assert_array_equal(
@@ -798,9 +800,10 @@ class TestBranchTables:
         bell = prepare_bell(0)
         out = measure(bell, 0, Basis.Z, 0.0)
         assert out.post_state in quantum._ROWS
+        # An unshared copy reads through the float kernel, and its post-state,
+        # which has a key, comes back as the table's.
         fresh = measure(StateVector(bell.amps, check=False), 0, Basis.Z, 0.0)
-        assert fresh.post_state not in quantum._ROWS
-        assert fresh.post_state.amps == out.post_state.amps
+        assert fresh.post_state is out.post_state
 
     def test_outcome_is_a_named_tuple(self):
         out = measure(prepare_bell(1), 1, Basis.Z, 0.9)
@@ -824,7 +827,8 @@ class TestProbeCnotSwap:
                 state = random_state(rng, n)
                 slots = Slots()
                 slots.states.append(state)
-                _lend(slots, [control, target], lambda refs: probe_cnot(*refs) or refs)
+                _lend(slots, [control, target],
+                      lambda point, refs, rng: probe_cnot(*refs) or refs, None, None)
                 want = _apply_gate_unchecked(state, CNOT.tolist(), (control, target))
                 assert slots.states[0].amps == want.amps
 
@@ -832,12 +836,12 @@ class TestProbeCnotSwap:
         slots = Slots()
         slots.states += [prepare_bell(0), prepare_bell(0)]
 
-        def tap(refs):
+        def tap(point, refs, rng):
             with pytest.raises(ValueError):
                 probe_cnot(*refs)
             return refs
 
-        _lend(slots, [0 << 2, 1 << 2 | 1], tap)
+        _lend(slots, [0 << 2, 1 << 2 | 1], tap, None, None)
         assert slots.states == [prepare_bell(0), prepare_bell(0)]
 
 
@@ -893,21 +897,41 @@ class TestStageRead:
         got = list(states)
         stage = ([slot << 2 | qubit for slot, qubit, _, _ in reads],
                  [basis for _, _, basis, _ in reads], [u for *_, u in reads])
-        try:
-            for slot, qubit, basis, u in reads:
-                bit, expected_states[slot] = measure(expected_states[slot], qubit, basis, u)
-                expected_bits.append(bit)
-        except RuntimeError:
-            # A float p0 off by an ulp can sample a branch of probability 0
-            # outside the table; the stage read fails the same way.
-            with pytest.raises(RuntimeError):
-                measure_stage(got, *stage)
-            return
+        for slot, qubit, basis, u in reads:
+            bit, expected_states[slot] = measure(expected_states[slot], qubit, basis, u)
+            expected_bits.append(bit)
         bits = measure_stage(got, *stage)
         assert bits == bytes(expected_bits)
         assert [s.amps for s in got] == [s.amps for s in expected_states]
         # A tabled post-state is the table's own state.
         assert all(a is b for a, b in zip(got, expected_states) if b in quantum._ROWS)
+
+    def test_a_float_read_never_samples_a_zero_probability_branch(self):
+        # Outside the table, Z then X reads of (0.6, 0, 0, 0.8) leave qubit 0
+        # with a float p0 one ulp short of 1; the uniform 1 - 1 ulp must
+        # still read 0. The Z read's post-state |00> has a key, so it is the
+        # table's, and the reads after it follow the table.
+        state = StateVector([0.6, 0, 0, 0.8])
+        assert state not in quantum._ROWS
+        bit, state = measure(state, 0, Basis.Z, 0.0)
+        assert bit == 0 and state in quantum._ROWS
+        bit, state = measure(state, 1, Basis.X, 0.0)
+        assert bit == 0 and state in quantum._ROWS
+        assert measure(state, 0, Basis.Z, TOP).bit == 0
+        states = [StateVector([0.6, 0, 0, 0.8])]
+        bits = measure_stage(states, [0, 1, 0], [Basis.Z, Basis.X, Basis.Z], [0.0, 0.0, TOP])
+        assert bits == bytes(3) and states[0] is state
+
+    def test_a_float_p0_within_the_cut_reads_as_exact(self):
+        # A state no key reaches, whose qubit 0 reads 1 in Z with probability
+        # below the 1e-15 cut: every uniform reads 0, and the post-state has
+        # a key, so it is the table's |0>.
+        eps = 1e-8  # amplitude; probability 1e-16
+        state = StateVector([math.sqrt(1 - eps * eps), eps], check=False)
+        assert state not in quantum._ROWS
+        for u in (0.0, 0.5, TOP):
+            bit, post = measure(state, 0, Basis.Z, u)
+            assert bit == 0 and post is prepare_single(Basis.Z, 0)
 
     def test_a_second_read_of_a_slot_sees_the_first_collapse(self):
         # Both halves of one Bell pair: the second Z read repeats the first.

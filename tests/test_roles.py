@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqsig.parties as parties
 import sqsig.register as register
 from sqsig.adversary import Channel, NoAttack
 from sqsig.detection import DetectionMode
@@ -420,7 +421,7 @@ class TestPartyStages:
             slots = Slots()
             [t_half], [b_half] = alice.prepare_bell_pair(slots, (1,))
             handles = [t_half, b_half, *alice.prepare(slots, [Basis.X], [0]),
-                       new_qubit(slots, StateVector([0.6, 0.8]))]
+                       *new_qubit(slots, [StateVector([0.6, 0.8])])]
             slots.states.append(StateVector([0.6, 0, 0, 0.8]))
             handles += [len(slots.states) - 1 << 2, len(slots.states) - 1 << 2 | 1]
             return slots, [handles[i] for i in order]
@@ -442,7 +443,7 @@ class TestPartyStages:
         slots = Slots()
         handles = quantum_party("alice").prepare(slots, [Basis.Z], [0])
         lent = []
-        _lend(slots, handles, lambda refs: lent.extend(refs) or refs)
+        _lend(slots, handles, lambda point, refs, rng: lent.extend(refs) or refs, None, None)
         with pytest.raises(RevokedHandleError):
             measure_qubits(lent, [Basis.Z], np.random.default_rng(0))
 
@@ -505,3 +506,24 @@ class TestHonestRoundHoldsInts:
         assert refs_built == []
         assert len(stages) >= 8 and any(stages)
         assert all(type(h) is int for stage in stages for h in stage)
+
+    def test_one_new_qubit_call_a_preparing_stage(self, monkeypatch):
+        # An honest n = 64 round prepares its 128 decoys as one stage, and
+        # the stage fills its slots with one register.new_qubit call.
+        calls = {"prepare": 0, "new_qubit": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Party, "prepare", counted("prepare", Party.prepare))
+        monkeypatch.setattr(parties, "new_qubit", counted("new_qubit", parties.new_qubit))
+        result = run_protocol_round(message=bytes(64), mode=DetectionMode.IMPROVED,
+                                    strategy=NoAttack(), rng=np.random.default_rng(0),
+                                    d_z=64, d_x=64)
+        assert result.accepted
+        assert calls == {"prepare": 1, "new_qubit": 1}
+        assert result.alice.op_log.count(OpKind.PREPARE_Z) == 64
+        assert result.alice.op_log.count(OpKind.PREPARE_X) == 64
