@@ -84,7 +84,8 @@ class QubitProbe(AttackStrategy):
 
     `action` is one of:
     - a 1-qubit unitary u (a matrix, or a name in X, Y, Z, H), applied to
-      each forward qubit and undone with u-dagger on return. Both are
+      the forward qubits and undone with u-dagger on return, one
+      `apply_gate` stage a tap. Both are
       Gates, built here: a matrix whose u or u-dagger is not a 2x2 unitary
       within tolerance is refused when the probe is built. Each named
       unitary is its own u-dagger, so one shared Gate does both;
@@ -117,8 +118,7 @@ class QubitProbe(AttackStrategy):
         # Each tap's reads take their uniforms from one draw.
         if point is _FORWARD:
             if self.u is not None:
-                for ref in refs:
-                    apply_gate(ref, self.u)
+                apply_gate(refs, self.u)
             elif self.read == "immediate":
                 measure_qubits(refs, (_Z,) * len(refs), rng)
             else:
@@ -128,8 +128,7 @@ class QubitProbe(AttackStrategy):
                     self.pending.append(probe)
         elif point is _RETURN:
             if self.u is not None:
-                for ref in refs:
-                    apply_gate(ref, self.undo)
+                apply_gate(refs, self.undo)
             if self.pending:
                 for probe, u in zip(self.pending, rng.random(len(self.pending)).tolist()):
                     measure_qubit(probe, _Z, u)
@@ -150,7 +149,7 @@ class TamperSignatureB(AttackStrategy):
             for p in self.positions:
                 if p < 0 or p >= len(refs):
                     raise IndexError(f"tamper position {p} out of range")
-                apply_gate(refs[p], GATES["X"])
+            apply_gate([refs[p] for p in self.positions], GATES["X"])
         return refs
 
 

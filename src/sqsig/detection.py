@@ -4,12 +4,16 @@ A decoy record is the 18-bit LOC field it is announced as: position << 2
 | basis bit (Z = 0, X = 1) << 1 | value. The sender's decoy state is one
 list of records in position order, with their low two bits, the decoy
 codes, as bytes, so its recheck is one XOR of codes and bits; the first
-n Z-decoys in that order carry the message. An announcement travels as
+n Z-decoys in that order carry the message. A decoy's code is all its
+life needs: the sender prepares the decoys from their codes, the
+receiver reads its Z stage with `bytes(k)` basis bits, and the sender's
+recheck reads each decoy in the basis bit of its code, one `translate`
+of the codes. An announcement travels as
 its fields, a tuple of ints: 18-bit LOC records and 16-bit permutation
 entries, each read as `width` big-endian bits wherever bits matter (the
 transcript, the inline pad). A receiver decodes a payload only if every item is an int in
-[0, 2**width) (`is_fields`, the rule of a bit wire at width 1); anything
-else aborts the round. The sender's encoders do not check: each
+[0, 2**width) (`is_fields`, the rule of a bit wire at width 1, one C-level
+pass over bytes); anything else aborts the round. The sender's encoders do not check: each
 announcement is checked once, when the receiver decodes it. The receiver
 works only from the announcements it receives, and the sender rechecks
 every returned decoy against its own records. Qubits travel as int
@@ -39,7 +43,6 @@ import numpy as np
 from .adversary import Channel, TapPoint
 from .keys import Bits, KeyStore, otp_decrypt, otp_encrypt, random_bits, xor_bits
 from .parties import Party
-from .quantum import Basis
 from .register import Slots
 
 
@@ -73,13 +76,11 @@ class ModeSpec:
 
 _Z, _X, _ALL = (0,), (2,), (0, 2)
 # Enum member reads, done once: they sit on the path of every round.
-_BASIS_Z = Basis.Z
 _FORWARD = TapPoint.FORWARD_ALICE_TO_TRENT
 _RETURN = TapPoint.RETURN_TRENT_TO_ALICE
 _ABORT = Verdict.ABORT
-# By a record's low bits, basis bit << 1 | value: the whole record before
-# assembly adds its position.
-_BASIS_OF = (Basis.Z, Basis.Z, Basis.X, Basis.X)
+# Maps each decoy code, basis bit << 1 | value, to its basis bit.
+_BASIS_BIT_OF_CODE = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x00\x01\x01")
 
 MODE_SPECS = {
     DetectionMode.IMPROVED: ModeSpec(
@@ -143,13 +144,19 @@ POSITION_FIELD_BITS = 16
 RECORD_BITS = POSITION_FIELD_BITS + 2
 
 _INT = {int}
+# By width below 8, the bytes a payload of width-bit fields may hold.
+_FIELD_BYTES = tuple(bytes(range(1 << width)) for width in range(8))
 # Swaps the 0 and 1 bytes of a position mask: decoys for carriers.
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def is_fields(items: Sequence, width: int) -> bool:
     """Whether every item is an int in [0, 2**width); an int subclass such
-    as bool, or a numpy integer, is not an int here."""
+    as bool, or a numpy integer, is not an int here. Every item of bytes
+    is an int in [0, 256), so bytes are tested in one pass: once the bytes
+    below 2**width are deleted, none may be left."""
+    if type(items) is bytes:
+        return width >= 8 or not items.translate(None, _FIELD_BYTES[width])
     return len(items) == 0 or (set(map(type, items)) == _INT
                                and min(items) >= 0 and not max(items) >> width)
 
@@ -215,8 +222,7 @@ def build_decoys(
     # Decoy i is an X-decoy when order[i] >= d_z; a Z-decoy takes the next
     # message bit while one is left.
     records = [2 | f if i >= d_z else next(message, f) for i, f in zip(order, fill)]
-    bases = [_BASIS_OF[r] for r in records]
-    return preparer.prepare(slots, bases, [r & 1 for r in records]), records
+    return preparer.prepare(slots, bytes(records)), records
 
 
 def assemble_transmission(
@@ -337,7 +343,7 @@ def run_detection_round(
     if spec.measures:
         z_announced = [r for r in announced if not r & 2]
         z_bits = receiver.measure(slots, [seq[r >> 2] for r in z_announced],
-                                  (_BASIS_Z,) * len(z_announced), rng)
+                                  bytes(len(z_announced)), rng)
         if spec.compares:
             checked = report.bob_z_checked = len(z_announced)
             errors = report.bob_z_errors = sum(
@@ -381,7 +387,7 @@ def run_detection_round(
     for original, handle in zip(mapping, returned):
         restored[original] = handle
     codes = transmission.codes
-    bits = sender.measure(slots, restored, [_BASIS_OF[c] for c in codes], rng)
+    bits = sender.measure(slots, restored, codes.translate(_BASIS_BIT_OF_CODE), rng)
     # Code ^ bit is the decoy's basis bit << 1 | whether its bit missed.
     kinds = xor_bits(codes, bits)
     z_errors = report.alice_z_errors = kinds.count(1)

@@ -40,7 +40,10 @@ one a non-Clifford matrix reaches, is outside the table and runs the
 float kernel alone. `measure` takes its uniform as a float, so no
 operation here draws from a generator; `measure_stage` reads a stage of a
 slot list's qubits, each as `measure` would, with no call for a state
-whose branch rows are built.
+whose branch rows are built. A stage's bases are basis bits, Z = 0 and
+X = 1, as bytes, and index the branch rows directly; `measure` and
+`measurement_branches` take a Basis member and refuse anything else,
+such as the str "X", with ValueError (`basis_bit`).
 
 Index convention: qubit 0 is the most significant bit of the amplitude
 index, so for two qubits the amplitude order is |00>, |01>, |10>, |11>.
@@ -72,7 +75,18 @@ class Basis(str, Enum):
 
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-_X = Basis.X
+_Z, _X = Basis.Z, Basis.X
+
+
+def basis_bit(basis: Basis) -> int:
+    """0 for Basis.Z and 1 for Basis.X; ValueError for anything else, the
+    str "X" included, though it compares equal to Basis.X."""
+    if basis is _X:
+        return 1
+    if basis is _Z:
+        return 0
+    raise ValueError(f"basis must be Basis.Z or Basis.X, got {basis!r}")
+
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -250,9 +264,9 @@ def prepare_single(basis: Basis, bit: int) -> StateVector:
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     if basis is _X:
         return _X_STATES[bit]
-    if basis is Basis.Z:
+    if basis is _Z:
         return _Z_STATES[bit]
-    raise ValueError(f"basis must be Z or X, got {basis!r}")
+    raise ValueError(f"basis must be Basis.Z or Basis.X, got {basis!r}")
 
 
 # Every pair shares one of these two.
@@ -427,9 +441,10 @@ def measurement_branches(
     n = state.num_qubits
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
+    in_x = basis_bit(basis)
     work = state
     hadamard = GATES["H"].rows
-    if basis is Basis.X:
+    if in_x:
         work = _apply_gate_unchecked(state, hadamard, (qubit,))
     amps = work.amplitudes.reshape((2,) * n)
     branches = []
@@ -441,7 +456,7 @@ def measurement_branches(
         p = float(np.sum(np.abs(proj) ** 2))
         if p > 1e-15:
             post = StateVector(proj.reshape(2 ** n) / np.sqrt(p), check=False)
-            if basis is Basis.X:
+            if in_x:
                 post = _apply_gate_unchecked(post, hadamard, (qubit,))
             branches.append((p, post))
         else:
@@ -530,19 +545,20 @@ def measure(state: StateVector, qubit: int, basis: Basis, u: float) -> Measureme
     state in the table reads p0 and both outcomes from its branch rows,
     built on its first read; any other state computes them, reads a p0
     within 1e-15 of 0 or 1 as exactly that, and hands back the table's
-    state for a post-state that has a key.
+    state for a post-state that has a key. ValueError for a basis other
+    than Basis.Z or Basis.X.
     """
+    in_x = basis_bit(basis)
     rows = _ROWS.get(state)
     if rows is None and state in _ROWS:
         rows = _ROWS[state] = _branch_rows(state)
     if rows is not None and 0 <= qubit < len(rows):
-        p0, zero, one = rows[qubit][basis is _X]
+        p0, zero, one = rows[qubit][in_x]
         return zero if u < p0 else one
     amps = state.amps
     n = len(amps).bit_length() - 1
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
-    in_x = basis is _X
     p0 = _p0(amps, qubit, in_x)
     # A branch within the cut _collapse refuses has probability exactly 0.
     p0 = 0.0 if p0 <= 1e-15 else 1.0 if p0 >= 1.0 - 1e-15 else p0
@@ -550,25 +566,29 @@ def measure(state: StateVector, qubit: int, basis: Basis, u: float) -> Measureme
     return MeasurementOutcome(bit, _intern(post) or post)
 
 
+_BASES = (_Z, _X)  # by basis bit
+
+
 def measure_stage(
-    states: list[StateVector], handles: Sequence[int], bases: Sequence[Basis],
+    states: list[StateVector], handles: Sequence[int], basis_bits: bytes,
     us: Sequence[float],
 ) -> bytes:
-    """`measure` of qubit h & 3 of states[h >> 2] in bases[i] with the
-    uniform us[i], for each h = handles[i] in order, each post-state
-    replacing its state, so a later read of a slot sees the collapse.
-    One basis and one uniform a handle."""
+    """`measure` of qubit h & 3 of states[h >> 2] in the basis of bit
+    basis_bits[i] (0 for Z, 1 for X) with the uniform us[i], for each
+    h = handles[i] in order, each post-state replacing its state, so a
+    later read of a slot sees the collapse. One basis bit and one uniform
+    a handle; the caller checks that each bit is 0 or 1."""
     bits = bytearray(len(handles))
-    for i, h, basis, u in zip(count(), handles, bases, us):
+    for i, h, b, u in zip(count(), handles, basis_bits, us):
         s = h >> 2
         try:
             rows = _ROWS[states[s]]
         except KeyError:  # a state outside the table
             rows = None
         if rows is None:  # or a first read
-            bits[i], states[s] = measure(states[s], h & 3, basis, u)
+            bits[i], states[s] = measure(states[s], h & 3, _BASES[b], u)
         else:
-            p0, zero, one = rows[h & 3][basis is _X]
+            p0, zero, one = rows[h & 3][b]
             bits[i], states[s] = zero if u < p0 else one
     return bytes(bits)
 

@@ -8,15 +8,17 @@ its slot with the pure-core result, and a read stage is one
 `quantum.measure_stage` over the slot list.
 
 A strategy acts only through a `QubitRef`, a (slots, handle) pair: each
-op is one pure op of `quantum` (`apply_gate` of `apply_unitary`,
+op is one pure op of `quantum` (`apply_gate` a stage of `apply_unitary`,
 `attach_ancilla` of `append_ancilla`, `probe_cnot` of `cnot`,
 `measure_qubit` of `measure`, `measure_qubits` a stage from one draw).
 The slot list, not the ref, decides who may act: `lent` holds what the
 running tap is lent (`_lend`) and `ancillas` what the strategy attached,
 and an op on any other handle, however its ref was built, raises
 RevokedHandleError. A tap's refs are built once, on its first read, and
-`measure_qubits` over the running tap's own lent list reads its handles
-with one lease check and builds no ref.
+the stages `apply_gate` and `measure_qubits` over the running tap's own
+lent list read its handles with one lease check and build no ref.
+`measure_qubits` takes a strategy's Basis members and turns them into
+basis bits once, refusing anything but Basis.Z or Basis.X.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import (Basis, Gate, StateVector, append_ancilla, apply_unitary, cnot,
-                      measure, measure_stage)
+from .quantum import (Basis, Gate, StateVector, append_ancilla, apply_unitary, basis_bit,
+                      cnot, measure, measure_stage)
 
 
 class Slots:
@@ -111,9 +113,19 @@ def _lend(
 def new_qubit(slots: Slots, states: Sequence[StateVector]) -> list[int]:
     """The handles of fresh slots holding the one-qubit `states`, in order:
     qubit 0 of each."""
-    first = len(slots.states)
-    slots.states += states
-    return list(range(first << 2, len(slots.states) << 2, 4))
+    filled = slots.states
+    first = len(filled) << 2
+    filled += states
+    return list(range(first, len(filled) << 2, 4))
+
+
+def _handles(refs: Sequence[QubitRef]) -> tuple[Slots, Sequence[int]]:
+    """The refs' slot list and their handles, each checked by `_held`; the
+    running tap's own lent list is its handles, with no ref built."""
+    if type(refs) is _LentRefs and refs.slots.lent is refs:
+        return refs.slots, refs.handles
+    slots = refs[0].slots if len(refs) else Slots()
+    return slots, [_held(slots, ref) for ref in refs]
 
 
 def gate_handle(slots: Slots, handle: int, gate: Gate) -> None:
@@ -122,9 +134,11 @@ def gate_handle(slots: Slots, handle: int, gate: Gate) -> None:
     states[s] = apply_unitary(states[s], gate, (handle & 3,))
 
 
-def apply_gate(ref: QubitRef, gate: Gate) -> None:
-    """Apply a single-qubit Gate in place."""
-    gate_handle(ref.slots, _held(ref.slots, ref), gate)
+def apply_gate(refs: Sequence[QubitRef], gate: Gate) -> None:
+    """Apply a single-qubit Gate to the qubit of each ref in place, in order."""
+    slots, handles = _handles(refs)
+    for handle in handles:
+        gate_handle(slots, handle, gate)
 
 
 def attach_ancilla(ref: QubitRef) -> QubitRef:
@@ -159,11 +173,11 @@ def measure_qubits(
     refs: Sequence[QubitRef], bases: Sequence[Basis], rng: np.random.Generator
 ) -> bytes:
     """measure_qubit of refs[i] in bases[i], in order, with uniform i of
-    one draw of len(refs) uniforms; the bits as bytes. The running tap's
-    own lent list is read by its handles, with no ref built."""
-    if type(refs) is _LentRefs and refs.slots.lent is refs:
-        slots, handles = refs.slots, refs.handles
-    else:
-        slots = refs[0].slots if len(refs) else Slots()
-        handles = [_held(slots, ref) for ref in refs]
-    return measure_stage(slots.states, handles, bases, rng.random(len(handles)).tolist())
+    one draw of len(refs) uniforms; the bits as bytes. ValueError, before
+    any qubit is read, unless each ref has one basis, Basis.Z or Basis.X."""
+    if len(bases) != len(refs):
+        raise ValueError("a stage needs one basis per qubit")
+    basis_bits = bytes(map(basis_bit, bases))
+    slots, handles = _handles(refs)
+    return measure_stage(slots.states, handles, basis_bits,
+                         rng.random(len(handles)).tolist())

@@ -19,19 +19,24 @@ import numpy as np
 from .detection import TrentTransmission, assemble_transmission, build_decoys, is_fields
 from .keys import Bits, KeyStore, compute_g, int_to_bits
 from .parties import Party
-from .quantum import Basis
 from .register import Slots
 
 HashFn = Callable[[Sequence[int]], Bits]
 
 DEFAULT_DIGEST_BITS = 256
 
-_Z = Basis.Z
+# The text of a bit byte: 0 -> "0", 1 -> "1".
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def hash_message(m: Sequence[int]) -> Bits:
-    """Fixed public 256-bit digest of a bit string (SHA-256 of its text form)."""
-    digest = hashlib.sha256("".join(map(str, m)).encode("ascii")).digest()
+    """Fixed public 256-bit digest of a bit string: SHA-256 of the decimal
+    text of its items. Bytes of 0s and 1s are that text by one translate."""
+    if type(m) is bytes and is_fields(m, 1):
+        text = m.translate(_DIGITS)
+    else:
+        text = "".join(map(str, m)).encode("ascii")
+    digest = hashlib.sha256(text).digest()
     return int_to_bits(int.from_bytes(digest, "big"), DEFAULT_DIGEST_BITS)
 
 
@@ -74,7 +79,7 @@ def trent_receive(
 
     Returns (T, g).
     """
-    t_bits = trent.measure(slots, carriers, (_Z,) * len(carriers), rng)
+    t_bits = trent.measure(slots, carriers, bytes(len(carriers)), rng)
     trent.classical_compute()
     return t_bits, compute_g(recovered_m, store)
 
@@ -83,7 +88,7 @@ def bob_measure(
     slots: Slots, bundle_qubits: Sequence[int], bob: Party, rng: np.random.Generator
 ) -> Bits:
     """Z-measure every signature qubit in order."""
-    return bob.measure(slots, bundle_qubits, (_Z,) * len(bundle_qubits), rng)
+    return bob.measure(slots, bundle_qubits, bytes(len(bundle_qubits)), rng)
 
 
 def trent_verify(g: Sequence[int], t: Sequence[int], b: Sequence[int]) -> VerificationOutcome:

@@ -179,6 +179,27 @@ class TestUnitaryTamperThenUndo:
         assert equal_up_to_phase(state_of(slots, handle), prepare_single(Basis.Z, 0))
 
 
+    @pytest.mark.parametrize("action", ["X", "H", np.array([[0, 1j], [1j, 0]])])
+    def test_each_tap_is_one_gate_stage_with_no_ref(self, monkeypatch, action):
+        # u on the way out and its undo on the way back are one apply_gate
+        # call a tap, over the tap's own lent list, which builds no ref.
+        calls, built = [], []
+        monkeypatch.setattr(adversary, "apply_gate",
+                            lambda refs, gate: calls.append(gate) or apply_gate(refs, gate))
+        monkeypatch.setattr(QubitRef, "__init__",
+                            lambda ref, slots, handle: built.append(handle))
+        strategy = QubitProbe("unitary_tamper_then_undo", action)
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.X, 1), fresh_qubit(slots, Basis.Z, 0),
+                   fresh_qubit(slots, Basis.Z, 1)]
+        before = list(slots.states)
+        rng = np.random.default_rng(0)
+        assert send(strategy, FORWARD, slots, handles, rng) is handles
+        assert send(strategy, RETURN, slots, handles, rng) is handles
+        assert calls == [strategy.u, strategy.undo] and built == []
+        assert all(equal_up_to_phase(a, b) for a, b in zip(slots.states, before))
+
+
 class TestEntangleProbe:
     def test_probe_on_zero_gives_product_state(self):
         rng = np.random.default_rng(0)
@@ -222,7 +243,7 @@ class TestEntangleProbe:
             strategy = attack("entangle_probe")
             send(strategy, FORWARD, slots, [handle], rng)
             send(strategy, RETURN, slots, [handle], rng)
-            errors += alice.measure(slots, [handle], [Basis.X], rng) != b"\x00"
+            errors += alice.measure(slots, [handle], b"\x01", rng) != b"\x00"
         assert abs(errors / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
     def test_immediate_measure_time(self):
@@ -364,6 +385,26 @@ class TestTamperSignatureB:
                 TapPoint.ALICE_TO_BOB_QUANTUM, [], np.random.default_rng(0)
             )
 
+    def test_out_of_range_position_flips_nothing(self):
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.Z, 0) for _ in range(3)]
+        before = list(slots.states)
+        with pytest.raises(IndexError):
+            send(TamperSignatureB([0, 3]), TapPoint.ALICE_TO_BOB_QUANTUM, slots, handles,
+                 np.random.default_rng(0))
+        assert slots.states == before
+
+    def test_flips_are_one_gate_stage(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(adversary, "apply_gate",
+                            lambda refs, gate: calls.append(len(refs)) or apply_gate(refs, gate))
+        slots = Slots()
+        handles = [fresh_qubit(slots, Basis.Z, 0) for _ in range(4)]
+        send(TamperSignatureB([3, 0, 2]), TapPoint.ALICE_TO_BOB_QUANTUM, slots, handles,
+             np.random.default_rng(0))
+        assert calls == [3]
+        assert [z_value(slots, h) for h in handles] == [1, 0, 1, 1]
+
 
 class TestTamperClassicalMessage:
     def test_flips_only_named_payload(self):
@@ -422,8 +463,7 @@ class StashForwardRefs(AttackStrategy):
 
     def tap_classical(self, point, name, bits, rng):
         if name == "permutation":
-            for ref in self.stashed:
-                apply_gate(ref, GATES["X"])
+            apply_gate(self.stashed, GATES["X"])
         return bits
 
 
@@ -464,8 +504,7 @@ class KeepAncillas(AttackStrategy):
 
     def tap_classical(self, point, name, bits, rng):
         if name == "permutation":
-            for ancilla in self.ancillas:
-                apply_gate(ancilla, GATES["X"])
+            apply_gate(self.ancillas, GATES["X"])
             self.read = [measure_qubit(ancilla, Basis.Z, rng.random())
                          for ancilla in self.ancillas]
         return bits
@@ -501,9 +540,9 @@ class TestTapOnlyRule:
         kept = fresh_qubit(slots, Basis.Z, 1)
 
         def tap(point, refs, rng):
-            apply_gate(QubitRef(slots, lent[1]), GATES["X"])
+            apply_gate([QubitRef(slots, lent[1])], GATES["X"])
             with pytest.raises(RevokedHandleError):
-                apply_gate(QubitRef(slots, kept), GATES["X"])
+                apply_gate([QubitRef(slots, kept)], GATES["X"])
             with pytest.raises(RevokedHandleError):
                 attach_ancilla(QubitRef(slots, kept))
             with pytest.raises(RevokedHandleError):
@@ -528,7 +567,7 @@ class TestTapOnlyRule:
         # The handles the receiver got are the sender's, and a party reads them.
         assert received == handles
         assert quantum_party("alice").measure(
-            slots, received, [Basis.Z] * 2, np.random.default_rng(0)) == bytes((0, 1))
+            slots, received, bytes(2), np.random.default_rng(0)) == bytes((0, 1))
 
     def test_own_ancillas_stay_usable_and_reach_only_themselves(self):
         # The flips land on the ancillas alone: the decoys still pass

@@ -249,7 +249,7 @@ class TestBuildDecoys:
         assert z_bits[:3] == [1, 0, 1]
         # Interleaving keeps the decoy order, so the message still leads
         # the Z-decoys once the records are in position order.
-        carriers = alice.prepare(slots, [Basis.Z] * 3, [0] * 3)
+        carriers = alice.prepare(slots, bytes(3))
         tx = assemble_transmission(carriers, decoys, records, rng)
         positions = [r >> 2 for r in tx.records]
         assert positions == sorted(set(positions))
@@ -285,13 +285,13 @@ class TestBuildDecoys:
 class TestInterleave:
     def test_no_decoys_identity(self):
         alice = quantum_party("alice")
-        carriers = alice.prepare(Slots(), [Basis.Z] * 2, [0] * 2)
+        carriers = alice.prepare(Slots(), bytes(2))
         tx = assemble_transmission(carriers, [], [], np.random.default_rng(0))
         assert tx.sequence == carriers and tx.records == []
 
     def test_no_carriers(self):
         alice = quantum_party("alice")
-        decoys = alice.prepare(Slots(), [Basis.Z] * 3, [1] * 3)
+        decoys = alice.prepare(Slots(), b"\x01" * 3)
         tx = assemble_transmission([], decoys, unplaced(Basis.Z, 1, 3),
                                    np.random.default_rng(0))
         assert tx.sequence == decoys
@@ -302,8 +302,8 @@ class TestInterleave:
         alice = quantum_party("alice")
         slots = Slots()
         for _ in range(20):
-            carriers = alice.prepare(slots, [Basis.Z] * 4, [0] * 4)
-            decoys = alice.prepare(slots, [Basis.X] * 3, [0] * 3)
+            carriers = alice.prepare(slots, bytes(4))
+            decoys = alice.prepare(slots, b"\x02" * 3)
             tx = assemble_transmission(carriers, decoys, unplaced(Basis.X, 0, 3), rng)
             assert split_sequence(tx) == (decoys, carriers)
 
@@ -311,8 +311,8 @@ class TestInterleave:
         rng = np.random.default_rng(4)
         alice = quantum_party("alice")
         slots = Slots()
-        carriers = alice.prepare(slots, [Basis.Z] * 3, [0] * 3)
-        decoys = alice.prepare(slots, [Basis.Z] * 3, [1] * 3)
+        carriers = alice.prepare(slots, bytes(3))
+        decoys = alice.prepare(slots, b"\x01" * 3)
         tx = assemble_transmission(carriers, decoys, unplaced(Basis.Z, 1, 3), rng)
         decoy_pos = [r >> 2 for r in tx.records]
         assert decoy_pos == sorted(set(decoy_pos))
@@ -435,6 +435,14 @@ class TestWireEncodings:
     @settings(max_examples=40, deadline=None)
     def test_permutation_roundtrip_property(self, mapping):
         assert decode_permutation(encode_permutation(mapping)) == tuple(mapping)
+
+    @given(st.one_of(st.binary(max_size=40), st.lists(st.integers(0, 1), max_size=40).map(bytes)),
+           st.sampled_from([1, 16, 18]))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_are_fields_as_their_items_are(self, payload, width):
+        # The one-pass answer for bytes is the generic rule's on their items.
+        assert detection.is_fields(payload, width) == detection.is_fields(list(payload), width)
+        assert detection.is_fields(payload, width) is (max(payload, default=0) < 1 << width)
 
 
 records_strategy = st.lists(
@@ -682,9 +690,9 @@ class TestChecks:
         z = z_records(tx)
         z_decoys = [tx.sequence[r >> 2] for r in z]
         assert classical_party("trent").measure(
-            slots, z_decoys, [Basis.Z] * len(z), rng) == bytes(r & 1 for r in z)
+            slots, z_decoys, bytes(len(z)), rng) == bytes(r & 1 for r in z)
         decoys, _ = split_sequence(tx)
-        assert alice.measure(slots, decoys, [basis_of(r) for r in tx.records], rng) == bytes(
+        assert alice.measure(slots, decoys, bytes(r >> 1 & 1 for r in tx.records), rng) == bytes(
             r & 1 for r in tx.records)
 
     def test_bit_flip_on_every_qubit_all_errors(self):
@@ -990,7 +998,7 @@ class TestOneDrawPerStage:
 
         stage = np.random.default_rng(100 + seed)
         bits = measured(lambda party, slots, handles, bases: party.measure(
-            slots, handles, bases, stage))
+            slots, handles, bytes(b is Basis.X for b in bases), stage))
         assert stage.bit_generator.state == advanced(100 + seed, 7)
         scalar = np.random.default_rng(100 + seed)
         assert bits == measured(lambda party, slots, handles, bases: scalar_reads(

@@ -56,7 +56,7 @@ from sqsig.quantum import (
     _apply_gate_unchecked,
     _p0,
 )
-from sqsig.register import Slots, _lend, attach_ancilla, probe_cnot
+from sqsig.register import Slots, _lend, attach_ancilla, measure_qubits, probe_cnot
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)
@@ -440,6 +440,34 @@ class TestMeasurement:
             for basis in (Basis.Z, Basis.X):
                 with pytest.raises(ValueError):
                     measure(prepare_single(Basis.Z, 0), qubit, basis, rng.random())
+
+    @pytest.mark.parametrize("basis", ["X", "Z", 0, 1, None, b"X"])
+    def test_only_a_basis_member_is_a_basis(self, basis):
+        # "X" == Basis.X, as Basis is a str Enum, yet "X" is no basis: a
+        # read given it would be a Z read, which reads |+> as 1 at u = 0.99.
+        assert measure(prepare_single(Basis.X, 0), 0, Basis.X, 0.99).bit == 0
+        for state in (prepare_single(Basis.X, 0), StateVector([0.6, 0.8])):
+            with pytest.raises(ValueError):
+                measure(state, 0, basis, 0.99)
+            with pytest.raises(ValueError):
+                measurement_branches(state, 0, basis)
+        with pytest.raises(ValueError):
+            prepare_single(basis, 0)
+
+    def test_a_strategy_stage_takes_basis_members_alone(self):
+        slots = Slots()
+        slots.states.append(prepare_single(Basis.X, 0))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        lent = []
+        _lend(slots, [0], lambda point, refs, rng: lent.extend(refs) or refs, None, None)
+        slots.ancillas.add(0)  # held past its tap, so only the basis is refused
+        for bases in (["X"], [Basis.X, Basis.Z], []):
+            with pytest.raises(ValueError):
+                measure_qubits(lent, bases, rng)
+        assert slots.states == [prepare_single(Basis.X, 0)]
+        assert rng.bit_generator.state == before
+        assert measure_qubits(lent, [Basis.X], rng) == b"\x00"
 
 
 @st.composite
@@ -896,7 +924,7 @@ class TestStageRead:
         expected_states, expected_bits = list(states), bytearray()
         got = list(states)
         stage = ([slot << 2 | qubit for slot, qubit, _, _ in reads],
-                 [basis for _, _, basis, _ in reads], [u for *_, u in reads])
+                 bytes(basis is Basis.X for _, _, basis, _ in reads), [u for *_, u in reads])
         for slot, qubit, basis, u in reads:
             bit, expected_states[slot] = measure(expected_states[slot], qubit, basis, u)
             expected_bits.append(bit)
@@ -919,7 +947,7 @@ class TestStageRead:
         assert bit == 0 and state in quantum._ROWS
         assert measure(state, 0, Basis.Z, TOP).bit == 0
         states = [StateVector([0.6, 0, 0, 0.8])]
-        bits = measure_stage(states, [0, 1, 0], [Basis.Z, Basis.X, Basis.Z], [0.0, 0.0, TOP])
+        bits = measure_stage(states, [0, 1, 0], b"\x00\x01\x00", [0.0, 0.0, TOP])
         assert bits == bytes(3) and states[0] is state
 
     def test_a_float_p0_within_the_cut_reads_as_exact(self):
@@ -938,7 +966,7 @@ class TestStageRead:
         for g in (0, 1):
             for u in (0.2, 0.7):
                 states = [prepare_bell(g)]
-                bits = measure_stage(states, [0, 1], [Basis.Z, Basis.Z], [u, 0.99])
+                bits = measure_stage(states, [0, 1], bytes(2), [u, 0.99])
                 assert bits[1] == bits[0] ^ g
                 assert states[0] is measure(measure(prepare_bell(g), 0, Basis.Z, u)[1],
                                             1, Basis.Z, 0.99)[1]

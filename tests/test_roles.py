@@ -110,6 +110,21 @@ class TestHash:
         expected = bytes(byte >> (7 - i) & 1 for byte in digest for i in range(8))
         assert hash_message(bytes((1, 0, 1, 1))) == hash_message((1, 0, 1, 1)) == expected
 
+    @given(st.one_of(st.lists(st.integers(0, 1), max_size=64).map(bytes),
+                     st.binary(max_size=16)),
+           st.sampled_from([bytes, list, tuple]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_sequence_hashes_its_decimal_text(self, m, kind):
+        # Bytes of 0s and 1s take the one-pass path; any other bytes, and
+        # every list or tuple, the generic one. Both hash the same text.
+        digest = hashlib.sha256("".join(map(str, m)).encode("ascii")).digest()
+        expected = bytes(byte >> (7 - i) & 1 for byte in digest for i in range(8))
+        assert hash_message(kind(m)) == expected
+
+    def test_a_byte_above_1_hashes_as_its_digits(self):
+        assert hash_message(b"\x0a") == hash_message((1, 0)) == hash_message(b"\x01\x00")
+        assert hash_message(bytes((101,))) == hash_message((101,)) == hash_message((1, 0, 1))
+
 
 class TestAliceSign:
     @pytest.mark.parametrize("m_bit,k_bit", [(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -155,7 +170,7 @@ class TestTrentReceive:
             alice = quantum_party("alice")
             slots = Slots()
             [t_half], _ = alice.prepare_bell_pair(slots, (0,))
-            (t,) = trent.measure(slots, [t_half], [Basis.Z], rng)
+            (t,) = trent.measure(slots, [t_half], b"\x00", rng)
             ones += t
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
@@ -186,7 +201,7 @@ class TestBobMeasure:
                 trent = classical_party("trent")
                 slots = Slots()
                 [t_half], [b_half] = alice.prepare_bell_pair(slots, (g,))
-                (t,) = trent.measure(slots, [t_half], [Basis.Z], rng)
+                (t,) = trent.measure(slots, [t_half], b"\x00", rng)
                 (b,) = bob_measure(slots, [b_half], bob, rng)
                 assert b == t ^ g
 
@@ -199,7 +214,7 @@ class TestBobMeasure:
             alice = quantum_party("alice")
             slots = Slots()
             _, [b_half] = alice.prepare_bell_pair(slots, (1,))
-            (b,) = bob.measure(slots, [b_half], [Basis.Z], rng)
+            (b,) = bob.measure(slots, [b_half], b"\x00", rng)
             ones += b
         assert abs(ones / trials - 0.5) < 3 * np.sqrt(0.25 / trials)
 
@@ -268,15 +283,15 @@ class TestBobAccept:
 class TestCapabilities:
     def test_classical_cannot_prepare_x(self):
         with pytest.raises(CapabilityError):
-            classical_party("bob").prepare(Slots(), [Basis.X], [0])
+            classical_party("bob").prepare(Slots(), b"\x02")
 
     def test_classical_cannot_measure_x(self):
         rng = np.random.default_rng(0)
         alice = quantum_party("alice")
         slots = Slots()
-        handles = alice.prepare(slots, [Basis.X], [0])
+        handles = alice.prepare(slots, b"\x02")
         with pytest.raises(CapabilityError):
-            classical_party("trent").measure(slots, handles, [Basis.X], rng)
+            classical_party("trent").measure(slots, handles, b"\x01", rng)
 
     def test_classical_cannot_prepare_entangled(self):
         slots = Slots()
@@ -288,8 +303,8 @@ class TestCapabilities:
         rng = np.random.default_rng(0)
         bob = classical_party("bob")
         slots = Slots()
-        handles = bob.prepare(slots, [Basis.Z], [1])
-        bob.measure(slots, handles, [Basis.Z], rng)
+        handles = bob.prepare(slots, b"\x01")
+        bob.measure(slots, handles, b"\x00", rng)
         bob.reflect(handles)
         bob.reorder(handles, [0])
         bob.delay()
@@ -300,17 +315,84 @@ class TestCapabilities:
         rng = np.random.default_rng(0)
         alice = quantum_party("alice")
         slots = Slots()
-        handles = alice.prepare(slots, [Basis.X], [1])
-        alice.measure(slots, handles, [Basis.X], rng)
+        handles = alice.prepare(slots, b"\x03")
+        alice.measure(slots, handles, b"\x01", rng)
         alice.prepare_bell_pair(slots, (1,))
 
-    def test_rejected_op_not_logged(self):
-        bob = classical_party("bob")
+    # (party, the refused op on a slot list holding one |+> at handle 0,
+    # the error it raises).
+    REFUSED = {
+        "classical-prepares-x": (
+            classical_party, lambda p, s, rng: p.prepare(s, b"\x00\x02"), CapabilityError),
+        "code-names-no-state": (
+            quantum_party, lambda p, s, rng: p.prepare(s, b"\x00\x04"), ValueError),
+        "codes-not-bytes": (
+            quantum_party, lambda p, s, rng: p.prepare(s, [0, 2]), TypeError),
+        "classical-bell-pair": (
+            classical_party, lambda p, s, rng: p.prepare_bell_pair(s, (0,)), CapabilityError),
+        "bell-bit-not-0-or-1": (
+            quantum_party, lambda p, s, rng: p.prepare_bell_pair(s, (0, 2)), ValueError),
+        "classical-measures-x": (
+            classical_party, lambda p, s, rng: p.measure(s, [0, 0], b"\x00\x01", rng),
+            CapabilityError),
+        "basis-bit-not-0-or-1": (
+            quantum_party, lambda p, s, rng: p.measure(s, [0], b"\x02", rng), ValueError),
+        "basis-bit-as-the-byte-of-z": (
+            classical_party, lambda p, s, rng: p.measure(s, [0], b"Z", rng), ValueError),
+        "bases-not-bytes": (
+            classical_party, lambda p, s, rng: p.measure(s, [0], ["Z"], rng), TypeError),
+        "one-basis-bit-a-qubit": (
+            quantum_party, lambda p, s, rng: p.measure(s, [0], b"\x00\x00", rng), ValueError),
+        "perm-not-a-bijection": (
+            classical_party, lambda p, s, rng: p.reorder([0, 0], [1, 1]), ValueError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_rejected_op_not_logged(self, case):
+        # Every check of an op runs before it is logged: a refused op logs
+        # nothing, touches no slot and draws nothing.
+        make, op, error = self.REFUSED[case]
+        party = make("p")
         slots = Slots()
-        with pytest.raises(CapabilityError):
-            bob.prepare(slots, [Basis.X], [0])
-        assert OpKind.PREPARE_X not in bob.op_log
-        assert slots.states == []
+        plus = prepare_single(Basis.X, 0)
+        slots.states.append(plus)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(error):
+            op(party, slots, rng)
+        assert party.op_log == []
+        assert slots.states == [plus] and slots.states[0] is plus
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("code", range(4))
+    def test_classical_prepare_follows_the_allowed_set(self, code):
+        # A code's op is PREPARE_X when its basis bit (code >> 1) is 1: a
+        # classical party may send the code exactly when CLASSICAL_ALLOWED
+        # holds that op.
+        op = OpKind.PREPARE_X if code >> 1 else OpKind.PREPARE_Z
+        bob = classical_party("bob")
+        if op in CLASSICAL_ALLOWED:
+            bob.prepare(Slots(), bytes([0, code]))
+            assert bob.op_log == [OpKind.PREPARE_Z, op]
+        else:
+            with pytest.raises(CapabilityError, match=op.value):
+                bob.prepare(Slots(), bytes([0, code]))
+            assert bob.op_log == []
+
+    @pytest.mark.parametrize("bit", range(2))
+    def test_classical_measure_follows_the_allowed_set(self, bit):
+        op = OpKind.MEASURE_X if bit else OpKind.MEASURE_Z
+        slots = Slots()
+        handles = quantum_party("alice").prepare(slots, b"\x00\x02")
+        trent = classical_party("trent")
+        rng = np.random.default_rng(0)
+        if op in CLASSICAL_ALLOWED:
+            trent.measure(slots, handles, bytes([0, bit]), rng)
+            assert trent.op_log == [OpKind.MEASURE_Z, op]
+        else:
+            with pytest.raises(CapabilityError, match=op.value):
+                trent.measure(slots, handles, bytes([0, bit]), rng)
+            assert trent.op_log == []
 
 
 @st.composite
@@ -331,6 +413,11 @@ def measuring_stages(draw):
     bases = draw(st.lists(st.sampled_from([Basis.Z, Basis.X]),
                           min_size=len(stage), max_size=len(stage)))
     return states, stage, bases, seed, draw(st.integers(0, len(stage) - 1))
+
+
+def basis_bits(bases):
+    """A measuring stage's basis bits: 0 for Z, 1 for X."""
+    return bytes(b is Basis.X for b in bases)
 
 
 def stage_handles(states, stage):
@@ -362,7 +449,7 @@ class TestPartyStages:
         clone = copy.deepcopy(rng)
         alice = quantum_party("alice")
         slots, handles = stage_handles(states, stage)
-        bits = alice.measure(slots, handles, bases, rng)
+        bits = alice.measure(slots, handles, basis_bits(bases), rng)
         expected, expected_states = read_one_by_one(states, stage, bases, clone)
         assert bits == expected
         assert [s.amps for s in slots.states] == [s.amps for s in expected_states]
@@ -382,7 +469,7 @@ class TestPartyStages:
         trent.delay()
         slots, handles = stage_handles(states, stage)
         with pytest.raises(CapabilityError):
-            trent.measure(slots, handles, bases, rng)
+            trent.measure(slots, handles, basis_bits(bases), rng)
         assert slots.states == states  # the same objects
         assert trent.op_log == [OpKind.DELAY]
         assert rng.bit_generator.state == before
@@ -392,10 +479,11 @@ class TestPartyStages:
     @settings(max_examples=100, deadline=None)
     def test_prepare_is_its_qubits_in_order(self, stage):
         bases, bits = zip(*stage)
+        codes = bytes((b is Basis.X) << 1 | bit for b, bit in stage)
         alice = quantum_party("alice")
         slots = Slots()
         slots.states.append(prepare_bell(0))  # a slot the stage leaves alone
-        handles = alice.prepare(slots, bases, bits)
+        handles = alice.prepare(slots, codes)
         assert handles == [s << 2 for s in range(1, len(stage) + 1)]  # fresh slots
         assert slots.states == [prepare_bell(0), *(prepare_single(b, bit) for b, bit in stage)]
         assert alice.op_log == [OpKind.PREPARE_Z if b is Basis.Z else OpKind.PREPARE_X
@@ -404,11 +492,11 @@ class TestPartyStages:
         bob.delay()
         if Basis.X in bases:
             with pytest.raises(CapabilityError):
-                bob.prepare(slots, bases, bits)
+                bob.prepare(slots, codes)
             assert bob.op_log == [OpKind.DELAY]
             assert len(slots.states) == len(stage) + 1
         else:
-            assert len(bob.prepare(slots, bases, bits)) == len(stage)
+            assert len(bob.prepare(slots, codes)) == len(stage)
 
     @given(st.integers(0, 2 ** 32 - 1), st.permutations(range(6)),
            st.lists(st.sampled_from([Basis.Z, Basis.X]), min_size=6, max_size=6))
@@ -420,7 +508,7 @@ class TestPartyStages:
             alice = quantum_party("alice")
             slots = Slots()
             [t_half], [b_half] = alice.prepare_bell_pair(slots, (1,))
-            handles = [t_half, b_half, *alice.prepare(slots, [Basis.X], [0]),
+            handles = [t_half, b_half, *alice.prepare(slots, b"\x02"),
                        *new_qubit(slots, [StateVector([0.6, 0.8])])]
             slots.states.append(StateVector([0.6, 0, 0, 0.8]))
             handles += [len(slots.states) - 1 << 2, len(slots.states) - 1 << 2 | 1]
@@ -431,7 +519,7 @@ class TestPartyStages:
         assert sorted(tabled) == [False] * 3 + [True] * 3
         rng = np.random.default_rng(seed)
         clone = copy.deepcopy(rng)
-        bits = quantum_party("alice").measure(slots, handles, bases, rng)
+        bits = quantum_party("alice").measure(slots, handles, basis_bits(bases), rng)
         expected_slots, expected_handles = stage()
         expected, expected_states = read_one_by_one(
             expected_slots.states, [(h >> 2, h & 3) for h in expected_handles], bases, clone)
@@ -441,7 +529,7 @@ class TestPartyStages:
 
     def test_stage_refuses_a_revoked_ref(self):
         slots = Slots()
-        handles = quantum_party("alice").prepare(slots, [Basis.Z], [0])
+        handles = quantum_party("alice").prepare(slots, b"\x00")
         lent = []
         _lend(slots, handles, lambda point, refs, rng: lent.extend(refs) or refs, None, None)
         with pytest.raises(RevokedHandleError):
@@ -460,13 +548,15 @@ class TestPartyStages:
         assert alice.op_log == [OpKind.PREPARE_ENTANGLED] * len(g)
 
     def test_stage_lengths_must_agree(self):
+        # A code is a qubit's basis and value at once, so a preparing stage
+        # cannot disagree with itself; a measuring stage has one basis bit a
+        # qubit.
         alice = quantum_party("alice")
         slots = Slots()
-        with pytest.raises(ValueError):
-            alice.prepare(slots, [Basis.Z], [0, 1])
-        handles = alice.prepare(slots, [Basis.Z] * 2, [0, 1])
-        with pytest.raises(ValueError):
-            alice.measure(slots, handles, [Basis.Z], np.random.default_rng(0))
+        handles = alice.prepare(slots, b"\x00\x01")
+        for stage, bits in ((handles, b"\x00"), (handles[:1], b"\x00\x00")):
+            with pytest.raises(ValueError):
+                alice.measure(slots, stage, bits, np.random.default_rng(0))
         assert alice.op_log == [OpKind.PREPARE_Z] * 2
 
 
