@@ -24,10 +24,10 @@ Ancillas the strategy attached stay usable for the whole round.
 The four quantum attacks on the Alice->Trent->Alice leg are one
 `QubitProbe` family (Boyer, Kenigsberg & Mor, PRL 99, 140501, 2007),
 whose only per-run state is its unread ancillas. Every gate a strategy or
-the channel applies is a `quantum.Gate`, checked once when it is built:
-a unitary probe builds its u and its undo u-dagger when the probe is
-built, and the named unitaries, the tamper flip and the noise Paulis are
-the shared Gates of `quantum.GATES`, each its own undo.
+the channel applies is one of the shared Clifford Gates of
+`quantum.GATES`, each its own undo: the named unitaries, the tamper flip
+and the noise Paulis. `register.gate_handle` refuses any other Gate, so
+every state a round reaches stays in the state table.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum import GATES, Basis, DimensionMismatchError, Gate
+from .quantum import GATES, Basis
 from .register import (QubitRef, Slots, _lend, apply_gate, attach_ancilla, gate_handle,
                        measure_qubit, measure_qubits, probe_cnot)
 
@@ -83,36 +83,26 @@ class QubitProbe(AttackStrategy):
     """One action on every qubit of the Alice->Trent->Alice round trip.
 
     `action` is one of:
-    - a 1-qubit unitary u (a matrix, or a name in X, Y, Z, H), applied to
-      the forward qubits and undone with u-dagger on return, one
-      `apply_gate` stage a tap. Both are
-      Gates, built here: a matrix whose u or u-dagger is not a 2x2 unitary
-      within tolerance is refused when the probe is built. Each named
-      unitary is its own u-dagger, so one shared Gate does both;
+    - a name in `quantum.GATES` (X, Y, Z, H): that shared Gate, applied to
+      the forward qubits and again on return, where it undoes itself, one
+      `apply_gate` stage a tap;
     - "immediate": a Z measurement of each forward qubit (intercept-resend),
       one `measure_qubits` stage;
     - "after_return": a CNOT from each forward qubit onto a fresh |0>
       ancilla, whose Z value is read once the qubits have returned.
+    Anything else, a matrix included, raises ValueError.
     """
 
     READ_TIMES = ("after_return", "immediate")
 
-    def __init__(self, kind: str, action: np.ndarray | str = "after_return") -> None:
+    def __init__(self, kind: str, action: str = "after_return") -> None:
+        if not isinstance(action, str) or action not in (*GATES, *self.READ_TIMES):
+            raise ValueError(f"unknown probe action {action!r}: a name in GATES or "
+                             f"one of {self.READ_TIMES}")
         self.kind = kind  # the attack name that transcripts show
-        self.read = None
-        self.u = self.undo = None
+        self.u = GATES.get(action)
+        self.read = action if self.u is None else None
         self.pending: list[QubitRef] = []  # ancillas still to be read
-        if not isinstance(action, str):
-            u = np.asarray(action, dtype=complex)
-            if u.shape != (2, 2):
-                raise DimensionMismatchError(f"a probe unitary must be 2x2, got {u.shape}")
-            self.u, self.undo = Gate(u), Gate(u.conj().T)
-        elif action in GATES:
-            self.u = self.undo = GATES[action]
-        elif action in self.READ_TIMES:
-            self.read = action
-        else:
-            raise ValueError(f"unknown probe action {action!r}")
 
     def tap_qubits(self, point, refs, rng):
         # Each tap's reads take their uniforms from one draw.
@@ -128,7 +118,7 @@ class QubitProbe(AttackStrategy):
                     self.pending.append(probe)
         elif point is _RETURN:
             if self.u is not None:
-                apply_gate(refs, self.undo)
+                apply_gate(refs, self.u)  # its own undo
             if self.pending:
                 for probe, u in zip(self.pending, rng.random(len(self.pending)).tolist()):
                     measure_qubit(probe, _Z, u)

@@ -21,6 +21,7 @@ from .keys import Bits, KeyStore, keygen_init
 from .parties import Party, classical_party, quantum_party
 from .register import Slots
 from .roles import (
+    _DIGITS,
     alice_sign,
     bob_accept,
     bob_measure,
@@ -123,7 +124,7 @@ def run_protocol_round(
         outcome = VerificationOutcome(verdict=False)
     accepted = bob_accept(m_received, outcome, hash_message)
     if transcript is not None:
-        digest = "".join(str(b) for b in outcome.digest) if outcome.digest else ""
+        digest = outcome.digest.translate(_DIGITS).decode() if outcome.digest else ""
         transcript.append({"event": "verdict",
                            "verdict": "yes" if outcome.verdict else "no",
                            "digest": digest})

@@ -32,12 +32,15 @@ table holds one state per key, with the key's amplitudes. It starts from
 the six seeds, the four one-qubit preparations and the two Bell states,
 and fills on first use. A gate, ancilla or CNOT whose result has a key
 returns the table's state for it; on a state in the table, that is kept
-as the transition from (state, op), except for a Gate not in GATES. A
-state in the table gets its branch rows on its first read: per qubit and
-basis, p0, exactly 0, 1/2 or 1, and the outcome of each bit that can
-occur, whose post-state is in the table. A state with no key, such as
-one a non-Clifford matrix reaches, is outside the table and runs the
-float kernel alone. `measure` takes its uniform as a float, so no
+as the transition from (state, op), except for a Gate not in GATES.
+`measure` and `measure_stage` read the table alone: a state gets its
+branch rows on its first read, per qubit and basis p0 and the outcome of
+each bit that can occur, and a copy with a key reads as the table's
+state. Building the rows is the stabilizer check: a p0 not within
+KEY_ATOL of 0, 1/2 or 1, or a post-state with no key, refuses the state
+with ValueError, as does a state with no key (one a non-Clifford matrix
+reaches); `measurement_branches` projects any state. So every p0 a row
+holds is exactly 0, 1/2 or 1. `measure` takes its uniform as a float, so no
 operation here draws from a generator; `measure_stage` reads a stage of a
 slot list's qubits, each as `measure` would, with no call for a state
 whose branch rows are built. A stage's bases are basis bits, Z = 0 and
@@ -254,8 +257,6 @@ def _transition(key: tuple, out: StateVector, keep: bool = True) -> StateVector:
 _Z_STATES = (_intern(StateVector([1, 0])), _intern(StateVector([0, 1])))
 _X_STATES = (_intern(StateVector([_SQRT2_INV, _SQRT2_INV])),
              _intern(StateVector([_SQRT2_INV, -_SQRT2_INV])))
-_Z_OUTCOMES = tuple(MeasurementOutcome(b, s) for b, s in enumerate(_Z_STATES))
-_X_OUTCOMES = tuple(MeasurementOutcome(b, s) for b, s in enumerate(_X_STATES))
 
 
 def prepare_single(basis: Basis, bit: int) -> StateVector:
@@ -474,18 +475,10 @@ def _p0(amps: tuple[complex, ...], qubit: int, in_x: bool) -> float:
     return p0
 
 
-def _collapse(
-    amps: tuple[complex, ...], qubit: int, in_x: bool, bit: int
-) -> MeasurementOutcome:
-    """The outcome `bit` on `qubit` with its normalized post-state.
-
-    RuntimeError when the branch has zero probability, except on one qubit,
-    where the post-state is the shared preparation of that basis and bit.
-    """
-    size = len(amps)
-    if size == 2:
-        return (_X_OUTCOMES if in_x else _Z_OUTCOMES)[bit]
-    zero, (_, stride) = _BLOCKS[size, (qubit,)]
+def _collapse(amps: tuple[complex, ...], qubit: int, in_x: bool, bit: int) -> StateVector:
+    """The normalized post-state of the outcome `bit` on `qubit`, in X when
+    `in_x`, else Z, for a bit of nonzero probability."""
+    zero, (_, stride) = _BLOCKS[len(amps), (qubit,)]
     if not in_x:
         w = [amps[i + stride * bit] for i in zero]
     elif bit:
@@ -495,10 +488,8 @@ def _collapse(
     p = 0.0
     for c in w:
         p += c.real * c.real + c.imag * c.imag
-    if p <= 1e-15:
-        raise RuntimeError("sampled a zero-probability branch")
     scale = 1.0 / math.sqrt(p)
-    out = [0j] * size
+    out = [0j] * len(amps)
     for i, c in zip(zero, w):
         c *= scale
         if in_x:
@@ -506,8 +497,10 @@ def _collapse(
             out[i + stride] = c * (-_SQRT2_INV if bit else _SQRT2_INV)
         else:
             out[i + stride * bit] = c
-    return MeasurementOutcome(bit, StateVector(tuple(out), check=False))
+    return StateVector(tuple(out), check=False)
 
+
+_OFF_TABLE = "a read takes a state of the table; measurement_branches projects any state"
 
 # p0 and the outcomes of bits 0 and 1 for one (qubit, basis).
 _Branches = tuple[float, MeasurementOutcome | None, MeasurementOutcome | None]
@@ -515,10 +508,10 @@ _Branches = tuple[float, MeasurementOutcome | None, MeasurementOutcome | None]
 
 def _branch_rows(state: StateVector) -> tuple[tuple[_Branches, _Branches], ...]:
     """Per qubit and then per basis (Z, X), p0 and the outcome of each bit,
-    None for a bit of probability 0. A post-state with a key is the table's.
+    None for a bit of probability 0, each post-state the table's.
 
-    A stabilizer state's p0 is 0, 1/2 or 1, and its float p0 is rounded to
-    it; a keyed state that is not one keeps the float.
+    The stabilizer check: ValueError unless every p0 lies within KEY_ATOL
+    of 0, 1/2 or 1, which it then is exactly, and every post-state has a key.
     """
     amps = state.amps
     rows = []
@@ -526,14 +519,17 @@ def _branch_rows(state: StateVector) -> tuple[tuple[_Branches, _Branches], ...]:
         row = []
         for in_x in (False, True):
             p0 = _p0(amps, qubit, in_x)
-            if abs(p0 - round(2 * p0) / 2) <= KEY_ATOL:
-                p0 = round(2 * p0) / 2
+            exact = round(2 * p0) / 2
+            if not abs(p0 - exact) <= KEY_ATOL:
+                raise ValueError(f"p0 {p0} is not 0, 1/2 or 1: {_OFF_TABLE}")
             outcomes = [None, None]
-            for bit, p in ((0, p0), (1, 1.0 - p0)):
+            for bit, p in ((0, exact), (1, 1.0 - exact)):
                 if p:
-                    post = _collapse(amps, qubit, in_x, bit).post_state
-                    outcomes[bit] = MeasurementOutcome(bit, _intern(post) or post)
-            row.append((p0, *outcomes))
+                    post = _intern(_collapse(amps, qubit, in_x, bit))
+                    if post is None:
+                        raise ValueError(f"a post-state has no key: {_OFF_TABLE}")
+                    outcomes[bit] = MeasurementOutcome(bit, post)
+            row.append((exact, *outcomes))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -541,29 +537,22 @@ def _branch_rows(state: StateVector) -> tuple[tuple[_Branches, _Branches], ...]:
 def measure(state: StateVector, qubit: int, basis: Basis, u: float) -> MeasurementOutcome:
     """Born-rule projective measurement of one qubit with collapse.
 
-    The bit is 0 when the uniform `u` lies below the probability of 0. A
-    state in the table reads p0 and both outcomes from its branch rows,
-    built on its first read; any other state computes them, reads a p0
-    within 1e-15 of 0 or 1 as exactly that, and hands back the table's
-    state for a post-state that has a key. ValueError for a basis other
-    than Basis.Z or Basis.X.
+    The bit is 0 when the uniform `u` lies below the probability of 0. p0
+    and both outcomes come from the state's branch rows, built on its first
+    read; a state with a key reads as the table's. ValueError for a state
+    with no key or off the stabilizer set, a qubit out of range, or a basis
+    other than Basis.Z or Basis.X.
     """
     in_x = basis_bit(basis)
     rows = _ROWS.get(state)
-    if rows is None and state in _ROWS:
-        rows = _ROWS[state] = _branch_rows(state)
-    if rows is not None and 0 <= qubit < len(rows):
-        p0, zero, one = rows[qubit][in_x]
-        return zero if u < p0 else one
-    amps = state.amps
-    n = len(amps).bit_length() - 1
-    if qubit < 0 or qubit >= n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
-    p0 = _p0(amps, qubit, in_x)
-    # A branch within the cut _collapse refuses has probability exactly 0.
-    p0 = 0.0 if p0 <= 1e-15 else 1.0 if p0 >= 1.0 - 1e-15 else p0
-    bit, post = _collapse(amps, qubit, in_x, 0 if u < p0 else 1)
-    return MeasurementOutcome(bit, _intern(post) or post)
+    if rows is None:  # a first read, or a state that is not the table's object
+        if state not in _ROWS and (state := _intern(state)) is None:
+            raise ValueError(f"the state has no key: {_OFF_TABLE}")
+        rows = _ROWS[state] = _ROWS[state] or _branch_rows(state)
+    if not 0 <= qubit < len(rows):
+        raise ValueError(f"qubit {qubit} out of range for {len(rows)}-qubit register")
+    p0, zero, one = rows[qubit][in_x]
+    return zero if u < p0 else one
 
 
 _BASES = (_Z, _X)  # by basis bit
@@ -579,13 +568,11 @@ def measure_stage(
     later read of a slot sees the collapse. One basis bit and one uniform
     a handle; the caller checks that each bit is 0 or 1."""
     bits = bytearray(len(handles))
+    rows_of = _ROWS.get
     for i, h, b, u in zip(count(), handles, basis_bits, us):
         s = h >> 2
-        try:
-            rows = _ROWS[states[s]]
-        except KeyError:  # a state outside the table
-            rows = None
-        if rows is None:  # or a first read
+        rows = rows_of(states[s])
+        if rows is None:  # a first read, or a state the table has not met
             bits[i], states[s] = measure(states[s], h & 3, _BASES[b], u)
         else:
             p0, zero, one = rows[h & 3][b]

@@ -11,12 +11,17 @@ A strategy acts only through a `QubitRef`, a (slots, handle) pair: each
 op is one pure op of `quantum` (`apply_gate` a stage of `apply_unitary`,
 `attach_ancilla` of `append_ancilla`, `probe_cnot` of `cnot`,
 `measure_qubit` of `measure`, `measure_qubits` a stage from one draw).
-The slot list, not the ref, decides who may act: `lent` holds what the
-running tap is lent (`_lend`) and `ancillas` what the strategy attached,
-and an op on any other handle, however its ref was built, raises
-RevokedHandleError. A tap's refs are built once, on its first read, and
-the stages `apply_gate` and `measure_qubits` over the running tap's own
-lent list read its handles with one lease check and build no ref.
+Every gate a round applies, a strategy's or the channel's noise, is one
+of the shared Clifford `quantum.GATES`: `gate_handle` refuses any other
+Gate with ValueError, so every state a round reaches stays in the state
+table that `quantum.measure` reads. The slot list, not the ref, decides
+who may act: `lent` holds what the running tap is lent (`_lend`) and
+`ancillas` what the strategy attached, and an op on any other handle,
+however its ref was built, raises RevokedHandleError. A tap hands back
+each handle at most once, and an ancilla it hands on is a protocol qubit
+from then on. A tap's refs are built once, on its first read, and the
+stages `apply_gate` and `measure_qubits` over the running tap's own lent
+list read its handles with one lease check and build no ref.
 `measure_qubits` takes a strategy's Basis members and turns them into
 basis bits once, refusing anything but Basis.Z or Basis.X.
 """
@@ -27,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import (Basis, Gate, StateVector, append_ancilla, apply_unitary, basis_bit,
-                      cnot, measure, measure_stage)
+from .quantum import (_SHARED_GATES, Basis, Gate, StateVector, append_ancilla, apply_unitary,
+                      basis_bit, cnot, measure, measure_stage)
 
 
 class Slots:
@@ -101,11 +106,18 @@ def _lend(
 ) -> Sequence[int]:
     """Call `tap(point, refs, rng)`, a strategy's `tap_qubits`, with
     `handles` lent to it as `refs` for the call alone; the handles of the
-    refs it hands back, each lent or an ancilla it attached."""
+    refs it hands back, each lent or an ancilla it attached, and each once
+    (RevokedHandleError otherwise); an ancilla handed on is no longer held."""
     lent = slots.lent = _LentRefs(slots, handles)
     try:
         out = tap(point, lent, rng)
-        return handles if out is lent else [_held(slots, ref) for ref in out]
+        if out is lent:
+            return handles
+        out = [_held(slots, ref) for ref in out]
+        if len(set(out)) != len(out):
+            raise RevokedHandleError("a tap handed back one qubit twice")
+        slots.ancillas.difference_update(out)
+        return out
     finally:
         slots.lent = None
 
@@ -129,13 +141,16 @@ def _handles(refs: Sequence[QubitRef]) -> tuple[Slots, Sequence[int]]:
 
 
 def gate_handle(slots: Slots, handle: int, gate: Gate) -> None:
-    """Apply a single-qubit Gate to the qubit `handle` names, in place."""
+    """Apply one of the shared `quantum.GATES` to the qubit `handle` names,
+    in place; ValueError for any other Gate."""
+    if gate not in _SHARED_GATES:
+        raise ValueError("a round applies only the shared Gates of quantum.GATES")
     states, s = slots.states, handle >> 2
     states[s] = apply_unitary(states[s], gate, (handle & 3,))
 
 
 def apply_gate(refs: Sequence[QubitRef], gate: Gate) -> None:
-    """Apply a single-qubit Gate to the qubit of each ref in place, in order."""
+    """Apply a shared Gate to the qubit of each ref in place, in order."""
     slots, handles = _handles(refs)
     for handle in handles:
         gate_handle(slots, handle, gate)

@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 
 import sqsig.quantum as quantum
 import sqsig.register as register
-from sqsig.adversary import QubitProbe
 from sqsig.detection import DetectionMode
-from sqsig.harness import run_matrix
-from sqsig.protocol import run_protocol_round
+from sqsig.harness import ATTACKS, ScenarioConfig, parse_attack, run_matrix, run_trials
 from sqsig.quantum import (
     CNOT,
     GATES,
@@ -233,9 +231,9 @@ class TestApplyUnitary:
             apply_unitary(prepare_bell(0), GATES["X"], (0, 1))
 
     def test_check_runs_once_per_gate_built(self, monkeypatch):
-        # Over a whole attack x mode grid, and a round with a matrix probe,
-        # the unitarity check runs when a Gate is built, never when one is
-        # applied.
+        # Over a whole attack x mode grid the unitarity check never runs: a
+        # round applies the shared Gates alone. A Gate built from a matrix
+        # is checked once, when it is built, however often it is applied.
         counts = {"checks": 0, "built": 0, "applied": 0}
 
         def counted(key, fn):
@@ -252,13 +250,11 @@ class TestApplyUnitary:
         run_matrix(n=2, trials=5)
         assert counts["applied"] > 0
         assert counts["checks"] == counts["built"] == 0
-        applied = counts["applied"]
-        probe = QubitProbe("unitary_tamper_then_undo",
-                           random_unitary(np.random.default_rng(5), 2))
-        run_protocol_round(message=b"\x01\x00\x01", mode=DetectionMode.IMPROVED,
-                           strategy=probe, rng=np.random.default_rng(0), d_z=3, d_x=3)
-        assert counts["applied"] > applied
-        assert counts["checks"] == counts["built"] == 2  # u and its undo
+        gate = Gate(random_unitary(np.random.default_rng(5), 2))
+        state = prepare_single(Basis.X, 0)
+        for _ in range(3):
+            state = apply_unitary(state, gate, (0,))
+        assert counts["checks"] == counts["built"] == 1
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize(
@@ -343,6 +339,17 @@ class TestUnitarityTolerance:
         with pytest.raises(NonUnitaryError):
             Gate(u)
 
+    def test_a_conjugate_transpose_can_fail_the_check(self):
+        # u passes the entrywise check and u-dagger does not, so an undo
+        # must be built, and checked, as a Gate of its own.
+        u = np.array([
+            [-0.44754781686863204 - 0.7519717425177289j, 0.3117910406015707 - 0.37016995700142535j],
+            [0.36322925860984406 - 0.3198498957295838j, -0.7616246184270078 - 0.43091587417139693j],
+        ])
+        Gate(u)
+        with pytest.raises(NonUnitaryError):
+            Gate(u.conj().T)
+
     @pytest.mark.parametrize("u", [np.eye(1), np.eye(3), np.eye(8), np.ones(2), np.eye(4)[:2]])
     def test_only_one_and_two_qubit_squares_accepted(self, u):
         with pytest.raises(DimensionMismatchError):
@@ -381,14 +388,13 @@ class TestMeasurement:
         p_hat = ones / trials
         assert abs(p_hat - 0.5) < 3 * np.sqrt(0.25 / trials)
 
-    def test_frequency_matches_amplitudes_for_biased_state(self):
-        rng = np.random.default_rng(7)
-        amps = np.array([0.6, 0.8], dtype=complex)
-        state = StateVector(amps)
-        trials = 100_000
-        ones = sum(measure(state, 0, Basis.Z, rng.random()).bit for _ in range(trials))
-        p1 = 0.64
-        assert abs(ones / trials - p1) < 3 * np.sqrt(p1 * (1 - p1) / trials)
+    def test_a_state_with_no_key_is_refused(self):
+        # A read takes a state of the table; measurement_branches projects
+        # any state.
+        with pytest.raises(ValueError, match="measurement_branches"):
+            measure(StateVector([0.6, 0.8]), 0, Basis.Z, 0.5)
+        (p0, _), (p1, _) = measurement_branches(StateVector([0.6, 0.8]), 0, Basis.Z)
+        assert abs(p0 - 0.36) < 1e-12 and abs(p1 - 0.64) < 1e-12
 
     def test_repeat_measurement_is_stable(self):
         rng = np.random.default_rng(3)
@@ -398,12 +404,17 @@ class TestMeasurement:
             again = measure(out.post_state, 0, basis, rng.random())
             assert again.bit == out.bit
 
-    def test_post_state_normalized(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            state = random_state(rng, 3)
-            out = measure(state, int(rng.integers(0, 3)), Basis.X, rng.random())
-            assert abs(out.post_state.norm() - 1.0) < 1e-12
+    @given(st.integers(0, 5),
+           st.lists(st.tuples(st.just("gate"), st.sampled_from(sorted(GATES)), st.integers(0, 3))
+                    | st.tuples(st.just("attach")), max_size=6),
+           st.integers(0, 3), st.sampled_from([Basis.Z, Basis.X]),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_post_state_normalized(self, seed, steps, qubit, basis, u):
+        # Registers of the table: seeds walked through shared Gates and ancillas.
+        state = _walked(seed, steps)
+        out = measure(state, qubit % state.num_qubits, basis, u)
+        assert abs(out.post_state.norm() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_bell_halves_correlate(self, g):
@@ -422,10 +433,13 @@ class TestMeasurement:
                 assert abs(p0 + p1 - 1.0) < 1e-12
 
     def test_branches_agree_with_sampling_probability(self):
-        # The sampled frequency must track the enumerated branch weight.
+        # The sampled frequency must track the enumerated branch weight, on
+        # a register the protocol's ops reach: an H on both halves of a
+        # Bell pair, read on qubit 1 in X.
         rng = np.random.default_rng(13)
-        state = random_state(rng, 2)
+        state = apply_unitary(apply_unitary(prepare_bell(1), GATES["H"], (0,)), GATES["Y"], (1,))
         (p0, _), _ = measurement_branches(state, 1, Basis.X)
+        assert abs(p0 - 0.5) < 1e-12
         trials = 100_000
         zeros = sum(
             measure(state, 1, Basis.X, rng.random()).bit == 0 for _ in range(trials)
@@ -446,9 +460,9 @@ class TestMeasurement:
         # "X" == Basis.X, as Basis is a str Enum, yet "X" is no basis: a
         # read given it would be a Z read, which reads |+> as 1 at u = 0.99.
         assert measure(prepare_single(Basis.X, 0), 0, Basis.X, 0.99).bit == 0
+        with pytest.raises(ValueError, match="basis"):
+            measure(prepare_single(Basis.X, 0), 0, basis, 0.99)
         for state in (prepare_single(Basis.X, 0), StateVector([0.6, 0.8])):
-            with pytest.raises(ValueError):
-                measure(state, 0, basis, 0.99)
             with pytest.raises(ValueError):
                 measurement_branches(state, 0, basis)
         with pytest.raises(ValueError):
@@ -481,66 +495,66 @@ def measured_registers(draw):
             draw(st.sampled_from([Basis.Z, Basis.X])), draw(st.integers(0, 2 ** 32 - 1)))
 
 
-class TestMeasurementAgainstBranches:
+class TestKernelAgainstBranches:
+    """The row builder's kernel, `_p0` and `_collapse`, called directly on
+    any register, against `measurement_branches` and one plain loop."""
+
     @given(measured_registers())
     @settings(max_examples=150, deadline=None)
-    def test_outcome_and_post_state_match_branches(self, case):
-        # The generator's next uniform picks 0 exactly below the enumerated
-        # P(0), and the register collapses onto that branch.
-        state, qubit, basis, seed = case
-        (p0, post0), (_, post1) = measurement_branches(state, qubit, basis)
-        u = np.random.default_rng(seed).random()
-        assume(abs(u - p0) > 1e-12)
-        out = measure(state, qubit, basis, u)
-        assert out.bit == (0 if u < p0 else 1)
-        assert equal_up_to_phase(out.post_state, post0 if out.bit == 0 else post1)
+    def test_p0_and_post_states_match_branches(self, case):
+        state, qubit, basis, _ = case
+        in_x = basis is Basis.X
+        (p0, post0), (p1, post1) = measurement_branches(state, qubit, basis)
+        assert abs(_p0(state.amps, qubit, in_x) - p0) < 1e-12
+        for bit, post in ((0, post0), (1, post1)):
+            got = quantum._collapse(state.amps, qubit, in_x, bit)
+            assert equal_up_to_phase(got, post)
+            assert np.allclose(got.amps, post.amps, rtol=0, atol=1e-12)
 
     @given(measured_registers())
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_reference_loop_exactly(self, case):
-        # Every size branch of the kernel, the written-out Bell-half case
-        # included, does the same float operations as one plain loop.
-        state, qubit, basis, seed = case
-        u = np.random.default_rng(seed).random()
-        bit, post = reference_measure(state.amps, qubit, basis, u)
-        out = measure(state, qubit, basis, u)
-        assert out.bit == bit
-        assert out.post_state.amps == post
-        assert all(type(a) is complex for a in out.post_state.amps)
+        # The kernel does the same float operations as one plain loop, on
+        # every register size.
+        state, qubit, basis, _ = case
+        in_x = basis is Basis.X
+        p0, posts = reference_branches(state.amps, qubit, basis)
+        assert _p0(state.amps, qubit, in_x) == p0
+        for bit in (0, 1):
+            post = quantum._collapse(state.amps, qubit, in_x, bit)
+            assert post.amps == posts[bit]
+            assert all(type(a) is complex for a in post.amps)
 
 
-def reference_measure(amps, qubit, basis, u):
-    """The measurement arithmetic as one loop over amplitude pairs: P(0) and
-    P(1) as sums of squares, the kept branch scaled by 1 / sqrt(P)."""
+def reference_branches(amps, qubit, basis):
+    """The measurement arithmetic as one loop over amplitude pairs: P(0) as
+    a sum of squares, and each branch scaled by 1 / sqrt(P) of its own."""
     n = len(amps).bit_length() - 1
     stride = 1 << (n - 1 - qubit)
     zero = [i for i in range(len(amps)) if not i & stride]
     if basis is Basis.X:
-        w0 = [(amps[i] + amps[i + stride]) * SQRT2_INV for i in zero]
-        w1 = [(amps[i] - amps[i + stride]) * SQRT2_INV for i in zero]
+        ws = ([(amps[i] + amps[i + stride]) * SQRT2_INV for i in zero],
+              [(amps[i] - amps[i + stride]) * SQRT2_INV for i in zero])
     else:
-        w0 = [amps[i] for i in zero]
-        w1 = [amps[i + stride] for i in zero]
-    p0 = 0.0
-    for w in w0:
-        p0 += w.real * w.real + w.imag * w.imag
-    bit = 0 if u < p0 else 1
-    w, p = (w0, p0) if bit == 0 else (w1, 0.0)
-    if bit:
-        for c in w1:
+        ws = ([amps[i] for i in zero], [amps[i + stride] for i in zero])
+    posts = []
+    for bit, w in enumerate(ws):
+        p = 0.0
+        for c in w:
             p += c.real * c.real + c.imag * c.imag
-    if n == 1:  # the post-state is the shared preparation
-        return bit, prepare_single(basis, bit).amps
-    scale = 1.0 / math.sqrt(p)
-    out = [0j] * len(amps)
-    for i, c in zip(zero, w):
-        c *= scale
-        if basis is Basis.X:
-            out[i] = c * SQRT2_INV
-            out[i + stride] = c * (SQRT2_INV if bit == 0 else -SQRT2_INV)
-        else:
-            out[i + stride * bit] = c
-    return bit, tuple(out)
+        if bit == 0:
+            p0 = p
+        scale = 1.0 / math.sqrt(p)
+        out = [0j] * len(amps)
+        for i, c in zip(zero, w):
+            c *= scale
+            if basis is Basis.X:
+                out[i] = c * SQRT2_INV
+                out[i + stride] = c * (SQRT2_INV if bit == 0 else -SQRT2_INV)
+            else:
+                out[i + stride * bit] = c
+        posts.append(tuple(out))
+    return p0, posts
 
 
 class TestUniforms:
@@ -562,14 +576,26 @@ TOP = math.nextafter(1.0, 0.0)
 
 def _measured(state, qubit, basis, u):
     """The record of one measurement with the uniform `u`, (error, bit,
-    post amplitudes), and the state after it. On a ValueError or
-    RuntimeError the record holds its repr, bit and amplitudes are None,
-    and the state is unchanged."""
+    post amplitudes), and the state after it. On a ValueError the record
+    holds its repr, bit and amplitudes are None, and the state is
+    unchanged."""
     try:
         bit, post = measure(state, qubit, basis, u)
-    except (ValueError, RuntimeError) as err:
+    except ValueError as err:
         return (repr(err), None, None), state
     assert all(type(a) is complex for a in post.amps)
+    return (None, bit, post.amps), post
+
+
+def _projected(state, qubit, basis, u):
+    """The record `_measured` gives, from `measurement_branches`: the bit 0
+    when `u` lies below P(0), and that branch's post-state."""
+    try:
+        branches = measurement_branches(state, qubit, basis)
+    except ValueError as err:
+        return (repr(err), None, None), state
+    bit = 0 if u < branches[0][0] else 1
+    post = branches[bit][1]
     return (None, bit, post.amps), post
 
 
@@ -597,6 +623,28 @@ def fresh_table(monkeypatch):
     monkeypatch.setattr(quantum, "_NEXT", {})
 
 
+# A step of a register's walk from a seed: a shared Gate on a target, an
+# ancilla, or a CNOT; a step the register cannot take is skipped.
+TABLE_STEPS = st.one_of(
+    st.tuples(st.just("gate"), st.sampled_from(sorted(GATES)), st.integers(0, 3)),
+    st.tuples(st.just("attach")),
+    st.tuples(st.just("cnot"), st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+def _walked(seed, steps):
+    state = SEEDS[seed]
+    for kind, *args in steps:
+        n = state.num_qubits
+        if kind == "gate" and args[1] < n:
+            state = apply_unitary(state, GATES[args[0]], (args[1],))
+        elif kind == "attach" and n < MAX_REGISTER_QUBITS:
+            state = append_ancilla(state)
+        elif kind == "cnot" and args[0] != args[1] and max(args) < n:
+            state = cnot(state, *args)
+    return state
+
+
 def _follow(path):
     """The state a path of reads (seed index, ((qubit, basis, bit), ...)) ends in."""
     seed, reads = path
@@ -613,7 +661,7 @@ def _follow_computed(path):
     seed, reads = path
     state = StateVector(SEEDS[seed].amps, check=False)
     for qubit, basis, bit in reads:
-        state = quantum._collapse(state.amps, qubit, basis is Basis.X, bit).post_state
+        state = quantum._collapse(state.amps, qubit, basis is Basis.X, bit)
     return StateVector(state.amps, check=False)
 
 
@@ -626,19 +674,16 @@ def _read_cases():
     todo = [(i, ()) for i in range(len(SEEDS))]
     while todo:
         path = todo.pop(0)
-        amps = _follow_computed(path).amps
-        if repr(amps) in seen:
+        state = _follow_computed(path)
+        if repr(state.amps) in seen:
             continue
-        seen.add(repr(amps))
-        for qubit in range(len(amps).bit_length() - 1):
+        seen.add(repr(state.amps))
+        for qubit in range(state.num_qubits):
             for basis in (Basis.Z, Basis.X):
                 cases.append((path, qubit, basis))
-                for bit in (0, 1):
-                    try:
-                        quantum._collapse(amps, qubit, basis is Basis.X, bit)
-                    except RuntimeError:
-                        continue
-                    todo.append((path[0], path[1] + ((qubit, basis, bit),)))
+                for bit, (p, _) in enumerate(measurement_branches(state, qubit, basis)):
+                    if p:
+                        todo.append((path[0], path[1] + ((qubit, basis, bit),)))
     return cases
 
 
@@ -661,17 +706,17 @@ WALK_OPS = st.one_of(
 )
 
 
-def _step(state, op):
+def _step(state, op, read):
     """The record one walk op gives on `state`, in the form of `_measured`'s,
-    and the state after it. A read whose uniform lies within 1e-9 of P(0) is
-    skipped; an error leaves the state."""
+    and the state after it; `read` makes a read's record. A read whose
+    uniform lies within 1e-9 of P(0) is skipped; an error leaves the state."""
     kind, *args = op
     if kind == "read":
         qubit, basis, where = args
         u = UNIFORMS[where]
         if 0 <= qubit < state.num_qubits and abs(u - _p0(state.amps, qubit, basis is Basis.X)) < 1e-9:
             return ("skipped", None, None), state
-        return _measured(state, qubit, basis, u)
+        return read(state, qubit, basis, u)
     try:
         if kind == "gate":
             out = apply_unitary(state, GATES[args[0]], (args[1],))
@@ -704,10 +749,19 @@ def _closure():
     return seen
 
 
+def _cli_attacks():
+    """One text for each argument form of every ATTACKS row but forge."""
+    texts = ["none", "intercept_resend_z", "pauli_x_tamper", "entangle_probe",
+             "entangle_probe:immediate", "tamper_b:0", "tamper_m:1",
+             *(f"unitary_tamper_then_undo:{name}" for name in GATES)]
+    assert {text.partition(":")[0] for text in texts} == set(ATTACKS) - {"forge"}
+    return texts
+
+
 class TestBranchTables:
-    """A state in the table gives what the float kernel gives an unshared
-    copy of it, to within 1e-12, except where a uniform lies within 1e-9 of
-    a float p0 that is exactly 0, 1/2 or 1."""
+    """A state in the table reads what `measurement_branches` gives an
+    unshared copy of it, to within 1e-12, except where a uniform lies within
+    1e-9 of a float p0 that is exactly 0, 1/2 or 1."""
 
     def test_the_table_closes_at_the_stabilizer_states(self, fresh_table):
         # 1072 states, 16, 96 and 960 by size, each in the table once; every
@@ -719,6 +773,29 @@ class TestBranchTables:
         assert {branches[0] for rows in quantum._ROWS.values() for row in rows
                 for branches in row} == {0.0, 0.5, 1.0}
         assert all(quantum._STATES[quantum._key(s.amps)] is s for s in reached)
+
+    def test_the_cli_space_never_leaves_the_table(self, fresh_table, monkeypatch):
+        # Every attack the CLI can name but forge, in every mode, with and
+        # without channel noise: every op result has a key, and every row
+        # holds p0 0, 1/2 or 1, so no state a round reaches is refused.
+        unkeyed = []
+
+        def watched(state, intern=quantum._intern):
+            found = intern(state)
+            if found is None:
+                unkeyed.append(state.amps)
+            return found
+
+        monkeypatch.setattr(quantum, "_intern", watched)
+        for text in _cli_attacks():
+            for mode in DetectionMode:
+                for noise_p in (0.0, 0.2):
+                    stats, _ = run_trials(ScenarioConfig(
+                        n=2, mode=mode, attack=parse_attack(text), trials=4, noise_p=noise_p))
+                    assert stats.trials_run == 4
+        assert unkeyed == []
+        assert {branches[0] for rows in quantum._ROWS.values() if rows is not None
+                for row in rows for branches in row} == {0.0, 0.5, 1.0}
 
     def test_states_with_equal_keys_are_one_object(self, fresh_table):
         # H twice is the seed itself, and a state whose amplitudes differ from
@@ -739,7 +816,7 @@ class TestBranchTables:
         # uniform: in floats p0 is 0.9999999999999998 and 0.9999999999999993,
         # and the largest uniform below 1 would read 1. So does a matrix u,
         # a rotation times H that leaves the table, followed by u-dagger:
-        # in floats p0 is 0.9999999999999993 and 0.9999999999999991.
+        # a result with a key is the table's state, whatever op made it.
         if undo == "H":
             u = u_dagger = GATES["H"]
         else:
@@ -765,21 +842,42 @@ class TestBranchTables:
             state = StateVector(np.array(amps) / np.linalg.norm(amps))
             assert quantum._key(state.amps) is None
             assert state not in quantum._ROWS
+            with pytest.raises(ValueError, match="measurement_branches"):
+                measure(state, 0, Basis.Z, 0.5)
         u = Gate(random_unitary(np.random.default_rng(1), 2))
         out = apply_unitary(prepare_single(Basis.Z, 0), u, (0,))
         assert out not in quantum._ROWS and quantum._NEXT == {}
         assert len(quantum._STATES) == len(SEEDS)
 
-    def test_a_keyed_state_off_the_stabilizer_set_keeps_its_float_p0(self, fresh_table):
+    def test_a_keyed_state_off_the_stabilizer_set_is_refused(self, fresh_table):
         # Controlled-S on |++> has a key, (1, 1, 1, i) / 2, but is not a
-        # stabilizer state: reading qubit 0 in X gives 0 with probability 3/4.
+        # stabilizer state: reading qubit 0 in X gives 0 with probability
+        # 3/4. Building its rows refuses it, for every read.
         plus_plus = apply_unitary(append_ancilla(prepare_single(Basis.X, 0)), GATES["H"], (1,))
         state = apply_unitary(plus_plus, Gate(np.diag([1, 1, 1, 1j])), (0, 1))
         assert state in quantum._ROWS
-        fresh = StateVector(state.amps, check=False)
-        for u in (0.7, 0.8):
-            assert _agree(_measured(state, 0, Basis.X, u)[0], _measured(fresh, 0, Basis.X, u)[0])
-        assert abs(quantum._ROWS[state][0][1][0] - 0.75) < 1e-12
+        for qubit, basis in itertools.product((0, 1), (Basis.Z, Basis.X)):
+            with pytest.raises(ValueError, match="measurement_branches"):
+                measure(state, qubit, basis, 0.5)
+        with pytest.raises(ValueError, match="measurement_branches"):
+            measure_stage([state], [0], b"\x00", [0.5])
+        assert quantum._ROWS[state] is None
+        assert abs(measurement_branches(state, 0, Basis.X)[0][0] - 0.75) < 1e-12
+
+    @given(st.sampled_from(range(len(SEEDS))), st.lists(TABLE_STEPS, max_size=8),
+           st.integers(0, 3), st.sampled_from([Basis.Z, Basis.X]),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=150, deadline=None)
+    def test_a_read_is_the_branch_its_uniform_picks(self, seed, steps, qubit, basis, u):
+        # The bit is 0 exactly below the enumerated P(0), and the register
+        # collapses onto that branch.
+        state = _walked(seed, steps)
+        qubit %= state.num_qubits
+        (p0, post0), (_, post1) = measurement_branches(state, qubit, basis)
+        assume(abs(u - p0) > 1e-12)
+        out = measure(state, qubit, basis, u)
+        assert out.bit == (0 if u < p0 else 1)
+        assert equal_up_to_phase(out.post_state, post0 if out.bit == 0 else post1)
 
     @given(st.sampled_from(range(len(SEEDS))), st.lists(WALK_OPS, max_size=12))
     @settings(max_examples=200, deadline=None,
@@ -788,21 +886,21 @@ class TestBranchTables:
             self, fresh_table, monkeypatch, seed, ops):
         # The same ops from a seed and from an unshared copy of it give the
         # same bits and errors, and amplitudes within 1e-12. The copy's walk
-        # runs the float kernel alone, with no result interned. The walk in
-        # the table runs twice: the second time along the transitions and
+        # interns no result and reads through measurement_branches. The walk
+        # in the table runs twice: the second time along the transitions and
         # rows the first one built.
         computed, state = [], StateVector(SEEDS[seed].amps, check=False)
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "_intern", lambda state: None)
             for op in ops:
                 assert state not in quantum._ROWS
-                got, state = _step(state, op)
+                got, state = _step(state, op, _projected)
                 computed.append(got)
                 state = StateVector(state.amps, check=False)
         for _ in range(2):
             tabled, state = [], SEEDS[seed]
             for op in ops:
-                got, state = _step(state, op)
+                got, state = _step(state, op, _measured)
                 tabled.append(got)
                 assert state in quantum._ROWS
             assert all(map(_agree, tabled, computed))
@@ -810,8 +908,8 @@ class TestBranchTables:
     @pytest.mark.parametrize("path, qubit, basis", READ_CASES, ids=READ_CASE_IDS)
     def test_tabled_measure_equals_the_computed_path(self, fresh_table, path, qubit, basis):
         # Every state Z/X reads reach from the seeds, read on every qubit and
-        # basis from the rows a fresh table builds, against the unshared state
-        # the float kernel reaches along the same path.
+        # basis from the rows a fresh table builds, against the branches of
+        # the unshared state the float kernel reaches along the same path.
         state = _follow(path)
         fresh = _follow_computed(path)
         assert state in quantum._ROWS and fresh not in quantum._ROWS
@@ -820,7 +918,7 @@ class TestBranchTables:
             tabled, _ = _measured(state, qubit, basis, u)
             p0 = quantum._ROWS[state][qubit][basis is Basis.X][0]
             if abs(u - p0) >= 1e-9:
-                assert _agree(tabled, _measured(fresh, qubit, basis, u)[0])
+                assert _agree(tabled, _projected(fresh, qubit, basis, u)[0])
         assert p0 in (0.0, 0.5, 1.0)
         assert abs(p0 - _p0(fresh.amps, qubit, basis is Basis.X)) < 1e-12
 
@@ -828,8 +926,8 @@ class TestBranchTables:
         bell = prepare_bell(0)
         out = measure(bell, 0, Basis.Z, 0.0)
         assert out.post_state in quantum._ROWS
-        # An unshared copy reads through the float kernel, and its post-state,
-        # which has a key, comes back as the table's.
+        # An unshared copy has the key of a state in the table, so it is
+        # read as that state.
         fresh = measure(StateVector(bell.amps, check=False), 0, Basis.Z, 0.0)
         assert fresh.post_state is out.post_state
 
@@ -873,38 +971,16 @@ class TestProbeCnotSwap:
         assert slots.states == [prepare_bell(0), prepare_bell(0)]
 
 
-# A step of a register's walk from a seed: a shared Gate on a target, an
-# ancilla, or a CNOT; a step the register cannot take is skipped.
-TABLE_STEPS = st.one_of(
-    st.tuples(st.just("gate"), st.sampled_from(sorted(GATES)), st.integers(0, 3)),
-    st.tuples(st.just("attach")),
-    st.tuples(st.just("cnot"), st.integers(0, 3), st.integers(0, 3)),
-)
-
-
-def _walked(seed, steps):
-    state = SEEDS[seed]
-    for kind, *args in steps:
-        n = state.num_qubits
-        if kind == "gate" and args[1] < n:
-            state = apply_unitary(state, GATES[args[0]], (args[1],))
-        elif kind == "attach" and n < MAX_REGISTER_QUBITS:
-            state = append_ancilla(state)
-        elif kind == "cnot" and args[0] != args[1] and max(args) < n:
-            state = cnot(state, *args)
-    return state
-
-
 @st.composite
 def read_stages(draw):
-    """Registers walked from the seeds, one state outside the table among
-    them, and a stage of (slot, qubit, basis, uniform) reads: one or more
-    reads may share a slot, and a qubit may be read twice."""
+    """Registers walked from the seeds, an unshared copy of one of them
+    among them, and a stage of (slot, qubit, basis, uniform) reads: one or
+    more reads may share a slot, and a qubit may be read twice."""
     states = [_walked(draw(st.integers(0, len(SEEDS) - 1)),
                       draw(st.lists(TABLE_STEPS, max_size=8)))
               for _ in range(draw(st.integers(1, 5)))]
-    outside = StateVector(draw(st.sampled_from([[0.6, 0.8], [0.6, 0, 0, 0.8]])))
-    states.insert(draw(st.integers(0, len(states))), outside)
+    unshared = StateVector(draw(st.sampled_from(states)).amps, check=False)
+    states.insert(draw(st.integers(0, len(states))), unshared)
     reads = draw(st.lists(st.tuples(
         st.integers(0, len(states) - 1), st.integers(0, MAX_REGISTER_QUBITS - 1),
         st.sampled_from([Basis.Z, Basis.X]),
@@ -934,32 +1010,29 @@ class TestStageRead:
         # A tabled post-state is the table's own state.
         assert all(a is b for a, b in zip(got, expected_states) if b in quantum._ROWS)
 
-    def test_a_float_read_never_samples_a_zero_probability_branch(self):
-        # Outside the table, Z then X reads of (0.6, 0, 0, 0.8) leave qubit 0
-        # with a float p0 one ulp short of 1; the uniform 1 - 1 ulp must
-        # still read 0. The Z read's post-state |00> has a key, so it is the
-        # table's, and the reads after it follow the table.
-        state = StateVector([0.6, 0, 0, 0.8])
-        assert state not in quantum._ROWS
-        bit, state = measure(state, 0, Basis.Z, 0.0)
-        assert bit == 0 and state in quantum._ROWS
-        bit, state = measure(state, 1, Basis.X, 0.0)
-        assert bit == 0 and state in quantum._ROWS
-        assert measure(state, 0, Basis.Z, TOP).bit == 0
-        states = [StateVector([0.6, 0, 0, 0.8])]
-        bits = measure_stage(states, [0, 1, 0], b"\x00\x01\x00", [0.0, 0.0, TOP])
-        assert bits == bytes(3) and states[0] is state
+    def test_a_state_with_no_key_is_refused(self):
+        # (0.6, 0, 0, 0.8) has no key: the stage reads the Bell pair before
+        # it and refuses it.
+        states = [prepare_bell(0), StateVector([0.6, 0, 0, 0.8])]
+        with pytest.raises(ValueError, match="measurement_branches"):
+            measure_stage(states, [1, 1 << 2], b"\x00\x00", [0.0, 0.0])
+        assert states[0] is measure(prepare_bell(0), 1, Basis.Z, 0.0).post_state
 
-    def test_a_float_p0_within_the_cut_reads_as_exact(self):
-        # A state no key reaches, whose qubit 0 reads 1 in Z with probability
-        # below the 1e-15 cut: every uniform reads 0, and the post-state has
-        # a key, so it is the table's |0>.
-        eps = 1e-8  # amplitude; probability 1e-16
+    @pytest.mark.parametrize("eps, keyed", [(1e-10, True), (1e-8, False)])
+    def test_a_state_within_key_atol_of_a_key_reads_as_the_tables(self, eps, keyed):
+        # (sqrt(1 - eps^2), eps) lies within KEY_ATOL of the key (1, 0) for
+        # eps = 1e-10: every uniform reads 0, and the post-state is the
+        # table's |0>. For eps = 1e-8 it has no key and is refused.
         state = StateVector([math.sqrt(1 - eps * eps), eps], check=False)
         assert state not in quantum._ROWS
         for u in (0.0, 0.5, TOP):
-            bit, post = measure(state, 0, Basis.Z, u)
-            assert bit == 0 and post is prepare_single(Basis.Z, 0)
+            states = [state]
+            if keyed:
+                assert measure_stage(states, [0], b"\x00", [u]) == b"\x00"
+                assert states[0] is prepare_single(Basis.Z, 0)
+            else:
+                with pytest.raises(ValueError, match="measurement_branches"):
+                    measure_stage(states, [0], b"\x00", [u])
 
     def test_a_second_read_of_a_slot_sees_the_first_collapse(self):
         # Both halves of one Bell pair: the second Z read repeats the first.

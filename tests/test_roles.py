@@ -23,10 +23,14 @@ from sqsig.parties import (
 )
 from sqsig.protocol import run_protocol_round
 from sqsig.quantum import (
+    GATES,
     MAX_REGISTER_QUBITS,
     Basis,
     StateVector,
     _ROWS,
+    append_ancilla,
+    apply_unitary,
+    cnot,
     equal_up_to_phase,
     measure,
     prepare_bell,
@@ -399,14 +403,23 @@ class TestCapabilities:
 def measuring_stages(draw):
     """States of 1..4 registers of 1..MAX_REGISTER_QUBITS qubits each, a
     stage of (register, qubit, basis) in any order, a seed, and the
-    position of one X basis in the stage."""
+    position of one X basis in the stage. Each register is a preparation
+    with ancillas, walked through shared Gates and CNOTs, so it is a state
+    of the table."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
     states = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, MAX_REGISTER_QUBITS))
-        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-        states.append(StateVector(amps / np.linalg.norm(amps)))
+        state = prepare_single(draw(st.sampled_from([Basis.Z, Basis.X])), draw(st.integers(0, 1)))
+        while state.num_qubits < n:
+            state = append_ancilla(state)
+        for gate, a, b in draw(st.lists(st.tuples(
+                st.sampled_from(sorted(GATES)), st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=8)):
+            state = apply_unitary(state, GATES[gate], (a,))
+            if a != b:
+                state = cnot(state, a, b)
+        states.append(state)
     qubits = [(r, q) for r, state in enumerate(states) for q in range(state.num_qubits)]
     order = draw(st.permutations(qubits))
     stage = order[:draw(st.integers(1, len(order)))]
@@ -502,15 +515,16 @@ class TestPartyStages:
            st.lists(st.sampled_from([Basis.Z, Basis.X]), min_size=6, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_stage_of_tabled_and_unshared_states_is_its_qubits(self, seed, order, bases):
-        # Tabled: both halves of a Bell pair and a |+>; unshared, so computed:
-        # a fresh one-qubit state and both qubits of a fresh two-qubit state.
+        # Tabled: both halves of a Bell pair and a |+>; unshared copies of
+        # keyed states, read as the table's: a fresh |-> and both qubits of
+        # a fresh H|0> H|1>.
         def stage():
             alice = quantum_party("alice")
             slots = Slots()
             [t_half], [b_half] = alice.prepare_bell_pair(slots, (1,))
             handles = [t_half, b_half, *alice.prepare(slots, b"\x02"),
-                       *new_qubit(slots, [StateVector([0.6, 0.8])])]
-            slots.states.append(StateVector([0.6, 0, 0, 0.8]))
+                       *new_qubit(slots, [StateVector([0.5 ** 0.5, -0.5 ** 0.5])])]
+            slots.states.append(StateVector([0.5, -0.5, 0.5, -0.5]))
             handles += [len(slots.states) - 1 << 2, len(slots.states) - 1 << 2 | 1]
             return slots, [handles[i] for i in order]
 
@@ -526,6 +540,12 @@ class TestPartyStages:
         assert bits == expected
         assert [s.amps for s in slots.states] == [s.amps for s in expected_states]
         assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_a_stage_refuses_a_state_with_no_key(self):
+        slots = Slots()
+        handles = new_qubit(slots, [StateVector([0.6, 0.8])])
+        with pytest.raises(ValueError, match="measurement_branches"):
+            quantum_party("alice").measure(slots, handles, b"\x00", np.random.default_rng(0))
 
     def test_stage_refuses_a_revoked_ref(self):
         slots = Slots()
